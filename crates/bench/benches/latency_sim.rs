@@ -10,8 +10,8 @@ use tauhls_core::experiments::paper_benchmarks;
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    latency_pair, latency_pair_batch, simulate_cent, simulate_cent_sync, simulate_distributed,
-    BatchRunner, CentControlUnit, CompletionModel,
+    latency_batch, simulate_cent, simulate_cent_sync, simulate_distributed, BatchRunner,
+    CentControlUnit, CompletionModel, ControlStyle,
 };
 
 fn main() {
@@ -64,11 +64,20 @@ fn main() {
 
     let (dfg, alloc, _) = paper_benchmarks().swap_remove(4); // diffeq
     let bound = BoundDfg::bind(&dfg, &alloc);
-    let mut rng = StdRng::seed_from_u64(2);
+    let pair = [ControlStyle::CentSync, ControlStyle::Distributed];
+    let serial = BatchRunner::serial();
     bench.run("table2/cells/diffeq_pair_100_trials", || {
         black_box(
-            latency_pair(black_box(&bound), &[0.9, 0.7, 0.5], 100, &mut rng)
-                .expect("fault-free simulation"),
+            latency_batch(
+                black_box(&bound),
+                &pair,
+                &[0.9, 0.7, 0.5],
+                0,
+                100,
+                2,
+                &serial,
+            )
+            .expect("fault-free simulation"),
         );
     });
 
@@ -79,8 +88,16 @@ fn main() {
             &format!("table2/batch/diffeq_pair_1k_trials/t{threads}"),
             || {
                 black_box(
-                    latency_pair_batch(black_box(&bound), &[0.9, 0.7, 0.5], 1000, 2, &runner)
-                        .expect("fault-free simulation"),
+                    latency_batch(
+                        black_box(&bound),
+                        &pair,
+                        &[0.9, 0.7, 0.5],
+                        0,
+                        1000,
+                        2,
+                        &runner,
+                    )
+                    .expect("fault-free simulation"),
                 );
             },
         );

@@ -9,7 +9,8 @@ use tauhls_fsm::{synthesize, Encoding, Fsm};
 use tauhls_logic::AreaModel;
 use tauhls_sched::Allocation;
 use tauhls_sim::{
-    derive_seed, enhancement_percent, latency_quad_batch, BatchRunner, ElasticSpec, LatencySummary,
+    derive_seed, enhancement_percent, latency_batch, BatchRunner, ControlStyle, ElasticSpec,
+    LatencySummary,
 };
 
 /// One row of the Table 1 area analysis.
@@ -250,14 +251,23 @@ pub fn table2(
             .run()
             .expect("benchmark synthesizes");
         let row_seed = derive_seed(seed, row_id as u64, 0);
-        let (tau, dist, cent, elas) = latency_quad_batch(
+        let styles = [
+            ControlStyle::CentSync,
+            ControlStyle::Distributed,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(ElasticSpec::default()),
+        ];
+        let [tau, dist, cent, elas]: [LatencySummary; 4] = latency_batch(
             design.bound(),
+            &styles,
             &p_values,
+            0,
             trials as u64,
             row_seed,
-            ElasticSpec::default(),
             runner,
-        )?;
+        )?
+        .try_into()
+        .expect("one summary per style");
         let enhancement = enhancement_percent(&tau, &dist);
         rows.push(LatencyRow {
             name,

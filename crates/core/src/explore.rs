@@ -14,7 +14,7 @@ use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    derive_seed, latency_pair_batch, latency_summary_batch, BatchRunner, ControlStyle, ElasticSpec,
+    derive_seed, latency_batch, latency_summary_batch, BatchRunner, ControlStyle, ElasticSpec,
     SimError,
 };
 
@@ -109,14 +109,17 @@ pub fn explore_allocations(
                     .expect("covered allocation synthesizes");
                 let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
                 let point_seed = derive_seed(params.seed, point_id, 0);
-                let (_, dist) = latency_pair_batch(
+                let dist = latency_batch(
                     design.bound(),
+                    &[ControlStyle::Distributed],
                     &[params.p],
+                    0,
                     params.trials as u64,
                     point_seed,
                     runner,
                 )
-                .expect("fault-free simulation");
+                .expect("fault-free simulation")
+                .remove(0);
                 let area = system_area(
                     &design,
                     Encoding::Binary,
@@ -328,9 +331,17 @@ pub fn design_space_slice(
         let bound = BoundDfg::bind(dfg, &alloc);
         let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
         let point_seed = derive_seed(params.seed, point_id, 0);
-        let (_, dist) =
-            latency_pair_batch(&bound, &params.p_values, params.trials, point_seed, runner)
-                .map_err(SweepError::Sim)?;
+        let dist = latency_batch(
+            &bound,
+            &[ControlStyle::Distributed],
+            &params.p_values,
+            0,
+            params.trials,
+            point_seed,
+            runner,
+        )
+        .map_err(SweepError::Sim)?
+        .remove(0);
         // Per-skew cycle estimates, indexed [skew][p]. Skew 0 reuses the
         // distributed leg; nonzero bounds run the elastic engine at the
         // same seed, so both legs draw identical completion tables.

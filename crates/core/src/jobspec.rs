@@ -22,7 +22,7 @@ use tauhls_json::{Json, JsonRef, ToJson};
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    enhancement_percent, latency_quad_batch, BatchRunner, ControlStyleSet, ElasticSpec,
+    enhancement_percent, latency_batch, BatchRunner, ControlStyle, ControlStyleSet, ElasticSpec,
     LatencySummary, SimError,
 };
 
@@ -159,6 +159,51 @@ pub struct SimulateSpec {
     pub seed: u64,
     /// Clock-domain parameters of the `LT_ELAS` leg.
     pub elastic: ElasticSpec,
+}
+
+/// The `/v1/simulate` legs in body order: each response key with the
+/// controller style it measures (ELASTIC at the spec's clock domains).
+/// Local runs, cluster partitions and their merge all walk this table.
+pub(crate) const SIMULATE_LEGS: [(&str, LegStyle); 4] = [
+    ("lt_tau", |_| ControlStyle::CentSync),
+    ("lt_dist", |_| ControlStyle::Distributed),
+    ("lt_cent", |_| ControlStyle::Cent),
+    ("lt_elas", ControlStyle::Elastic),
+];
+
+/// A leg's controller style, given the spec's elastic parameters.
+type LegStyle = fn(ElasticSpec) -> ControlStyle;
+
+impl SimulateSpec {
+    /// Measures every [`SIMULATE_LEGS`] style on coupled trials over
+    /// `p_values[range]`, each `P` seeded by its global index, so any
+    /// partition of the sweep reproduces the whole run's numbers.
+    pub(crate) fn measure_legs(
+        &self,
+        range: std::ops::Range<usize>,
+        runner: &BatchRunner,
+    ) -> Result<Vec<LatencySummary>, JobError> {
+        let p_values = self
+            .p_values
+            .get(range.clone())
+            .ok_or_else(|| JobError::Invalid("slice beyond p_values".to_string()))?;
+        let bound = bind_spec(&self.dfg, self.muls, self.adds, self.subs, self.chains)
+            .map_err(JobError::Invalid)?;
+        let styles: Vec<ControlStyle> = SIMULATE_LEGS
+            .iter()
+            .map(|(_, style)| style(self.elastic))
+            .collect();
+        latency_batch(
+            &bound,
+            &styles,
+            p_values,
+            range.start as u64,
+            self.trials,
+            self.seed,
+            runner,
+        )
+        .map_err(JobError::from_sim)
+    }
 }
 
 /// Validated spec for `POST /v1/table2`.
@@ -1236,12 +1281,8 @@ impl JobSpec {
     fn run_simulation(&self, runner: &BatchRunner) -> Result<Json, JobError> {
         match self {
             JobSpec::Simulate(s) => {
-                let bound = bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)
-                    .map_err(JobError::Invalid)?;
-                let (tau, dist, cent, elas) =
-                    latency_quad_batch(&bound, &s.p_values, s.trials, s.seed, s.elastic, runner)
-                        .map_err(JobError::from_sim)?;
-                Ok(self.simulate_body(&tau, &dist, &cent, &elas))
+                let legs = s.measure_legs(0..s.p_values.len(), runner)?;
+                Ok(self.simulate_body(&legs))
             }
             JobSpec::Table2(s) => {
                 let t = table2(s.trials as usize, s.seed, runner).map_err(JobError::from_sim)?;
@@ -1269,17 +1310,11 @@ impl JobSpec {
         }
     }
 
-    /// Renders the `/v1/simulate` response body from the four measured
-    /// latency summaries. Shared by the local execution path and the
+    /// Renders the `/v1/simulate` response body from the measured legs, in
+    /// [`SIMULATE_LEGS`] order. Shared by the local execution path and the
     /// distributed merge, so a body assembled from partition partials is
     /// byte-identical to a single-node run by construction.
-    pub(crate) fn simulate_body(
-        &self,
-        tau: &LatencySummary,
-        dist: &LatencySummary,
-        cent: &LatencySummary,
-        elas: &LatencySummary,
-    ) -> Json {
+    pub(crate) fn simulate_body(&self, legs: &[LatencySummary]) -> Json {
         let clk = Timing::default().clock_ns();
         let cells = |summary: &LatencySummary| {
             Json::object([
@@ -1292,16 +1327,23 @@ impl JobSpec {
                 ),
             ])
         };
-        let enhancement = enhancement_percent(tau, dist);
-        Json::object([
-            ("spec", self.canonical()),
-            ("clock_ns", Json::from(clk)),
-            ("lt_tau", cells(tau)),
-            ("lt_dist", cells(dist)),
-            ("lt_cent", cells(cent)),
-            ("lt_elas", cells(elas)),
-            ("enhancement_percent", Json::floats(&enhancement)),
-        ])
+        let leg = |name: &str| {
+            let k = SIMULATE_LEGS.iter().position(|(key, _)| *key == name)?;
+            legs.get(k)
+        };
+        let enhancement = match (leg("lt_tau"), leg("lt_dist")) {
+            (Some(tau), Some(dist)) => enhancement_percent(tau, dist),
+            _ => Vec::new(),
+        };
+        let mut body = vec![("spec", self.canonical()), ("clock_ns", Json::from(clk))];
+        body.extend(
+            SIMULATE_LEGS
+                .iter()
+                .zip(legs)
+                .map(|((key, _), summary)| (*key, cells(summary))),
+        );
+        body.push(("enhancement_percent", Json::floats(&enhancement)));
+        Json::object(body)
     }
 
     /// Renders the `/v1/resilience` response body from a finished report.

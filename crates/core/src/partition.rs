@@ -34,13 +34,15 @@
 use crate::explore::{
     design_space_slice, enumerate_allocations, mark_scenario_pareto, SweepError, SweepPoint,
 };
-use crate::jobspec::{bind_spec, build_dfg, encoding_name, parse_encoding, JobError, JobSpec};
+use crate::jobspec::{
+    bind_spec, build_dfg, encoding_name, parse_encoding, JobError, JobSpec, SIMULATE_LEGS,
+};
 use crate::resilience::{
     report_from_counters, resilience_kind_counters_with, KindCounters, FAULT_KINDS,
 };
 use crate::stages::{StageCache, StageRecord};
 use tauhls_json::Json;
-use tauhls_sim::{latency_quad_batch_indexed, BatchRunner, LatencySummary};
+use tauhls_sim::{BatchRunner, LatencySummary};
 
 /// One contiguous slice of a job's partition axis.
 ///
@@ -166,29 +168,12 @@ pub fn run_part(
     };
     match spec {
         JobSpec::Simulate(s) => {
-            if part.hi > s.p_values.len() {
-                return Err(JobError::Invalid("slice beyond p_values".to_string()));
-            }
-            let bound =
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains).map_err(JobError::Invalid)?;
-            let indexed: Vec<(u64, f64)> = (part.lo..part.hi)
-                .map(|i| (i as u64, s.p_values[i]))
-                .collect();
-            let (tau, dist, cent, elas) =
-                latency_quad_batch_indexed(&bound, &indexed, s.trials, s.seed, s.elastic, runner)
-                    .map_err(JobError::from_sim)?;
-            Ok((
-                coords((
-                    "legs",
-                    Json::object([
-                        ("lt_tau", summary_partial(&tau)),
-                        ("lt_dist", summary_partial(&dist)),
-                        ("lt_cent", summary_partial(&cent)),
-                        ("lt_elas", summary_partial(&elas)),
-                    ]),
-                )),
-                Vec::new(),
-            ))
+            let summaries = s.measure_legs(part.lo..part.hi, runner)?;
+            let legs = SIMULATE_LEGS
+                .iter()
+                .zip(&summaries)
+                .map(|((key, _), summary)| (*key, summary_partial(summary)));
+            Ok((coords(("legs", Json::object(legs))), Vec::new()))
         }
         JobSpec::Resilience(s) => {
             if part.hi > FAULT_KINDS.len() {
@@ -339,21 +324,13 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
     }
     match spec {
         JobSpec::Simulate(s) => {
-            let mut tau: Option<LatencySummary> = None;
-            let mut dist: Option<LatencySummary> = None;
-            let mut cent: Option<LatencySummary> = None;
-            let mut elas: Option<LatencySummary> = None;
+            let mut merged: Vec<LatencySummary> = Vec::new();
             for (part, partial) in parts.iter().zip(partials) {
                 let legs = field(partial, "legs", "legs")?;
-                for (acc, leg) in [
-                    (&mut tau, "lt_tau"),
-                    (&mut dist, "lt_dist"),
-                    (&mut cent, "lt_cent"),
-                    (&mut elas, "lt_elas"),
-                ] {
-                    let piece = summary_from_partial(legs, leg, &s.p_values, part.lo, part.hi)?;
-                    match acc {
-                        None => *acc = Some(piece),
+                for (k, (key, _)) in SIMULATE_LEGS.iter().enumerate() {
+                    let piece = summary_from_partial(legs, key, &s.p_values, part.lo, part.hi)?;
+                    match merged.get_mut(k) {
+                        None => merged.push(piece),
                         Some(whole) => {
                             // Best/worst are deterministic extremes; every
                             // partition reports the same values.
@@ -368,14 +345,12 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                     }
                 }
             }
-            match (tau, dist, cent, elas) {
-                (Some(tau), Some(dist), Some(cent), Some(elas)) => {
-                    if tau.average_cycles.len() != s.p_values.len() {
-                        return Err(bad("merged sweep does not cover p_values"));
-                    }
-                    Ok(spec.simulate_body(&tau, &dist, &cent, &elas))
+            match merged.first() {
+                None => Err(bad("no partials")),
+                Some(leg) if leg.average_cycles.len() != s.p_values.len() => {
+                    Err(bad("merged sweep does not cover p_values"))
                 }
-                _ => Err(bad("no partials")),
+                Some(_) => Ok(spec.simulate_body(&merged)),
             }
         }
         JobSpec::Resilience(s) => {

@@ -9,7 +9,7 @@
 
 use tauhls_dfg::Dfg;
 use tauhls_sched::{Allocation, BoundDfg};
-use tauhls_sim::{derive_seed, latency_pair_batch, BatchRunner};
+use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ControlStyle, LatencySummary};
 
 /// One point of a latency-vs-`P` curve.
 #[derive(Clone, Debug)]
@@ -38,8 +38,7 @@ pub fn latency_curve(
 ) -> Vec<CurvePoint> {
     assert!(steps >= 2 && trials > 0);
     let ps: Vec<f64> = (0..steps).map(|i| i as f64 / (steps - 1) as f64).collect();
-    let (sync, dist) =
-        latency_pair_batch(bound, &ps, trials as u64, seed, runner).expect("fault-free simulation");
+    let [sync, dist] = sync_and_dist(bound, &ps, trials as u64, seed, runner);
     ps.iter()
         .enumerate()
         .map(|(i, &p)| {
@@ -53,6 +52,21 @@ pub fn latency_curve(
             }
         })
         .collect()
+}
+
+/// Coupled CENT-SYNC and DIST summaries of a fault-free design.
+fn sync_and_dist(
+    bound: &BoundDfg,
+    ps: &[f64],
+    trials: u64,
+    seed: u64,
+    runner: &BatchRunner,
+) -> [LatencySummary; 2] {
+    let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+    latency_batch(bound, &styles, ps, 0, trials, seed, runner)
+        .expect("fault-free simulation")
+        .try_into()
+        .expect("one summary per style")
 }
 
 /// One point of an enhancement-vs-allocation series.
@@ -97,8 +111,7 @@ pub fn allocation_series(
         // Each allocation point gets its own seed-space partition, so the
         // series is independent of which points the coverage filter skips.
         let point_seed = derive_seed(seed, muls as u64, 0);
-        let (sync, dist) = latency_pair_batch(&bound, &[p], trials as u64, point_seed, runner)
-            .expect("fault-free simulation");
+        let [sync, dist] = sync_and_dist(&bound, &[p], trials as u64, point_seed, runner);
         out.push(AllocationPoint {
             muls,
             enhancement: (sync.average_cycles[0] - dist.average_cycles[0]) / sync.average_cycles[0]

@@ -31,21 +31,16 @@
 //! assert_eq!(serial, parallel); // bit-identical, not just statistically close
 //! ```
 
-use crate::cent::{simulate_cent_with, CentControlUnit};
-use crate::centsync::simulate_cent_sync_with;
-use crate::distributed::simulate_distributed_with;
-use crate::elastic::{elastic_trial_skew_seed, simulate_elastic_saturated, simulate_elastic_with};
+use crate::elastic::elastic_trial_skew_seed;
 use crate::error::SimError;
 use crate::fault::SimConfig;
-use crate::kernel::ElasticSpec;
-use crate::latency::{ControlStyle, LatencySummary};
+use crate::latency::{ControlStyle, Engine, LatencySummary};
 use crate::model::CompletionModel;
 use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
 use rand::rngs::StdRng;
 use rand::{splitmix64_mix, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 
 /// A cooperative cancellation flag shared between a shutdown path and the
@@ -54,7 +49,7 @@ use tauhls_sched::BoundDfg;
 /// Attach a clone to a runner with [`BatchRunner::with_cancel`]; once some
 /// other thread calls [`CancelToken::cancel`], workers stop claiming new
 /// chunks at the next chunk boundary and the batch APIs
-/// ([`SimJob::run`], [`latency_triple_batch`], …) return
+/// ([`SimJob::run`], [`latency_batch`], …) return
 /// [`SimError::Cancelled`] instead of partial statistics. This is the
 /// drain hook a long-running service uses on shutdown: in-flight chunks
 /// still finish (trials are never interrupted mid-simulation), but the
@@ -218,41 +213,20 @@ impl<A: Accumulator, B: Accumulator> Accumulator for (A, B) {
     }
 }
 
-impl<A: Accumulator, B: Accumulator, C: Accumulator> Accumulator for (A, B, C) {
+/// One accumulator per slot (per controller style in [`latency_batch`]).
+/// Folding merges slot by slot, growing to the longer side, so chunks may
+/// start from the empty vector and size it on first use.
+impl<A: Accumulator> Accumulator for Vec<A> {
     fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty())
+        Vec::new()
     }
     fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-    }
-}
-
-impl<A: Accumulator, B: Accumulator, C: Accumulator, D: Accumulator> Accumulator for (A, B, C, D) {
-    fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty(), D::empty())
-    }
-    fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-        self.3.fold(other.3);
-    }
-}
-
-impl<A: Accumulator, B: Accumulator, C: Accumulator, D: Accumulator, E: Accumulator> Accumulator
-    for (A, B, C, D, E)
-{
-    fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty(), D::empty(), E::empty())
-    }
-    fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-        self.3.fold(other.3);
-        self.4.fold(other.4);
+        if self.len() < other.len() {
+            self.resize_with(other.len(), A::empty);
+        }
+        for (acc, part) in self.iter_mut().zip(other) {
+            acc.fold(part);
+        }
     }
 }
 
@@ -571,90 +545,37 @@ impl<'a> SimJob<'a> {
         runner: &BatchRunner,
         sliced: bool,
     ) -> Result<CycleStats, SimError> {
-        enum JobEngine {
-            Dist(DistributedControlUnit),
-            Cent(CentControlUnit),
-            Sync,
-            Elastic(DistributedControlUnit, ElasticSpec),
-        }
-        let engine = match self.style {
-            ControlStyle::Distributed => {
-                JobEngine::Dist(DistributedControlUnit::generate(self.bound))
-            }
-            ControlStyle::Cent => JobEngine::Cent(CentControlUnit::without_product(self.bound)),
-            ControlStyle::CentSync => JobEngine::Sync,
-            ControlStyle::Elastic(spec) => {
-                JobEngine::Elastic(DistributedControlUnit::generate(self.bound), spec)
-            }
-        };
+        let engine = Engine::generate(self.bound, self.style);
         let default_config = SimConfig::default();
         let config = self.config.unwrap_or(&default_config);
+        let skew_seed = |trial| elastic_trial_skew_seed(base_seed, self.job_id, trial);
         let scalar_trial = |trial: u64| {
             let mut rng = trial_rng(base_seed, self.job_id, trial);
-            match &engine {
-                JobEngine::Dist(cu) => {
-                    simulate_distributed_with(self.bound, cu, self.model, None, &mut rng, config)
-                }
-                JobEngine::Cent(cu) => {
-                    simulate_cent_with(self.bound, cu, self.model, None, &mut rng, config)
-                }
-                JobEngine::Sync => {
-                    simulate_cent_sync_with(self.bound, self.model, None, &mut rng, config)
-                }
-                JobEngine::Elastic(cu, spec) => simulate_elastic_with(
-                    self.bound,
-                    cu,
-                    self.model,
-                    None,
-                    &mut rng,
-                    config,
-                    *spec,
-                    elastic_trial_skew_seed(base_seed, self.job_id, trial),
-                ),
-            }
+            engine.run_scalar(self.bound, self.model, &mut rng, config, skew_seed(trial))
         };
         let (stats, errors): (CycleStats, FirstError) = if sliced {
             runner.run_chunked(
                 self.trials,
                 || {
-                    let sim = match &engine {
-                        JobEngine::Dist(cu) | JobEngine::Elastic(cu, _) => {
-                            SlicedSim::distributed(self.bound, cu, None)
-                        }
-                        // CENT is the product-free wrapper around the same
-                        // controller bank, so its sliced run is the DIST
-                        // run over `components()`.
-                        JobEngine::Cent(cu) => {
-                            SlicedSim::distributed(self.bound, cu.components(), None)
-                        }
-                        JobEngine::Sync => SlicedSim::cent_sync(self.bound, None),
-                    };
-                    (sim, Vec::<StdRng>::new(), Vec::<u64>::new())
+                    (
+                        engine.sliced(self.bound),
+                        Vec::<StdRng>::new(),
+                        Vec::<u64>::new(),
+                    )
                 },
                 |(sim, rngs, skews), range, (acc, errors): &mut (CycleStats, FirstError)| {
                     let mut start = range.start;
                     while start < range.end {
                         let end = (start + LANES as u64).min(range.end);
                         rngs.clear();
+                        skews.clear();
                         for trial in start..end {
                             rngs.push(trial_rng(base_seed, self.job_id, trial));
+                            skews.push(skew_seed(trial));
                         }
                         let models = LaneModels::Shared(self.model);
                         let cfgs = LaneConfigs::Shared(config);
-                        let out = match &engine {
-                            JobEngine::Elastic(_, spec) => {
-                                skews.clear();
-                                for trial in start..end {
-                                    skews.push(elastic_trial_skew_seed(
-                                        base_seed,
-                                        self.job_id,
-                                        trial,
-                                    ));
-                                }
-                                sim.run_elastic(*spec, skews, &models, &cfgs, rngs)
-                            }
-                            _ => sim.run(&models, &cfgs, rngs),
-                        };
+                        let out = engine.run_sliced(sim, skews, &models, &cfgs, rngs);
                         for (lane, outcome) in out.iter().enumerate() {
                             match outcome {
                                 LaneOutcome::Done(r) => acc.record(r.cycles),
@@ -701,48 +622,7 @@ pub fn latency_summary_batch(
             "latency summary needs trials >= 1".to_string(),
         ));
     }
-    // The elastic envelope pins the schedule-space extremes (stall-free
-    // floor / saturated ceiling) so it brackets the seeded averages; the
-    // synchronous styles take the completion-model extremes as before.
-    let (best_cycles, worst_cycles) = if let ControlStyle::Elastic(spec) = style {
-        let cu = DistributedControlUnit::generate(bound);
-        let fault_free = SimConfig::default();
-        let floor = ElasticSpec {
-            skew_bound: 0,
-            ..spec
-        };
-        let mut rng = trial_rng(base_seed, u64::MAX, 0);
-        (
-            simulate_elastic_with(
-                bound,
-                &cu,
-                &CompletionModel::AlwaysShort,
-                None,
-                &mut rng,
-                &fault_free,
-                floor,
-                0,
-            )?
-            .cycles,
-            simulate_elastic_saturated(
-                bound,
-                &cu,
-                &CompletionModel::AlwaysLong,
-                None,
-                &mut rng,
-                &fault_free,
-                spec,
-            )?
-            .cycles,
-        )
-    } else {
-        let serial = BatchRunner::serial();
-        let best =
-            SimJob::new(bound, style, &CompletionModel::AlwaysShort).run(base_seed, &serial)?;
-        let worst =
-            SimJob::new(bound, style, &CompletionModel::AlwaysLong).run(base_seed, &serial)?;
-        (best.min, worst.max)
-    };
+    let (best_cycles, worst_cycles) = Engine::generate(bound, style).envelope(bound)?;
     let mut average_cycles = Vec::with_capacity(p_values.len());
     for (idx, &p) in p_values.iter().enumerate() {
         let model = CompletionModel::Bernoulli { p };
@@ -760,509 +640,139 @@ pub fn latency_summary_batch(
     })
 }
 
-/// Parallel counterpart of [`crate::latency_pair`]: per trial, one
-/// completion table is drawn and fed to **both** control styles, so the
-/// comparison stays coupled (distributed dominates per-trial); the trials
-/// themselves fan out over `runner`'s workers.
+/// Measures one [`LatencySummary`] per requested style, in the order
+/// requested, with **coupled** completion draws: every trial draws one
+/// short/long table from its own trial RNG and feeds it to every style, so
+/// the styles are compared trial for trial, free of sampling skew (the
+/// paper's `LT_DIST <= LT_TAU` holds per trial, not merely in
+/// expectation).
 ///
-/// Returns `(sync, dist)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_pair_batch(
+/// `p_values[i]` seeds its trials from job id `first_job + i`. A
+/// contiguous sub-range of a larger sweep, run with its global offset,
+/// therefore reproduces exactly the per-`P` averages of the full sweep;
+/// this is the primitive a cluster coordinator partitions on. Best/worst
+/// cells are deterministic extremes, identical in every partition.
+///
+/// Table models consume no RNG, and ELASTIC draws its skew schedule from
+/// the salted [`elastic_trial_skew_seed`] stream, so each style's summary
+/// is the same whichever other styles ride along. Each slab of lanes runs
+/// at most one CENT-SYNC and one DIST sliced pass (CENT reads the DIST
+/// lanes by bisimulation) plus one elastic pass per elastic spec; lanes the
+/// sliced engine declines are re-measured scalar. Per trial, DIST never
+/// loses to CENT-SYNC, CENT equals DIST and ELASTIC never beats DIST; these
+/// orderings are debug-asserted wherever both styles are present.
+///
+/// Returns [`SimError::InvalidConfig`] when `trials == 0`,
+/// [`SimError::Cancelled`] when `runner`'s token fires, and otherwise the
+/// error of the lowest-numbered failing trial.
+pub fn latency_batch(
     bound: &BoundDfg,
+    styles: &[ControlStyle],
     p_values: &[f64],
+    first_job: u64,
     trials: u64,
     base_seed: u64,
     runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary), SimError> {
+) -> Result<Vec<LatencySummary>, SimError> {
     if trials == 0 {
         return Err(SimError::InvalidConfig(
-            "latency pair needs trials >= 1".to_string(),
+            "latency batch needs trials >= 1".to_string(),
         ));
     }
+    let engines: Vec<Engine> = styles.iter().map(|&s| Engine::generate(bound, s)).collect();
+    let envelopes = engines
+        .iter()
+        .map(|e| e.envelope(bound))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Style `k` reads the lanes of style `lanes_of[k]`, the first style
+    // sharing its sliced pass.
+    let lanes_of: Vec<usize> = (0..engines.len())
+        .map(|k| {
+            (0..k)
+                .find(|&j| engines[j].shares_lanes(&engines[k]))
+                .unwrap_or(k)
+        })
+        .collect();
     let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
     let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure = |model: &CompletionModel, rng: &mut StdRng| -> Result<(usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-            simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-        ))
-    };
-    let (sync_best, dist_best) = measure(&CompletionModel::AlwaysShort, &mut rng)?;
-    let (sync_worst, dist_worst) = measure(&CompletionModel::AlwaysLong, &mut rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    for (idx, &p) in p_values.iter().enumerate() {
-        let (sync, dist, errors): (CycleStats, CycleStats, FirstError) = runner.run_chunked(
+    let mut averages = vec![Vec::with_capacity(p_values.len()); engines.len()];
+    for (i, &p) in p_values.iter().enumerate() {
+        let job = first_job + i as u64;
+        let (stats, errors): (Vec<CycleStats>, FirstError) = runner.run_chunked(
             trials,
             || {
-                (
-                    SlicedSim::cent_sync(bound, None),
-                    SlicedSim::distributed(bound, &cu, None),
-                    Vec::<StdRng>::new(),
-                    Vec::<CompletionModel>::new(),
-                )
-            },
-            |(sync_sim, dist_sim, rngs, tables),
-             range,
-             (sync, dist, errors): &mut (CycleStats, CycleStats, FirstError)| {
-                let mut start = range.start;
-                while start < range.end {
-                    let end = (start + LANES as u64).min(range.end);
-                    rngs.clear();
-                    tables.clear();
-                    // Draw each lane's table from its own trial RNG first,
-                    // consuming exactly what the scalar path consumes; the
-                    // table models are RNG-neutral afterwards.
-                    for trial in start..end {
-                        let mut rng = trial_rng(base_seed, idx as u64, trial);
-                        tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                        rngs.push(rng);
-                    }
-                    let models = LaneModels::PerLane(&tables[..]);
-                    let cfgs = LaneConfigs::Shared(&fault_free);
-                    let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                    let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                    for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                        let trial = start + lane as u64;
-                        match (so, do_) {
-                            (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                let (s, d) = (s.cycles, d.cycles);
-                                debug_assert!(
-                                    d <= s,
-                                    "distributed lost a coupled trial: {d} > {s}"
-                                );
-                                sync.record(s);
-                                dist.record(d);
-                            }
-                            _ => {
-                                // Any declined lane gets a full scalar
-                                // re-measure from a fresh trial RNG.
-                                let mut rng = trial_rng(base_seed, idx as u64, trial);
-                                let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                match measure(&table, &mut rng) {
-                                    Ok((s, d)) => {
-                                        debug_assert!(
-                                            d <= s,
-                                            "distributed lost a coupled trial: {d} > {s}"
-                                        );
-                                        sync.record(s);
-                                        dist.record(d);
-                                    }
-                                    Err(e) => errors.record(trial, e),
-                                }
-                            }
-                        }
-                    }
-                    start = end;
+                // One CENT-SYNC simulator and one over the shared DIST
+                // bank, each built by the first style that steps it.
+                let sim = |bank: bool| {
+                    let owner = engines.iter().find(|e| e.dist_bank().is_some() == bank);
+                    owner.map(|e| e.sliced(bound))
+                };
+                CoupledWorker {
+                    sync_sim: sim(false),
+                    bank_sim: sim(true),
+                    rngs: Vec::new(),
+                    tables: Vec::new(),
+                    skews: Vec::new(),
+                    outs: vec![Vec::new(); engines.len()],
+                    cycles: vec![None; engines.len()],
                 }
             },
-        );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-    }
-    Ok((
-        LatencySummary {
-            best_cycles: sync_best,
-            average_cycles: sync_avg,
-            worst_cycles: sync_worst,
-            p_values: p_values.to_vec(),
-        },
-        LatencySummary {
-            best_cycles: dist_best,
-            average_cycles: dist_avg,
-            worst_cycles: dist_worst,
-            p_values: p_values.to_vec(),
-        },
-    ))
-}
-
-/// Parallel counterpart of [`crate::latency_triple`]: per trial, one
-/// completion table is drawn and fed to **all three** control styles. The
-/// table models are RNG-neutral, so the sync and dist legs reproduce
-/// [`latency_pair_batch`] bit for bit under the same seeds; the CENT leg's
-/// per-trial equality with DIST (bisimulation) is debug-asserted.
-///
-/// Returns `(sync, dist, cent)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_triple_batch(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    let indexed: Vec<(u64, f64)> = p_values
-        .iter()
-        .enumerate()
-        .map(|(idx, &p)| (idx as u64, p))
-        .collect();
-    latency_triple_batch_indexed(bound, &indexed, trials, base_seed, runner)
-}
-
-/// [`latency_triple_batch`] over an explicit `(job_id, p)` list.
-///
-/// Each swept `P` seeds its trials from the *supplied* `job_id` rather
-/// than its position in the slice, so a contiguous sub-range of a larger
-/// sweep — run with the original global indices — reproduces exactly the
-/// per-`P` averages the full sweep would produce. This is the primitive a
-/// distributed coordinator partitions on: merging per-partition
-/// `average_cycles`/`p_values` in partition order reassembles the
-/// single-node summary bit for bit (best/worst legs are deterministic
-/// extremes, identical in every partition).
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_triple_batch_indexed(
-    bound: &BoundDfg,
-    indexed_p: &[(u64, f64)],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency triple needs trials >= 1".to_string(),
-        ));
-    }
-    let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure =
-        |model: &CompletionModel, rng: &mut StdRng| -> Result<(usize, usize, usize), SimError> {
-            Ok((
-                simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-                simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-                simulate_cent_with(bound, &cent_cu, model, None, rng, &fault_free)?.cycles,
-            ))
-        };
-    let (sync_best, dist_best, cent_best) = measure(&CompletionModel::AlwaysShort, &mut rng)?;
-    let (sync_worst, dist_worst, cent_worst) = measure(&CompletionModel::AlwaysLong, &mut rng)?;
-    let mut sync_avg = Vec::with_capacity(indexed_p.len());
-    let mut dist_avg = Vec::with_capacity(indexed_p.len());
-    let mut cent_avg = Vec::with_capacity(indexed_p.len());
-    for &(idx, p) in indexed_p {
-        let (sync, dist, cent, errors): (CycleStats, CycleStats, CycleStats, FirstError) =
-            runner.run_chunked(
-                trials,
-                || {
-                    // CENT shares DIST's controller bank (`components()`),
-                    // so one sliced DIST run serves both legs; the scalar
-                    // re-measure path keeps the per-trial debug assert.
-                    (
-                        SlicedSim::cent_sync(bound, None),
-                        SlicedSim::distributed(bound, &cu, None),
-                        Vec::<StdRng>::new(),
-                        Vec::<CompletionModel>::new(),
-                    )
-                },
-                |(sync_sim, dist_sim, rngs, tables),
-                 range,
-                 (sync, dist, cent, errors): &mut (
-                    CycleStats,
-                    CycleStats,
-                    CycleStats,
-                    FirstError,
-                )| {
-                    let mut start = range.start;
-                    while start < range.end {
-                        let end = (start + LANES as u64).min(range.end);
-                        rngs.clear();
-                        tables.clear();
-                        for trial in start..end {
-                            let mut rng = trial_rng(base_seed, idx, trial);
-                            tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                            rngs.push(rng);
-                        }
-                        let models = LaneModels::PerLane(&tables[..]);
-                        let cfgs = LaneConfigs::Shared(&fault_free);
-                        let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                        let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                        for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                            let trial = start + lane as u64;
-                            match (so, do_) {
-                                (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                    let (s, d) = (s.cycles, d.cycles);
-                                    debug_assert!(
-                                        d <= s,
-                                        "distributed lost a coupled trial: {d} > {s}"
-                                    );
-                                    sync.record(s);
-                                    dist.record(d);
-                                    cent.record(d);
-                                }
-                                _ => {
-                                    let mut rng = trial_rng(base_seed, idx, trial);
-                                    let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                    match measure(&table, &mut rng) {
-                                        Ok((s, d, c)) => {
-                                            debug_assert!(
-                                                d <= s,
-                                                "distributed lost a coupled trial: {d} > {s}"
-                                            );
-                                            debug_assert_eq!(
-                                                c, d,
-                                                "CENT diverged from DIST on a coupled trial"
-                                            );
-                                            sync.record(s);
-                                            dist.record(d);
-                                            cent.record(c);
-                                        }
-                                        Err(e) => errors.record(trial, e),
-                                    }
-                                }
-                            }
-                        }
-                        start = end;
-                    }
-                },
-            );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-        cent_avg.push(cent.mean());
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: indexed_p.iter().map(|&(_, p)| p).collect(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-    ))
-}
-
-/// Parallel counterpart of [`crate::latency_quad`]: per trial, one
-/// completion table is drawn and fed to **all four** control styles. The
-/// elastic leg's skew schedule comes from the salted
-/// [`elastic_trial_skew_seed`] stream — never from the trial RNG — so the
-/// sync/dist/cent legs reproduce [`latency_triple_batch`] bit for bit
-/// under the same seeds.
-///
-/// Returns `(sync, dist, cent, elastic)`, or
-/// [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad_batch(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    spec: ElasticSpec,
-    runner: &BatchRunner,
-) -> Result<
-    (
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-    ),
-    SimError,
-> {
-    let indexed: Vec<(u64, f64)> = p_values
-        .iter()
-        .enumerate()
-        .map(|(idx, &p)| (idx as u64, p))
-        .collect();
-    latency_quad_batch_indexed(bound, &indexed, trials, base_seed, spec, runner)
-}
-
-/// [`latency_quad_batch`] over an explicit `(job_id, p)` list — the
-/// partitionable primitive, like [`latency_triple_batch_indexed`]: a
-/// contiguous sub-range run with its original global indices reproduces
-/// the full sweep's per-`P` averages exactly, elastic leg included
-/// (its skew seeds derive from the supplied `job_id`, not the slice
-/// position).
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad_batch_indexed(
-    bound: &BoundDfg,
-    indexed_p: &[(u64, f64)],
-    trials: u64,
-    base_seed: u64,
-    spec: ElasticSpec,
-    runner: &BatchRunner,
-) -> Result<
-    (
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-    ),
-    SimError,
-> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency quad needs trials >= 1".to_string(),
-        ));
-    }
-    let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure = |model: &CompletionModel,
-                   rng: &mut StdRng,
-                   trial_skew: u64|
-     -> Result<(usize, usize, usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-            simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-            simulate_cent_with(bound, &cent_cu, model, None, rng, &fault_free)?.cycles,
-            simulate_elastic_with(bound, &cu, model, None, rng, &fault_free, spec, trial_skew)?
-                .cycles,
-        ))
-    };
-    // Deterministic-extreme legs. The elastic cells pin the
-    // schedule-space extremes — stall-free floor for best, saturated
-    // ceiling for worst — so the envelope brackets the seeded averages
-    // and stays invariant under partitioning. Deterministic models draw
-    // nothing from `rng`, so the discarded elastic legs of the two
-    // `measure` calls leave the stream untouched.
-    let floor = ElasticSpec {
-        skew_bound: 0,
-        ..spec
-    };
-    let (sync_best, dist_best, cent_best, _) = measure(&CompletionModel::AlwaysShort, &mut rng, 0)?;
-    let elas_best = simulate_elastic_with(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        &mut rng,
-        &fault_free,
-        floor,
-        0,
-    )?
-    .cycles;
-    let (sync_worst, dist_worst, cent_worst, _) =
-        measure(&CompletionModel::AlwaysLong, &mut rng, 0)?;
-    let elas_worst = simulate_elastic_saturated(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysLong,
-        None,
-        &mut rng,
-        &fault_free,
-        spec,
-    )?
-    .cycles;
-    let mut sync_avg = Vec::with_capacity(indexed_p.len());
-    let mut dist_avg = Vec::with_capacity(indexed_p.len());
-    let mut cent_avg = Vec::with_capacity(indexed_p.len());
-    let mut elas_avg = Vec::with_capacity(indexed_p.len());
-    for &(idx, p) in indexed_p {
-        type QuadAcc = (CycleStats, CycleStats, CycleStats, CycleStats, FirstError);
-        let (sync, dist, cent, elas, errors): QuadAcc = runner.run_chunked(
-            trials,
-            || {
-                (
-                    SlicedSim::cent_sync(bound, None),
-                    SlicedSim::distributed(bound, &cu, None),
-                    Vec::<StdRng>::new(),
-                    Vec::<CompletionModel>::new(),
-                    Vec::<u64>::new(),
-                )
-            },
-            |(sync_sim, dist_sim, rngs, tables, skews), range, acc: &mut QuadAcc| {
-                let (sync, dist, cent, elas, errors) = acc;
+            |w, range, (stats, errors): &mut (Vec<CycleStats>, FirstError)| {
+                stats.resize_with(engines.len(), CycleStats::new);
                 let mut start = range.start;
                 while start < range.end {
                     let end = (start + LANES as u64).min(range.end);
-                    rngs.clear();
-                    tables.clear();
-                    skews.clear();
+                    w.rngs.clear();
+                    w.tables.clear();
+                    w.skews.clear();
+                    // Each lane's table comes from its own trial RNG, which
+                    // the table models then leave untouched.
                     for trial in start..end {
-                        let mut rng = trial_rng(base_seed, idx, trial);
-                        tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                        rngs.push(rng);
-                        skews.push(elastic_trial_skew_seed(base_seed, idx, trial));
+                        let mut rng = trial_rng(base_seed, job, trial);
+                        w.tables
+                            .push(CompletionModel::draw_table(num_ops, p, &mut rng));
+                        w.rngs.push(rng);
+                        w.skews.push(elastic_trial_skew_seed(base_seed, job, trial));
                     }
-                    let models = LaneModels::PerLane(&tables[..]);
+                    let models = LaneModels::PerLane(&w.tables[..]);
                     let cfgs = LaneConfigs::Shared(&fault_free);
-                    let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                    let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                    let elas_out = dist_sim.run_elastic(spec, skews, &models, &cfgs, rngs);
-                    for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                        let trial = start + lane as u64;
-                        let d_cycles = match (so, do_) {
-                            (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                let (s, d) = (s.cycles, d.cycles);
-                                debug_assert!(
-                                    d <= s,
-                                    "distributed lost a coupled trial: {d} > {s}"
-                                );
-                                sync.record(s);
-                                dist.record(d);
-                                cent.record(d);
-                                Some(d)
-                            }
-                            _ => {
-                                let mut rng = trial_rng(base_seed, idx, trial);
-                                let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                let skew = elastic_trial_skew_seed(base_seed, idx, trial);
-                                match measure(&table, &mut rng, skew) {
-                                    Ok((s, d, c, e)) => {
-                                        debug_assert!(
-                                            d <= s,
-                                            "distributed lost a coupled trial: {d} > {s}"
-                                        );
-                                        debug_assert_eq!(
-                                            c, d,
-                                            "CENT diverged from DIST on a coupled trial"
-                                        );
-                                        sync.record(s);
-                                        dist.record(d);
-                                        cent.record(c);
-                                        elas.record(e);
-                                    }
-                                    Err(er) => errors.record(trial, er),
-                                }
-                                // Elastic already handled on this path.
-                                None
-                            }
+                    for (k, engine) in engines.iter().enumerate() {
+                        if lanes_of[k] != k {
+                            continue;
+                        }
+                        let sim = match engine.dist_bank() {
+                            Some(_) => w.bank_sim.as_mut(),
+                            None => w.sync_sim.as_mut(),
                         };
-                        if let Some(d) = d_cycles {
-                            match &elas_out[lane] {
-                                LaneOutcome::Done(e) => {
-                                    debug_assert!(
-                                        d <= e.cycles,
-                                        "elastic beat dist on a coupled trial"
-                                    );
-                                    elas.record(e.cycles);
-                                }
-                                LaneOutcome::Fallback => {
-                                    let mut rng = trial_rng(base_seed, idx, trial);
-                                    let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                    let skew = elastic_trial_skew_seed(base_seed, idx, trial);
-                                    match simulate_elastic_with(
+                        w.outs[k] = match sim {
+                            Some(sim) => {
+                                engine.run_sliced(sim, &w.skews, &models, &cfgs, &mut w.rngs)
+                            }
+                            None => vec![LaneOutcome::Fallback; w.rngs.len()],
+                        };
+                    }
+                    for lane in 0..w.rngs.len() {
+                        let trial = start + lane as u64;
+                        for (k, engine) in engines.iter().enumerate() {
+                            let cycles = match &w.outs[lanes_of[k]][lane] {
+                                LaneOutcome::Done(r) => Ok(r.cycles),
+                                LaneOutcome::Fallback => engine
+                                    .run_scalar(
                                         bound,
-                                        &cu,
-                                        &table,
-                                        None,
-                                        &mut rng,
+                                        &w.tables[lane],
+                                        &mut w.rngs[lane],
                                         &fault_free,
-                                        spec,
-                                        skew,
-                                    ) {
-                                        Ok(e) => {
-                                            debug_assert!(
-                                                d <= e.cycles,
-                                                "elastic beat dist on a coupled trial"
-                                            );
-                                            elas.record(e.cycles);
-                                        }
-                                        Err(er) => errors.record(trial, er),
-                                    }
-                                }
+                                        w.skews[lane],
+                                    )
+                                    .map(|r| r.cycles),
+                            };
+                            w.cycles[k] = cycles.as_ref().ok().copied();
+                            match cycles {
+                                Ok(c) => stats[k].record(c),
+                                Err(e) => errors.record(trial, e),
                             }
                         }
+                        Engine::debug_check_coupled(&engines, &w.cycles);
                     }
                     start = end;
                 }
@@ -1270,28 +780,41 @@ pub fn latency_quad_batch_indexed(
         );
         runner.check_cancelled()?;
         errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-        cent_avg.push(cent.mean());
-        elas_avg.push(elas.mean());
+        for (avg, s) in averages.iter_mut().zip(&stats) {
+            avg.push(s.mean());
+        }
     }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: indexed_p.iter().map(|&(_, p)| p).collect(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-        summary(elas_best, elas_avg, elas_worst),
-    ))
+    Ok(envelopes
+        .into_iter()
+        .zip(averages)
+        .map(
+            |((best_cycles, worst_cycles), average_cycles)| LatencySummary {
+                best_cycles,
+                average_cycles,
+                worst_cycles,
+                p_values: p_values.to_vec(),
+            },
+        )
+        .collect())
+}
+
+/// Per-worker scratch of [`latency_batch`], reused across chunks.
+struct CoupledWorker<'a> {
+    sync_sim: Option<SlicedSim<'a>>,
+    bank_sim: Option<SlicedSim<'a>>,
+    rngs: Vec<StdRng>,
+    tables: Vec<CompletionModel>,
+    skews: Vec<u64>,
+    /// Sliced lane outcomes of the slab, per style that runs a pass.
+    outs: Vec<Vec<LaneOutcome>>,
+    /// One trial's cycles per style, for the coupled debug checks.
+    cycles: Vec<Option<usize>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ElasticSpec;
     use tauhls_dfg::benchmarks::{fir3, fir5};
     use tauhls_sched::Allocation;
 
@@ -1313,22 +836,123 @@ mod tests {
         assert_eq!(seeds.len(), 10_000);
     }
 
+    fn all_styles() -> Vec<ControlStyle> {
+        vec![
+            ControlStyle::CentSync,
+            ControlStyle::Distributed,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(ElasticSpec::default()),
+        ]
+    }
+
     #[test]
-    fn indexed_triple_reproduces_contiguous_sub_sweeps() {
+    fn every_style_subset_reproduces_the_all_styles_run() {
+        let bound = fir5_bound();
+        let ps = [0.9, 0.5];
+        let runner = BatchRunner::new(2);
+        let styles = all_styles();
+        let all = latency_batch(&bound, &styles, &ps, 0, 150, 5, &runner).unwrap();
+        // Each style's summary is independent of which others ride along,
+        // and summaries come back in the order requested.
+        for mask in 1u32..(1 << styles.len()) {
+            let mut picked: Vec<usize> =
+                (0..styles.len()).filter(|k| mask & (1 << k) != 0).collect();
+            for _ in 0..2 {
+                let subset: Vec<ControlStyle> = picked.iter().map(|&k| styles[k]).collect();
+                let got = latency_batch(&bound, &subset, &ps, 0, 150, 5, &runner).unwrap();
+                assert_eq!(got.len(), subset.len());
+                for (summary, &k) in got.iter().zip(&picked) {
+                    assert_eq!(summary, &all[k], "style {:?} in {subset:?}", styles[k]);
+                }
+                picked.reverse();
+            }
+        }
+        let (sync, dist, cent, elas) = (&all[0], &all[1], &all[2], &all[3]);
+        // CENT is cycle-identical to DIST (bisimulation), trial for trial.
+        assert_eq!(cent, dist);
+        // Coupled DIST dominates CENT-SYNC; elastic clocking only costs.
+        for ((s, d), e) in sync
+            .average_cycles
+            .iter()
+            .zip(&dist.average_cycles)
+            .zip(&elas.average_cycles)
+        {
+            assert!(d <= s, "coupled dist {d} > sync {s}");
+            assert!(d <= e, "elastic avg {e} < dist avg {d}");
+        }
+        assert!(dist.worst_cycles <= sync.worst_cycles);
+        assert!(dist.worst_cycles <= elas.worst_cycles);
+    }
+
+    #[test]
+    fn first_job_sub_ranges_reproduce_the_full_sweep() {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
         let ps = [0.1, 0.35, 0.5, 0.75, 0.9];
         let runner = BatchRunner::new(2);
-        let (sync, dist, cent) = latency_triple_batch(&bound, &ps, 40, 9, &runner).unwrap();
+        let styles = all_styles();
+        let full = latency_batch(&bound, &styles, &ps, 0, 40, 9, &runner).unwrap();
         for (lo, hi) in [(0usize, 2usize), (2, 5), (1, 4), (0, 5)] {
-            let indexed: Vec<(u64, f64)> = (lo..hi).map(|i| (i as u64, ps[i])).collect();
-            let (s, d, c) = latency_triple_batch_indexed(&bound, &indexed, 40, 9, &runner).unwrap();
-            assert_eq!(s.best_cycles, sync.best_cycles);
-            assert_eq!(s.worst_cycles, sync.worst_cycles);
-            assert_eq!(s.average_cycles, sync.average_cycles[lo..hi].to_vec());
-            assert_eq!(d.average_cycles, dist.average_cycles[lo..hi].to_vec());
-            assert_eq!(c.average_cycles, cent.average_cycles[lo..hi].to_vec());
-            assert_eq!(s.p_values, ps[lo..hi].to_vec());
+            let part =
+                latency_batch(&bound, &styles, &ps[lo..hi], lo as u64, 40, 9, &runner).unwrap();
+            for (piece, whole) in part.iter().zip(&full) {
+                assert_eq!(piece.best_cycles, whole.best_cycles);
+                assert_eq!(piece.worst_cycles, whole.worst_cycles);
+                assert_eq!(piece.average_cycles, whole.average_cycles[lo..hi].to_vec());
+                assert_eq!(piece.p_values, ps[lo..hi].to_vec());
+            }
         }
+    }
+
+    #[test]
+    fn latency_batch_is_thread_and_chunk_invariant() {
+        let bound = fir5_bound();
+        let ps = [0.9, 0.5];
+        let styles = all_styles();
+        let reference =
+            latency_batch(&bound, &styles, &ps, 0, 300, 5, &BatchRunner::serial()).unwrap();
+        for runner in [
+            BatchRunner::new(2),
+            BatchRunner::new(8),
+            BatchRunner::new(2).with_chunk_size(17),
+        ] {
+            let got = latency_batch(&bound, &styles, &ps, 0, 300, 5, &runner).unwrap();
+            assert_eq!(got, reference, "{runner:?}");
+        }
+    }
+
+    #[test]
+    fn latency_batch_rejects_zero_trials() {
+        let err = latency_batch(
+            &fir5_bound(),
+            &all_styles(),
+            &[0.5],
+            0,
+            0,
+            5,
+            &BatchRunner::serial(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn zero_spec_collapses_elastic_onto_dist() {
+        let bound = fir5_bound();
+        let styles = [
+            ControlStyle::Distributed,
+            ControlStyle::Elastic(ElasticSpec::zero()),
+        ];
+        let got = latency_batch(
+            &bound,
+            &styles,
+            &[0.9, 0.5],
+            0,
+            300,
+            7,
+            &BatchRunner::new(4),
+        )
+        .unwrap();
+        assert_eq!(got[0], got[1]);
     }
 
     #[test]
@@ -1391,90 +1015,6 @@ mod tests {
         assert_eq!(folded, folded_rev);
         assert!(folded.into_result().is_err());
         assert!(FirstError::default().into_result().is_ok());
-    }
-
-    #[test]
-    fn pair_batch_matches_serial_oracle_and_dominates() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let serial = latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let parallel = latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist) = parallel;
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s);
-        }
-        assert!(dist.worst_cycles <= sync.worst_cycles);
-    }
-
-    #[test]
-    fn triple_batch_reproduces_pair_and_cent_matches_dist() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let (pair_sync, pair_dist) =
-            latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let serial = latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let parallel = latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist, cent) = parallel;
-        // The extra CENT leg must not perturb the established pair.
-        assert_eq!(sync, pair_sync);
-        assert_eq!(dist, pair_dist);
-        // And CENT is cycle-identical to DIST, trial for trial.
-        assert_eq!(cent, dist);
-    }
-
-    #[test]
-    fn quad_batch_reproduces_triple_and_is_thread_invariant() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let spec = ElasticSpec::default();
-        let (tri_sync, tri_dist, tri_cent) =
-            latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let serial = latency_quad_batch(&bound, &ps, 400, 5, spec, &BatchRunner::serial()).unwrap();
-        let parallel = latency_quad_batch(&bound, &ps, 400, 5, spec, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist, cent, elas) = parallel;
-        // The extra ELASTIC leg must not perturb the established triple.
-        assert_eq!(sync, tri_sync);
-        assert_eq!(dist, tri_dist);
-        assert_eq!(cent, tri_cent);
-        // Elastic clocking only costs cycles.
-        for (d, e) in dist.average_cycles.iter().zip(&elas.average_cycles) {
-            assert!(d <= e, "elastic avg {e} < dist avg {d}");
-        }
-    }
-
-    #[test]
-    fn quad_batch_zero_spec_collapses_elastic_onto_dist() {
-        let bound = fir5_bound();
-        let (_, dist, _, elas) = latency_quad_batch(
-            &bound,
-            &[0.9, 0.5],
-            300,
-            7,
-            ElasticSpec::zero(),
-            &BatchRunner::new(4),
-        )
-        .unwrap();
-        assert_eq!(dist, elas);
-    }
-
-    #[test]
-    fn indexed_quad_reproduces_contiguous_sub_sweeps() {
-        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
-        let ps = [0.1, 0.5, 0.9];
-        let spec = ElasticSpec::default();
-        let runner = BatchRunner::new(2);
-        let (_, _, _, elas) = latency_quad_batch(&bound, &ps, 40, 9, spec, &runner).unwrap();
-        for (lo, hi) in [(0usize, 2usize), (1, 3)] {
-            let indexed: Vec<(u64, f64)> = (lo..hi).map(|i| (i as u64, ps[i])).collect();
-            let (_, _, _, e) =
-                latency_quad_batch_indexed(&bound, &indexed, 40, 9, spec, &runner).unwrap();
-            assert_eq!(e.average_cycles, elas.average_cycles[lo..hi].to_vec());
-            assert_eq!(e.best_cycles, elas.best_cycles);
-            assert_eq!(e.worst_cycles, elas.worst_cycles);
-        }
     }
 
     #[test]
@@ -1551,7 +1091,7 @@ mod tests {
                 .run(3, &runner)
                 .unwrap_err();
             assert_eq!(err, SimError::Cancelled);
-            let err = latency_triple_batch(&bound, &[0.5], 100, 3, &runner).unwrap_err();
+            let err = latency_batch(&bound, &all_styles(), &[0.5], 0, 100, 3, &runner).unwrap_err();
             assert_eq!(err, SimError::Cancelled);
         }
     }

@@ -1,16 +1,18 @@
 //! Latency statistics: best / average / worst summaries in cycles and
 //! nanoseconds, in the format of the paper's Table 2.
 
-use crate::batch::derive_seed;
-use crate::cent::{simulate_cent, CentControlUnit};
-use crate::centsync::simulate_cent_sync;
-use crate::distributed::simulate_distributed;
-use crate::elastic::{elastic_trial_skew_seed, simulate_elastic, simulate_elastic_saturated};
+use crate::cent::{simulate_cent_with, CentControlUnit};
+use crate::centsync::simulate_cent_sync_with;
+use crate::distributed::simulate_distributed_with;
+use crate::elastic::{elastic_trial_skew_seed, simulate_elastic_saturated, simulate_elastic_with};
 use crate::error::SimError;
 use crate::fault::SimConfig;
 use crate::kernel::ElasticSpec;
 use crate::model::CompletionModel;
-use rand::Rng;
+use crate::result::SimResult;
+use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 
@@ -166,9 +168,14 @@ impl std::ops::BitOr for ControlStyleSet {
     }
 }
 
-/// The generated machinery one [`ControlStyle`] needs — built once per
-/// summary, reused across trials.
-enum Engine {
+/// The generated machinery one [`ControlStyle`] needs, built once and
+/// reused across trials.
+///
+/// This is the crate's one per-style dispatch site: [`latency_summary`],
+/// [`SimJob`](crate::SimJob) and [`latency_batch`](crate::latency_batch)
+/// all build controllers, run scalar trials, build sliced simulators and
+/// measure the best/worst envelope through it.
+pub(crate) enum Engine {
     Dist(DistributedControlUnit),
     Cent(CentControlUnit),
     Sync,
@@ -176,7 +183,7 @@ enum Engine {
 }
 
 impl Engine {
-    fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
+    pub(crate) fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
         match style {
             ControlStyle::Distributed => Engine::Dist(DistributedControlUnit::generate(bound)),
             ControlStyle::Cent => Engine::Cent(CentControlUnit::without_product(bound)),
@@ -187,26 +194,156 @@ impl Engine {
         }
     }
 
-    /// Runs one trial. `run_tag` numbers the run within the summary; only
-    /// the elastic engine consumes it (its skew schedule is drawn from
-    /// `elastic_trial_skew_seed(0, 0, run_tag)`, never from `rng`, so the
-    /// synchronous styles' RNG streams are unaffected by the tag).
-    fn run_once<R: Rng>(
+    /// The distributed controller bank the style steps: CENT is the
+    /// product-free wrapper around DIST's bank, and ELASTIC clocks the
+    /// same bank per domain. `None` for CENT-SYNC, which needs no FSMs.
+    pub(crate) fn dist_bank(&self) -> Option<&DistributedControlUnit> {
+        match self {
+            Engine::Dist(cu) | Engine::Elastic(cu, _) => Some(cu),
+            Engine::Cent(cu) => Some(cu.components()),
+            Engine::Sync => None,
+        }
+    }
+
+    /// Whether this style reads the same sliced lanes as `other`: DIST and
+    /// CENT share one DIST run (bisimulation), ELASTIC styles share a run
+    /// when their specs agree.
+    pub(crate) fn shares_lanes(&self, other: &Engine) -> bool {
+        match (self, other) {
+            (Engine::Sync, Engine::Sync) => true,
+            (Engine::Dist(_) | Engine::Cent(_), Engine::Dist(_) | Engine::Cent(_)) => true,
+            (Engine::Elastic(_, a), Engine::Elastic(_, b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Runs one scalar trial under `config`. Only ELASTIC reads
+    /// `skew_seed` (its per-trial clock schedule); it never draws the
+    /// schedule from `rng`, so every style consumes the same RNG stream.
+    pub(crate) fn run_scalar(
         &self,
         bound: &BoundDfg,
         model: &CompletionModel,
-        rng: &mut R,
-        run_tag: u64,
-    ) -> Result<usize, SimError> {
-        Ok(match self {
-            Engine::Dist(cu) => simulate_distributed(bound, cu, model, None, rng)?.cycles,
-            Engine::Cent(cu) => simulate_cent(bound, cu, model, None, rng)?.cycles,
-            Engine::Sync => simulate_cent_sync(bound, model, None, rng)?.cycles,
+        rng: &mut impl Rng,
+        config: &SimConfig,
+        skew_seed: u64,
+    ) -> Result<SimResult, SimError> {
+        match self {
+            Engine::Dist(cu) => simulate_distributed_with(bound, cu, model, None, rng, config),
+            Engine::Cent(cu) => simulate_cent_with(bound, cu, model, None, rng, config),
+            Engine::Sync => simulate_cent_sync_with(bound, model, None, rng, config),
             Engine::Elastic(cu, spec) => {
-                let skew_seed = elastic_trial_skew_seed(0, 0, run_tag);
-                simulate_elastic(bound, cu, model, None, rng, *spec, skew_seed)?.cycles
+                simulate_elastic_with(bound, cu, model, None, rng, config, *spec, skew_seed)
             }
+        }
+    }
+
+    /// The bit-sliced simulator the style's lanes run on: one over the
+    /// DIST bank, or the CENT-SYNC step walk.
+    pub(crate) fn sliced<'a>(&'a self, bound: &'a BoundDfg) -> SlicedSim<'a> {
+        match self.dist_bank() {
+            Some(cu) => SlicedSim::distributed(bound, cu, None),
+            None => SlicedSim::cent_sync(bound, None),
+        }
+    }
+
+    /// Runs one slab of lanes on `sim`, built by [`Engine::sliced`] of this
+    /// style or of any style sharing its bank. ELASTIC reads one skew seed
+    /// per lane.
+    pub(crate) fn run_sliced(
+        &self,
+        sim: &mut SlicedSim<'_>,
+        skew_seeds: &[u64],
+        models: &LaneModels<'_>,
+        configs: &LaneConfigs<'_>,
+        rngs: &mut [StdRng],
+    ) -> Vec<LaneOutcome> {
+        match self {
+            Engine::Elastic(_, spec) => sim.run_elastic(*spec, skew_seeds, models, configs, rngs),
+            _ => sim.run(models, configs, rngs),
+        }
+    }
+
+    /// Best/worst cycles from the deterministic completion extremes.
+    /// ELASTIC additionally pins the schedule-space extremes (the
+    /// stall-free floor for best, the saturated ceiling for worst), so its
+    /// envelope brackets the averages whatever skew seeds the trials draw.
+    pub(crate) fn envelope(&self, bound: &BoundDfg) -> Result<(usize, usize), SimError> {
+        let fault_free = SimConfig::default();
+        // The deterministic models draw nothing, so any RNG will do.
+        let mut rng = StdRng::seed_from_u64(0);
+        let (short, long) = (CompletionModel::AlwaysShort, CompletionModel::AlwaysLong);
+        Ok(match self {
+            Engine::Elastic(cu, spec) => {
+                let floor = ElasticSpec {
+                    skew_bound: 0,
+                    ..*spec
+                };
+                (
+                    simulate_elastic_with(
+                        bound,
+                        cu,
+                        &short,
+                        None,
+                        &mut rng,
+                        &fault_free,
+                        floor,
+                        0,
+                    )?
+                    .cycles,
+                    simulate_elastic_saturated(
+                        bound,
+                        cu,
+                        &long,
+                        None,
+                        &mut rng,
+                        &fault_free,
+                        *spec,
+                    )?
+                    .cycles,
+                )
+            }
+            _ => (
+                self.run_scalar(bound, &short, &mut rng, &fault_free, 0)?
+                    .cycles,
+                self.run_scalar(bound, &long, &mut rng, &fault_free, 0)?
+                    .cycles,
+            ),
         })
+    }
+
+    /// Debug-checks the orderings coupled trials guarantee, between
+    /// whichever styles are present: DIST never loses to CENT-SYNC, CENT
+    /// equals DIST (bisimulation), and ELASTIC never beats DIST.
+    /// `cycles[k]` is style `k`'s result on one trial.
+    pub(crate) fn debug_check_coupled(engines: &[Engine], cycles: &[Option<usize>]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let measured = || {
+            engines
+                .iter()
+                .zip(cycles)
+                .filter_map(|(e, c)| Some((e, (*c)?)))
+        };
+        let Some(d) = measured().find_map(|(e, c)| matches!(e, Engine::Dist(_)).then_some(c))
+        else {
+            return;
+        };
+        for (engine, c) in measured() {
+            match engine {
+                Engine::Sync => {
+                    debug_assert!(d <= c, "distributed lost a coupled trial: {d} > {c}")
+                }
+                Engine::Cent(_) => {
+                    debug_assert_eq!(c, d, "CENT diverged from DIST on a coupled trial")
+                }
+                Engine::Elastic(..) => {
+                    debug_assert!(d <= c, "elastic beat dist on a coupled trial: {c} < {d}")
+                }
+                Engine::Dist(_) => {}
+            }
+        }
     }
 }
 
@@ -230,56 +367,21 @@ pub fn latency_summary(
         ));
     }
     let engine = Engine::generate(bound, style);
-    // Envelope legs: deterministic completion extremes. The elastic style
-    // additionally pins the schedule-space extremes — stall-free floor
-    // for best, saturated ceiling for worst — so its envelope brackets
-    // the averages regardless of the skew seeds the trials draw.
-    let (best_cycles, worst_cycles) = match &engine {
-        Engine::Elastic(cu, spec) => {
-            let floor = ElasticSpec {
-                skew_bound: 0,
-                ..*spec
-            };
-            let cfg = SimConfig::default();
-            (
-                simulate_elastic(
-                    bound,
-                    cu,
-                    &CompletionModel::AlwaysShort,
-                    None,
-                    rng,
-                    floor,
-                    0,
-                )?
-                .cycles,
-                simulate_elastic_saturated(
-                    bound,
-                    cu,
-                    &CompletionModel::AlwaysLong,
-                    None,
-                    rng,
-                    &cfg,
-                    *spec,
-                )?
-                .cycles,
-            )
-        }
-        _ => (
-            engine.run_once(bound, &CompletionModel::AlwaysShort, rng, 0)?,
-            engine.run_once(bound, &CompletionModel::AlwaysLong, rng, 1)?,
-        ),
-    };
+    let (best_cycles, worst_cycles) = engine.envelope(bound)?;
+    let fault_free = SimConfig::default();
+    // Trials are numbered from 2 (after the two envelope runs); only the
+    // elastic engine reads the number, as its skew seed.
     let mut run_tag = 2u64;
-    let mut run = |model: &CompletionModel, rng: &mut _| {
-        let tag = run_tag;
-        run_tag += 1;
-        engine.run_once(bound, model, rng, tag)
-    };
     let mut average_cycles = Vec::with_capacity(p_values.len());
     for &p in p_values {
+        let model = CompletionModel::Bernoulli { p };
         let mut total = 0usize;
         for _ in 0..trials {
-            total += run(&CompletionModel::Bernoulli { p }, rng)?;
+            let skew_seed = elastic_trial_skew_seed(0, 0, run_tag);
+            run_tag += 1;
+            total += engine
+                .run_scalar(bound, &model, rng, &fault_free, skew_seed)?
+                .cycles;
         }
         average_cycles.push(total as f64 / trials as f64);
     }
@@ -289,258 +391,6 @@ pub fn latency_summary(
         worst_cycles,
         p_values: p_values.to_vec(),
     })
-}
-
-/// Measures `LT_TAU` (CENT-SYNC) and `LT_DIST` summaries with **coupled**
-/// completion draws: each trial draws one short/long outcome per operation
-/// and feeds the same table to both styles, so the comparison is free of
-/// sampling skew (distributed control dominates per-trial, not merely in
-/// expectation).
-///
-/// Returns `(sync, dist)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_pair(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<(LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency pair needs trials >= 1".to_string(),
-        ));
-    }
-    let cu = DistributedControlUnit::generate(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure = |model: &CompletionModel, rng: &mut _| -> Result<(usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync(bound, model, None, rng)?.cycles,
-            simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-        ))
-    };
-    let (sync_best, dist_best) = measure(&CompletionModel::AlwaysShort, rng)?;
-    let (sync_worst, dist_worst) = measure(&CompletionModel::AlwaysLong, rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        for _ in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let (s, d) = measure(&table, rng)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            s_total += s;
-            d_total += d;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-    }
-    Ok((
-        LatencySummary {
-            best_cycles: sync_best,
-            average_cycles: sync_avg,
-            worst_cycles: sync_worst,
-            p_values: p_values.to_vec(),
-        },
-        LatencySummary {
-            best_cycles: dist_best,
-            average_cycles: dist_avg,
-            worst_cycles: dist_worst,
-            p_values: p_values.to_vec(),
-        },
-    ))
-}
-
-/// Measures all three controller styles — `LT_TAU` (CENT-SYNC), `LT_DIST`,
-/// and `LT_CENT` — with **coupled** completion draws: one table per trial,
-/// fed to every style.
-///
-/// The deterministic models never consume RNG, so the sync and dist legs
-/// reproduce [`latency_pair`] bit for bit; the CENT leg is expected to
-/// match DIST exactly (the product controller is bisimilar to the
-/// distributed one) and that equality is *measured* per trial, not
-/// assumed.
-///
-/// Returns `(sync, dist, cent)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_triple(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency triple needs trials >= 1".to_string(),
-        ));
-    }
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure =
-        |model: &CompletionModel, rng: &mut _| -> Result<(usize, usize, usize), SimError> {
-            Ok((
-                simulate_cent_sync(bound, model, None, rng)?.cycles,
-                simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-                simulate_cent(bound, &cent_cu, model, None, rng)?.cycles,
-            ))
-        };
-    let (sync_best, dist_best, cent_best) = measure(&CompletionModel::AlwaysShort, rng)?;
-    let (sync_worst, dist_worst, cent_worst) = measure(&CompletionModel::AlwaysLong, rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    let mut cent_avg = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        let mut c_total = 0usize;
-        for _ in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let (s, d, c) = measure(&table, rng)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            debug_assert_eq!(c, d, "CENT diverged from DIST on a coupled trial");
-            s_total += s;
-            d_total += d;
-            c_total += c;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-        cent_avg.push(c_total as f64 / trials as f64);
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: p_values.to_vec(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-    ))
-}
-
-/// Measures all four controller styles — `LT_TAU`, `LT_DIST`, `LT_CENT`
-/// and `LT_ELAS` — with **coupled** completion draws: one table per trial,
-/// fed to every style.
-///
-/// The elastic leg draws its per-trial skew schedule from
-/// `derive_seed(skew_seed, p_index, trial)` — never from `rng` — so the
-/// first three legs reproduce [`latency_triple`] bit for bit under the
-/// same seed. Per coupled trial, DIST can only be at least as fast as
-/// ELASTIC (skew stalls and handshake latency never speed a run up);
-/// that domination is debug-asserted, like the CENT/DIST bisimulation.
-///
-/// Best/worst elastic legs are schedule-independent extremes of the
-/// whole spec space: the best cell runs the stall-free floor schedule
-/// (spec `{skew_bound: 0, sync_latency}`), the worst the saturated
-/// schedule ([`simulate_elastic_saturated`]), so the envelope brackets
-/// the seeded per-trial averages no matter which skew seeds they drew.
-///
-/// Returns `(sync, dist, cent, elastic)`, or
-/// [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
-    spec: ElasticSpec,
-    skew_seed: u64,
-    rng: &mut impl Rng,
-) -> Result<
-    (
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-    ),
-    SimError,
-> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency quad needs trials >= 1".to_string(),
-        ));
-    }
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure = |model: &CompletionModel,
-                   rng: &mut _,
-                   trial_skew: u64|
-     -> Result<(usize, usize, usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync(bound, model, None, rng)?.cycles,
-            simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-            simulate_cent(bound, &cent_cu, model, None, rng)?.cycles,
-            simulate_elastic(bound, &cu, model, None, rng, spec, trial_skew)?.cycles,
-        ))
-    };
-    // Deterministic models draw nothing from `rng`, so the discarded
-    // elastic legs of the two `measure` calls leave the stream untouched.
-    let floor = ElasticSpec {
-        skew_bound: 0,
-        ..spec
-    };
-    let cfg = SimConfig::default();
-    let (sync_best, dist_best, cent_best, _) = measure(&CompletionModel::AlwaysShort, rng, 0)?;
-    let elas_best = simulate_elastic(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        rng,
-        floor,
-        0,
-    )?
-    .cycles;
-    let (sync_worst, dist_worst, cent_worst, _) = measure(&CompletionModel::AlwaysLong, rng, 0)?;
-    let elas_worst = simulate_elastic_saturated(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysLong,
-        None,
-        rng,
-        &cfg,
-        spec,
-    )?
-    .cycles;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    let mut cent_avg = Vec::with_capacity(p_values.len());
-    let mut elas_avg = Vec::with_capacity(p_values.len());
-    for (idx, &p) in p_values.iter().enumerate() {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        let mut c_total = 0usize;
-        let mut e_total = 0usize;
-        for trial in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let trial_skew = derive_seed(skew_seed, idx as u64, trial as u64);
-            let (s, d, c, e) = measure(&table, rng, trial_skew)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            debug_assert_eq!(c, d, "CENT diverged from DIST on a coupled trial");
-            debug_assert!(d <= e, "elastic beat dist on a coupled trial: {e} < {d}");
-            s_total += s;
-            d_total += d;
-            c_total += c;
-            e_total += e;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-        cent_avg.push(c_total as f64 / trials as f64);
-        elas_avg.push(e_total as f64 / trials as f64);
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: p_values.to_vec(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-        summary(elas_best, elas_avg, elas_worst),
-    ))
 }
 
 /// Percentage improvement of `dist` over `sync` per swept `P`
@@ -599,64 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn coupled_pair_dominates_per_trial() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(9);
-        let (sync, dist) = latency_pair(&bound, &[0.9, 0.7, 0.5], 400, &mut rng).unwrap();
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s, "coupled dist {d} > sync {s}");
-        }
-        assert!(dist.worst_cycles <= sync.worst_cycles);
-    }
-
-    #[test]
-    fn triple_reproduces_pair_and_cent_tracks_dist() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let ps = [0.9, 0.5];
-        let mut rng1 = StdRng::seed_from_u64(9);
-        let (pair_sync, pair_dist) = latency_pair(&bound, &ps, 200, &mut rng1).unwrap();
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let (sync, dist, cent) = latency_triple(&bound, &ps, 200, &mut rng2).unwrap();
-        // The extra CENT leg consumes no RNG, so the pair is reproduced
-        // bit for bit under the same seed.
-        assert_eq!(sync, pair_sync);
-        assert_eq!(dist, pair_dist);
-        // CENT is cycle-identical to DIST (bisimulation), trial for trial.
-        assert_eq!(cent, dist);
-    }
-
-    #[test]
-    fn quad_reproduces_triple_and_elastic_never_wins() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let ps = [0.9, 0.5];
-        let mut rng1 = StdRng::seed_from_u64(9);
-        let (tri_sync, tri_dist, tri_cent) = latency_triple(&bound, &ps, 200, &mut rng1).unwrap();
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let (sync, dist, cent, elas) =
-            latency_quad(&bound, &ps, 200, ElasticSpec::default(), 21, &mut rng2).unwrap();
-        // The extra ELASTIC leg consumes no trial RNG, so the established
-        // triple is reproduced bit for bit under the same seed.
-        assert_eq!(sync, tri_sync);
-        assert_eq!(dist, tri_dist);
-        assert_eq!(cent, tri_cent);
-        // Elastic clocking can only cost cycles (domination is asserted
-        // per coupled trial inside the quad; check the aggregates too).
-        for (d, e) in dist.average_cycles.iter().zip(&elas.average_cycles) {
-            assert!(d <= e, "elastic avg {e} < dist avg {d}");
-        }
-        assert!(dist.worst_cycles <= elas.worst_cycles);
-    }
-
-    #[test]
-    fn quad_with_zero_spec_collapses_elastic_onto_dist() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(4);
-        let (_, dist, _, elas) =
-            latency_quad(&bound, &[0.9, 0.5], 150, ElasticSpec::zero(), 99, &mut rng).unwrap();
-        assert_eq!(dist, elas);
-    }
-
-    #[test]
     fn elastic_summary_runs_and_brackets() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(6);
@@ -701,8 +493,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let err =
             latency_summary(&bound, ControlStyle::Distributed, &[0.5], 0, &mut rng).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
-        let err = latency_pair(&bound, &[0.5], 0, &mut rng).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 

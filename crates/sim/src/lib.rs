@@ -77,9 +77,8 @@ mod result;
 pub mod sliced;
 
 pub use batch::{
-    derive_seed, latency_pair_batch, latency_quad_batch, latency_quad_batch_indexed,
-    latency_summary_batch, latency_triple_batch, latency_triple_batch_indexed, trial_rng,
-    Accumulator, BatchRunner, CancelToken, CycleStats, FirstError, SimJob, DEFAULT_CHUNK_SIZE,
+    derive_seed, latency_batch, latency_summary_batch, trial_rng, Accumulator, BatchRunner,
+    CancelToken, CycleStats, FirstError, SimJob, DEFAULT_CHUNK_SIZE,
 };
 pub use cent::{simulate_cent, simulate_cent_with, CentControlUnit, CENT_FSM_NAME};
 pub use centsync::{simulate_cent_sync, simulate_cent_sync_with, simulate_cent_sync_with_schedule};
@@ -93,8 +92,7 @@ pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
 pub use invariant::{check_lockstep, check_token_conservation};
 pub use kernel::{ClockFabric, ElasticSpec};
 pub use latency::{
-    enhancement_percent, latency_pair, latency_quad, latency_summary, latency_triple, ControlStyle,
-    ControlStyleSet, LatencySummary,
+    enhancement_percent, latency_summary, ControlStyle, ControlStyleSet, LatencySummary,
 };
 pub use model::{CompletionModel, TauLibrary};
 pub use pipeline::{simulate_pipelined, simulate_pipelined_with, PipelinedResult};

@@ -5,15 +5,15 @@
 //!
 //! Run with `cargo run --release --example design_space`.
 
-use rand::SeedableRng;
 use tauhls::dfg::benchmarks::ar_lattice4;
 use tauhls::fsm::Encoding;
 use tauhls::logic::AreaModel;
-use tauhls::sim::latency_pair;
+use tauhls::sim::{latency_batch, BatchRunner, ControlStyle, LatencySummary};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+    let runner = BatchRunner::available();
     let model = AreaModel::default();
     println!("AR-lattice (16 ×, 8 +) design space — distributed control");
     println!(
@@ -25,8 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let design = Synthesis::new(ar_lattice4())
                 .allocation(Allocation::paper(muls, adds, 0))
                 .run()?;
-            let (sync, dist) = latency_pair(design.bound(), &[0.9, 0.5], 1200, &mut rng)
-                .expect("fault-free simulation");
+            let [sync, dist]: [LatencySummary; 2] =
+                latency_batch(design.bound(), &styles, &[0.9, 0.5], 0, 1200, 11, &runner)?
+                    .try_into()
+                    .expect("one summary per style");
             let clk = design.timing().clock_ns();
             let area: f64 = design
                 .distributed()

@@ -9,7 +9,10 @@
 use rand::SeedableRng;
 use tauhls::dfg::benchmarks::diffeq;
 use tauhls::fsm::DistributedControlUnit;
-use tauhls::sim::{simulate_cent_sync, simulate_distributed, CompletionModel, TauLibrary};
+use tauhls::sim::{
+    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
+    ControlStyle, LatencySummary, TauLibrary,
+};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,8 +75,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's Table 2 reports only 0.7-3.4% for Diff.Eq — the smallest
     // gain of all benchmarks, because its schedule rarely has mixed
     // short/long TAUs in one step. The statistical sweep shows it:
-    let (sync, dist) = tauhls::sim::latency_pair(design.bound(), &[0.9, 0.7, 0.5], 4000, &mut rng)
-        .expect("fault-free simulation");
+    let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+    let [sync, dist]: [LatencySummary; 2] = latency_batch(
+        design.bound(),
+        &styles,
+        &[0.9, 0.7, 0.5],
+        0,
+        4000,
+        7,
+        &BatchRunner::available(),
+    )?
+    .try_into()
+    .expect("one summary per style");
     println!("\nBernoulli sweep (paper's Table 2 Diff row):");
     println!("  LT_TAU  = {}", sync.to_ns_string(clk));
     println!("  LT_DIST = {}", dist.to_ns_string(clk));

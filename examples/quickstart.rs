@@ -4,11 +4,10 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rand::SeedableRng;
 use tauhls::dfg::DfgBuilder;
 use tauhls::fsm::Encoding;
 use tauhls::logic::AreaModel;
-use tauhls::sim::latency_pair;
+use tauhls::sim::{latency_batch, BatchRunner, ControlStyle, LatencySummary};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,9 +57,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Compare latency against the synchronized TAUBM controller.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let (sync, dist) = latency_pair(design.bound(), &[0.9, 0.7, 0.5], 2000, &mut rng)
-        .expect("fault-free simulation");
+    let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+    let runner = BatchRunner::available();
+    let [sync, dist]: [LatencySummary; 2] = latency_batch(
+        design.bound(),
+        &styles,
+        &[0.9, 0.7, 0.5],
+        0,
+        2000,
+        42,
+        &runner,
+    )?
+    .try_into()
+    .expect("one summary per style");
     let clk = design.timing().clock_ns();
     println!("\nLatency at a {clk} ns clock:");
     println!("  synchronized TAUBM : {}", sync.to_ns_string(clk));

@@ -92,7 +92,9 @@ use tauhls::fsm::{control_unit_to_verilog, DistributedControlUnit, Encoding};
 use tauhls::logic::AreaModel;
 use tauhls::sched::BoundDfg;
 use tauhls::serve::{client, signal, ServeConfig, Server};
-use tauhls::sim::{latency_quad_batch, BatchRunner, ControlStyleSet, ElasticSpec};
+use tauhls::sim::{
+    latency_batch, BatchRunner, ControlStyle, ControlStyleSet, ElasticSpec, LatencySummary,
+};
 use tauhls::Allocation;
 use tauhls_json::{Json, ToJson};
 
@@ -366,15 +368,24 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
 
 fn cmd_simulate(bound: &BoundDfg, o: &Options) {
     let runner = runner_for(o.threads);
-    let (sync, dist, cent, elas) = latency_quad_batch(
+    let styles = [
+        ControlStyle::CentSync,
+        ControlStyle::Distributed,
+        ControlStyle::Cent,
+        ControlStyle::Elastic(o.elastic),
+    ];
+    let [sync, dist, cent, elas]: [LatencySummary; 4] = latency_batch(
         bound,
+        &styles,
         &o.p_values,
+        0,
         o.trials as u64,
         o.seed,
-        o.elastic,
         &runner,
     )
-    .expect("fault-free simulation");
+    .expect("fault-free simulation")
+    .try_into()
+    .expect("one summary per style");
     let clk = 15.0;
     println!(
         "clock 15 ns, {} coupled trials at P = {:?}",

@@ -6,7 +6,10 @@ use rand::SeedableRng;
 use tauhls::core::experiments::paper_benchmarks;
 use tauhls::fsm::{synthesize, verify_synthesis, DistributedControlUnit, Encoding};
 use tauhls::logic::AreaModel;
-use tauhls::sim::{latency_pair, simulate_distributed, CompletionModel};
+use tauhls::sched::BoundDfg;
+use tauhls::sim::{
+    latency_batch, simulate_distributed, BatchRunner, CompletionModel, ControlStyle, LatencySummary,
+};
 use tauhls::{Allocation, Synthesis};
 
 #[test]
@@ -35,14 +38,29 @@ fn all_paper_benchmarks_synthesize_and_simulate() {
     }
 }
 
+/// Coupled CENT-SYNC and DIST summaries.
+fn sync_and_dist(bound: &BoundDfg, ps: &[f64], trials: u64, seed: u64) -> [LatencySummary; 2] {
+    let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+    latency_batch(
+        bound,
+        &styles,
+        ps,
+        0,
+        trials,
+        seed,
+        &BatchRunner::available(),
+    )
+    .expect("fault-free simulation")
+    .try_into()
+    .expect("one summary per style")
+}
+
 #[test]
 fn distributed_dominates_sync_on_every_benchmark() {
-    let mut rng = StdRng::seed_from_u64(2);
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let design = Synthesis::new(dfg).allocation(alloc).run().unwrap();
-        let (sync, dist) = latency_pair(design.bound(), &[0.9, 0.5], 300, &mut rng)
-            .expect("fault-free simulation");
+        let [sync, dist] = sync_and_dist(design.bound(), &[0.9, 0.5], 300, 2);
         assert!(dist.best_cycles <= sync.best_cycles, "{name} best");
         assert!(dist.worst_cycles <= sync.worst_cycles, "{name} worst");
         for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
@@ -77,13 +95,11 @@ fn paper_latency_cells_reproduce_within_tolerance() {
     // The paper's Diff row: LT_TAU [60][68.6, 82.9, 93.8][105],
     // LT_DIST [60][68.1, 80.7, 90.6][105]. Our reproduction should land
     // within ~2 ns of every average cell.
-    let mut rng = StdRng::seed_from_u64(3);
     let design = Synthesis::new(tauhls::dfg::benchmarks::diffeq())
         .allocation(Allocation::paper(2, 1, 1))
         .run()
         .unwrap();
-    let (sync, dist) = latency_pair(design.bound(), &[0.9, 0.7, 0.5], 6000, &mut rng)
-        .expect("fault-free simulation");
+    let [sync, dist] = sync_and_dist(design.bound(), &[0.9, 0.7, 0.5], 6000, 3);
     let clk = 15.0;
     let paper_tau = [68.6, 82.9, 93.8];
     let paper_dist = [68.1, 80.7, 90.6];

@@ -7,7 +7,7 @@ use tauhls::dfg::{random_dfg, RandomDfgParams};
 use tauhls::fsm::DistributedControlUnit;
 use tauhls::sched::{reachability, BoundDfg, DependencyGraph, ListSchedule};
 use tauhls::sim::{
-    latency_pair_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
+    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
     ControlStyle, CycleStats, SimJob,
 };
 use tauhls::Allocation;
@@ -147,15 +147,31 @@ fn batch_engine_matches_serial_oracle_on_random_dfgs() {
         let seed = gen.u64(0..1 << 48);
         let trials = gen.u64(1..200);
         let ps = [0.9, 0.5];
-        let serial = latency_pair_batch(&bound, &ps, trials, seed, &BatchRunner::serial())
-            .expect("fault-free simulation");
+        let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+        let serial = latency_batch(
+            &bound,
+            &styles,
+            &ps,
+            0,
+            trials,
+            seed,
+            &BatchRunner::serial(),
+        )
+        .expect("fault-free simulation");
         for threads in [2usize, 8] {
-            let parallel =
-                latency_pair_batch(&bound, &ps, trials, seed, &BatchRunner::new(threads))
-                    .expect("fault-free simulation");
+            let parallel = latency_batch(
+                &bound,
+                &styles,
+                &ps,
+                0,
+                trials,
+                seed,
+                &BatchRunner::new(threads),
+            )
+            .expect("fault-free simulation");
             assert_eq!(serial, parallel, "threads = {threads}");
         }
-        let (sync, dist) = serial;
+        let (sync, dist) = (&serial[0], &serial[1]);
         for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
             assert!(d <= s, "dist {d} > sync {s}");
         }
