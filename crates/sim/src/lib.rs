@@ -9,7 +9,10 @@
 //! * [`CompletionModel`] — Bernoulli(`P`), deterministic extremes, or
 //!   operand-driven completion through `tauhls-datapath` bit-level units;
 //! * [`latency_summary`] — the `[best][avg@P...][worst]` cells of Table 2
-//!   plus the enhancement column;
+//!   plus the enhancement column, for one control style;
+//! * [`latency_batch`] — the same cells for any list of control styles on
+//!   **coupled** trials (one completion table per trial, fed to every
+//!   style), one summary per style in request order;
 //! * [`BatchRunner`] / [`SimJob`] — a deterministic parallel Monte-Carlo
 //!   engine: per-trial RNGs derived from `(base_seed, job_id, trial)` and
 //!   chunk-ordered reduction make results bit-identical for any thread
