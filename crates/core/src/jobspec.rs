@@ -1327,12 +1327,9 @@ impl JobSpec {
                 ),
             ])
         };
-        let leg = |name: &str| {
-            let k = SIMULATE_LEGS.iter().position(|(key, _)| *key == name)?;
-            legs.get(k)
-        };
-        let enhancement = match (leg("lt_tau"), leg("lt_dist")) {
-            (Some(tau), Some(dist)) => enhancement_percent(tau, dist),
+        // SIMULATE_LEGS starts with lt_tau, lt_dist.
+        let enhancement = match legs {
+            [tau, dist, ..] => enhancement_percent(tau, dist),
             _ => Vec::new(),
         };
         let mut body = vec![("spec", self.canonical()), ("clock_ns", Json::from(clk))];

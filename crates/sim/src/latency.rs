@@ -488,6 +488,18 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distributed lost a coupled trial")]
+    fn coupled_check_catches_dist_losing_to_sync() {
+        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
+        let engines = [
+            Engine::Sync,
+            Engine::generate(&bound, ControlStyle::Distributed),
+        ];
+        Engine::debug_check_coupled(&engines, &[Some(3), Some(4)]);
+    }
+
+    #[test]
     fn zero_trials_is_a_config_error() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(0);
