@@ -1335,6 +1335,7 @@ fn handle_job_entity<S: Read + Write>(shared: &Shared, stream: &mut S, method: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::Executor;
 
     /// An in-memory duplex: reads from a canned request, captures writes.
     struct FakeStream {
@@ -1372,19 +1373,30 @@ mod tests {
     }
 
     fn shared_with(config: ServeConfig) -> Shared {
+        shared_running(config, None)
+    }
+
+    /// A service whose async jobs run through `executor` (the real
+    /// pipeline when `None`).
+    fn shared_running(config: ServeConfig, executor: Option<Executor>) -> Shared {
         let cache = Arc::new(Cache::new(1 << 20));
         let stages = Arc::new(StageCache::new(64));
         let metrics = Arc::new(Metrics::new());
         let cancel = CancelToken::new();
         let warmer = Arc::new(StageWarmer::open(None));
-        let jobs = JobManager::start(
-            &config,
+        let parts = (
             Arc::clone(&metrics),
             Arc::clone(&cache),
             Arc::clone(&stages),
             Arc::clone(&warmer),
             cancel.clone(),
-        )
+        );
+        let jobs = match executor {
+            Some(executor) => JobManager::start_with(
+                &config, parts.0, parts.1, parts.2, parts.3, parts.4, executor,
+            ),
+            None => JobManager::start(&config, parts.0, parts.1, parts.2, parts.3, parts.4),
+        }
         .expect("job manager");
         let registry = Arc::new(WorkerRegistry::new());
         registry.set_self_addr("127.0.0.1:7203");
@@ -1795,5 +1807,716 @@ mod tests {
         let r = drive(&sh, &post("/v1/simulate", other));
         assert!(r.starts_with("HTTP/1.1 503"), "{r}");
         assert_eq!(sh.cache.entries(), 1);
+    }
+
+    /// Compares `actual` with the checked-in file `golden/<name>` of this
+    /// crate.
+    fn assert_golden(name: &str, actual: &str) {
+        let path = format!("{}/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden file {path}: {e}"));
+        assert!(
+            expected == actual,
+            "{path} drifted; this run renders:\n{actual}"
+        );
+    }
+
+    /// The body of a raw HTTP response.
+    fn body_of(response: &str) -> &str {
+        response.split_once("\r\n\r\n").map_or("", |(_, body)| body)
+    }
+
+    /// Masks the wall-clock parts of a `/metrics` body: the uptime gauge
+    /// and each retained event's timestamp.
+    fn mask_clock(body: &str) -> String {
+        body.lines()
+            .map(|line| {
+                let event = line
+                    .strip_prefix("# event ")
+                    .and_then(|rest| rest.split_once(" +"))
+                    .and_then(|(seq, rest)| Some((seq, rest.split_once("s ")?.1)));
+                if line.starts_with("tauhls_serve_uptime_seconds ") {
+                    "tauhls_serve_uptime_seconds <uptime>\n".to_string()
+                } else if let Some((seq, message)) = event {
+                    format!("# event {seq} +<t>s {message}\n")
+                } else {
+                    format!("{line}\n")
+                }
+            })
+            .collect()
+    }
+
+    /// An executor that announces each attempt on the returned receiver,
+    /// then blocks until the test sends that attempt's outcome (a done
+    /// attempt answers `{"ok":true}`).
+    fn gated_executor() -> (
+        Executor,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<Result<(), JobError>>,
+    ) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, outcomes) = std::sync::mpsc::channel::<Result<(), JobError>>();
+        let outcomes = std::sync::Mutex::new(outcomes);
+        let executor: Executor = Arc::new(move |_, _, _| {
+            let _ = entered_tx.send(());
+            let outcome = outcomes
+                .lock()
+                .expect("gate")
+                .recv()
+                .unwrap_or(Err(JobError::Cancelled));
+            outcome.map(|()| (Json::object([("ok", Json::from(true))]), Vec::new()))
+        });
+        (executor, entered, release)
+    }
+
+    fn job_spec(trials: u64) -> JobSpec {
+        let doc = format!(r#"{{"dfg":"fir3","trials":{trials},"seed":5}}"#);
+        JobSpec::from_json_ref(Endpoint::Simulate, &JsonRef::parse(&doc).expect("json"))
+            .expect("spec")
+    }
+
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn metrics_exposition_matches_golden() {
+        let (executor, entered, release) = gated_executor();
+        let sh = shared_running(
+            ServeConfig {
+                sim_threads: Some(1),
+                job_workers: 1,
+                ..ServeConfig::default()
+            },
+            Some(executor),
+        );
+        let m = &sh.metrics;
+        let routes = [
+            "simulate",
+            "table2",
+            "resilience",
+            "synth",
+            "area",
+            "explore",
+            "jobs",
+            "dfg_validate",
+            "status",
+            "healthz",
+            "metrics",
+            "cluster",
+            "/weird",
+        ];
+        for (i, route) in routes.iter().enumerate() {
+            for _ in 0..=i {
+                m.count_request(route);
+            }
+        }
+        for (i, code) in [200, 202, 400, 404, 405, 408, 409, 413, 429, 500, 503, 418]
+            .into_iter()
+            .enumerate()
+        {
+            for _ in 0..=i {
+                m.count_response(code);
+            }
+        }
+        m.count_trials(12_345);
+        let timed = [
+            "simulate",
+            "table2",
+            "resilience",
+            "synth",
+            "area",
+            "explore",
+            "jobs",
+            "cluster",
+            "healthz",
+        ];
+        for (i, endpoint) in timed.iter().enumerate() {
+            m.observe_latency(endpoint, Duration::from_micros(300 << (2 * i)));
+        }
+        for (i, stage) in tauhls_core::stages::STAGE_NAMES.iter().enumerate() {
+            for hit in [false, true, true] {
+                m.observe_stage(&tauhls_core::StageRecord {
+                    stage,
+                    input_hash: 1,
+                    output_hash: 2,
+                    wall: Duration::from_micros(700 << (2 * i)),
+                    cache_hit: hit,
+                });
+            }
+        }
+        for (i, event) in crate::JOB_EVENTS.iter().enumerate() {
+            for _ in 0..=i {
+                m.count_job(event);
+            }
+        }
+        for (i, event) in crate::CLUSTER_EVENTS.iter().enumerate() {
+            for _ in 0..=i {
+                m.count_cluster(event);
+            }
+        }
+        m.add_inflight(3);
+        m.count_panic();
+        m.log_event("golden event one");
+        m.log_event("golden event two");
+        sh.cache.insert("k".to_string(), "cached body".into());
+        sh.cache.get("k");
+        sh.cache.get("absent");
+        let registry = &sh.cluster.registry;
+        for worker in ["127.0.0.1:9001", "127.0.0.1:9002"] {
+            registry.register(worker).expect("register");
+            registry.mark_dispatch(worker);
+        }
+        registry.mark_success("127.0.0.1:9001");
+        for _ in 0..crate::cluster::FAILURE_LIMIT {
+            registry.mark_failure("127.0.0.1:9002");
+        }
+        // One job running (held at the gate), two queued behind it.
+        for trials in [21, 22, 23] {
+            sh.jobs
+                .submit(job_spec(trials), "golden", 5)
+                .expect("submit");
+            if trials == 21 {
+                entered.recv().expect("first job runs");
+            }
+        }
+        let scrape = drive(&sh, "GET /metrics HTTP/1.1\r\n\r\n");
+        assert!(scrape.starts_with("HTTP/1.1 200 OK\r\n"), "{scrape}");
+        assert!(
+            scrape.contains("\r\nContent-Type: text/plain; version=0.0.4\r\n"),
+            "{scrape}"
+        );
+        assert_golden("metrics.prom", &mask_clock(body_of(&scrape)));
+        for _ in 0..3 {
+            let _ = release.send(Ok(()));
+        }
+        sh.jobs.begin_shutdown();
+        sh.jobs.join();
+    }
+
+    #[test]
+    fn job_gauges_match_the_job_table_through_the_lifecycle() {
+        let (executor, entered, release) = gated_executor();
+        let sh = shared_running(
+            ServeConfig {
+                sim_threads: Some(1),
+                job_workers: 1,
+                job_max_attempts: 3,
+                // Long enough that a retried job is still backing off when
+                // the test cancels it.
+                job_backoff_base: Duration::from_secs(30),
+                ..ServeConfig::default()
+            },
+            Some(executor),
+        );
+        let gauges = || {
+            let scrape = drive(&sh, "GET /metrics HTTP/1.1\r\n\r\n");
+            let gauge = |name: &str| {
+                body_of(&scrape)
+                    .lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+                    .unwrap_or_else(|| panic!("{name} missing: {scrape}"))
+            };
+            (
+                gauge("tauhls_serve_jobs_pending"),
+                gauge("tauhls_serve_jobs_running"),
+            )
+        };
+        let table = || {
+            let status = drive(&sh, "GET /v1/status HTTP/1.1\r\n\r\n");
+            let doc = Json::parse(body_of(&status)).expect("status json");
+            let count = |state: &str| {
+                doc.get("jobs")
+                    .and_then(|jobs| jobs.get(state))
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("jobs.{state} missing: {status}"))
+            };
+            (count("queued") + count("backoff"), count("running"))
+        };
+        // Each step: wait for the table to reach the expected counts, then
+        // the gauges must agree with it.
+        let step = |what: &str, expected: (u64, u64)| {
+            wait_for(what, || table() == expected);
+            wait_for(&format!("gauges after {what}"), || gauges() == table());
+            assert_eq!(gauges(), expected, "{what}");
+        };
+        let submit = |trials: u64| {
+            let outcome = sh
+                .jobs
+                .submit(job_spec(trials), "gauges", 5)
+                .expect("submit");
+            outcome.id
+        };
+        step("an idle manager", (0, 0));
+        let first = submit(31);
+        entered.recv().expect("first attempt");
+        step("the first job running", (0, 1));
+        let second = submit(32);
+        step("a second job queued", (1, 1));
+        release
+            .send(Err(JobError::Failed("transient".to_string())))
+            .expect("release first");
+        entered.recv().expect("second job runs");
+        step("the first job backing off", (1, 1));
+        assert_eq!(sh.jobs.state(&first), Some(JobState::Backoff));
+        assert!(sh.jobs.cancel(&first).is_some());
+        step("the backing-off job cancelled", (0, 1));
+        release.send(Ok(())).expect("release second");
+        step("the second job done", (0, 0));
+        assert_eq!(sh.jobs.state(&second), Some(JobState::Done));
+        let third = submit(33);
+        entered.recv().expect("third attempt");
+        step("the third job running", (0, 1));
+        assert!(sh.jobs.cancel(&third).is_some());
+        release
+            .send(Err(JobError::Cancelled))
+            .expect("release third");
+        step("the running job cancelled", (0, 0));
+        assert_eq!(sh.jobs.state(&third), Some(JobState::Cancelled));
+        sh.jobs.begin_shutdown();
+        sh.jobs.join();
+    }
+
+    /// A stream whose reads time out, as a stalled client's would.
+    struct Stalled(Vec<u8>);
+
+    impl Read for Stalled {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::TimedOut.into())
+        }
+    }
+
+    impl Write for Stalled {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One request per router branch (every error branch of the job,
+    /// partition, membership, job-submit and job-entity handlers
+    /// included); the status line, headers and body of each answer are
+    /// pinned. `/metrics` and `/v1/status` bodies carry wall-clock values
+    /// and are pinned elsewhere, so only their heads are kept here.
+    #[test]
+    fn every_route_answers_its_pinned_response() {
+        let mut log = String::new();
+        let mut record = |label: &str, response: &str| {
+            let response = response.replace("\r\n", "\n");
+            let response = if label.starts_with("volatile ") {
+                let (head, _) = response.split_once("\n\n").unwrap_or((&response, ""));
+                let head: Vec<&str> = head
+                    .lines()
+                    .filter(|l| !l.starts_with("Content-Length:"))
+                    .collect();
+                format!("{}\n\n<volatile body>\n", head.join("\n"))
+            } else {
+                response
+            };
+            log.push_str(&format!("=== {label}\n{response}\n"));
+        };
+        let raw = |method: &str, path: &str, headers: &str, body: &[u8]| {
+            let mut raw = format!(
+                "{method} {path} HTTP/1.1\r\n{headers}Content-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            raw.extend_from_slice(body);
+            raw
+        };
+        let send = |sh: &Shared, request: Vec<u8>| {
+            let mut stream = FakeStream {
+                input: std::io::Cursor::new(request),
+                output: Vec::new(),
+            };
+            handle_connection(sh, &mut stream);
+            stream.response()
+        };
+        let not_utf8: &[u8] = b"{\"dfg\":\"\xff\"}";
+        let sweep = JobSpec::from_json_ref(
+            Endpoint::Simulate,
+            &JsonRef::parse(r#"{"dfg":"fir3","trials":30,"p":[0.3,0.5,0.7],"seed":9}"#)
+                .expect("json"),
+        )
+        .expect("spec");
+        let partition = |part: u64, of: u64| {
+            Json::object([
+                ("spec", sweep.canonical()),
+                ("part", Json::from(part)),
+                ("of", Json::from(of)),
+            ])
+            .to_compact()
+        };
+
+        // Plain routes, method errors, and unknown paths.
+        let sh = shared_with(ServeConfig {
+            sim_threads: Some(1),
+            job_workers: 0, // submissions stay queued: their bodies are stable
+            max_pending_per_client: 2,
+            ..ServeConfig::default()
+        });
+        for (label, method, path) in [
+            ("healthz", "GET", "/healthz"),
+            ("volatile metrics", "GET", "/metrics"),
+            ("volatile status", "GET", "/v1/status"),
+            ("unknown GET path", "GET", "/nope"),
+            ("unknown POST endpoint", "POST", "/v1/nope"),
+            ("status by POST", "POST", "/v1/status"),
+            ("validate by GET", "GET", "/v1/dfg/validate"),
+            ("simulate by GET", "GET", "/v1/simulate"),
+            ("healthz by DELETE", "DELETE", "/healthz"),
+            ("metrics by POST", "POST", "/metrics"),
+            ("partition by GET", "GET", "/v1/cluster/partition"),
+            ("register by PUT", "PUT", "/v1/cluster/register"),
+            ("heartbeat by GET", "GET", "/v1/cluster/heartbeat"),
+            ("jobs by GET", "GET", "/v1/jobs"),
+            ("jobs by DELETE", "DELETE", "/v1/jobs"),
+        ] {
+            record(label, &send(&sh, raw(method, path, "", b"")));
+        }
+
+        // Unreadable requests.
+        record("malformed request line", &drive(&sh, "garbage\r\n\r\n"));
+        record(
+            "oversized body",
+            &drive(
+                &sh,
+                "POST /v1/simulate HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
+            ),
+        );
+        let mut stalled = Stalled(Vec::new());
+        handle_connection(&sh, &mut stalled);
+        record(
+            "stalled read",
+            &String::from_utf8(stalled.0).expect("utf-8"),
+        );
+
+        // Synchronous job endpoints.
+        for (label, path, body) in [
+            ("job body not UTF-8", "/v1/simulate", not_utf8),
+            ("job body not JSON", "/v1/simulate", b"{not json".as_slice()),
+            (
+                "job spec invalid",
+                "/v1/simulate",
+                br#"{"trials":0}"#.as_slice(),
+            ),
+            (
+                "job unknown dfg",
+                "/v1/simulate",
+                br#"{"dfg":"nonesuch"}"#.as_slice(),
+            ),
+            (
+                "job cold",
+                "/v1/simulate",
+                br#"{"dfg":"fir3","trials":30,"p":[0.5],"seed":11}"#.as_slice(),
+            ),
+            (
+                "job cached",
+                "/v1/simulate",
+                br#"{"seed":11,"p":[0.5],"trials":30,"dfg":"fir3"}"#.as_slice(),
+            ),
+            ("validate ok", "/v1/dfg/validate", TINY_WIRE.as_bytes()),
+            (
+                "validate bad graph",
+                "/v1/dfg/validate",
+                br#"{"nodes":[{"id":"a","op":"bogus"}]}"#.as_slice(),
+            ),
+            ("validate empty", "/v1/dfg/validate", b"".as_slice()),
+            ("validate not UTF-8", "/v1/dfg/validate", not_utf8),
+        ] {
+            record(label, &send(&sh, raw("POST", path, "", body)));
+        }
+
+        // Cluster partitions.
+        for (label, body) in [
+            ("partition empty", String::new()),
+            ("partition not JSON", "{\"spec\":".to_string()),
+            ("partition not an object", "[1]".to_string()),
+            ("partition unknown field", r#"{"bogus":1}"#.to_string()),
+            ("partition without spec", r#"{"part":0,"of":1}"#.to_string()),
+            (
+                "partition bad spec",
+                r#"{"spec":{"bogus":1},"part":0,"of":1}"#.to_string(),
+            ),
+            (
+                "partition without coordinates",
+                Json::object([("spec", sweep.canonical())]).to_compact(),
+            ),
+            ("partition out of range", partition(7, 3)),
+            ("partition cold", partition(1, 3)),
+            ("partition cached", partition(1, 3)),
+        ] {
+            record(
+                label,
+                &send(
+                    &sh,
+                    raw("POST", "/v1/cluster/partition", "", body.as_bytes()),
+                ),
+            );
+        }
+        record(
+            "partition not UTF-8",
+            &send(&sh, raw("POST", "/v1/cluster/partition", "", not_utf8)),
+        );
+
+        // Cluster membership.
+        for (label, path, body) in [
+            (
+                "register ok",
+                "/v1/cluster/register",
+                r#"{"addr":"127.0.0.1:7300"}"#,
+            ),
+            (
+                "register duplicate",
+                "/v1/cluster/register",
+                r#"{"addr":"127.0.0.1:7300"}"#,
+            ),
+            (
+                "register self",
+                "/v1/cluster/register",
+                r#"{"addr":"localhost:7203"}"#,
+            ),
+            (
+                "register malformed",
+                "/v1/cluster/register",
+                r#"{"addr":"no-port"}"#,
+            ),
+            (
+                "register unknown field",
+                "/v1/cluster/register",
+                r#"{"addr":"x:1","extra":1}"#,
+            ),
+            ("register not JSON", "/v1/cluster/register", r#"{"addr":"#),
+            ("register not an object", "/v1/cluster/register", "[]"),
+            ("register empty", "/v1/cluster/register", ""),
+            (
+                "register addr not a string",
+                "/v1/cluster/register",
+                r#"{"addr":5}"#,
+            ),
+            (
+                "heartbeat ok",
+                "/v1/cluster/heartbeat",
+                r#"{"addr":"127.0.0.1:7300"}"#,
+            ),
+            (
+                "heartbeat new worker",
+                "/v1/cluster/heartbeat",
+                r#"{"addr":"127.0.0.1:7301"}"#,
+            ),
+            (
+                "heartbeat bad",
+                "/v1/cluster/heartbeat",
+                r#"{"addr":"x:0"}"#,
+            ),
+        ] {
+            record(label, &send(&sh, raw("POST", path, "", body.as_bytes())));
+        }
+        record(
+            "register not UTF-8",
+            &send(&sh, raw("POST", "/v1/cluster/register", "", not_utf8)),
+        );
+
+        // Async job submission.
+        let submit = |headers: &str, body: &str| {
+            send(&sh, raw("POST", "/v1/jobs", headers, body.as_bytes()))
+        };
+        for (label, headers, body) in [
+            ("submit empty", "", ""),
+            ("submit not JSON", "", "{not json"),
+            ("submit not an object", "", "[]"),
+            ("submit unknown field", "", r#"{"bogus":1}"#),
+            ("submit without endpoint", "", r#"{"spec":{}}"#),
+            ("submit unknown endpoint", "", r#"{"endpoint":"nope"}"#),
+            (
+                "submit bad spec",
+                "",
+                r#"{"endpoint":"simulate","spec":{"trials":0}}"#,
+            ),
+            (
+                "submit bad priority",
+                "",
+                r#"{"endpoint":"simulate","priority":99}"#,
+            ),
+            (
+                "submit bad priority header",
+                "X-Priority: soon\r\n",
+                r#"{"endpoint":"simulate"}"#,
+            ),
+            (
+                "submit queued",
+                "X-Priority: 3\r\n",
+                r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":41}}"#,
+            ),
+            (
+                "submit again",
+                "",
+                r#"{"endpoint":"simulate","spec":{"trials":41,"dfg":"fir3"}}"#,
+            ),
+            (
+                "submit second",
+                "X-Client: carol\r\n",
+                r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":42},"priority":0}"#,
+            ),
+            (
+                "submit third",
+                "",
+                r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":43}}"#,
+            ),
+            (
+                "submit over quota",
+                "",
+                r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":44}}"#,
+            ),
+        ] {
+            record(label, &submit(headers, body));
+        }
+        record(
+            "submit not UTF-8",
+            &send(&sh, raw("POST", "/v1/jobs", "", not_utf8)),
+        );
+
+        // Job entities.
+        let id = job_spec(999).job_id(); // never submitted: an unknown ID
+        let queued = JobSpec::from_json_ref(
+            Endpoint::Simulate,
+            &JsonRef::parse(r#"{"dfg":"fir3","trials":41}"#).expect("json"),
+        )
+        .expect("spec")
+        .job_id();
+        for (label, method, path) in [
+            ("entity without id", "GET", "/v1/jobs/".to_string()),
+            ("entity nested path", "GET", "/v1/jobs/a/b".to_string()),
+            ("entity unknown", "GET", format!("/v1/jobs/{id}")),
+            (
+                "entity unknown result",
+                "GET",
+                format!("/v1/jobs/{id}/result"),
+            ),
+            ("entity unknown cancel", "DELETE", format!("/v1/jobs/{id}")),
+            ("entity by PUT", "PUT", format!("/v1/jobs/{queued}")),
+            (
+                "entity result by DELETE",
+                "DELETE",
+                format!("/v1/jobs/{queued}/result"),
+            ),
+            ("entity status", "GET", format!("/v1/jobs/{queued}")),
+            (
+                "entity pending result",
+                "GET",
+                format!("/v1/jobs/{queued}/result"),
+            ),
+            ("entity cancel", "DELETE", format!("/v1/jobs/{queued}")),
+            (
+                "entity cancelled result",
+                "GET",
+                format!("/v1/jobs/{queued}/result"),
+            ),
+        ] {
+            record(label, &send(&sh, raw(method, &path, "", b"")));
+        }
+        sh.jobs.begin_shutdown();
+        sh.jobs.join();
+
+        // Done and failed results, held at a gate so each is terminal
+        // before it is fetched.
+        let (executor, entered, release) = gated_executor();
+        let gated = shared_running(
+            ServeConfig {
+                sim_threads: Some(1),
+                job_workers: 1,
+                job_max_attempts: 1,
+                ..ServeConfig::default()
+            },
+            Some(executor),
+        );
+        for (trials, outcome) in [
+            (51, Ok(())),
+            (52, Err(JobError::Failed("backend exploded".to_string()))),
+        ] {
+            let spec = job_spec(trials);
+            let id = spec.job_id();
+            gated.jobs.submit(spec, "gated", 5).expect("submit");
+            entered.recv().expect("attempt");
+            release.send(outcome).expect("release");
+            wait_for("a terminal job", || {
+                gated.jobs.state(&id).is_some_and(JobState::is_terminal)
+            });
+            record(
+                &format!("entity result of job {trials}"),
+                &send(
+                    &gated,
+                    raw("GET", &format!("/v1/jobs/{id}/result"), "", b""),
+                ),
+            );
+        }
+        let done = r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":51,"seed":5}}"#;
+        record(
+            "submit already done",
+            &send(&gated, raw("POST", "/v1/jobs", "", done.as_bytes())),
+        );
+        gated.jobs.begin_shutdown();
+        gated.jobs.join();
+
+        // Admission control and shutdown.
+        let limited = shared_with(ServeConfig {
+            sim_threads: Some(1),
+            job_workers: 0,
+            admission_rate: 0.001,
+            admission_burst: 1.0,
+            ..ServeConfig::default()
+        });
+        for (label, trials) in [("admitted", 61), ("rate limited", 62)] {
+            let body =
+                format!(r#"{{"endpoint":"simulate","spec":{{"dfg":"fir3","trials":{trials}}}}}"#);
+            record(
+                label,
+                &send(&limited, raw("POST", "/v1/jobs", "", body.as_bytes())),
+            );
+        }
+        limited.jobs.begin_shutdown();
+        let body = r#"{"endpoint":"simulate","spec":{"dfg":"fir3","trials":63}}"#;
+        record(
+            "submit during shutdown",
+            &send(
+                &limited,
+                raw("POST", "/v1/jobs", "X-Client: dave\r\n", body.as_bytes()),
+            ),
+        );
+        limited.jobs.join();
+
+        // Work cancelled by shutdown.
+        let cancelled = shared();
+        cancelled.cancel.cancel();
+        record(
+            "job cancelled",
+            &send(
+                &cancelled,
+                raw("POST", "/v1/simulate", "", br#"{"dfg":"fir3","trials":30}"#),
+            ),
+        );
+        record(
+            "partition cancelled",
+            &send(
+                &cancelled,
+                raw(
+                    "POST",
+                    "/v1/cluster/partition",
+                    "",
+                    partition(0, 3).as_bytes(),
+                ),
+            ),
+        );
+        cancelled.jobs.begin_shutdown();
+        cancelled.jobs.join();
+
+        assert_golden("routes.txt", &log);
     }
 }
