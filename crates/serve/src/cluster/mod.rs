@@ -25,10 +25,11 @@ mod registry;
 pub use coordinator::{Coordinator, JournalSink};
 pub use registry::{RegisterError, WorkerRegistry, WorkerStats, FAILURE_LIMIT};
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use tauhls_json::Json;
+
+use crate::metrics::{exposition, gauge, Samples};
 
 /// Which part a server plays in a cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,43 +108,36 @@ impl Cluster {
     /// (the scalar cluster counters render inside
     /// [`crate::Metrics::render`]).
     pub fn render_metrics(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE tauhls_serve_cluster_partitions_inflight gauge");
-        let _ = writeln!(
-            out,
-            "tauhls_serve_cluster_partitions_inflight {}",
-            self.coordinator.as_ref().map_or(0, Coordinator::inflight)
-        );
-        let _ = writeln!(out, "# TYPE tauhls_serve_cluster_workers gauge");
         let snapshot = self.registry.snapshot();
-        let _ = writeln!(out, "tauhls_serve_cluster_workers {}", snapshot.len());
-        let _ = writeln!(out, "# TYPE tauhls_serve_cluster_worker_healthy gauge");
-        for w in &snapshot {
-            let _ = writeln!(
-                out,
-                "tauhls_serve_cluster_worker_healthy{{worker=\"{}\"}} {}",
-                w.addr,
-                u8::from(w.healthy)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE tauhls_serve_cluster_worker_partitions_total counter"
-        );
-        for w in &snapshot {
-            for (event, value) in [
+        let worker = |w: &WorkerStats| format!("worker=\"{}\"", w.addr);
+        let partitions = snapshot.iter().flat_map(|w| {
+            [
                 ("dispatched", w.dispatched),
                 ("completed", w.completed),
                 ("requeued", w.requeued),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "tauhls_serve_cluster_worker_partitions_total{{worker=\"{}\",event=\"{event}\"}} {value}",
-                    w.addr
-                );
-            }
-        }
-        out
+            ]
+            .map(|(event, n)| (format!("{},event=\"{event}\"", worker(w)), n.to_string()))
+        });
+        exposition([
+            (
+                "tauhls_serve_cluster_partitions_inflight",
+                gauge(self.coordinator.as_ref().map_or(0, Coordinator::inflight)),
+            ),
+            ("tauhls_serve_cluster_workers", gauge(snapshot.len())),
+            (
+                "tauhls_serve_cluster_worker_healthy",
+                Samples::Gauge(
+                    snapshot
+                        .iter()
+                        .map(|w| (worker(w), u8::from(w.healthy).to_string()))
+                        .collect(),
+                ),
+            ),
+            (
+                "tauhls_serve_cluster_worker_partitions_total",
+                Samples::Counter(partitions.collect()),
+            ),
+        ])
     }
 }
 

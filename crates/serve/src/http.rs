@@ -176,7 +176,7 @@ pub fn write_response<S: Write>(
     stream: &mut S,
     status: u16,
     content_type: &str,
-    extra_headers: &[(&str, &str)],
+    extra_headers: &[(&str, impl AsRef<str>)],
     body: &[u8],
 ) -> std::io::Result<()> {
     let mut head = format!(
@@ -187,7 +187,7 @@ pub fn write_response<S: Write>(
     for (name, value) in extra_headers {
         head.push_str(name);
         head.push_str(": ");
-        head.push_str(value);
+        head.push_str(value.as_ref());
         head.push_str("\r\n");
     }
     head.push_str("\r\n");

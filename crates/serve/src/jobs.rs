@@ -290,17 +290,15 @@ impl JobManager {
                 }
             }
             for (id, rec) in &table {
-                if rec.state == JobState::Queued {
-                    metrics.add_jobs_pending(1);
-                    if pending
+                if rec.state == JobState::Queued
+                    && pending
                         .try_push_at(class_of(rec.priority, &rec.spec), id.clone())
                         .is_err()
-                    {
-                        eprintln!(
-                            "tauhls-serve: recovered job {id} exceeds the job queue \
-                             capacity; it stays journalled but unscheduled"
-                        );
-                    }
+                {
+                    eprintln!(
+                        "tauhls-serve: recovered job {id} exceeds the job queue \
+                         capacity; it stays journalled but unscheduled"
+                    );
                 }
             }
             journal = Some(compact_journal(&journal_path, &table)?);
@@ -391,7 +389,6 @@ impl JobManager {
                     let line = submit_line(&id, rec);
                     inner.journal_line(&line);
                     inner.metrics.count_job("submitted");
-                    inner.metrics.add_jobs_pending(1);
                     return Ok(SubmitOutcome {
                         id,
                         state: JobState::Queued,
@@ -431,7 +428,6 @@ impl JobManager {
         table.insert(id.clone(), rec);
         drop(table);
         inner.metrics.count_job("submitted");
-        inner.metrics.add_jobs_pending(1);
         Ok(SubmitOutcome {
             id,
             state: JobState::Queued,
@@ -483,7 +479,6 @@ impl JobManager {
                 rec.error = Some("cancelled by client".to_string());
                 inner.journal_event(id, "cancelled", Vec::new());
                 inner.metrics.count_job("cancelled");
-                inner.metrics.add_jobs_pending(-1);
             }
             JobState::Running => {
                 if let Some(token) = &rec.cancel {
@@ -701,8 +696,6 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
         rec.cancel = Some(token.clone());
         (rec.spec.clone(), token, rec.attempts)
     };
-    inner.metrics.add_jobs_pending(-1);
-    inner.metrics.add_jobs_running(1);
     inner.journal_event(
         id,
         "start",
@@ -731,7 +724,6 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
                 }
                 drop(table);
                 inner.metrics.count_job("cancelled");
-                inner.metrics.add_jobs_running(-1);
             } else {
                 // Shutdown watchdog: journal the interruption so the
                 // next start requeues the job.
@@ -743,8 +735,6 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
                 }
                 drop(table);
                 inner.metrics.count_job("requeued");
-                inner.metrics.add_jobs_running(-1);
-                inner.metrics.add_jobs_pending(1);
             }
         }
         // An invalid spec can never succeed on retry.
@@ -792,7 +782,6 @@ fn complete(
     }
     drop(table);
     inner.metrics.count_job("completed");
-    inner.metrics.add_jobs_running(-1);
 }
 
 fn fail(inner: &Arc<Inner>, id: &str, error: String) {
@@ -805,7 +794,6 @@ fn fail(inner: &Arc<Inner>, id: &str, error: String) {
     }
     drop(table);
     inner.metrics.count_job("failed");
-    inner.metrics.add_jobs_running(-1);
 }
 
 fn retry_or_fail(inner: &Arc<Inner>, id: &str, attempt: u32, error: String) {
@@ -837,8 +825,6 @@ fn retry_or_fail(inner: &Arc<Inner>, id: &str, attempt: u32, error: String) {
     }
     inner.backoff_wake.notify_all();
     inner.metrics.count_job("retried");
-    inner.metrics.add_jobs_running(-1);
-    inner.metrics.add_jobs_pending(1);
 }
 
 /// Wakes jobs whose backoff expired and feeds them back to the queue.

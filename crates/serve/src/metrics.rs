@@ -2,14 +2,15 @@
 //!
 //! Everything is a relaxed atomic — the metrics path must never contend
 //! with the simulation path. The `/metrics` endpoint renders the
-//! [exposition text format](https://prometheus.io/docs/instrumenting/exposition_formats/):
-//! counters for requests/responses/trials/cache activity, gauges for
-//! queue depth and in-flight jobs, and one cumulative latency histogram
-//! per simulation endpoint (`trials/sec` is the PromQL ratio
-//! `rate(tauhls_serve_trials_total[1m])`).
+//! [exposition text format](https://prometheus.io/docs/instrumenting/exposition_formats/)
+//! from one table of family rows: counters for requests/responses/trials/
+//! cache activity, gauges for queue depth and jobs, and cumulative
+//! latency histograms (`trials/sec` is the PromQL ratio
+//! `rate(tauhls_serve_trials_total[1m])`). [`exposition`] is the one
+//! text writer; the cluster's worker gauges use it too.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -18,10 +19,12 @@ use tauhls_core::stages::STAGE_NAMES;
 use tauhls_core::{StageCache, StageRecord};
 
 use crate::cache::Cache;
+use crate::jobs::JobState;
 
-/// The request-routing classes we count (job endpoints first — these are
-/// the ones with latency histograms).
-pub const ENDPOINTS: [&str; 12] = [
+/// The request-routing labels counted under
+/// `tauhls_serve_requests_total` (paths no route knows count as
+/// `other`).
+pub const ENDPOINTS: [&str; 13] = [
     "simulate",
     "table2",
     "resilience",
@@ -34,12 +37,21 @@ pub const ENDPOINTS: [&str; 12] = [
     "healthz",
     "metrics",
     "cluster",
+    "other",
 ];
 
-/// How many of [`ENDPOINTS`] carry a latency histogram (the job
-/// endpoints plus async job execution; the cheap read-only endpoints
-/// are not worth a histogram each).
-const JOB_ENDPOINTS: usize = 7;
+/// The endpoints timed under `tauhls_serve_request_seconds`: the job
+/// endpoints plus async job execution (the cheap read-only endpoints are
+/// not worth a histogram each).
+pub const TIMED_ENDPOINTS: [&str; 7] = [
+    "simulate",
+    "table2",
+    "resilience",
+    "synth",
+    "area",
+    "explore",
+    "jobs",
+];
 
 /// How many entries the in-memory event log retains; older entries are
 /// dropped (and counted) so the log is bounded no matter the uptime.
@@ -80,11 +92,11 @@ pub const CLUSTER_EVENTS: [&str; 6] = [
 pub const BUCKETS_SECONDS: [f64; 8] = [0.001, 0.004, 0.016, 0.064, 0.25, 1.0, 4.0, 16.0];
 
 /// One cumulative latency histogram (Prometheus semantics: each bucket
-/// counts observations ≤ its bound, plus an implicit `+Inf`).
+/// counts observations ≤ its bound, and the implicit `+Inf` bucket is
+/// the total count).
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS_SECONDS.len()],
-    inf: AtomicU64,
     sum_micros: AtomicU64,
     count: AtomicU64,
 }
@@ -98,7 +110,6 @@ impl Histogram {
                 bucket.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.inf.fetch_add(1, Ordering::Relaxed);
         self.sum_micros
             .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -106,8 +117,145 @@ impl Histogram {
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        load(&self.count)
     }
+}
+
+fn load(value: &AtomicU64) -> u64 {
+    value.load(Ordering::Relaxed)
+}
+
+/// One labelled family: a fixed set of label values with one `T` (a
+/// relaxed counter or a histogram) per value.
+#[derive(Debug)]
+struct Labelled<T, K: 'static = &'static str> {
+    keys: &'static [K],
+    values: Box<[T]>,
+}
+
+impl<T: Default, K: Copy + Display> Labelled<T, K> {
+    fn new(keys: &'static [K]) -> Self {
+        Labelled {
+            keys,
+            values: keys.iter().map(|_| T::default()).collect(),
+        }
+    }
+
+    /// The entry for label value `key`, if the family has one.
+    fn get<Q>(&self, key: Q) -> Option<&T>
+    where
+        K: PartialEq<Q>,
+    {
+        self.keys
+            .iter()
+            .zip(self.values.iter())
+            .find_map(|(k, value)| (*k == key).then_some(value))
+    }
+
+    /// `(label set, entry)` pairs in label-value order.
+    fn samples<'a, V>(&'a self, label: &str, value: impl Fn(&'a T) -> V) -> Vec<(String, V)> {
+        self.keys
+            .iter()
+            .zip(self.values.iter())
+            .map(|(k, entry)| (format!("{label}=\"{k}\""), value(entry)))
+            .collect()
+    }
+}
+
+impl<K: Copy + Display> Labelled<AtomicU64, K> {
+    /// The family's counter samples under `label`.
+    fn counter(&self, label: &str) -> Samples<'static> {
+        Samples::Counter(self.samples(label, |c| load(c).to_string()))
+    }
+
+    /// Counts one event under `key`; false if the family has no such
+    /// label value.
+    fn add<Q>(&self, key: Q) -> bool
+    where
+        K: PartialEq<Q>,
+    {
+        self.get(key)
+            .map(|c| c.fetch_add(1, Ordering::Relaxed))
+            .is_some()
+    }
+
+    /// Events counted under `key` (0 for an unknown label value).
+    fn count<Q>(&self, key: Q) -> u64
+    where
+        K: PartialEq<Q>,
+    {
+        self.get(key).map_or(0, load)
+    }
+}
+
+impl Labelled<Histogram> {
+    /// The family's histogram samples under `label`.
+    fn histogram(&self, label: &str) -> Samples<'_> {
+        Samples::Histogram(self.samples(label, |h| h))
+    }
+}
+
+/// One exposition family's samples, each under its label set (an empty
+/// label set renders a bare sample).
+pub(crate) enum Samples<'a> {
+    /// `# TYPE … counter` values.
+    Counter(Vec<(String, String)>),
+    /// `# TYPE … gauge` values.
+    Gauge(Vec<(String, String)>),
+    /// `# TYPE … histogram`: `_bucket`, `_sum` and `_count` per label set.
+    Histogram(Vec<(String, &'a Histogram)>),
+}
+
+/// An unlabelled counter's one sample.
+pub(crate) fn counter(value: impl Display) -> Samples<'static> {
+    Samples::Counter(vec![(String::new(), value.to_string())])
+}
+
+/// An unlabelled gauge's one sample.
+pub(crate) fn gauge(value: impl Display) -> Samples<'static> {
+    Samples::Gauge(vec![(String::new(), value.to_string())])
+}
+
+/// Writes `(family name, samples)` rows as Prometheus exposition text —
+/// the one writer behind every `/metrics` line.
+pub(crate) fn exposition<'a>(families: impl IntoIterator<Item = (&'a str, Samples<'a>)>) -> String {
+    let mut out = String::with_capacity(8192);
+    // Writing to a String cannot fail.
+    for (name, samples) in families {
+        let kind = match samples {
+            Samples::Counter(_) => "counter",
+            Samples::Gauge(_) => "gauge",
+            Samples::Histogram(_) => "histogram",
+        };
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        match samples {
+            Samples::Counter(values) | Samples::Gauge(values) => {
+                for (labels, value) in values {
+                    if labels.is_empty() {
+                        let _ = writeln!(out, "{name} {value}");
+                    } else {
+                        let _ = writeln!(out, "{name}{{{labels}}} {value}");
+                    }
+                }
+            }
+            Samples::Histogram(histograms) => {
+                for (labels, h) in histograms {
+                    for (bound, bucket) in BUCKETS_SECONDS.iter().zip(&h.buckets) {
+                        let _ = writeln!(
+                            out,
+                            "{name}_bucket{{{labels},le=\"{bound}\"}} {}",
+                            load(bucket)
+                        );
+                    }
+                    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", h.count());
+                    let sum = load(&h.sum_micros) as f64 / 1e6;
+                    let _ = writeln!(out, "{name}_sum{{{labels}}} {sum}");
+                    let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
+                }
+            }
+        }
+    }
+    out
 }
 
 /// One retained service event: a monotone sequence number, seconds
@@ -146,23 +294,39 @@ impl Default for EventLog {
 }
 
 /// All service counters, shared across acceptor and workers.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
-    requests: [AtomicU64; ENDPOINTS.len()],
-    requests_other: AtomicU64,
-    responses: [AtomicU64; STATUS_CODES.len()],
+    requests: Labelled<AtomicU64>,
+    responses: Labelled<AtomicU64, u16>,
     trials: AtomicU64,
     inflight: AtomicU64,
     panics: AtomicU64,
-    latency: [Histogram; JOB_ENDPOINTS],
-    stage_seconds: [Histogram; STAGE_NAMES.len()],
-    stage_hits: [AtomicU64; STAGE_NAMES.len()],
-    stage_misses: [AtomicU64; STAGE_NAMES.len()],
-    jobs: [AtomicU64; JOB_EVENTS.len()],
-    jobs_pending: AtomicU64,
-    jobs_running: AtomicU64,
-    cluster: [AtomicU64; CLUSTER_EVENTS.len()],
+    latency: Labelled<Histogram>,
+    stage_seconds: Labelled<Histogram>,
+    stage_hits: Labelled<AtomicU64>,
+    stage_misses: Labelled<AtomicU64>,
+    jobs: Labelled<AtomicU64>,
+    cluster: Labelled<AtomicU64>,
     events: EventLog,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            requests: Labelled::new(&ENDPOINTS),
+            responses: Labelled::new(&STATUS_CODES),
+            trials: AtomicU64::new(0),
+            inflight: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            latency: Labelled::new(&TIMED_ENDPOINTS),
+            stage_seconds: Labelled::new(&STAGE_NAMES),
+            stage_hits: Labelled::new(&STAGE_NAMES),
+            stage_misses: Labelled::new(&STAGE_NAMES),
+            jobs: Labelled::new(&JOB_EVENTS),
+            cluster: Labelled::new(&CLUSTER_EVENTS),
+            events: EventLog::default(),
+        }
+    }
 }
 
 impl Metrics {
@@ -171,24 +335,17 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn endpoint_index(endpoint: &str) -> Option<usize> {
-        ENDPOINTS.iter().position(|e| *e == endpoint)
-    }
-
-    /// Counts a routed request (unknown paths land in `other`).
+    /// Counts a routed request (unknown routes land in `other`).
     pub fn count_request(&self, endpoint: &str) {
-        match Metrics::endpoint_index(endpoint) {
-            Some(i) => self.requests[i].fetch_add(1, Ordering::Relaxed),
-            None => self.requests_other.fetch_add(1, Ordering::Relaxed),
-        };
+        if !self.requests.add(endpoint) {
+            self.requests.add("other");
+        }
     }
 
     /// Counts a response by status code (uncounted codes are ignored —
     /// keep [`STATUS_CODES`] in sync with what the router emits).
     pub fn count_response(&self, status: u16) {
-        if let Some(i) = STATUS_CODES.iter().position(|c| *c == status) {
-            self.responses[i].fetch_add(1, Ordering::Relaxed);
-        }
+        self.responses.add(status);
     }
 
     /// Adds completed Monte-Carlo trials (the numerator of trials/sec).
@@ -196,19 +353,11 @@ impl Metrics {
         self.trials.fetch_add(trials, Ordering::Relaxed);
     }
 
-    /// Total requests seen for one endpoint.
-    pub fn request_count(&self, endpoint: &str) -> u64 {
-        match Metrics::endpoint_index(endpoint) {
-            Some(i) => self.requests[i].load(Ordering::Relaxed),
-            None => self.requests_other.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records one completed simulation job's wall-clock latency.
-    /// Endpoints without a histogram (healthz/metrics) are ignored.
+    /// Records one completed job's wall-clock latency. Endpoints outside
+    /// [`TIMED_ENDPOINTS`] are ignored.
     pub fn observe_latency(&self, endpoint: &str, elapsed: Duration) {
-        if let Some(i) = Metrics::endpoint_index(endpoint).filter(|i| *i < self.latency.len()) {
-            self.latency[i].observe(elapsed);
+        if let Some(h) = self.latency.get(endpoint) {
+            h.observe(elapsed);
         }
     }
 
@@ -216,13 +365,14 @@ impl Metrics {
     /// histograms (cache hits are recorded too — their near-zero wall
     /// times are exactly the point of the stage cache).
     pub fn observe_stage(&self, record: &StageRecord) {
-        if let Some(i) = STAGE_NAMES.iter().position(|s| *s == record.stage) {
-            self.stage_seconds[i].observe(record.wall);
-            if record.cache_hit {
-                self.stage_hits[i].fetch_add(1, Ordering::Relaxed);
+        if let Some(h) = self.stage_seconds.get(record.stage) {
+            h.observe(record.wall);
+            let outcome = if record.cache_hit {
+                &self.stage_hits
             } else {
-                self.stage_misses[i].fetch_add(1, Ordering::Relaxed);
-            }
+                &self.stage_misses
+            };
+            outcome.add(record.stage);
         }
     }
 
@@ -230,10 +380,7 @@ impl Metrics {
     /// `tauhls_serve_stage_cache_hits_total` series carries the same
     /// values).
     pub fn stage_hit_count(&self, stage: &str) -> u64 {
-        STAGE_NAMES
-            .iter()
-            .position(|s| *s == stage)
-            .map_or(0, |i| self.stage_hits[i].load(Ordering::Relaxed))
+        self.stage_hits.count(stage)
     }
 
     /// Marks a job entering (`+1`) or leaving (`-1`) the worker pool.
@@ -247,7 +394,7 @@ impl Metrics {
 
     /// Jobs currently being processed.
     pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
+        load(&self.inflight)
     }
 
     /// Counts a worker surviving a job panic.
@@ -259,58 +406,21 @@ impl Metrics {
     /// [`JOB_EVENTS`]; unknown names are ignored — keep callers in
     /// sync).
     pub fn count_job(&self, event: &str) {
-        if let Some(i) = JOB_EVENTS.iter().position(|e| *e == event) {
-            self.jobs[i].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Total events counted for one [`JOB_EVENTS`] name (test hook; the
-    /// rendered `tauhls_serve_jobs_total` series carries the same
-    /// values).
-    pub fn job_count(&self, event: &str) -> u64 {
-        JOB_EVENTS
-            .iter()
-            .position(|e| *e == event)
-            .map_or(0, |i| self.jobs[i].load(Ordering::Relaxed))
+        self.jobs.add(event);
     }
 
     /// Counts one cluster partition lifecycle event (a name from
     /// [`CLUSTER_EVENTS`]; unknown names are ignored — keep callers in
     /// sync).
     pub fn count_cluster(&self, event: &str) {
-        if let Some(i) = CLUSTER_EVENTS.iter().position(|e| *e == event) {
-            self.cluster[i].fetch_add(1, Ordering::Relaxed);
-        }
+        self.cluster.add(event);
     }
 
     /// Total events counted for one [`CLUSTER_EVENTS`] name (the
     /// rendered `tauhls_serve_cluster_partitions_total` series carries
     /// the same values).
     pub fn cluster_count(&self, event: &str) -> u64 {
-        CLUSTER_EVENTS
-            .iter()
-            .position(|e| *e == event)
-            .map_or(0, |i| self.cluster[i].load(Ordering::Relaxed))
-    }
-
-    /// Moves the queued/backing-off async job gauge.
-    pub fn add_jobs_pending(&self, delta: i64) {
-        if delta >= 0 {
-            self.jobs_pending.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.jobs_pending
-                .fetch_sub((-delta) as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Moves the running async job gauge.
-    pub fn add_jobs_running(&self, delta: i64) {
-        if delta >= 0 {
-            self.jobs_running.fetch_add(delta as u64, Ordering::Relaxed);
-        } else {
-            self.jobs_running
-                .fetch_sub((-delta) as u64, Ordering::Relaxed);
-        }
+        self.cluster.count(event)
     }
 
     /// Seconds since this `Metrics` (and so the service) was created.
@@ -349,21 +459,22 @@ impl Metrics {
 
     /// Total events ever logged (retained or dropped).
     pub fn event_count(&self) -> u64 {
-        self.events.seq.load(Ordering::Relaxed)
+        load(&self.events.seq)
     }
 
     /// A `Retry-After` value (seconds) derived from the queue depth and
-    /// the measured drain rate: average request latency across the job
+    /// the measured drain rate: average request latency across the timed
     /// endpoints times the backlog ahead of a new arrival, divided by
     /// the worker count. Falls back to `1` before any request has
     /// completed, and clamps to `1..=60` so the hint is always sane.
     pub fn retry_after_hint(&self, queue_depth: usize, workers: usize) -> u64 {
-        let mut count = 0u64;
-        let mut sum_micros = 0u64;
-        for h in &self.latency {
-            count += h.count.load(Ordering::Relaxed);
-            sum_micros += h.sum_micros.load(Ordering::Relaxed);
-        }
+        let count: u64 = self.latency.values.iter().map(Histogram::count).sum();
+        let sum_micros: u64 = self
+            .latency
+            .values
+            .iter()
+            .map(|h| load(&h.sum_micros))
+            .sum();
         if count == 0 {
             return 1;
         }
@@ -373,324 +484,57 @@ impl Metrics {
     }
 
     /// Renders the Prometheus exposition text, folding in the response
-    /// cache's and stage cache's own counters and the queue's current
-    /// depth.
-    pub fn render(&self, cache: &Cache, stages: &StageCache, queue_depth: usize) -> String {
-        let mut out = String::with_capacity(4096);
-        let put = |out: &mut String, line: std::fmt::Arguments<'_>| {
-            // Writing to a String cannot fail.
-            let _ = out.write_fmt(line);
-            out.push('\n');
+    /// cache's and stage cache's own counters, the queue's current depth,
+    /// and the job gauges derived from the job table's `job_states`
+    /// (pending = queued + backing off).
+    pub fn render(
+        &self,
+        cache: &Cache,
+        stages: &StageCache,
+        queue_depth: usize,
+        job_states: &[(&str, u64)],
+    ) -> String {
+        let jobs_in = |states: &[JobState]| -> u64 {
+            job_states
+                .iter()
+                .filter(|(name, _)| states.iter().any(|s| s.as_str() == *name))
+                .map(|(_, n)| n)
+                .sum()
         };
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_requests_total counter"),
-        );
-        for (i, endpoint) in ENDPOINTS.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_requests_total{{endpoint=\"{endpoint}\"}} {}",
-                    self.requests[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_requests_total{{endpoint=\"other\"}} {}",
-                self.requests_other.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_responses_total counter"),
-        );
-        for (i, code) in STATUS_CODES.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_responses_total{{code=\"{code}\"}} {}",
-                    self.responses[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_trials_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_trials_total {}",
-                self.trials.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cache_hits_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_cache_hits_total {}", cache.hit_count()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cache_misses_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_cache_misses_total {}", cache.miss_count()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cache_evictions_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_cache_evictions_total {}",
-                cache.eviction_count()
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cache_bytes gauge"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_cache_bytes {}", cache.bytes()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cache_entries gauge"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_cache_entries {}", cache.entries()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_stage_cache_hits_total counter"),
-        );
-        for (i, stage) in STAGE_NAMES.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_stage_cache_hits_total{{stage=\"{stage}\"}} {}",
-                    self.stage_hits[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_stage_cache_misses_total counter"),
-        );
-        for (i, stage) in STAGE_NAMES.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_stage_cache_misses_total{{stage=\"{stage}\"}} {}",
-                    self.stage_misses[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_stage_cache_entries gauge"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_stage_cache_entries {}", stages.entries()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_queue_depth gauge"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_queue_depth {queue_depth}"),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_inflight_jobs gauge"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_inflight_jobs {}",
-                self.inflight.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_worker_panics_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_worker_panics_total {}",
-                self.panics.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_jobs_total counter"),
-        );
-        for (i, event) in JOB_EVENTS.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_jobs_total{{event=\"{event}\"}} {}",
-                    self.jobs[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_jobs_pending gauge"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_jobs_pending {}",
-                self.jobs_pending.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_jobs_running gauge"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_jobs_running {}",
-                self.jobs_running.load(Ordering::Relaxed)
-            ),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_cluster_partitions_total counter"),
-        );
-        for (i, event) in CLUSTER_EVENTS.iter().enumerate() {
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_cluster_partitions_total{{event=\"{event}\"}} {}",
-                    self.cluster[i].load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_request_seconds histogram"),
-        );
-        for (i, endpoint) in ENDPOINTS.iter().take(self.latency.len()).enumerate() {
-            let h = &self.latency[i];
-            for (bound, bucket) in BUCKETS_SECONDS.iter().zip(&h.buckets) {
-                put(
-                    &mut out,
-                    format_args!(
-                        "tauhls_serve_request_seconds_bucket{{endpoint=\"{endpoint}\",le=\"{bound}\"}} {}",
-                        bucket.load(Ordering::Relaxed)
-                    ),
-                );
-            }
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_request_seconds_bucket{{endpoint=\"{endpoint}\",le=\"+Inf\"}} {}",
-                    h.inf.load(Ordering::Relaxed)
-                ),
-            );
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_request_seconds_sum{{endpoint=\"{endpoint}\"}} {}",
-                    h.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-                ),
-            );
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_request_seconds_count{{endpoint=\"{endpoint}\"}} {}",
-                    h.count.load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_stage_seconds histogram"),
-        );
-        for (i, stage) in STAGE_NAMES.iter().enumerate() {
-            let h = &self.stage_seconds[i];
-            for (bound, bucket) in BUCKETS_SECONDS.iter().zip(&h.buckets) {
-                put(
-                    &mut out,
-                    format_args!(
-                        "tauhls_serve_stage_seconds_bucket{{stage=\"{stage}\",le=\"{bound}\"}} {}",
-                        bucket.load(Ordering::Relaxed)
-                    ),
-                );
-            }
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_stage_seconds_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {}",
-                    h.inf.load(Ordering::Relaxed)
-                ),
-            );
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_stage_seconds_sum{{stage=\"{stage}\"}} {}",
-                    h.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-                ),
-            );
-            put(
-                &mut out,
-                format_args!(
-                    "tauhls_serve_stage_seconds_count{{stage=\"{stage}\"}} {}",
-                    h.count.load(Ordering::Relaxed)
-                ),
-            );
-        }
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_uptime_seconds gauge"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_uptime_seconds {:.3}", self.uptime_seconds()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_events_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!("tauhls_serve_events_total {}", self.event_count()),
-        );
-        put(
-            &mut out,
-            format_args!("# TYPE tauhls_serve_events_dropped_total counter"),
-        );
-        put(
-            &mut out,
-            format_args!(
-                "tauhls_serve_events_dropped_total {}",
-                self.events.dropped.load(Ordering::Relaxed)
-            ),
-        );
+        // One row per family, in exposition order.
+        #[rustfmt::skip]
+        let mut out = exposition([
+            ("tauhls_serve_requests_total", self.requests.counter("endpoint")),
+            ("tauhls_serve_responses_total", self.responses.counter("code")),
+            ("tauhls_serve_trials_total", counter(load(&self.trials))),
+            ("tauhls_serve_cache_hits_total", counter(cache.hit_count())),
+            ("tauhls_serve_cache_misses_total", counter(cache.miss_count())),
+            ("tauhls_serve_cache_evictions_total", counter(cache.eviction_count())),
+            ("tauhls_serve_cache_bytes", gauge(cache.bytes())),
+            ("tauhls_serve_cache_entries", gauge(cache.entries())),
+            ("tauhls_serve_stage_cache_hits_total", self.stage_hits.counter("stage")),
+            ("tauhls_serve_stage_cache_misses_total", self.stage_misses.counter("stage")),
+            ("tauhls_serve_stage_cache_entries", gauge(stages.entries())),
+            ("tauhls_serve_queue_depth", gauge(queue_depth)),
+            ("tauhls_serve_inflight_jobs", gauge(self.inflight())),
+            ("tauhls_serve_worker_panics_total", counter(load(&self.panics))),
+            ("tauhls_serve_jobs_total", self.jobs.counter("event")),
+            ("tauhls_serve_jobs_pending", gauge(jobs_in(&[JobState::Queued, JobState::Backoff]))),
+            ("tauhls_serve_jobs_running", gauge(jobs_in(&[JobState::Running]))),
+            ("tauhls_serve_cluster_partitions_total", self.cluster.counter("event")),
+            ("tauhls_serve_request_seconds", self.latency.histogram("endpoint")),
+            ("tauhls_serve_stage_seconds", self.stage_seconds.histogram("stage")),
+            ("tauhls_serve_uptime_seconds", gauge(format_args!("{:.3}", self.uptime_seconds()))),
+            ("tauhls_serve_events_total", counter(self.event_count())),
+            ("tauhls_serve_events_dropped_total", counter(load(&self.events.dropped))),
+        ]);
         // The retained event log rides along as exposition comments, so
         // one /metrics scrape carries the recent service history too.
         for event in self.events() {
-            put(
-                &mut out,
-                format_args!(
-                    "# event {} +{:.3}s {}",
-                    event.seq, event.uptime_seconds, event.message
-                ),
+            let _ = writeln!(
+                out,
+                "# event {} +{:.3}s {}",
+                event.seq, event.uptime_seconds, event.message
             );
         }
         out
@@ -735,10 +579,12 @@ mod tests {
         m.count_job("submitted");
         m.count_job("completed");
         m.count_job("nonesuch"); // ignored
-        m.add_jobs_pending(2);
-        m.add_jobs_pending(-1);
-        m.add_jobs_running(1);
-        let text = m.render(&cache, &stages, 3);
+        let text = m.render(
+            &cache,
+            &stages,
+            3,
+            &[("queued", 1), ("backoff", 2), ("running", 1)],
+        );
         for needle in [
             "tauhls_serve_requests_total{endpoint=\"simulate\"} 2",
             "tauhls_serve_requests_total{endpoint=\"other\"} 1",
@@ -769,7 +615,7 @@ mod tests {
             "tauhls_serve_jobs_total{event=\"submitted\"} 2",
             "tauhls_serve_jobs_total{event=\"completed\"} 1",
             "tauhls_serve_jobs_total{event=\"rejected\"} 0",
-            "tauhls_serve_jobs_pending 1",
+            "tauhls_serve_jobs_pending 3",
             "tauhls_serve_jobs_running 1",
             "tauhls_serve_responses_total{code=\"429\"} 0",
         ] {
@@ -815,7 +661,7 @@ mod tests {
             Some((EVENT_LOG_CAPACITY + 11) as u64),
             "sequence numbers are monotone over drops"
         );
-        let text = m.render(&Cache::new(1024), &StageCache::new(4), 0);
+        let text = m.render(&Cache::new(1024), &StageCache::new(4), 0, &[]);
         assert!(text.contains(&format!(
             "tauhls_serve_events_total {}",
             EVENT_LOG_CAPACITY + 11

@@ -460,12 +460,10 @@ fn worker_loop(shared: &Shared) {
         let outcome = catch_unwind(AssertUnwindSafe(|| handle_connection(shared, &mut stream)));
         if outcome.is_err() {
             shared.metrics.count_panic();
-            let _ = respond_json(
+            send(
                 &mut stream,
                 &shared.metrics,
-                500,
-                &[],
-                &error_body("internal error"),
+                &Reply::error(500, "internal error"),
             );
         }
         shared.metrics.add_inflight(-1);
@@ -481,132 +479,170 @@ fn worker_loop(shared: &Shared) {
 /// writing we half-close our side and briefly sink the client's request
 /// bytes until it hangs up (or a short timeout fires).
 fn bounce(mut stream: TcpStream, shared: &Shared, message: &str) {
-    let hint = shared
-        .metrics
-        .retry_after_hint(shared.queue.depth(), shared.config.workers)
-        .to_string();
-    let _ = respond_json(
-        &mut stream,
-        &shared.metrics,
-        503,
-        &[("Retry-After", &hint)],
-        &error_body(message),
-    );
+    send(&mut stream, &shared.metrics, &busy(shared, message));
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut sink = [0u8; 4096];
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-fn error_body(message: &str) -> String {
-    let mut body = Json::object([("error", Json::from(message))]).to_compact();
-    body.push('\n');
-    body
+/// One response: built by a handler, counted and written by [`send`].
+/// The body is shared, so serving a cached body is a refcount bump.
+struct Reply {
+    status: u16,
+    content_type: &'static str,
+    headers: Vec<(&'static str, String)>,
+    body: Arc<str>,
 }
 
-fn respond_json<S: Write>(
-    stream: &mut S,
-    metrics: &Metrics,
-    status: u16,
-    extra: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    metrics.count_response(status);
-    write_response(stream, status, "application/json", extra, body.as_bytes())
+/// What a handler answers: `Err` carries a rejection, so handlers bail
+/// out with `?`.
+type Answer = Result<Reply, Reply>;
+
+impl Reply {
+    fn json(status: u16, body: impl Into<Arc<str>>) -> Reply {
+        Reply {
+            status,
+            content_type: "application/json",
+            headers: Vec::new(),
+            body: body.into(),
+        }
+    }
+
+    /// A one-line compact JSON document.
+    fn compact(status: u16, doc: &Json) -> Reply {
+        let mut body = doc.to_compact();
+        body.push('\n');
+        Reply::json(status, body)
+    }
+
+    /// `{"error": message}`.
+    fn error(status: u16, message: &str) -> Reply {
+        Reply::compact(status, &Json::object([("error", Json::from(message))]))
+    }
+
+    fn with(mut self, name: &'static str, value: impl Into<String>) -> Reply {
+        self.headers.push((name, value.into()));
+        self
+    }
+}
+
+/// A `400` rejection.
+fn bad(message: impl AsRef<str>) -> Reply {
+    Reply::error(400, message.as_ref())
+}
+
+/// A `405` naming the methods `allow`ed.
+fn not_allowed(allow: &'static str, message: &str) -> Reply {
+    Reply::error(405, message).with("Allow", allow)
+}
+
+/// A `503` whose `Retry-After` reflects the connection queue's backlog.
+fn busy(shared: &Shared, message: &str) -> Reply {
+    let hint = shared
+        .metrics
+        .retry_after_hint(shared.queue.depth(), shared.config.workers);
+    Reply::error(503, message).with("Retry-After", hint.to_string())
+}
+
+/// Counts and writes one reply — the only place a response is written.
+fn send<S: Write>(stream: &mut S, metrics: &Metrics, reply: &Reply) {
+    metrics.count_response(reply.status);
+    let _ = write_response(
+        stream,
+        reply.status,
+        reply.content_type,
+        &reply.headers,
+        reply.body.as_bytes(),
+    );
 }
 
 /// Reads, routes, and answers one connection. Generic over the stream so
 /// the routing table is unit-testable without sockets.
 fn handle_connection<S: Read + Write>(shared: &Shared, stream: &mut S) {
-    let request = match read_request(stream) {
-        Ok(r) => r,
-        Err(err) => {
-            let (status, msg) = match &err {
-                HttpError::BadRequest(m) => (400, m.as_str()),
-                HttpError::TooLarge => (413, "request too large"),
-                HttpError::Io(_) => (408, "timed out reading request"),
-            };
-            let _ = respond_json(stream, &shared.metrics, status, &[], &error_body(msg));
-            return;
+    let reply = match read_request(stream) {
+        Ok(request) => {
+            shared.metrics.count_request(route_label(&request.path));
+            match route(shared, &request) {
+                Ok(reply) | Err(reply) => reply,
+            }
         }
+        Err(HttpError::BadRequest(m)) => bad(m),
+        Err(HttpError::TooLarge) => Reply::error(413, "request too large"),
+        Err(HttpError::Io(_)) => Reply::error(408, "timed out reading request"),
     };
+    send(stream, &shared.metrics, &reply);
+}
+
+/// The `tauhls_serve_requests_total` label of a request path, whatever
+/// its method (a wrong method still counts against the route it tried).
+fn route_label(path: &str) -> &'static str {
+    match path {
+        "/healthz" => "healthz",
+        "/metrics" => "metrics",
+        "/v1/status" => "status",
+        "/v1/dfg/validate" => "dfg_validate",
+        "/v1/dfg/explore" => "explore",
+        "/v1/cluster/partition" | "/v1/cluster/register" | "/v1/cluster/heartbeat" => "cluster",
+        "/v1/jobs" => "jobs",
+        _ if path.starts_with("/v1/jobs/") => "jobs",
+        _ => path
+            .strip_prefix("/v1/")
+            .and_then(Endpoint::parse)
+            .map_or("other", Endpoint::as_str),
+    }
+}
+
+fn route(shared: &Shared, request: &Request) -> Answer {
+    let body = &request.body;
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            shared.metrics.count_request("healthz");
-            let mut body = Json::object([
+        ("GET", "/healthz") => Ok(Reply::compact(
+            200,
+            &Json::object([
                 ("status", Json::from("ok")),
                 ("inflight", Json::from(shared.metrics.inflight())),
                 ("queue_depth", Json::from(shared.queue.depth())),
-            ])
-            .to_compact();
-            body.push('\n');
-            let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
-        }
+            ]),
+        )),
         ("GET", "/metrics") => {
-            shared.metrics.count_request("metrics");
-            let mut body =
-                shared
-                    .metrics
-                    .render(&shared.cache, &shared.stages, shared.queue.depth());
-            body.push_str(&shared.cluster.render_metrics());
-            shared.metrics.count_response(200);
-            let _ = write_response(
-                stream,
-                200,
-                "text/plain; version=0.0.4",
-                &[],
-                body.as_bytes(),
+            let mut text = shared.metrics.render(
+                &shared.cache,
+                &shared.stages,
+                shared.queue.depth(),
+                &shared.jobs.state_counts(),
             );
+            text.push_str(&shared.cluster.render_metrics());
+            Ok(Reply {
+                content_type: "text/plain; version=0.0.4",
+                ..Reply::json(200, text)
+            })
         }
-        ("GET", "/v1/status") => handle_status(shared, stream),
-        ("POST", "/v1/dfg/validate") => handle_dfg_validate(shared, stream, &request.body),
+        ("GET", "/v1/status") => Ok(handle_status(shared)),
+        ("POST", "/v1/dfg/validate") => handle_dfg_validate(body),
         // `/v1/dfg/explore` is the explorer's spelled-out address; it is
         // the same handler as `POST /v1/explore`.
-        ("POST", "/v1/dfg/explore") => {
-            handle_job(shared, stream, Endpoint::Explore, &request.body);
-        }
+        ("POST", "/v1/dfg/explore") => handle_job(shared, Endpoint::Explore, body),
         ("POST", "/v1/cluster/partition") => {
-            handle_cluster_partition(shared, stream, &request.body);
+            count_rejected(shared, handle_cluster_partition(shared, body))
         }
         ("POST", "/v1/cluster/register") => {
-            handle_cluster_membership(shared, stream, &request.body, false);
+            count_rejected(shared, handle_cluster_membership(shared, body, false))
         }
         ("POST", "/v1/cluster/heartbeat") => {
-            handle_cluster_membership(shared, stream, &request.body, true);
+            count_rejected(shared, handle_cluster_membership(shared, body, true))
         }
         (_, "/v1/cluster/partition" | "/v1/cluster/register" | "/v1/cluster/heartbeat") => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                405,
-                &[("Allow", "POST")],
-                &error_body("use POST with a JSON body"),
-            );
+            Err(not_allowed("POST", "use POST with a JSON body"))
         }
-        ("POST", "/v1/jobs") => handle_job_submit(shared, stream, &request),
-        ("GET", "/v1/jobs") | ("DELETE", "/v1/jobs") => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                405,
-                &[("Allow", "POST")],
-                &error_body("use POST with {\"endpoint\":...,\"spec\":{...}}"),
-            );
-        }
-        (method, path) if path.starts_with("/v1/jobs/") => {
-            handle_job_entity(shared, stream, method, path);
-        }
+        ("POST", "/v1/jobs") => handle_job_submit(shared, request),
+        ("GET" | "DELETE", "/v1/jobs") => Err(not_allowed(
+            "POST",
+            "use POST with {\"endpoint\":...,\"spec\":{...}}",
+        )),
+        (method, path) if path.starts_with("/v1/jobs/") => handle_job_entity(shared, method, path),
         ("POST", path) => match path.strip_prefix("/v1/").and_then(Endpoint::parse) {
-            Some(endpoint) => handle_job(shared, stream, endpoint, &request.body),
-            None => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    404,
-                    &[],
-                    &error_body("unknown endpoint"),
-                );
-            }
+            Some(endpoint) => handle_job(shared, endpoint, body),
+            None => Err(Reply::error(404, "unknown endpoint")),
         },
         ("GET", path)
             if path
@@ -614,90 +650,70 @@ fn handle_connection<S: Read + Write>(shared: &Shared, stream: &mut S) {
                 .and_then(Endpoint::parse)
                 .is_some() =>
         {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                405,
-                &[("Allow", "POST")],
-                &error_body("use POST with a JSON job spec"),
-            );
+            Err(not_allowed("POST", "use POST with a JSON job spec"))
         }
-        (_, "/healthz") | (_, "/metrics") => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                405,
-                &[("Allow", "GET")],
-                &error_body("use GET"),
-            );
-        }
-        _ => {
-            shared.metrics.count_request("other");
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                404,
-                &[],
-                &error_body("unknown endpoint"),
-            );
-        }
+        (_, "/healthz" | "/metrics") => Err(not_allowed("GET", "use GET")),
+        _ => Err(Reply::error(404, "unknown endpoint")),
     }
 }
 
-fn handle_job<S: Read + Write>(
-    shared: &Shared,
-    stream: &mut S,
-    endpoint: Endpoint,
-    raw_body: &[u8],
-) {
-    shared.metrics.count_request(endpoint.as_str());
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) if t.trim().is_empty() => "{}",
-        Ok(t) => t,
-        Err(_) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                400,
-                &[],
-                &error_body("request body is not UTF-8"),
-            );
-            return;
-        }
+/// A required request body as text; the error is the message to answer.
+fn body_text<'a>(raw: &'a [u8], required: &str) -> Result<&'a str, String> {
+    match std::str::from_utf8(raw) {
+        Ok(text) if !text.trim().is_empty() => Ok(text),
+        Ok(_) => Err(required.to_string()),
+        Err(_) => Err("request body is not UTF-8".to_string()),
+    }
+}
+
+/// Reads a required body that must be one JSON object whose keys all
+/// come from `fields`, answering each field's value in `fields` order.
+/// The parse is strict, with byte-offset diagnostics: a malformed
+/// cluster request is answered with where it broke, not tolerated.
+fn json_fields<const N: usize>(
+    raw: &[u8],
+    required: &str,
+    what: &str,
+    fields: [&str; N],
+) -> Result<[Option<Json>; N], Reply> {
+    let text = body_text(raw, required).map_err(bad)?;
+    let parsed = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
+    let Json::Object(pairs) = parsed else {
+        return Err(bad(format!("{what} request must be a JSON object")));
     };
+    let mut values = [const { None }; N];
+    for (key, value) in pairs {
+        let Some(slot) = fields.iter().position(|f| *f == key) else {
+            return Err(bad(format!(
+                "unknown field {key:?} (expected {})",
+                fields.join(", ")
+            )));
+        };
+        values[slot] = Some(value);
+    }
+    Ok(values)
+}
+
+/// Counts a cluster request answered `400` as rejected.
+fn count_rejected(shared: &Shared, answer: Answer) -> Answer {
+    answer.inspect_err(|reply| {
+        if reply.status == 400 {
+            shared.metrics.count_cluster("rejected");
+        }
+    })
+}
+
+fn handle_job(shared: &Shared, endpoint: Endpoint, raw_body: &[u8]) -> Answer {
+    let text = std::str::from_utf8(raw_body).map_err(|_| bad("request body is not UTF-8"))?;
+    let text = if text.trim().is_empty() { "{}" } else { text };
     // Zero-copy parse: escape-free strings (DFG names, binding modes —
     // the common case) borrow straight from the request buffer instead
     // of allocating copies.
-    let parsed = match JsonRef::parse(text) {
-        Ok(j) => j,
-        Err(e) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                400,
-                &[],
-                &error_body(&format!("body is not valid JSON: {e}")),
-            );
-            return;
-        }
-    };
-    let spec = match JobSpec::from_json_ref(endpoint, &parsed) {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                400,
-                &[],
-                &error_body(&e.to_string()),
-            );
-            return;
-        }
-    };
+    let parsed = JsonRef::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
+    let spec = JobSpec::from_json_ref(endpoint, &parsed).map_err(|e| bad(e.to_string()))?;
     let key = spec.cache_key();
     if let Some(body) = shared.cache.get(&key) {
-        let _ = respond_json(stream, &shared.metrics, 200, &[("X-Cache", "hit")], &body);
-        return;
+        return Ok(Reply::json(200, body).with("X-Cache", "hit"));
     }
     let started = Instant::now();
     let runner = BatchRunner::sized(shared.config.sim_threads).with_cancel(shared.cancel.clone());
@@ -707,52 +723,22 @@ fn handle_job<S: Read + Write>(
         Some(coordinator) => coordinator.execute(&spec, &runner, Some(&shared.stages)),
         None => spec.run_with(&runner, Some(&shared.stages)),
     };
-    match outcome {
-        Ok((json, records)) => {
-            let body: Arc<str> = Arc::from(json.to_pretty());
-            shared.metrics.count_trials(spec.trials());
-            shared
-                .metrics
-                .observe_latency(endpoint.as_str(), started.elapsed());
-            for record in &records {
-                shared.metrics.observe_stage(record);
-            }
-            shared.cache.insert(key, Arc::clone(&body));
-            shared.warmer.record(&spec);
-            let _ = respond_json(stream, &shared.metrics, 200, &[("X-Cache", "miss")], &body);
-        }
-        Err(JobError::Cancelled) => {
-            let hint = shared
-                .metrics
-                .retry_after_hint(shared.queue.depth(), shared.config.workers)
-                .to_string();
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                503,
-                &[("Retry-After", &hint)],
-                &error_body("job cancelled during shutdown"),
-            );
-        }
-        Err(JobError::Invalid(m)) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                400,
-                &[],
-                &error_body(&format!("invalid job spec: {m}")),
-            );
-        }
-        Err(JobError::Failed(m)) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                500,
-                &[],
-                &error_body(&format!("simulation failed: {m}")),
-            );
-        }
+    let (json, records) = outcome.map_err(|e| match e {
+        JobError::Cancelled => busy(shared, "job cancelled during shutdown"),
+        JobError::Invalid(m) => bad(format!("invalid job spec: {m}")),
+        JobError::Failed(m) => Reply::error(500, &format!("simulation failed: {m}")),
+    })?;
+    let body: Arc<str> = Arc::from(json.to_pretty());
+    shared.metrics.count_trials(spec.trials());
+    shared
+        .metrics
+        .observe_latency(endpoint.as_str(), started.elapsed());
+    for record in &records {
+        shared.metrics.observe_stage(record);
     }
+    shared.cache.insert(key, Arc::clone(&body));
+    shared.warmer.record(&spec);
+    Ok(Reply::json(200, body).with("X-Cache", "miss"))
 }
 
 /// `POST /v1/cluster/partition`: runs one partition of a job on this
@@ -763,118 +749,46 @@ fn handle_job<S: Read + Write>(
 /// Partials are content-addressed in the response cache under the spec
 /// key *plus* the partition coordinates: a requeued partition re-served
 /// by the same worker is a byte-identical cache hit.
-fn handle_cluster_partition<S: Read + Write>(shared: &Shared, stream: &mut S, raw_body: &[u8]) {
-    shared.metrics.count_request("cluster");
-    let bad = |stream: &mut S, message: &str| {
-        shared.metrics.count_cluster("rejected");
-        let _ = respond_json(stream, &shared.metrics, 400, &[], &error_body(message));
-    };
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) if !t.trim().is_empty() => t,
-        Ok(_) => {
-            bad(
-                stream,
-                "partition body required: {\"spec\":{...},\"part\":K,\"of\":N}",
-            );
-            return;
-        }
-        Err(_) => {
-            bad(stream, "request body is not UTF-8");
-            return;
-        }
-    };
-    let parsed = match Json::parse(text) {
-        Ok(j) => j,
-        Err(e) => {
-            bad(stream, &format!("body is not valid JSON: {e}"));
-            return;
-        }
-    };
-    let Some(pairs) = parsed.as_object() else {
-        bad(stream, "partition request must be a JSON object");
-        return;
-    };
-    let (mut spec_field, mut part_field, mut of_field) = (None, None, None);
-    for (key, value) in pairs {
-        match key.as_str() {
-            "spec" => spec_field = Some(value),
-            "part" => part_field = Some(value),
-            "of" => of_field = Some(value),
-            other => {
-                bad(
-                    stream,
-                    &format!("unknown field {other:?} (expected spec, part, of)"),
-                );
-                return;
-            }
-        }
-    }
-    let Some(spec_doc) = spec_field else {
-        bad(stream, "spec (object) is required");
-        return;
-    };
-    let spec = match JobSpec::from_canonical(spec_doc) {
-        Ok(s) => s,
-        Err(e) => {
-            bad(stream, &e.to_string());
-            return;
-        }
-    };
+fn handle_cluster_partition(shared: &Shared, raw_body: &[u8]) -> Answer {
+    let [spec, part, of] = json_fields(
+        raw_body,
+        "partition body required: {\"spec\":{...},\"part\":K,\"of\":N}",
+        "partition",
+        ["spec", "part", "of"],
+    )?;
+    let spec = spec.ok_or_else(|| bad("spec (object) is required"))?;
+    let spec = JobSpec::from_canonical(&spec).map_err(|e| bad(e.to_string()))?;
     let (Some(index), Some(total)) = (
-        part_field.and_then(Json::as_u64),
-        of_field.and_then(Json::as_u64),
+        part.as_ref().and_then(Json::as_u64),
+        of.as_ref().and_then(Json::as_u64),
     ) else {
-        bad(stream, "part and of (integers) are required");
-        return;
+        return Err(bad("part and of (integers) are required"));
     };
-    let part = match partition::part_for(&spec, index as usize, total as usize) {
-        Ok(p) => p,
-        Err(e) => {
-            bad(stream, &e.to_string());
-            return;
-        }
-    };
+    let part = partition::part_for(&spec, index as usize, total as usize)
+        .map_err(|e| bad(e.to_string()))?;
     let key = format!("part:{}/{}:{}", part.index, part.total, spec.cache_key());
     if let Some(body) = shared.cache.get(&key) {
         shared.metrics.count_cluster("served");
-        let _ = respond_json(stream, &shared.metrics, 200, &[("X-Cache", "hit")], &body);
-        return;
+        return Ok(Reply::json(200, body).with("X-Cache", "hit"));
     }
     let started = Instant::now();
     let runner = BatchRunner::sized(shared.config.sim_threads).with_cancel(shared.cancel.clone());
-    match partition::run_part(&spec, part, &runner, Some(&shared.stages)) {
-        Ok((json, records)) => {
-            let mut body = json.to_compact();
-            body.push('\n');
-            let body: Arc<str> = Arc::from(body);
-            shared.metrics.count_cluster("served");
-            shared.metrics.observe_latency("cluster", started.elapsed());
-            for record in &records {
-                shared.metrics.observe_stage(record);
+    let (json, records) =
+        partition::run_part(&spec, part, &runner, Some(&shared.stages)).map_err(|e| match e {
+            JobError::Cancelled => {
+                Reply::error(503, "partition cancelled during shutdown").with("Retry-After", "1")
             }
-            shared.cache.insert(key, Arc::clone(&body));
-            let _ = respond_json(stream, &shared.metrics, 200, &[("X-Cache", "miss")], &body);
-        }
-        Err(JobError::Cancelled) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                503,
-                &[("Retry-After", "1")],
-                &error_body("partition cancelled during shutdown"),
-            );
-        }
-        Err(JobError::Invalid(m)) => bad(stream, &format!("invalid partition: {m}")),
-        Err(JobError::Failed(m)) => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                500,
-                &[],
-                &error_body(&format!("partition failed: {m}")),
-            );
-        }
+            JobError::Invalid(m) => bad(format!("invalid partition: {m}")),
+            JobError::Failed(m) => Reply::error(500, &format!("partition failed: {m}")),
+        })?;
+    let reply = Reply::compact(200, &json);
+    shared.metrics.count_cluster("served");
+    shared.metrics.observe_latency("cluster", started.elapsed());
+    for record in &records {
+        shared.metrics.observe_stage(record);
     }
+    shared.cache.insert(key, Arc::clone(&reply.body));
+    Ok(reply.with("X-Cache", "miss"))
 }
 
 /// `POST /v1/cluster/register` and `POST /v1/cluster/heartbeat`:
@@ -883,82 +797,39 @@ fn handle_cluster_partition<S: Read + Write>(shared: &Shared, stream: &mut S, ra
 /// `400` with a distinct diagnostic. A heartbeat refreshes liveness and
 /// auto-registers an unknown worker (the re-join path after a
 /// coordinator restart), but rejects the same malformed addresses.
-fn handle_cluster_membership<S: Read + Write>(
-    shared: &Shared,
-    stream: &mut S,
-    raw_body: &[u8],
-    heartbeat: bool,
-) {
-    shared.metrics.count_request("cluster");
-    let bad = |stream: &mut S, message: &str| {
-        shared.metrics.count_cluster("rejected");
-        let _ = respond_json(stream, &shared.metrics, 400, &[], &error_body(message));
-    };
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) if !t.trim().is_empty() => t,
-        Ok(_) => {
-            bad(stream, "body required: {\"addr\":\"host:port\"}");
-            return;
-        }
-        Err(_) => {
-            bad(stream, "request body is not UTF-8");
-            return;
-        }
-    };
-    // Strict parse with byte-offset diagnostics, same as the job
-    // endpoints: a malformed worker announcement is answered with where
-    // it broke, not silently tolerated.
-    let parsed = match Json::parse(text) {
-        Ok(j) => j,
-        Err(e) => {
-            bad(stream, &format!("body is not valid JSON: {e}"));
-            return;
-        }
-    };
-    let Some(pairs) = parsed.as_object() else {
-        bad(stream, "membership request must be a JSON object");
-        return;
-    };
-    let mut addr_field = None;
-    for (key, value) in pairs {
-        match key.as_str() {
-            "addr" => addr_field = value.as_str(),
-            other => {
-                bad(stream, &format!("unknown field {other:?} (expected addr)"));
-                return;
-            }
-        }
-    }
-    let Some(addr) = addr_field else {
-        bad(stream, "addr (string) is required");
-        return;
-    };
-    let result = if heartbeat {
+fn handle_cluster_membership(shared: &Shared, raw_body: &[u8], heartbeat: bool) -> Answer {
+    let [addr] = json_fields(
+        raw_body,
+        "body required: {\"addr\":\"host:port\"}",
+        "membership",
+        ["addr"],
+    )?;
+    let addr = addr
+        .as_ref()
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad("addr (string) is required"))?;
+    if heartbeat {
         shared.cluster.registry.heartbeat(addr)
     } else {
         shared.cluster.registry.register(addr)
-    };
-    match result {
-        Ok(()) => {
-            if !heartbeat {
-                shared
-                    .metrics
-                    .log_event(&format!("cluster: worker {addr} registered"));
-            }
-            let mut body = Json::object([
-                ("ok", Json::from(true)),
-                ("addr", Json::from(addr)),
-                (
-                    "workers",
-                    Json::from(shared.cluster.registry.all_workers().len()),
-                ),
-            ])
-            .to_compact();
-            body.push('\n');
-            let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
-        }
-        Err(e) => bad(stream, &e.to_string()),
     }
+    .map_err(|e| bad(e.to_string()))?;
+    if !heartbeat {
+        shared
+            .metrics
+            .log_event(&format!("cluster: worker {addr} registered"));
+    }
+    Ok(Reply::compact(
+        200,
+        &Json::object([
+            ("ok", Json::from(true)),
+            ("addr", Json::from(addr)),
+            (
+                "workers",
+                Json::from(shared.cluster.registry.all_workers().len()),
+            ),
+        ]),
+    ))
 }
 
 /// `GET /v1/status`: one compact JSON snapshot of the live service —
@@ -966,8 +837,7 @@ fn handle_cluster_membership<S: Read + Write>(
 /// both cache populations, and the most recent operational events.
 /// Unlike `/metrics` this is meant for humans and scripts (`jq`), not
 /// scrapers, so it answers `application/json` and nests.
-fn handle_status<S: Read + Write>(shared: &Shared, stream: &mut S) {
-    shared.metrics.count_request("status");
+fn handle_status(shared: &Shared) -> Reply {
     let jobs = Json::object(
         shared
             .jobs
@@ -1027,7 +897,7 @@ fn handle_status<S: Read + Write>(shared: &Shared, stream: &mut S) {
     ])
     .to_pretty();
     body.push('\n');
-    let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
+    Reply::json(200, body)
 }
 
 /// `POST /v1/dfg/validate`: the request body *is* a DFG wire document.
@@ -1036,82 +906,46 @@ fn handle_status<S: Read + Write>(shared: &Shared, stream: &mut S) {
 /// byte-offset diagnostic — the same diagnostic an inline `"dfg"`
 /// object would produce on any job endpoint, so clients can lint a
 /// graph before submitting work against it.
-fn handle_dfg_validate<S: Read + Write>(shared: &Shared, stream: &mut S, raw_body: &[u8]) {
-    shared.metrics.count_request("dfg_validate");
-    let invalid = |stream: &mut S, message: &str| {
-        let mut body =
-            Json::object([("ok", Json::from(false)), ("error", Json::from(message))]).to_compact();
-        body.push('\n');
-        let _ = respond_json(stream, &shared.metrics, 400, &[], &body);
+fn handle_dfg_validate(raw_body: &[u8]) -> Answer {
+    let invalid = |message: String| {
+        Reply::compact(
+            400,
+            &Json::object([("ok", Json::from(false)), ("error", Json::from(message))]),
+        )
     };
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) if !t.trim().is_empty() => t,
-        Ok(_) => {
-            invalid(stream, "request body must be a DFG wire document");
-            return;
-        }
-        Err(_) => {
-            invalid(stream, "request body is not UTF-8");
-            return;
-        }
-    };
-    match parse_wire_dfg(text) {
-        Ok(dfg) => {
-            let canonical = canonical_wire(&dfg);
-            let hash = format!("{:016x}", wire_hash(&canonical));
-            let canonical_doc =
-                Json::parse(&canonical).unwrap_or_else(|_| Json::from(canonical.as_str()));
-            let mut body = Json::object([
-                ("ok", Json::from(true)),
-                ("name", Json::from(dfg.name())),
-                ("ops", Json::from(dfg.num_ops())),
-                ("inputs", Json::from(dfg.input_names().len())),
-                ("outputs", Json::from(dfg.outputs().len())),
-                ("hash", Json::from(hash)),
-                ("canonical", canonical_doc),
-            ])
-            .to_pretty();
-            body.push('\n');
-            let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
-        }
-        Err(e) => invalid(stream, &e.to_string()),
-    }
+    let text = body_text(raw_body, "request body must be a DFG wire document").map_err(invalid)?;
+    let dfg = parse_wire_dfg(text).map_err(|e| invalid(e.to_string()))?;
+    let canonical = canonical_wire(&dfg);
+    let hash = format!("{:016x}", wire_hash(&canonical));
+    let canonical_doc = Json::parse(&canonical).unwrap_or_else(|_| Json::from(canonical.as_str()));
+    let mut body = Json::object([
+        ("ok", Json::from(true)),
+        ("name", Json::from(dfg.name())),
+        ("ops", Json::from(dfg.num_ops())),
+        ("inputs", Json::from(dfg.input_names().len())),
+        ("outputs", Json::from(dfg.outputs().len())),
+        ("hash", Json::from(hash)),
+        ("canonical", canonical_doc),
+    ])
+    .to_pretty();
+    body.push('\n');
+    Ok(Reply::json(200, body))
 }
 
 /// `POST /v1/jobs`: validates `{"endpoint":..., "spec":{...},
 /// "priority":N}` strictly, reads client identity from `X-Client`, and
 /// submits through the job manager's admission control.
-fn handle_job_submit<S: Read + Write>(shared: &Shared, stream: &mut S, request: &Request) {
-    shared.metrics.count_request("jobs");
-    let bad = |stream: &mut S, message: &str| {
-        let _ = respond_json(stream, &shared.metrics, 400, &[], &error_body(message));
-    };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(t) if !t.trim().is_empty() => t,
-        Ok(_) => {
-            bad(
-                stream,
-                "submission body required: {\"endpoint\":...,\"spec\":{...}}",
-            );
-            return;
-        }
-        Err(_) => {
-            bad(stream, "request body is not UTF-8");
-            return;
-        }
-    };
+fn handle_job_submit(shared: &Shared, request: &Request) -> Answer {
+    let text = body_text(
+        &request.body,
+        "submission body required: {\"endpoint\":...,\"spec\":{...}}",
+    )
+    .map_err(bad)?;
     // Zero-copy: the spec's strings borrow from the request buffer.
-    let parsed = match JsonRef::parse(text) {
-        Ok(j) => j,
-        Err(e) => {
-            bad(stream, &format!("body is not valid JSON: {e}"));
-            return;
-        }
-    };
-    let Some(pairs) = parsed.as_object() else {
-        bad(stream, "submission must be a JSON object");
-        return;
-    };
+    let parsed = JsonRef::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
+    let pairs = parsed
+        .as_object()
+        .ok_or_else(|| bad("submission must be a JSON object"))?;
     let (mut endpoint_field, mut spec_field, mut priority_field) = (None, None, None);
     for (key, value) in pairs {
         match key.as_ref() {
@@ -1119,50 +953,34 @@ fn handle_job_submit<S: Read + Write>(shared: &Shared, stream: &mut S, request: 
             "spec" => spec_field = Some(value),
             "priority" => priority_field = Some(value),
             other => {
-                bad(
-                    stream,
-                    &format!("unknown field {other:?} (expected endpoint, spec, priority)"),
-                );
-                return;
+                return Err(bad(format!(
+                    "unknown field {other:?} (expected endpoint, spec, priority)"
+                )))
             }
         }
     }
-    let Some(endpoint_name) = endpoint_field.and_then(JsonRef::as_str) else {
-        bad(stream, "endpoint (string) is required");
-        return;
-    };
-    let Some(endpoint) = Endpoint::parse(endpoint_name) else {
-        bad(stream, &format!("unknown endpoint {endpoint_name:?}"));
-        return;
-    };
+    let endpoint_name = endpoint_field
+        .and_then(JsonRef::as_str)
+        .ok_or_else(|| bad("endpoint (string) is required"))?;
+    let endpoint = Endpoint::parse(endpoint_name)
+        .ok_or_else(|| bad(format!("unknown endpoint {endpoint_name:?}")))?;
     let empty_spec = JsonRef::Object(Vec::new());
-    let spec = match JobSpec::from_json_ref(endpoint, spec_field.unwrap_or(&empty_spec)) {
-        Ok(s) => s,
-        Err(e) => {
-            bad(stream, &e.to_string());
-            return;
-        }
-    };
+    let spec = JobSpec::from_json_ref(endpoint, spec_field.unwrap_or(&empty_spec))
+        .map_err(|e| bad(e.to_string()))?;
     // Priority 0 runs soonest, 9 last; the body field overrides the
     // X-Priority header; default 5.
-    let priority = match priority_field {
-        Some(value) => match value.as_u64().filter(|p| *p <= 9) {
-            Some(p) => p as u8,
-            None => {
-                bad(stream, "priority must be an integer 0..=9");
-                return;
-            }
-        },
-        None => match request.header("x-priority") {
-            Some(h) => match h.parse::<u8>().ok().filter(|p| *p <= 9) {
-                Some(p) => p,
-                None => {
-                    bad(stream, "x-priority must be an integer 0..=9");
-                    return;
-                }
-            },
-            None => 5,
-        },
+    let priority = match (priority_field, request.header("x-priority")) {
+        (Some(value), _) => value
+            .as_u64()
+            .filter(|p| *p <= 9)
+            .ok_or_else(|| bad("priority must be an integer 0..=9"))?
+            as u8,
+        (None, Some(header)) => header
+            .parse::<u8>()
+            .ok()
+            .filter(|p| *p <= 9)
+            .ok_or_else(|| bad("x-priority must be an integer 0..=9"))?,
+        (None, None) => 5,
     };
     let client = request.header("x-client").unwrap_or("anonymous");
     match shared.jobs.submit(spec, client, priority) {
@@ -1172,163 +990,71 @@ fn handle_job_submit<S: Read + Write>(shared: &Shared, stream: &mut S, request: 
             } else {
                 202
             };
-            let body = shared
-                .jobs
-                .status(&outcome.id)
-                .unwrap_or_else(|| error_body("job state unavailable"));
-            let location = format!("/v1/jobs/{}", outcome.id);
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                status,
-                &[("Location", &location)],
-                &body,
-            );
+            Ok(job_status(shared, &outcome.id, status)
+                .with("Location", format!("/v1/jobs/{}", outcome.id)))
         }
         Err(SubmitError::RateLimited(secs)) => {
-            let secs = secs.to_string();
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                429,
-                &[("Retry-After", &secs)],
-                &error_body("submission rate limit exceeded"),
-            );
+            Err(Reply::error(429, "submission rate limit exceeded")
+                .with("Retry-After", secs.to_string()))
         }
-        Err(SubmitError::QuotaExceeded(secs)) => {
-            let secs = secs.to_string();
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                429,
-                &[("Retry-After", &secs)],
-                &error_body("pending-job quota reached; wait for jobs to finish"),
-            );
-        }
+        Err(SubmitError::QuotaExceeded(secs)) => Err(Reply::error(
+            429,
+            "pending-job quota reached; wait for jobs to finish",
+        )
+        .with("Retry-After", secs.to_string())),
         Err(SubmitError::QueueFull) => {
             let hint = shared
                 .metrics
-                .retry_after_hint(shared.jobs.depth(), shared.config.job_workers)
-                .to_string();
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                503,
-                &[("Retry-After", &hint)],
-                &error_body("job queue is full"),
-            );
+                .retry_after_hint(shared.jobs.depth(), shared.config.job_workers);
+            Err(Reply::error(503, "job queue is full").with("Retry-After", hint.to_string()))
         }
+    }
+}
+
+/// A job's status body under `status`.
+fn job_status(shared: &Shared, id: &str, status: u16) -> Reply {
+    match shared.jobs.status(id) {
+        Some(body) => Reply::json(status, body),
+        None => Reply::error(status, "job state unavailable"),
     }
 }
 
 /// `GET /v1/jobs/<id>` (status), `GET /v1/jobs/<id>/result` (the
 /// durable body once done), `DELETE /v1/jobs/<id>` (cancel).
-fn handle_job_entity<S: Read + Write>(shared: &Shared, stream: &mut S, method: &str, path: &str) {
-    shared.metrics.count_request("jobs");
+fn handle_job_entity(shared: &Shared, method: &str, path: &str) -> Answer {
     let rest = path.strip_prefix("/v1/jobs/").unwrap_or("");
     let (id, want_result) = match rest.strip_suffix("/result") {
         Some(id) => (id, true),
         None => (rest, false),
     };
     if id.is_empty() || id.contains('/') {
-        let _ = respond_json(
-            stream,
-            &shared.metrics,
-            404,
-            &[],
-            &error_body("unknown endpoint"),
-        );
-        return;
+        return Err(Reply::error(404, "unknown endpoint"));
     }
+    let unknown = || Reply::error(404, "unknown job");
     match (method, want_result) {
-        ("GET", false) => match shared.jobs.status(id) {
-            Some(body) => {
-                let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
-            }
-            None => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    404,
-                    &[],
-                    &error_body("unknown job"),
-                );
-            }
-        },
+        ("GET", false) => shared
+            .jobs
+            .status(id)
+            .map(|body| Reply::json(200, body))
+            .ok_or_else(unknown),
         ("GET", true) => match shared.jobs.result(id) {
-            JobResult::Unknown => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    404,
-                    &[],
-                    &error_body("unknown job"),
-                );
-            }
-            JobResult::Ready(body) => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    200,
-                    &[("X-Job-State", "done")],
-                    &body,
-                );
-            }
-            JobResult::Pending(state) => {
-                let body = shared
-                    .jobs
-                    .status(id)
-                    .unwrap_or_else(|| error_body("job state unavailable"));
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    202,
-                    &[("Retry-After", "1"), ("X-Job-State", state)],
-                    &body,
-                );
-            }
-            JobResult::Failed(error) => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    500,
-                    &[],
-                    &error_body(&format!("job failed: {error}")),
-                );
-            }
-            JobResult::Cancelled => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    409,
-                    &[],
-                    &error_body("job was cancelled"),
-                );
-            }
+            JobResult::Unknown => Err(unknown()),
+            JobResult::Ready(body) => Ok(Reply::json(200, body).with("X-Job-State", "done")),
+            JobResult::Pending(state) => Ok(job_status(shared, id, 202)
+                .with("Retry-After", "1")
+                .with("X-Job-State", state)),
+            JobResult::Failed(error) => Err(Reply::error(500, &format!("job failed: {error}"))),
+            JobResult::Cancelled => Err(Reply::error(409, "job was cancelled")),
         },
-        ("DELETE", false) => match shared.jobs.cancel(id) {
-            Some(body) => {
-                let _ = respond_json(stream, &shared.metrics, 200, &[], &body);
-            }
-            None => {
-                let _ = respond_json(
-                    stream,
-                    &shared.metrics,
-                    404,
-                    &[],
-                    &error_body("unknown job"),
-                );
-            }
-        },
-        _ => {
-            let _ = respond_json(
-                stream,
-                &shared.metrics,
-                405,
-                &[("Allow", "GET, DELETE")],
-                &error_body("use GET for status/result, DELETE to cancel"),
-            );
-        }
+        ("DELETE", false) => shared
+            .jobs
+            .cancel(id)
+            .map(|body| Reply::json(200, body))
+            .ok_or_else(unknown),
+        _ => Err(not_allowed(
+            "GET, DELETE",
+            "use GET for status/result, DELETE to cancel",
+        )),
     }
 }
 
