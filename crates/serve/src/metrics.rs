@@ -41,9 +41,9 @@ pub const ENDPOINTS: [&str; 13] = [
 ];
 
 /// The endpoints timed under `tauhls_serve_request_seconds`: the job
-/// endpoints plus async job execution (the cheap read-only endpoints are
-/// not worth a histogram each).
-pub const TIMED_ENDPOINTS: [&str; 7] = [
+/// endpoints, async job execution, and the cluster partitions this node
+/// serves (the cheap read-only endpoints are not worth a histogram each).
+pub const TIMED_ENDPOINTS: [&str; 8] = [
     "simulate",
     "table2",
     "resilience",
@@ -51,6 +51,7 @@ pub const TIMED_ENDPOINTS: [&str; 7] = [
     "area",
     "explore",
     "jobs",
+    "cluster",
 ];
 
 /// How many entries the in-memory event log retains; older entries are

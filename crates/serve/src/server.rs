@@ -1807,6 +1807,51 @@ mod tests {
         sh.jobs.join();
     }
 
+    #[test]
+    fn every_routed_request_is_counted_and_partitions_are_timed() {
+        let sh = shared();
+        let sample = |series: &str| {
+            let scrape = drive(&sh, "GET /metrics HTTP/1.1\r\n\r\n");
+            body_of(&scrape)
+                .lines()
+                .find_map(|l| {
+                    l.strip_prefix(series)?
+                        .strip_prefix(' ')?
+                        .parse::<u64>()
+                        .ok()
+                })
+                .unwrap_or_else(|| panic!("{series} missing: {scrape}"))
+        };
+        // A 404 for an unknown job endpoint counts as `other`, a 405
+        // against the route it tried.
+        assert!(drive(&sh, &post("/v1/nope", "{}")).starts_with("HTTP/1.1 404"));
+        assert_eq!(sample("tauhls_serve_requests_total{endpoint=\"other\"}"), 1);
+        assert!(drive(&sh, "GET /v1/simulate HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405"));
+        assert_eq!(
+            sample("tauhls_serve_requests_total{endpoint=\"simulate\"}"),
+            1
+        );
+        assert!(drive(&sh, "DELETE /healthz HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 405"));
+        assert_eq!(
+            sample("tauhls_serve_requests_total{endpoint=\"healthz\"}"),
+            1
+        );
+        // A served partition lands in its own latency histogram.
+        let spec = job_spec(30);
+        let body = Json::object([
+            ("spec", spec.canonical()),
+            ("part", Json::from(0u64)),
+            ("of", Json::from(1u64)),
+        ])
+        .to_compact();
+        let served = drive(&sh, &post("/v1/cluster/partition", &body));
+        assert!(served.starts_with("HTTP/1.1 200"), "{served}");
+        assert_eq!(
+            sample("tauhls_serve_request_seconds_count{endpoint=\"cluster\"}"),
+            1
+        );
+    }
+
     /// A stream whose reads time out, as a stalled client's would.
     struct Stalled(Vec<u8>);
 
