@@ -84,7 +84,7 @@ pub use http::{HttpError, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 pub use jobs::{JobManager, JobResult, JobState, SubmitError, SubmitOutcome};
 pub use metrics::{
     Event, Histogram, Metrics, BUCKETS_SECONDS, CLUSTER_EVENTS, ENDPOINTS, EVENT_LOG_CAPACITY,
-    JOB_EVENTS, STATUS_CODES,
+    JOB_EVENTS, STATUS_CODES, TIMED_ENDPOINTS,
 };
 pub use queue::Queue;
 pub use server::Server;
