@@ -11,14 +11,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tauhls_dfg::OpId;
 use tauhls_fsm::DistributedControlUnit;
-use tauhls_json::Json;
+use tauhls_json::{Json, ToJson};
+use tauhls_sched::BoundDfg;
 use tauhls_sim::{
     elastic_trial_skew_seed, simulate_cent_sync_with, simulate_distributed_with,
-    simulate_elastic_with, simulate_pipelined_with, CompletionModel, ElasticSpec, Fault, FaultKind,
-    FaultPlan, PipelinedResult, SimConfig, SimError, SimResult,
+    simulate_elastic_with, simulate_pipelined_with, BatchRunner, CompletionModel, ControlStyleSet,
+    ElasticSpec, Fault, FaultKind, FaultPlan, PipelinedResult, SimConfig, SimError, SimResult,
 };
 
 use crate::experiments::paper_benchmarks;
+use crate::resilience::{resilience_sweep_with, ResilienceOptions};
 use crate::stages::{self, BindStrategy, PipelineTrace, SynthesisInput};
 use crate::{Synthesis, Timing};
 use tauhls_fsm::Encoding;
@@ -357,6 +359,50 @@ pub fn kernel_conformance_sliced() -> Json {
                 }
                 entries.push(Json::object(cells));
             }
+        }
+    }
+    Json::array(entries)
+}
+
+/// Trials per fault kind in the resilience corpus: above one 64-lane
+/// slab, so every sweep also runs a ragged second slab.
+const RESILIENCE_TRIALS: u64 = 100;
+
+/// Renders the resilience corpus: [`resilience_sweep_with`] over every
+/// paper benchmark at `P = 0.5` under three leg selections — the default
+/// (DIST + CENT + ELASTIC), DIST only, and the zero elastic spec (whose
+/// elastic columns must equal the distributed ones). Checked in as
+/// `results/resilience_golden.json`, so any drift in fault injection,
+/// outcome classification or the sliced/scalar split shows up as a byte
+/// diff. The report is thread-count invariant, so `runner` only sets the
+/// speed.
+pub fn resilience_conformance(runner: &BatchRunner) -> Json {
+    let options = [
+        ("default", ResilienceOptions::default()),
+        (
+            "dist_only",
+            ResilienceOptions {
+                styles: ControlStyleSet::DIST,
+                ..ResilienceOptions::default()
+            },
+        ),
+        (
+            "elastic_zero",
+            ResilienceOptions {
+                elastic: ElasticSpec::zero(),
+                ..ResilienceOptions::default()
+            },
+        ),
+    ];
+    let mut entries = Vec::new();
+    for (dfg, alloc, _) in paper_benchmarks() {
+        let bound = BoundDfg::bind(&dfg, &alloc);
+        for (name, opts) in &options {
+            let report = resilience_sweep_with(&bound, 0.5, RESILIENCE_TRIALS, 2003, opts, runner);
+            entries.push(Json::object([
+                ("options", Json::from(*name)),
+                ("report", report.to_json()),
+            ]));
         }
     }
     Json::array(entries)

@@ -14,6 +14,8 @@ cargo run -p tauhls-bench --release --bin kernel_golden
 mv -f kernel_golden.json results/
 cargo run -p tauhls-bench --release --bin synth_golden
 mv -f synth_golden.json results/
+cargo run -p tauhls-bench --release --bin resilience_golden
+mv -f resilience_golden.json results/
 for f in fig1_tau fig2_taubm fig3_scheduling fig4_explosion fig6_dfsm fig7_distributed fig_sweeps fig_pipeline; do
   cargo run -p tauhls-bench --release --bin $f > results/$f.txt
 done

@@ -89,6 +89,21 @@ fn synth_conformance_matches_golden() {
 }
 
 #[test]
+fn resilience_json_matches_golden() {
+    // Fault-injection sweeps of every paper benchmark under three leg
+    // selections, 100 trials per kind (a full 64-lane slab plus a ragged
+    // one). Pins the sliced/scalar split of every leg: DIST and ELASTIC
+    // classification, detection latency and CENT agreement.
+    let rendered =
+        tauhls::core::conformance::resilience_conformance(&BatchRunner::available()).to_pretty();
+    assert_eq!(
+        rendered,
+        golden("resilience_golden.json"),
+        "resilience_golden.json drifted; run ./regen_results.sh and review"
+    );
+}
+
+#[test]
 fn table2_text_matches_golden() {
     let rendered = format!(
         "{}",
