@@ -14,15 +14,16 @@ use tauhls_fsm::DistributedControlUnit;
 use tauhls_json::{Json, ToJson};
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    elastic_trial_skew_seed, simulate_cent_sync_with, simulate_distributed_with,
-    simulate_elastic_with, simulate_pipelined_with, BatchRunner, CompletionModel, ControlStyleSet,
-    ElasticSpec, Fault, FaultKind, FaultPlan, PipelinedResult, SimConfig, SimError, SimResult,
+    elastic_trial_skew_seed, simulate_pipelined_with, Accumulator, BatchRunner, CompletionModel,
+    ControlStyle, ControlStyleSet, ElasticSpec, Engine, Fault, FaultKind, FaultPlan, LaneBuilder,
+    LaneConfigs, LaneInput, LaneModels, PipelinedLaneOutcome, PipelinedResult, SimConfig, SimError,
+    SimResult, SlabDriver, SlicedSim,
 };
 
 use crate::experiments::paper_benchmarks;
 use crate::resilience::{resilience_sweep_with, ResilienceOptions};
 use crate::stages::{self, BindStrategy, PipelineTrace, SynthesisInput};
-use crate::{Synthesis, Timing};
+use crate::{Design, Synthesis, Timing};
 use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
 
@@ -121,7 +122,7 @@ fn usizes(v: &[usize]) -> Json {
     Json::array(v.iter().map(|&x| Json::from(x)))
 }
 
-fn result_json(r: &Result<SimResult, SimError>) -> Json {
+fn result_json(r: Result<&SimResult, &SimError>) -> Json {
     match r {
         Ok(res) => Json::object([
             ("cycles", Json::from(res.cycles)),
@@ -158,210 +159,168 @@ fn pipelined_json(r: &Result<PipelinedResult, SimError>) -> Json {
 
 /// Renders the engine-equivalence fingerprint corpus: every paper
 /// benchmark × seed × fault plan, through the distributed, synchronized
-/// centralized and pipelined engines under `Bernoulli { p: 0.6 }`.
+/// centralized and pipelined engines under `Bernoulli { p: 0.6 }`, then
+/// the elastic block.
 ///
 /// Each engine gets a freshly seeded RNG so its fingerprint is
 /// independent of the others.
 pub fn kernel_conformance() -> Json {
+    kernel_corpus(false)
+}
+
+/// Renders the same corpus as [`kernel_conformance`], but drives every
+/// entry through the bit-sliced engine: the [`SlabDriver`] (one lane per
+/// entry) for the single-iteration styles, and the sliced pipelined
+/// engine with scalar fallback. The output must match
+/// [`kernel_conformance`] — and therefore `results/kernel_golden.json` —
+/// byte for byte; `tests/golden.rs` replays it against the oracle, whose
+/// pre-refactor 126-entry prefix is untouched.
+pub fn kernel_conformance_sliced() -> Json {
+    kernel_corpus(true)
+}
+
+fn kernel_corpus(sliced: bool) -> Json {
     let model = CompletionModel::Bernoulli { p: 0.6 };
+    let designs: Vec<Design> = paper_benchmarks()
+        .into_iter()
+        .map(|(dfg, alloc, _)| {
+            Synthesis::new(dfg)
+                .allocation(alloc)
+                .timing(Timing::default())
+                .run()
+                .expect("benchmark synthesizes")
+        })
+        .collect();
     let plans = corpus_plans();
+    let sync_styles = [
+        ("dist", ControlStyle::Distributed),
+        ("cent_sync", ControlStyle::CentSync),
+    ];
     let mut entries = Vec::new();
-    for (dfg, alloc, _) in paper_benchmarks() {
-        let name = dfg.name().to_string();
-        let design = Synthesis::new(dfg)
-            .allocation(alloc)
-            .timing(Timing::default())
-            .run()
-            .expect("benchmark synthesizes");
+    for design in &designs {
         let bound = design.bound();
         let cu = DistributedControlUnit::generate(bound);
-        for &seed in &SEEDS {
-            for (plan_name, plan) in &plans {
-                let config = SimConfig::with_faults(plan.clone());
-                let mut rng = StdRng::seed_from_u64(seed);
-                let dist = simulate_distributed_with(bound, &cu, &model, None, &mut rng, &config);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let sync = simulate_cent_sync_with(bound, &model, None, &mut rng, &config);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let pipe = simulate_pipelined_with(
-                    bound,
-                    &cu,
-                    &model,
-                    PIPELINE_ITERATIONS,
-                    &mut rng,
-                    &config,
-                );
-                entries.push(Json::object([
-                    ("bench", Json::from(name.as_str())),
-                    ("seed", Json::from(seed)),
-                    ("plan", Json::from(*plan_name)),
-                    ("dist", result_json(&dist)),
-                    ("cent_sync", result_json(&sync)),
-                    ("pipelined", pipelined_json(&pipe)),
-                ]));
-            }
+        let mut pipe_sim = SlicedSim::pipelined(bound, &cu, PIPELINE_ITERATIONS);
+        let rows = style_rows(bound, &sync_styles, &model, &plans, sliced);
+        for (cell, mut row) in rows.into_iter().enumerate() {
+            let seed = SEEDS[cell / plans.len()];
+            let config = SimConfig::with_faults(plans[cell % plans.len()].1.clone());
+            let (models, cfgs) = (LaneModels::Shared(&model), LaneConfigs::Shared(&config));
+            let lane = &mut [StdRng::seed_from_u64(seed)];
+            let pipe = match sliced.then(|| pipe_sim.run_pipelined(&models, &cfgs, lane).remove(0))
+            {
+                Some(PipelinedLaneOutcome::Done(r)) => Ok(r),
+                _ => {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    simulate_pipelined_with(
+                        bound,
+                        &cu,
+                        &model,
+                        PIPELINE_ITERATIONS,
+                        &mut rng,
+                        &config,
+                    )
+                }
+            };
+            row.push(("pipelined", pipelined_json(&pipe)));
+            entries.push(Json::object(row));
         }
     }
     // Elastic (GALS) block, appended after the pre-refactor entries so
     // the original 126-entry prefix stays byte-identical: every
     // benchmark × seed × plan (including the clock-domain-only
-    // `clock_skew` plan) fingerprinted at each elastic spec. The skew
-    // schedule uses the batch derivation at job 0, trial 0, so these
-    // cells replay what a one-trial batch would compute.
+    // `clock_skew` plan) fingerprinted at each elastic spec.
     let elastic_plans = elastic_corpus_plans();
-    for (dfg, alloc, _) in paper_benchmarks() {
-        let name = dfg.name().to_string();
-        let design = Synthesis::new(dfg)
-            .allocation(alloc)
-            .timing(Timing::default())
-            .run()
-            .expect("benchmark synthesizes");
+    let elastic_styles =
+        elastic_corpus_specs().map(|(name, spec)| (name, ControlStyle::Elastic(spec)));
+    for design in &designs {
         let bound = design.bound();
-        let cu = DistributedControlUnit::generate(bound);
-        for &seed in &SEEDS {
-            for (plan_name, plan) in &elastic_plans {
-                let config = SimConfig::with_faults(plan.clone());
-                let skew_seed = elastic_trial_skew_seed(seed, 0, 0);
-                let mut cells = vec![
-                    ("bench", Json::from(name.as_str())),
-                    ("seed", Json::from(seed)),
-                    ("plan", Json::from(*plan_name)),
-                ];
-                for (spec_name, spec) in elastic_corpus_specs() {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let r = simulate_elastic_with(
-                        bound, &cu, &model, None, &mut rng, &config, spec, skew_seed,
-                    );
-                    cells.push((spec_name, result_json(&r)));
-                }
-                entries.push(Json::object(cells));
-            }
-        }
+        let rows = style_rows(bound, &elastic_styles, &model, &elastic_plans, sliced);
+        entries.extend(rows.into_iter().map(Json::object));
     }
     Json::array(entries)
 }
 
-/// Renders the same corpus as [`kernel_conformance`], but drives every
-/// entry through the bit-sliced engine (one lane per entry). Lanes the
-/// sliced engine declines — notably every `Err` entry, whose diagnostic
-/// text only the scalar kernel produces — are reproduced through the
-/// scalar engines from a reconstructed RNG, per the
-/// scalar-fallback-for-diagnostics contract. The output must match
-/// [`kernel_conformance`] — and therefore `results/kernel_golden.json` —
-/// byte for byte; `tests/golden.rs` replays it against the oracle, whose
-/// pre-refactor 126-entry prefix is untouched.
-pub fn kernel_conformance_sliced() -> Json {
-    use tauhls_sim::{LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome, SlicedSim};
-    let model = CompletionModel::Bernoulli { p: 0.6 };
-    let plans = corpus_plans();
-    let mut entries = Vec::new();
-    for (dfg, alloc, _) in paper_benchmarks() {
-        let name = dfg.name().to_string();
-        let design = Synthesis::new(dfg)
-            .allocation(alloc)
-            .timing(Timing::default())
-            .run()
-            .expect("benchmark synthesizes");
-        let bound = design.bound();
-        let cu = DistributedControlUnit::generate(bound);
-        let mut dist_sim = SlicedSim::distributed(bound, &cu, None);
-        let mut sync_sim = SlicedSim::cent_sync(bound, None);
-        let mut pipe_sim = SlicedSim::pipelined(bound, &cu, PIPELINE_ITERATIONS);
-        for &seed in &SEEDS {
-            for (plan_name, plan) in &plans {
-                let config = SimConfig::with_faults(plan.clone());
-                let models = LaneModels::Shared(&model);
-                let cfgs = LaneConfigs::Shared(&config);
-                let mut rngs = [StdRng::seed_from_u64(seed)];
-                let dist = match dist_sim.run(&models, &cfgs, &mut rngs[..]).remove(0) {
-                    LaneOutcome::Done(r) => Ok(r),
-                    LaneOutcome::Fallback => {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        simulate_distributed_with(bound, &cu, &model, None, &mut rng, &config)
-                    }
-                };
-                let mut rngs = [StdRng::seed_from_u64(seed)];
-                let sync = match sync_sim.run(&models, &cfgs, &mut rngs[..]).remove(0) {
-                    LaneOutcome::Done(r) => Ok(r),
-                    LaneOutcome::Fallback => {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        simulate_cent_sync_with(bound, &model, None, &mut rng, &config)
-                    }
-                };
-                let mut rngs = [StdRng::seed_from_u64(seed)];
-                let pipe = match pipe_sim
-                    .run_pipelined(&models, &cfgs, &mut rngs[..])
-                    .remove(0)
-                {
-                    PipelinedLaneOutcome::Done(r) => Ok(r),
-                    PipelinedLaneOutcome::Fallback => {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        simulate_pipelined_with(
-                            bound,
-                            &cu,
-                            &model,
-                            PIPELINE_ITERATIONS,
-                            &mut rng,
-                            &config,
-                        )
-                    }
-                };
-                entries.push(Json::object([
-                    ("bench", Json::from(name.as_str())),
-                    ("seed", Json::from(seed)),
-                    ("plan", Json::from(*plan_name)),
-                    ("dist", result_json(&dist)),
-                    ("cent_sync", result_json(&sync)),
-                    ("pipelined", pipelined_json(&pipe)),
-                ]));
-            }
-        }
+/// One corpus entry's fields: benchmark, seed and plan, then one named
+/// cell per engine.
+type Row = Vec<(&'static str, Json)>;
+
+/// Rows in trial order: the batch runner folds chunks in chunk order.
+#[derive(Default)]
+struct Rows(Vec<Row>);
+
+impl Accumulator for Rows {
+    fn empty() -> Self {
+        Rows::default()
     }
-    // Elastic block: same cells as the scalar corpus, driven through
-    // `SlicedSim::run_elastic` with scalar fallback for declined lanes.
-    let elastic_plans = elastic_corpus_plans();
-    for (dfg, alloc, _) in paper_benchmarks() {
-        let name = dfg.name().to_string();
-        let design = Synthesis::new(dfg)
-            .allocation(alloc)
-            .timing(Timing::default())
-            .run()
-            .expect("benchmark synthesizes");
-        let bound = design.bound();
-        let cu = DistributedControlUnit::generate(bound);
-        let mut sim = SlicedSim::distributed(bound, &cu, None);
-        for &seed in &SEEDS {
-            for (plan_name, plan) in &elastic_plans {
-                let config = SimConfig::with_faults(plan.clone());
-                let models = LaneModels::Shared(&model);
-                let cfgs = LaneConfigs::Shared(&config);
-                let skew_seed = elastic_trial_skew_seed(seed, 0, 0);
-                let mut cells = vec![
-                    ("bench", Json::from(name.as_str())),
-                    ("seed", Json::from(seed)),
-                    ("plan", Json::from(*plan_name)),
-                ];
-                for (spec_name, spec) in elastic_corpus_specs() {
-                    let mut rngs = [StdRng::seed_from_u64(seed)];
-                    let r = match sim
-                        .run_elastic(spec, &[skew_seed], &models, &cfgs, &mut rngs[..])
-                        .remove(0)
-                    {
-                        LaneOutcome::Done(r) => Ok(r),
-                        LaneOutcome::Fallback => {
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            simulate_elastic_with(
-                                bound, &cu, &model, None, &mut rng, &config, spec, skew_seed,
-                            )
-                        }
-                    };
-                    cells.push((spec_name, result_json(&r)));
-                }
-                entries.push(Json::object(cells));
-            }
-        }
+    fn fold(&mut self, other: Self) {
+        self.0.extend(other.0);
     }
-    Json::array(entries)
+}
+
+/// Renders the entry of every [`SEEDS`] × `plans` cell of one benchmark,
+/// seed-major, under each named style. Every style gets a fresh `StdRng` seeded with
+/// the cell's seed; the skew schedule uses the batch derivation at job 0,
+/// trial 0, so the cells replay what a one-trial batch would compute.
+/// `sliced` runs the cells as lanes of one [`SlabDriver`], otherwise each
+/// style's scalar engine runs them one at a time.
+fn style_rows(
+    bound: &BoundDfg,
+    styles: &[(&'static str, ControlStyle)],
+    model: &CompletionModel,
+    plans: &[(&'static str, FaultPlan)],
+    sliced: bool,
+) -> Vec<Row> {
+    let n = plans.len() as u64;
+    let cells = SEEDS.len() as u64 * n;
+    let seed_of = |cell: u64| SEEDS[(cell / n) as usize];
+    let config_of = |cell: u64| SimConfig::with_faults(plans[(cell % n) as usize].1.clone());
+    let skew_of = |cell: u64| elastic_trial_skew_seed(seed_of(cell), 0, 0);
+    let render = |cell: u64, results: &[Result<&SimResult, &SimError>]| -> Row {
+        let mut row = vec![
+            ("bench", Json::from(bound.dfg().name())),
+            ("seed", Json::from(seed_of(cell))),
+            ("plan", Json::from(plans[(cell % n) as usize].0)),
+        ];
+        let names = styles.iter().map(|&(name, _)| name);
+        row.extend(names.zip(results.iter().map(|&r| result_json(r))));
+        row
+    };
+    let kinds: Vec<ControlStyle> = styles.iter().map(|&(_, style)| style).collect();
+    if sliced {
+        let lanes = LaneBuilder {
+            rng: &|cell| StdRng::seed_from_u64(seed_of(cell)),
+            model: LaneInput::Shared(model),
+            config: LaneInput::PerLane(&|cell, _| config_of(cell)),
+            skew_seed: &skew_of,
+        };
+        let driver = SlabDriver::new(bound, &kinds);
+        let runner = BatchRunner::serial();
+        let Rows(rows) = driver.run(
+            cells,
+            &runner,
+            &lanes,
+            |Rows(rows): &mut Rows, cell, _, results| rows.push(render(cell, results)),
+        );
+        return rows;
+    }
+    let engines: Vec<Engine> = kinds.iter().map(|&s| Engine::generate(bound, s)).collect();
+    (0..cells)
+        .map(|cell| {
+            let config = config_of(cell);
+            let results: Vec<_> = engines
+                .iter()
+                .map(|e| {
+                    let mut rng = StdRng::seed_from_u64(seed_of(cell));
+                    e.run_scalar(bound, model, &mut rng, &config, skew_of(cell))
+                })
+                .collect();
+            render(
+                cell,
+                &results.iter().map(Result::as_ref).collect::<Vec<_>>(),
+            )
+        })
+        .collect()
 }
 
 /// Trials per fault kind in the resilience corpus: above one 64-lane
@@ -377,30 +336,20 @@ const RESILIENCE_TRIALS: u64 = 100;
 /// diff. The report is thread-count invariant, so `runner` only sets the
 /// speed.
 pub fn resilience_conformance(runner: &BatchRunner) -> Json {
+    let all = ResilienceOptions::default();
     let options = [
-        ("default", ResilienceOptions::default()),
-        (
-            "dist_only",
-            ResilienceOptions {
-                styles: ControlStyleSet::DIST,
-                ..ResilienceOptions::default()
-            },
-        ),
-        (
-            "elastic_zero",
-            ResilienceOptions {
-                elastic: ElasticSpec::zero(),
-                ..ResilienceOptions::default()
-            },
-        ),
+        ("default", all.styles, all.elastic),
+        ("dist_only", ControlStyleSet::DIST, all.elastic),
+        ("elastic_zero", all.styles, ElasticSpec::zero()),
     ];
     let mut entries = Vec::new();
     for (dfg, alloc, _) in paper_benchmarks() {
         let bound = BoundDfg::bind(&dfg, &alloc);
-        for (name, opts) in &options {
-            let report = resilience_sweep_with(&bound, 0.5, RESILIENCE_TRIALS, 2003, opts, runner);
+        for (name, styles, elastic) in options {
+            let opts = ResilienceOptions { styles, elastic };
+            let report = resilience_sweep_with(&bound, 0.5, RESILIENCE_TRIALS, 2003, &opts, runner);
             entries.push(Json::object([
-                ("options", Json::from(*name)),
+                ("options", Json::from(name)),
                 ("report", report.to_json()),
             ]));
         }

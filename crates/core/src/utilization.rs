@@ -5,11 +5,10 @@
 //! completion draws.
 
 use std::fmt;
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    simulate_cent_sync, simulate_distributed, trial_rng, Accumulator, BatchRunner, CompletionModel,
-    CycleStats,
+    trial_rng, Accumulator, BatchRunner, CompletionModel, ControlStyle, CycleStats, Engine,
+    SimConfig,
 };
 
 /// Utilization comparison for one benchmark.
@@ -84,22 +83,27 @@ pub fn utilization_table(
     {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
+        let engines = [ControlStyle::Distributed, ControlStyle::CentSync]
+            .map(|style| Engine::generate(&bound, style));
+        let controllers = engines[0]
+            .dist_bank()
+            .map_or(0, |cu| cu.controllers().len());
         let num_units = alloc.units().len();
         let util = |r: &tauhls_sim::SimResult| {
             (0..num_units)
                 .filter(|&u| !bound.sequence(tauhls_sched::UnitId(u)).is_empty())
                 .map(|u| r.utilization(u))
                 .sum::<f64>()
-                / cu.controllers().len() as f64
+                / controllers as f64
         };
+        let fault_free = SimConfig::default();
         let acc: UtilAcc = runner.run(trials as u64, |trial, acc: &mut UtilAcc| {
             let mut rng = trial_rng(seed, job_id as u64, trial);
             let table = CompletionModel::draw_table(dfg.num_ops(), p, &mut rng);
-            let d = simulate_distributed(&bound, &cu, &table, None, &mut rng)
-                .expect("fault-free simulation");
-            let s =
-                simulate_cent_sync(&bound, &table, None, &mut rng).expect("fault-free simulation");
+            let [d, s] = engines.each_ref().map(|engine| {
+                let run = engine.run_scalar(&bound, &table, &mut rng, &fault_free, 0);
+                run.expect("fault-free simulation")
+            });
             acc.dist.record(d.cycles);
             acc.sync.record(s.cycles);
             acc.dist_util += util(&d);

@@ -36,7 +36,8 @@ use crate::error::SimError;
 use crate::fault::SimConfig;
 use crate::latency::{ControlStyle, Engine, LatencySummary};
 use crate::model::CompletionModel;
-use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
+use crate::result::SimResult;
+use crate::slab::{LaneBuilder, LaneInput, SlabDriver};
 use rand::rngs::StdRng;
 use rand::{splitmix64_mix, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -516,92 +517,71 @@ impl<'a> SimJob<'a> {
         self
     }
 
-    /// Runs the job on `runner`, collecting cycle statistics.
-    ///
-    /// Trials are executed through the bit-sliced engine ([`SlicedSim`]),
-    /// up to [`LANES`] per word; lanes the sliced engine declines
-    /// ([`LaneOutcome::Fallback`]) are re-run one at a time through the
-    /// scalar kernel with a fresh per-trial RNG, so results — statistics
-    /// and errors alike — are bit-identical to [`SimJob::run_scalar`].
+    /// Runs the job on `runner`, collecting cycle statistics, through the
+    /// bit-sliced engine and the [`SlabDriver`]'s scalar fallback;
+    /// bit-identical to [`SimJob::run_scalar`].
     ///
     /// When any trial fails, the error of the lowest-numbered failing
     /// trial is returned — deterministically, for any thread count (see
     /// [`FirstError`]).
     pub fn run(&self, base_seed: u64, runner: &BatchRunner) -> Result<CycleStats, SimError> {
-        self.run_impl(base_seed, runner, true)
+        let default_config = SimConfig::default();
+        let lanes = LaneBuilder {
+            rng: &|trial| trial_rng(base_seed, self.job_id, trial),
+            model: LaneInput::Shared(self.model),
+            config: LaneInput::Shared(self.config.unwrap_or(&default_config)),
+            skew_seed: &|trial| elastic_trial_skew_seed(base_seed, self.job_id, trial),
+        };
+        let driver = SlabDriver::new(self.bound, &[self.style]);
+        let run = driver.run(
+            self.trials,
+            runner,
+            &lanes,
+            |(stats, errors), trial, _, results| {
+                for &result in results {
+                    record(stats, errors, trial, result);
+                }
+            },
+        );
+        finish(runner, run)
     }
 
     /// The scalar reference path: one trial at a time through the shared
     /// cycle kernel. Kept as the oracle the sliced default is checked
-    /// against (and as the diagnostics-bearing fallback), bit-identical
-    /// to [`SimJob::run`].
+    /// against.
     pub fn run_scalar(&self, base_seed: u64, runner: &BatchRunner) -> Result<CycleStats, SimError> {
-        self.run_impl(base_seed, runner, false)
-    }
-
-    fn run_impl(
-        &self,
-        base_seed: u64,
-        runner: &BatchRunner,
-        sliced: bool,
-    ) -> Result<CycleStats, SimError> {
         let engine = Engine::generate(self.bound, self.style);
         let default_config = SimConfig::default();
         let config = self.config.unwrap_or(&default_config);
-        let skew_seed = |trial| elastic_trial_skew_seed(base_seed, self.job_id, trial);
-        let scalar_trial = |trial: u64| {
+        let run = runner.run(self.trials, |trial, (stats, errors)| {
             let mut rng = trial_rng(base_seed, self.job_id, trial);
-            engine.run_scalar(self.bound, self.model, &mut rng, config, skew_seed(trial))
-        };
-        let (stats, errors): (CycleStats, FirstError) = if sliced {
-            runner.run_chunked(
-                self.trials,
-                || {
-                    (
-                        engine.sliced(self.bound),
-                        Vec::<StdRng>::new(),
-                        Vec::<u64>::new(),
-                    )
-                },
-                |(sim, rngs, skews), range, (acc, errors): &mut (CycleStats, FirstError)| {
-                    let mut start = range.start;
-                    while start < range.end {
-                        let end = (start + LANES as u64).min(range.end);
-                        rngs.clear();
-                        skews.clear();
-                        for trial in start..end {
-                            rngs.push(trial_rng(base_seed, self.job_id, trial));
-                            skews.push(skew_seed(trial));
-                        }
-                        let models = LaneModels::Shared(self.model);
-                        let cfgs = LaneConfigs::Shared(config);
-                        let out = engine.run_sliced(sim, skews, &models, &cfgs, rngs);
-                        for (lane, outcome) in out.iter().enumerate() {
-                            match outcome {
-                                LaneOutcome::Done(r) => acc.record(r.cycles),
-                                LaneOutcome::Fallback => match scalar_trial(start + lane as u64) {
-                                    Ok(r) => acc.record(r.cycles),
-                                    Err(e) => errors.record(start + lane as u64, e),
-                                },
-                            }
-                        }
-                        start = end;
-                    }
-                },
-            )
-        } else {
-            runner.run(
-                self.trials,
-                |trial, (acc, errors): &mut (CycleStats, FirstError)| match scalar_trial(trial) {
-                    Ok(r) => acc.record(r.cycles),
-                    Err(e) => errors.record(trial, e),
-                },
-            )
-        };
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        Ok(stats)
+            let skew_seed = elastic_trial_skew_seed(base_seed, self.job_id, trial);
+            let result = engine.run_scalar(self.bound, self.model, &mut rng, config, skew_seed);
+            record(stats, errors, trial, result.as_ref());
+        });
+        finish(runner, run)
     }
+}
+
+/// Records one trial's result: its cycles, or its error.
+fn record(
+    stats: &mut CycleStats,
+    errors: &mut FirstError,
+    trial: u64,
+    result: Result<&SimResult, &SimError>,
+) {
+    match result {
+        Ok(r) => stats.record(r.cycles),
+        Err(e) => errors.record(trial, e.clone()),
+    }
+}
+
+/// The statistics of a finished run, unless it was cancelled or a trial
+/// failed.
+fn finish<S>(runner: &BatchRunner, (stats, errors): (S, FirstError)) -> Result<S, SimError> {
+    runner.check_cancelled()?;
+    errors.into_result()?;
+    Ok(stats)
 }
 
 /// Parallel counterpart of [`crate::latency_summary`]: best/worst from the
@@ -655,12 +635,10 @@ pub fn latency_summary_batch(
 ///
 /// Table models consume no RNG, and ELASTIC draws its skew schedule from
 /// the salted [`elastic_trial_skew_seed`] stream, so each style's summary
-/// is the same whichever other styles ride along. Each slab of lanes runs
-/// at most one CENT-SYNC and one DIST sliced pass (CENT reads the DIST
-/// lanes by bisimulation) plus one elastic pass per elastic spec; lanes the
-/// sliced engine declines are re-measured scalar. Per trial, DIST never
-/// loses to CENT-SYNC, CENT equals DIST and ELASTIC never beats DIST; these
-/// orderings are debug-asserted wherever both styles are present.
+/// is the same whichever other styles ride along. Trials run through one
+/// [`SlabDriver`]. Per trial, DIST never loses to CENT-SYNC, CENT equals
+/// DIST and ELASTIC never beats DIST; these orderings are debug-asserted
+/// wherever both styles are present.
 ///
 /// Returns [`SimError::InvalidConfig`] when `trials == 0`,
 /// [`SimError::Cancelled`] when `runner`'s token fires, and otherwise the
@@ -679,108 +657,36 @@ pub fn latency_batch(
             "latency batch needs trials >= 1".to_string(),
         ));
     }
-    let engines: Vec<Engine> = styles.iter().map(|&s| Engine::generate(bound, s)).collect();
-    let envelopes = engines
+    let driver = SlabDriver::new(bound, styles);
+    let envelopes = driver
+        .engines()
         .iter()
         .map(|e| e.envelope(bound))
         .collect::<Result<Vec<_>, _>>()?;
-    // Style `k` reads the lanes of style `lanes_of[k]`, the first style
-    // sharing its sliced pass.
-    let lanes_of: Vec<usize> = (0..engines.len())
-        .map(|k| {
-            (0..k)
-                .find(|&j| engines[j].shares_lanes(&engines[k]))
-                .unwrap_or(k)
-        })
-        .collect();
     let fault_free = SimConfig::default();
     let num_ops = bound.dfg().num_ops();
-    let mut averages = vec![Vec::with_capacity(p_values.len()); engines.len()];
+    let mut averages = vec![Vec::with_capacity(p_values.len()); styles.len()];
     for (i, &p) in p_values.iter().enumerate() {
         let job = first_job + i as u64;
-        let (stats, errors): (Vec<CycleStats>, FirstError) = runner.run_chunked(
+        let lanes = LaneBuilder {
+            rng: &|trial| trial_rng(base_seed, job, trial),
+            model: LaneInput::PerLane(&|_, rng| CompletionModel::draw_table(num_ops, p, rng)),
+            config: LaneInput::Shared(&fault_free),
+            skew_seed: &|trial| elastic_trial_skew_seed(base_seed, job, trial),
+        };
+        let run = driver.run::<(Vec<CycleStats>, _), _>(
             trials,
-            || {
-                // One CENT-SYNC simulator and one over the shared DIST
-                // bank, each built by the first style that steps it.
-                let sim = |bank: bool| {
-                    let owner = engines.iter().find(|e| e.dist_bank().is_some() == bank);
-                    owner.map(|e| e.sliced(bound))
-                };
-                CoupledWorker {
-                    sync_sim: sim(false),
-                    bank_sim: sim(true),
-                    rngs: Vec::new(),
-                    tables: Vec::new(),
-                    skews: Vec::new(),
-                    outs: vec![Vec::new(); engines.len()],
-                    cycles: vec![None; engines.len()],
+            runner,
+            &lanes,
+            |(stats, errors), trial, _, results| {
+                stats.resize_with(results.len(), CycleStats::new);
+                for (s, &result) in stats.iter_mut().zip(results) {
+                    record(s, errors, trial, result);
                 }
-            },
-            |w, range, (stats, errors): &mut (Vec<CycleStats>, FirstError)| {
-                stats.resize_with(engines.len(), CycleStats::new);
-                let mut start = range.start;
-                while start < range.end {
-                    let end = (start + LANES as u64).min(range.end);
-                    w.rngs.clear();
-                    w.tables.clear();
-                    w.skews.clear();
-                    // Each lane's table comes from its own trial RNG, which
-                    // the table models then leave untouched.
-                    for trial in start..end {
-                        let mut rng = trial_rng(base_seed, job, trial);
-                        w.tables
-                            .push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                        w.rngs.push(rng);
-                        w.skews.push(elastic_trial_skew_seed(base_seed, job, trial));
-                    }
-                    let models = LaneModels::PerLane(&w.tables[..]);
-                    let cfgs = LaneConfigs::Shared(&fault_free);
-                    for (k, engine) in engines.iter().enumerate() {
-                        if lanes_of[k] != k {
-                            continue;
-                        }
-                        let sim = match engine.dist_bank() {
-                            Some(_) => w.bank_sim.as_mut(),
-                            None => w.sync_sim.as_mut(),
-                        };
-                        w.outs[k] = match sim {
-                            Some(sim) => {
-                                engine.run_sliced(sim, &w.skews, &models, &cfgs, &mut w.rngs)
-                            }
-                            None => vec![LaneOutcome::Fallback; w.rngs.len()],
-                        };
-                    }
-                    for lane in 0..w.rngs.len() {
-                        let trial = start + lane as u64;
-                        for (k, engine) in engines.iter().enumerate() {
-                            let cycles = match &w.outs[lanes_of[k]][lane] {
-                                LaneOutcome::Done(r) => Ok(r.cycles),
-                                LaneOutcome::Fallback => engine
-                                    .run_scalar(
-                                        bound,
-                                        &w.tables[lane],
-                                        &mut w.rngs[lane],
-                                        &fault_free,
-                                        w.skews[lane],
-                                    )
-                                    .map(|r| r.cycles),
-                            };
-                            w.cycles[k] = cycles.as_ref().ok().copied();
-                            match cycles {
-                                Ok(c) => stats[k].record(c),
-                                Err(e) => errors.record(trial, e),
-                            }
-                        }
-                        Engine::debug_check_coupled(&engines, &w.cycles);
-                    }
-                    start = end;
-                }
+                Engine::debug_check_coupled(driver.engines(), results);
             },
         );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        for (avg, s) in averages.iter_mut().zip(&stats) {
+        for (avg, s) in averages.iter_mut().zip(&finish(runner, run)?) {
             avg.push(s.mean());
         }
     }
@@ -796,19 +702,6 @@ pub fn latency_batch(
             },
         )
         .collect())
-}
-
-/// Per-worker scratch of [`latency_batch`], reused across chunks.
-struct CoupledWorker<'a> {
-    sync_sim: Option<SlicedSim<'a>>,
-    bank_sim: Option<SlicedSim<'a>>,
-    rngs: Vec<StdRng>,
-    tables: Vec<CompletionModel>,
-    skews: Vec<u64>,
-    /// Sliced lane outcomes of the slab, per style that runs a pass.
-    outs: Vec<Vec<LaneOutcome>>,
-    /// One trial's cycles per style, for the coupled debug checks.
-    cycles: Vec<Option<usize>>,
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use crate::fault::SimConfig;
 use crate::kernel::ElasticSpec;
 use crate::model::CompletionModel;
 use crate::result::SimResult;
-use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tauhls_fsm::DistributedControlUnit;
@@ -171,19 +170,27 @@ impl std::ops::BitOr for ControlStyleSet {
 /// The generated machinery one [`ControlStyle`] needs, built once and
 /// reused across trials.
 ///
-/// This is the crate's one per-style dispatch site: [`latency_summary`],
-/// [`SimJob`](crate::SimJob) and [`latency_batch`](crate::latency_batch)
-/// all build controllers, run scalar trials, build sliced simulators and
-/// measure the best/worst envelope through it.
-pub(crate) enum Engine {
+/// This is the crate's per-style dispatch: it builds a style's
+/// controllers, runs one scalar trial ([`Engine::run_scalar`], the
+/// style-dispatched scalar entry for callers outside the crate) and
+/// measures the best/worst envelope. [`latency_summary`] runs on it
+/// directly; the [`SlabDriver`](crate::SlabDriver) adds the style's
+/// sliced slab handling. The per-style `simulate_*_with` functions remain
+/// as the oracle `run_scalar` dispatches to.
+pub enum Engine {
+    /// DIST: the distributed controller bank.
     Dist(DistributedControlUnit),
+    /// CENT: the product-free centralized wrapper around the DIST bank.
     Cent(CentControlUnit),
+    /// CENT-SYNC: the synchronized TAUBM step walk (no FSMs).
     Sync,
+    /// ELASTIC: the DIST bank under per-domain clocking.
     Elastic(DistributedControlUnit, ElasticSpec),
 }
 
 impl Engine {
-    pub(crate) fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
+    /// Generates the controllers `style` steps on `bound`.
+    pub fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
         match style {
             ControlStyle::Distributed => Engine::Dist(DistributedControlUnit::generate(bound)),
             ControlStyle::Cent => Engine::Cent(CentControlUnit::without_product(bound)),
@@ -197,7 +204,7 @@ impl Engine {
     /// The distributed controller bank the style steps: CENT is the
     /// product-free wrapper around DIST's bank, and ELASTIC clocks the
     /// same bank per domain. `None` for CENT-SYNC, which needs no FSMs.
-    pub(crate) fn dist_bank(&self) -> Option<&DistributedControlUnit> {
+    pub fn dist_bank(&self) -> Option<&DistributedControlUnit> {
         match self {
             Engine::Dist(cu) | Engine::Elastic(cu, _) => Some(cu),
             Engine::Cent(cu) => Some(cu.components()),
@@ -220,7 +227,7 @@ impl Engine {
     /// Runs one scalar trial under `config`. Only ELASTIC reads
     /// `skew_seed` (its per-trial clock schedule); it never draws the
     /// schedule from `rng`, so every style consumes the same RNG stream.
-    pub(crate) fn run_scalar(
+    pub fn run_scalar(
         &self,
         bound: &BoundDfg,
         model: &CompletionModel,
@@ -235,32 +242,6 @@ impl Engine {
             Engine::Elastic(cu, spec) => {
                 simulate_elastic_with(bound, cu, model, None, rng, config, *spec, skew_seed)
             }
-        }
-    }
-
-    /// The bit-sliced simulator the style's lanes run on: one over the
-    /// DIST bank, or the CENT-SYNC step walk.
-    pub(crate) fn sliced<'a>(&'a self, bound: &'a BoundDfg) -> SlicedSim<'a> {
-        match self.dist_bank() {
-            Some(cu) => SlicedSim::distributed(bound, cu, None),
-            None => SlicedSim::cent_sync(bound, None),
-        }
-    }
-
-    /// Runs one slab of lanes on `sim`, built by [`Engine::sliced`] of this
-    /// style or of any style sharing its bank. ELASTIC reads one skew seed
-    /// per lane.
-    pub(crate) fn run_sliced(
-        &self,
-        sim: &mut SlicedSim<'_>,
-        skew_seeds: &[u64],
-        models: &LaneModels<'_>,
-        configs: &LaneConfigs<'_>,
-        rngs: &mut [StdRng],
-    ) -> Vec<LaneOutcome> {
-        match self {
-            Engine::Elastic(_, spec) => sim.run_elastic(*spec, skew_seeds, models, configs, rngs),
-            _ => sim.run(models, configs, rngs),
         }
     }
 
@@ -312,19 +293,22 @@ impl Engine {
         })
     }
 
-    /// Debug-checks the orderings coupled trials guarantee, between
-    /// whichever styles are present: DIST never loses to CENT-SYNC, CENT
-    /// equals DIST (bisimulation), and ELASTIC never beats DIST.
-    /// `cycles[k]` is style `k`'s result on one trial.
-    pub(crate) fn debug_check_coupled(engines: &[Engine], cycles: &[Option<usize>]) {
+    /// Debug-checks the orderings coupled fault-free trials guarantee,
+    /// between whichever styles measured the trial: DIST never loses to
+    /// CENT-SYNC, CENT equals DIST (bisimulation), and ELASTIC never beats
+    /// DIST. `results[k]` is style `k`'s result on one trial.
+    pub(crate) fn debug_check_coupled(
+        engines: &[Engine],
+        results: &[Result<&SimResult, &SimError>],
+    ) {
         if !cfg!(debug_assertions) {
             return;
         }
         let measured = || {
             engines
                 .iter()
-                .zip(cycles)
-                .filter_map(|(e, c)| Some((e, (*c)?)))
+                .zip(results)
+                .filter_map(|(e, r)| Some((e, r.ok()?.cycles)))
         };
         let Some(d) = measured().find_map(|(e, c)| matches!(e, Engine::Dist(_)).then_some(c))
         else {
@@ -496,7 +480,15 @@ mod tests {
             Engine::Sync,
             Engine::generate(&bound, ControlStyle::Distributed),
         ];
-        Engine::debug_check_coupled(&engines, &[Some(3), Some(4)]);
+        let cycles = |cycles| SimResult {
+            cycles,
+            completion_cycle: Vec::new(),
+            start_cycle: Vec::new(),
+            unit_busy_cycles: Vec::new(),
+            values: Vec::new(),
+        };
+        let (sync, dist) = (cycles(3), cycles(4));
+        Engine::debug_check_coupled(&engines, &[Ok(&sync), Ok(&dist)]);
     }
 
     #[test]

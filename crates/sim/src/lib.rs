@@ -17,6 +17,8 @@
 //!   engine: per-trial RNGs derived from `(base_seed, job_id, trial)` and
 //!   chunk-ordered reduction make results bit-identical for any thread
 //!   count, with `threads = 1` as the reference oracle;
+//! * [`SlabDriver`] — the one bit-sliced slab loop behind the batch APIs,
+//!   with scalar reruns (through [`Engine`]) of the lanes it declines;
 //! * [`FaultPlan`] / [`SimConfig`] — deterministic completion-signal fault
 //!   injection (stuck-at predictors, dropped/spurious pulses, delayed
 //!   latches, state-register upsets), with abnormal runs classified as
@@ -77,6 +79,7 @@ mod latency;
 mod model;
 mod pipeline;
 mod result;
+mod slab;
 pub mod sliced;
 
 pub use batch::{
@@ -95,9 +98,10 @@ pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
 pub use invariant::{check_lockstep, check_token_conservation};
 pub use kernel::{ClockFabric, ElasticSpec};
 pub use latency::{
-    enhancement_percent, latency_summary, ControlStyle, ControlStyleSet, LatencySummary,
+    enhancement_percent, latency_summary, ControlStyle, ControlStyleSet, Engine, LatencySummary,
 };
 pub use model::{CompletionModel, TauLibrary};
 pub use pipeline::{simulate_pipelined, simulate_pipelined_with, PipelinedResult};
 pub use result::SimResult;
+pub use slab::{LaneBuilder, LaneInput, SlabDriver};
 pub use sliced::{LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome, SlicedSim, LANES};

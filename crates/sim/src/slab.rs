@@ -1,0 +1,207 @@
+//! [`SlabDriver`]: the one loop behind every multi-trial run of the
+//! bit-sliced engine, with scalar fallback for the lanes it declines.
+
+use crate::batch::{Accumulator, BatchRunner};
+use crate::error::SimError;
+use crate::fault::SimConfig;
+use crate::latency::{ControlStyle, Engine};
+use crate::model::CompletionModel;
+use crate::result::SimResult;
+use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
+use rand::rngs::StdRng;
+use tauhls_sched::BoundDfg;
+
+/// One input of a trial's lane: a value every lane shares, or one the
+/// lane builder makes per trial.
+pub enum LaneInput<'a, T> {
+    /// Every lane reads this value.
+    Shared(&'a T),
+    /// Trial `t` reads `make(t, rng)`, where `rng` is the trial's RNG.
+    /// The model is made before the config, and both before the lane
+    /// simulates, so a model drawn from `rng` (a completion table) is
+    /// part of the trial's stream.
+    PerLane(&'a (dyn Fn(u64, &mut StdRng) -> T + Sync)),
+}
+
+/// How a [`SlabDriver`] builds the lane of one trial.
+pub struct LaneBuilder<'a> {
+    /// The trial's RNG.
+    pub rng: &'a (dyn Fn(u64) -> StdRng + Sync),
+    /// The trial's completion model.
+    pub model: LaneInput<'a, CompletionModel>,
+    /// The trial's fault/watchdog configuration.
+    pub config: LaneInput<'a, SimConfig>,
+    /// The trial's ELASTIC clock-schedule seed (other styles ignore it).
+    pub skew_seed: &'a (dyn Fn(u64) -> u64 + Sync),
+}
+
+/// Runs trials of a list of controller styles through the bit-sliced
+/// engine, with scalar fallback.
+///
+/// Trials are cut into slabs of up to [`LANES`] lanes, each built once by
+/// the caller's [`LaneBuilder`]. Per slab, one sliced pass runs per group
+/// of styles that share lanes: DIST and CENT read one DIST pass
+/// (bisimulation), CENT-SYNC runs its own, and ELASTIC one per distinct
+/// spec. Every pass starts from fresh copies of the lanes' RNGs.
+///
+/// **Fallback contract.** A lane the sliced engine declines
+/// ([`LaneOutcome::Fallback`]) reruns through the style's scalar engine
+/// ([`Engine::run_scalar`]) from the lane as its builder made it: a fresh
+/// copy of the builder's RNG, never the RNG a sliced pass advanced, with
+/// the same model, config and skew seed. Every result — value or error,
+/// diagnostics included — is therefore the one a scalar run of the trial
+/// produces.
+///
+/// The fold sees each trial once, in trial order, with its config and one
+/// result per style in style order. Chunks fold through
+/// [`BatchRunner::run_chunked`], so the accumulator is the same for any
+/// thread count.
+pub struct SlabDriver<'a> {
+    bound: &'a BoundDfg,
+    engines: Vec<Engine>,
+    /// Style `k` reads the sliced lanes of style `lanes_of[k]`, the first
+    /// style sharing its pass.
+    lanes_of: Vec<usize>,
+}
+
+impl<'a> SlabDriver<'a> {
+    /// A driver for `styles`, generating each style's controllers once.
+    pub fn new(bound: &'a BoundDfg, styles: &[ControlStyle]) -> Self {
+        let engines: Vec<Engine> = styles.iter().map(|&s| Engine::generate(bound, s)).collect();
+        let lanes_of = (0..engines.len())
+            .map(|k| {
+                (0..k)
+                    .find(|&j| engines[j].shares_lanes(&engines[k]))
+                    .unwrap_or(k)
+            })
+            .collect();
+        SlabDriver {
+            bound,
+            engines,
+            lanes_of,
+        }
+    }
+
+    /// The styles' engines, in style order.
+    pub fn engines(&self) -> &[Engine] {
+        &self.engines
+    }
+
+    /// Runs trials `0..trials` on `runner` and folds each trial's results
+    /// into the accumulator: `fold(acc, trial, config, results)`.
+    pub fn run<A, F>(
+        &self,
+        trials: u64,
+        runner: &BatchRunner,
+        lanes: &LaneBuilder<'_>,
+        fold: F,
+    ) -> A
+    where
+        A: Accumulator,
+        F: Fn(&mut A, u64, &SimConfig, &[Result<&SimResult, &SimError>]) + Sync,
+    {
+        let make_slab = || Slab {
+            // One CENT-SYNC simulator and one over the DIST bank that
+            // DIST, CENT and every ELASTIC spec step, when a style needs it.
+            sync_sim: (self.engines.iter().find(|e| e.dist_bank().is_none()))
+                .map(|_| SlicedSim::cent_sync(self.bound, None)),
+            bank_sim: (self.engines.iter().find_map(Engine::dist_bank))
+                .map(|cu| SlicedSim::distributed(self.bound, cu, None)),
+            ..Slab::default()
+        };
+        runner.run_chunked(trials, make_slab, |w, range, acc| {
+            let mut first = range.start;
+            while first < range.end {
+                w.fill(lanes, first..(first + LANES as u64).min(range.end));
+                let models = match lanes.model {
+                    LaneInput::Shared(m) => LaneModels::Shared(m),
+                    LaneInput::PerLane(_) => LaneModels::PerLane(&w.models),
+                };
+                let configs = match lanes.config {
+                    LaneInput::Shared(c) => LaneConfigs::Shared(c),
+                    LaneInput::PerLane(_) => LaneConfigs::PerLane(&w.configs),
+                };
+                // One sliced pass per lane-sharing group, on its first style.
+                let passes: Vec<Vec<LaneOutcome>> = (self.engines.iter().enumerate())
+                    .map(|(k, engine)| {
+                        let sim = match (self.lanes_of[k] == k, engine.dist_bank()) {
+                            (false, _) => None,
+                            (true, Some(_)) => w.bank_sim.as_mut(),
+                            (true, None) => w.sync_sim.as_mut(),
+                        };
+                        let Some(sim) = sim else { return Vec::new() };
+                        w.rngs.clone_from(&w.fresh);
+                        match engine {
+                            Engine::Elastic(_, spec) => {
+                                sim.run_elastic(*spec, &w.skews, &models, &configs, &mut w.rngs)
+                            }
+                            _ => sim.run(&models, &configs, &mut w.rngs),
+                        }
+                    })
+                    .collect();
+                // Per lane and style: the sliced result, or the scalar rerun.
+                let mut cells = Vec::with_capacity(w.fresh.len() * self.engines.len());
+                for (lane, fresh) in w.fresh.iter().enumerate() {
+                    for (k, engine) in self.engines.iter().enumerate() {
+                        cells.push(match passes[self.lanes_of[k]].get(lane) {
+                            Some(LaneOutcome::Done(r)) => Ok(r),
+                            _ => Err(engine.run_scalar(
+                                self.bound,
+                                models.model(lane),
+                                &mut fresh.clone(),
+                                configs.cfg(lane),
+                                w.skews[lane],
+                            )),
+                        });
+                    }
+                }
+                let mut results = Vec::with_capacity(self.engines.len());
+                for (lane, row) in cells.chunks(self.engines.len().max(1)).enumerate() {
+                    results.clear();
+                    results.extend(row.iter().map(|cell| match cell {
+                        Ok(sliced) => Ok(*sliced),
+                        Err(scalar) => scalar.as_ref(),
+                    }));
+                    fold(acc, first + lane as u64, configs.cfg(lane), &results);
+                }
+                first += w.fresh.len() as u64;
+            }
+        })
+    }
+}
+
+/// Per-worker scratch of [`SlabDriver::run`], reused across chunks.
+#[derive(Default)]
+struct Slab<'s> {
+    sync_sim: Option<SlicedSim<'s>>,
+    bank_sim: Option<SlicedSim<'s>>,
+    /// Each lane's RNG as its builder made it.
+    fresh: Vec<StdRng>,
+    /// The copies a sliced pass advances.
+    rngs: Vec<StdRng>,
+    /// Per-lane models and configs, when the builder makes them.
+    models: Vec<CompletionModel>,
+    configs: Vec<SimConfig>,
+    skews: Vec<u64>,
+}
+
+impl Slab<'_> {
+    /// Builds the lanes of `trials`.
+    fn fill(&mut self, lanes: &LaneBuilder<'_>, trials: std::ops::Range<u64>) {
+        self.fresh.clear();
+        self.models.clear();
+        self.configs.clear();
+        self.skews.clear();
+        for trial in trials {
+            let mut rng = (lanes.rng)(trial);
+            if let LaneInput::PerLane(make) = lanes.model {
+                self.models.push(make(trial, &mut rng));
+            }
+            if let LaneInput::PerLane(make) = lanes.config {
+                self.configs.push(make(trial, &mut rng));
+            }
+            self.skews.push((lanes.skew_seed)(trial));
+            self.fresh.push(rng);
+        }
+    }
+}

@@ -88,6 +88,14 @@ pub enum LaneModels<'a> {
 }
 
 impl LaneModels<'_> {
+    /// Lane `t`'s model.
+    pub(crate) fn model(&self, t: usize) -> &CompletionModel {
+        match self {
+            LaneModels::Shared(m) => m,
+            LaneModels::PerLane(ms) => &ms[t],
+        }
+    }
+
     /// Lanes whose model fails [`CompletionModel::validate`] (the scalar
     /// engine reports `InvalidConfig` for them — they fall back).
     fn invalid_mask(&self, num_ops: usize, lanes: usize) -> u64 {
@@ -174,7 +182,8 @@ pub enum LaneConfigs<'a> {
 }
 
 impl LaneConfigs<'_> {
-    fn cfg(&self, t: usize) -> &SimConfig {
+    /// Lane `t`'s configuration.
+    pub(crate) fn cfg(&self, t: usize) -> &SimConfig {
         match self {
             LaneConfigs::Shared(c) => c,
             LaneConfigs::PerLane(cs) => &cs[t],
