@@ -160,7 +160,7 @@ fn pipelined_json(r: &Result<PipelinedResult, SimError>) -> Json {
 /// Renders the engine-equivalence fingerprint corpus: every paper
 /// benchmark × seed × fault plan, through the distributed, synchronized
 /// centralized and pipelined engines under `Bernoulli { p: 0.6 }`, then
-/// the elastic block.
+/// the elastic block, then the CENT block.
 ///
 /// Each engine gets a freshly seeded RNG so its fingerprint is
 /// independent of the others.
@@ -236,6 +236,19 @@ fn kernel_corpus(sliced: bool) -> Json {
     for design in &designs {
         let bound = design.bound();
         let rows = style_rows(bound, &elastic_styles, &model, &elastic_plans, sliced);
+        entries.extend(rows.into_iter().map(Json::object));
+    }
+    // CENT block, appended after the elastic one: the centralized style's
+    // own scalar body and its composite `CENT=…` diagnostics, over every
+    // benchmark × seed × synchronous plan.
+    for design in &designs {
+        let rows = style_rows(
+            design.bound(),
+            &[("cent", ControlStyle::Cent)],
+            &model,
+            &plans,
+            sliced,
+        );
         entries.extend(rows.into_iter().map(Json::object));
     }
     Json::array(entries)
@@ -506,6 +519,38 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0, "no elastic cells found");
+    }
+
+    #[test]
+    fn cent_corpus_matches_dist_results_and_names_the_composite() {
+        // CENT is bisimilar to DIST: every successful `cent` cell equals
+        // the `dist` cell of the same benchmark/seed/plan, and its errors
+        // name one composite `CENT` controller.
+        let json = kernel_conformance();
+        let entries = json.as_array().expect("corpus is an array");
+        let (mut ok, mut composite) = (0, 0);
+        for e in entries {
+            let Some(cent) = e.get("cent") else {
+                continue;
+            };
+            let twin = entries
+                .iter()
+                .find(|t| {
+                    t.get("dist").is_some()
+                        && t.get("bench") == e.get("bench")
+                        && t.get("seed") == e.get("seed")
+                        && t.get("plan") == e.get("plan")
+                })
+                .expect("every CENT cell has a DIST twin");
+            let dist = twin.get("dist").expect("dist cell");
+            if cent.get("cycles").is_some() {
+                assert_eq!(cent.to_compact(), dist.to_compact(), "{}", e.to_compact());
+                ok += 1;
+            } else if cent.to_compact().contains("CENT=") {
+                composite += 1;
+            }
+        }
+        assert!(ok > 0 && composite > 0, "ok {ok}, composite {composite}");
     }
 
     #[test]
