@@ -588,7 +588,8 @@ fn finish<S>(runner: &BatchRunner, (stats, errors): (S, FirstError)) -> Result<S
 /// deterministic extremes, averages from batched Bernoulli jobs (one
 /// `job_id` per swept `P`).
 ///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
+/// Returns [`SimError::InvalidConfig`] when `trials == 0` or a `P` is
+/// outside `[0, 1]`.
 pub fn latency_summary_batch(
     bound: &BoundDfg,
     style: ControlStyle,
@@ -602,6 +603,7 @@ pub fn latency_summary_batch(
             "latency summary needs trials >= 1".to_string(),
         ));
     }
+    CompletionModel::check_p_values(p_values)?;
     let (best_cycles, worst_cycles) = Engine::generate(bound, style).envelope(bound)?;
     let mut average_cycles = Vec::with_capacity(p_values.len());
     for (idx, &p) in p_values.iter().enumerate() {
@@ -640,8 +642,8 @@ pub fn latency_summary_batch(
 /// DIST and ELASTIC never beats DIST; these orderings are debug-asserted
 /// wherever both styles are present.
 ///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`,
-/// [`SimError::Cancelled`] when `runner`'s token fires, and otherwise the
+/// Returns [`SimError::InvalidConfig`] when `trials == 0` or a `P` is
+/// outside `[0, 1]`, [`SimError::Cancelled`] when `runner`'s token fires, and otherwise the
 /// error of the lowest-numbered failing trial.
 pub fn latency_batch(
     bound: &BoundDfg,
@@ -657,6 +659,7 @@ pub fn latency_batch(
             "latency batch needs trials >= 1".to_string(),
         ));
     }
+    CompletionModel::check_p_values(p_values)?;
     let driver = SlabDriver::new(bound, styles);
     let envelopes = driver
         .engines()
@@ -826,6 +829,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn out_of_range_p_is_a_config_error_on_every_entry() {
+        // The first draw from a P outside [0, 1] panics, so every entry
+        // must reject it first: the sliced pass declines the lanes and
+        // the scalar rerun reports InvalidConfig.
+        let bound = fir5_bound();
+        let serial = BatchRunner::serial();
+        fn invalid<T>(r: Result<T, SimError>) -> bool {
+            matches!(r, Err(SimError::InvalidConfig(_)))
+        }
+        for p in [1.5, -0.1, f64::NAN] {
+            let model = CompletionModel::Bernoulli { p };
+            for style in all_styles() {
+                let job = SimJob::new(&bound, style, &model).trials(70);
+                assert!(invalid(job.run(3, &serial)), "{style:?} p={p}");
+                assert!(invalid(job.run_scalar(3, &serial)), "{style:?} p={p}");
+            }
+            let batch = latency_batch(&bound, &all_styles(), &[0.5, p], 0, 10, 5, &serial);
+            assert!(invalid(batch), "p={p}");
+            let summary = latency_summary_batch(&bound, ControlStyle::Cent, &[p], 10, 5, &serial);
+            assert!(invalid(summary), "p={p}");
+            let mut rng = StdRng::seed_from_u64(0);
+            let scalar = crate::latency_summary(&bound, ControlStyle::Cent, &[p], 10, &mut rng);
+            assert!(invalid(scalar), "p={p}");
+        }
     }
 
     #[test]

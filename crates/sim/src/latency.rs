@@ -336,8 +336,8 @@ impl Engine {
 /// Best/worst come from the deterministic extreme models; each average is
 /// a Monte-Carlo mean over `trials` runs of `Bernoulli(p)`.
 ///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0` and propagates
-/// any simulation failure.
+/// Returns [`SimError::InvalidConfig`] when `trials == 0` or a `P` is
+/// outside `[0, 1]`, and propagates any simulation failure.
 pub fn latency_summary(
     bound: &BoundDfg,
     style: ControlStyle,
@@ -350,6 +350,7 @@ pub fn latency_summary(
             "latency summary needs trials >= 1".to_string(),
         ));
     }
+    CompletionModel::check_p_values(p_values)?;
     let engine = Engine::generate(bound, style);
     let (best_cycles, worst_cycles) = engine.envelope(bound)?;
     let fault_free = SimConfig::default();

@@ -81,17 +81,28 @@ impl CompletionModel {
     /// panic on the first out-of-range draw (sparse ids, or a user-built
     /// table), breaking the crate's panic-free contract; the simulators
     /// surface this as [`crate::SimError::InvalidConfig`] at entry
-    /// instead.
+    /// instead. So is a [`CompletionModel::Bernoulli`] `p` outside
+    /// `[0, 1]` (NaN included), which the first draw would panic on.
     pub fn validate(&self, num_ops: usize) -> Result<(), String> {
-        if let CompletionModel::Table(t) = self {
-            if t.len() < num_ops {
-                return Err(format!(
-                    "completion table has {} entries but the DFG has {num_ops} operations",
-                    t.len()
-                ));
+        match self {
+            CompletionModel::Table(t) if t.len() < num_ops => Err(format!(
+                "completion table has {} entries but the DFG has {num_ops} operations",
+                t.len()
+            )),
+            CompletionModel::Bernoulli { p } if !(0.0..=1.0).contains(p) => {
+                Err(format!("Bernoulli P = {p} is outside [0, 1]"))
             }
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Checks a swept `P` list before anything draws from it: every value
+    /// must be a probability (see [`CompletionModel::validate`]).
+    pub(crate) fn check_p_values(p_values: &[f64]) -> Result<(), crate::SimError> {
+        p_values
+            .iter()
+            .try_for_each(|&p| CompletionModel::Bernoulli { p }.validate(0))
+            .map_err(crate::SimError::InvalidConfig)
     }
 
     /// Draws/computes the completion signal for one telescopic operation.

@@ -366,7 +366,7 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(bound: &BoundDfg, o: &Options) {
+fn cmd_simulate(bound: &BoundDfg, o: &Options) -> Result<(), String> {
     let runner = runner_for(o.threads);
     let styles = [
         ControlStyle::CentSync,
@@ -383,7 +383,7 @@ fn cmd_simulate(bound: &BoundDfg, o: &Options) {
         o.seed,
         &runner,
     )
-    .expect("fault-free simulation")
+    .map_err(|e| e.to_string())?
     .try_into()
     .expect("one summary per style");
     let clk = 15.0;
@@ -407,6 +407,7 @@ fn cmd_simulate(bound: &BoundDfg, o: &Options) {
     {
         println!("  P = {p}: {:+.1}% enhancement", (s - d) / s * 100.0);
     }
+    Ok(())
 }
 
 fn cmd_resilience(bound: &BoundDfg, o: &Options) -> Result<(), String> {
@@ -1087,9 +1088,13 @@ fn main() -> ExitCode {
         }
     };
     match cmd.as_str() {
-        "simulate" => cmd_simulate(&bound, &options),
-        "resilience" => {
-            if let Err(e) = cmd_resilience(&bound, &options) {
+        "simulate" | "resilience" => {
+            let run = if cmd == "simulate" {
+                cmd_simulate
+            } else {
+                cmd_resilience
+            };
+            if let Err(e) = run(&bound, &options) {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }

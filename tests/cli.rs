@@ -140,6 +140,19 @@ fn resilience_misuse_fails_cleanly() {
 }
 
 #[test]
+fn simulate_misuse_fails_cleanly() {
+    for (flag, value, needle) in [
+        ("--p", "1.5", "outside [0, 1]"),
+        ("--p", "nan", "outside [0, 1]"),
+        ("--trials", "0", "trials >= 1"),
+    ] {
+        let out = tauhls(&["simulate", example_dfg(), flag, value]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        assert_graceful_failure(&out, needle);
+    }
+}
+
+#[test]
 fn resilience_styles_filter_drops_the_unselected_columns() {
     let out = tauhls(&[
         "resilience",
