@@ -7,59 +7,32 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tauhls_bench::{black_box, Bench};
 use tauhls_core::experiments::paper_benchmarks;
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
-use tauhls_sim::{
-    latency_batch, simulate_cent, simulate_cent_sync, simulate_distributed, BatchRunner,
-    CentControlUnit, CompletionModel, ControlStyle,
-};
+use tauhls_sim::{latency_batch, BatchRunner, CompletionModel, ControlStyle, Engine, SimConfig};
 
 fn main() {
     let bench = Bench::from_args().sample_size(5);
 
+    let model = CompletionModel::Bernoulli { p: 0.7 };
+    let fault_free = SimConfig::default();
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
-        let mut rng = StdRng::seed_from_u64(1);
-        bench.run(&format!("table2/simulate/dist/{name}"), || {
-            black_box(
-                simulate_distributed(
-                    black_box(&bound),
-                    &cu,
-                    &CompletionModel::Bernoulli { p: 0.7 },
-                    None,
-                    &mut rng,
-                )
-                .expect("fault-free simulation"),
-            );
-        });
-        let cent_cu = CentControlUnit::without_product(&bound);
-        let mut rng = StdRng::seed_from_u64(1);
-        bench.run(&format!("table2/simulate/cent/{name}"), || {
-            black_box(
-                simulate_cent(
-                    black_box(&bound),
-                    &cent_cu,
-                    &CompletionModel::Bernoulli { p: 0.7 },
-                    None,
-                    &mut rng,
-                )
-                .expect("fault-free simulation"),
-            );
-        });
-        let mut rng = StdRng::seed_from_u64(1);
-        bench.run(&format!("table2/simulate/sync/{name}"), || {
-            black_box(
-                simulate_cent_sync(
-                    black_box(&bound),
-                    &CompletionModel::Bernoulli { p: 0.7 },
-                    None,
-                    &mut rng,
-                )
-                .expect("fault-free simulation"),
-            );
-        });
+        for (label, style) in [
+            ("dist", ControlStyle::Distributed),
+            ("cent", ControlStyle::Cent),
+            ("sync", ControlStyle::CentSync),
+        ] {
+            let engine = Engine::generate(&bound, style);
+            let mut rng = StdRng::seed_from_u64(1);
+            bench.run(&format!("table2/simulate/{label}/{name}"), || {
+                black_box(
+                    engine
+                        .run_scalar(black_box(&bound), &model, None, &mut rng, &fault_free, 0)
+                        .expect("fault-free simulation"),
+                );
+            });
+        }
     }
 
     let (dfg, alloc, _) = paper_benchmarks().swap_remove(4); // diffeq

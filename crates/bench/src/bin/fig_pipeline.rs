@@ -4,9 +4,8 @@
 //! quantify the result-buffering a pipelined datapath would need.
 use rand::SeedableRng;
 use tauhls_core::experiments::paper_benchmarks;
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
-use tauhls_sim::{simulate_distributed, simulate_pipelined, CompletionModel};
+use tauhls_sim::{simulate_pipelined_with, CompletionModel, ControlStyle, Engine, SimConfig};
 
 fn main() {
     let p = 0.7;
@@ -19,24 +18,14 @@ fn main() {
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
+        let dist = Engine::generate(&bound, ControlStyle::Distributed);
+        let cu = dist.dist_bank().expect("DIST has a bank");
+        let (model, fault_free) = (CompletionModel::Bernoulli { p }, SimConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let single = simulate_distributed(
-            &bound,
-            &cu,
-            &CompletionModel::Bernoulli { p },
-            None,
-            &mut rng,
-        )
-        .expect("fault-free simulation");
-        let piped = simulate_pipelined(
-            &bound,
-            &cu,
-            &CompletionModel::Bernoulli { p },
-            iters,
-            &mut rng,
-        )
-        .expect("fault-free simulation");
+        let single = (dist.run_scalar(&bound, &model, None, &mut rng, &fault_free, 0))
+            .expect("fault-free simulation");
+        let piped = simulate_pipelined_with(&bound, cu, &model, iters, &mut rng, &fault_free)
+            .expect("fault-free simulation");
         println!(
             "{:<12} {:>9} {:>10.2} {:>12}",
             name,

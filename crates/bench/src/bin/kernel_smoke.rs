@@ -9,10 +9,11 @@
 //! calibrated benchmark — use `cargo bench -p tauhls-bench --bench
 //! latency_sim` for per-style latency numbers.
 //!
-//! Two self-checks run inline: the sliced engines must allocate less per
-//! trial than the scalar ones (the scratch-reuse contract), and a second
-//! sliced pass over a reused `SlicedSim` must reproduce the first pass's
-//! cycle totals exactly.
+//! Every style runs through the same loop: its scalar [`Engine`] and the
+//! [`SlicedSim`] keyed by it. Two self-checks run inline: the sliced
+//! engines must allocate less per trial than the scalar ones (the
+//! scratch-reuse contract), and a second sliced pass over a reused
+//! `SlicedSim` must reproduce the first pass's cycle totals exactly.
 //!
 //! Usage: `kernel_smoke [trials-per-benchmark]` (default 300).
 
@@ -23,13 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tauhls_core::experiments::paper_benchmarks;
 use tauhls_core::jobspec::{Endpoint, JobSpec};
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_json::{Json, JsonRef};
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    elastic_trial_skew_seed, simulate_cent, simulate_cent_sync, simulate_distributed,
-    simulate_elastic, trial_rng, CentControlUnit, CompletionModel, ElasticSpec, LaneConfigs,
-    LaneModels, LaneOutcome, SimConfig, SlicedSim, LANES,
+    elastic_trial_skew_seed, trial_rng, CompletionModel, ControlStyle, ElasticSpec, Engine,
+    LaneConfigs, LaneModels, LaneOutcome, SimConfig, SlicedSim, LANES,
 };
 
 /// Counts every heap allocation so the smoke can assert the sliced
@@ -66,7 +65,7 @@ const P_SHORT: f64 = 0.7;
 const SEED: u64 = 2003;
 
 struct EngineRow {
-    engine: &'static str,
+    engine: String,
     benchmark: String,
     trials: u64,
     total_cycles: u64,
@@ -81,7 +80,7 @@ impl EngineRow {
 
     fn to_json(&self) -> Json {
         Json::object([
-            ("engine", Json::from(self.engine)),
+            ("engine", Json::from(self.engine.as_str())),
             ("benchmark", Json::from(self.benchmark.as_str())),
             ("trials", Json::from(self.trials)),
             ("total_cycles", Json::from(self.total_cycles)),
@@ -158,109 +157,65 @@ fn main() {
         .unwrap_or(300);
     let model = CompletionModel::Bernoulli { p: P_SHORT };
     let fault_free = SimConfig::default();
+    // The measured styles and their row names; each also gets a
+    // `<name>_sliced` row.
+    let styles = [
+        ("dist", ControlStyle::Distributed),
+        ("cent", ControlStyle::Cent),
+        ("cent_sync", ControlStyle::CentSync),
+        ("elastic", ControlStyle::Elastic(ElasticSpec::default())),
+    ];
+    let models = LaneModels::Shared(&model);
+    let cfgs = LaneConfigs::Shared(&fault_free);
+    // The scalar ELASTIC row keeps one fixed skew schedule, a pure
+    // throughput probe (trials still vary through the Bernoulli draws);
+    // the sliced rows give lane `t` of every slab its own schedule.
+    let skew_seed = elastic_trial_skew_seed(SEED, 0, 0);
+    let skew_seeds: Vec<u64> = (0..LANES as u64)
+        .map(|t| elastic_trial_skew_seed(SEED, 0, t))
+        .collect();
     let mut rows = Vec::new();
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
-        let cent_cu = CentControlUnit::without_product(&bound);
-        let mut push = |engine, (cycles, ns, allocs)| {
-            rows.push(EngineRow {
-                engine,
-                benchmark: name.clone(),
-                trials,
-                total_cycles: cycles,
-                elapsed_ns: ns,
-                allocs,
-            });
+        let row = |engine: String, (cycles, ns, allocs)| EngineRow {
+            engine,
+            benchmark: name.clone(),
+            trials,
+            total_cycles: cycles,
+            elapsed_ns: ns,
+            allocs,
         };
-
-        push(
-            "dist",
-            measure(trials, |rng| {
-                simulate_distributed(&bound, &cu, &model, None, rng)
-                    .expect("fault-free simulation")
-                    .cycles as u64
-            }),
-        );
-        push(
-            "cent",
-            measure(trials, |rng| {
-                simulate_cent(&bound, &cent_cu, &model, None, rng)
-                    .expect("fault-free simulation")
-                    .cycles as u64
-            }),
-        );
-        push(
-            "cent_sync",
-            measure(trials, |rng| {
-                simulate_cent_sync(&bound, &model, None, rng)
-                    .expect("fault-free simulation")
-                    .cycles as u64
-            }),
-        );
-        // Elastic (GALS) clocking at the default spec. One fixed skew
-        // schedule per benchmark keeps the row a pure throughput probe;
-        // trial-to-trial variation still comes from the Bernoulli draws.
-        let spec = ElasticSpec::default();
-        let skew_seed = elastic_trial_skew_seed(SEED, 0, 0);
-        push(
-            "elastic",
-            measure(trials, |rng| {
-                simulate_elastic(&bound, &cu, &model, None, rng, spec, skew_seed)
-                    .expect("fault-free simulation")
-                    .cycles as u64
-            }),
-        );
-
-        let models = LaneModels::Shared(&model);
-        let cfgs = LaneConfigs::Shared(&fault_free);
-        let mut dist_sim = SlicedSim::distributed(&bound, &cu, None);
-        let first = measure_sliced(trials, |rngs| {
-            slab_cycles(dist_sim.run(&models, &cfgs, rngs))
-        });
-        // Scratch-reuse self-check: a second pass over the same SlicedSim
-        // must reproduce the first pass's totals exactly.
-        let second = measure_sliced(trials, |rngs| {
-            slab_cycles(dist_sim.run(&models, &cfgs, rngs))
-        });
-        assert_eq!(
-            first.0, second.0,
-            "{name}: sliced scratch reuse changed results"
-        );
-        push("dist_sliced", first);
-
-        let mut cent_sim = SlicedSim::distributed(&bound, cent_cu.components(), None);
-        push(
-            "cent_sliced",
-            measure_sliced(trials, |rngs| {
-                slab_cycles(cent_sim.run(&models, &cfgs, rngs))
-            }),
-        );
-        let mut sync_sim = SlicedSim::cent_sync(&bound, None);
-        push(
-            "cent_sync_sliced",
-            measure_sliced(trials, |rngs| {
-                slab_cycles(sync_sim.run(&models, &cfgs, rngs))
-            }),
-        );
-        let skew_seeds: Vec<u64> = (0..LANES as u64)
-            .map(|t| elastic_trial_skew_seed(SEED, 0, t))
-            .collect();
-        let mut elastic_sim = SlicedSim::distributed(&bound, &cu, None);
-        push(
-            "elastic_sliced",
-            measure_sliced(trials, |rngs| {
-                let lanes = rngs.len();
-                slab_cycles(elastic_sim.run_elastic(
-                    spec,
-                    &skew_seeds[..lanes],
-                    &models,
-                    &cfgs,
-                    rngs,
-                ))
-            }),
-        );
+        // Scalar rows first, then the sliced ones, in style order.
+        let mut sliced_rows = Vec::new();
+        for (style_name, style) in styles {
+            let engine = Engine::generate(&bound, style);
+            rows.push(row(
+                style_name.to_string(),
+                measure(trials, |rng| {
+                    (engine.run_scalar(&bound, &model, None, rng, &fault_free, skew_seed))
+                        .expect("fault-free simulation")
+                        .cycles as u64
+                }),
+            ));
+            let mut sim = SlicedSim::new(&bound, &engine);
+            let mut sliced = || {
+                measure_sliced(trials, |rngs| {
+                    let skews = &skew_seeds[..rngs.len()];
+                    slab_cycles(sim.run(skews, &models, &cfgs, rngs))
+                })
+            };
+            let first = sliced();
+            // Scratch-reuse self-check: a second pass over the same
+            // SlicedSim must reproduce the first pass's totals exactly.
+            assert_eq!(
+                first.0,
+                sliced().0,
+                "{name}: {style_name} sliced scratch reuse changed results"
+            );
+            sliced_rows.push(row(format!("{style_name}_sliced"), first));
+        }
+        rows.append(&mut sliced_rows);
     }
 
     for row in &rows {
@@ -276,19 +231,15 @@ fn main() {
     }
     // Allocation self-check: slicing must cut per-trial allocations, or
     // the scratch/arena reuse has regressed.
-    for (scalar, sliced) in [
-        ("dist", "dist_sliced"),
-        ("cent", "cent_sliced"),
-        ("cent_sync", "cent_sync_sliced"),
-        ("elastic", "elastic_sliced"),
-    ] {
+    for (scalar, _) in styles {
+        let sliced = format!("{scalar}_sliced");
         let total = |engine: &str| -> u64 {
             rows.iter()
                 .filter(|r| r.engine == engine)
                 .map(|r| r.allocs)
                 .sum()
         };
-        let (a, b) = (total(scalar), total(sliced));
+        let (a, b) = (total(scalar), total(&sliced));
         assert!(
             b < a,
             "{sliced} allocated {b} times, not less than {scalar}'s {a}"

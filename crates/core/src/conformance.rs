@@ -325,7 +325,7 @@ fn style_rows(
                 .iter()
                 .map(|e| {
                     let mut rng = StdRng::seed_from_u64(seed_of(cell));
-                    e.run_scalar(bound, model, &mut rng, &config, skew_of(cell))
+                    e.run_scalar(bound, model, None, &mut rng, &config, skew_of(cell))
                 })
                 .collect();
             render(

@@ -497,11 +497,8 @@ impl fmt::Display for ResilienceReport {
 mod tests {
     use super::*;
     use tauhls_dfg::benchmarks::fir5;
-    use tauhls_fsm::DistributedControlUnit;
     use tauhls_sched::Allocation;
-    use tauhls_sim::{
-        simulate_cent_with, simulate_distributed_with, simulate_elastic_with, CentControlUnit,
-    };
+    use tauhls_sim::{ControlStyle, Engine};
 
     #[test]
     fn sweep_accounts_for_every_trial_and_detects_something() {
@@ -546,10 +543,18 @@ mod tests {
         let runner = BatchRunner::new(4);
         let counters =
             resilience_kind_counters_with(&bound, p, trials, seed, all_kinds, &opts, &runner);
-        let cu = DistributedControlUnit::generate(&bound);
-        let cent_cu = CentControlUnit::without_product(&bound);
+        let engines = [
+            ControlStyle::Distributed,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(opts.elastic),
+        ]
+        .map(|style| Engine::generate(&bound, style));
         let num_ops = bound.dfg().num_ops();
-        let num_controllers = cu.controllers().len();
+        let num_controllers = engines[0]
+            .dist_bank()
+            .expect("DIST bank")
+            .controllers()
+            .len();
         let max_cycle = 2 * num_ops + 4;
         for (kind_idx, tag) in FAULT_KINDS.iter().enumerate() {
             let job = SIM_JOB_BASE + kind_idx as u64;
@@ -563,21 +568,9 @@ mod tests {
                 let mut rng = trial_rng(seed, job, trial);
                 let table = CompletionModel::draw_table(num_ops, p, &mut rng);
                 let skew = elastic_trial_skew_seed(seed, job, trial);
-                let dist =
-                    simulate_distributed_with(&bound, &cu, &table, None, &mut rng.clone(), &cfg);
-                let cent =
-                    simulate_cent_with(&bound, &cent_cu, &table, None, &mut rng.clone(), &cfg);
-                let (elastic_spec, at) = (opts.elastic, fault.at_cycle);
-                let elastic = simulate_elastic_with(
-                    &bound,
-                    &cu,
-                    &table,
-                    None,
-                    &mut rng,
-                    &cfg,
-                    elastic_spec,
-                    skew,
-                );
+                let [dist, cent, elastic] = (engines.each_ref())
+                    .map(|e| e.run_scalar(&bound, &table, None, &mut rng.clone(), &cfg, skew));
+                let at = fault.at_cycle;
                 expected.tally(false, dist.as_ref(), at);
                 if cent_agrees(dist.as_ref(), cent.as_ref()) {
                     expected.cent_agree += 1;

@@ -101,7 +101,7 @@ pub fn utilization_table(
             let mut rng = trial_rng(seed, job_id as u64, trial);
             let table = CompletionModel::draw_table(dfg.num_ops(), p, &mut rng);
             let [d, s] = engines.each_ref().map(|engine| {
-                let run = engine.run_scalar(&bound, &table, &mut rng, &fault_free, 0);
+                let run = engine.run_scalar(&bound, &table, None, &mut rng, &fault_free, 0);
                 run.expect("fault-free simulation")
             });
             acc.dist.record(d.cycles);

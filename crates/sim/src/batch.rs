@@ -556,7 +556,8 @@ impl<'a> SimJob<'a> {
         let run = runner.run(self.trials, |trial, (stats, errors)| {
             let mut rng = trial_rng(base_seed, self.job_id, trial);
             let skew_seed = elastic_trial_skew_seed(base_seed, self.job_id, trial);
-            let result = engine.run_scalar(self.bound, self.model, &mut rng, config, skew_seed);
+            let result =
+                engine.run_scalar(self.bound, self.model, None, &mut rng, config, skew_seed);
             record(stats, errors, trial, result.as_ref());
         });
         finish(runner, run)

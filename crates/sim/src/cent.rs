@@ -11,8 +11,8 @@
 //! which is the argument for distribution.
 //!
 //! The engine exploits the bisimulation: it steps the *component*
-//! controllers through the shared [`crate::kernel`] cycle loop — identical
-//! to the distributed engine, draw for draw — and reports diagnostics as a
+//! controllers through DIST's single-iteration body — identical to the
+//! distributed engine, draw for draw — and reports diagnostics as a
 //! single centralized FSM whose state is the composite tuple name
 //! (`S1.R4.S7'` …), exactly what the explicit product machine would show.
 //! Building the exponential product is therefore optional and only needed
@@ -21,15 +21,6 @@
 //! enumerable, [`CentControlUnit::without_product`] skips it for hot
 //! simulation paths.
 
-use crate::distributed::operand_values;
-use crate::error::SimError;
-use crate::fault::SimConfig;
-use crate::kernel::{
-    self, single_iter_diagnostics, CompletionFabric, DiagMode, FsmBank, FsmStyle, SingleIterHooks,
-};
-use crate::model::CompletionModel;
-use crate::result::SimResult;
-use rand::Rng;
 use tauhls_fsm::{synchronous_product, DistributedControlUnit, Fsm};
 use tauhls_sched::BoundDfg;
 
@@ -116,97 +107,11 @@ fn build_product(cu: &DistributedControlUnit) -> Option<Fsm> {
     Some(synchronous_product(CENT_FSM_NAME, &refs))
 }
 
-/// Simulates one iteration of the bound DFG under centralized CENT control
-/// (fault-free, default watchdog).
-///
-/// `inputs` are the DFG's primary input values (defaults to zeros), used
-/// both for the reference results and for operand-driven completion.
-///
-/// With the same RNG stream, the result is bit-identical to
-/// [`crate::simulate_distributed`] — the two realizations are bisimilar;
-/// only error diagnostics differ (a single composite controller snapshot
-/// instead of per-unit ones).
-pub fn simulate_cent(
-    bound: &BoundDfg,
-    cu: &CentControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-) -> Result<SimResult, SimError> {
-    simulate_cent_with(bound, cu, model, inputs, rng, &SimConfig::default())
-}
-
-/// [`simulate_cent`] with a fault/watchdog configuration.
-///
-/// Faults are applied *after* every completion-model draw, so the RNG
-/// stream is independent of the plan (see
-/// [`crate::simulate_distributed_with`]).
-pub fn simulate_cent_with(
-    bound: &BoundDfg,
-    cu: &CentControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let dfg = bound.dfg();
-    model
-        .validate(dfg.num_ops())
-        .map_err(SimError::InvalidConfig)?;
-    let zeros = vec![0i64; dfg.num_inputs()];
-    let input_vals = inputs.unwrap_or(&zeros);
-    let values = dfg.evaluate_all(input_vals);
-
-    let n = dfg.num_ops();
-    let mut fabric = CompletionFabric::new(n);
-    let bank = FsmBank::new(&cu.cu, bound.allocation().units().len());
-    let hooks = SingleIterHooks::new(
-        bound,
-        operand_values(bound, input_vals, &values),
-        DiagMode::Composite(CENT_FSM_NAME.to_string()),
-    );
-    let mut style = FsmStyle {
-        bank,
-        hooks,
-        dfg,
-        model,
-    };
-    let cycle = kernel::run(&mut style, &mut fabric, rng, config, config.budget(n, 1))?;
-
-    let FsmStyle { bank, hooks, .. } = style;
-    let SingleIterHooks {
-        completion_cycle,
-        start_cycle,
-        unit_busy,
-        diag,
-        ..
-    } = hooks;
-    let result = SimResult {
-        cycles: cycle,
-        completion_cycle,
-        start_cycle,
-        unit_busy_cycles: unit_busy,
-        values,
-    };
-    if !config.faults.is_empty() {
-        if let Err(msg) = result.verify(bound) {
-            return Err(SimError::Desync(single_iter_diagnostics(
-                &diag,
-                &bank,
-                &fabric,
-                cycle,
-                format!("post-run invariant violated: {msg}"),
-            )));
-        }
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::simulate_distributed;
-    use crate::fault::{FaultKind, FaultPlan};
+    use crate::fault::{FaultKind, FaultPlan, SimConfig};
+    use crate::{CompletionModel, Engine, SimError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
@@ -221,21 +126,18 @@ mod tests {
             (diffeq(), Allocation::paper(2, 1, 1)),
         ] {
             let bound = BoundDfg::bind(&g, &alloc);
-            let dist_cu = DistributedControlUnit::generate(&bound);
-            let cent_cu = CentControlUnit::without_product(&bound);
+            let dist = Engine::Dist(DistributedControlUnit::generate(&bound));
+            let cent = Engine::Cent(CentControlUnit::without_product(&bound));
+            let cfg = SimConfig::default();
             for seed in 0..20 {
                 let model = CompletionModel::Bernoulli { p: 0.6 };
                 let mut r1 = StdRng::seed_from_u64(seed);
                 let mut r2 = StdRng::seed_from_u64(seed);
-                let d = simulate_distributed(&bound, &dist_cu, &model, None, &mut r1)
+                let d = (dist.run_scalar(&bound, &model, None, &mut r1, &cfg, 0))
                     .expect("fault-free dist");
-                let c = simulate_cent(&bound, &cent_cu, &model, None, &mut r2)
+                let c = (cent.run_scalar(&bound, &model, None, &mut r2, &cfg, 0))
                     .expect("fault-free cent");
-                assert_eq!(d.cycles, c.cycles);
-                assert_eq!(d.completion_cycle, c.completion_cycle);
-                assert_eq!(d.start_cycle, c.start_cycle);
-                assert_eq!(d.unit_busy_cycles, c.unit_busy_cycles);
-                assert_eq!(d.values, c.values);
+                assert_eq!(d, c);
             }
         }
     }
@@ -266,19 +168,21 @@ mod tests {
     #[test]
     fn cent_diagnostics_show_one_composite_controller() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = CentControlUnit::without_product(&bound);
+        let cent = Engine::Cent(CentControlUnit::without_product(&bound));
+        let components = cent.dist_bank().expect("CENT wraps a bank").controllers();
         let mut rng = StdRng::seed_from_u64(7);
         let cfg =
             SimConfig::with_faults(FaultPlan::single(1, FaultKind::StuckAtLong { op: OpId(0) }));
-        let err = simulate_cent_with(
-            &bound,
-            &cu,
-            &CompletionModel::AlwaysShort,
-            None,
-            &mut rng,
-            &cfg,
-        )
-        .expect_err("stuck-at-long deadlocks");
+        let err = cent
+            .run_scalar(
+                &bound,
+                &CompletionModel::AlwaysShort,
+                None,
+                &mut rng,
+                &cfg,
+                0,
+            )
+            .expect_err("stuck-at-long deadlocks");
         let SimError::Deadlock(diag) = err else {
             panic!("expected deadlock, got {err:?}");
         };
@@ -287,23 +191,18 @@ mod tests {
         // Composite state: one component state per controller, dot-joined.
         assert_eq!(
             diag.controllers[0].state.split('.').count(),
-            cu.components().controllers().len()
+            components.len()
         );
     }
 
     #[test]
     fn short_table_is_invalid_config() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = CentControlUnit::without_product(&bound);
+        let cent = Engine::Cent(CentControlUnit::without_product(&bound));
         let mut rng = StdRng::seed_from_u64(0);
-        let err = simulate_cent(
-            &bound,
-            &cu,
-            &CompletionModel::Table(vec![true]),
-            None,
-            &mut rng,
-        )
-        .expect_err("short table rejected");
+        let table = CompletionModel::Table(vec![true]);
+        let err = (cent.run_scalar(&bound, &table, None, &mut rng, &SimConfig::default(), 0))
+            .expect_err("short table rejected");
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 }

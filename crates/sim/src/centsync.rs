@@ -28,52 +28,6 @@ use rand::Rng;
 use tauhls_dfg::{OpId, TaubmDfg};
 use tauhls_sched::BoundDfg;
 
-/// Simulates one iteration under synchronized centralized control, using
-/// the binding's list schedule for the time steps (fault-free).
-pub fn simulate_cent_sync(
-    bound: &BoundDfg,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-) -> Result<SimResult, SimError> {
-    simulate_cent_sync_with(bound, model, inputs, rng, &SimConfig::default())
-}
-
-/// [`simulate_cent_sync`] with a fault/watchdog configuration. Faults are
-/// applied after the completion draws, so the RNG stream is independent of
-/// the plan.
-pub fn simulate_cent_sync_with(
-    bound: &BoundDfg,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    cent_sync_impl(
-        bound,
-        bound.schedule().step_of(),
-        model,
-        inputs,
-        rng,
-        config,
-    )
-}
-
-/// Like [`simulate_cent_sync`] with an explicit time-step assignment.
-///
-/// # Panics
-///
-/// Panics if the step assignment violates a data dependence.
-pub fn simulate_cent_sync_with_schedule(
-    bound: &BoundDfg,
-    step_of: &[usize],
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-) -> Result<SimResult, SimError> {
-    cent_sync_impl(bound, step_of, model, inputs, rng, &SimConfig::default())
-}
-
 fn cent_sync_diag(cycle: usize, reason: String, completed: &[usize]) -> Box<Diagnostics> {
     Box::new(Diagnostics {
         cycle,
@@ -197,9 +151,15 @@ impl<R: Rng> ControlStyle<R> for CentSyncStyle<'_> {
     }
 }
 
-fn cent_sync_impl(
+/// Runs one iteration under synchronized centralized control, using the
+/// binding's list schedule for the time steps: the CENT-SYNC body behind
+/// [`Engine::run_scalar`](crate::Engine::run_scalar).
+///
+/// `inputs` are the DFG's primary input values (defaults to zeros). Faults
+/// are applied after the completion draws, so the RNG stream is
+/// independent of the plan.
+pub(crate) fn run_cent_sync(
     bound: &BoundDfg,
-    step_of: &[usize],
     model: &CompletionModel,
     inputs: Option<&[i64]>,
     rng: &mut impl Rng,
@@ -209,7 +169,11 @@ fn cent_sync_impl(
     model
         .validate(dfg.num_ops())
         .map_err(SimError::InvalidConfig)?;
-    let taubm = TaubmDfg::derive(dfg, step_of, bound.allocation().tau_classes());
+    let taubm = TaubmDfg::derive(
+        dfg,
+        bound.schedule().step_of(),
+        bound.allocation().tau_classes(),
+    );
     let zeros = vec![0i64; dfg.num_inputs()];
     let input_vals = inputs.unwrap_or(&zeros);
     let values = dfg.evaluate_all(input_vals);
@@ -263,6 +227,7 @@ fn cent_sync_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::tests::dist_run;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
@@ -277,10 +242,22 @@ mod tests {
             bound.allocation().tau_classes(),
         );
         let mut rng = StdRng::seed_from_u64(0);
-        let best =
-            simulate_cent_sync(&bound, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
-        let worst =
-            simulate_cent_sync(&bound, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
+        let best = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysShort,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
+        let worst = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysLong,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
         assert_eq!(best.cycles, taubm.best_latency_cycles());
         assert_eq!(worst.cycles, taubm.worst_latency_cycles());
     }
@@ -299,9 +276,15 @@ mod tests {
         let trials = 30_000;
         let total: usize = (0..trials)
             .map(|_| {
-                simulate_cent_sync(&bound, &CompletionModel::Bernoulli { p }, None, &mut rng)
-                    .unwrap()
-                    .cycles
+                run_cent_sync(
+                    &bound,
+                    &CompletionModel::Bernoulli { p },
+                    None,
+                    &mut rng,
+                    &SimConfig::default(),
+                )
+                .unwrap()
+                .cycles
             })
             .sum();
         let mean = total as f64 / trials as f64;
@@ -313,7 +296,6 @@ mod tests {
 
     #[test]
     fn sync_never_beats_distributed() {
-        use crate::distributed::simulate_distributed;
         use tauhls_fsm::DistributedControlUnit;
         let alloc = Allocation::paper(2, 1, 0);
         let bound = BoundDfg::bind(&fir5(), &alloc);
@@ -325,7 +307,7 @@ mod tests {
             // in expectation instead of per-seed equality.
             let mut rng1 = StdRng::seed_from_u64(seed);
             let mut rng2 = StdRng::seed_from_u64(seed + 1000);
-            let d = simulate_distributed(
+            let d = dist_run(
                 &bound,
                 &cu,
                 &CompletionModel::Bernoulli { p: 0.5 },
@@ -333,11 +315,12 @@ mod tests {
                 &mut rng1,
             )
             .unwrap();
-            let s = simulate_cent_sync(
+            let s = run_cent_sync(
                 &bound,
                 &CompletionModel::Bernoulli { p: 0.5 },
                 None,
                 &mut rng2,
+                &SimConfig::default(),
             )
             .unwrap();
             // Hard bounds always hold.
@@ -346,13 +329,25 @@ mod tests {
         }
         // Deterministic dominance at the extremes.
         let mut rng = StdRng::seed_from_u64(0);
-        let db = simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng)
-            .unwrap();
-        let sb = simulate_cent_sync(&bound, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
+        let db = dist_run(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
+        let sb = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysShort,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
         assert!(db.cycles <= sb.cycles);
-        let dw = simulate_distributed(&bound, &cu, &CompletionModel::AlwaysLong, None, &mut rng)
-            .unwrap();
-        let sw = simulate_cent_sync(&bound, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
+        let dw = dist_run(&bound, &cu, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
+        let sw = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysLong,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
         assert!(dw.cycles <= sw.cycles);
     }
 
@@ -361,10 +356,22 @@ mod tests {
         // Paper 3rd FIR LT_TAU: best 45 ns (3 cycles), worst 75 ns (5).
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(0);
-        let best =
-            simulate_cent_sync(&bound, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
-        let worst =
-            simulate_cent_sync(&bound, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
+        let best = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysShort,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
+        let worst = run_cent_sync(
+            &bound,
+            &CompletionModel::AlwaysLong,
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
         assert_eq!(best.cycles, 3);
         assert_eq!(worst.cycles, 5);
     }
@@ -373,11 +380,12 @@ mod tests {
     fn completion_cycles_respect_dependences() {
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
         let mut rng = StdRng::seed_from_u64(4);
-        let r = simulate_cent_sync(
+        let r = run_cent_sync(
             &bound,
             &CompletionModel::Bernoulli { p: 0.5 },
             None,
             &mut rng,
+            &SimConfig::default(),
         )
         .unwrap();
         for v in bound.dfg().op_ids() {
@@ -390,8 +398,14 @@ mod tests {
     fn short_table_is_invalid_config() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(0);
-        let err = simulate_cent_sync(&bound, &CompletionModel::Table(vec![true]), None, &mut rng)
-            .unwrap_err();
+        let err = run_cent_sync(
+            &bound,
+            &CompletionModel::Table(vec![true]),
+            None,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 }

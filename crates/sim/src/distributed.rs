@@ -5,16 +5,21 @@
 //!
 //! The engine is panic-free: abnormal conditions (deadlock, controller
 //! desynchronization, malformed controllers) come back as [`SimError`]
-//! values with a [`Diagnostics`] snapshot. [`simulate_distributed_with`]
-//! additionally threads a [`SimConfig`] through the cycle loop, letting a
+//! values with a [`Diagnostics`](crate::Diagnostics) snapshot. A
+//! [`SimConfig`] threads through the cycle loop, letting a
 //! [`FaultPlan`](crate::FaultPlan) perturb the completion-signal fabric;
 //! with the default (empty) config the sampling order, RNG stream and
 //! results are identical to the fault-free engine.
+//!
+//! [`run_single_iter`] is the one single-iteration body: DIST runs it
+//! directly, CENT with composite diagnostics, and ELASTIC with
+//! clock-gating hooks (see [`crate::Engine`]).
 
 use crate::error::{ControllerSnapshot, SimError};
 use crate::fault::SimConfig;
 use crate::kernel::{
-    self, single_iter_diagnostics, CompletionFabric, DiagMode, FsmBank, FsmStyle, SingleIterHooks,
+    self, single_iter_diagnostics, CompletionFabric, DiagMode, FsmBank, FsmStyle, PulseHooks,
+    SingleIterHooks,
 };
 use crate::model::CompletionModel;
 use crate::result::SimResult;
@@ -91,38 +96,36 @@ pub(crate) fn operand_values(
         .collect()
 }
 
-/// Simulates one iteration of the bound DFG under its distributed control
-/// unit (fault-free, default watchdog).
+/// Runs one iteration of the bound DFG on the distributed controller bank
+/// `cu`: the one body behind DIST, CENT and ELASTIC, reached through
+/// [`Engine::run_scalar`](crate::Engine::run_scalar).
+///
+/// The styles differ only in how diagnostics name the controllers
+/// (`diag`), the watchdog `budget`, and the hooks that wrap the
+/// single-iteration bookkeeping (`hooks`: the identity for DIST and CENT,
+/// the clock-gating wrapper for ELASTIC), so the synchronous styles pay
+/// no clock-gating branch.
 ///
 /// `inputs` are the DFG's primary input values (defaults to zeros), used
 /// both for the reference results and for operand-driven completion.
-///
-/// A [`SimError::Deadlock`] from a fault-free run indicates a
-/// controller-generation bug.
-pub fn simulate_distributed(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-) -> Result<SimResult, SimError> {
-    simulate_distributed_with(bound, cu, model, inputs, rng, &SimConfig::default())
-}
-
-/// [`simulate_distributed`] with a fault/watchdog configuration.
-///
 /// Faults are applied *after* every completion-model draw, so the RNG
 /// stream is independent of the plan: an empty plan reproduces the
-/// fault-free run bit for bit, and a faulty run stays trial-aligned with
-/// its fault-free twin.
-pub fn simulate_distributed_with(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
+/// fault-free run bit for bit.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_single_iter<'a, H>(
+    bound: &'a BoundDfg,
+    cu: &'a DistributedControlUnit,
     model: &CompletionModel,
     inputs: Option<&[i64]>,
     rng: &mut impl Rng,
     config: &SimConfig,
-) -> Result<SimResult, SimError> {
+    diag: DiagMode,
+    budget: usize,
+    hooks: impl FnOnce(SingleIterHooks<'a>) -> H,
+) -> Result<SimResult, SimError>
+where
+    H: PulseHooks + Into<SingleIterHooks<'a>>,
+{
     let dfg = bound.dfg();
     model
         .validate(dfg.num_ops())
@@ -131,21 +134,15 @@ pub fn simulate_distributed_with(
     let input_vals = inputs.unwrap_or(&zeros);
     let values = dfg.evaluate_all(input_vals);
 
-    let n = dfg.num_ops();
-    let mut fabric = CompletionFabric::new(n);
-    let bank = FsmBank::new(cu, bound.allocation().units().len());
-    let hooks = SingleIterHooks::new(
-        bound,
-        operand_values(bound, input_vals, &values),
-        DiagMode::PerUnit,
-    );
+    let mut fabric = CompletionFabric::new(dfg.num_ops());
+    let inner = SingleIterHooks::new(bound, operand_values(bound, input_vals, &values), diag);
     let mut style = FsmStyle {
-        bank,
-        hooks,
+        bank: FsmBank::new(cu, bound.allocation().units().len()),
+        hooks: hooks(inner),
         dfg,
         model,
     };
-    let cycle = kernel::run(&mut style, &mut fabric, rng, config, config.budget(n, 1))?;
+    let cycle = kernel::run(&mut style, &mut fabric, rng, config, budget)?;
 
     let FsmStyle { bank, hooks, .. } = style;
     let SingleIterHooks {
@@ -154,7 +151,7 @@ pub fn simulate_distributed_with(
         unit_busy,
         diag,
         ..
-    } = hooks;
+    } = hooks.into();
     let result = SimResult {
         cycles: cycle,
         completion_cycle,
@@ -182,12 +179,24 @@ pub fn simulate_distributed_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::Engine;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fig3_dfg, fir3, fir5};
     use tauhls_sched::Allocation;
+
+    /// One fault-free DIST run of `cu` through the scalar engine.
+    pub(crate) fn dist_run(
+        bound: &BoundDfg,
+        cu: &DistributedControlUnit,
+        model: &CompletionModel,
+        inputs: Option<&[i64]>,
+        rng: &mut impl Rng,
+    ) -> Result<SimResult, SimError> {
+        Engine::Dist(cu.clone()).run_scalar(bound, model, inputs, rng, &SimConfig::default(), 0)
+    }
 
     fn sim(
         g: &tauhls_dfg::Dfg,
@@ -198,7 +207,7 @@ mod tests {
         let bound = BoundDfg::bind(g, alloc);
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(seed);
-        let r = simulate_distributed(&bound, &cu, model, None, &mut rng).expect("fault-free run");
+        let r = dist_run(&bound, &cu, model, None, &mut rng).expect("fault-free run");
         (bound, r)
     }
 
@@ -287,7 +296,7 @@ mod tests {
             CompletionModel::AlwaysLong,
             CompletionModel::Bernoulli { p: 0.5 },
         ] {
-            let r = simulate_distributed(&bound, &cu, &model, None, &mut rng).unwrap();
+            let r = dist_run(&bound, &cu, &model, None, &mut rng).unwrap();
             r.verify(&bound).unwrap();
         }
     }
@@ -303,11 +312,11 @@ mod tests {
         let lib = CompletionModel::OperandDriven(TauLibrary::multiplier_only(16, 20));
         // Small-magnitude inputs: all mults short -> best case.
         let small: Vec<i64> = (1..=10).collect();
-        let r = simulate_distributed(&bound, &cu, &lib, Some(&small), &mut rng).unwrap();
+        let r = dist_run(&bound, &cu, &lib, Some(&small), &mut rng).unwrap();
         assert_eq!(r.cycles, 5);
         // Large-magnitude inputs: all mults long -> worst case.
         let big: Vec<i64> = (0..10).map(|i| 0x7000 + i * 0x111).collect();
-        let r2 = simulate_distributed(&bound, &cu, &lib, Some(&big), &mut rng).unwrap();
+        let r2 = dist_run(&bound, &cu, &lib, Some(&big), &mut rng).unwrap();
         assert!(r2.cycles > r.cycles);
         r2.verify(&bound).unwrap();
     }
@@ -339,19 +348,11 @@ mod tests {
             f.check().unwrap();
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let best2 =
-            simulate_distributed(&bound, &cu2, &CompletionModel::AlwaysShort, None, &mut rng)
-                .unwrap();
-        let best3 =
-            simulate_distributed(&bound, &cu3, &CompletionModel::AlwaysShort, None, &mut rng)
-                .unwrap();
+        let best2 = dist_run(&bound, &cu2, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
+        let best3 = dist_run(&bound, &cu3, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
         assert_eq!(best2.cycles, best3.cycles);
-        let worst2 =
-            simulate_distributed(&bound, &cu2, &CompletionModel::AlwaysLong, None, &mut rng)
-                .unwrap();
-        let worst3 =
-            simulate_distributed(&bound, &cu3, &CompletionModel::AlwaysLong, None, &mut rng)
-                .unwrap();
+        let worst2 = dist_run(&bound, &cu2, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
+        let worst3 = dist_run(&bound, &cu3, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
         assert!(
             worst3.cycles > worst2.cycles,
             "{} vs {}",
@@ -361,7 +362,7 @@ mod tests {
         // Mid-probability runs are legal and bracketed.
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let r = simulate_distributed(
+            let r = dist_run(
                 &bound,
                 &cu3,
                 &CompletionModel::Bernoulli { p: 0.6 },
@@ -386,8 +387,8 @@ mod tests {
             let table = CompletionModel::draw_table(g.num_ops(), p, &mut rng);
             let mut r1 = StdRng::seed_from_u64(0);
             let mut r2 = StdRng::seed_from_u64(0);
-            let a = simulate_distributed(&bound, &cu2, &table, None, &mut r1).unwrap();
-            let b = simulate_distributed(&bound, &cu2b, &table, None, &mut r2).unwrap();
+            let a = dist_run(&bound, &cu2, &table, None, &mut r1).unwrap();
+            let b = dist_run(&bound, &cu2b, &table, None, &mut r2).unwrap();
             assert_eq!(a.cycles, b.cycles, "p={p}");
         }
     }
@@ -408,7 +409,7 @@ mod tests {
             let alloc = Allocation::paper(2, 1, 1);
             let bound = BoundDfg::bind(&g, &alloc);
             let cu = DistributedControlUnit::generate(&bound);
-            let r = simulate_distributed(
+            let r = dist_run(
                 &bound,
                 &cu,
                 &CompletionModel::Bernoulli { p: 0.6 },
@@ -427,7 +428,7 @@ mod tests {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(0);
-        let err = simulate_distributed(
+        let err = dist_run(
             &bound,
             &cu,
             &CompletionModel::Table(vec![true]),

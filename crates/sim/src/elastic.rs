@@ -26,11 +26,12 @@
 //! RNG streams untouched, exactly like the fault overlays.
 
 use crate::batch::derive_seed;
+use crate::distributed::run_single_iter;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, SimConfig};
 use crate::kernel::{
-    self, single_iter_diagnostics, ClockFabric, CompletionFabric, DiagMode, ElasticSpec, FsmBank,
-    FsmStyle, OpSet, PulseHooks, SingleIterHooks,
+    ClockFabric, CompletionFabric, DiagMode, ElasticSpec, FsmBank, OpSet, PulseHooks,
+    SingleIterHooks,
 };
 use crate::model::CompletionModel;
 use crate::result::SimResult;
@@ -141,160 +142,71 @@ impl PulseHooks for ElasticHooks<'_> {
     }
 }
 
-/// Simulates one iteration of the bound DFG under its distributed control
-/// unit with **elastic** (GALS) clocking: per-controller local clocks with
-/// seed-driven bounded skew and handshake-latched cross-domain completion
-/// transfer. Fault-free, default watchdog.
+impl<'a> From<ElasticHooks<'a>> for SingleIterHooks<'a> {
+    fn from(hooks: ElasticHooks<'a>) -> Self {
+        hooks.inner
+    }
+}
+
+/// Runs one ELASTIC iteration of the bound DFG on the distributed
+/// controller bank `cu`, with every controller on its own local clock
+/// from `clock`: [`ClockFabric::elastic`] for a seeded schedule, or
+/// [`ClockFabric::elastic_saturated`] for the worst schedule in the
+/// spec's space. This is DIST's single-iteration body under the
+/// clock-gating hooks and the stretched [`elastic_budget`].
 ///
-/// `skew_seed` fully determines every controller's stall schedule (see
-/// [`elastic_trial_skew_seed`] for the batch derivation); the trial `rng`
-/// is consumed exactly as the distributed style consumes it, so elastic
-/// and distributed legs can ride the same trial stream.
-pub fn simulate_elastic(
+/// The trial `rng` is consumed exactly as the distributed style consumes
+/// it, so elastic and distributed legs can ride the same trial stream.
+/// All six synchronous fault kinds compose with the clocking model, and
+/// the `ClockSkew` kind — inert in the synchronous engines — freezes the
+/// targeted controller for its stall span here.
+pub(crate) fn run_elastic(
     bound: &BoundDfg,
     cu: &DistributedControlUnit,
     model: &CompletionModel,
     inputs: Option<&[i64]>,
     rng: &mut impl Rng,
-    spec: ElasticSpec,
-    skew_seed: u64,
+    config: &SimConfig,
+    clock: ClockFabric,
 ) -> Result<SimResult, SimError> {
-    simulate_elastic_with(
+    let budget = elastic_budget(config, bound.dfg().num_ops(), clock.spec());
+    let hooks = |inner| ElasticHooks { inner, clock };
+    run_single_iter(
         bound,
         cu,
         model,
         inputs,
         rng,
-        &SimConfig::default(),
-        spec,
-        skew_seed,
-    )
-}
-
-/// [`simulate_elastic`] with a fault/watchdog configuration.
-///
-/// All six synchronous fault kinds compose with the clocking model, and
-/// the `ClockSkew` kind — inert in the synchronous engines — freezes the
-/// targeted controller for its stall span here. Faults are applied after
-/// every completion-model draw, so an empty plan reproduces the fault-free
-/// run bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_elastic_with(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-    config: &SimConfig,
-    spec: ElasticSpec,
-    skew_seed: u64,
-) -> Result<SimResult, SimError> {
-    simulate_elastic_clocked(bound, cu, model, inputs, rng, config, spec, |n| {
-        ClockFabric::elastic(n, spec, skew_seed)
-    })
-}
-
-/// [`simulate_elastic_with`] under the **saturated** schedule — the worst
-/// schedule in `spec`'s space (every controller stalls the full
-/// `skew_bound` in every window). Schedule-independent by construction,
-/// it bounds every seeded run from above; latency summaries use it for
-/// the elastic `worst` cell so the envelope brackets the seeded averages
-/// regardless of which skew seeds the trials drew.
-pub fn simulate_elastic_saturated(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-    config: &SimConfig,
-    spec: ElasticSpec,
-) -> Result<SimResult, SimError> {
-    simulate_elastic_clocked(bound, cu, model, inputs, rng, config, spec, |n| {
-        ClockFabric::elastic_saturated(n, spec)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_elastic_clocked(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
-    model: &CompletionModel,
-    inputs: Option<&[i64]>,
-    rng: &mut impl Rng,
-    config: &SimConfig,
-    spec: ElasticSpec,
-    make_clock: impl FnOnce(usize) -> ClockFabric,
-) -> Result<SimResult, SimError> {
-    let dfg = bound.dfg();
-    model
-        .validate(dfg.num_ops())
-        .map_err(SimError::InvalidConfig)?;
-    let zeros = vec![0i64; dfg.num_inputs()];
-    let input_vals = inputs.unwrap_or(&zeros);
-    let values = dfg.evaluate_all(input_vals);
-
-    let n = dfg.num_ops();
-    let mut fabric = CompletionFabric::new(n);
-    let bank = FsmBank::new(cu, bound.allocation().units().len());
-    let hooks = ElasticHooks {
-        inner: SingleIterHooks::new(
-            bound,
-            crate::distributed::operand_values(bound, input_vals, &values),
-            DiagMode::PerUnit,
-        ),
-        clock: make_clock(n),
-    };
-    let mut style = FsmStyle {
-        bank,
+        config,
+        DiagMode::PerUnit,
+        budget,
         hooks,
-        dfg,
-        model,
-    };
-    let budget = elastic_budget(config, n, &spec);
-    let cycle = kernel::run(&mut style, &mut fabric, rng, config, budget)?;
-
-    let FsmStyle { bank, hooks, .. } = style;
-    let ElasticHooks { inner, .. } = hooks;
-    let SingleIterHooks {
-        completion_cycle,
-        start_cycle,
-        unit_busy,
-        diag,
-        ..
-    } = inner;
-    let result = SimResult {
-        cycles: cycle,
-        completion_cycle,
-        start_cycle,
-        unit_busy_cycles: unit_busy,
-        values,
-    };
-    // Same post-run legality check as the synchronous engines: a faulty
-    // run that terminates with out-of-order latches is a detection, not a
-    // result.
-    if !config.faults.is_empty() {
-        if let Err(msg) = result.verify(bound) {
-            return Err(SimError::Desync(single_iter_diagnostics(
-                &diag,
-                &bank,
-                &fabric,
-                cycle,
-                format!("post-run invariant violated: {msg}"),
-            )));
-        }
-    }
-    Ok(result)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::simulate_distributed_with;
+    use crate::distributed::tests::dist_run;
     use crate::fault::FaultKind;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
     use tauhls_sched::Allocation;
+
+    /// One seeded ELASTIC run of `cu` under `cfg`.
+    fn elastic(
+        bound: &BoundDfg,
+        cu: &DistributedControlUnit,
+        model: &CompletionModel,
+        rng: &mut StdRng,
+        cfg: &SimConfig,
+        spec: ElasticSpec,
+        skew_seed: u64,
+    ) -> Result<SimResult, SimError> {
+        let clock = ClockFabric::elastic(bound.dfg().num_ops(), spec, skew_seed);
+        run_elastic(bound, cu, model, None, rng, cfg, clock)
+    }
 
     fn fir5_setup() -> (BoundDfg, DistributedControlUnit) {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
@@ -318,14 +230,12 @@ mod tests {
                 let model = CompletionModel::Bernoulli { p: 0.6 };
                 let cfg = SimConfig::default();
                 let mut r1 = StdRng::seed_from_u64(seed);
-                let dist =
-                    simulate_distributed_with(&bound, &cu, &model, None, &mut r1, &cfg).unwrap();
+                let dist = dist_run(&bound, &cu, &model, None, &mut r1).unwrap();
                 let mut r2 = StdRng::seed_from_u64(seed);
-                let elas = simulate_elastic_with(
+                let elas = elastic(
                     &bound,
                     &cu,
                     &model,
-                    None,
                     &mut r2,
                     &cfg,
                     ElasticSpec::zero(),
@@ -365,13 +275,11 @@ mod tests {
                 let mut trng = StdRng::seed_from_u64(seed);
                 let table = CompletionModel::draw_table(n, 0.5, &mut trng);
                 let mut r1 = StdRng::seed_from_u64(1);
-                let dist =
-                    simulate_distributed_with(&bound, &cu, &table, None, &mut r1, &cfg).unwrap();
+                let dist = dist_run(&bound, &cu, &table, None, &mut r1).unwrap();
                 let mut r2 = StdRng::seed_from_u64(1);
                 let skew_seed = derive_seed(3, 0, seed);
                 let run = |rng: &mut StdRng| {
-                    simulate_elastic_with(&bound, &cu, &table, None, rng, &cfg, spec, skew_seed)
-                        .unwrap()
+                    elastic(&bound, &cu, &table, rng, &cfg, spec, skew_seed).unwrap()
                 };
                 let elas = run(&mut r2);
                 elas.verify(&bound).unwrap();
@@ -409,18 +317,22 @@ mod tests {
             let mut trng = StdRng::seed_from_u64(seed);
             let table = CompletionModel::draw_table(n, 0.5, &mut trng);
             let mut r = StdRng::seed_from_u64(1);
-            let floor =
-                simulate_elastic_with(&bound, &cu, &table, None, &mut r, &cfg, floor_spec, 0)
-                    .unwrap();
+            let floor = elastic(&bound, &cu, &table, &mut r, &cfg, floor_spec, 0).unwrap();
             let mut r = StdRng::seed_from_u64(1);
-            let ceil =
-                simulate_elastic_saturated(&bound, &cu, &table, None, &mut r, &cfg, spec).unwrap();
+            let ceil = run_elastic(
+                &bound,
+                &cu,
+                &table,
+                None,
+                &mut r,
+                &cfg,
+                ClockFabric::elastic_saturated(n, spec),
+            )
+            .unwrap();
             assert!(floor.cycles <= ceil.cycles);
             for skew_seed in 0..20u64 {
                 let mut r = StdRng::seed_from_u64(1);
-                let e =
-                    simulate_elastic_with(&bound, &cu, &table, None, &mut r, &cfg, spec, skew_seed)
-                        .unwrap();
+                let e = elastic(&bound, &cu, &table, &mut r, &cfg, spec, skew_seed).unwrap();
                 assert!(
                     floor.cycles <= e.cycles && e.cycles <= ceil.cycles,
                     "seed {seed} skew {skew_seed}: {} outside [{}, {}]",
@@ -443,11 +355,10 @@ mod tests {
         let mut distinct = std::collections::HashSet::new();
         for skew_seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(5);
-            let r = simulate_elastic_with(
+            let r = elastic(
                 &bound,
                 &cu,
                 &CompletionModel::AlwaysShort,
-                None,
                 &mut rng,
                 &cfg,
                 spec,
@@ -470,11 +381,10 @@ mod tests {
             sync_latency: 1,
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let clean = simulate_elastic_with(
+        let clean = elastic(
             &bound,
             &cu,
             &CompletionModel::AlwaysShort,
-            None,
             &mut rng,
             &SimConfig::default(),
             spec,
@@ -492,11 +402,10 @@ mod tests {
             },
         ));
         let mut rng = StdRng::seed_from_u64(2);
-        let stalled = simulate_elastic_with(
+        let stalled = elastic(
             &bound,
             &cu,
             &CompletionModel::AlwaysShort,
-            None,
             &mut rng,
             &cfg,
             spec,
@@ -542,11 +451,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(3);
             // Every kind must resolve to a structured verdict — a legal
             // (survived) run or a detection — never a panic.
-            match simulate_elastic_with(
+            match elastic(
                 &bound,
                 &cu,
                 &CompletionModel::Bernoulli { p: 0.5 },
-                None,
                 &mut rng,
                 &cfg,
                 spec,

@@ -15,8 +15,8 @@
 //!   loses to it in latency.
 
 use crate::batch::trial_rng;
-use crate::centsync::simulate_cent_sync;
-use crate::distributed::simulate_distributed;
+use crate::fault::SimConfig;
+use crate::latency::Engine;
 use crate::model::CompletionModel;
 use crate::result::SimResult;
 use tauhls_fsm::DistributedControlUnit;
@@ -60,13 +60,15 @@ pub fn check_lockstep(
     trials: u64,
     base_seed: u64,
 ) -> Result<(), String> {
+    CompletionModel::check_p_values(&[p]).map_err(|e| e.to_string())?;
     let num_ops = bound.dfg().num_ops();
+    let (dist_engine, fault_free) = (Engine::Dist(cu.clone()), SimConfig::default());
     for trial in 0..trials {
         let mut rng = trial_rng(base_seed, LOCKSTEP_JOB_ID, trial);
         let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-        let dist = simulate_distributed(bound, cu, &table, None, &mut rng)
+        let dist = (dist_engine.run_scalar(bound, &table, None, &mut rng, &fault_free, 0))
             .map_err(|e| format!("trial {trial}: distributed run failed: {e}"))?;
-        let sync = simulate_cent_sync(bound, &table, None, &mut rng)
+        let sync = (Engine::Sync.run_scalar(bound, &table, None, &mut rng, &fault_free, 0))
             .map_err(|e| format!("trial {trial}: centralized run failed: {e}"))?;
         check_token_conservation(&dist, bound)
             .map_err(|e| format!("trial {trial}: distributed: {e}"))?;
@@ -92,6 +94,7 @@ pub fn check_lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::tests::dist_run;
     use tauhls_dfg::benchmarks::{diffeq, fir5};
     use tauhls_sched::Allocation;
 
@@ -112,9 +115,7 @@ mod tests {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = trial_rng(1, 0, 0);
-        let mut run =
-            simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng)
-                .unwrap();
+        let mut run = dist_run(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
         check_token_conservation(&run, &bound).unwrap();
         // Break one field per case and restore it afterwards — no record
         // clones, and each check sees exactly one violation.

@@ -791,7 +791,7 @@ impl<R: Rng, H: PulseHooks> ControlStyle<R> for FsmStyle<'_, H> {
 /// the product controller (centralized).
 pub(crate) enum DiagMode {
     PerUnit,
-    Composite(String),
+    Composite(&'static str),
 }
 
 /// Hooks for the single-iteration engines (distributed and centralized):
@@ -844,7 +844,7 @@ pub(crate) fn single_iter_diagnostics(
             DiagMode::PerUnit => bank.snapshots(),
             DiagMode::Composite(name) => vec![ControllerSnapshot {
                 unit: 0,
-                fsm: name.clone(),
+                fsm: name.to_string(),
                 state: bank.composite_state(),
             }],
         },

@@ -1,13 +1,13 @@
 //! Latency statistics: best / average / worst summaries in cycles and
 //! nanoseconds, in the format of the paper's Table 2.
 
-use crate::cent::{simulate_cent_with, CentControlUnit};
-use crate::centsync::simulate_cent_sync_with;
-use crate::distributed::simulate_distributed_with;
-use crate::elastic::{elastic_trial_skew_seed, simulate_elastic_saturated, simulate_elastic_with};
+use crate::cent::{CentControlUnit, CENT_FSM_NAME};
+use crate::centsync::run_cent_sync;
+use crate::distributed::run_single_iter;
+use crate::elastic::{elastic_trial_skew_seed, run_elastic};
 use crate::error::SimError;
 use crate::fault::SimConfig;
-use crate::kernel::ElasticSpec;
+use crate::kernel::{ClockFabric, DiagMode, ElasticSpec};
 use crate::model::CompletionModel;
 use crate::result::SimResult;
 use rand::rngs::StdRng;
@@ -170,13 +170,14 @@ impl std::ops::BitOr for ControlStyleSet {
 /// The generated machinery one [`ControlStyle`] needs, built once and
 /// reused across trials.
 ///
-/// This is the crate's per-style dispatch: it builds a style's
-/// controllers, runs one scalar trial ([`Engine::run_scalar`], the
-/// style-dispatched scalar entry for callers outside the crate) and
-/// measures the best/worst envelope. [`latency_summary`] runs on it
-/// directly; the [`SlabDriver`](crate::SlabDriver) adds the style's
-/// sliced slab handling. The per-style `simulate_*_with` functions remain
-/// as the oracle `run_scalar` dispatches to.
+/// This is the crate's per-style dispatch and its only public way to run
+/// one style: it builds a style's controllers, runs one scalar trial
+/// ([`Engine::run_scalar`], the oracle every sliced result is checked
+/// against) and measures the best/worst envelope. [`latency_summary`]
+/// runs on it directly; the [`SlabDriver`](crate::SlabDriver) and
+/// [`SlicedSim::new`](crate::SlicedSim::new) add the style's sliced
+/// handling. A caller with its own controllers (multi-level TAUs, say)
+/// builds the variant directly, e.g. `Engine::Dist(cu)`.
 pub enum Engine {
     /// DIST: the distributed controller bank.
     Dist(DistributedControlUnit),
@@ -224,25 +225,46 @@ impl Engine {
         }
     }
 
-    /// Runs one scalar trial under `config`. Only ELASTIC reads
-    /// `skew_seed` (its per-trial clock schedule); it never draws the
-    /// schedule from `rng`, so every style consumes the same RNG stream.
+    /// The ELASTIC clocking spec, `None` for the synchronous styles.
+    pub(crate) fn elastic_spec(&self) -> Option<ElasticSpec> {
+        match self {
+            Engine::Elastic(_, spec) => Some(*spec),
+            _ => None,
+        }
+    }
+
+    /// Runs one iteration of `bound` as one scalar trial under `config`.
+    ///
+    /// `inputs` are the DFG's primary input values (zeros when `None`),
+    /// used for the reference results and operand-driven completion. Only
+    /// ELASTIC reads `skew_seed` (its per-trial clock schedule); it never
+    /// draws the schedule from `rng`, so every style consumes the same RNG
+    /// stream. Faults are applied after every completion-model draw, so an
+    /// empty plan reproduces the fault-free run bit for bit. CENT returns
+    /// DIST's results (bisimulation); only its diagnostics differ, naming
+    /// one composite [`CENT_FSM_NAME`] controller.
     pub fn run_scalar(
         &self,
         bound: &BoundDfg,
         model: &CompletionModel,
+        inputs: Option<&[i64]>,
         rng: &mut impl Rng,
         config: &SimConfig,
         skew_seed: u64,
     ) -> Result<SimResult, SimError> {
-        match self {
-            Engine::Dist(cu) => simulate_distributed_with(bound, cu, model, None, rng, config),
-            Engine::Cent(cu) => simulate_cent_with(bound, cu, model, None, rng, config),
-            Engine::Sync => simulate_cent_sync_with(bound, model, None, rng, config),
+        let n = bound.dfg().num_ops();
+        let (cu, diag) = match self {
+            Engine::Dist(cu) => (cu, DiagMode::PerUnit),
+            Engine::Cent(cu) => (cu.components(), DiagMode::Composite(CENT_FSM_NAME)),
+            Engine::Sync => return run_cent_sync(bound, model, inputs, rng, config),
             Engine::Elastic(cu, spec) => {
-                simulate_elastic_with(bound, cu, model, None, rng, config, *spec, skew_seed)
+                let clock = ClockFabric::elastic(n, *spec, skew_seed);
+                return run_elastic(bound, cu, model, inputs, rng, config, clock);
             }
-        }
+        };
+        // DIST and CENT: the single-iteration body on plain hooks.
+        let budget = config.budget(n, 1);
+        run_single_iter(bound, cu, model, inputs, rng, config, diag, budget, |h| h)
     }
 
     /// Best/worst cycles from the deterministic completion extremes.
@@ -256,40 +278,22 @@ impl Engine {
         let (short, long) = (CompletionModel::AlwaysShort, CompletionModel::AlwaysLong);
         Ok(match self {
             Engine::Elastic(cu, spec) => {
-                let floor = ElasticSpec {
+                let n = bound.dfg().num_ops();
+                let stall_free = ElasticSpec {
                     skew_bound: 0,
                     ..*spec
                 };
-                (
-                    simulate_elastic_with(
-                        bound,
-                        cu,
-                        &short,
-                        None,
-                        &mut rng,
-                        &fault_free,
-                        floor,
-                        0,
-                    )?
-                    .cycles,
-                    simulate_elastic_saturated(
-                        bound,
-                        cu,
-                        &long,
-                        None,
-                        &mut rng,
-                        &fault_free,
-                        *spec,
-                    )?
-                    .cycles,
-                )
+                let floor = ClockFabric::elastic(n, stall_free, 0);
+                let ceiling = ClockFabric::elastic_saturated(n, *spec);
+                let mut run = |model, clock| {
+                    run_elastic(bound, cu, model, None, &mut rng, &fault_free, clock)
+                };
+                (run(&short, floor)?.cycles, run(&long, ceiling)?.cycles)
             }
-            _ => (
-                self.run_scalar(bound, &short, &mut rng, &fault_free, 0)?
-                    .cycles,
-                self.run_scalar(bound, &long, &mut rng, &fault_free, 0)?
-                    .cycles,
-            ),
+            _ => {
+                let mut run = |model| self.run_scalar(bound, model, None, &mut rng, &fault_free, 0);
+                (run(&short)?.cycles, run(&long)?.cycles)
+            }
         })
     }
 
@@ -365,7 +369,7 @@ pub fn latency_summary(
             let skew_seed = elastic_trial_skew_seed(0, 0, run_tag);
             run_tag += 1;
             total += engine
-                .run_scalar(bound, &model, rng, &fault_free, skew_seed)?
+                .run_scalar(bound, &model, None, rng, &fault_free, skew_seed)?
                 .cycles;
         }
         average_cycles.push(total as f64 / trials as f64);

@@ -2,10 +2,15 @@
 //!
 //! The evaluation substrate of the `tauhls` workspace (paper §5):
 //!
-//! * [`simulate_distributed`] — steps every arithmetic-unit controller FSM
-//!   cycle by cycle against the datapath, with combinational completion
-//!   propagation and latched (`done`) completion flags;
-//! * [`simulate_cent_sync`] — the synchronized TAUBM step-walk (`LT_TAU`);
+//! * [`Engine`] — the one way to run one controller style
+//!   ([`Engine::run_scalar`]): DIST steps every arithmetic-unit controller
+//!   FSM cycle by cycle against the datapath, with combinational
+//!   completion propagation and latched (`done`) completion flags; CENT
+//!   and ELASTIC run the same single-iteration body with composite
+//!   diagnostics or per-controller clocks; CENT-SYNC is the synchronized
+//!   TAUBM step-walk (`LT_TAU`);
+//! * [`simulate_pipelined_with`] — overlapped iterations of the DIST bank
+//!   (initiation interval and write-after-read hazards);
 //! * [`CompletionModel`] — Bernoulli(`P`), deterministic extremes, or
 //!   operand-driven completion through `tauhls-datapath` bit-level units;
 //! * [`latency_summary`] — the `[best][avg@P...][worst]` cells of Table 2
@@ -17,8 +22,9 @@
 //!   engine: per-trial RNGs derived from `(base_seed, job_id, trial)` and
 //!   chunk-ordered reduction make results bit-identical for any thread
 //!   count, with `threads = 1` as the reference oracle;
-//! * [`SlabDriver`] — the one bit-sliced slab loop behind the batch APIs,
-//!   with scalar reruns (through [`Engine`]) of the lanes it declines;
+//! * [`SlicedSim`] — the bit-sliced twin of one [`Engine`], 64 trials per
+//!   word; [`SlabDriver`] — the one slab loop behind the batch APIs, with
+//!   scalar reruns (through [`Engine`]) of the lanes it declines;
 //! * [`FaultPlan`] / [`SimConfig`] — deterministic completion-signal fault
 //!   injection (stuck-at predictors, dropped/spurious pulses, delayed
 //!   latches, state-register upsets), with abnormal runs classified as
@@ -45,21 +51,40 @@
 //! Inject a stuck-at-long completion signal and observe the deadlock:
 //!
 //! ```
-//! use tauhls_sim::{simulate_distributed_with, CompletionModel, FaultKind, FaultPlan,
-//!                  SimConfig, SimError};
+//! use tauhls_sim::{CompletionModel, ControlStyle, Engine, FaultKind, FaultPlan, SimConfig,
+//!                  SimError};
 //! use tauhls_sched::{Allocation, BoundDfg};
-//! use tauhls_fsm::DistributedControlUnit;
 //! use tauhls_dfg::{benchmarks::fir5, OpId};
 //! use rand::SeedableRng;
 //!
 //! let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-//! let cu = DistributedControlUnit::generate(&bound);
+//! let dist = Engine::generate(&bound, ControlStyle::Distributed);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let cfg = SimConfig::with_faults(FaultPlan::single(1, FaultKind::StuckAtLong { op: OpId(0) }));
-//! let err = simulate_distributed_with(
-//!     &bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng, &cfg,
-//! ).unwrap_err();
+//! let err = dist
+//!     .run_scalar(&bound, &CompletionModel::AlwaysShort, None, &mut rng, &cfg, 0)
+//!     .unwrap_err();
 //! assert!(matches!(err, SimError::Deadlock(_)));
+//! ```
+//!
+//! CENT tracks every TAU exactly as the distributed bank does, so on the
+//! same trial stream it reaches every result in the same cycle:
+//!
+//! ```
+//! use tauhls_sim::{CompletionModel, ControlStyle, Engine, SimConfig};
+//! use tauhls_sched::{Allocation, BoundDfg};
+//! use tauhls_dfg::benchmarks::fir5;
+//! use rand::SeedableRng;
+//!
+//! let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
+//! let model = CompletionModel::Bernoulli { p: 0.5 };
+//! let run = |style| {
+//!     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+//!     Engine::generate(&bound, style)
+//!         .run_scalar(&bound, &model, None, &mut rng, &SimConfig::default(), 0)
+//!         .unwrap()
+//! };
+//! assert_eq!(run(ControlStyle::Cent), run(ControlStyle::Distributed));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -86,13 +111,8 @@ pub use batch::{
     derive_seed, latency_batch, latency_summary_batch, trial_rng, Accumulator, BatchRunner,
     CancelToken, CycleStats, FirstError, SimJob, DEFAULT_CHUNK_SIZE,
 };
-pub use cent::{simulate_cent, simulate_cent_with, CentControlUnit, CENT_FSM_NAME};
-pub use centsync::{simulate_cent_sync, simulate_cent_sync_with, simulate_cent_sync_with_schedule};
-pub use distributed::{simulate_distributed, simulate_distributed_with};
-pub use elastic::{
-    elastic_trial_skew_seed, simulate_elastic, simulate_elastic_saturated, simulate_elastic_with,
-    ELASTIC_SKEW_SALT,
-};
+pub use cent::{CentControlUnit, CENT_FSM_NAME};
+pub use elastic::{elastic_trial_skew_seed, ELASTIC_SKEW_SALT};
 pub use error::{ControllerSnapshot, Diagnostics, SimError};
 pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
 pub use invariant::{check_lockstep, check_token_conservation};
@@ -101,7 +121,7 @@ pub use latency::{
     enhancement_percent, latency_summary, ControlStyle, ControlStyleSet, Engine, LatencySummary,
 };
 pub use model::{CompletionModel, TauLibrary};
-pub use pipeline::{simulate_pipelined, simulate_pipelined_with, PipelinedResult};
+pub use pipeline::{simulate_pipelined_with, PipelinedResult};
 pub use result::SimResult;
 pub use slab::{LaneBuilder, LaneInput, SlabDriver};
 pub use sliced::{LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome, SlicedSim, LANES};

@@ -179,21 +179,10 @@ impl PulseHooks for PipelinedHooks<'_> {
 /// control unit, with Bernoulli-style completion (operand-driven models
 /// would need per-iteration input streams and are not supported here).
 ///
-/// Fault-free entry point; returns [`SimError::InvalidConfig`] when
-/// `iterations == 0` and [`SimError::Deadlock`] should the controllers
-/// stall (a generation bug in a fault-free run).
-pub fn simulate_pipelined(
-    bound: &BoundDfg,
-    cu: &DistributedControlUnit,
-    model: &CompletionModel,
-    iterations: usize,
-    rng: &mut impl Rng,
-) -> Result<PipelinedResult, SimError> {
-    simulate_pipelined_with(bound, cu, model, iterations, rng, &SimConfig::default())
-}
-
-/// [`simulate_pipelined`] with a fault/watchdog configuration. As in the
-/// single-iteration engine, faults never touch the RNG stream.
+/// Returns [`SimError::InvalidConfig`] when `iterations == 0` and
+/// [`SimError::Deadlock`] should the controllers stall (a generation bug
+/// in a fault-free run). As in the single-iteration engine, faults never
+/// touch the RNG stream, so `SimConfig::default()` is the fault-free run.
 pub fn simulate_pipelined_with(
     bound: &BoundDfg,
     cu: &DistributedControlUnit,
@@ -260,7 +249,7 @@ pub fn simulate_pipelined_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::simulate_distributed;
+    use crate::distributed::tests::dist_run;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{fir3, fir5};
@@ -271,11 +260,16 @@ mod tests {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(1);
-        let single =
-            simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng)
-                .unwrap();
-        let piped =
-            simulate_pipelined(&bound, &cu, &CompletionModel::AlwaysShort, 12, &mut rng).unwrap();
+        let single = dist_run(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
+        let piped = simulate_pipelined_with(
+            &bound,
+            &cu,
+            &CompletionModel::AlwaysShort,
+            12,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap();
         // Overlap: the steady-state initiation interval is below the
         // single-iteration latency (units start iteration k+1 while the
         // accumulation tail of iteration k is still running).
@@ -294,12 +288,13 @@ mod tests {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(3);
-        let piped = simulate_pipelined(
+        let piped = simulate_pipelined_with(
             &bound,
             &cu,
             &CompletionModel::Bernoulli { p: 0.7 },
             10,
             &mut rng,
+            &SimConfig::default(),
         )
         .unwrap();
         assert_eq!(piped.iteration_end_cycle.len(), 10);
@@ -321,12 +316,13 @@ mod tests {
         let bound = BoundDfg::bind(&fig2_dfg(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(5);
-        let piped = simulate_pipelined(
+        let piped = simulate_pipelined_with(
             &bound,
             &cu,
             &CompletionModel::Bernoulli { p: 0.5 },
             16,
             &mut rng,
+            &SimConfig::default(),
         )
         .unwrap();
         // The run completes regardless; hazards are reported, not fatal.
@@ -343,8 +339,15 @@ mod tests {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
         let cu = DistributedControlUnit::generate(&bound);
         let mut rng = StdRng::seed_from_u64(0);
-        let err = simulate_pipelined(&bound, &cu, &CompletionModel::AlwaysShort, 0, &mut rng)
-            .unwrap_err();
+        let err = simulate_pipelined_with(
+            &bound,
+            &cu,
+            &CompletionModel::AlwaysShort,
+            0,
+            &mut rng,
+            &SimConfig::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 }

@@ -100,14 +100,19 @@ impl<'a> SlabDriver<'a> {
         A: Accumulator,
         F: Fn(&mut A, u64, &SimConfig, &[Result<&SimResult, &SimError>]) + Sync,
     {
-        let make_slab = || Slab {
+        let make_slab = || {
             // One CENT-SYNC simulator and one over the DIST bank that
             // DIST, CENT and every ELASTIC spec step, when a style needs it.
-            sync_sim: (self.engines.iter().find(|e| e.dist_bank().is_none()))
-                .map(|_| SlicedSim::cent_sync(self.bound, None)),
-            bank_sim: (self.engines.iter().find_map(Engine::dist_bank))
-                .map(|cu| SlicedSim::distributed(self.bound, cu, None)),
-            ..Slab::default()
+            let sim_for = |bank: bool| {
+                (self.engines.iter())
+                    .find(|e| e.dist_bank().is_some() == bank)
+                    .map(|e| SlicedSim::new(self.bound, e))
+            };
+            Slab {
+                sync_sim: sim_for(false),
+                bank_sim: sim_for(true),
+                ..Slab::default()
+            }
         };
         runner.run_chunked(trials, make_slab, |w, range, acc| {
             let mut first = range.start;
@@ -131,12 +136,8 @@ impl<'a> SlabDriver<'a> {
                         };
                         let Some(sim) = sim else { return Vec::new() };
                         w.rngs.clone_from(&w.fresh);
-                        match engine {
-                            Engine::Elastic(_, spec) => {
-                                sim.run_elastic(*spec, &w.skews, &models, &configs, &mut w.rngs)
-                            }
-                            _ => sim.run(&models, &configs, &mut w.rngs),
-                        }
+                        sim.clock = engine.elastic_spec();
+                        sim.run(&w.skews, &models, &configs, &mut w.rngs)
                     })
                     .collect();
                 // Per lane and style: the sliced result, or the scalar rerun.
@@ -148,6 +149,7 @@ impl<'a> SlabDriver<'a> {
                             _ => Err(engine.run_scalar(
                                 self.bound,
                                 models.model(lane),
+                                None,
                                 &mut fresh.clone(),
                                 configs.cfg(lane),
                                 w.skews[lane],

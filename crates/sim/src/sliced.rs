@@ -39,6 +39,7 @@
 use crate::distributed::{operand_values, parse_phase, Phase};
 use crate::fault::SimConfig;
 use crate::kernel::{ClockFabric, ElasticSpec};
+use crate::latency::Engine;
 use crate::model::CompletionModel;
 use crate::pipeline::PipelinedResult;
 use crate::result::SimResult;
@@ -1497,15 +1498,16 @@ fn cent_sync_engine(
     fallback
 }
 
-/// Which scalar entry point this sliced simulator mirrors.
+/// Which scalar body this sliced simulator mirrors.
 enum EngineMode {
-    /// `simulate_distributed_with` / the CENT product wrapper (both step
-    /// the same component FSM bank).
-    SingleIter {
+    /// The single-iteration body over the distributed controller bank:
+    /// DIST, CENT (whose product is bisimilar to its components) and
+    /// ELASTIC (the bank under [`SlicedSim::clock`]).
+    Bank {
         values: Vec<i64>,
         opvals: Vec<(i64, i64)>,
     },
-    /// `simulate_cent_sync_with`.
+    /// The CENT-SYNC step walk over the list schedule.
     CentSync {
         taubm: TaubmDfg,
         values: Vec<i64>,
@@ -1515,7 +1517,7 @@ enum EngineMode {
     Pipelined { iterations: usize },
 }
 
-/// A reusable bit-sliced simulator for one bound DFG + controller pair.
+/// A reusable bit-sliced simulator for one bound DFG + controller style.
 ///
 /// Construct once per (binding, engine) and call [`SlicedSim::run`] /
 /// [`SlicedSim::run_pipelined`] repeatedly — the scratch buffers are
@@ -1528,16 +1530,11 @@ pub struct SlicedSim<'a> {
     /// needs no FSMs (cent-sync).
     ctrls: Option<Vec<CCtrl<'a>>>,
     mode: EngineMode,
+    /// The ELASTIC spec clocking the bank's lanes; `None` runs them on one
+    /// synchronous clock. The [`SlabDriver`](crate::SlabDriver) points its
+    /// one bank simulator at each style's spec in turn.
+    pub(crate) clock: Option<ElasticSpec>,
     scr: Scratch,
-}
-
-fn eval_inputs(bound: &BoundDfg, inputs: Option<&[i64]>) -> (Vec<i64>, Vec<(i64, i64)>) {
-    let dfg = bound.dfg();
-    let zeros = vec![0i64; dfg.num_inputs()];
-    let input_vals = inputs.unwrap_or(&zeros);
-    let values = dfg.evaluate_all(input_vals);
-    let opvals = operand_values(bound, input_vals, &values);
-    (values, opvals)
 }
 
 /// Transposes the engine scratch back into per-lane [`SimResult`]s:
@@ -1585,40 +1582,36 @@ fn collect_lanes(
 }
 
 impl<'a> SlicedSim<'a> {
-    /// Sliced twin of `simulate_distributed_with`. For the CENT engine
-    /// pass `cent.components()` — the product automaton is bisimilar to
-    /// its component bank, and the scalar CENT simulator steps the same
-    /// components, so the results coincide.
-    pub fn distributed(
-        bound: &'a BoundDfg,
-        cu: &'a DistributedControlUnit,
-        inputs: Option<&[i64]>,
-    ) -> Self {
-        let (values, opvals) = eval_inputs(bound, inputs);
+    /// Sliced twin of `engine`'s [`Engine::run_scalar`] on `bound` with
+    /// zero primary inputs. DIST, CENT and ELASTIC step the engine's
+    /// [`Engine::dist_bank`], ELASTIC under its spec; CENT-SYNC, which
+    /// has no bank, walks the list schedule.
+    pub fn new(bound: &'a BoundDfg, engine: &'a Engine) -> Self {
+        let dfg = bound.dfg();
+        let zeros = vec![0i64; dfg.num_inputs()];
+        let values = dfg.evaluate_all(&zeros);
+        let opvals = operand_values(bound, &zeros, &values);
+        let (ctrls, mode) = match engine.dist_bank() {
+            Some(cu) => (compile(cu), EngineMode::Bank { values, opvals }),
+            None => {
+                let taubm = TaubmDfg::derive(
+                    dfg,
+                    bound.schedule().step_of(),
+                    bound.allocation().tau_classes(),
+                );
+                let mode = EngineMode::CentSync {
+                    taubm,
+                    values,
+                    opvals,
+                };
+                (None, mode)
+            }
+        };
         SlicedSim {
             bound,
-            ctrls: compile(cu),
-            mode: EngineMode::SingleIter { values, opvals },
-            scr: Scratch::default(),
-        }
-    }
-
-    /// Sliced twin of `simulate_cent_sync_with` (list schedule).
-    pub fn cent_sync(bound: &'a BoundDfg, inputs: Option<&[i64]>) -> Self {
-        let (values, opvals) = eval_inputs(bound, inputs);
-        let taubm = TaubmDfg::derive(
-            bound.dfg(),
-            bound.schedule().step_of(),
-            bound.allocation().tau_classes(),
-        );
-        SlicedSim {
-            bound,
-            ctrls: None,
-            mode: EngineMode::CentSync {
-                taubm,
-                values,
-                opvals,
-            },
+            ctrls,
+            mode,
+            clock: engine.elastic_spec(),
             scr: Scratch::default(),
         }
     }
@@ -1633,6 +1626,7 @@ impl<'a> SlicedSim<'a> {
             bound,
             ctrls: compile(cu),
             mode: EngineMode::Pipelined { iterations },
+            clock: None,
             scr: Scratch::default(),
         }
     }
@@ -1650,12 +1644,17 @@ impl<'a> SlicedSim<'a> {
     }
 
     /// Runs `rngs.len()` trials (one per bit lane, at most [`LANES`]).
-    /// Lane `t` consumes `rngs[t]` exactly as the scalar engine would, so
-    /// a [`LaneOutcome::Done`] result is bit-identical to the scalar run
-    /// seeded the same way; [`LaneOutcome::Fallback`] lanes must be re-run
-    /// scalar (with a fresh RNG) to recover their result or diagnostics.
+    /// Lane `t` consumes `rngs[t]` exactly as the scalar engine would and,
+    /// under ELASTIC, draws its clock schedule from `skew_seeds[t]` (the
+    /// synchronous styles ignore the seeds). A [`LaneOutcome::Done`]
+    /// result is therefore bit-identical to the scalar run seeded the same
+    /// way; [`LaneOutcome::Fallback`] lanes must be re-run scalar (with a
+    /// fresh RNG) to recover their result or diagnostics. A simulator
+    /// built by [`SlicedSim::pipelined`] runs through
+    /// [`SlicedSim::run_pipelined`] only and declines every lane here.
     pub fn run(
         &mut self,
+        skew_seeds: &[u64],
         models: &LaneModels<'_>,
         configs: &LaneConfigs<'_>,
         rngs: &mut [StdRng],
@@ -1664,23 +1663,20 @@ impl<'a> SlicedSim<'a> {
         if lanes == 0 {
             return Vec::new();
         }
-        if lanes > LANES || !Self::lanes_ok(models, configs, lanes) {
+        let seeds_ok = self.clock.is_none() || skew_seeds.len() >= lanes;
+        if lanes > LANES || !seeds_ok || !Self::lanes_ok(models, configs, lanes) {
             return vec![LaneOutcome::Fallback; lanes];
         }
         let faulty = configs.faulty_mask(lanes);
-        let (fb, values) = match &self.mode {
-            EngineMode::Pipelined { .. } => return vec![LaneOutcome::Fallback; lanes],
-            EngineMode::SingleIter { values, opvals } => {
-                let ctrls = match &self.ctrls {
-                    Some(c) => c,
-                    None => return vec![LaneOutcome::Fallback; lanes],
-                };
+        let (fb, values) = match (&self.mode, &self.ctrls) {
+            (EngineMode::Bank { values, opvals }, Some(ctrls)) => {
+                let clock = self.clock.map(|spec| (spec, &skew_seeds[..lanes]));
                 let (fb, _finished) = fsm_engine(
                     self.bound,
                     ctrls,
                     Some(opvals),
                     None,
-                    None,
+                    clock,
                     models,
                     configs,
                     rngs,
@@ -1688,11 +1684,14 @@ impl<'a> SlicedSim<'a> {
                 );
                 (fb, values)
             }
-            EngineMode::CentSync {
-                taubm,
-                values,
-                opvals,
-            } => {
+            (
+                EngineMode::CentSync {
+                    taubm,
+                    values,
+                    opvals,
+                },
+                _,
+            ) => {
                 let fb = cent_sync_engine(
                     self.bound,
                     taubm,
@@ -1704,52 +1703,10 @@ impl<'a> SlicedSim<'a> {
                 );
                 (fb, values)
             }
+            _ => return vec![LaneOutcome::Fallback; lanes],
         };
         let cent_sync = matches!(self.mode, EngineMode::CentSync { .. });
         collect_lanes(self.bound, &self.scr, fb, faulty, lanes, cent_sync, values)
-    }
-
-    /// Elastic (GALS) twin of `simulate_elastic_with`, on a simulator
-    /// constructed with [`SlicedSim::distributed`]: the same controller
-    /// bank, clocked per [`ElasticSpec`] with one skew seed per lane.
-    /// Done lanes are bit-identical to the scalar elastic engine seeded
-    /// the same way; everything else falls back, soundly.
-    pub fn run_elastic(
-        &mut self,
-        spec: ElasticSpec,
-        skew_seeds: &[u64],
-        models: &LaneModels<'_>,
-        configs: &LaneConfigs<'_>,
-        rngs: &mut [StdRng],
-    ) -> Vec<LaneOutcome> {
-        let lanes = rngs.len();
-        if lanes == 0 {
-            return Vec::new();
-        }
-        if lanes > LANES || skew_seeds.len() < lanes || !Self::lanes_ok(models, configs, lanes) {
-            return vec![LaneOutcome::Fallback; lanes];
-        }
-        let (values, opvals) = match &self.mode {
-            EngineMode::SingleIter { values, opvals } => (values, opvals),
-            _ => return vec![LaneOutcome::Fallback; lanes],
-        };
-        let ctrls = match &self.ctrls {
-            Some(c) => c,
-            None => return vec![LaneOutcome::Fallback; lanes],
-        };
-        let faulty = configs.faulty_mask(lanes);
-        let (fb, _finished) = fsm_engine(
-            self.bound,
-            ctrls,
-            Some(opvals),
-            None,
-            Some((spec, &skew_seeds[..lanes])),
-            models,
-            configs,
-            rngs,
-            &mut self.scr,
-        );
-        collect_lanes(self.bound, &self.scr, fb, faulty, lanes, false, values)
     }
 
     /// Pipelined twin of [`SlicedSim::run`].
@@ -1814,9 +1771,8 @@ impl<'a> SlicedSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centsync::simulate_cent_sync_with;
-    use crate::distributed::simulate_distributed_with;
     use crate::fault::{FaultKind, FaultPlan, SimConfig};
+    use crate::latency::ControlStyle;
     use crate::pipeline::simulate_pipelined_with;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
@@ -1828,20 +1784,29 @@ mod tests {
             .collect()
     }
 
-    /// Done lanes must be bit-identical to the scalar run on the same
-    /// seed; scalar errors must come back as Fallback (never as a Done
-    /// with different content).
-    fn assert_dist_equiv(
+    fn skew_bank(seed: u64, lanes: usize) -> Vec<u64> {
+        (0..lanes)
+            .map(|t| seed ^ (t as u64).wrapping_mul(0xD1B5_4A32))
+            .collect()
+    }
+
+    /// Done lanes must be bit-identical to the engine's scalar run on the
+    /// same trial RNG and skew seed; scalar errors must come back as
+    /// Fallback (never as a Done with different content). With
+    /// `require_done`, no lane may fall back.
+    fn assert_equiv(
         bound: &BoundDfg,
-        cu: &DistributedControlUnit,
+        engine: &Engine,
         model: &CompletionModel,
         config: &SimConfig,
         seed: u64,
         lanes: usize,
+        require_done: bool,
     ) {
         let mut rngs = rng_bank(seed, lanes);
-        let mut sim = SlicedSim::distributed(bound, cu, None);
-        let out = sim.run(
+        let skews = skew_bank(seed.wrapping_mul(31), lanes);
+        let out = SlicedSim::new(bound, engine).run(
+            &skews,
             &LaneModels::Shared(model),
             &LaneConfigs::Shared(config),
             &mut rngs,
@@ -1849,14 +1814,10 @@ mod tests {
         assert_eq!(out.len(), lanes);
         for (t, lane) in out.iter().enumerate() {
             let mut srng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
-            let scalar = simulate_distributed_with(bound, cu, model, None, &mut srng, config);
+            let scalar = engine.run_scalar(bound, model, None, &mut srng, config, skews[t]);
             match lane {
-                LaneOutcome::Done(r) => {
-                    assert_eq!(Ok(r), scalar.as_ref(), "lane {t} diverged");
-                }
-                LaneOutcome::Fallback => {
-                    // Sound by contract; nothing to check here.
-                }
+                LaneOutcome::Done(r) => assert_eq!(Ok(r), scalar.as_ref(), "lane {t} diverged"),
+                LaneOutcome::Fallback => assert!(!require_done, "lane {t} fell back: {scalar:?}"),
             }
         }
     }
@@ -1866,15 +1827,16 @@ mod tests {
         for g in [fir3(), fir5(), diffeq()] {
             let alloc = Allocation::paper(2, 1, 1);
             let bound = BoundDfg::bind(&g, &alloc);
-            let cu = DistributedControlUnit::generate(&bound);
+            let engine = Engine::generate(&bound, ControlStyle::Distributed);
             for lanes in [1, 5, 64] {
-                assert_dist_equiv(
+                assert_equiv(
                     &bound,
-                    &cu,
+                    &engine,
                     &CompletionModel::Bernoulli { p: 0.6 },
                     &SimConfig::default(),
                     7 + lanes as u64,
                     lanes,
+                    true,
                 );
             }
         }
@@ -1883,10 +1845,10 @@ mod tests {
     #[test]
     fn dist_fault_free_lanes_never_fall_back() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
+        let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let mut rngs = rng_bank(11, 64);
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let out = sim.run(
+        let out = SlicedSim::new(&bound, &engine).run(
+            &[],
             &LaneModels::Shared(&CompletionModel::Bernoulli { p: 0.5 }),
             &LaneConfigs::Shared(&SimConfig::default()),
             &mut rngs,
@@ -1895,9 +1857,11 @@ mod tests {
     }
 
     #[test]
-    fn dist_matches_scalar_under_faults() {
+    fn dist_and_cent_match_scalar_under_faults() {
+        // CENT steps DIST's bank, so its Done lanes equal DIST's; its
+        // error lanes fall back to the scalar CENT body, whose composite
+        // diagnostics only it can render.
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
-        let cu = DistributedControlUnit::generate(&bound);
         let plans = [
             FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(1) }),
             FaultPlan::single(2, FaultKind::StuckAtLong { op: OpId(2) }),
@@ -1918,19 +1882,13 @@ mod tests {
                 },
             ),
         ];
-        for (i, plan) in plans.iter().enumerate() {
-            let config = SimConfig {
-                faults: plan.clone(),
-                ..SimConfig::default()
-            };
-            assert_dist_equiv(
-                &bound,
-                &cu,
-                &CompletionModel::Bernoulli { p: 0.6 },
-                &config,
-                100 + i as u64,
-                17,
-            );
+        for style in [ControlStyle::Distributed, ControlStyle::Cent] {
+            let engine = Engine::generate(&bound, style);
+            for (i, plan) in plans.iter().enumerate() {
+                let config = SimConfig::with_faults(plan.clone());
+                let model = CompletionModel::Bernoulli { p: 0.6 };
+                assert_equiv(&bound, &engine, &model, &config, 100 + i as u64, 17, false);
+            }
         }
     }
 
@@ -1939,22 +1897,21 @@ mod tests {
         // Lane 3 carries a stuck-at fault, every other lane is clean: the
         // clean lanes must match their fault-free scalar twins exactly.
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
+        let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let lanes = 9;
         let mut configs = vec![SimConfig::default(); lanes];
         configs[3].faults = FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(0) });
         let model = CompletionModel::Bernoulli { p: 0.5 };
         let mut rngs = rng_bank(42, lanes);
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let out = sim.run(
+        let out = SlicedSim::new(&bound, &engine).run(
+            &[],
             &LaneModels::Shared(&model),
             &LaneConfigs::PerLane(&configs),
             &mut rngs,
         );
         for (t, lane) in out.iter().enumerate() {
             let mut srng = StdRng::seed_from_u64(42 ^ (t as u64).wrapping_mul(0x9E37));
-            let scalar =
-                simulate_distributed_with(&bound, &cu, &model, None, &mut srng, &configs[t]);
+            let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &configs[t], 0);
             if let LaneOutcome::Done(r) = lane {
                 assert_eq!(Ok(r), scalar.as_ref(), "lane {t}");
             }
@@ -1966,23 +1923,8 @@ mod tests {
         for g in [fir3(), fir5(), diffeq()] {
             let bound = BoundDfg::bind(&g, &Allocation::paper(2, 1, 1));
             let model = CompletionModel::Bernoulli { p: 0.7 };
-            let lanes = 33;
-            let mut rngs = rng_bank(5, lanes);
-            let mut sim = SlicedSim::cent_sync(&bound, None);
-            let out = sim.run(
-                &LaneModels::Shared(&model),
-                &LaneConfigs::Shared(&SimConfig::default()),
-                &mut rngs,
-            );
-            for (t, lane) in out.iter().enumerate() {
-                let mut srng = StdRng::seed_from_u64(5 ^ (t as u64).wrapping_mul(0x9E37));
-                let scalar =
-                    simulate_cent_sync_with(&bound, &model, None, &mut srng, &SimConfig::default());
-                match lane {
-                    LaneOutcome::Done(r) => assert_eq!(Ok(r), scalar.as_ref(), "lane {t}"),
-                    LaneOutcome::Fallback => panic!("fault-free cent-sync lane {t} fell back"),
-                }
-            }
+            let config = SimConfig::default();
+            assert_equiv(&bound, &Engine::Sync, &model, &config, 5, 33, true);
         }
     }
 
@@ -2065,10 +2007,10 @@ mod tests {
     #[test]
     fn oversized_lane_count_falls_back() {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
+        let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let mut rngs = rng_bank(0, 65);
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let out = sim.run(
+        let out = SlicedSim::new(&bound, &engine).run(
+            &[],
             &LaneModels::Shared(&CompletionModel::AlwaysShort),
             &LaneConfigs::Shared(&SimConfig::default()),
             &mut rngs,
@@ -2079,72 +2021,26 @@ mod tests {
 
     #[test]
     fn invalid_model_lane_falls_back() {
-        // A table shorter than the DFG is a scalar InvalidConfig; the
-        // sliced engine must route it to fallback, not panic.
+        // A table shorter than the DFG and a P outside [0, 1] are scalar
+        // InvalidConfigs; the sliced engine must route them to fallback,
+        // not panic.
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
+        let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let models = vec![
             CompletionModel::AlwaysShort,
             CompletionModel::Table(vec![true]),
+            CompletionModel::Bernoulli { p: f64::NAN },
         ];
-        let mut rngs = rng_bank(0, 2);
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let out = sim.run(
+        let mut rngs = rng_bank(0, 3);
+        let out = SlicedSim::new(&bound, &engine).run(
+            &[],
             &LaneModels::PerLane(&models),
             &LaneConfigs::Shared(&SimConfig::default()),
             &mut rngs,
         );
         assert!(matches!(out[0], LaneOutcome::Done(_)));
         assert!(matches!(out[1], LaneOutcome::Fallback));
-    }
-
-    fn skew_bank(seed: u64, lanes: usize) -> Vec<u64> {
-        (0..lanes)
-            .map(|t| seed ^ (t as u64).wrapping_mul(0xD1B5_4A32))
-            .collect()
-    }
-
-    /// Done lanes of the sliced elastic engine must be bit-identical to
-    /// the scalar elastic engine on the same trial RNG and skew seed.
-    #[allow(clippy::too_many_arguments)]
-    fn assert_elastic_equiv(
-        bound: &BoundDfg,
-        cu: &DistributedControlUnit,
-        model: &CompletionModel,
-        config: &SimConfig,
-        spec: ElasticSpec,
-        seed: u64,
-        lanes: usize,
-        require_done: bool,
-    ) {
-        let mut rngs = rng_bank(seed, lanes);
-        let skews = skew_bank(seed.wrapping_mul(31), lanes);
-        let mut sim = SlicedSim::distributed(bound, cu, None);
-        let out = sim.run_elastic(
-            spec,
-            &skews,
-            &LaneModels::Shared(model),
-            &LaneConfigs::Shared(config),
-            &mut rngs,
-        );
-        assert_eq!(out.len(), lanes);
-        for (t, lane) in out.iter().enumerate() {
-            let mut srng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
-            let scalar = crate::elastic::simulate_elastic_with(
-                bound, cu, model, None, &mut srng, config, spec, skews[t],
-            );
-            match lane {
-                LaneOutcome::Done(r) => {
-                    assert_eq!(Ok(r), scalar.as_ref(), "lane {t} under {spec:?}");
-                }
-                LaneOutcome::Fallback => {
-                    assert!(
-                        !require_done,
-                        "lane {t} fell back under {spec:?} (scalar: {scalar:?})"
-                    );
-                }
-            }
-        }
+        assert!(matches!(out[2], LaneOutcome::Fallback));
     }
 
     #[test]
@@ -2170,18 +2066,11 @@ mod tests {
         ];
         for g in [fir3(), fir5(), diffeq()] {
             let bound = BoundDfg::bind(&g, &Allocation::paper(2, 1, 1));
-            let cu = DistributedControlUnit::generate(&bound);
             for (i, spec) in specs.iter().enumerate() {
-                assert_elastic_equiv(
-                    &bound,
-                    &cu,
-                    &CompletionModel::Bernoulli { p: 0.6 },
-                    &SimConfig::default(),
-                    *spec,
-                    200 + i as u64,
-                    64,
-                    true,
-                );
+                let engine = Engine::generate(&bound, ControlStyle::Elastic(*spec));
+                let model = CompletionModel::Bernoulli { p: 0.6 };
+                let config = SimConfig::default();
+                assert_equiv(&bound, &engine, &model, &config, 200 + i as u64, 64, true);
             }
         }
     }
@@ -2191,24 +2080,20 @@ mod tests {
         // ELASTIC at the zero spec is the distributed engine: same lanes,
         // same words, regardless of skew seeds.
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
         let model = CompletionModel::Bernoulli { p: 0.5 };
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let mut r1 = rng_bank(13, 64);
-        let dist = sim.run(
-            &LaneModels::Shared(&model),
-            &LaneConfigs::Shared(&SimConfig::default()),
-            &mut r1,
+        let run = |style| {
+            let engine = Engine::generate(&bound, style);
+            SlicedSim::new(&bound, &engine).run(
+                &skew_bank(999, 64),
+                &LaneModels::Shared(&model),
+                &LaneConfigs::Shared(&SimConfig::default()),
+                &mut rng_bank(13, 64),
+            )
+        };
+        assert_eq!(
+            run(ControlStyle::Distributed),
+            run(ControlStyle::Elastic(ElasticSpec::zero()))
         );
-        let mut r2 = rng_bank(13, 64);
-        let elas = sim.run_elastic(
-            ElasticSpec::zero(),
-            &skew_bank(999, 64),
-            &LaneModels::Shared(&model),
-            &LaneConfigs::Shared(&SimConfig::default()),
-            &mut r2,
-        );
-        assert_eq!(dist, elas);
     }
 
     #[test]
@@ -2216,11 +2101,11 @@ mod tests {
         // All six synchronous kinds plus the elastic-only ClockSkew must
         // compose: Done lanes equal scalar, error lanes fall back.
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
-        let cu = DistributedControlUnit::generate(&bound);
         let spec = ElasticSpec {
             skew_bound: 1,
             sync_latency: 1,
         };
+        let engine = Engine::generate(&bound, ControlStyle::Elastic(spec));
         let plans = [
             FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(1) }),
             FaultPlan::single(2, FaultKind::StuckAtLong { op: OpId(2) }),
@@ -2249,20 +2134,9 @@ mod tests {
             ),
         ];
         for (i, plan) in plans.iter().enumerate() {
-            let config = SimConfig {
-                faults: plan.clone(),
-                ..SimConfig::default()
-            };
-            assert_elastic_equiv(
-                &bound,
-                &cu,
-                &CompletionModel::Bernoulli { p: 0.6 },
-                &config,
-                spec,
-                300 + i as u64,
-                17,
-                false,
-            );
+            let config = SimConfig::with_faults(plan.clone());
+            let model = CompletionModel::Bernoulli { p: 0.6 };
+            assert_equiv(&bound, &engine, &model, &config, 300 + i as u64, 17, false);
         }
     }
 
@@ -2271,8 +2145,7 @@ mod tests {
         // Lane 2 carries a ClockSkew fault; every other lane is clean and
         // must match its fault-free scalar elastic twin exactly.
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
-        let spec = ElasticSpec::default();
+        let engine = Engine::generate(&bound, ControlStyle::Elastic(ElasticSpec::default()));
         let lanes = 7;
         let mut configs = vec![SimConfig::default(); lanes];
         configs[2].faults = FaultPlan::single(
@@ -2285,9 +2158,7 @@ mod tests {
         let model = CompletionModel::Bernoulli { p: 0.5 };
         let mut rngs = rng_bank(21, lanes);
         let skews = skew_bank(5, lanes);
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let out = sim.run_elastic(
-            spec,
+        let out = SlicedSim::new(&bound, &engine).run(
             &skews,
             &LaneModels::Shared(&model),
             &LaneConfigs::PerLane(&configs),
@@ -2295,16 +2166,7 @@ mod tests {
         );
         for (t, lane) in out.iter().enumerate() {
             let mut srng = StdRng::seed_from_u64(21 ^ (t as u64).wrapping_mul(0x9E37));
-            let scalar = crate::elastic::simulate_elastic_with(
-                &bound,
-                &cu,
-                &model,
-                None,
-                &mut srng,
-                &configs[t],
-                spec,
-                skews[t],
-            );
+            let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &configs[t], skews[t]);
             if let LaneOutcome::Done(r) = lane {
                 assert_eq!(Ok(r), scalar.as_ref(), "lane {t}");
             }
@@ -2312,18 +2174,23 @@ mod tests {
     }
 
     #[test]
-    fn elastic_on_non_distributed_modes_falls_back() {
+    fn elastic_without_skew_seeds_falls_back() {
+        // An ELASTIC lane needs its clock-schedule seed; DIST ignores them.
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
-        let mut rngs = rng_bank(0, 4);
-        let mut sim = SlicedSim::cent_sync(&bound, None);
-        let out = sim.run_elastic(
-            ElasticSpec::default(),
-            &skew_bank(0, 4),
-            &LaneModels::Shared(&CompletionModel::AlwaysShort),
-            &LaneConfigs::Shared(&SimConfig::default()),
-            &mut rngs,
-        );
-        assert!(out.iter().all(|l| matches!(l, LaneOutcome::Fallback)));
+        let model = CompletionModel::AlwaysShort;
+        let run = |style| {
+            let engine = Engine::generate(&bound, style);
+            SlicedSim::new(&bound, &engine).run(
+                &skew_bank(0, 3),
+                &LaneModels::Shared(&model),
+                &LaneConfigs::Shared(&SimConfig::default()),
+                &mut rng_bank(0, 4),
+            )
+        };
+        let elastic = run(ControlStyle::Elastic(ElasticSpec::default()));
+        assert!(elastic.iter().all(|l| matches!(l, LaneOutcome::Fallback)));
+        let dist = run(ControlStyle::Distributed);
+        assert!(dist.iter().all(|l| matches!(l, LaneOutcome::Done(_))));
     }
 
     #[test]
@@ -2331,13 +2198,14 @@ mod tests {
         // Same simulator, three consecutive banks: later runs must not
         // observe state left by earlier ones.
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
-        let cu = DistributedControlUnit::generate(&bound);
+        let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let model = CompletionModel::Bernoulli { p: 0.6 };
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
+        let mut sim = SlicedSim::new(&bound, &engine);
         let mut baseline = Vec::new();
         for round in 0..3 {
             let mut rngs = rng_bank(77, 13);
             let out = sim.run(
+                &[],
                 &LaneModels::Shared(&model),
                 &LaneConfigs::Shared(&SimConfig::default()),
                 &mut rngs,

@@ -2,8 +2,9 @@
 //!
 //! Establishes the two halves of the resilience contract:
 //!
-//! 1. **Inertness** — an empty `FaultPlan` reproduces the plain simulators
-//!    bit for bit (same `SimResult`, same RNG stream consumption).
+//! 1. **Inertness** — a `FaultPlan` that never fires reproduces the
+//!    fault-free run of every engine bit for bit (same `SimResult`, same
+//!    RNG stream consumption).
 //! 2. **Detectability** — for every fault kind there exists an injection
 //!    (found by a deterministic sweep over ops and cycles) that the engine
 //!    detects and reports as a structured `SimError` with diagnostics,
@@ -15,52 +16,54 @@ use tauhls_dfg::benchmarks::fir5;
 use tauhls_dfg::OpId;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    simulate_cent_sync, simulate_cent_sync_with, simulate_distributed, simulate_distributed_with,
-    simulate_pipelined, simulate_pipelined_with, BatchRunner, CompletionModel, ControlStyle, Fault,
-    FaultKind, FaultPlan, SimConfig, SimError, SimJob, Watchdog,
+    simulate_pipelined_with, BatchRunner, CompletionModel, ControlStyle, ElasticSpec, Engine,
+    Fault, FaultKind, FaultPlan, SimConfig, SimError, SimJob, Watchdog,
 };
 
-fn fir5_setup() -> (BoundDfg, tauhls_fsm::DistributedControlUnit) {
+fn fir5_setup() -> (BoundDfg, Engine) {
     let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-    let cu = tauhls_fsm::DistributedControlUnit::generate(&bound);
-    (bound, cu)
+    let dist = Engine::generate(&bound, ControlStyle::Distributed);
+    (bound, dist)
 }
 
 #[test]
-fn empty_plan_is_bit_identical_to_plain_simulators() {
-    let (bound, cu) = fir5_setup();
-    let empty = SimConfig::default();
+fn unfired_plan_is_bit_identical_to_fault_free_runs() {
+    // A plan whose only fault lies past the end of every run switches on
+    // the faulty paths (post-run check, stretched watchdog) but must
+    // change nothing: same results, same RNG stream consumption.
+    // (The pipelined engine checks its iteration protocol only under
+    // faults, and fault-free overlap may break it, so it is not inert.)
+    let (bound, _) = fir5_setup();
+    let clean = SimConfig::default();
+    let late = SimConfig::with_faults(FaultPlan::single(
+        10_000,
+        FaultKind::DropPulse { op: OpId(0) },
+    ));
+    let styles = [
+        ControlStyle::Distributed,
+        ControlStyle::Cent,
+        ControlStyle::CentSync,
+        ControlStyle::Elastic(ElasticSpec::default()),
+    ];
     for model in [
         CompletionModel::AlwaysShort,
         CompletionModel::AlwaysLong,
         CompletionModel::Bernoulli { p: 0.6 },
     ] {
         for seed in 0..20 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            let plain = simulate_distributed(&bound, &cu, &model, None, &mut r1).unwrap();
-            let with =
-                simulate_distributed_with(&bound, &cu, &model, None, &mut r2, &empty).unwrap();
-            assert_eq!(plain, with, "distributed diverged at seed {seed}");
-            // The RNG streams must also stay aligned after the run.
-            assert_eq!(
-                simulate_distributed(&bound, &cu, &model, None, &mut r1).unwrap(),
-                simulate_distributed_with(&bound, &cu, &model, None, &mut r2, &empty).unwrap(),
-            );
-
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                simulate_cent_sync(&bound, &model, None, &mut r1).unwrap(),
-                simulate_cent_sync_with(&bound, &model, None, &mut r2, &empty).unwrap(),
-            );
-
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                simulate_pipelined(&bound, &cu, &model, 6, &mut r1).unwrap(),
-                simulate_pipelined_with(&bound, &cu, &model, 6, &mut r2, &empty).unwrap(),
-            );
+            for style in styles {
+                let engine = Engine::generate(&bound, style);
+                let mut r1 = StdRng::seed_from_u64(seed);
+                let mut r2 = StdRng::seed_from_u64(seed);
+                // Two runs each: the RNG streams must stay aligned too.
+                for _ in 0..2 {
+                    assert_eq!(
+                        engine.run_scalar(&bound, &model, None, &mut r1, &clean, seed),
+                        engine.run_scalar(&bound, &model, None, &mut r2, &late, seed),
+                        "{style:?} diverged at seed {seed}"
+                    );
+                }
+            }
         }
     }
 }
@@ -70,7 +73,7 @@ fn empty_plan_is_bit_identical_to_plain_simulators() {
 /// enumerated in order with a fixed seed per site.
 fn first_detection(
     bound: &BoundDfg,
-    cu: &tauhls_fsm::DistributedControlUnit,
+    dist: &Engine,
     make: impl Fn(OpId, usize) -> FaultKind,
 ) -> (FaultPlan, SimError) {
     let n = bound.dfg().num_ops();
@@ -79,13 +82,13 @@ fn first_detection(
             let plan = FaultPlan::single(cycle, make(OpId(op), cycle));
             let cfg = SimConfig::with_faults(plan.clone());
             let mut rng = StdRng::seed_from_u64(2003);
-            if let Err(e) = simulate_distributed_with(
+            if let Err(e) = dist.run_scalar(
                 bound,
-                cu,
                 &CompletionModel::Bernoulli { p: 0.5 },
                 None,
                 &mut rng,
                 &cfg,
+                0,
             ) {
                 return (plan, e);
             }
@@ -96,8 +99,8 @@ fn first_detection(
 
 #[test]
 fn stuck_at_long_starves_consumers_into_deadlock() {
-    let (bound, cu) = fir5_setup();
-    let (_, err) = first_detection(&bound, &cu, |op, _| FaultKind::StuckAtLong { op });
+    let (bound, dist) = fir5_setup();
+    let (_, err) = first_detection(&bound, &dist, |op, _| FaultKind::StuckAtLong { op });
     let SimError::Deadlock(diag) = &err else {
         panic!("expected deadlock, got {err}");
     };
@@ -108,15 +111,15 @@ fn stuck_at_long_starves_consumers_into_deadlock() {
 
 #[test]
 fn stuck_at_short_is_detected_as_desync() {
-    let (bound, cu) = fir5_setup();
-    let (_, err) = first_detection(&bound, &cu, |op, _| FaultKind::StuckAtShort { op });
+    let (bound, dist) = fir5_setup();
+    let (_, err) = first_detection(&bound, &dist, |op, _| FaultKind::StuckAtShort { op });
     assert!(matches!(err, SimError::Desync(_)), "got {err}");
 }
 
 #[test]
 fn dropped_pulse_is_detected() {
-    let (bound, cu) = fir5_setup();
-    let (_, err) = first_detection(&bound, &cu, |op, _| FaultKind::DropPulse { op });
+    let (bound, dist) = fir5_setup();
+    let (_, err) = first_detection(&bound, &dist, |op, _| FaultKind::DropPulse { op });
     assert!(
         matches!(err, SimError::Deadlock(_) | SimError::Desync(_)),
         "got {err}"
@@ -125,36 +128,43 @@ fn dropped_pulse_is_detected() {
 
 #[test]
 fn spurious_pulse_is_detected() {
-    let (bound, cu) = fir5_setup();
-    let (_, err) = first_detection(&bound, &cu, |op, _| FaultKind::SpuriousPulse { op });
+    let (bound, dist) = fir5_setup();
+    let (_, err) = first_detection(&bound, &dist, |op, _| FaultKind::SpuriousPulse { op });
     assert!(matches!(err, SimError::Desync(_)), "got {err}");
 }
 
 #[test]
 fn delayed_latch_is_detected() {
-    let (bound, cu) = fir5_setup();
-    let (_, err) = first_detection(&bound, &cu, |op, _| FaultKind::DelayLatch { op, delay: 3 });
+    let (bound, dist) = fir5_setup();
+    let (_, err) = first_detection(&bound, &dist, |op, _| FaultKind::DelayLatch {
+        op,
+        delay: 3,
+    });
     assert!(matches!(err, SimError::Desync(_)), "got {err}");
 }
 
 #[test]
 fn state_register_flip_is_detected() {
-    let (bound, cu) = fir5_setup();
+    let (bound, dist) = fir5_setup();
     let n = bound.dfg().num_ops();
-    let controllers = cu.controllers().len();
+    let controllers = dist
+        .dist_bank()
+        .expect("DIST has a bank")
+        .controllers()
+        .len();
     for controller in 0..controllers {
         for bit in 0..4u32 {
             for cycle in 1..=12 {
                 let plan = FaultPlan::single(cycle, FaultKind::FlipState { controller, bit });
                 let cfg = SimConfig::with_faults(plan);
                 let mut rng = StdRng::seed_from_u64(7);
-                if let Err(e) = simulate_distributed_with(
+                if let Err(e) = dist.run_scalar(
                     &bound,
-                    &cu,
                     &CompletionModel::Bernoulli { p: 0.5 },
                     None,
                     &mut rng,
                     &cfg,
+                    0,
                 ) {
                     assert!(
                         matches!(e, SimError::Deadlock(_) | SimError::Desync(_)),
@@ -188,20 +198,22 @@ fn detection_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn diagnostics_carry_a_usable_snapshot() {
-    let (bound, cu) = fir5_setup();
+    let (bound, dist) = fir5_setup();
     let cfg = SimConfig::with_faults(FaultPlan::single(1, FaultKind::StuckAtLong { op: OpId(0) }));
     let mut rng = StdRng::seed_from_u64(0);
-    let err = simulate_distributed_with(
-        &bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        &mut rng,
-        &cfg,
-    )
-    .unwrap_err();
+    let err = dist
+        .run_scalar(
+            &bound,
+            &CompletionModel::AlwaysShort,
+            None,
+            &mut rng,
+            &cfg,
+            0,
+        )
+        .unwrap_err();
     let diag = err.diagnostics().expect("deadlock carries diagnostics");
     assert_eq!(diag.done.len(), bound.dfg().num_ops());
+    let cu = dist.dist_bank().expect("DIST has a bank");
     assert_eq!(diag.controllers.len(), cu.controllers().len());
     // Snapshot states decode as real controller states.
     for c in &diag.controllers {
@@ -219,22 +231,23 @@ fn diagnostics_carry_a_usable_snapshot() {
 
 #[test]
 fn watchdog_budget_is_configurable() {
-    let (bound, cu) = fir5_setup();
+    let (bound, dist) = fir5_setup();
     // A tiny fixed budget trips immediately even on a healthy run.
     let cfg = SimConfig {
         faults: FaultPlan::empty(),
         watchdog: Watchdog::Cycles(1),
     };
     let mut rng = StdRng::seed_from_u64(0);
-    let err = simulate_distributed_with(
-        &bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        &mut rng,
-        &cfg,
-    )
-    .unwrap_err();
+    let err = dist
+        .run_scalar(
+            &bound,
+            &CompletionModel::AlwaysShort,
+            None,
+            &mut rng,
+            &cfg,
+            0,
+        )
+        .unwrap_err();
     assert!(matches!(err, SimError::Deadlock(_)));
     // A generous one lets the same run finish.
     let cfg = SimConfig {
@@ -242,20 +255,20 @@ fn watchdog_budget_is_configurable() {
         watchdog: Watchdog::Cycles(10_000),
     };
     let mut rng = StdRng::seed_from_u64(0);
-    simulate_distributed_with(
+    dist.run_scalar(
         &bound,
-        &cu,
         &CompletionModel::AlwaysShort,
         None,
         &mut rng,
         &cfg,
+        0,
     )
     .unwrap();
 }
 
 #[test]
 fn multi_fault_plans_compose() {
-    let (bound, cu) = fir5_setup();
+    let (bound, dist) = fir5_setup();
     let mut plan = FaultPlan::empty();
     plan.push(Fault {
         at_cycle: 2,
@@ -269,13 +282,13 @@ fn multi_fault_plans_compose() {
     let cfg = SimConfig::with_faults(plan);
     let mut rng = StdRng::seed_from_u64(5);
     // Outcome may be any structured error (or survival) — but never a panic.
-    let _ = simulate_distributed_with(
+    let _ = dist.run_scalar(
         &bound,
-        &cu,
         &CompletionModel::Bernoulli { p: 0.5 },
         None,
         &mut rng,
         &cfg,
+        0,
     );
 }
 
@@ -295,9 +308,8 @@ fn centsync_detects_masked_extension() {
                 FaultKind::StuckAtShort { op: OpId(op) },
             ));
             let mut rng = StdRng::seed_from_u64(1);
-            if let Err(e) =
-                simulate_cent_sync_with(&bound, &CompletionModel::AlwaysLong, None, &mut rng, &cfg)
-            {
+            let long = CompletionModel::AlwaysLong;
+            if let Err(e) = Engine::Sync.run_scalar(&bound, &long, None, &mut rng, &cfg, 0) {
                 assert!(matches!(e, SimError::Desync(_)), "got {e}");
                 return;
             }
@@ -308,7 +320,7 @@ fn centsync_detects_masked_extension() {
 
 #[test]
 fn pipelined_detects_stuck_at_long_deadlock() {
-    let (bound, cu) = fir5_setup();
+    let (bound, dist) = fir5_setup();
     let n = bound.dfg().num_ops();
     for op in 0..n {
         let cfg = SimConfig::with_faults(FaultPlan::single(
@@ -318,7 +330,7 @@ fn pipelined_detects_stuck_at_long_deadlock() {
         let mut rng = StdRng::seed_from_u64(3);
         if let Err(e) = simulate_pipelined_with(
             &bound,
-            &cu,
+            dist.dist_bank().expect("DIST has a bank"),
             &CompletionModel::Bernoulli { p: 0.5 },
             4,
             &mut rng,

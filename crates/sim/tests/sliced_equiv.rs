@@ -9,7 +9,7 @@
 //! * **job level** — `SimJob::run` (sliced default, parallel, random
 //!   chunk size) against `SimJob::run_scalar` (scalar oracle, serial):
 //!   reduced statistics and first-error outcomes must be byte-identical;
-//! * **lane level** — `SlicedSim` lanes against the scalar simulators on
+//! * **lane level** — `SlicedSim` lanes against `Engine::run_scalar` on
 //!   the same per-trial RNG streams: every `Done` lane must equal the
 //!   scalar `SimResult` exactly (per-op cycles, busy counters, values),
 //!   while `Fallback` lanes are sound by construction (the batch layer
@@ -20,9 +20,9 @@ use tauhls_dfg::{random_dfg, RandomDfgParams};
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    simulate_cent_sync_with, simulate_distributed_with, simulate_pipelined_with, trial_rng,
-    BatchRunner, CompletionModel, ControlStyle, LaneConfigs, LaneModels, LaneOutcome,
-    PipelinedLaneOutcome, SimConfig, SimJob, SlicedSim,
+    elastic_trial_skew_seed, simulate_pipelined_with, trial_rng, BatchRunner, CompletionModel,
+    ControlStyle, ElasticSpec, Engine, LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome,
+    SimConfig, SimJob, SlicedSim,
 };
 
 /// A random bound design: 3..=14 ops over Add/Sub/Mul with a random
@@ -98,36 +98,31 @@ fn sliced_lanes_match_scalar_results_exactly() {
         let models = LaneModels::Shared(&model);
         let cfgs = LaneConfigs::Shared(&config);
 
-        let mut sim = SlicedSim::distributed(&bound, &cu, None);
-        let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, 0, t as u64)).collect();
-        let out = sim.run(&models, &cfgs, &mut rngs);
         let fault_free = config == SimConfig::default();
-        for (t, lane) in out.iter().enumerate() {
-            match lane {
-                LaneOutcome::Done(r) => {
-                    let mut srng = trial_rng(seed, 0, t as u64);
-                    let scalar =
-                        simulate_distributed_with(&bound, &cu, &model, None, &mut srng, &config);
-                    assert_eq!(Ok(r), scalar.as_ref(), "dist lane {t}, config {config:?}");
-                }
-                LaneOutcome::Fallback => {
-                    assert!(!fault_free, "fault-free dist lane {t} fell back");
-                }
-            }
-        }
-
-        let mut sim = SlicedSim::cent_sync(&bound, None);
-        let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, 1, t as u64)).collect();
-        let out = sim.run(&models, &cfgs, &mut rngs);
-        for (t, lane) in out.iter().enumerate() {
-            match lane {
-                LaneOutcome::Done(r) => {
-                    let mut srng = trial_rng(seed, 1, t as u64);
-                    let scalar = simulate_cent_sync_with(&bound, &model, None, &mut srng, &config);
-                    assert_eq!(Ok(r), scalar.as_ref(), "sync lane {t}, config {config:?}");
-                }
-                LaneOutcome::Fallback => {
-                    assert!(!fault_free, "fault-free sync lane {t} fell back");
+        let styles = [
+            ControlStyle::Distributed,
+            ControlStyle::CentSync,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(ElasticSpec::default()),
+        ];
+        for (job, style) in (0u64..).zip(styles) {
+            let engine = Engine::generate(&bound, style);
+            let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, job, t as u64)).collect();
+            let skews: Vec<_> = (0..lanes as u64)
+                .map(|t| elastic_trial_skew_seed(seed, job, t))
+                .collect();
+            let out = SlicedSim::new(&bound, &engine).run(&skews, &models, &cfgs, &mut rngs);
+            for (t, lane) in out.iter().enumerate() {
+                match lane {
+                    LaneOutcome::Done(r) => {
+                        let mut srng = trial_rng(seed, job, t as u64);
+                        let scalar =
+                            engine.run_scalar(&bound, &model, None, &mut srng, &config, skews[t]);
+                        assert_eq!(Ok(r), scalar.as_ref(), "{style:?} lane {t}, {config:?}");
+                    }
+                    LaneOutcome::Fallback => {
+                        assert!(!fault_free, "fault-free {style:?} lane {t} fell back");
+                    }
                 }
             }
         }

@@ -11,7 +11,7 @@ use tauhls::datapath::{measure_p, OperandDistribution, RippleCarryAdder, Tau};
 use tauhls::dfg::benchmarks::ewf;
 use tauhls::dfg::ResourceClass;
 use tauhls::fsm::DistributedControlUnit;
-use tauhls::sim::{simulate_distributed, CompletionModel, TauLibrary};
+use tauhls::sim::{CompletionModel, Engine, SimConfig, TauLibrary};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,8 +62,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs: Vec<i64> = (0..design.bound().dfg().num_inputs() as i64)
         .map(|i| (i * 37 + 11) % 200)
         .collect();
-    let r = simulate_distributed(design.bound(), &cu, &model, Some(&inputs), &mut rng)
-        .expect("fault-free simulation");
+    let dist = Engine::Dist(cu);
+    let mut run = |model: &CompletionModel, inputs: Option<&[i64]>| {
+        (dist.run_scalar(
+            design.bound(),
+            model,
+            inputs,
+            &mut rng,
+            &SimConfig::default(),
+            0,
+        ))
+        .expect("fault-free simulation")
+    };
+    let r = run(&model, Some(&inputs));
     r.verify(design.bound()).expect("legal execution");
     println!(
         "\noperand-driven run: {} cycles ({:.0} ns); every dependence honoured",
@@ -72,22 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Bernoulli extremes for reference.
-    let best = simulate_distributed(
-        design.bound(),
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        &mut rng,
-    )
-    .expect("fault-free simulation");
-    let worst = simulate_distributed(
-        design.bound(),
-        &cu,
-        &CompletionModel::AlwaysLong,
-        None,
-        &mut rng,
-    )
-    .expect("fault-free simulation");
+    let best = run(&CompletionModel::AlwaysShort, None);
+    let worst = run(&CompletionModel::AlwaysLong, None);
     println!("best {} / worst {} cycles", best.cycles, worst.cycles);
     Ok(())
 }

@@ -8,10 +8,9 @@
 
 use rand::SeedableRng;
 use tauhls::dfg::benchmarks::diffeq;
-use tauhls::fsm::DistributedControlUnit;
 use tauhls::sim::{
-    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
-    ControlStyle, LatencySummary, TauLibrary,
+    latency_batch, BatchRunner, CompletionModel, ControlStyle, Engine, LatencySummary, SimConfig,
+    TauLibrary,
 };
 use tauhls::{Allocation, Synthesis};
 
@@ -19,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = Synthesis::new(diffeq())
         .allocation(Allocation::paper(2, 1, 1))
         .run()?;
-    let cu = DistributedControlUnit::generate(design.bound());
+    let dist = Engine::generate(design.bound(), ControlStyle::Distributed);
+    let fault_free = SimConfig::default();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let clk = design.timing().clock_ns();
 
@@ -34,11 +34,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("step |     x     y     u | dist cycles | sync cycles");
     loop {
         let inputs = [x, y, u, dx, a];
-        let r = simulate_distributed(design.bound(), &cu, &model, Some(&inputs), &mut rng)
-            .expect("fault-free simulation");
+        let mut run = |engine: &Engine| {
+            (engine.run_scalar(
+                design.bound(),
+                &model,
+                Some(&inputs),
+                &mut rng,
+                &fault_free,
+                0,
+            ))
+            .expect("fault-free simulation")
+        };
+        let r = run(&dist);
         r.verify(design.bound()).expect("legal execution");
-        let s = simulate_cent_sync(design.bound(), &model, Some(&inputs), &mut rng)
-            .expect("fault-free simulation");
+        let s = run(&Engine::Sync);
         dist_cycles += r.cycles;
         sync_cycles += s.cycles;
         steps += 1;

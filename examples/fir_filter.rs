@@ -8,8 +8,7 @@
 use rand::{Rng, SeedableRng};
 use tauhls::datapath::{measure_p, ArrayMultiplier, OperandDistribution, Tau};
 use tauhls::dfg::benchmarks::fir5;
-use tauhls::fsm::DistributedControlUnit;
-use tauhls::sim::{simulate_distributed, CompletionModel, TauLibrary};
+use tauhls::sim::{CompletionModel, ControlStyle, Engine, SimConfig, TauLibrary};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = Synthesis::new(fir5())
         .allocation(Allocation::paper(2, 1, 0))
         .run()?;
-    let cu = DistributedControlUnit::generate(design.bound());
+    let dist = Engine::generate(design.bound(), ControlStyle::Distributed);
+    let fault_free = SimConfig::default();
     let model = CompletionModel::OperandDriven(TauLibrary::multiplier_only(WIDTH, SHORT_LEVELS));
 
     // Stream blocks of samples through the filter and measure latency.
@@ -55,8 +55,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for _ in 0..blocks {
             let mut inputs: Vec<i64> = (0..5).map(|_| rng.random_range(0..=max_mag)).collect();
             inputs.extend(coeffs.iter());
-            let r = simulate_distributed(design.bound(), &cu, &model, Some(&inputs), &mut rng)
-                .expect("fault-free simulation");
+            let r = (dist.run_scalar(
+                design.bound(),
+                &model,
+                Some(&inputs),
+                &mut rng,
+                &fault_free,
+                0,
+            ))
+            .expect("fault-free simulation");
             r.verify(design.bound()).expect("legal execution");
             total_cycles += r.cycles;
             total_busy += r.unit_busy_cycles.iter().sum::<usize>();

@@ -12,7 +12,16 @@ use tauhls::fsm::{
 };
 use tauhls::logic::AreaModel;
 use tauhls::sched::{allocate_registers, fds_schedule, BoundDfg, UnitId};
-use tauhls::sim::{simulate_distributed, simulate_pipelined, CompletionModel};
+use tauhls::sim::{simulate_pipelined_with, CompletionModel, ControlStyle, Engine, SimConfig};
+
+/// One fault-free DIST run through the scalar engine.
+fn dist_cycles(bound: &BoundDfg, dist: &Engine, model: CompletionModel, rng: &mut StdRng) -> usize {
+    let run = dist.run_scalar(bound, &model, None, rng, &SimConfig::default(), 0);
+    let r = run.expect("fault-free simulation");
+    r.verify(bound)
+        .unwrap_or_else(|e| panic!("{}: {e}", bound.dfg().name()));
+    r.cycles
+}
 
 #[test]
 fn rtl_emission_for_every_benchmark() {
@@ -60,10 +69,9 @@ fn fds_matches_or_beats_paper_allocations() {
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
-        let best = simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng)
-            .expect("fault-free simulation");
-        let s = fds_schedule(&dfg, best.cycles);
+        let dist = Engine::generate(&bound, ControlStyle::Distributed);
+        let best = dist_cycles(&bound, &dist, CompletionModel::AlwaysShort, &mut rng);
+        let s = fds_schedule(&dfg, best);
         assert!(s.verify(&dfg), "{name}");
         let implied = s.implied_allocation(&dfg);
         let muls = implied
@@ -84,13 +92,10 @@ fn chain_binding_simulates_equivalently() {
     // the same best/worst envelope.
     let mut rng = StdRng::seed_from_u64(2);
     for (dfg, alloc, _) in paper_benchmarks() {
-        let name = dfg.name().to_string();
         let chains = BoundDfg::bind_chains(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&chains);
+        let dist = Engine::generate(&chains, ControlStyle::Distributed);
         for model in [CompletionModel::AlwaysShort, CompletionModel::AlwaysLong] {
-            let r = simulate_distributed(&chains, &cu, &model, None, &mut rng)
-                .expect("fault-free simulation");
-            r.verify(&chains).unwrap_or_else(|e| panic!("{name}: {e}"));
+            dist_cycles(&chains, &dist, model, &mut rng);
         }
     }
 }
@@ -114,17 +119,14 @@ fn multilevel_controllers_work_on_diffeq() {
         }
     }
     // Whole-design multilevel simulation.
-    let cu3 = DistributedControlUnit::generate_multilevel(&bound, 3);
+    let dist3 = Engine::Dist(DistributedControlUnit::generate_multilevel(&bound, 3));
     let mut rng = StdRng::seed_from_u64(3);
-    let r = simulate_distributed(
+    dist_cycles(
         &bound,
-        &cu3,
-        &CompletionModel::Bernoulli { p: 0.5 },
-        None,
+        &dist3,
+        CompletionModel::Bernoulli { p: 0.5 },
         &mut rng,
-    )
-    .expect("fault-free simulation");
-    r.verify(&bound).unwrap();
+    );
 }
 
 #[test]
@@ -133,17 +135,17 @@ fn pipelined_throughput_across_benchmarks() {
     for (dfg, alloc, _) in paper_benchmarks() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
-        let single =
-            simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng)
-                .expect("fault-free simulation");
-        let piped = simulate_pipelined(&bound, &cu, &CompletionModel::AlwaysShort, 10, &mut rng)
+        let dist = Engine::generate(&bound, ControlStyle::Distributed);
+        let cu = dist.dist_bank().expect("DIST has a bank");
+        let single = dist_cycles(&bound, &dist, CompletionModel::AlwaysShort, &mut rng);
+        let (short, fault_free) = (CompletionModel::AlwaysShort, SimConfig::default());
+        let piped = simulate_pipelined_with(&bound, cu, &short, 10, &mut rng, &fault_free)
             .expect("fault-free simulation");
         assert!(
-            piped.initiation_interval() <= single.cycles as f64 + 1e-9,
+            piped.initiation_interval() <= single as f64 + 1e-9,
             "{name}: II {} vs latency {}",
             piped.initiation_interval(),
-            single.cycles
+            single
         );
         // The bottleneck unit's op count lower-bounds the II.
         let bottleneck = bound.sequences().iter().map(Vec::len).max().unwrap_or(1);

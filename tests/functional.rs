@@ -10,8 +10,7 @@ use tauhls::datapath::{
     Tau,
 };
 use tauhls::dfg::benchmarks;
-use tauhls::fsm::DistributedControlUnit;
-use tauhls::sim::{simulate_distributed, CompletionModel, TauLibrary};
+use tauhls::sim::{CompletionModel, ControlStyle, Engine, SimConfig, TauLibrary};
 use tauhls::{Allocation, Synthesis};
 
 #[test]
@@ -21,12 +20,20 @@ fn datapath_results_match_reference_semantics() {
         .allocation(Allocation::paper(2, 1, 1))
         .run()
         .unwrap();
-    let cu = DistributedControlUnit::generate(design.bound());
+    let dist = Engine::generate(design.bound(), ControlStyle::Distributed);
+    let fault_free = SimConfig::default();
     for _ in 0..20 {
         let inputs: Vec<i64> = (0..5).map(|_| rng.random_range(-1000..1000)).collect();
         let model = CompletionModel::OperandDriven(TauLibrary::multiplier_only(16, 20));
-        let r = simulate_distributed(design.bound(), &cu, &model, Some(&inputs), &mut rng)
-            .expect("fault-free simulation");
+        let r = (dist.run_scalar(
+            design.bound(),
+            &model,
+            Some(&inputs),
+            &mut rng,
+            &fault_free,
+            0,
+        ))
+        .expect("fault-free simulation");
         r.verify(design.bound()).unwrap();
         // Architectural outputs equal the reference evaluation.
         let reference = design.bound().dfg().evaluate(&inputs);
@@ -97,7 +104,7 @@ fn all_benchmarks_compute_correctly_under_all_models() {
     for (dfg, alloc, _) in tauhls::core::experiments::paper_benchmarks() {
         let n_inputs = dfg.num_inputs();
         let design = Synthesis::new(dfg).allocation(alloc).run().unwrap();
-        let cu = DistributedControlUnit::generate(design.bound());
+        let dist = Engine::generate(design.bound(), ControlStyle::Distributed);
         let inputs: Vec<i64> = (0..n_inputs).map(|_| rng.random_range(-50..50)).collect();
         for model in [
             CompletionModel::AlwaysShort,
@@ -105,8 +112,16 @@ fn all_benchmarks_compute_correctly_under_all_models() {
             CompletionModel::Bernoulli { p: 0.5 },
             CompletionModel::OperandDriven(TauLibrary::multiplier_only(16, 18)),
         ] {
-            let r = simulate_distributed(design.bound(), &cu, &model, Some(&inputs), &mut rng)
-                .expect("fault-free simulation");
+            let fault_free = SimConfig::default();
+            let r = (dist.run_scalar(
+                design.bound(),
+                &model,
+                Some(&inputs),
+                &mut rng,
+                &fault_free,
+                0,
+            ))
+            .expect("fault-free simulation");
             r.verify(design.bound()).unwrap();
             let reference = design.bound().dfg().evaluate(&inputs);
             for (name, op) in design.bound().dfg().outputs() {

@@ -4,11 +4,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tauhls::core::experiments::paper_benchmarks;
-use tauhls::fsm::{synthesize, verify_synthesis, DistributedControlUnit, Encoding};
+use tauhls::fsm::{synthesize, verify_synthesis, Encoding};
 use tauhls::logic::AreaModel;
 use tauhls::sched::BoundDfg;
 use tauhls::sim::{
-    latency_batch, simulate_distributed, BatchRunner, CompletionModel, ControlStyle, LatencySummary,
+    latency_batch, BatchRunner, CompletionModel, ControlStyle, Engine, LatencySummary, SimConfig,
 };
 use tauhls::{Allocation, Synthesis};
 
@@ -24,13 +24,14 @@ fn all_paper_benchmarks_synthesize_and_simulate() {
         }
         design.cent_sync().check().unwrap();
         // Simulation is legal at both extremes and in between.
-        let cu = DistributedControlUnit::generate(design.bound());
+        let dist = Engine::generate(design.bound(), ControlStyle::Distributed);
         for model in [
             CompletionModel::AlwaysShort,
             CompletionModel::AlwaysLong,
             CompletionModel::Bernoulli { p: 0.7 },
         ] {
-            let r = simulate_distributed(design.bound(), &cu, &model, None, &mut rng)
+            let fault_free = SimConfig::default();
+            let r = (dist.run_scalar(design.bound(), &model, None, &mut rng, &fault_free, 0))
                 .expect("fault-free simulation");
             r.verify(design.bound())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

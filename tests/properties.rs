@@ -7,8 +7,8 @@ use tauhls::dfg::{random_dfg, RandomDfgParams};
 use tauhls::fsm::DistributedControlUnit;
 use tauhls::sched::{reachability, BoundDfg, DependencyGraph, ListSchedule};
 use tauhls::sim::{
-    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
-    ControlStyle, CycleStats, SimJob,
+    latency_batch, BatchRunner, CompletionModel, ControlStyle, CycleStats, Engine, SimConfig,
+    SimJob,
 };
 use tauhls::Allocation;
 use tauhls_check::{forall, Gen};
@@ -83,14 +83,15 @@ fn simulation_legal_and_dist_dominates() {
         for (_, fsm) in cu.controllers() {
             assert!(fsm.check().is_ok());
         }
+        let (dist, fault_free) = (Engine::Dist(cu), SimConfig::default());
         // Coupled completion draws: distributed dominates per trial.
         for p in [1.0, 0.5, 0.0] {
             let table = CompletionModel::draw_table(g.num_ops(), p, gen.rng());
-            let d = simulate_distributed(&bound, &cu, &table, None, gen.rng())
+            let d = (dist.run_scalar(&bound, &table, None, gen.rng(), &fault_free, 0))
                 .expect("fault-free simulation");
             assert!(d.verify(&bound).is_ok(), "{:?}", d.verify(&bound));
-            let s =
-                simulate_cent_sync(&bound, &table, None, gen.rng()).expect("fault-free simulation");
+            let s = (Engine::Sync.run_scalar(&bound, &table, None, gen.rng(), &fault_free, 0))
+                .expect("fault-free simulation");
             assert!(
                 d.cycles <= s.cycles,
                 "distributed {} > sync {}",
@@ -108,25 +109,16 @@ fn latency_bounded_by_extremes() {
         let g = draw_dfg(gen, ops, [3, 1, 2, 0]);
         let alloc = Allocation::paper(muls, adds, subs);
         let bound = BoundDfg::bind(&g, &alloc);
-        let cu = DistributedControlUnit::generate(&bound);
-        let best =
-            simulate_distributed(&bound, &cu, &CompletionModel::AlwaysShort, None, gen.rng())
+        let dist = Engine::generate(&bound, ControlStyle::Distributed);
+        let mut cycles = |model| {
+            (dist.run_scalar(&bound, &model, None, gen.rng(), &SimConfig::default(), 0))
                 .expect("fault-free simulation")
-                .cycles;
-        let worst =
-            simulate_distributed(&bound, &cu, &CompletionModel::AlwaysLong, None, gen.rng())
-                .expect("fault-free simulation")
-                .cycles;
+                .cycles
+        };
+        let best = cycles(CompletionModel::AlwaysShort);
+        let worst = cycles(CompletionModel::AlwaysLong);
         assert!(best <= worst);
-        let mid = simulate_distributed(
-            &bound,
-            &cu,
-            &CompletionModel::Bernoulli { p: 0.5 },
-            None,
-            gen.rng(),
-        )
-        .expect("fault-free simulation")
-        .cycles;
+        let mid = cycles(CompletionModel::Bernoulli { p: 0.5 });
         assert!(best <= mid && mid <= worst);
         // Worst case is at most best + one extension per TAU op.
         let tau_ops = g.ops_of_class(tauhls::dfg::ResourceClass::Multiplier).len();
@@ -220,7 +212,7 @@ fn merged_stats_equal_single_pass_exactly() {
 
 #[test]
 fn elastic_zero_bisimulates_dist_and_skew_never_wins() {
-    use tauhls::sim::{simulate_elastic, ElasticSpec};
+    use tauhls::sim::ElasticSpec;
     use tauhls_check::arbitrary_elastic_spec;
 
     forall(
@@ -231,33 +223,32 @@ fn elastic_zero_bisimulates_dist_and_skew_never_wins() {
             let g = draw_dfg(gen, ops, [2, 1, 3, 1]);
             let alloc = Allocation::paper(muls, adds, subs);
             let bound = BoundDfg::bind(&g, &alloc);
-            let cu = DistributedControlUnit::generate(&bound);
             let skew_seed = gen.usize(0..1 << 30) as u64;
             let spec = arbitrary_elastic_spec(gen, 3);
+            let [dist, zero, elastic] = [
+                ControlStyle::Distributed,
+                ControlStyle::Elastic(ElasticSpec::zero()),
+                ControlStyle::Elastic(spec),
+            ]
+            .map(|style| Engine::generate(&bound, style));
+            let fault_free = SimConfig::default();
             for p in [1.0, 0.5, 0.0] {
                 let table = CompletionModel::draw_table(g.num_ops(), p, gen.rng());
-                let d = simulate_distributed(&bound, &cu, &table, None, gen.rng())
-                    .expect("fault-free simulation");
+                let mut run = |engine: &Engine| {
+                    (engine.run_scalar(&bound, &table, None, gen.rng(), &fault_free, skew_seed))
+                        .expect("fault-free simulation")
+                };
+                let d = run(&dist);
                 // Degenerate GALS spec: bit-identical to the synchronous
                 // distributed engine, whatever the skew seed says.
-                let z = simulate_elastic(
-                    &bound,
-                    &cu,
-                    &table,
-                    None,
-                    gen.rng(),
-                    ElasticSpec::zero(),
-                    skew_seed,
-                )
-                .expect("fault-free simulation");
+                let z = run(&zero);
                 assert_eq!(d.cycles, z.cycles, "zero-spec elastic diverged");
                 assert_eq!(d.completion_cycle, z.completion_cycle);
                 assert_eq!(d.values, z.values);
                 // Arbitrary spec: stalls and handshake latency only ever
                 // delay — the synchronous run is a per-trial lower bound —
                 // and the datapath values are untouched.
-                let e = simulate_elastic(&bound, &cu, &table, None, gen.rng(), spec, skew_seed)
-                    .expect("fault-free simulation");
+                let e = run(&elastic);
                 assert!(
                     e.cycles >= d.cycles,
                     "elastic {} beat dist {} under {spec:?}",
