@@ -13,7 +13,9 @@
 //! ratio compares two numbers from the same run on the same machine, so
 //! it holds regardless of how fast the CI runner is; the absolute
 //! baseline comparison is the noisier cross-run check the tolerance and
-//! allowlist exist for.
+//! allowlist exist for. Likewise machine-independent: every engine ×
+//! benchmark row of the kernel baseline must reappear with exactly its
+//! `total_cycles`, which the fixed seed and trial count determine.
 //!
 //! Usage:
 //!   bench_gate <kernel|serve|synth> <fresh.json> <baseline.json>
@@ -35,29 +37,16 @@ const MIN_SLICED_DIST_SPEEDUP: f64 = 10.0;
 /// always better for every metric the gate tracks.
 fn metrics(kind: &str, report: &Json) -> Result<Vec<(String, f64)>, String> {
     match kind {
-        "kernel" => {
-            let rows = report
-                .get("engines")
-                .and_then(Json::as_array)
-                .ok_or("kernel report has no engines[] array")?;
-            rows.iter()
-                .map(|row| {
-                    let engine = row
-                        .get("engine")
-                        .and_then(Json::as_str)
-                        .ok_or("engine row missing engine name")?;
-                    let benchmark = row
-                        .get("benchmark")
-                        .and_then(Json::as_str)
-                        .ok_or("engine row missing benchmark name")?;
-                    let cps = row
-                        .get("cycles_per_sec")
-                        .and_then(Json::as_f64)
-                        .ok_or("engine row missing cycles_per_sec")?;
-                    Ok((format!("kernel/{engine}/{benchmark}"), cps))
-                })
-                .collect()
-        }
+        "kernel" => kernel_rows(report)?
+            .into_iter()
+            .map(|(key, row)| {
+                let cps = row
+                    .get("cycles_per_sec")
+                    .and_then(Json::as_f64)
+                    .ok_or("engine row missing cycles_per_sec")?;
+                Ok((key, cps))
+            })
+            .collect(),
         "serve" | "synth" => {
             let fields = report.as_object().ok_or("report is not a JSON object")?;
             let found: Vec<_> = fields
@@ -77,6 +66,48 @@ fn metrics(kind: &str, report: &Json) -> Result<Vec<(String, f64)>, String> {
         }
         other => Err(format!("unknown report kind {other:?}")),
     }
+}
+
+/// The `engines[]` rows of a kernel report, keyed
+/// `kernel/<engine>/<benchmark>`.
+fn kernel_rows(report: &Json) -> Result<Vec<(String, &Json)>, String> {
+    let rows = report
+        .get("engines")
+        .and_then(Json::as_array)
+        .ok_or("kernel report has no engines[] array")?;
+    rows.iter()
+        .map(|row| {
+            let field = |name: &str| {
+                (row.get(name).and_then(Json::as_str))
+                    .ok_or_else(|| format!("engine row missing {name} name"))
+            };
+            Ok((
+                format!("kernel/{}/{}", field("engine")?, field("benchmark")?),
+                row,
+            ))
+        })
+        .collect()
+}
+
+/// The exact rows: every baseline kernel row whose fresh twin is missing
+/// or simulated a different `total_cycles`, described for the report.
+fn total_cycles_mismatches(baseline: &Json, fresh: &Json) -> Result<Vec<String>, String> {
+    let cycles = |row: &Json| row.get("total_cycles").and_then(Json::as_u64);
+    let fresh = kernel_rows(fresh)?;
+    let mut mismatches = Vec::new();
+    for (key, row) in kernel_rows(baseline)? {
+        let want = cycles(row).ok_or("engine row missing total_cycles")?;
+        match fresh
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, r)| cycles(r))
+        {
+            Some(Some(got)) if got == want => {}
+            Some(Some(got)) => mismatches.push(format!("{key} total_cycles {got} != {want}")),
+            _ => mismatches.push(format!("{key} missing from the fresh report")),
+        }
+    }
+    Ok(mismatches)
 }
 
 /// One metric that fell more than the tolerance below its baseline.
@@ -219,6 +250,15 @@ fn run(args: &[String]) -> Result<bool, String> {
     );
 
     if *kind == "kernel" {
+        let mismatches = total_cycles_mismatches(&baseline, &fresh)?;
+        for m in &mismatches {
+            println!("FAIL: {m}");
+        }
+        pass &= mismatches.is_empty();
+        println!(
+            "kernel: {} total_cycles rows differ from baseline",
+            mismatches.len()
+        );
         let speedup = sliced_dist_speedup(&fresh)?;
         if speedup < MIN_SLICED_DIST_SPEEDUP {
             println!(
@@ -326,6 +366,30 @@ mod tests {
         ]);
         let speedup = sliced_dist_speedup(&report).unwrap();
         assert!((speedup - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn total_cycles_must_match_the_baseline_exactly() {
+        let baseline = kernel_report(&[
+            ("dist", "fir3", 1000, 1_000_000),
+            ("cent", "fir3", 1000, 1_000_000),
+        ]);
+        // Timing may differ freely; cycles may not.
+        let same = kernel_report(&[
+            ("cent", "fir3", 1000, 9_000_000),
+            ("dist", "fir3", 1000, 50),
+        ]);
+        assert!(total_cycles_mismatches(&baseline, &same)
+            .unwrap()
+            .is_empty());
+        let drifted = kernel_report(&[("dist", "fir3", 1001, 1_000_000)]);
+        assert_eq!(
+            total_cycles_mismatches(&baseline, &drifted).unwrap(),
+            vec![
+                "kernel/dist/fir3 total_cycles 1001 != 1000".to_string(),
+                "kernel/cent/fir3 missing from the fresh report".to_string(),
+            ]
+        );
     }
 
     #[test]
