@@ -233,6 +233,15 @@ mod tests {
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
     use tauhls_sched::Allocation;
 
+    /// One fault-free CENT-SYNC run.
+    fn sync_run(
+        bound: &BoundDfg,
+        model: &CompletionModel,
+        rng: &mut StdRng,
+    ) -> Result<SimResult, SimError> {
+        run_cent_sync(bound, model, None, rng, &SimConfig::default())
+    }
+
     #[test]
     fn extremes_match_taubm_bounds() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
@@ -242,22 +251,8 @@ mod tests {
             bound.allocation().tau_classes(),
         );
         let mut rng = StdRng::seed_from_u64(0);
-        let best = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysShort,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        let worst = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysLong,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let best = sync_run(&bound, &CompletionModel::AlwaysShort, &mut rng).unwrap();
+        let worst = sync_run(&bound, &CompletionModel::AlwaysLong, &mut rng).unwrap();
         assert_eq!(best.cycles, taubm.best_latency_cycles());
         assert_eq!(worst.cycles, taubm.worst_latency_cycles());
     }
@@ -276,15 +271,9 @@ mod tests {
         let trials = 30_000;
         let total: usize = (0..trials)
             .map(|_| {
-                run_cent_sync(
-                    &bound,
-                    &CompletionModel::Bernoulli { p },
-                    None,
-                    &mut rng,
-                    &SimConfig::default(),
-                )
-                .unwrap()
-                .cycles
+                sync_run(&bound, &CompletionModel::Bernoulli { p }, &mut rng)
+                    .unwrap()
+                    .cycles
             })
             .sum();
         let mean = total as f64 / trials as f64;
@@ -315,14 +304,7 @@ mod tests {
                 &mut rng1,
             )
             .unwrap();
-            let s = run_cent_sync(
-                &bound,
-                &CompletionModel::Bernoulli { p: 0.5 },
-                None,
-                &mut rng2,
-                &SimConfig::default(),
-            )
-            .unwrap();
+            let s = sync_run(&bound, &CompletionModel::Bernoulli { p: 0.5 }, &mut rng2).unwrap();
             // Hard bounds always hold.
             assert!(d.cycles >= 5 && d.cycles <= 8, "dist {}", d.cycles);
             assert!(s.cycles >= 5 && s.cycles <= 8, "sync {}", s.cycles);
@@ -330,24 +312,10 @@ mod tests {
         // Deterministic dominance at the extremes.
         let mut rng = StdRng::seed_from_u64(0);
         let db = dist_run(&bound, &cu, &CompletionModel::AlwaysShort, None, &mut rng).unwrap();
-        let sb = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysShort,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sb = sync_run(&bound, &CompletionModel::AlwaysShort, &mut rng).unwrap();
         assert!(db.cycles <= sb.cycles);
         let dw = dist_run(&bound, &cu, &CompletionModel::AlwaysLong, None, &mut rng).unwrap();
-        let sw = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysLong,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let sw = sync_run(&bound, &CompletionModel::AlwaysLong, &mut rng).unwrap();
         assert!(dw.cycles <= sw.cycles);
     }
 
@@ -356,22 +324,8 @@ mod tests {
         // Paper 3rd FIR LT_TAU: best 45 ns (3 cycles), worst 75 ns (5).
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(0);
-        let best = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysShort,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
-        let worst = run_cent_sync(
-            &bound,
-            &CompletionModel::AlwaysLong,
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let best = sync_run(&bound, &CompletionModel::AlwaysShort, &mut rng).unwrap();
+        let worst = sync_run(&bound, &CompletionModel::AlwaysLong, &mut rng).unwrap();
         assert_eq!(best.cycles, 3);
         assert_eq!(worst.cycles, 5);
     }
@@ -380,14 +334,7 @@ mod tests {
     fn completion_cycles_respect_dependences() {
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
         let mut rng = StdRng::seed_from_u64(4);
-        let r = run_cent_sync(
-            &bound,
-            &CompletionModel::Bernoulli { p: 0.5 },
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let r = sync_run(&bound, &CompletionModel::Bernoulli { p: 0.5 }, &mut rng).unwrap();
         for v in bound.dfg().op_ids() {
             for p in bound.dfg().preds(v) {
                 assert!(r.completion_cycle[p.0] < r.start_cycle[v.0]);
@@ -398,14 +345,7 @@ mod tests {
     fn short_table_is_invalid_config() {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let mut rng = StdRng::seed_from_u64(0);
-        let err = run_cent_sync(
-            &bound,
-            &CompletionModel::Table(vec![true]),
-            None,
-            &mut rng,
-            &SimConfig::default(),
-        )
-        .unwrap_err();
+        let err = sync_run(&bound, &CompletionModel::Table(vec![true]), &mut rng).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 }

@@ -64,8 +64,8 @@ pub(crate) fn elastic_budget(config: &SimConfig, n: usize, spec: &ElasticSpec) -
 /// with a [`ClockFabric`] that gates controller ticks and delays
 /// cross-domain completion visibility.
 pub(crate) struct ElasticHooks<'a> {
-    pub(crate) inner: SingleIterHooks<'a>,
-    pub(crate) clock: ClockFabric,
+    inner: SingleIterHooks<'a>,
+    clock: ClockFabric,
 }
 
 impl PulseHooks for ElasticHooks<'_> {
