@@ -110,6 +110,34 @@ fn simulate_reports_all_four_styles() {
 }
 
 #[test]
+fn simulate_stdout_is_pinned() {
+    let out = tauhls(&[
+        "simulate",
+        example_dfg(),
+        "--trials",
+        "40",
+        "--seed",
+        "3",
+        "--threads",
+        "2",
+        "--skew",
+        "2",
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let expected = "\
+clock 15 ns, 40 coupled trials at P = [0.9, 0.7, 0.5]
+LT_TAU  (synchronized) : [45][49.9, 57.0, 63.4][75]
+LT_DIST (distributed)  : [45][49.5, 56.2, 62.6][75]
+LT_CENT (centralized)  : [45][49.5, 56.2, 62.6][75]
+LT_ELAS (elastic s=2,l=1) : [60][109.1, 122.6, 127.1][270]
+  P = 0.9: +0.8% enhancement
+  P = 0.7: +1.3% enhancement
+  P = 0.5: +1.2% enhancement
+";
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
 fn table2_runs_builtin_suite_with_cent_column() {
     let out = tauhls(&["table2", "--trials", "20", "--seed", "3", "--threads", "2"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
