@@ -13,10 +13,7 @@ use tauhls_dfg::{Dfg, ResourceClass};
 use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
-use tauhls_sim::{
-    derive_seed, latency_batch, latency_summary_batch, BatchRunner, ControlStyle, ElasticSpec,
-    SimError,
-};
+use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ControlStyle, ElasticSpec, SimError};
 
 /// One explored design point.
 #[derive(Clone, Debug)]
@@ -240,14 +237,13 @@ impl std::error::Error for SweepError {}
 ///
 /// The grid is allocations (class-aware, like [`explore_allocations`]) ×
 /// `encodings` × `p_values` × `sd_ld` × `skew`. Each allocation is
-/// simulated once per skew bound — a batched call covering every `P`,
-/// seeded by the allocation triple so results are independent of
-/// enumeration order and of `runner`'s thread count — and synthesized
-/// once per encoding through the shared [`StageCache`]. Cycle counts
-/// don't depend on encoding or clock ratio, so those axes are pure
-/// post-processing; the skew axis re-simulates (elastic stalls change
-/// cycle counts) but reuses the same per-trial completion tables as the
-/// synchronous leg.
+/// simulated once — one coupled [`latency_batch`] covering every `P` and
+/// every skew bound (DIST at skew 0, ELASTIC otherwise), seeded by the
+/// allocation triple so results are independent of enumeration order and
+/// of `runner`'s thread count — and synthesized once per encoding
+/// through the shared [`StageCache`]. Cycle counts don't depend on
+/// encoding or clock ratio, so those axes are pure post-processing;
+/// every skew leg reads the same per-trial completion tables.
 ///
 /// `(p, sd_ld, skew)` describe the *scenario* (workload, clock, and
 /// clocking discipline), not the design, so Pareto domination is judged
@@ -331,41 +327,31 @@ pub fn design_space_slice(
         let bound = BoundDfg::bind(dfg, &alloc);
         let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
         let point_seed = derive_seed(params.seed, point_id, 0);
-        let dist = latency_batch(
+        // One leg per skew bound on coupled trials: skew 0 measures DIST,
+        // `s > 0` ELASTIC at skew bound `s`, and every leg reads the same
+        // per-trial completion tables.
+        let styles: Vec<ControlStyle> = params
+            .skew
+            .iter()
+            .map(|&s| match s {
+                0 => ControlStyle::Distributed,
+                s => ControlStyle::Elastic(ElasticSpec {
+                    skew_bound: s.min(u64::from(u32::MAX)) as u32,
+                    ..ElasticSpec::default()
+                }),
+            })
+            .collect();
+        // Per-skew cycle estimates, indexed [skew][p].
+        let cycles_by_skew = latency_batch(
             &bound,
-            &[ControlStyle::Distributed],
+            &styles,
             &params.p_values,
             0,
             params.trials,
             point_seed,
             runner,
         )
-        .map_err(SweepError::Sim)?
-        .remove(0);
-        // Per-skew cycle estimates, indexed [skew][p]. Skew 0 reuses the
-        // distributed leg; nonzero bounds run the elastic engine at the
-        // same seed, so both legs draw identical completion tables.
-        let mut cycles_by_skew = Vec::with_capacity(params.skew.len());
-        for &s in &params.skew {
-            if s == 0 {
-                cycles_by_skew.push(dist.average_cycles.clone());
-            } else {
-                let spec = ElasticSpec {
-                    skew_bound: s.min(u64::from(u32::MAX)) as u32,
-                    ..ElasticSpec::default()
-                };
-                let elas = latency_summary_batch(
-                    &bound,
-                    ControlStyle::Elastic(spec),
-                    &params.p_values,
-                    params.trials,
-                    point_seed,
-                    runner,
-                )
-                .map_err(SweepError::Sim)?;
-                cycles_by_skew.push(elas.average_cycles);
-            }
-        }
+        .map_err(SweepError::Sim)?;
         let mut areas = Vec::with_capacity(params.encodings.len());
         for &encoding in &params.encodings {
             let input = SynthesisInput {
@@ -391,7 +377,7 @@ pub fn design_space_slice(
             for (ie, &encoding) in params.encodings.iter().enumerate() {
                 for &ratio in &params.sd_ld {
                     for (is, &skew) in params.skew.iter().enumerate() {
-                        let cycles = cycles_by_skew[is][ip];
+                        let cycles = cycles_by_skew[is].average_cycles[ip];
                         points.push(SweepPoint {
                             muls,
                             adds,
@@ -564,6 +550,53 @@ mod tests {
         // Determinism across thread counts with the skew axis in play.
         let (threaded, _) = design_space(&fir5(), &params, &BatchRunner::new(3), None).unwrap();
         assert_eq!(format!("{pts:?}"), format!("{threaded:?}"));
+    }
+
+    #[test]
+    fn skew_cells_equal_the_coupled_latency_batch_legs() {
+        let params = SweepParams {
+            max_muls: 2,
+            max_adds: 1,
+            max_subs: 0,
+            encodings: vec![Encoding::Binary],
+            p_values: vec![0.9, 0.5],
+            sd_ld: vec![1.0],
+            skew: vec![0, 1, 2],
+            trials: 70,
+            width: 16,
+            seed: 2003,
+        };
+        let (pts, _) = design_space(&fir5(), &params, &BatchRunner::new(2), None).unwrap();
+        let elastic = |skew_bound| {
+            ControlStyle::Elastic(ElasticSpec {
+                skew_bound,
+                ..ElasticSpec::default()
+            })
+        };
+        let styles = [ControlStyle::Distributed, elastic(1), elastic(2)];
+        for (muls, adds, subs) in enumerate_allocations(&fir5(), &params) {
+            let bound = BoundDfg::bind(&fir5(), &Allocation::paper(muls, adds, subs));
+            let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
+            let seed = derive_seed(params.seed, point_id, 0);
+            let legs = latency_batch(
+                &bound,
+                &styles,
+                &params.p_values,
+                0,
+                params.trials,
+                seed,
+                &BatchRunner::serial(),
+            )
+            .unwrap();
+            let cells = pts
+                .iter()
+                .filter(|p| (p.muls, p.adds, p.subs) == (muls, adds, subs));
+            for p in cells {
+                let is = params.skew.iter().position(|&s| s == p.skew).unwrap();
+                let ip = params.p_values.iter().position(|&q| q == p.p).unwrap();
+                assert_eq!(p.avg_cycles, legs[is].average_cycles[ip], "{p:?}");
+            }
+        }
     }
 
     #[test]
