@@ -16,8 +16,7 @@ use tauhls_sched::BoundDfg;
 use tauhls_sim::{
     elastic_trial_skew_seed, simulate_pipelined_with, Accumulator, BatchRunner, CompletionModel,
     ControlStyle, ControlStyleSet, ElasticSpec, Engine, Fault, FaultKind, FaultPlan, LaneBuilder,
-    LaneConfigs, LaneInput, LaneModels, PipelinedLaneOutcome, PipelinedResult, SimConfig, SimError,
-    SimResult, SlabDriver, SlicedSim,
+    LaneInput, PipelinedResult, SimConfig, SimError, SimResult, SlabDriver,
 };
 
 use crate::experiments::paper_benchmarks;
@@ -169,9 +168,9 @@ pub fn kernel_conformance() -> Json {
 }
 
 /// Renders the same corpus as [`kernel_conformance`], but drives every
-/// entry through the bit-sliced engine: the [`SlabDriver`] (one lane per
-/// entry) for the single-iteration styles, and the sliced pipelined
-/// engine with scalar fallback. The output must match
+/// single-iteration entry through the bit-sliced engine, one
+/// [`SlabDriver`] lane per entry; the pipelined leg, which has no sliced
+/// twin, runs scalar in both corpora. The output must match
 /// [`kernel_conformance`] — and therefore `results/kernel_golden.json` —
 /// byte for byte; `tests/golden.rs` replays it against the oracle, whose
 /// pre-refactor 126-entry prefix is untouched.
@@ -200,28 +199,12 @@ fn kernel_corpus(sliced: bool) -> Json {
     for design in &designs {
         let bound = design.bound();
         let cu = DistributedControlUnit::generate(bound);
-        let mut pipe_sim = SlicedSim::pipelined(bound, &cu, PIPELINE_ITERATIONS);
         let rows = style_rows(bound, &sync_styles, &model, &plans, sliced);
         for (cell, mut row) in rows.into_iter().enumerate() {
-            let seed = SEEDS[cell / plans.len()];
+            let mut rng = StdRng::seed_from_u64(SEEDS[cell / plans.len()]);
             let config = SimConfig::with_faults(plans[cell % plans.len()].1.clone());
-            let (models, cfgs) = (LaneModels::Shared(&model), LaneConfigs::Shared(&config));
-            let lane = &mut [StdRng::seed_from_u64(seed)];
-            let pipe = match sliced.then(|| pipe_sim.run_pipelined(&models, &cfgs, lane).remove(0))
-            {
-                Some(PipelinedLaneOutcome::Done(r)) => Ok(r),
-                _ => {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    simulate_pipelined_with(
-                        bound,
-                        &cu,
-                        &model,
-                        PIPELINE_ITERATIONS,
-                        &mut rng,
-                        &config,
-                    )
-                }
-            };
+            let pipe =
+                simulate_pipelined_with(bound, &cu, &model, PIPELINE_ITERATIONS, &mut rng, &config);
             row.push(("pipelined", pipelined_json(&pipe)));
             entries.push(Json::object(row));
         }

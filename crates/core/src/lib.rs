@@ -24,17 +24,18 @@
 //! use tauhls_core::{Synthesis, Timing};
 //! use tauhls_dfg::benchmarks::diffeq;
 //! use tauhls_sched::Allocation;
-//! use tauhls_sim::ControlStyle;
-//! use rand::SeedableRng;
+//! use tauhls_sim::{latency_batch, BatchRunner, ControlStyle};
 //!
 //! let design = Synthesis::new(diffeq())
 //!     .allocation(Allocation::paper(2, 1, 1))
 //!     .timing(Timing::default())
 //!     .run()?;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let dist = design.latency(ControlStyle::Distributed, &[0.9, 0.5], 100, &mut rng);
-//! let sync = design.latency(ControlStyle::CentSync, &[0.9, 0.5], 100, &mut rng);
+//! let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+//! let runner = BatchRunner::serial();
+//! let legs = latency_batch(design.bound(), &styles, &[0.9, 0.5], 0, 100, 1, &runner)
+//!     .expect("fault-free simulation");
+//! let (sync, dist) = (&legs[0], &legs[1]);
 //! assert!(dist.average_cycles[1] <= sync.average_cycles[1]);
 //! # Ok::<(), tauhls_core::SynthesisError>(())
 //! ```

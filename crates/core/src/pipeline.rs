@@ -8,14 +8,10 @@
 use std::sync::Arc;
 
 use crate::stages::{self, BindStrategy, ControlUnits, PipelineTrace, StageCache, SynthesisInput};
-use rand::Rng;
 use tauhls_dfg::Dfg;
 use tauhls_fsm::{synthesize, DistributedControlUnit, Encoding, Fsm, SynthesizedFsm};
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg, UnitId};
-use tauhls_sim::{
-    latency_summary, latency_summary_batch, BatchRunner, ControlStyle, LatencySummary,
-};
 
 /// Timing parameters of the telescopic system (paper Table 2 footer:
 /// `SD(×) = 15 ns, LD(×) = 20 ns, FD(+,−) = 15 ns`).
@@ -249,41 +245,13 @@ impl Design {
             .expect("unit has a controller");
         synthesize(fsm, encoding, model)
     }
-
-    /// Latency summary under a control style (cycles; multiply by
-    /// [`Timing::clock_ns`] for ns).
-    pub fn latency(
-        &self,
-        style: ControlStyle,
-        p_values: &[f64],
-        trials: usize,
-        rng: &mut impl Rng,
-    ) -> LatencySummary {
-        latency_summary(self.bound(), style, p_values, trials, rng).expect("fault-free simulation")
-    }
-
-    /// Like [`Design::latency`], but on the deterministic batch engine:
-    /// trials fan out over `runner`'s workers and the summary is
-    /// bit-identical for any thread count.
-    pub fn latency_batch(
-        &self,
-        style: ControlStyle,
-        p_values: &[f64],
-        trials: usize,
-        seed: u64,
-        runner: &BatchRunner,
-    ) -> LatencySummary {
-        latency_summary_batch(self.bound(), style, p_values, trials as u64, seed, runner)
-            .expect("fault-free simulation")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3};
+    use tauhls_sim::{latency_batch, BatchRunner, ControlStyle};
 
     #[test]
     fn pipeline_runs_end_to_end() {
@@ -292,27 +260,12 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(design.distributed().controllers().len(), 4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let lat = design.latency(ControlStyle::Distributed, &[0.9], 50, &mut rng);
-        assert_eq!(lat.best_cycles, 4);
-        let batched = design.latency_batch(
-            ControlStyle::Distributed,
-            &[0.9],
-            50,
-            1,
-            &BatchRunner::new(2),
-        );
-        assert_eq!(batched.best_cycles, 4);
-        assert_eq!(
-            batched,
-            design.latency_batch(
-                ControlStyle::Distributed,
-                &[0.9],
-                50,
-                1,
-                &BatchRunner::serial()
-            )
-        );
+        let dist = [ControlStyle::Distributed];
+        let latency =
+            |runner: &BatchRunner| latency_batch(design.bound(), &dist, &[0.9], 0, 50, 1, runner);
+        let batched = latency(&BatchRunner::new(2)).unwrap();
+        assert_eq!(batched[0].best_cycles, 4);
+        assert_eq!(batched, latency(&BatchRunner::serial()).unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::cent::{CentControlUnit, CENT_FSM_NAME};
 use crate::centsync::run_cent_sync;
 use crate::distributed::run_single_iter;
-use crate::elastic::{elastic_trial_skew_seed, run_elastic};
+use crate::elastic::run_elastic;
 use crate::error::SimError;
 use crate::fault::SimConfig;
 use crate::kernel::{ClockFabric, DiagMode, ElasticSpec};
@@ -173,8 +173,8 @@ impl std::ops::BitOr for ControlStyleSet {
 /// This is the crate's per-style dispatch and its only public way to run
 /// one style: it builds a style's controllers, runs one scalar trial
 /// ([`Engine::run_scalar`], the oracle every sliced result is checked
-/// against) and measures the best/worst envelope. [`latency_summary`]
-/// runs on it directly; the [`SlabDriver`](crate::SlabDriver) and
+/// against) and measures the best/worst envelope. The
+/// [`SlabDriver`](crate::SlabDriver) and
 /// [`SlicedSim::new`](crate::SlicedSim::new) add the style's sliced
 /// handling. A caller with its own controllers (multi-level TAUs, say)
 /// builds the variant directly, e.g. `Engine::Dist(cu)`.
@@ -335,53 +335,6 @@ impl Engine {
     }
 }
 
-/// Measures a [`LatencySummary`] for a bound DFG under one control style.
-///
-/// Best/worst come from the deterministic extreme models; each average is
-/// a Monte-Carlo mean over `trials` runs of `Bernoulli(p)`.
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0` or a `P` is
-/// outside `[0, 1]`, and propagates any simulation failure.
-pub fn latency_summary(
-    bound: &BoundDfg,
-    style: ControlStyle,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<LatencySummary, SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency summary needs trials >= 1".to_string(),
-        ));
-    }
-    CompletionModel::check_p_values(p_values)?;
-    let engine = Engine::generate(bound, style);
-    let (best_cycles, worst_cycles) = engine.envelope(bound)?;
-    let fault_free = SimConfig::default();
-    // Trials are numbered from 2 (after the two envelope runs); only the
-    // elastic engine reads the number, as its skew seed.
-    let mut run_tag = 2u64;
-    let mut average_cycles = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let model = CompletionModel::Bernoulli { p };
-        let mut total = 0usize;
-        for _ in 0..trials {
-            let skew_seed = elastic_trial_skew_seed(0, 0, run_tag);
-            run_tag += 1;
-            total += engine
-                .run_scalar(bound, &model, None, rng, &fault_free, skew_seed)?
-                .cycles;
-        }
-        average_cycles.push(total as f64 / trials as f64);
-    }
-    Ok(LatencySummary {
-        best_cycles,
-        average_cycles,
-        worst_cycles,
-        p_values: p_values.to_vec(),
-    })
-}
-
 /// Percentage improvement of `dist` over `sync` per swept `P`
 /// (the paper's "Performance Enhancement" column).
 pub fn enhancement_percent(sync: &LatencySummary, dist: &LatencySummary) -> Vec<f64> {
@@ -395,57 +348,8 @@ pub fn enhancement_percent(sync: &LatencySummary, dist: &LatencySummary) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tauhls_dfg::benchmarks::{fir5, iir2};
+    use tauhls_dfg::benchmarks::fir5;
     use tauhls_sched::Allocation;
-
-    #[test]
-    fn fir5_distributed_beats_sync_on_average() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(1);
-        let ps = [0.9, 0.7, 0.5];
-        let sync = latency_summary(&bound, ControlStyle::CentSync, &ps, 2000, &mut rng).unwrap();
-        let dist = latency_summary(&bound, ControlStyle::Distributed, &ps, 2000, &mut rng).unwrap();
-        assert_eq!(sync.best_cycles, dist.best_cycles);
-        assert!(dist.worst_cycles <= sync.worst_cycles);
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s, "dist {d} > sync {s}");
-        }
-        let enh = enhancement_percent(&sync, &dist);
-        // The paper reports 4.9-13.2 % for FIR5; demand a visible gain.
-        assert!(enh[2] > 2.0, "enhancement at P=0.5: {enh:?}");
-        // Gap widens as P shrinks.
-        assert!(enh[2] >= enh[0] - 0.5, "{enh:?}");
-    }
-
-    #[test]
-    fn averages_monotone_in_p() {
-        let bound = BoundDfg::bind(&iir2(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = latency_summary(
-            &bound,
-            ControlStyle::Distributed,
-            &[0.9, 0.7, 0.5],
-            1500,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(s.average_cycles[0] <= s.average_cycles[1]);
-        assert!(s.average_cycles[1] <= s.average_cycles[2]);
-        assert!(s.best_cycles as f64 <= s.average_cycles[0]);
-        assert!(s.average_cycles[2] <= s.worst_cycles as f64);
-    }
-
-    #[test]
-    fn elastic_summary_runs_and_brackets() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(6);
-        let style = ControlStyle::Elastic(ElasticSpec::default());
-        let s = latency_summary(&bound, style, &[0.9, 0.5], 200, &mut rng).unwrap();
-        assert!(s.best_cycles as f64 <= s.average_cycles[0]);
-        assert!(s.average_cycles[1] <= s.worst_cycles as f64);
-    }
 
     #[test]
     fn style_set_parses_aliases_and_renders_canonical_names() {
@@ -494,15 +398,6 @@ mod tests {
         };
         let (sync, dist) = (cycles(3), cycles(4));
         Engine::debug_check_coupled(&engines, &[Ok(&sync), Ok(&dist)]);
-    }
-
-    #[test]
-    fn zero_trials_is_a_config_error() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(0);
-        let err =
-            latency_summary(&bound, ControlStyle::Distributed, &[0.5], 0, &mut rng).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
     #[test]

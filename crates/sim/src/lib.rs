@@ -13,11 +13,10 @@
 //!   (initiation interval and write-after-read hazards);
 //! * [`CompletionModel`] — Bernoulli(`P`), deterministic extremes, or
 //!   operand-driven completion through `tauhls-datapath` bit-level units;
-//! * [`latency_summary`] — the `[best][avg@P...][worst]` cells of Table 2
-//!   plus the enhancement column, for one control style;
-//! * [`latency_batch`] — the same cells for any list of control styles on
-//!   **coupled** trials (one completion table per trial, fed to every
-//!   style), one summary per style in request order;
+//! * [`latency_batch`] — the `[best][avg@P...][worst]` cells of Table 2
+//!   for any list of control styles on **coupled** trials (one completion
+//!   table per trial, fed to every style), one summary per style in
+//!   request order; [`enhancement_percent`] adds the enhancement column;
 //! * [`BatchRunner`] / [`SimJob`] — a deterministic parallel Monte-Carlo
 //!   engine: per-trial RNGs derived from `(base_seed, job_id, trial)` and
 //!   chunk-ordered reduction make results bit-identical for any thread
@@ -36,16 +35,16 @@
 //! Measure the FIR5 row of Table 2 (in cycles):
 //!
 //! ```
-//! use tauhls_sim::{latency_summary, enhancement_percent, ControlStyle};
+//! use tauhls_sim::{latency_batch, enhancement_percent, BatchRunner, ControlStyle};
 //! use tauhls_sched::{Allocation, BoundDfg};
 //! use tauhls_dfg::benchmarks::fir5;
-//! use rand::SeedableRng;
 //!
 //! let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let dist = latency_summary(&bound, ControlStyle::Distributed, &[0.9], 200, &mut rng).unwrap();
-//! let sync = latency_summary(&bound, ControlStyle::CentSync, &[0.9], 200, &mut rng).unwrap();
+//! let styles = [ControlStyle::CentSync, ControlStyle::Distributed];
+//! let legs = latency_batch(&bound, &styles, &[0.9], 0, 200, 7, &BatchRunner::serial()).unwrap();
+//! let (sync, dist) = (&legs[0], &legs[1]);
 //! assert!(dist.average_cycles[0] <= sync.average_cycles[0]);
+//! assert!(enhancement_percent(sync, dist)[0] >= 0.0);
 //! ```
 //!
 //! Inject a stuck-at-long completion signal and observe the deadlock:
@@ -108,8 +107,8 @@ mod slab;
 pub mod sliced;
 
 pub use batch::{
-    derive_seed, latency_batch, latency_summary_batch, trial_rng, Accumulator, BatchRunner,
-    CancelToken, CycleStats, FirstError, SimJob, DEFAULT_CHUNK_SIZE,
+    derive_seed, latency_batch, trial_rng, Accumulator, BatchRunner, CancelToken, CycleStats,
+    FirstError, SimJob, DEFAULT_CHUNK_SIZE,
 };
 pub use cent::{CentControlUnit, CENT_FSM_NAME};
 pub use elastic::{elastic_trial_skew_seed, ELASTIC_SKEW_SALT};
@@ -117,11 +116,9 @@ pub use error::{ControllerSnapshot, Diagnostics, SimError};
 pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
 pub use invariant::{check_lockstep, check_token_conservation};
 pub use kernel::{ClockFabric, ElasticSpec};
-pub use latency::{
-    enhancement_percent, latency_summary, ControlStyle, ControlStyleSet, Engine, LatencySummary,
-};
+pub use latency::{enhancement_percent, ControlStyle, ControlStyleSet, Engine, LatencySummary};
 pub use model::{CompletionModel, TauLibrary};
 pub use pipeline::{simulate_pipelined_with, PipelinedResult};
 pub use result::SimResult;
 pub use slab::{LaneBuilder, LaneInput, SlabDriver};
-pub use sliced::{LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome, SlicedSim, LANES};
+pub use sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};

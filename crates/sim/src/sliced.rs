@@ -41,7 +41,6 @@ use crate::fault::SimConfig;
 use crate::kernel::{ClockFabric, ElasticSpec};
 use crate::latency::Engine;
 use crate::model::CompletionModel;
-use crate::pipeline::PipelinedResult;
 use crate::result::SimResult;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -64,16 +63,6 @@ pub enum LaneOutcome {
     /// re-run the trial through the scalar engine to recover the error's
     /// `Diagnostics` — or its result, when the sliced engine merely
     /// declined the case.
-    Fallback,
-}
-
-/// Outcome of one lane of a sliced pipelined (multi-iteration) run.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PipelinedLaneOutcome {
-    /// The lane completed, bit-identical to
-    /// [`crate::simulate_pipelined_with`].
-    Done(PipelinedResult),
-    /// Re-run this trial through the scalar pipelined engine.
     Fallback,
 }
 
@@ -405,13 +394,13 @@ impl LaneConfigs<'_> {
         }
     }
 
-    /// Per-lane watchdog budgets for an `n`-op DFG.
-    fn budgets(&self, n: usize, iterations: usize, lanes: usize, out: &mut Vec<usize>) {
+    /// Per-lane single-iteration watchdog budgets for an `n`-op DFG.
+    fn budgets(&self, n: usize, lanes: usize, out: &mut Vec<usize>) {
         out.clear();
         match self {
-            LaneConfigs::Shared(c) => out.resize(lanes, c.budget(n, iterations)),
+            LaneConfigs::Shared(c) => out.resize(lanes, c.budget(n, 1)),
             LaneConfigs::PerLane(cs) => {
-                out.extend(cs.iter().take(lanes).map(|c| c.budget(n, iterations)));
+                out.extend(cs.iter().take(lanes).map(|c| c.budget(n, 1)));
             }
         }
     }
@@ -552,15 +541,6 @@ fn compile(cu: &DistributedControlUnit) -> Option<Vec<CCtrl<'_>>> {
     Some(out)
 }
 
-/// One agenda entry: a group of lanes sharing a controller state this
-/// cycle, with the op that state refers to (the `cur` of the scalar
-/// kernel's hooks).
-struct Agenda {
-    st: usize,
-    mask: u64,
-    op: OpId,
-}
-
 /// All engine buffers, held by [`SlicedSim`] so a worker reuses them
 /// across chunks (the scratch/arena-reuse contract of the batch runner).
 #[derive(Default)]
@@ -586,7 +566,8 @@ struct Scratch {
     deferred: Vec<(usize, usize, u64)>,
     due: Vec<(usize, usize, u64)>,
     occupancy: Vec<Vec<(usize, u64)>>,
-    agenda: Vec<Vec<Agenda>>,
+    // Per controller: `(state, lane mask)` groups that step this cycle.
+    agenda: Vec<Vec<(usize, u64)>>,
     taken: Vec<Vec<(usize, usize, u64)>>,
     input_words: Vec<u64>,
     ev: Vec<u64>,
@@ -596,12 +577,6 @@ struct Scratch {
     budgets: Vec<usize>,
     fin_cycle: Vec<usize>,
     spur: Vec<OpId>,
-    // Pipelined-mode per-trial instance counts.
-    starts: Vec<usize>,
-    completions: Vec<usize>,
-    iter_end: Vec<usize>,
-    war: Vec<Vec<(OpId, usize)>>,
-    at_target: Vec<u32>,
     // Cent-sync per-lane cycle counters and per-step draw words.
     cyc: Vec<usize>,
     short_w: Vec<u64>,
@@ -658,53 +633,10 @@ fn latch_single(
     upd
 }
 
-/// Pipelined latch of `op` for the lanes in `m` at cycle `at`: WAR-hazard
-/// bookkeeping, instance counts, iteration-end accounting — the scalar
-/// `PipelinedHooks::latch`, per lane.
-#[allow(clippy::too_many_arguments)]
-fn latch_piped(
-    op: usize,
-    m: u64,
-    at: usize,
-    n: usize,
-    iterations: usize,
-    bound: &BoundDfg,
-    starts: &[usize],
-    completions: &mut [usize],
-    iter_end: &mut [usize],
-    war: &mut [Vec<(OpId, usize)>],
-    at_target: &mut [u32],
-    lanes_incomplete: &mut u64,
-) {
-    for t in BitIter(m) {
-        let k = completions[op * 64 + t];
-        if k >= 1 && k < iterations {
-            for c in bound.cross_unit_succs(OpId(op)) {
-                if starts[c.0 * 64 + t] < k {
-                    war[t].push((OpId(op), k));
-                    break;
-                }
-            }
-        }
-        completions[op * 64 + t] += 1;
-        let iter_done = completions[op * 64 + t];
-        if iter_done <= iterations && (0..n).all(|o| completions[o * 64 + t] >= iter_done) {
-            iter_end[t * iterations + (iter_done - 1)] = at;
-        }
-        if iter_done == iterations {
-            at_target[t] += 1;
-            if at_target[t] as usize == n {
-                *lanes_incomplete &= !(1u64 << t);
-            }
-        }
-    }
-}
-
-/// The word-parallel FSM cycle engine shared by the single-iteration
-/// (distributed/centralized), elastic, and pipelined modes. Mirrors
-/// `kernel::run` + `FsmStyle::advance` stage for stage; any lane that
-/// would take a scalar error path is moved to the returned fallback
-/// mask. Returns `(fallback, finished)` lane masks.
+/// The word-parallel single-iteration FSM cycle engine of the controller
+/// bank (DIST, CENT and ELASTIC). Mirrors `kernel::run` +
+/// `FsmStyle::advance` stage for stage; any lane that would take a scalar
+/// error path is moved to the returned fallback lane mask.
 ///
 /// `elastic` carries the GALS clocking parameters and one skew seed per
 /// lane; `None` is the synchronous (one-domain) case. With it set, each
@@ -716,22 +648,19 @@ fn latch_piped(
 fn fsm_engine(
     bound: &BoundDfg,
     ctrls: &[CCtrl<'_>],
-    opvals: Option<&[(i64, i64)]>,
-    iterations: Option<usize>,
+    opvals: &[(i64, i64)],
     elastic: Option<(ElasticSpec, &[u64])>,
     models: &LaneModels<'_>,
     configs: &LaneConfigs<'_>,
     rngs: &mut [StdRng],
     scr: &mut Scratch,
-) -> (u64, u64) {
+) -> u64 {
     let dfg = bound.dfg();
     let n = dfg.num_ops();
     let nu = bound.allocation().units().len();
     let nc = ctrls.len();
     let lanes = rngs.len();
     let all = lane_mask(lanes);
-    let piped = iterations.is_some();
-    let iters = iterations.unwrap_or(1);
     // Elastic clocking parameters (identity values when synchronous).
     let period = elastic.map_or(1, |(s, _)| s.period() as usize);
     let lat = elastic.map_or(0, |(s, _)| s.sync_latency as usize);
@@ -741,7 +670,7 @@ fn fsm_engine(
     let mut fallback = models.invalid_mask(n, lanes);
     let mut finished = 0u64;
     let faulty = configs.faulty_mask(lanes);
-    configs.budgets(n, iters, lanes, &mut scr.budgets);
+    configs.budgets(n, lanes, &mut scr.budgets);
     if elastic.is_some() {
         // The scalar `elastic_budget` stretch, applied per lane.
         for b in scr.budgets.iter_mut() {
@@ -774,17 +703,6 @@ fn fsm_engine(
             h.clear();
         }
     }
-    if piped {
-        reset_usize(&mut scr.starts, n * 64);
-        reset_usize(&mut scr.completions, n * 64);
-        reset_usize(&mut scr.iter_end, lanes * iters);
-        scr.war.resize_with(lanes, Vec::new);
-        for w in scr.war.iter_mut() {
-            w.clear();
-        }
-        scr.at_target.clear();
-        scr.at_target.resize(lanes, 0);
-    }
     scr.occupancy.resize_with(nc, Vec::new);
     scr.agenda.resize_with(nc, Vec::new);
     scr.taken.resize_with(nc, Vec::new);
@@ -796,15 +714,9 @@ fn fsm_engine(
     let mut lanes_incomplete = if n > 0 { all } else { 0 };
     let mut cycle = 0usize;
     loop {
-        // Loop-top running check (the kernel's `while style.running`).
-        // Single-iteration hooks stay running while deferred latches are
-        // pending; the pipelined hooks only watch completion counts and
-        // abandon still-deferred latches at loop exit.
-        let defm = if piped {
-            0
-        } else {
-            scr.deferred.iter().fold(0u64, |a, e| a | e.2)
-        };
+        // Loop-top running check (the kernel's `while style.running`):
+        // a lane stays running while its deferred latches are pending.
+        let defm = scr.deferred.iter().fold(0u64, |a, e| a | e.2);
         let alive = all & !fallback & !finished;
         let still = (lanes_incomplete | defm) & alive;
         let newly = alive & !still;
@@ -894,42 +806,25 @@ fn fsm_engine(
                 if m == 0 {
                     continue;
                 }
-                if piped {
-                    latch_piped(
-                        op,
-                        m,
-                        at,
-                        n,
-                        iters,
-                        bound,
-                        &scr.starts,
-                        &mut scr.completions,
-                        &mut scr.iter_end,
-                        &mut scr.war,
-                        &mut scr.at_target,
-                        &mut lanes_incomplete,
-                    );
-                } else {
-                    let upd = latch_single(
-                        op,
-                        m,
-                        at,
-                        n,
-                        &mut scr.done,
-                        &mut scr.completion_cycle,
-                        &mut scr.done_count,
-                        &mut lanes_incomplete,
-                    );
-                    if vis_latched && upd != 0 {
-                        // Handshake from the latch cycle: a deferred latch
-                        // already past its visibility point is visible now
-                        // (the scalar `min(visible_at, at + latency)`).
-                        let v = at + lat;
-                        if v <= cycle {
-                            scr.visible[op] |= upd;
-                        } else {
-                            scr.vis_ring[(v % lat) * n + op] |= upd;
-                        }
+                let upd = latch_single(
+                    op,
+                    m,
+                    at,
+                    n,
+                    &mut scr.done,
+                    &mut scr.completion_cycle,
+                    &mut scr.done_count,
+                    &mut lanes_incomplete,
+                );
+                if vis_latched && upd != 0 {
+                    // Handshake from the latch cycle: a deferred latch
+                    // already past its visibility point is visible now
+                    // (the scalar `min(visible_at, at + latency)`).
+                    let v = at + lat;
+                    if v <= cycle {
+                        scr.visible[op] |= upd;
+                    } else {
+                        scr.vis_ring[(v % lat) * n + op] |= upd;
                     }
                 }
             }
@@ -975,59 +870,28 @@ fn fsm_engine(
                         continue;
                     }
                 };
-                let op = match phase {
-                    Phase::Exec(op, _) | Phase::Ready(op) => op,
-                };
                 if let Phase::Exec(op, stage) = phase {
                     // exec hook: start bookkeeping, producer-order check.
-                    if piped {
-                        if stage == 0 {
-                            let mut viol = 0u64;
-                            for t in BitIter(w) {
-                                let idx = op.0 * 64 + t;
-                                if scr.starts[idx] == scr.completions[idx] {
-                                    scr.starts[idx] += 1;
-                                    if faulty & (1u64 << t) != 0 {
-                                        let k = scr.starts[idx];
-                                        if dfg
-                                            .preds(op)
-                                            .iter()
-                                            .any(|p| scr.completions[p.0 * 64 + t] < k)
-                                        {
-                                            viol |= 1u64 << t;
-                                        }
-                                    }
-                                }
-                            }
+                    if stage == 0 {
+                        let upd = w & !scr.started[op.0];
+                        scr.started[op.0] |= upd;
+                        for t in BitIter(upd) {
+                            scr.start_cycle[op.0 * 64 + t] = cycle;
+                        }
+                    }
+                    for p in dfg.preds(op) {
+                        let viol = w & !scr.done[p.0];
+                        if viol != 0 {
                             fallback |= viol;
                             adv &= !viol;
                             w &= !viol;
-                        }
-                    } else {
-                        if stage == 0 {
-                            let upd = w & !scr.started[op.0];
-                            scr.started[op.0] |= upd;
-                            for t in BitIter(upd) {
-                                scr.start_cycle[op.0 * 64 + t] = cycle;
-                            }
-                        }
-                        for p in dfg.preds(op) {
-                            let viol = w & !scr.done[p.0];
-                            if viol != 0 {
-                                fallback |= viol;
-                                adv &= !viol;
-                                w &= !viol;
-                            }
                         }
                     }
                     if w == 0 {
                         continue;
                     }
                     let node = dfg.op(op);
-                    let (lhs, rhs) = match opvals {
-                        Some(v) => v[op.0],
-                        None => (0, 0),
-                    };
+                    let (lhs, rhs) = opvals[op.0];
                     let truth = models.truth_word(op, node.kind, lhs, rhs, w, rngs) & w;
                     let (s, l) = configs.stuck_masks_at(faulty, op, cycle, w);
                     let eff = (truth & !(s | l)) | s;
@@ -1037,14 +901,12 @@ fn fsm_engine(
                         scr.unit_diverged[c.unit] |= div;
                         any_diverged = true;
                     }
-                    if !piped {
-                        let inc = w & !scr.done[op.0];
-                        for t in BitIter(inc) {
-                            scr.unit_busy[c.unit * 64 + t] += 1;
-                        }
+                    let inc = w & !scr.done[op.0];
+                    for t in BitIter(inc) {
+                        scr.unit_busy[c.unit * 64 + t] += 1;
                     }
                 }
-                scr.agenda[i].push(Agenda { st, mask: w, op });
+                scr.agenda[i].push((st, w));
             }
         }
 
@@ -1061,38 +923,18 @@ fn fsm_engine(
             scr.next.copy_from_slice(&scr.injected);
             for (i, c) in ctrls.iter().enumerate() {
                 for gi in 0..scr.agenda[i].len() {
-                    let g = &scr.agenda[i][gi];
-                    let (st, cur) = (g.st, g.op);
-                    let w = g.mask & adv;
+                    let (st, gm) = scr.agenda[i][gi];
+                    let w = gm & adv;
                     if w == 0 {
                         continue;
                     }
                     // Input words for this group (stuck overlays layered
                     // on top of the style's completion semantics).
                     scr.input_words.clear();
-                    let mut compile_bad = false;
                     for ik in &c.inputs {
                         let word = match ik {
                             InKind::Cco(p) => {
-                                let base = if piped {
-                                    if *p >= n {
-                                        // Scalar would index out of
-                                        // bounds; send to scalar.
-                                        compile_bad = true;
-                                        0
-                                    } else {
-                                        let mut b = 0u64;
-                                        for t in BitIter(w) {
-                                            let needed = scr.completions[cur.0 * 64 + t] + 1;
-                                            let have = scr.completions[p * 64 + t]
-                                                + usize::from(scr.pulses[*p] & (1u64 << t) != 0);
-                                            if have >= needed {
-                                                b |= 1u64 << t;
-                                            }
-                                        }
-                                        b
-                                    }
-                                } else if *p < n {
+                                let base = if *p < n {
                                     if vis_latched {
                                         // Cross-domain transfer is latched:
                                         // only handshake-crossed completions
@@ -1110,11 +952,6 @@ fn fsm_engine(
                             InKind::Own => scr.unit_completion[c.unit],
                         };
                         scr.input_words.push(word);
-                    }
-                    if compile_bad {
-                        fallback |= w;
-                        adv &= !w;
-                        continue;
                     }
                     let trs = &c.trans[st];
                     scr.ev.clear();
@@ -1162,9 +999,8 @@ fn fsm_engine(
                     continue;
                 }
                 for gi in 0..scr.agenda[i].len() {
-                    let g = &scr.agenda[i][gi];
-                    let (st, cur) = (g.st, g.op);
-                    let dm = g.mask & adv & uw;
+                    let (st, gm) = scr.agenda[i][gi];
+                    let dm = gm & adv & uw;
                     if dm == 0 {
                         continue;
                     }
@@ -1174,22 +1010,7 @@ fn fsm_engine(
                     for ik in &c.inputs {
                         let word = match ik {
                             InKind::Cco(p) => {
-                                if piped {
-                                    if *p >= n {
-                                        0
-                                    } else {
-                                        let mut b = 0u64;
-                                        for t in BitIter(dm) {
-                                            let needed = scr.completions[cur.0 * 64 + t] + 1;
-                                            let have = scr.completions[p * 64 + t]
-                                                + usize::from(scr.pulses[*p] & (1u64 << t) != 0);
-                                            if have >= needed {
-                                                b |= 1u64 << t;
-                                            }
-                                        }
-                                        b
-                                    }
-                                } else if *p < n {
+                                if *p < n {
                                     if vis_latched {
                                         scr.visible[*p]
                                     } else {
@@ -1286,12 +1107,10 @@ fn fsm_engine(
             }
         }
         for op in 0..n {
-            let mut w = scr.pulses[op] & adv;
+            // skip_latch: lanes already done do not latch again.
+            let mut w = scr.pulses[op] & adv & !scr.done[op];
             if w == 0 {
                 continue;
-            }
-            if !piped {
-                w &= !scr.done[op]; // skip_latch: already done
             }
             for e in &scr.deferred {
                 if e.1 == op {
@@ -1305,38 +1124,21 @@ fn fsm_engine(
             for li in 0..scr.lg.len() {
                 let (delay, m) = scr.lg[li];
                 if delay == 0 {
-                    if piped {
-                        latch_piped(
-                            op,
-                            m,
-                            cycle,
-                            n,
-                            iters,
-                            bound,
-                            &scr.starts,
-                            &mut scr.completions,
-                            &mut scr.iter_end,
-                            &mut scr.war,
-                            &mut scr.at_target,
-                            &mut lanes_incomplete,
-                        );
-                    } else {
-                        let upd = latch_single(
-                            op,
-                            m,
-                            cycle,
-                            n,
-                            &mut scr.done,
-                            &mut scr.completion_cycle,
-                            &mut scr.done_count,
-                            &mut lanes_incomplete,
-                        );
-                        if vis_latched && upd != 0 {
-                            // Becomes visible at `cycle + lat`: the slot
-                            // just promoted this cycle, due again exactly
-                            // `lat` cycles from now.
-                            scr.vis_ring[(cycle % lat) * n + op] |= upd;
-                        }
+                    let upd = latch_single(
+                        op,
+                        m,
+                        cycle,
+                        n,
+                        &mut scr.done,
+                        &mut scr.completion_cycle,
+                        &mut scr.done_count,
+                        &mut lanes_incomplete,
+                    );
+                    if vis_latched && upd != 0 {
+                        // Becomes visible at `cycle + lat`: the slot just
+                        // promoted this cycle, due again exactly `lat`
+                        // cycles from now.
+                        scr.vis_ring[(cycle % lat) * n + op] |= upd;
                     }
                 } else {
                     scr.deferred.push((cycle + delay, op, m));
@@ -1378,7 +1180,7 @@ fn fsm_engine(
             }
         }
     }
-    (fallback, finished)
+    fallback
 }
 
 /// The word-parallel synchronized step-walk (CENT-SYNC). Unlike the FSM
@@ -1402,7 +1204,7 @@ fn cent_sync_engine(
     let all = lane_mask(lanes);
     let mut fallback = models.invalid_mask(n, lanes);
     let faulty = configs.faulty_mask(lanes);
-    configs.budgets(n, 1, lanes, &mut scr.budgets);
+    configs.budgets(n, lanes, &mut scr.budgets);
     reset_usize(&mut scr.completion_cycle, n * 64);
     reset_usize(&mut scr.start_cycle, n * 64);
     reset_usize(&mut scr.unit_busy, nu * 64);
@@ -1499,37 +1301,29 @@ fn cent_sync_engine(
 }
 
 /// Which scalar body this sliced simulator mirrors.
-enum EngineMode {
+enum EngineMode<'a> {
     /// The single-iteration body over the distributed controller bank:
     /// DIST, CENT (whose product is bisimilar to its components) and
-    /// ELASTIC (the bank under [`SlicedSim::clock`]).
-    Bank {
-        values: Vec<i64>,
-        opvals: Vec<(i64, i64)>,
-    },
+    /// ELASTIC (the bank under [`SlicedSim::clock`]). `None` when the
+    /// controllers fall outside the compilable naming convention; every
+    /// lane then falls back to scalar.
+    Bank(Option<Vec<CCtrl<'a>>>),
     /// The CENT-SYNC step walk over the list schedule.
-    CentSync {
-        taubm: TaubmDfg,
-        values: Vec<i64>,
-        opvals: Vec<(i64, i64)>,
-    },
-    /// `simulate_pipelined_with`.
-    Pipelined { iterations: usize },
+    CentSync(TaubmDfg),
 }
 
 /// A reusable bit-sliced simulator for one bound DFG + controller style.
 ///
-/// Construct once per (binding, engine) and call [`SlicedSim::run`] /
-/// [`SlicedSim::run_pipelined`] repeatedly — the scratch buffers are
-/// reused across calls, which is what makes per-worker reuse in the batch
-/// runner allocation-free on the steady state.
+/// Construct once per (binding, engine) and call [`SlicedSim::run`]
+/// repeatedly — the scratch buffers are reused across calls, which is
+/// what makes per-worker reuse in the batch runner allocation-free on the
+/// steady state.
 pub struct SlicedSim<'a> {
     bound: &'a BoundDfg,
-    /// `None` when the controllers fell outside the compilable naming
-    /// convention (every lane then falls back to scalar) or when the mode
-    /// needs no FSMs (cent-sync).
-    ctrls: Option<Vec<CCtrl<'a>>>,
-    mode: EngineMode,
+    mode: EngineMode<'a>,
+    /// Reference values and per-op operands under zero primary inputs.
+    values: Vec<i64>,
+    opvals: Vec<(i64, i64)>,
     /// The ELASTIC spec clocking the bank's lanes; `None` runs them on one
     /// synchronous clock. The [`SlabDriver`](crate::SlabDriver) points its
     /// one bank simulator at each style's spec in turn.
@@ -1591,42 +1385,20 @@ impl<'a> SlicedSim<'a> {
         let zeros = vec![0i64; dfg.num_inputs()];
         let values = dfg.evaluate_all(&zeros);
         let opvals = operand_values(bound, &zeros, &values);
-        let (ctrls, mode) = match engine.dist_bank() {
-            Some(cu) => (compile(cu), EngineMode::Bank { values, opvals }),
-            None => {
-                let taubm = TaubmDfg::derive(
-                    dfg,
-                    bound.schedule().step_of(),
-                    bound.allocation().tau_classes(),
-                );
-                let mode = EngineMode::CentSync {
-                    taubm,
-                    values,
-                    opvals,
-                };
-                (None, mode)
-            }
+        let mode = match engine.dist_bank() {
+            Some(cu) => EngineMode::Bank(compile(cu)),
+            None => EngineMode::CentSync(TaubmDfg::derive(
+                dfg,
+                bound.schedule().step_of(),
+                bound.allocation().tau_classes(),
+            )),
         };
         SlicedSim {
             bound,
-            ctrls,
             mode,
+            values,
+            opvals,
             clock: engine.elastic_spec(),
-            scr: Scratch::default(),
-        }
-    }
-
-    /// Sliced twin of `simulate_pipelined_with`.
-    pub fn pipelined(
-        bound: &'a BoundDfg,
-        cu: &'a DistributedControlUnit,
-        iterations: usize,
-    ) -> Self {
-        SlicedSim {
-            bound,
-            ctrls: compile(cu),
-            mode: EngineMode::Pipelined { iterations },
-            clock: None,
             scr: Scratch::default(),
         }
     }
@@ -1649,9 +1421,7 @@ impl<'a> SlicedSim<'a> {
     /// synchronous styles ignore the seeds). A [`LaneOutcome::Done`]
     /// result is therefore bit-identical to the scalar run seeded the same
     /// way; [`LaneOutcome::Fallback`] lanes must be re-run scalar (with a
-    /// fresh RNG) to recover their result or diagnostics. A simulator
-    /// built by [`SlicedSim::pipelined`] runs through
-    /// [`SlicedSim::run_pipelined`] only and declines every lane here.
+    /// fresh RNG) to recover their result or diagnostics.
     pub fn run(
         &mut self,
         skew_seeds: &[u64],
@@ -1668,103 +1438,41 @@ impl<'a> SlicedSim<'a> {
             return vec![LaneOutcome::Fallback; lanes];
         }
         let faulty = configs.faulty_mask(lanes);
-        let (fb, values) = match (&self.mode, &self.ctrls) {
-            (EngineMode::Bank { values, opvals }, Some(ctrls)) => {
+        let fb = match &self.mode {
+            EngineMode::Bank(Some(ctrls)) => {
                 let clock = self.clock.map(|spec| (spec, &skew_seeds[..lanes]));
-                let (fb, _finished) = fsm_engine(
+                fsm_engine(
                     self.bound,
                     ctrls,
-                    Some(opvals),
-                    None,
+                    &self.opvals,
                     clock,
                     models,
                     configs,
                     rngs,
                     &mut self.scr,
-                );
-                (fb, values)
+                )
             }
-            (
-                EngineMode::CentSync {
-                    taubm,
-                    values,
-                    opvals,
-                },
-                _,
-            ) => {
-                let fb = cent_sync_engine(
-                    self.bound,
-                    taubm,
-                    opvals,
-                    models,
-                    configs,
-                    rngs,
-                    &mut self.scr,
-                );
-                (fb, values)
-            }
-            _ => return vec![LaneOutcome::Fallback; lanes],
+            EngineMode::Bank(None) => return vec![LaneOutcome::Fallback; lanes],
+            EngineMode::CentSync(taubm) => cent_sync_engine(
+                self.bound,
+                taubm,
+                &self.opvals,
+                models,
+                configs,
+                rngs,
+                &mut self.scr,
+            ),
         };
-        let cent_sync = matches!(self.mode, EngineMode::CentSync { .. });
-        collect_lanes(self.bound, &self.scr, fb, faulty, lanes, cent_sync, values)
-    }
-
-    /// Pipelined twin of [`SlicedSim::run`].
-    pub fn run_pipelined(
-        &mut self,
-        models: &LaneModels<'_>,
-        configs: &LaneConfigs<'_>,
-        rngs: &mut [StdRng],
-    ) -> Vec<PipelinedLaneOutcome> {
-        let lanes = rngs.len();
-        if lanes == 0 {
-            return Vec::new();
-        }
-        let iters = match self.mode {
-            EngineMode::Pipelined { iterations } => iterations,
-            _ => return vec![PipelinedLaneOutcome::Fallback; lanes],
-        };
-        // iterations == 0 is a scalar InvalidConfig; let scalar report it.
-        if lanes > LANES || iters == 0 || !Self::lanes_ok(models, configs, lanes) {
-            return vec![PipelinedLaneOutcome::Fallback; lanes];
-        }
-        let ctrls = match &self.ctrls {
-            Some(c) => c,
-            None => return vec![PipelinedLaneOutcome::Fallback; lanes],
-        };
-        let (fb, _finished) = fsm_engine(
+        let cent_sync = matches!(self.mode, EngineMode::CentSync(_));
+        collect_lanes(
             self.bound,
-            ctrls,
-            None,
-            Some(iters),
-            None,
-            models,
-            configs,
-            rngs,
-            &mut self.scr,
-        );
-        let mut out = Vec::with_capacity(lanes);
-        for t in 0..lanes {
-            if fb & (1u64 << t) != 0 {
-                out.push(PipelinedLaneOutcome::Fallback);
-                continue;
-            }
-            let mut iteration_end_cycle: Vec<usize> = (0..iters)
-                .map(|i| self.scr.iter_end[t * iters + i])
-                .collect();
-            for i in 1..iters {
-                if iteration_end_cycle[i] == 0 {
-                    iteration_end_cycle[i] = iteration_end_cycle[i - 1];
-                }
-            }
-            out.push(PipelinedLaneOutcome::Done(PipelinedResult {
-                iterations: iters,
-                iteration_end_cycle,
-                total_cycles: self.scr.fin_cycle[t],
-                war_hazards: self.scr.war[t].clone(),
-            }));
-        }
-        out
+            &self.scr,
+            fb,
+            faulty,
+            lanes,
+            cent_sync,
+            &self.values,
+        )
     }
 }
 
@@ -1773,7 +1481,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, SimConfig};
     use crate::latency::ControlStyle;
-    use crate::pipeline::simulate_pipelined_with;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
     use tauhls_sched::Allocation;
@@ -1925,82 +1632,6 @@ mod tests {
             let model = CompletionModel::Bernoulli { p: 0.7 };
             let config = SimConfig::default();
             assert_equiv(&bound, &Engine::Sync, &model, &config, 5, 33, true);
-        }
-    }
-
-    #[test]
-    fn pipelined_matches_scalar() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
-        let model = CompletionModel::Bernoulli { p: 0.6 };
-        for iterations in [1, 3] {
-            let lanes = 21;
-            let mut rngs = rng_bank(9, lanes);
-            let mut sim = SlicedSim::pipelined(&bound, &cu, iterations);
-            let out = sim.run_pipelined(
-                &LaneModels::Shared(&model),
-                &LaneConfigs::Shared(&SimConfig::default()),
-                &mut rngs,
-            );
-            for (t, lane) in out.iter().enumerate() {
-                let mut srng = StdRng::seed_from_u64(9 ^ (t as u64).wrapping_mul(0x9E37));
-                let scalar = simulate_pipelined_with(
-                    &bound,
-                    &cu,
-                    &model,
-                    iterations,
-                    &mut srng,
-                    &SimConfig::default(),
-                );
-                match lane {
-                    PipelinedLaneOutcome::Done(r) => {
-                        assert_eq!(Ok(r), scalar.as_ref(), "lane {t} iters {iterations}")
-                    }
-                    PipelinedLaneOutcome::Fallback => {
-                        panic!("fault-free pipelined lane {t} fell back")
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_matches_scalar_under_faults() {
-        // Deferred latches are the tricky case: pipelined hooks abandon
-        // them at loop exit instead of staying alive for them.
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let cu = DistributedControlUnit::generate(&bound);
-        let model = CompletionModel::Bernoulli { p: 0.6 };
-        let plans = [
-            FaultPlan::single(
-                3,
-                FaultKind::DelayLatch {
-                    op: OpId(1),
-                    delay: 2,
-                },
-            ),
-            FaultPlan::single(2, FaultKind::DropPulse { op: OpId(1) }),
-            FaultPlan::single(1, FaultKind::StuckAtLong { op: OpId(0) }),
-            FaultPlan::single(3, FaultKind::StuckAtShort { op: OpId(1) }),
-        ];
-        for (i, plan) in plans.iter().enumerate() {
-            let config = SimConfig::with_faults(plan.clone());
-            let lanes = 13;
-            let mut rngs = rng_bank(5, lanes);
-            let mut sim = SlicedSim::pipelined(&bound, &cu, 3);
-            let out = sim.run_pipelined(
-                &LaneModels::Shared(&model),
-                &LaneConfigs::Shared(&config),
-                &mut rngs,
-            );
-            for (t, lane) in out.iter().enumerate() {
-                if let PipelinedLaneOutcome::Done(r) = lane {
-                    let mut srng = StdRng::seed_from_u64(5 ^ (t as u64).wrapping_mul(0x9E37));
-                    let scalar =
-                        simulate_pipelined_with(&bound, &cu, &model, 3, &mut srng, &config);
-                    assert_eq!(Ok(r), scalar.as_ref(), "plan {i}, lane {t}");
-                }
-            }
         }
     }
 

@@ -2,9 +2,8 @@
 //! oracle.
 //!
 //! Random DFGs (via `tauhls-dfg`'s generator), random allocations, random
-//! fault plans (via `tauhls-check`), every control style plus the
-//! pipelined mode, and trial counts spanning partial last slabs. Two
-//! layers of comparison:
+//! fault plans (via `tauhls-check`), every control style, and trial
+//! counts spanning partial last slabs. Two layers of comparison:
 //!
 //! * **job level** — `SimJob::run` (sliced default, parallel, random
 //!   chunk size) against `SimJob::run_scalar` (scalar oracle, serial):
@@ -20,9 +19,8 @@ use tauhls_dfg::{random_dfg, RandomDfgParams};
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    elastic_trial_skew_seed, simulate_pipelined_with, trial_rng, BatchRunner, CompletionModel,
-    ControlStyle, ElasticSpec, Engine, LaneConfigs, LaneModels, LaneOutcome, PipelinedLaneOutcome,
-    SimConfig, SimJob, SlicedSim,
+    elastic_trial_skew_seed, trial_rng, BatchRunner, CompletionModel, ControlStyle, ElasticSpec,
+    Engine, LaneConfigs, LaneModels, LaneOutcome, SimConfig, SimJob, SlicedSim,
 };
 
 /// A random bound design: 3..=14 ops over Add/Sub/Mul with a random
@@ -123,46 +121,6 @@ fn sliced_lanes_match_scalar_results_exactly() {
                     LaneOutcome::Fallback => {
                         assert!(!fault_free, "fault-free {style:?} lane {t} fell back");
                     }
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn sliced_pipelined_matches_scalar_on_random_designs() {
-    forall("sliced-equiv-piped", 60, |g| {
-        let bound = arbitrary_bound(g);
-        let cu = DistributedControlUnit::generate(&bound);
-        let config = arbitrary_config(g, &bound, cu.controllers().len());
-        let iterations = g.usize(1..=4);
-        let lanes = g.usize(1..=64);
-        let model = CompletionModel::Bernoulli { p: g.unit_f64() };
-        let seed = g.u64(0..1_000_000);
-
-        let mut sim = SlicedSim::pipelined(&bound, &cu, iterations);
-        let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, 2, t as u64)).collect();
-        let out = sim.run_pipelined(
-            &LaneModels::Shared(&model),
-            &LaneConfigs::Shared(&config),
-            &mut rngs,
-        );
-        let fault_free = config == SimConfig::default();
-        for (t, lane) in out.iter().enumerate() {
-            match lane {
-                PipelinedLaneOutcome::Done(r) => {
-                    let mut srng = trial_rng(seed, 2, t as u64);
-                    let scalar = simulate_pipelined_with(
-                        &bound, &cu, &model, iterations, &mut srng, &config,
-                    );
-                    assert_eq!(
-                        Ok(r),
-                        scalar.as_ref(),
-                        "pipelined lane {t}, iters {iterations}, config {config:?}"
-                    );
-                }
-                PipelinedLaneOutcome::Fallback => {
-                    assert!(!fault_free, "fault-free pipelined lane {t} fell back");
                 }
             }
         }
