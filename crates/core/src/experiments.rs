@@ -1,6 +1,7 @@
 //! Drivers that regenerate the paper's Table 1 and Table 2 and the Fig 4
 //! state-explosion sweep.
 
+use crate::jobspec::{leg_styles, legs_enhancement, SIMULATE_LEGS};
 use crate::pipeline::{Synthesis, Timing};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -8,10 +9,7 @@ use tauhls_dfg::{benchmarks, Dfg};
 use tauhls_fsm::{synthesize, Encoding, Fsm};
 use tauhls_logic::AreaModel;
 use tauhls_sched::Allocation;
-use tauhls_sim::{
-    derive_seed, enhancement_percent, latency_batch, BatchRunner, ControlStyle, ElasticSpec,
-    LatencySummary,
-};
+use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ElasticSpec, LatencySummary};
 
 /// One row of the Table 1 area analysis.
 #[derive(Clone, Debug)]
@@ -148,17 +146,12 @@ pub struct LatencyRow {
     pub name: String,
     /// Allocation summary, e.g. `×:2, +:1`.
     pub resources: String,
-    /// The synchronized TAUBM latency summary (`LT_TAU`).
-    pub lt_tau: SummaryCells,
-    /// The distributed latency summary (`LT_DIST`).
-    pub lt_dist: SummaryCells,
-    /// The centralized product-controller summary (`LT_CENT`; equals
-    /// `LT_DIST` cycle for cycle — measured, not assumed).
-    pub lt_cent: SummaryCells,
-    /// The elastic (GALS) summary (`LT_ELAS`): the distributed control
-    /// unit under per-controller local clocks ([`ElasticSpec::default`])
-    /// — the price of giving up the single global clock.
-    pub lt_elas: SummaryCells,
+    /// One summary per [`SIMULATE_LEGS`] row, in table order: `LT_TAU`,
+    /// `LT_DIST`, `LT_CENT` (equal to `LT_DIST` cycle for cycle —
+    /// measured, not assumed) and `LT_ELAS` (the distributed control unit
+    /// under per-controller local clocks at [`ElasticSpec::default`] —
+    /// the price of giving up the single global clock).
+    pub legs: Vec<SummaryCells>,
     /// Enhancement percentage per swept `P`.
     pub enhancement: Vec<f64>,
 }
@@ -221,8 +214,9 @@ pub fn paper_benchmarks() -> Vec<(Dfg, Allocation, &'static str)> {
         .collect()
 }
 
-/// Regenerates Table 2: `LT_TAU` vs `LT_DIST` vs `LT_CENT` vs `LT_ELAS`
-/// for the six benchmarks at `P ∈ {0.9, 0.7, 0.5}`, with each row's trials
+/// Regenerates Table 2: one column per [`SIMULATE_LEGS`] row (`LT_TAU`,
+/// `LT_DIST`, `LT_CENT`, `LT_ELAS`) for the six benchmarks at
+/// `P ∈ {0.9, 0.7, 0.5}`, with each row's trials
 /// fanned over `runner`'s workers (one seed-space partition per benchmark,
 /// so the table is bit-identical for any thread count). The coupled draws
 /// are RNG-neutral, so the `LT_TAU`/`LT_DIST` cells match the historical
@@ -251,32 +245,23 @@ pub fn table2(
             .run()
             .expect("benchmark synthesizes");
         let row_seed = derive_seed(seed, row_id as u64, 0);
-        let styles = [
-            ControlStyle::CentSync,
-            ControlStyle::Distributed,
-            ControlStyle::Cent,
-            ControlStyle::Elastic(ElasticSpec::default()),
-        ];
-        let [tau, dist, cent, elas]: [LatencySummary; 4] = latency_batch(
+        let legs = latency_batch(
             design.bound(),
-            &styles,
+            &leg_styles(ElasticSpec::default()),
             &p_values,
             0,
             trials as u64,
             row_seed,
             runner,
-        )?
-        .try_into()
-        .expect("one summary per style");
-        let enhancement = enhancement_percent(&tau, &dist);
+        )?;
         rows.push(LatencyRow {
             name,
             resources: resources.to_string(),
-            lt_tau: SummaryCells::from_summary(&tau, timing.clock_ns()),
-            lt_dist: SummaryCells::from_summary(&dist, timing.clock_ns()),
-            lt_cent: SummaryCells::from_summary(&cent, timing.clock_ns()),
-            lt_elas: SummaryCells::from_summary(&elas, timing.clock_ns()),
-            enhancement,
+            legs: legs
+                .iter()
+                .map(|s| SummaryCells::from_summary(s, timing.clock_ns()))
+                .collect(),
+            enhancement: legs_enhancement(&legs),
         });
     }
     Ok(Table2 {
@@ -298,24 +283,18 @@ impl fmt::Display for Table2 {
             "(clock {} ns; averages over {} trials at P = {:?})",
             self.clock_ns, self.trials, self.p_values
         )?;
-        writeln!(
-            f,
-            "{:<12} {:<14} {:<28} {:<28} {:<28} {:<28} Enhancement",
-            "DFG", "Resources", "LT_TAU (ns)", "LT_DIST (ns)", "LT_CENT (ns)", "LT_ELAS (ns)"
-        )?;
+        write!(f, "{:<12} {:<14} ", "DFG", "Resources")?;
+        for (key, _, _) in &SIMULATE_LEGS {
+            write!(f, "{:<28} ", format!("{} (ns)", key.to_ascii_uppercase()))?;
+        }
+        writeln!(f, "Enhancement")?;
         for r in &self.rows {
+            write!(f, "{:<12} {:<14} ", r.name, r.resources)?;
+            for cells in &r.legs {
+                write!(f, "{:<28} ", cells.rendered)?;
+            }
             let enh: Vec<String> = r.enhancement.iter().map(|e| format!("{e:.1}%")).collect();
-            writeln!(
-                f,
-                "{:<12} {:<14} {:<28} {:<28} {:<28} {:<28} [{}]",
-                r.name,
-                r.resources,
-                r.lt_tau.rendered,
-                r.lt_dist.rendered,
-                r.lt_cent.rendered,
-                r.lt_elas.rendered,
-                enh.join(", ")
-            )?;
+            writeln!(f, "[{}]", enh.join(", "))?;
         }
         Ok(())
     }
@@ -426,22 +405,25 @@ mod tests {
         let t = table2(300, 42, &BatchRunner::new(2)).expect("fault-free");
         assert_eq!(t.rows.len(), 6);
         for r in &t.rows {
+            let [tau, dist, cent, elas] = &r.legs[..] else {
+                panic!("{}: one cell set per leg", r.name);
+            };
             // Distributed dominates everywhere.
-            for (a, b) in r.lt_dist.avg_ns.iter().zip(&r.lt_tau.avg_ns) {
+            for (a, b) in dist.avg_ns.iter().zip(&tau.avg_ns) {
                 assert!(a <= b, "{}: dist {a} > tau {b}", r.name);
             }
-            assert!(r.lt_dist.best_ns <= r.lt_tau.best_ns);
-            assert!(r.lt_dist.worst_ns <= r.lt_tau.worst_ns);
+            assert!(dist.best_ns <= tau.best_ns);
+            assert!(dist.worst_ns <= tau.worst_ns);
             // The centralized product is bisimilar to the distributed
             // realization: identical cells, including the rendering.
-            assert_eq!(r.lt_cent.rendered, r.lt_dist.rendered, "{}", r.name);
+            assert_eq!(cent.rendered, dist.rendered, "{}", r.name);
             // Elastic clocking can only cost latency relative to the
             // single-clock distributed style (same coupled tables).
-            for (e, d) in r.lt_elas.avg_ns.iter().zip(&r.lt_dist.avg_ns) {
+            for (e, d) in elas.avg_ns.iter().zip(&dist.avg_ns) {
                 assert!(e >= d, "{}: elas {e} < dist {d}", r.name);
             }
-            assert!(r.lt_elas.best_ns >= r.lt_dist.best_ns);
-            assert!(r.lt_elas.worst_ns >= r.lt_dist.worst_ns);
+            assert!(elas.best_ns >= dist.best_ns);
+            assert!(elas.worst_ns >= dist.worst_ns);
             for e in &r.enhancement {
                 assert!(*e >= -0.5, "{}: negative enhancement {e}", r.name);
             }

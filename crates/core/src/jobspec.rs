@@ -161,18 +161,38 @@ pub struct SimulateSpec {
     pub elastic: ElasticSpec,
 }
 
-/// The `/v1/simulate` legs in body order: each response key with the
-/// controller style it measures (ELASTIC at the spec's clock domains).
-/// Local runs, cluster partitions and their merge all walk this table.
-pub(crate) const SIMULATE_LEGS: [(&str, LegStyle); 4] = [
-    ("lt_tau", |_| ControlStyle::CentSync),
-    ("lt_dist", |_| ControlStyle::Distributed),
-    ("lt_cent", |_| ControlStyle::Cent),
-    ("lt_elas", ControlStyle::Elastic),
+/// The latency legs in column order: each leg's key (`lt_tau` is the
+/// `LT_TAU` column), its description and the controller style it
+/// measures (ELASTIC at the given clock domains). The `/v1/simulate`
+/// body, cluster partitions and their merge, Table 2 and the CLI
+/// `simulate` printout all walk this table, so a new style is one row
+/// here. The first two legs feed [`legs_enhancement`].
+pub const SIMULATE_LEGS: [(&str, &str, LegStyle); 4] = [
+    ("lt_tau", "synchronized", |_| ControlStyle::CentSync),
+    ("lt_dist", "distributed", |_| ControlStyle::Distributed),
+    ("lt_cent", "centralized", |_| ControlStyle::Cent),
+    ("lt_elas", "elastic", ControlStyle::Elastic),
 ];
 
-/// A leg's controller style, given the spec's elastic parameters.
-type LegStyle = fn(ElasticSpec) -> ControlStyle;
+/// A leg's controller style, given the elastic parameters.
+pub type LegStyle = fn(ElasticSpec) -> ControlStyle;
+
+/// The [`SIMULATE_LEGS`] styles in table order, ELASTIC at `elastic`.
+pub fn leg_styles(elastic: ElasticSpec) -> Vec<ControlStyle> {
+    SIMULATE_LEGS
+        .iter()
+        .map(|(_, _, style)| style(elastic))
+        .collect()
+}
+
+/// The paper's enhancement column, `LT_DIST` over `LT_TAU` per swept
+/// `P`, from summaries in [`SIMULATE_LEGS`] order; empty without both.
+pub fn legs_enhancement(legs: &[LatencySummary]) -> Vec<f64> {
+    match legs {
+        [tau, dist, ..] => enhancement_percent(tau, dist),
+        _ => Vec::new(),
+    }
+}
 
 impl SimulateSpec {
     /// Measures every [`SIMULATE_LEGS`] style on coupled trials over
@@ -189,13 +209,9 @@ impl SimulateSpec {
             .ok_or_else(|| JobError::Invalid("slice beyond p_values".to_string()))?;
         let bound = bind_spec(&self.dfg, self.muls, self.adds, self.subs, self.chains)
             .map_err(JobError::Invalid)?;
-        let styles: Vec<ControlStyle> = SIMULATE_LEGS
-            .iter()
-            .map(|(_, style)| style(self.elastic))
-            .collect();
         latency_batch(
             &bound,
-            &styles,
+            &leg_styles(self.elastic),
             p_values,
             range.start as u64,
             self.trials,
@@ -1172,6 +1188,26 @@ impl JobSpec {
         stage_cache: Option<&StageCache>,
     ) -> Result<(Json, Vec<StageRecord>), JobError> {
         match self {
+            JobSpec::Simulate(s) => {
+                let legs = s.measure_legs(0..s.p_values.len(), runner)?;
+                Ok((self.simulate_body(&legs), Vec::new()))
+            }
+            JobSpec::Table2(s) => {
+                let t = table2(s.trials as usize, s.seed, runner).map_err(JobError::from_sim)?;
+                let body = Json::object([("spec", self.canonical()), ("table2", t.to_json())]);
+                Ok((body, Vec::new()))
+            }
+            JobSpec::Resilience(s) => {
+                let bound = bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)
+                    .map_err(JobError::Invalid)?;
+                let report =
+                    resilience_sweep_with(&bound, s.p, s.trials, s.seed, &s.options(), runner);
+                // `resilience_sweep` folds whatever chunks ran; surface a
+                // cancellation instead of returning (and caching) a
+                // partially-populated report.
+                runner.check_cancelled().map_err(JobError::from_sim)?;
+                Ok((self.resilience_body(&report), Vec::new()))
+            }
             JobSpec::Synth(s) => {
                 let (logic, _, trace) = self.synthesize(
                     &s.dfg,
@@ -1233,7 +1269,6 @@ impl JobSpec {
                     })?;
                 Ok((self.explore_body(&graph, &points), records))
             }
-            _ => self.run_simulation(runner).map(|body| (body, Vec::new())),
         }
     }
 
@@ -1278,38 +1313,6 @@ impl JobSpec {
         Ok((logic, reports, trace))
     }
 
-    fn run_simulation(&self, runner: &BatchRunner) -> Result<Json, JobError> {
-        match self {
-            JobSpec::Simulate(s) => {
-                let legs = s.measure_legs(0..s.p_values.len(), runner)?;
-                Ok(self.simulate_body(&legs))
-            }
-            JobSpec::Table2(s) => {
-                let t = table2(s.trials as usize, s.seed, runner).map_err(JobError::from_sim)?;
-                Ok(Json::object([
-                    ("spec", self.canonical()),
-                    ("table2", t.to_json()),
-                ]))
-            }
-            JobSpec::Resilience(s) => {
-                let bound = bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)
-                    .map_err(JobError::Invalid)?;
-                let report =
-                    resilience_sweep_with(&bound, s.p, s.trials, s.seed, &s.options(), runner);
-                // `resilience_sweep` folds whatever chunks ran; surface a
-                // cancellation instead of returning (and caching) a
-                // partially-populated report.
-                runner.check_cancelled().map_err(JobError::from_sim)?;
-                Ok(self.resilience_body(&report))
-            }
-            // The synthesis and exploration endpoints are dispatched by
-            // `run_with` before this helper is reached.
-            JobSpec::Synth(_) | JobSpec::Area(_) | JobSpec::Explore(_) => {
-                unreachable!("synthesis endpoints handled in run_with")
-            }
-        }
-    }
-
     /// Renders the `/v1/simulate` response body from the measured legs, in
     /// [`SIMULATE_LEGS`] order. Shared by the local execution path and the
     /// distributed merge, so a body assembled from partition partials is
@@ -1327,19 +1330,14 @@ impl JobSpec {
                 ),
             ])
         };
-        // SIMULATE_LEGS starts with lt_tau, lt_dist.
-        let enhancement = match legs {
-            [tau, dist, ..] => enhancement_percent(tau, dist),
-            _ => Vec::new(),
-        };
         let mut body = vec![("spec", self.canonical()), ("clock_ns", Json::from(clk))];
         body.extend(
             SIMULATE_LEGS
                 .iter()
                 .zip(legs)
-                .map(|((key, _), summary)| (*key, cells(summary))),
+                .map(|((key, _, _), summary)| (*key, cells(summary))),
         );
-        body.push(("enhancement_percent", Json::floats(&enhancement)));
+        body.push(("enhancement_percent", Json::floats(&legs_enhancement(legs))));
         Json::object(body)
     }
 

@@ -6,6 +6,7 @@
 //! thread counts.
 
 use crate::experiments::{AreaRow, ExplosionPoint, LatencyRow, SummaryCells, Table1, Table2};
+use crate::jobspec::SIMULATE_LEGS;
 use crate::report::SystemArea;
 use crate::resilience::{KindStats, ResilienceReport};
 use crate::sweeps::{AllocationPoint, CurvePoint};
@@ -67,15 +68,14 @@ impl ToJson for SummaryCells {
 
 impl ToJson for LatencyRow {
     fn to_json(&self) -> Json {
-        Json::object([
+        let mut fields = vec![
             ("name", Json::from(self.name.as_str())),
             ("resources", Json::from(self.resources.as_str())),
-            ("lt_tau", self.lt_tau.to_json()),
-            ("lt_dist", self.lt_dist.to_json()),
-            ("lt_cent", self.lt_cent.to_json()),
-            ("lt_elas", self.lt_elas.to_json()),
-            ("enhancement", Json::floats(&self.enhancement)),
-        ])
+        ];
+        let legs = SIMULATE_LEGS.iter().zip(&self.legs);
+        fields.extend(legs.map(|((key, _, _), cells)| (*key, cells.to_json())));
+        fields.push(("enhancement", Json::floats(&self.enhancement)));
+        Json::object(fields)
     }
 }
 

@@ -172,7 +172,7 @@ pub fn run_part(
             let legs = SIMULATE_LEGS
                 .iter()
                 .zip(&summaries)
-                .map(|((key, _), summary)| (*key, summary_partial(summary)));
+                .map(|((key, _, _), summary)| (*key, summary_partial(summary)));
             Ok((coords(("legs", Json::object(legs))), Vec::new()))
         }
         JobSpec::Resilience(s) => {
@@ -327,7 +327,7 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
             let mut merged: Vec<LatencySummary> = Vec::new();
             for (part, partial) in parts.iter().zip(partials) {
                 let legs = field(partial, "legs", "legs")?;
-                for (k, (key, _)) in SIMULATE_LEGS.iter().enumerate() {
+                for (k, (key, _, _)) in SIMULATE_LEGS.iter().enumerate() {
                     let piece = summary_from_partial(legs, key, &s.p_values, part.lo, part.hi)?;
                     match merged.get_mut(k) {
                         None => merged.push(piece),

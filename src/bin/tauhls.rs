@@ -5,7 +5,7 @@
 //! tauhls synth      <file> [options]       staged pipeline: controllers + area table
 //!                                          (--json: artifact-hash chain + timings)
 //! tauhls simulate   <file> [options]       latency: distributed vs centralized styles
-//! tauhls table2     [options]              paper Table 2 (LT_TAU/LT_DIST/LT_CENT)
+//! tauhls table2     [options]              paper Table 2 (one column per style)
 //! tauhls resilience <file> [options]       fault-injection sweep (JSON report)
 //! tauhls report     <file> [options]       whole-system area breakdown
 //! tauhls verilog    <file> [options]       emit the control unit as Verilog
@@ -30,7 +30,8 @@
 //!   --muls N --adds N --subs N   allocation (default 2/1/1; × telescopic)
 //!   --binding left-edge|chains   binding strategy (default left-edge)
 //!   --encoding binary|gray|onehot  state encoding (default binary)
-//!   --p LIST                     comma-separated P sweep (default 0.9,0.7,0.5)
+//!   --p LIST                     comma-separated P sweep (default 0.9,0.7,0.5;
+//!                                resilience takes one value, default 0.9)
 //!   --trials N                   Monte-Carlo trials (default 2000)
 //!   --seed N                     RNG seed (default 2003)
 //!   --threads N                  simulation worker threads (default: all
@@ -84,7 +85,7 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
-use tauhls::core::jobspec::{Endpoint, JobSpec};
+use tauhls::core::jobspec::{leg_styles, legs_enhancement, Endpoint, JobSpec, SIMULATE_LEGS};
 use tauhls::core::resilience::{resilience_sweep_with, ResilienceOptions};
 use tauhls::core::stages::{self, BindStrategy, PipelineTrace, SynthesisInput};
 use tauhls::dfg::{canonical_wire, dfg_to_text, parse_dfg, parse_wire_dfg, wire_hash, Dfg};
@@ -92,11 +93,13 @@ use tauhls::fsm::{control_unit_to_verilog, DistributedControlUnit, Encoding};
 use tauhls::logic::AreaModel;
 use tauhls::sched::BoundDfg;
 use tauhls::serve::{client, signal, ServeConfig, Server};
-use tauhls::sim::{
-    latency_batch, BatchRunner, ControlStyle, ControlStyleSet, ElasticSpec, LatencySummary,
-};
+use tauhls::sim::{latency_batch, BatchRunner, ControlStyle, ControlStyleSet, ElasticSpec};
 use tauhls::Allocation;
 use tauhls_json::{Json, ToJson};
+
+/// The `--p` sweep when the flag is absent; `resilience` takes its first
+/// value.
+const DEFAULT_P: [f64; 3] = [0.9, 0.7, 0.5];
 
 struct Options {
     muls: usize,
@@ -104,6 +107,7 @@ struct Options {
     subs: usize,
     chains: bool,
     encoding: Encoding,
+    /// The `--p` values; empty when the flag is absent.
     p_values: Vec<f64>,
     trials: usize,
     seed: u64,
@@ -121,7 +125,7 @@ impl Default for Options {
             subs: 1,
             chains: false,
             encoding: Encoding::Binary,
-            p_values: vec![0.9, 0.7, 0.5],
+            p_values: Vec::new(),
             trials: 2000,
             seed: 2003,
             threads: None,
@@ -368,44 +372,36 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
 
 fn cmd_simulate(bound: &BoundDfg, o: &Options) -> Result<(), String> {
     let runner = runner_for(o.threads);
-    let styles = [
-        ControlStyle::CentSync,
-        ControlStyle::Distributed,
-        ControlStyle::Cent,
-        ControlStyle::Elastic(o.elastic),
-    ];
-    let [sync, dist, cent, elas]: [LatencySummary; 4] = latency_batch(
+    let p_values = if o.p_values.is_empty() {
+        &DEFAULT_P[..]
+    } else {
+        &o.p_values
+    };
+    let legs = latency_batch(
         bound,
-        &styles,
-        &o.p_values,
+        &leg_styles(o.elastic),
+        p_values,
         0,
         o.trials as u64,
         o.seed,
         &runner,
     )
-    .map_err(|e| e.to_string())?
-    .try_into()
-    .expect("one summary per style");
+    .map_err(|e| e.to_string())?;
     let clk = 15.0;
     println!(
-        "clock 15 ns, {} coupled trials at P = {:?}",
-        o.trials, o.p_values
+        "clock 15 ns, {} coupled trials at P = {p_values:?}",
+        o.trials
     );
-    println!("LT_TAU  (synchronized) : {}", sync.to_ns_string(clk));
-    println!("LT_DIST (distributed)  : {}", dist.to_ns_string(clk));
-    println!("LT_CENT (centralized)  : {}", cent.to_ns_string(clk));
-    println!(
-        "LT_ELAS (elastic s={},l={}) : {}",
-        o.elastic.skew_bound,
-        o.elastic.sync_latency,
-        elas.to_ns_string(clk)
-    );
-    for (p, (s, d)) in o
-        .p_values
-        .iter()
-        .zip(sync.average_cycles.iter().zip(&dist.average_cycles))
-    {
-        println!("  P = {p}: {:+.1}% enhancement", (s - d) / s * 100.0);
+    for ((key, description, style), summary) in SIMULATE_LEGS.iter().zip(&legs) {
+        let clocks = match style(o.elastic) {
+            ControlStyle::Elastic(e) => format!(" s={},l={}", e.skew_bound, e.sync_latency),
+            _ => String::new(),
+        };
+        let label = format!("{:<7} ({description}{clocks})", key.to_ascii_uppercase());
+        println!("{label:<22} : {}", summary.to_ns_string(clk));
+    }
+    for (p, e) in p_values.iter().zip(legs_enhancement(&legs)) {
+        println!("  P = {p}: {e:+.1}% enhancement");
     }
     Ok(())
 }
@@ -414,10 +410,11 @@ fn cmd_resilience(bound: &BoundDfg, o: &Options) -> Result<(), String> {
     if o.trials == 0 {
         return Err("resilience sweep needs --trials >= 1".to_string());
     }
-    let p = *o
-        .p_values
-        .first()
-        .ok_or("resilience sweep needs a --p value")?;
+    let p = match o.p_values[..] {
+        [] => DEFAULT_P[0],
+        [p] => p,
+        _ => return Err("resilience sweep takes one --p value, not a list".to_string()),
+    };
     if !(0.0..=1.0).contains(&p) {
         return Err(format!("--p {p} is not a probability"));
     }

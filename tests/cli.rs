@@ -161,6 +161,11 @@ fn resilience_misuse_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     assert_graceful_failure(&out, "not a probability");
 
+    // The sweep runs at one P: a list is an error, not its first value.
+    let out = tauhls(&["resilience", example_dfg(), "--p", "0.9,0.5"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_graceful_failure(&out, "one --p value");
+
     // --styles must keep the distributed engine (and parse at all).
     let out = tauhls(&["resilience", example_dfg(), "--styles", "cent,elastic"]);
     assert_eq!(out.status.code(), Some(2));
