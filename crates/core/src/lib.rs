@@ -10,9 +10,9 @@
 //! 2. [`Synthesis`] schedules, binds (inserting schedule arcs), and
 //!    generates the distributed per-unit controllers plus the centralized
 //!    baselines (`tauhls-fsm`);
-//! 3. the resulting [`Design`] reports gate-level area (`tauhls-logic`)
-//!    and simulated latency (`tauhls-sim`, optionally operand-driven via
-//!    `tauhls-datapath`).
+//! 3. the resulting [`Design`] reports gate-level area (`tauhls-logic`),
+//!    and its bound DFG feeds simulated latency (`tauhls-sim`'s coupled
+//!    `latency_batch`, optionally operand-driven via `tauhls-datapath`).
 //!
 //! The [`experiments`] module regenerates the paper's Table 1, Table 2 and
 //! the Fig 4 state-explosion sweep; [`figures`] regenerates the worked

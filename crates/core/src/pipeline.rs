@@ -1,5 +1,5 @@
 //! The end-to-end synthesis pipeline: DFG + allocation + timing →
-//! scheduled/bound design → controllers → area and latency reports.
+//! scheduled/bound design → controllers and area reports.
 //!
 //! [`Synthesis::run`] is a thin driver over the staged pass pipeline in
 //! [`crate::stages`]; use [`Synthesis::run_traced`] to also observe the
