@@ -138,6 +138,21 @@ LT_ELAS (elastic s=2,l=1) : [60][109.1, 122.6, 127.1][270]
 }
 
 #[test]
+fn report_stdout_is_pinned() {
+    let out = tauhls(&["report", example_dfg()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let expected = "\
+system area (16-bit datapath, GE):
+  control               251 (com 141 + seq 110)
+  units                5392
+  completion gen        320
+  registers             704 (2 x 16 bits)
+  total                6667 (control fraction 3.8%)
+";
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}
+
+#[test]
 fn table2_runs_builtin_suite_with_cent_column() {
     let out = tauhls(&["table2", "--trials", "20", "--seed", "3", "--threads", "2"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
