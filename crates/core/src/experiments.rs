@@ -3,115 +3,44 @@
 
 use crate::jobspec::{leg_styles, legs_enhancement, SIMULATE_LEGS};
 use crate::pipeline::{Synthesis, Timing};
-use std::collections::BTreeSet;
+use crate::stages::{self, BindStrategy, PipelineTrace, ReportRow, SynthesisInput};
 use std::fmt;
 use tauhls_dfg::{benchmarks, Dfg};
-use tauhls_fsm::{synthesize, Encoding, Fsm};
+use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
 use tauhls_sched::Allocation;
 use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ElasticSpec, LatencySummary};
-
-/// One row of the Table 1 area analysis.
-#[derive(Clone, Debug)]
-pub struct AreaRow {
-    /// FSM name (CENT-FSM, CENT-SYNC-FSM, DIST-FSM, D-FSM-*).
-    pub name: String,
-    /// Input signal count.
-    pub inputs: usize,
-    /// Output signal count.
-    pub outputs: usize,
-    /// Symbolic state count.
-    pub states: usize,
-    /// Flip-flop count under the chosen encoding.
-    pub ffs: usize,
-    /// Combinational area (gate equivalents).
-    pub area_com: f64,
-    /// Sequential area (gate equivalents).
-    pub area_seq: f64,
-}
 
 /// The Table 1 reproduction: area analysis of the three controller styles
 /// for the differential-equation benchmark.
 #[derive(Clone, Debug)]
 pub struct Table1 {
-    /// All rows, in the paper's order.
-    pub rows: Vec<AreaRow>,
+    /// All rows, in the paper's order: the `report` stage's rows.
+    pub rows: Vec<ReportRow>,
     /// The state encoding used.
     pub encoding: String,
 }
 
-fn area_row(name: &str, fsm: &Fsm, encoding: Encoding, model: &AreaModel) -> AreaRow {
-    let syn = synthesize(fsm, encoding, model);
-    AreaRow {
-        name: name.to_string(),
-        inputs: fsm.inputs().len(),
-        outputs: fsm.outputs().len(),
-        states: fsm.num_states(),
-        ffs: syn.flip_flops(),
-        area_com: syn.area().combinational,
-        area_seq: syn.area().sequential,
-    }
-}
-
 /// Regenerates Table 1: CENT-FSM, CENT-SYNC-FSM and DIST-FSM (plus its
-/// component controllers) for Diff.Eq under `{×:2 (TAU), +:1, −:1}`.
+/// component controllers) for Diff.Eq under `{×:2 (TAU), +:1, −:1}`, read
+/// off the staged pipeline's `report` stage.
 pub fn table1(encoding: Encoding, model: &AreaModel) -> Table1 {
-    let design = Synthesis::new(benchmarks::diffeq())
-        .allocation(Allocation::paper(2, 1, 1))
-        .with_centralized()
-        .run()
-        .expect("diffeq synthesizes");
-
-    let mut rows = Vec::new();
-    rows.push(area_row(
-        "CENT-FSM",
-        design.centralized().expect("requested"),
-        encoding,
-        model,
-    ));
-    rows.push(area_row(
-        "CENT-SYNC-FSM",
-        design.cent_sync(),
-        encoding,
-        model,
-    ));
-
-    // Component D-FSMs and the aggregate DIST-FSM row.
-    let mut dist = AreaRow {
-        name: "DIST-FSM".to_string(),
-        inputs: 0,
-        outputs: 0,
-        states: 0,
-        ffs: 0,
-        area_com: 0.0,
-        area_seq: 0.0,
+    let input = SynthesisInput {
+        dfg: benchmarks::diffeq(),
+        allocation: Allocation::paper(2, 1, 1),
+        strategy: BindStrategy::LeftEdge,
     };
-    let mut component_rows = Vec::new();
-    let mut in_names: BTreeSet<String> = BTreeSet::new();
-    let mut out_names: BTreeSet<String> = BTreeSet::new();
-    let units = design.bound().allocation().units();
-    for (unit, fsm) in design.distributed().controllers() {
-        let row = area_row(
-            &format!("D-FSM-{}", units[unit.0].display_name()),
-            fsm,
-            encoding,
-            model,
-        );
-        dist.states += row.states;
-        dist.ffs += row.ffs;
-        dist.area_com += row.area_com;
-        dist.area_seq += row.area_seq;
-        in_names.extend(fsm.inputs().iter().cloned());
-        out_names.extend(fsm.outputs().iter().cloned());
-        component_rows.push(row);
-    }
-    dist.inputs = in_names.len();
-    dist.outputs = out_names.len();
-    rows.push(dist);
-    rows.extend(component_rows);
-
+    let (_, reports) = stages::run_full(
+        &input,
+        true,
+        encoding,
+        model,
+        None,
+        &mut PipelineTrace::default(),
+    )
+    .expect("diffeq synthesizes");
     Table1 {
-        rows,
+        rows: reports.rows().to_vec(),
         encoding: format!("{encoding:?}"),
     }
 }
@@ -132,7 +61,13 @@ impl fmt::Display for Table1 {
             writeln!(
                 f,
                 "{:<14} {:>5}/{:<7} {:>5} {:>7} {:>10.0} / {:.0}",
-                r.name, r.inputs, r.outputs, r.states, r.ffs, r.area_com, r.area_seq
+                r.name,
+                r.inputs,
+                r.outputs,
+                r.states,
+                r.flip_flops,
+                r.area_combinational,
+                r.area_sequential
             )?;
         }
         Ok(())
@@ -373,15 +308,18 @@ mod tests {
         let dist = get("DIST-FSM");
         // Paper claim 1: DIST costs more than CENT-SYNC (≈3×), well within
         // an order of magnitude.
-        assert!(dist.area_com + dist.area_seq > sync.area_com + sync.area_seq);
-        assert!(dist.area_seq >= 2.0 * sync.area_seq);
+        assert!(
+            dist.area_combinational + dist.area_sequential
+                > sync.area_combinational + sync.area_sequential
+        );
+        assert!(dist.area_sequential >= 2.0 * sync.area_sequential);
         // Paper claim 2: CENT-FSM is bigger than DIST combinationally
         // (≈1.6× total in the paper).
         assert!(
-            cent.area_com > dist.area_com,
+            cent.area_combinational > dist.area_combinational,
             "cent {} vs dist {}",
-            cent.area_com,
-            dist.area_com
+            cent.area_combinational,
+            dist.area_combinational
         );
         // CENT has (many) more states than CENT-SYNC.
         assert!(cent.states > sync.states);
@@ -390,9 +328,9 @@ mod tests {
             .rows
             .iter()
             .filter(|r| r.name.starts_with("D-FSM"))
-            .map(|r| r.ffs)
+            .map(|r| r.flip_flops)
             .sum();
-        assert_eq!(sum_ffs, dist.ffs);
+        assert_eq!(sum_ffs, dist.flip_flops);
         // Display renders every row.
         let s = t.to_string();
         for r in &t.rows {

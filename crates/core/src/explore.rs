@@ -2,10 +2,10 @@
 //! design's average latency (distributed control) and whole-system area,
 //! and return the Pareto frontier — the "resource allocation" piece of the
 //! paper's §6 future-work HLS tool, built from the parts this workspace
-//! already has.
+//! already has. [`design_space`] is the one explorer: a single scenario
+//! (one encoding, `P`, clock ratio and skew) is just a one-element grid.
 
-use crate::pipeline::Synthesis;
-use crate::report::{system_area, system_area_from_logic};
+use crate::report::system_area_from_logic;
 use crate::stages::{self, BindStrategy, PipelineTrace, StageCache, StageRecord, SynthesisInput};
 use crate::{SynthesisError, Timing};
 use std::fmt;
@@ -15,148 +15,9 @@ use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ControlStyle, ElasticSpec, SimError};
 
-/// One explored design point.
-#[derive(Clone, Debug)]
-pub struct DesignPoint {
-    /// TAU multipliers allocated.
-    pub muls: usize,
-    /// Adders allocated.
-    pub adds: usize,
-    /// Subtractors allocated.
-    pub subs: usize,
-    /// Mean distributed latency in cycles at the probed `P`.
-    pub latency_cycles: f64,
-    /// Whole-system area in gate equivalents.
-    pub area_ge: f64,
-    /// True iff the point survives Pareto filtering.
-    pub pareto: bool,
-}
-
-/// Exploration parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct ExploreParams {
-    /// Maximum units per class to consider.
-    pub max_muls: usize,
-    /// Maximum adders.
-    pub max_adds: usize,
-    /// Maximum subtractors.
-    pub max_subs: usize,
-    /// Short probability to probe.
-    pub p: f64,
-    /// Monte-Carlo trials per point.
-    pub trials: usize,
-    /// Datapath width for the area model.
-    pub width: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ExploreParams {
-    fn default() -> Self {
-        ExploreParams {
-            max_muls: 4,
-            max_adds: 2,
-            max_subs: 2,
-            p: 0.7,
-            trials: 400,
-            width: 16,
-            seed: 2003,
-        }
-    }
-}
-
-/// Enumerates the allocation space and measures every feasible point;
-/// points not dominated in (latency, area) are flagged `pareto`. Each
-/// point's Monte-Carlo trials fan out over `runner`'s workers, seeded by
-/// the point's allocation triple so results do not depend on enumeration
-/// order or thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` or all class maxima are zero.
-pub fn explore_allocations(
-    dfg: &Dfg,
-    params: &ExploreParams,
-    runner: &BatchRunner,
-) -> Vec<DesignPoint> {
-    assert!(params.trials > 0);
-    let hist = dfg.class_histogram();
-    let need = |c: ResourceClass| hist.get(&c).copied().unwrap_or(0);
-    // A class with no operations needs (and gets) no units; otherwise
-    // sweep 1..=max.
-    let range = |c: ResourceClass, max: usize| {
-        if need(c) == 0 {
-            0..=0
-        } else {
-            1..=max.max(1)
-        }
-    };
-    let mut points = Vec::new();
-
-    for muls in range(ResourceClass::Multiplier, params.max_muls) {
-        for adds in range(ResourceClass::Adder, params.max_adds) {
-            for subs in range(ResourceClass::Subtractor, params.max_subs) {
-                let alloc = Allocation::paper(muls, adds, subs);
-                if !alloc.covers(dfg) {
-                    continue;
-                }
-                let design = Synthesis::new(dfg.clone())
-                    .allocation(alloc)
-                    .run()
-                    .expect("covered allocation synthesizes");
-                let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
-                let point_seed = derive_seed(params.seed, point_id, 0);
-                let dist = latency_batch(
-                    design.bound(),
-                    &[ControlStyle::Distributed],
-                    &[params.p],
-                    0,
-                    params.trials as u64,
-                    point_seed,
-                    runner,
-                )
-                .expect("fault-free simulation")
-                .remove(0);
-                let area = system_area(
-                    &design,
-                    Encoding::Binary,
-                    &AreaModel::default(),
-                    params.width,
-                );
-                points.push(DesignPoint {
-                    muls,
-                    adds,
-                    subs,
-                    latency_cycles: dist.average_cycles[0],
-                    area_ge: area.total(),
-                    pareto: false,
-                });
-            }
-        }
-    }
-
-    // Pareto filter: a point survives if no other point is at least as
-    // good in both dimensions and strictly better in one. Latency is a
-    // Monte-Carlo estimate, so comparisons use a small tolerance to keep
-    // statistically-tied points from shielding each other.
-    const LAT_EPS: f64 = 0.02;
-    let snapshot = points.clone();
-    for p in &mut points {
-        p.pareto = !snapshot.iter().any(|q| {
-            (q.latency_cycles <= p.latency_cycles + LAT_EPS && q.area_ge < p.area_ge)
-                || (q.latency_cycles < p.latency_cycles - LAT_EPS && q.area_ge <= p.area_ge)
-        });
-    }
-    points
-}
-
-// ---------------------------------------------------------------------------
-// Full design-space sweep (the `/v1/dfg/explore` engine)
-// ---------------------------------------------------------------------------
-
-/// Parameters of a full design-space sweep: the allocation ranges of
-/// [`ExploreParams`] crossed with state encodings, SD/LD clock-period
-/// ratios, and a list of short-completion probabilities.
+/// Parameters of a design-space sweep: per-class allocation maxima
+/// crossed with state encodings, SD/LD clock-period ratios, skew bounds,
+/// and a list of short-completion probabilities.
 #[derive(Clone, Debug)]
 pub struct SweepParams {
     /// Maximum telescopic multipliers to consider.
@@ -235,7 +96,7 @@ impl std::error::Error for SweepError {}
 /// Sweeps the full design space of `dfg` and marks the latency/area
 /// Pareto frontier.
 ///
-/// The grid is allocations (class-aware, like [`explore_allocations`]) ×
+/// The grid is allocations (class-aware, see [`enumerate_allocations`]) ×
 /// `encodings` × `p_values` × `sd_ld` × `skew`. Each allocation is
 /// simulated once — one coupled [`latency_batch`] covering every `P` and
 /// every skew bound (DIST at skew 0, ELASTIC otherwise), seeded by the
@@ -249,9 +110,9 @@ impl std::error::Error for SweepError {}
 /// clocking discipline), not the design, so Pareto domination is judged
 /// only between points of the same scenario: within each group a point
 /// survives if no other allocation/encoding is at least as good in both
-/// latency and area and strictly better in one (with the same noise
-/// tolerance as [`explore_allocations`]). Skew is a scenario axis rather
-/// than a design axis because elastic latency is never below the
+/// latency and area and strictly better in one (with the noise tolerance
+/// of [`mark_scenario_pareto`]). Skew is a scenario axis rather than a
+/// design axis because elastic latency is never below the
 /// synchronous latency of the same design — folding it into the frontier
 /// would just erase every skewed point.
 ///
@@ -406,6 +267,9 @@ pub fn design_space_slice(
 /// Public so a merge of distributed partials can re-run the exact filter
 /// [`design_space`] applies after reassembling the grid.
 pub fn mark_scenario_pareto(points: &mut [SweepPoint]) {
+    // Latency is a Monte-Carlo estimate, so comparisons use a small
+    // tolerance to keep statistically-tied points from shielding each
+    // other.
     const LAT_EPS: f64 = 0.02;
     let snapshot: Vec<(f64, f64, u64, f64, f64)> = points
         .iter()
@@ -427,19 +291,32 @@ mod tests {
     use super::*;
     use tauhls_dfg::benchmarks::fir5;
 
+    /// One scenario (binary encoding, `P = 0.7`, synchronous clocks) over
+    /// the given allocation maxima.
+    fn one_scenario(max_muls: usize, max_adds: usize, max_subs: usize, trials: u64) -> SweepParams {
+        SweepParams {
+            max_muls,
+            max_adds,
+            max_subs,
+            encodings: vec![Encoding::Binary],
+            p_values: vec![0.7],
+            sd_ld: vec![0.75],
+            skew: vec![0],
+            trials,
+            width: 16,
+            seed: 2003,
+        }
+    }
+
     #[test]
     fn frontier_is_nonempty_and_consistent() {
-        let pts = explore_allocations(
+        let (pts, _) = design_space(
             &fir5(),
-            &ExploreParams {
-                max_muls: 3,
-                max_adds: 2,
-                max_subs: 0,
-                trials: 150,
-                ..Default::default()
-            },
+            &one_scenario(3, 2, 0, 150),
             &BatchRunner::new(2),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!pts.is_empty());
         let frontier: Vec<_> = pts.iter().filter(|p| p.pareto).collect();
         assert!(!frontier.is_empty());
@@ -447,9 +324,8 @@ mod tests {
         // tolerance).
         for a in &frontier {
             for b in &frontier {
-                let dominates = a.latency_cycles <= b.latency_cycles + 0.02
-                    && a.area_ge < b.area_ge
-                    || a.latency_cycles < b.latency_cycles - 0.02 && a.area_ge <= b.area_ge;
+                let dominates = a.avg_cycles <= b.avg_cycles + 0.02 && a.area_ge < b.area_ge
+                    || a.avg_cycles < b.avg_cycles - 0.02 && a.area_ge <= b.area_ge;
                 assert!(!dominates, "{a:?} dominates {b:?}");
             }
         }
@@ -457,7 +333,7 @@ mod tests {
         let lat = |m: usize| {
             pts.iter()
                 .find(|p| p.muls == m && p.adds == 1)
-                .map(|p| p.latency_cycles)
+                .map(|p| p.avg_cycles)
                 .unwrap()
         };
         assert!(lat(3) <= lat(1) + 1e-9);
@@ -602,17 +478,13 @@ mod tests {
     #[test]
     fn subtractor_range_skipped_when_unused() {
         // FIR has no subtract-class ops: subs should stay at 0.
-        let pts = explore_allocations(
+        let (pts, _) = design_space(
             &fir5(),
-            &ExploreParams {
-                max_muls: 2,
-                max_adds: 1,
-                max_subs: 2,
-                trials: 50,
-                ..Default::default()
-            },
+            &one_scenario(2, 1, 2, 50),
             &BatchRunner::serial(),
-        );
+            None,
+        )
+        .unwrap();
         assert!(pts.iter().all(|p| p.subs == 0));
     }
 }

@@ -701,25 +701,27 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Parse-time validation for the synthesis endpoints: the graph must
-/// build, be non-empty, and be coverable by the allocation — so a spec
-/// that parses is guaranteed to synthesize.
-fn check_synthesizable(
-    dfg: &DfgSource,
-    muls: usize,
-    adds: usize,
-    subs: usize,
-) -> Result<(), String> {
-    let graph = build_dfg(dfg)?;
+/// Binds `graph` under `alloc` — chain cover when `chains`, left-edge
+/// otherwise — behind the one admission check every synthesis request
+/// passes: the graph must have operations and the allocation must cover
+/// it. The job specs apply it at parse time and the CLI before it binds,
+/// so a request that gets through is guaranteed to synthesize, simulate
+/// and fault-sweep.
+pub fn bind_checked(graph: &Dfg, alloc: &Allocation, chains: bool) -> Result<BoundDfg, String> {
     if graph.num_ops() == 0 {
         return Err(format!("graph '{}' has no operations", graph.name()));
     }
-    if !Allocation::paper(muls, adds, subs).covers(&graph) {
+    if !alloc.covers(graph) {
         return Err("allocation lacks a unit for a used operation class".to_string());
     }
-    Ok(())
+    Ok(if chains {
+        BoundDfg::bind_chains(graph, alloc)
+    } else {
+        BoundDfg::bind(graph, alloc)
+    })
 }
 
+/// [`bind_checked`] on a spec's graph source and unit counts.
 pub(crate) fn bind_spec(
     dfg: &DfgSource,
     muls: usize,
@@ -727,16 +729,11 @@ pub(crate) fn bind_spec(
     subs: usize,
     chains: bool,
 ) -> Result<BoundDfg, String> {
-    let graph = build_dfg(dfg)?;
-    let alloc = Allocation::paper(muls, adds, subs);
-    if !alloc.covers(&graph) {
-        return Err("allocation lacks a unit for a used operation class".to_string());
-    }
-    Ok(if chains {
-        BoundDfg::bind_chains(&graph, &alloc)
-    } else {
-        BoundDfg::bind(&graph, &alloc)
-    })
+    bind_checked(
+        &build_dfg(dfg)?,
+        &Allocation::paper(muls, adds, subs),
+        chains,
+    )
 }
 
 /// Renders a trace's artifact-hash chain as a JSON array of
@@ -793,8 +790,9 @@ impl JobSpec {
     ///
     /// Strict by design: unknown or duplicate fields, wrong types,
     /// out-of-range values, unknown benchmarks, unparsable inline DFGs,
-    /// and allocations that cannot cover the graph are all rejected here,
-    /// so a spec that parses is guaranteed to run (absent cancellation).
+    /// graphs with no operations and allocations that cannot cover the
+    /// graph are all rejected here (see [`bind_checked`]), so a spec that
+    /// parses is guaranteed to run (absent cancellation).
     pub fn from_json(endpoint: Endpoint, spec: &Json) -> Result<JobSpec, JobError> {
         let view = JsonRef::from_owned(spec);
         JobSpec::parse(endpoint, &view).map_err(JobError::Invalid)
@@ -923,7 +921,7 @@ impl JobSpec {
                     chains: f.binding()?,
                     encoding: f.encoding()?,
                 };
-                check_synthesizable(&s.dfg, s.muls, s.adds, s.subs)?;
+                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
                 Ok(JobSpec::Synth(s))
             }
             Endpoint::Area => {
@@ -942,7 +940,7 @@ impl JobSpec {
                     encoding: f.encoding()?,
                     width: f.u64_in("width", 16, 1, MAX_WIDTH)? as u32,
                 };
-                check_synthesizable(&s.dfg, s.muls, s.adds, s.subs)?;
+                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
                 Ok(JobSpec::Area(s))
             }
             Endpoint::Explore => {
@@ -978,7 +976,7 @@ impl JobSpec {
                 };
                 // The maximal allocation must cover the graph, so at least
                 // one swept point is feasible.
-                check_synthesizable(&s.dfg, s.max_muls, s.max_adds, s.max_subs)?;
+                bind_spec(&s.dfg, s.max_muls, s.max_adds, s.max_subs, false)?;
                 let grid = s.max_muls.max(1)
                     * s.max_adds.max(1)
                     * s.max_subs.max(1)
@@ -1605,6 +1603,36 @@ mod tests {
             (Endpoint::Area, r#"{"width":129}"#, "'width' must be in"),
             (
                 Endpoint::Synth,
+                r#"{"dfg_text":"dfg empty\ninput a\n"}"#,
+                "has no operations",
+            ),
+            (
+                Endpoint::Simulate,
+                r#"{"dfg":"fir5","muls":0}"#,
+                "allocation lacks a unit",
+            ),
+            (
+                Endpoint::Resilience,
+                r#"{"dfg":"diffeq","subs":0}"#,
+                "allocation lacks a unit",
+            ),
+            (
+                Endpoint::Simulate,
+                r#"{"dfg_text":"dfg empty\ninput a\n"}"#,
+                "has no operations",
+            ),
+            (
+                Endpoint::Resilience,
+                r#"{"dfg_text":"dfg empty\ninput a\n","trials":10}"#,
+                "has no operations",
+            ),
+            (
+                Endpoint::Area,
+                r#"{"dfg_text":"dfg empty\ninput a\n"}"#,
+                "has no operations",
+            ),
+            (
+                Endpoint::Explore,
                 r#"{"dfg_text":"dfg empty\ninput a\n"}"#,
                 "has no operations",
             ),

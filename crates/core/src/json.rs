@@ -5,10 +5,11 @@
 //! `results/*.json` golden files are byte-stable across platforms and
 //! thread counts.
 
-use crate::experiments::{AreaRow, ExplosionPoint, LatencyRow, SummaryCells, Table1, Table2};
+use crate::experiments::{ExplosionPoint, LatencyRow, SummaryCells, Table1, Table2};
 use crate::jobspec::SIMULATE_LEGS;
 use crate::report::SystemArea;
 use crate::resilience::{KindStats, ResilienceReport};
+use crate::stages::ReportRow;
 use crate::sweeps::{AllocationPoint, CurvePoint};
 use crate::utilization::{UtilizationRow, UtilizationTable};
 use tauhls_json::{Json, ToJson};
@@ -32,16 +33,17 @@ impl ToJson for SystemArea {
     }
 }
 
-impl ToJson for AreaRow {
+/// Table 1's row rendering; the keys keep their historical short names.
+impl ToJson for ReportRow {
     fn to_json(&self) -> Json {
         Json::object([
             ("name", Json::from(self.name.as_str())),
             ("inputs", Json::from(self.inputs)),
             ("outputs", Json::from(self.outputs)),
             ("states", Json::from(self.states)),
-            ("ffs", Json::from(self.ffs)),
-            ("area_com", Json::from(self.area_com)),
-            ("area_seq", Json::from(self.area_seq)),
+            ("ffs", Json::from(self.flip_flops)),
+            ("area_com", Json::from(self.area_combinational)),
+            ("area_seq", Json::from(self.area_sequential)),
         ])
     }
 }

@@ -1,12 +1,12 @@
 //! Whole-system area reporting: controllers + functional units +
 //! completion generators + datapath registers on one gate-equivalent
-//! scale.
+//! scale. The controller figures are read off the staged pipeline's
+//! `logic` artifact, never re-synthesized here.
 
-use crate::pipeline::Design;
+use crate::stages::SynthesizedLogic;
 use std::fmt;
 use tauhls_datapath::{ArrayMultiplier, RippleCarryAdder, RippleCarrySubtractor, UnitArea};
 use tauhls_dfg::ResourceClass;
-use tauhls_fsm::{synthesize, Encoding};
 use tauhls_logic::AreaModel;
 use tauhls_sched::allocate_registers;
 
@@ -80,31 +80,12 @@ impl fmt::Display for SystemArea {
     }
 }
 
-/// Computes the system-area breakdown for a design under the given state
-/// encoding, area model, and datapath width.
-pub fn system_area(
-    design: &Design,
-    encoding: Encoding,
-    model: &AreaModel,
-    width: u32,
-) -> SystemArea {
-    let bound = design.bound();
-    let mut control_com = 0.0;
-    let mut control_seq = 0.0;
-    for (_, fsm) in design.distributed().controllers() {
-        let syn = synthesize(fsm, encoding, model);
-        control_com += syn.area().combinational;
-        control_seq += syn.area().sequential;
-    }
-    system_area_parts(bound, model, width, control_com, control_seq)
-}
-
-/// Like [`system_area`], but reusing the gate-level controllers of an
-/// already-synthesized [`SynthesizedLogic`] artifact instead of
-/// re-synthesizing them — the staged-pipeline path, where the `logic`
-/// stage output is shared across report consumers.
+/// Computes the system-area breakdown of a design from the gate-level
+/// controllers of its staged `logic` artifact (the encoding and area model
+/// the controllers were synthesized under), plus the functional units,
+/// completion generators and registers at datapath `width`.
 pub fn system_area_from_logic(
-    logic: &crate::stages::SynthesizedLogic,
+    logic: &SynthesizedLogic,
     model: &AreaModel,
     width: u32,
 ) -> SystemArea {
@@ -115,20 +96,9 @@ pub fn system_area_from_logic(
         control_com += syn.area().combinational;
         control_seq += syn.area().sequential;
     }
-    system_area_parts(bound, model, width, control_com, control_seq)
-}
-
-fn system_area_parts(
-    bound: &tauhls_sched::BoundDfg,
-    model: &AreaModel,
-    width: u32,
-    control_com: f64,
-    control_seq: f64,
-) -> SystemArea {
-    let alloc = bound.allocation();
     let mut units = 0.0;
     let mut completion = 0.0;
-    for u in alloc.units() {
+    for u in bound.allocation().units() {
         let ge = match u.class {
             ResourceClass::Multiplier => ArrayMultiplier::new(width.min(32)).area_ge(),
             ResourceClass::Adder => RippleCarryAdder::new(width).area_ge(),
@@ -157,17 +127,28 @@ fn system_area_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Synthesis;
+    use crate::stages::{run_full, BindStrategy, PipelineTrace, SynthesisInput};
+    use std::sync::Arc;
     use tauhls_dfg::benchmarks::diffeq;
+    use tauhls_fsm::Encoding;
     use tauhls_sched::Allocation;
+
+    fn diffeq_logic() -> Arc<SynthesizedLogic> {
+        let input = SynthesisInput {
+            dfg: diffeq(),
+            allocation: Allocation::paper(2, 1, 1),
+            strategy: BindStrategy::LeftEdge,
+        };
+        let model = AreaModel::default();
+        let mut trace = PipelineTrace::default();
+        let (logic, _) = run_full(&input, false, Encoding::Binary, &model, None, &mut trace)
+            .expect("diffeq synthesizes");
+        logic
+    }
 
     #[test]
     fn diffeq_system_area_breakdown() {
-        let design = Synthesis::new(diffeq())
-            .allocation(Allocation::paper(2, 1, 1))
-            .run()
-            .unwrap();
-        let a = system_area(&design, Encoding::Binary, &AreaModel::default(), 16);
+        let a = system_area_from_logic(&diffeq_logic(), &AreaModel::default(), 16);
         assert!(a.total() > 0.0);
         // Two 16-bit array multipliers dominate everything else.
         assert!(a.units > a.control_com + a.control_seq);
@@ -181,12 +162,9 @@ mod tests {
 
     #[test]
     fn wider_datapath_raises_everything_but_control() {
-        let design = Synthesis::new(diffeq())
-            .allocation(Allocation::paper(2, 1, 1))
-            .run()
-            .unwrap();
-        let a16 = system_area(&design, Encoding::Binary, &AreaModel::default(), 16);
-        let a32 = system_area(&design, Encoding::Binary, &AreaModel::default(), 32);
+        let logic = diffeq_logic();
+        let a16 = system_area_from_logic(&logic, &AreaModel::default(), 16);
+        let a32 = system_area_from_logic(&logic, &AreaModel::default(), 32);
         assert_eq!(a16.control_com, a32.control_com);
         assert!(a32.units > a16.units);
         assert!(a32.registers > a16.registers);

@@ -2,12 +2,15 @@
 //! dataflow graph from its text format, run force-directed scheduling at
 //! several latency budgets to see the implied allocations, then explore
 //! the allocation space and print the latency/area Pareto frontier under
-//! distributed telescopic control.
+//! distributed telescopic control — `design_space` at one scenario (binary
+//! encoding, one `P`, synchronous clocks), every area read off the staged
+//! pipeline.
 //!
 //! Run with `cargo run --release --example hls_flow`.
 
-use tauhls::core::explore::{explore_allocations, ExploreParams};
+use tauhls::core::explore::{design_space, SweepParams};
 use tauhls::dfg::{parse_dfg, ResourceClass};
+use tauhls::fsm::Encoding;
 use tauhls::sched::fds_schedule;
 use tauhls::sim::BatchRunner;
 
@@ -61,24 +64,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>5} {:>5} {:>5} {:>10} {:>10} {:>7}",
         "muls", "adds", "subs", "cycles", "area GE", "pareto"
     );
-    let points = explore_allocations(
+    let (points, _) = design_space(
         &dfg,
-        &ExploreParams {
+        &SweepParams {
             max_muls: 4,
             max_adds: 2,
             max_subs: 1,
+            encodings: vec![Encoding::Binary],
+            p_values: vec![0.7],
+            sd_ld: vec![0.75],
+            skew: vec![0],
             trials: 600,
-            ..Default::default()
+            width: 16,
+            seed: 2003,
         },
         &BatchRunner::available(),
-    );
+        None,
+    )?;
     for p in &points {
         println!(
             "{:>5} {:>5} {:>5} {:>10.2} {:>10.0} {:>7}",
             p.muls,
             p.adds,
             p.subs,
-            p.latency_cycles,
+            p.avg_cycles,
             p.area_ge,
             if p.pareto { "*" } else { "" }
         );

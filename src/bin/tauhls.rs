@@ -84,10 +84,14 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
-use tauhls::core::jobspec::{leg_styles, legs_enhancement, Endpoint, JobSpec, SIMULATE_LEGS};
+use tauhls::core::jobspec::{
+    bind_checked, leg_styles, legs_enhancement, Endpoint, JobSpec, SIMULATE_LEGS,
+};
+use tauhls::core::report::system_area_from_logic;
 use tauhls::core::resilience::{resilience_sweep_with, ResilienceOptions};
-use tauhls::core::stages::{self, BindStrategy, PipelineTrace, SynthesisInput};
+use tauhls::core::stages::{self, BindStrategy, PipelineTrace, SynthesisInput, SynthesizedLogic};
 use tauhls::dfg::{canonical_wire, dfg_to_text, parse_dfg, parse_wire_dfg, wire_hash, Dfg};
 use tauhls::fsm::{control_unit_to_verilog, DistributedControlUnit, Encoding};
 use tauhls::logic::AreaModel;
@@ -248,24 +252,15 @@ fn runner_for(threads: Option<usize>) -> BatchRunner {
 }
 
 fn bind(path: &str, o: &Options) -> Result<BoundDfg, String> {
-    let dfg = load_dfg(path)?;
     let alloc = Allocation::paper(o.muls, o.adds, o.subs);
-    if !alloc.covers(&dfg) {
-        return Err("allocation lacks a unit for a used operation class".to_string());
-    }
-    Ok(if o.chains {
-        BoundDfg::bind_chains(&dfg, &alloc)
-    } else {
-        BoundDfg::bind(&dfg, &alloc)
-    })
+    bind_checked(&load_dfg(path)?, &alloc, o.chains)
 }
 
-/// `tauhls synth`: the full staged pipeline, from parsed DFG to gate-level
-/// controllers, with the artifact-hash chain and per-stage wall times.
-fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
-    let dfg = load_dfg(path)?;
+/// Runs the staged pipeline, from parsed DFG to gate-level controllers,
+/// under the requested allocation, binding and encoding.
+fn run_pipeline(path: &str, o: &Options) -> Result<(Arc<SynthesizedLogic>, PipelineTrace), String> {
     let input = SynthesisInput {
-        dfg,
+        dfg: load_dfg(path)?,
         allocation: Allocation::paper(o.muls, o.adds, o.subs),
         strategy: if o.chains {
             BindStrategy::Chains
@@ -274,7 +269,7 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
         },
     };
     let mut trace = PipelineTrace::default();
-    let (logic, _reports) = stages::run_full(
+    let (logic, _) = stages::run_full(
         &input,
         false,
         o.encoding,
@@ -283,6 +278,13 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
         &mut trace,
     )
     .map_err(|e| e.to_string())?;
+    Ok((logic, trace))
+}
+
+/// `tauhls synth`: the full staged pipeline, from parsed DFG to gate-level
+/// controllers, with the artifact-hash chain and per-stage wall times.
+fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
+    let (logic, trace) = run_pipeline(path, o)?;
     let bound = logic.controls().design().bound();
     let units = bound.allocation().units();
     if o.json {
@@ -367,6 +369,17 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
             r.wall.as_micros()
         );
     }
+    Ok(())
+}
+
+/// `tauhls report`: the whole-system area breakdown, its controller
+/// figures read off the pipeline's `logic` artifact.
+fn cmd_report(path: &str, o: &Options) -> Result<(), String> {
+    let (logic, _) = run_pipeline(path, o)?;
+    print!(
+        "{}",
+        system_area_from_logic(&logic, &AreaModel::default(), 16)
+    );
     Ok(())
 }
 
@@ -1066,10 +1079,15 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    // `synth` routes through the staged pipeline, which does its own
-    // binding and validation.
-    if cmd == "synth" {
-        return match cmd_synth(path, &options) {
+    // `synth` and `report` route through the staged pipeline, which does
+    // its own binding and validation.
+    if cmd == "synth" || cmd == "report" {
+        let run = if cmd == "synth" {
+            cmd_synth
+        } else {
+            cmd_report
+        };
+        return match run(path, &options) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -1101,24 +1119,6 @@ fn main() -> ExitCode {
             print!(
                 "{}",
                 control_unit_to_verilog(&cu, options.encoding, &AreaModel::default())
-            );
-        }
-        "report" => {
-            // The system report needs a Design; rebuild through the
-            // pipeline (same binding strategy as requested).
-            let dfg = load_dfg(path).expect("loadable (already parsed)");
-            let design = tauhls::Synthesis::new(dfg)
-                .allocation(Allocation::paper(options.muls, options.adds, options.subs))
-                .run()
-                .expect("synthesizable (already bound)");
-            print!(
-                "{}",
-                tauhls::core::report::system_area(
-                    &design,
-                    options.encoding,
-                    &AreaModel::default(),
-                    16,
-                )
             );
         }
         "dot" => {

@@ -3,6 +3,7 @@
 
 use std::path::Path;
 use std::process::{Command, Output};
+use tauhls::dfg::{benchmarks, dfg_to_text};
 
 fn tauhls(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tauhls"))
@@ -153,6 +154,24 @@ system area (16-bit datapath, GE):
 }
 
 #[test]
+fn report_honours_the_requested_binding() {
+    let path = scratch_dir().join("diffeq-report.dfg");
+    std::fs::write(&path, dfg_to_text(&benchmarks::diffeq())).unwrap();
+    let report = |binding: &str| {
+        let out = tauhls(&["report", path.to_str().unwrap(), "--binding", binding]);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let chains = report("chains");
+    // The control line matches `synth --binding chains` (583 GE total).
+    assert!(
+        chains.contains("  control               583 (com 341 + seq 242)\n"),
+        "{chains}"
+    );
+    assert_ne!(chains, report("left-edge"));
+}
+
+#[test]
 fn table2_runs_builtin_suite_with_cent_column() {
     let out = tauhls(&["table2", "--trials", "20", "--seed", "3", "--threads", "2"]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -240,12 +259,15 @@ fn synth_misuse_fails_with_one_line_messages() {
     assert_eq!(out.status.code(), Some(1));
     assert_graceful_failure(&out, "line 3");
 
-    // A graph with no operations is an invalid request, not a crash.
+    // A graph with no operations is an invalid request, not a crash, on
+    // every subcommand that synthesizes or binds it.
     let empty = dir.join("empty-synth.dfg");
     std::fs::write(&empty, "dfg hollow\ninput a\n").unwrap();
-    let out = tauhls(&["synth", empty.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    assert_graceful_failure(&out, "no operations");
+    for cmd in ["synth", "report", "simulate", "resilience"] {
+        let out = tauhls(&[cmd, empty.to_str().unwrap(), "--trials", "10"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert_graceful_failure(&out, "no operations");
+    }
 }
 
 #[test]

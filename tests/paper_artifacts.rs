@@ -37,7 +37,7 @@ fn table1_reproduces_paper_ordering() {
     let t = table1(Encoding::Binary, &AreaModel::default());
     let total = |name: &str| {
         let r = t.rows.iter().find(|r| r.name == name).unwrap();
-        r.area_com + r.area_seq
+        r.area_combinational + r.area_sequential
     };
     // The paper's qualitative ordering:
     //   CENT-SYNC < DIST < CENT (total area),
@@ -61,15 +61,20 @@ fn table1_reproduces_paper_ordering() {
     // the adder controller 2 (paper lists 2-3 FFs per component).
     for r in &t.rows {
         if r.name.starts_with("D-FSM") {
-            assert!((1..=4).contains(&r.ffs), "{}: {} FFs", r.name, r.ffs);
+            assert!(
+                (1..=4).contains(&r.flip_flops),
+                "{}: {} FFs",
+                r.name,
+                r.flip_flops
+            );
         }
     }
     // Exact matches against the paper's legible Table 1 cells
     // (sequential area at 22 GE per flip-flop):
     let exact = |name: &str, ffs: usize, seq: f64| {
         let r = t.rows.iter().find(|r| r.name == name).unwrap();
-        assert_eq!(r.ffs, ffs, "{name} FFs");
-        assert_eq!(r.area_seq, seq, "{name} sequential area");
+        assert_eq!(r.flip_flops, ffs, "{name} FFs");
+        assert_eq!(r.area_sequential, seq, "{name} sequential area");
     };
     exact("CENT-FSM", 5, 110.0); // paper: 110
     exact("CENT-SYNC-FSM", 3, 66.0); // paper: 66
