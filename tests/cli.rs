@@ -110,11 +110,11 @@ fn simulate_reports_all_four_styles() {
     );
 }
 
-#[test]
-fn simulate_stdout_is_pinned() {
-    let out = tauhls(&[
+/// The pinned `simulate` run: its stdout is [`SIMULATE_PIN`].
+fn simulate_pinned(dfg: &str) -> Output {
+    tauhls(&[
         "simulate",
-        example_dfg(),
+        dfg,
         "--trials",
         "40",
         "--seed",
@@ -123,9 +123,10 @@ fn simulate_stdout_is_pinned() {
         "2",
         "--skew",
         "2",
-    ]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let expected = "\
+    ])
+}
+
+const SIMULATE_PIN: &str = "\
 clock 15 ns, 40 coupled trials at P = [0.9, 0.7, 0.5]
 LT_TAU  (synchronized) : [45][49.9, 57.0, 63.4][75]
 LT_DIST (distributed)  : [45][49.5, 56.2, 62.6][75]
@@ -135,7 +136,77 @@ LT_ELAS (elastic s=2,l=1) : [60][109.1, 122.6, 127.1][270]
   P = 0.7: +1.3% enhancement
   P = 0.5: +1.2% enhancement
 ";
-    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+
+#[test]
+fn simulate_stdout_is_pinned() {
+    let out = simulate_pinned(example_dfg());
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), SIMULATE_PIN);
+}
+
+#[test]
+fn simulate_on_the_wire_twin_prints_the_same_bytes() {
+    let out = tauhls(&["dfg", "convert", example_dfg()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let wire = scratch_dir().join("axpy-twin.json");
+    std::fs::write(&wire, &out.stdout).unwrap();
+    let out = simulate_pinned(wire.to_str().unwrap());
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), SIMULATE_PIN);
+}
+
+#[test]
+fn verilog_stdout_is_pinned() {
+    // The top module declares its internal wires in hash-set order, which
+    // varies run to run; compare each run of `wire` lines as a set.
+    let sort_wires = |text: &str| {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let wire = |l: &&str| l.starts_with("  wire ");
+        for run in lines.chunk_by_mut(|a, b| wire(a) && wire(b)) {
+            run.sort_unstable();
+        }
+        lines.join("\n")
+    };
+    let out = tauhls(&["verilog", example_dfg()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        sort_wires(&String::from_utf8_lossy(&out.stdout)),
+        sort_wires(include_str!("pins/axpy.v"))
+    );
+}
+
+#[test]
+fn dot_stdout_is_pinned() {
+    let out = tauhls(&["dot", example_dfg()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("pins/axpy.dot")
+    );
+}
+
+#[test]
+fn resilience_stdout_is_pinned_at_the_default_p() {
+    let args = [
+        "resilience",
+        example_dfg(),
+        "--trials",
+        "24",
+        "--seed",
+        "11",
+        "--threads",
+        "1",
+    ];
+    let out = tauhls(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("pins/axpy-resilience.json")
+    );
+    // The documented CLI default is P = 0.9.
+    let explicit = tauhls(&[&args[..], &["--p", "0.9"]].concat());
+    assert!(explicit.status.success(), "{}", stderr_of(&explicit));
+    assert_eq!(explicit.stdout, out.stdout);
 }
 
 #[test]
