@@ -12,7 +12,7 @@ use std::fmt;
 use tauhls_dfg::{Dfg, ResourceClass};
 use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
-use tauhls_sched::{Allocation, BoundDfg};
+use tauhls_sched::Allocation;
 use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ControlStyle, ElasticSpec, SimError};
 
 /// Parameters of a design-space sweep: per-class allocation maxima
@@ -97,12 +97,13 @@ impl std::error::Error for SweepError {}
 /// Pareto frontier.
 ///
 /// The grid is allocations (class-aware, see [`enumerate_allocations`]) ×
-/// `encodings` × `p_values` × `sd_ld` × `skew`. Each allocation is
-/// simulated once — one coupled [`latency_batch`] covering every `P` and
-/// every skew bound (DIST at skew 0, ELASTIC otherwise), seeded by the
-/// allocation triple so results are independent of enumeration order and
-/// of `runner`'s thread count — and synthesized once per encoding
-/// through the shared [`StageCache`]. Cycle counts don't depend on
+/// `encodings` × `p_values` × `sd_ld` × `skew`. Each allocation runs the
+/// synthesis front once and is simulated once on its `bind` artifact —
+/// one coupled [`latency_batch`] covering every `P` and every skew bound
+/// (DIST at skew 0, ELASTIC otherwise), seeded by the allocation triple
+/// so results are independent of enumeration order and of `runner`'s
+/// thread count — and only the `logic` and `report` stages run per
+/// encoding, through the shared [`StageCache`]. Cycle counts don't depend on
 /// encoding or clock ratio, so those axes are pure post-processing;
 /// every skew leg reads the same per-trial completion tables.
 ///
@@ -184,8 +185,16 @@ pub fn design_space_slice(
     let mut records = Vec::new();
 
     for &(muls, adds, subs) in allocs {
-        let alloc = Allocation::paper(muls, adds, subs);
-        let bound = BoundDfg::bind(dfg, &alloc);
+        // One synthesis front per allocation: the latency batch reads the
+        // `bind` artifact and every encoding reuses its controllers.
+        let input = SynthesisInput {
+            dfg: dfg.clone(),
+            allocation: Allocation::paper(muls, adds, subs),
+            strategy: BindStrategy::LeftEdge,
+        };
+        let mut trace = PipelineTrace::default();
+        let controls = stages::run_front(&input, false, stage_cache, &mut trace)
+            .map_err(SweepError::Synthesis)?;
         let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
         let point_seed = derive_seed(params.seed, point_id, 0);
         // One leg per skew bound on coupled trials: skew 0 measures DIST,
@@ -204,7 +213,7 @@ pub fn design_space_slice(
             .collect();
         // Per-skew cycle estimates, indexed [skew][p].
         let cycles_by_skew = latency_batch(
-            &bound,
+            controls.design().bound(),
             &styles,
             &params.p_values,
             0,
@@ -215,25 +224,18 @@ pub fn design_space_slice(
         .map_err(SweepError::Sim)?;
         let mut areas = Vec::with_capacity(params.encodings.len());
         for &encoding in &params.encodings {
-            let input = SynthesisInput {
-                dfg: dfg.clone(),
-                allocation: Allocation::paper(muls, adds, subs),
-                strategy: BindStrategy::LeftEdge,
-            };
-            let mut trace = PipelineTrace::default();
-            let (logic, _) = stages::run_full(
-                &input,
-                false,
+            let (logic, _) = stages::run_back(
+                &controls,
                 encoding,
                 &AreaModel::default(),
                 stage_cache,
                 &mut trace,
             )
             .map_err(SweepError::Synthesis)?;
-            records.extend(trace.records);
             let area = system_area_from_logic(&logic, &AreaModel::default(), params.width);
             areas.push(area.total());
         }
+        records.extend(trace.records);
         for (ip, &p) in params.p_values.iter().enumerate() {
             for (ie, &encoding) in params.encodings.iter().enumerate() {
                 for &ratio in &params.sd_ld {
@@ -290,6 +292,7 @@ pub fn mark_scenario_pareto(points: &mut [SweepPoint]) {
 mod tests {
     use super::*;
     use tauhls_dfg::benchmarks::fir5;
+    use tauhls_sched::BoundDfg;
 
     /// One scenario (binary encoding, `P = 0.7`, synchronous clocks) over
     /// the given allocation maxima.
@@ -356,7 +359,9 @@ mod tests {
         let (pts, recs) = design_space(&fir5(), &params, &BatchRunner::serial(), None).unwrap();
         // 2 allocations × 2 P × 2 encodings × 2 ratios.
         assert_eq!(pts.len(), 16);
-        assert_eq!(recs.len(), 4 * crate::stages::STAGE_NAMES.len());
+        // Per allocation: the four front stages once, `logic` and
+        // `report` once per encoding.
+        assert_eq!(recs.len(), 2 * (4 + 2 * 2));
         // Latency renders as cycles × ratio × LD; cycles are ratio- and
         // encoding-independent.
         for p in &pts {
@@ -383,9 +388,29 @@ mod tests {
         };
         assert_eq!(render(&pts), render(&threaded));
         assert_eq!(render(&pts), render(&cached));
-        // The second encoding of each allocation reuses the cached
-        // pipeline prefix.
-        assert!(cached_recs.iter().any(|r| r.cache_hit));
+        assert!(cached_recs.iter().all(|r| !r.cache_hit));
+        // A repeated sweep is served from the cache, stage for stage.
+        let (again, again_recs) =
+            design_space(&fir5(), &params, &BatchRunner::serial(), Some(&cache)).unwrap();
+        assert_eq!(render(&pts), render(&again));
+        assert_eq!(again_recs.len(), cached_recs.len());
+        assert!(again_recs.iter().all(|r| r.cache_hit));
+    }
+
+    #[test]
+    fn design_space_binds_each_allocation_once() {
+        let params = SweepParams {
+            encodings: vec![Encoding::Binary, Encoding::Gray],
+            ..one_scenario(2, 1, 0, 20)
+        };
+        let allocs = enumerate_allocations(&fir5(), &params);
+        assert_eq!(allocs.len(), 2);
+        let (_, recs) = design_space(&fir5(), &params, &BatchRunner::serial(), None).unwrap();
+        let count = |stage: &str| recs.iter().filter(|r| r.stage == stage).count();
+        assert_eq!(count("bind"), allocs.len());
+        assert_eq!(count("controllers"), allocs.len());
+        assert_eq!(count("logic"), allocs.len() * params.encodings.len());
+        assert_eq!(count("report"), allocs.len() * params.encodings.len());
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //!
 //! A [`JobSpec`] is the validated, fully-materialized form of a request
 //! against one of the service endpoints (`simulate`, `table2`,
-//! `resilience`). Parsing is strict — unknown keys, duplicate keys, wrong
-//! types, and out-of-range values are all rejected with one-line messages
-//! — and every optional field is materialized to its default, so two
+//! `resilience`, `synth`, `area`, `explore`). [`JobSpec::from_json`] is
+//! the one parser, defaulter and validator: the service decodes request
+//! bodies with it and the `tauhls` CLI translates its flags into the same
+//! JSON, so both front ends accept exactly the same jobs. Parsing is
+//! strict — unknown keys, duplicate keys, wrong types, and out-of-range
+//! values are all rejected with one-line messages — and every optional
+//! field is materialized to its default, so two
 //! requests that mean the same job normalize to the same
 //! [`JobSpec::canonical`] rendering regardless of field order, omitted
 //! defaults, or numeric spelling (`[1]` vs `[1.0]`). That rendering,
@@ -15,6 +19,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use tauhls_dfg::{benchmarks, canonical_wire, parse_wire_dfg, Dfg, DfgRegistry};
 use tauhls_fsm::Encoding;
@@ -29,9 +34,10 @@ use tauhls_sim::{
 use crate::experiments::table2;
 use crate::explore::{design_space, SweepError, SweepParams, SweepPoint};
 use crate::report::system_area_from_logic;
-use crate::resilience::{resilience_sweep_with, ResilienceOptions};
+use crate::resilience::{resilience_sweep_with, ResilienceOptions, ResilienceReport};
 use crate::stages::{
-    self, BindStrategy, PipelineTrace, StageCache, StageRecord, SynthesisInput, SynthesizedLogic,
+    self, BindStrategy, PipelineTrace, Reports, StageCache, StageRecord, SynthesisInput,
+    SynthesizedLogic,
 };
 use crate::{SynthesisError, Timing};
 
@@ -198,7 +204,12 @@ impl SimulateSpec {
     /// Measures every [`SIMULATE_LEGS`] style on coupled trials over
     /// `p_values[range]`, each `P` seeded by its global index, so any
     /// partition of the sweep reproduces the whole run's numbers.
-    pub(crate) fn measure_legs(
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] for a range beyond `p_values`; a simulation
+    /// failure or cancellation as [`JobError::from_sim`] sorts it.
+    pub fn measure_legs(
         &self,
         range: std::ops::Range<usize>,
         runner: &BatchRunner,
@@ -265,6 +276,31 @@ impl ResilienceSpec {
             elastic: self.elastic,
         }
     }
+
+    /// Runs the fault-injection sweep over every fault kind.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] if the graph does not bind;
+    /// [`JobError::Cancelled`] if `runner` was cancelled, rather than a
+    /// partially-populated report.
+    pub fn sweep(&self, runner: &BatchRunner) -> Result<ResilienceReport, JobError> {
+        let bound = bind_spec(&self.dfg, self.muls, self.adds, self.subs, self.chains)
+            .map_err(JobError::Invalid)?;
+        let report = resilience_sweep_with(
+            &bound,
+            self.p,
+            self.trials,
+            self.seed,
+            &self.options(),
+            runner,
+        );
+        // `resilience_sweep` folds whatever chunks ran; surface a
+        // cancellation instead of returning (and caching) a
+        // partially-populated report.
+        runner.check_cancelled().map_err(JobError::from_sim)?;
+        Ok(report)
+    }
 }
 
 /// Validated spec for `POST /v1/synth`.
@@ -284,21 +320,54 @@ pub struct SynthSpec {
     pub encoding: Encoding,
 }
 
-/// Validated spec for `POST /v1/area`.
+impl SynthSpec {
+    /// The staged-pipeline input this spec names.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] if the graph source does not resolve.
+    pub fn input(&self) -> Result<SynthesisInput, JobError> {
+        Ok(SynthesisInput {
+            dfg: build_dfg(&self.dfg).map_err(JobError::Invalid)?,
+            allocation: Allocation::paper(self.muls, self.adds, self.subs),
+            strategy: if self.chains {
+                BindStrategy::Chains
+            } else {
+                BindStrategy::LeftEdge
+            },
+        })
+    }
+
+    /// Runs the six-stage pipeline under this spec's encoding: the `logic`
+    /// artifact, the area report and the trace of the stages that ran.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] for a graph or binding the pipeline rejects.
+    pub fn synthesize(
+        &self,
+        stage_cache: Option<&StageCache>,
+    ) -> Result<(Arc<SynthesizedLogic>, Arc<Reports>, PipelineTrace), JobError> {
+        let mut trace = PipelineTrace::default();
+        let (logic, reports) = stages::run_full(
+            &self.input()?,
+            false,
+            self.encoding,
+            &AreaModel::default(),
+            stage_cache,
+            &mut trace,
+        )
+        .map_err(JobError::from_synthesis)?;
+        Ok((logic, reports, trace))
+    }
+}
+
+/// Validated spec for `POST /v1/area`: a synthesis spec plus the datapath
+/// width of the system estimate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AreaSpec {
-    /// The graph to estimate.
-    pub dfg: DfgSource,
-    /// Telescopic multipliers allocated.
-    pub muls: usize,
-    /// Adders allocated.
-    pub adds: usize,
-    /// Subtractors allocated.
-    pub subs: usize,
-    /// `true` → chain binding, `false` → left-edge (the default).
-    pub chains: bool,
-    /// The state encoding for logic synthesis.
-    pub encoding: Encoding,
+    /// The synthesis the estimate reads.
+    pub synth: SynthSpec,
     /// Datapath operand width of the system estimate.
     pub width: u32,
 }
@@ -653,6 +722,18 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// The fields every synthesis spec shares, not yet bound.
+    fn synth(&self) -> Result<SynthSpec, String> {
+        Ok(SynthSpec {
+            dfg: self.dfg()?,
+            muls: self.usize_in("muls", 2, MAX_UNITS)?,
+            adds: self.usize_in("adds", 1, MAX_UNITS)?,
+            subs: self.usize_in("subs", 1, MAX_UNITS)?,
+            chains: self.binding()?,
+            encoding: self.encoding()?,
+        })
+    }
+
     fn dfg(&self) -> Result<DfgSource, String> {
         match (self.get("dfg"), self.get("dfg_text")) {
             (Some(_), Some(_)) => Err("give either 'dfg' or 'dfg_text', not both".to_string()),
@@ -704,10 +785,13 @@ impl<'a> Fields<'a> {
 /// Binds `graph` under `alloc` — chain cover when `chains`, left-edge
 /// otherwise — behind the one admission check every synthesis request
 /// passes: the graph must have operations and the allocation must cover
-/// it. The job specs apply it at parse time and the CLI before it binds,
-/// so a request that gets through is guaranteed to synthesize, simulate
-/// and fault-sweep.
-pub fn bind_checked(graph: &Dfg, alloc: &Allocation, chains: bool) -> Result<BoundDfg, String> {
+/// it. The job specs apply it at parse time, so a request that gets
+/// through is guaranteed to synthesize, simulate and fault-sweep.
+pub(crate) fn bind_checked(
+    graph: &Dfg,
+    alloc: &Allocation,
+    chains: bool,
+) -> Result<BoundDfg, String> {
     if graph.num_ops() == 0 {
         return Err(format!("graph '{}' has no operations", graph.name()));
     }
@@ -913,14 +997,7 @@ impl JobSpec {
                         "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding",
                     ],
                 )?;
-                let s = SynthSpec {
-                    dfg: f.dfg()?,
-                    muls: f.usize_in("muls", 2, MAX_UNITS)?,
-                    adds: f.usize_in("adds", 1, MAX_UNITS)?,
-                    subs: f.usize_in("subs", 1, MAX_UNITS)?,
-                    chains: f.binding()?,
-                    encoding: f.encoding()?,
-                };
+                let s = f.synth()?;
                 bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
                 Ok(JobSpec::Synth(s))
             }
@@ -932,15 +1009,11 @@ impl JobSpec {
                     ],
                 )?;
                 let s = AreaSpec {
-                    dfg: f.dfg()?,
-                    muls: f.usize_in("muls", 2, MAX_UNITS)?,
-                    adds: f.usize_in("adds", 1, MAX_UNITS)?,
-                    subs: f.usize_in("subs", 1, MAX_UNITS)?,
-                    chains: f.binding()?,
-                    encoding: f.encoding()?,
+                    synth: f.synth()?,
                     width: f.u64_in("width", 16, 1, MAX_WIDTH)? as u32,
                 };
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
+                let t = &s.synth;
+                bind_spec(&t.dfg, t.muls, t.adds, t.subs, t.chains)?;
                 Ok(JobSpec::Area(s))
             }
             Endpoint::Explore => {
@@ -1101,7 +1174,7 @@ impl JobSpec {
                 ("binding", binding(s.chains)),
                 ("encoding", Json::from(encoding_name(s.encoding))),
             ]),
-            JobSpec::Area(s) => Json::object([
+            JobSpec::Area(AreaSpec { synth: s, width }) => Json::object([
                 ("endpoint", Json::from("area")),
                 dfg_pair(&s.dfg),
                 ("muls", Json::from(s.muls)),
@@ -1109,7 +1182,7 @@ impl JobSpec {
                 ("subs", Json::from(s.subs)),
                 ("binding", binding(s.chains)),
                 ("encoding", Json::from(encoding_name(s.encoding))),
-                ("width", Json::from(s.width as u64)),
+                ("width", Json::from(*width as u64)),
             ]),
             JobSpec::Explore(s) => Json::object([
                 ("endpoint", Json::from("explore")),
@@ -1195,27 +1268,9 @@ impl JobSpec {
                 let body = Json::object([("spec", self.canonical()), ("table2", t.to_json())]);
                 Ok((body, Vec::new()))
             }
-            JobSpec::Resilience(s) => {
-                let bound = bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)
-                    .map_err(JobError::Invalid)?;
-                let report =
-                    resilience_sweep_with(&bound, s.p, s.trials, s.seed, &s.options(), runner);
-                // `resilience_sweep` folds whatever chunks ran; surface a
-                // cancellation instead of returning (and caching) a
-                // partially-populated report.
-                runner.check_cancelled().map_err(JobError::from_sim)?;
-                Ok((self.resilience_body(&report), Vec::new()))
-            }
+            JobSpec::Resilience(s) => Ok((self.resilience_body(&s.sweep(runner)?), Vec::new())),
             JobSpec::Synth(s) => {
-                let (logic, _, trace) = self.synthesize(
-                    &s.dfg,
-                    s.muls,
-                    s.adds,
-                    s.subs,
-                    s.chains,
-                    s.encoding,
-                    stage_cache,
-                )?;
+                let (logic, _, trace) = s.synthesize(stage_cache)?;
                 let body = Json::object([
                     ("spec", self.canonical()),
                     ("stages", stage_hashes(&trace)),
@@ -1224,15 +1279,7 @@ impl JobSpec {
                 Ok((body, trace.records))
             }
             JobSpec::Area(s) => {
-                let (logic, reports, trace) = self.synthesize(
-                    &s.dfg,
-                    s.muls,
-                    s.adds,
-                    s.subs,
-                    s.chains,
-                    s.encoding,
-                    stage_cache,
-                )?;
+                let (logic, reports, trace) = s.synth.synthesize(stage_cache)?;
                 let system = system_area_from_logic(&logic, &AreaModel::default(), s.width);
                 let rows: Vec<Json> = reports
                     .rows()
@@ -1270,47 +1317,6 @@ impl JobSpec {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn synthesize(
-        &self,
-        dfg: &DfgSource,
-        muls: usize,
-        adds: usize,
-        subs: usize,
-        chains: bool,
-        encoding: Encoding,
-        stage_cache: Option<&StageCache>,
-    ) -> Result<
-        (
-            std::sync::Arc<SynthesizedLogic>,
-            std::sync::Arc<stages::Reports>,
-            PipelineTrace,
-        ),
-        JobError,
-    > {
-        let graph = build_dfg(dfg).map_err(JobError::Invalid)?;
-        let input = SynthesisInput {
-            dfg: graph,
-            allocation: Allocation::paper(muls, adds, subs),
-            strategy: if chains {
-                BindStrategy::Chains
-            } else {
-                BindStrategy::LeftEdge
-            },
-        };
-        let mut trace = PipelineTrace::default();
-        let (logic, reports) = stages::run_full(
-            &input,
-            false,
-            encoding,
-            &AreaModel::default(),
-            stage_cache,
-            &mut trace,
-        )
-        .map_err(JobError::from_synthesis)?;
-        Ok((logic, reports, trace))
-    }
-
     /// Renders the `/v1/simulate` response body from the measured legs, in
     /// [`SIMULATE_LEGS`] order. Shared by the local execution path and the
     /// distributed merge, so a body assembled from partition partials is
@@ -1341,7 +1347,7 @@ impl JobSpec {
 
     /// Renders the `/v1/resilience` response body from a finished report.
     /// Shared by local execution and the distributed merge.
-    pub(crate) fn resilience_body(&self, report: &crate::resilience::ResilienceReport) -> Json {
+    pub(crate) fn resilience_body(&self, report: &ResilienceReport) -> Json {
         Json::object([("spec", self.canonical()), ("report", report.to_json())])
     }
 

@@ -1102,12 +1102,28 @@ pub fn run_full(
     trace: &mut PipelineTrace,
 ) -> Result<(Arc<SynthesizedLogic>, Arc<Reports>), SynthesisError> {
     let controls = run_front(input, centralized, cache, trace)?;
+    run_back(&controls, encoding, model, cache, trace)
+}
+
+/// Runs the back half of the pipeline (stages 5–6) on the controllers of
+/// [`run_front`], so one front serves every encoding.
+///
+/// # Errors
+///
+/// As [`run_full`].
+pub fn run_back(
+    controls: &Arc<ControlUnits>,
+    encoding: Encoding,
+    model: &AreaModel,
+    cache: Option<&StageCache>,
+    trace: &mut PipelineTrace,
+) -> Result<(Arc<SynthesizedLogic>, Arc<Reports>), SynthesisError> {
     let logic = run_stage(
         &SynthesizeLogic {
             encoding,
             model: *model,
         },
-        &controls,
+        controls,
         cache,
         trace,
     )?;

@@ -7,10 +7,10 @@
 //! every next-state bit and output, taken verbatim from the minimized
 //! covers (so the Verilog is literally the logic the area model costed).
 
-use crate::distributed::DistributedControlUnit;
-use crate::synth::{synthesize, Encoding, SynthesizedFsm};
+use crate::synth::SynthesizedFsm;
 use std::fmt::Write as _;
-use tauhls_logic::{AreaModel, Cover};
+use tauhls_logic::Cover;
+use tauhls_sched::UnitId;
 
 /// Mangles a signal name (`C_CO(3)`, `OF3`, `C_M1`) into a Verilog
 /// identifier (`c_co_3`, `of3`, `c_m1`).
@@ -125,49 +125,42 @@ pub fn to_verilog(syn: &SynthesizedFsm) -> String {
     v
 }
 
-/// Emits the complete distributed control unit: one module per controller
-/// plus a top module instantiating them and wiring the `C_CO` completion
-/// nets between producers and consumers. The TAU completion inputs
-/// (`C_M1`, ...) and all OF/RE outputs remain top-level ports.
-pub fn control_unit_to_verilog(
-    cu: &DistributedControlUnit,
-    encoding: Encoding,
-    model: &AreaModel,
-) -> String {
+/// Emits the complete distributed control unit from its already
+/// synthesized controllers (one per unit, in
+/// [`crate::DistributedControlUnit::controllers`] order): one module per
+/// controller plus a top module instantiating them and wiring the `C_CO`
+/// completion nets between producers and consumers. The TAU completion
+/// inputs (`C_M1`, ...) and all OF/RE outputs remain top-level ports.
+pub fn control_unit_to_verilog(controllers: &[(UnitId, SynthesizedFsm)]) -> String {
     let mut v = String::new();
-    let mut syns = Vec::new();
-    for (_, fsm) in cu.controllers() {
-        syns.push(synthesize(fsm, encoding, model));
-    }
-    for syn in &syns {
+    for (_, syn) in controllers {
         let _ = writeln!(v, "{}", to_verilog(syn));
     }
 
     // Internal nets: outputs consumed by some controller.
-    let consumed: std::collections::HashSet<&str> = cu
-        .controllers()
+    let consumed: std::collections::HashSet<&str> = controllers
         .iter()
-        .flat_map(|(_, f)| f.inputs().iter().map(String::as_str))
+        .flat_map(|(_, syn)| syn.input_names().iter().map(String::as_str))
         .collect();
-    let produced: std::collections::HashSet<&str> = cu
-        .controllers()
+    // Ordered, so the internal wires are declared in one fixed order.
+    let produced: std::collections::BTreeSet<&str> = controllers
         .iter()
-        .flat_map(|(_, f)| f.outputs().iter().map(String::as_str))
+        .flat_map(|(_, syn)| syn.output_names().iter().map(String::as_str))
         .collect();
 
     let _ = writeln!(v, "module control_unit (");
     let _ = writeln!(v, "  input  wire clk,");
     let _ = writeln!(v, "  input  wire rst,");
     let mut ports = Vec::new();
-    for (_, fsm) in cu.controllers() {
-        for name in fsm.inputs() {
+    for (_, syn) in controllers {
+        for name in syn.input_names() {
             if !produced.contains(name.as_str()) {
                 ports.push(format!("  input  wire {}", verilog_ident(name)));
             }
         }
     }
-    for (_, fsm) in cu.controllers() {
-        for name in fsm.outputs() {
+    for (_, syn) in controllers {
+        for name in syn.output_names() {
             if !consumed.contains(name.as_str()) {
                 ports.push(format!("  output wire {}", verilog_ident(name)));
             }
@@ -182,12 +175,12 @@ pub fn control_unit_to_verilog(
             let _ = writeln!(v, "  wire {};", verilog_ident(name));
         }
     }
-    for ((_, fsm), syn) in cu.controllers().iter().zip(&syns) {
+    for (_, syn) in controllers {
         let module = verilog_ident(syn.name());
         let _ = writeln!(v, "  {module} u_{module} (");
         let _ = writeln!(v, "    .clk(clk), .rst(rst),");
         let mut conns = Vec::new();
-        for name in fsm.inputs().iter().chain(fsm.outputs()) {
+        for name in syn.input_names().iter().chain(syn.output_names()) {
             let id = verilog_ident(name);
             conns.push(format!("    .{id}({id})"));
         }
@@ -202,8 +195,10 @@ pub fn control_unit_to_verilog(
 mod tests {
     use super::*;
     use crate::distributed::unit_controller;
+    use crate::synth::{synthesize, Encoding};
     use tauhls_dfg::benchmarks::fig3_dfg;
     use tauhls_dfg::OpId;
+    use tauhls_logic::AreaModel;
     use tauhls_sched::{Allocation, BoundDfg, UnitId};
 
     fn fig3_bound() -> BoundDfg {
@@ -268,7 +263,12 @@ mod tests {
     fn top_module_wires_internal_completions() {
         let bound = fig3_bound();
         let cu = crate::distributed::DistributedControlUnit::generate(&bound);
-        let v = control_unit_to_verilog(&cu, Encoding::Binary, &AreaModel::default());
+        let controllers: Vec<(UnitId, SynthesizedFsm)> = cu
+            .controllers()
+            .iter()
+            .map(|(u, fsm)| (*u, synthesize(fsm, Encoding::Binary, &AreaModel::default())))
+            .collect();
+        let v = control_unit_to_verilog(&controllers);
         // Four controller modules + top.
         assert_eq!(v.matches("endmodule").count(), 5);
         assert!(v.contains("module control_unit ("));
@@ -276,6 +276,10 @@ mod tests {
         // top-level port (it is still an output port of the A1 module).
         let top = v.split("module control_unit").nth(1).unwrap();
         assert!(top.contains("  wire c_co_3;"));
+        // Internal wires are declared in name order, the same on every run.
+        let wires: Vec<&str> = top.lines().filter(|l| l.starts_with("  wire ")).collect();
+        assert!(wires.len() > 1, "{wires:?}");
+        assert!(wires.windows(2).all(|w| w[0] < w[1]), "{wires:?}");
         assert!(!top.contains("output wire c_co_3"));
         // TAU completions are top-level inputs.
         assert!(v.contains("input  wire c_m1"));

@@ -25,24 +25,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cu = DistributedControlUnit::generate(&bound);
 
     let model = AreaModel::default();
+    let binary: Vec<_> = cu
+        .controllers()
+        .iter()
+        .map(|(u, fsm)| (*u, synthesize(fsm, Encoding::Binary, &model)))
+        .collect();
     println!("controller areas per encoding (GE total):");
     println!(
         "{:<10} {:>8} {:>8} {:>8}",
         "unit", "binary", "gray", "onehot"
     );
-    for (u, fsm) in cu.controllers() {
+    for ((u, fsm), (_, syn)) in cu.controllers().iter().zip(&binary) {
         let name = bound.allocation().units()[u.0].display_name();
         let cost = |e| synthesize(fsm, e, &model).area().total();
         println!(
             "{:<10} {:>8.0} {:>8.0} {:>8.0}",
             name,
-            cost(Encoding::Binary),
+            syn.area().total(),
             cost(Encoding::Gray),
             cost(Encoding::OneHot)
         );
     }
 
-    let verilog = control_unit_to_verilog(&cu, Encoding::Binary, &model);
+    let verilog = control_unit_to_verilog(&binary);
     std::fs::write("control_unit.v", &verilog)?;
     println!(
         "\nwrote control_unit.v: {} modules, {} lines",

@@ -26,34 +26,53 @@
 //! the JSON wire format (`{"nodes":[...],"edges":[...],...}`) — the
 //! loader sniffs a leading `{`.
 //!
-//! options:
-//!   --muls N --adds N --subs N   allocation (default 2/1/1; × telescopic)
+//! The analysis subcommands run service job specs. Their flags are the
+//! fields of one endpoint's spec — simulate, table2, resilience and
+//! explore each fill their own; synth, report, verilog and dot fill the
+//! synth spec (report at a 16-bit datapath) — and the <file> is its `dfg`
+//! (wire) or `dfg_text` (classic). `JobSpec::from_json` parses, defaults
+//! and bounds them exactly as it does a `POST /v1/<endpoint>` body, so a
+//! value the service rejects, or a flag whose field the endpoint does not
+//! have, fails with the service's one-line message (exit 1). A flag that
+//! does not parse (unknown, missing its value, a malformed number) prints
+//! the usage text (exit 2).
+//!
+//! options (spec fields, with the service's defaults and bounds):
+//!   --muls N --adds N --subs N   allocation (default 2/1/1, each <= 64;
+//!                                × telescopic)
 //!   --binding left-edge|chains   binding strategy (default left-edge)
 //!   --encoding binary|gray|onehot  state encoding (default binary)
-//!   --p LIST                     comma-separated P sweep (default 0.9,0.7,0.5;
-//!                                resilience takes one value, default 0.9)
-//!   --trials N                   Monte-Carlo trials (default 2000)
+//!   --p LIST                     comma-separated P sweep, 1-16 values in
+//!                                [0, 1] (default 0.9,0.7,0.5; resilience
+//!                                takes one value, default 0.9)
+//!   --trials N                   Monte-Carlo trials, 1..=1000000 (default 2000)
 //!   --seed N                     RNG seed (default 2003)
-//!   --threads N                  simulation worker threads (default: all
-//!                                cores; results identical for any N)
 //!   --skew N --sync-latency N    elastic (GALS) clocking spec for the
 //!                                LT_ELAS leg and the resilience elastic
-//!                                columns (defaults 1/1; 0/0 bisimulates
-//!                                the distributed style)
+//!                                columns (defaults 1/1, each <= 16; 0/0
+//!                                bisimulates the distributed style)
 //!   --styles LIST                resilience only: comma-separated styles
 //!                                to sweep (dist,cent,elastic; must
 //!                                include dist; default all three)
-//!   --json                       synth only: emit the artifact-hash chain
-//!                                and per-stage wall times as JSON
+//!   --threads N                  CLI only: simulation worker threads
+//!                                (default: all cores; results identical
+//!                                for any N)
+//!   --json                       CLI only, synth only: emit the
+//!                                artifact-hash chain and per-stage wall
+//!                                times as JSON
 //!
-//! explore options (the same knobs as `POST /v1/explore`):
-//!   --max-muls N --max-adds N --max-subs N   allocation maxima (default 4/2/2)
+//! explore options (the `POST /v1/explore` fields):
+//!   --max-muls N --max-adds N --max-subs N   allocation maxima (default
+//!                                4/2/2, each <= 8)
 //!   --encodings LIST             comma-separated encodings (default binary)
 //!   --p LIST                     completion probabilities (default 0.9,0.7,0.5)
 //!   --sd-ld LIST                 short/long clock ratios in [0.5,1] (default 0.75)
-//!   --skew LIST                  elastic skew bounds to sweep (default 0;
-//!                                0 = synchronous distributed control)
-//!   --trials N --width N --seed N --threads N  as above (defaults 400/16/2003)
+//!   --skew LIST                  elastic skew bounds to sweep, each <= 16
+//!                                (default 0; 0 = synchronous distributed
+//!                                control)
+//!   --trials N --width N --seed N --threads N  as above (defaults
+//!                                400/16/2003; width <= 128; at most 4096
+//!                                grid points)
 //!
 //! serve options:
 //!   --addr HOST:PORT             listen address (default 127.0.0.1:7203)
@@ -82,63 +101,27 @@
 //! status/result/cancel address `/v1/jobs/<id>`. --addr as above.
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::panic, clippy::print_stdout)
+)]
+
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
+use tauhls::core::experiments;
 use tauhls::core::jobspec::{
-    bind_checked, leg_styles, legs_enhancement, Endpoint, JobSpec, SIMULATE_LEGS,
+    legs_enhancement, Endpoint, JobError, JobSpec, SimulateSpec, SynthSpec, SIMULATE_LEGS,
 };
 use tauhls::core::report::system_area_from_logic;
-use tauhls::core::resilience::{resilience_sweep_with, ResilienceOptions};
-use tauhls::core::stages::{self, BindStrategy, PipelineTrace, SynthesisInput, SynthesizedLogic};
+use tauhls::core::stages::{self, PipelineTrace};
 use tauhls::dfg::{canonical_wire, dfg_to_text, parse_dfg, parse_wire_dfg, wire_hash, Dfg};
-use tauhls::fsm::{control_unit_to_verilog, DistributedControlUnit, Encoding};
+use tauhls::fsm::control_unit_to_verilog;
 use tauhls::logic::AreaModel;
-use tauhls::sched::BoundDfg;
 use tauhls::serve::{client, signal, ServeConfig, Server};
-use tauhls::sim::{latency_batch, BatchRunner, ControlStyle, ControlStyleSet, ElasticSpec};
-use tauhls::Allocation;
+use tauhls::sim::{BatchRunner, ControlStyle};
 use tauhls_json::{Json, ToJson};
-
-/// The `--p` sweep when the flag is absent; `resilience` takes its first
-/// value.
-const DEFAULT_P: [f64; 3] = [0.9, 0.7, 0.5];
-
-struct Options {
-    muls: usize,
-    adds: usize,
-    subs: usize,
-    chains: bool,
-    encoding: Encoding,
-    /// The `--p` values; empty when the flag is absent.
-    p_values: Vec<f64>,
-    trials: usize,
-    seed: u64,
-    threads: Option<usize>,
-    json: bool,
-    elastic: ElasticSpec,
-    styles: ControlStyleSet,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            muls: 2,
-            adds: 1,
-            subs: 1,
-            chains: false,
-            encoding: Encoding::Binary,
-            p_values: Vec::new(),
-            trials: 2000,
-            seed: 2003,
-            threads: None,
-            json: false,
-            elastic: ElasticSpec::default(),
-            styles: ControlStyleSet::DIST | ControlStyleSet::CENT | ControlStyleSet::ELASTIC,
-        }
-    }
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -164,9 +147,33 @@ healthz|metrics> [spec.json] [--addr HOST:PORT]\
          [--client NAME] [--priority 0..9] [--wait]\
          \n       tauhls jobs <status|result|cancel> <job-id> [--addr HOST:PORT]\
          \n       tauhls cluster status [--addr HOST:PORT]\
-         \n\nDFG files may be classic `.dfg` text or the JSON wire format."
+         \n\nDFG files may be classic `.dfg` text or the JSON wire format.\
+         \nAnalysis flags are the fields of the endpoint's job spec, with the \
+         service's defaults and bounds."
     );
     ExitCode::from(2)
+}
+
+/// Writes `text` to stdout: the one output path of every subcommand. A
+/// closed pipe (`tauhls ... | head`) ends the output quietly; any other
+/// write failure is an error.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// [`emit`] as a subcommand's exit status.
+fn emit_status(text: &str) -> ExitCode {
+    match emit(text) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Parses a DFG from either on-disk format: a leading `{` selects the
@@ -180,114 +187,213 @@ fn parse_dfg_any(text: &str) -> Result<Dfg, String> {
     }
 }
 
-fn load_dfg(path: &str) -> Result<Dfg, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"))
+/// Why a subcommand failed: `Usage` exits 2 with the usage text, `Failed`
+/// exits 1. Either prints one `error:` line.
+#[derive(Debug)]
+enum CliError {
+    Usage(String),
+    Failed(String),
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--muls" => o.muls = value()?.parse().map_err(|e| format!("--muls: {e}"))?,
-            "--adds" => o.adds = value()?.parse().map_err(|e| format!("--adds: {e}"))?,
-            "--subs" => o.subs = value()?.parse().map_err(|e| format!("--subs: {e}"))?,
-            "--binding" => {
-                o.chains = match value()?.as_str() {
-                    "chains" => true,
-                    "left-edge" => false,
-                    other => return Err(format!("unknown binding {other}")),
-                }
-            }
-            "--encoding" => {
-                o.encoding = match value()?.as_str() {
-                    "binary" => Encoding::Binary,
-                    "gray" => Encoding::Gray,
-                    "onehot" => Encoding::OneHot,
-                    other => return Err(format!("unknown encoding {other}")),
-                }
-            }
-            "--p" => {
-                o.p_values = value()?
-                    .split(',')
-                    .map(|t| t.parse::<f64>().map_err(|e| format!("--p: {e}")))
-                    .collect::<Result<_, _>>()?
-            }
-            "--trials" => o.trials = value()?.parse().map_err(|e| format!("--trials: {e}"))?,
-            "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--threads" => {
-                o.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
-            "--json" => o.json = true,
-            "--skew" => {
-                o.elastic.skew_bound = value()?.parse().map_err(|e| format!("--skew: {e}"))?
-            }
-            "--sync-latency" => {
-                o.elastic.sync_latency = value()?
-                    .parse()
-                    .map_err(|e| format!("--sync-latency: {e}"))?
-            }
-            "--styles" => {
-                let set = ControlStyleSet::parse(value()?).map_err(|e| format!("--styles: {e}"))?;
-                if set.contains(ControlStyleSet::TAU) {
-                    return Err("--styles supports dist, cent, and elastic".to_string());
-                }
-                if !set.contains(ControlStyleSet::DIST) {
-                    return Err("--styles must include 'dist' (the engine under test)".to_string());
-                }
-                o.styles = set;
-            }
-            other => return Err(format!("unknown option {other}")),
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Failed(message)
+    }
+}
+
+impl From<JobError> for CliError {
+    fn from(err: JobError) -> Self {
+        CliError::Failed(err.to_string())
+    }
+}
+
+/// How an analysis flag's value becomes the JSON of its spec field.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// A non-negative integer.
+    Uint,
+    /// A number.
+    Num,
+    /// A name, passed through as a string.
+    Name,
+}
+
+impl Shape {
+    fn parse(self, token: &str) -> Result<Json, String> {
+        match self {
+            Shape::Uint => token
+                .parse::<u64>()
+                .map(Json::from)
+                .map_err(|e| e.to_string()),
+            Shape::Num => token
+                .parse::<f64>()
+                .map(Json::Float)
+                .map_err(|e| e.to_string()),
+            Shape::Name => Ok(Json::from(token)),
         }
     }
-    Ok(o)
 }
 
-/// One `--threads` mapping for every subcommand (and, via
-/// [`BatchRunner::sized`], the `serve` worker pool too).
-fn runner_for(threads: Option<usize>) -> BatchRunner {
-    BatchRunner::sized(threads)
+const P_LISTS: &[Endpoint] = &[Endpoint::Simulate, Endpoint::Explore];
+const EXPLORE_LISTS: &[Endpoint] = &[Endpoint::Explore];
+
+/// Every analysis flag: its name, its spec field, its value shape, and
+/// the endpoints whose field takes a comma-separated list. Each flag goes
+/// into whatever spec the subcommand fills, so a field the endpoint does
+/// not have is rejected there, exactly as the service rejects it.
+const SPEC_FLAGS: [(&str, &str, Shape, &[Endpoint]); 17] = [
+    ("--muls", "muls", Shape::Uint, &[]),
+    ("--adds", "adds", Shape::Uint, &[]),
+    ("--subs", "subs", Shape::Uint, &[]),
+    ("--binding", "binding", Shape::Name, &[]),
+    ("--encoding", "encoding", Shape::Name, &[]),
+    ("--p", "p", Shape::Num, P_LISTS),
+    ("--trials", "trials", Shape::Uint, &[]),
+    ("--seed", "seed", Shape::Uint, &[]),
+    ("--skew", "skew", Shape::Uint, EXPLORE_LISTS),
+    ("--sync-latency", "sync_latency", Shape::Uint, &[]),
+    ("--styles", "styles", Shape::Name, &[]),
+    ("--max-muls", "max_muls", Shape::Uint, &[]),
+    ("--max-adds", "max_adds", Shape::Uint, &[]),
+    ("--max-subs", "max_subs", Shape::Uint, &[]),
+    ("--encodings", "encodings", Shape::Name, EXPLORE_LISTS),
+    ("--sd-ld", "sd_ld", Shape::Num, EXPLORE_LISTS),
+    ("--width", "width", Shape::Uint, &[]),
+];
+
+/// A flag's value as the JSON of its field: a list field takes the
+/// comma-separated items as an array, a scalar field its one item.
+/// Several items for a scalar field stay an array, so the spec names the
+/// mismatch.
+fn field_value(shape: Shape, list: bool, raw: &str) -> Result<Json, String> {
+    if shape == Shape::Name && !list {
+        return Ok(Json::from(raw));
+    }
+    let mut items = raw
+        .split(',')
+        .map(|token| shape.parse(token))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(if !list && items.len() == 1 {
+        items.remove(0)
+    } else {
+        Json::Array(items)
+    })
 }
 
-fn bind(path: &str, o: &Options) -> Result<BoundDfg, String> {
-    let alloc = Allocation::paper(o.muls, o.adds, o.subs);
-    bind_checked(&load_dfg(path)?, &alloc, o.chains)
+/// The flags that stay on the command line: they choose how a job runs
+/// or prints, never what it computes.
+#[derive(Default)]
+struct Knobs {
+    threads: Option<usize>,
+    json: bool,
 }
 
-/// Runs the staged pipeline, from parsed DFG to gate-level controllers,
-/// under the requested allocation, binding and encoding.
-fn run_pipeline(path: &str, o: &Options) -> Result<(Arc<SynthesizedLogic>, PipelineTrace), String> {
-    let input = SynthesisInput {
-        dfg: load_dfg(path)?,
-        allocation: Allocation::paper(o.muls, o.adds, o.subs),
-        strategy: if o.chains {
-            BindStrategy::Chains
+/// Builds a subcommand's `endpoint` job spec. The flags become the spec's
+/// fields (a repeated flag overrides the earlier one) and the CLI-only
+/// knobs, `json_ok` admitting `--json`; the DFG file becomes its `dfg`
+/// (wire format) or `dfg_text` (classic text); and
+/// [`JobSpec::from_json`] parses, defaults and validates the whole.
+fn job_spec(
+    endpoint: Endpoint,
+    file: Option<&str>,
+    args: &[String],
+    json_ok: bool,
+) -> Result<(JobSpec, Knobs), CliError> {
+    let mut fields: Vec<(&str, Json)> = Vec::new();
+    let mut knobs = Knobs::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if json_ok && flag == "--json" {
+            knobs.json = true;
+            continue;
+        }
+        let spec_flag = SPEC_FLAGS.iter().find(|(name, ..)| name == flag);
+        if spec_flag.is_none() && flag != "--threads" {
+            return Err(CliError::Usage(format!("unknown option {flag}")));
+        }
+        let usage = |e: &dyn std::fmt::Display| CliError::Usage(format!("{flag}: {e}"));
+        let raw = it.next().ok_or_else(|| usage(&"missing value"))?;
+        let Some(&(_, key, shape, lists)) = spec_flag else {
+            knobs.threads = Some(raw.parse().map_err(|e| usage(&e))?);
+            continue;
+        };
+        let value = field_value(shape, lists.contains(&endpoint), raw).map_err(|e| usage(&e))?;
+        fields.retain(|(k, _)| *k != key);
+        fields.push((key, value));
+    }
+    if let Some(path) = file {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        fields.push(if text.trim_start().starts_with('{') {
+            (
+                "dfg",
+                Json::parse(&text).map_err(|e| format!("{path}: {e}"))?,
+            )
         } else {
-            BindStrategy::LeftEdge
-        },
+            ("dfg_text", Json::from(text.as_str()))
+        });
+    }
+    // The CLI's documented resilience default is P = 0.9.
+    if endpoint == Endpoint::Resilience && fields.iter().all(|(k, _)| *k != "p") {
+        fields.push(("p", Json::Float(0.9)));
+    }
+    let spec = JobSpec::from_json(endpoint, &Json::object(fields))?;
+    Ok((spec, knobs))
+}
+
+/// The analysis subcommands and the endpoint whose spec each fills.
+const ANALYSES: [(&str, Endpoint); 8] = [
+    ("simulate", Endpoint::Simulate),
+    ("resilience", Endpoint::Resilience),
+    ("table2", Endpoint::Table2),
+    ("explore", Endpoint::Explore),
+    ("synth", Endpoint::Synth),
+    ("report", Endpoint::Synth),
+    ("verilog", Endpoint::Synth),
+    ("dot", Endpoint::Synth),
+];
+
+/// Runs one analysis subcommand to the text it prints. Every subcommand
+/// but `table2` takes its DFG file first.
+fn analysis(cmd: &str, endpoint: Endpoint, args: &[String]) -> Result<String, CliError> {
+    let (file, flags) = match (endpoint, args.split_first()) {
+        (Endpoint::Table2, _) => (None, args),
+        (_, Some((path, flags))) => (Some(path.as_str()), flags),
+        (_, None) => return Err(CliError::Usage(format!("{cmd} needs a DFG file"))),
     };
-    let mut trace = PipelineTrace::default();
-    let (logic, _) = stages::run_full(
-        &input,
-        false,
-        o.encoding,
-        &AreaModel::default(),
-        None,
-        &mut trace,
-    )
-    .map_err(|e| e.to_string())?;
-    Ok((logic, trace))
+    let (spec, knobs) = job_spec(endpoint, file, flags, cmd == "synth")?;
+    let runner = BatchRunner::sized(knobs.threads);
+    Ok(match &spec {
+        JobSpec::Simulate(s) => simulate_text(s, &runner)?,
+        JobSpec::Resilience(s) => s.sweep(&runner)?.to_json().to_pretty(),
+        JobSpec::Table2(s) => experiments::table2(s.trials as usize, s.seed, &runner)
+            .map_err(|e| e.to_string())?
+            .to_string(),
+        JobSpec::Synth(s) => match cmd {
+            "synth" => synth_text(s, knobs.json)?,
+            "report" => {
+                let (logic, _, _) = s.synthesize(None)?;
+                system_area_from_logic(&logic, &AreaModel::default(), 16).to_string()
+            }
+            "verilog" => control_unit_to_verilog(s.synthesize(None)?.0.controllers()),
+            _ => {
+                let mut trace = PipelineTrace::default();
+                let controls = stages::run_front(&s.input()?, false, None, &mut trace)
+                    .map_err(|e| e.to_string())?;
+                let bound = controls.design().bound();
+                tauhls::dfg::to_dot(bound.dfg(), bound.schedule_arcs())
+            }
+        },
+        JobSpec::Explore(_) | JobSpec::Area(_) => format!("{}\n", spec.run(&runner)?.to_pretty()),
+    })
 }
 
 /// `tauhls synth`: the full staged pipeline, from parsed DFG to gate-level
 /// controllers, with the artifact-hash chain and per-stage wall times.
-fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
-    let (logic, trace) = run_pipeline(path, o)?;
+fn synth_text(s: &SynthSpec, json: bool) -> Result<String, JobError> {
+    let (logic, _, trace) = s.synthesize(None)?;
     let bound = logic.controls().design().bound();
     let units = bound.allocation().units();
-    if o.json {
+    if json {
         let stage_rows: Vec<Json> = trace
             .records
             .iter()
@@ -322,32 +428,33 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
             ("dfg", Json::from(bound.dfg().name())),
             (
                 "binding",
-                Json::from(if o.chains { "chains" } else { "left-edge" }),
+                Json::from(if s.chains { "chains" } else { "left-edge" }),
             ),
             (
                 "encoding",
-                Json::from(format!("{:?}", o.encoding).to_lowercase().as_str()),
+                Json::from(format!("{:?}", s.encoding).to_lowercase().as_str()),
             ),
             ("stages", Json::array(stage_rows)),
             ("controllers", Json::array(controllers)),
         ]);
-        println!("{}", body.to_pretty());
-        return Ok(());
+        return Ok(format!("{}\n", body.to_pretty()));
     }
-    println!(
-        "DFG '{}': {} ops, {} schedule arcs inserted",
+    let mut out = format!(
+        "DFG '{}': {} ops, {} schedule arcs inserted\n",
         bound.dfg().name(),
         bound.dfg().num_ops(),
         bound.schedule_arcs().len()
     );
     let mut total = 0.0;
-    println!(
+    let _ = writeln!(
+        out,
         "{:<10} {:<24} {:>7} {:>5} {:>14}",
         "unit", "sequence", "states", "FFs", "area (GE)"
     );
     for (u, syn) in logic.controllers() {
         total += syn.area().total();
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:<24} {:>7} {:>5} {:>14.0}",
             units[u.0].display_name(),
             format!("{:?}", bound.sequence(*u)),
@@ -356,162 +463,56 @@ fn cmd_synth(path: &str, o: &Options) -> Result<(), String> {
             syn.area().total()
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "total control area: {total:.0} GE ({:?} encoding)",
-        o.encoding
+        s.encoding
     );
-    println!("{:<14} {:>16}  {:>9}", "stage", "artifact hash", "wall");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>16}  {:>9}",
+        "stage", "artifact hash", "wall"
+    );
     for r in &trace.records {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<14} {:016x}  {:>6} us",
             r.stage,
             r.output_hash,
             r.wall.as_micros()
         );
     }
-    Ok(())
+    Ok(out)
 }
 
-/// `tauhls report`: the whole-system area breakdown, its controller
-/// figures read off the pipeline's `logic` artifact.
-fn cmd_report(path: &str, o: &Options) -> Result<(), String> {
-    let (logic, _) = run_pipeline(path, o)?;
-    print!(
-        "{}",
-        system_area_from_logic(&logic, &AreaModel::default(), 16)
-    );
-    Ok(())
-}
-
-fn cmd_simulate(bound: &BoundDfg, o: &Options) -> Result<(), String> {
-    let runner = runner_for(o.threads);
-    let p_values = if o.p_values.is_empty() {
-        &DEFAULT_P[..]
-    } else {
-        &o.p_values
-    };
-    let legs = latency_batch(
-        bound,
-        &leg_styles(o.elastic),
-        p_values,
-        0,
-        o.trials as u64,
-        o.seed,
-        &runner,
-    )
-    .map_err(|e| e.to_string())?;
+/// `tauhls simulate`: every [`SIMULATE_LEGS`] style on coupled trials,
+/// with the paper's enhancement column.
+fn simulate_text(s: &SimulateSpec, runner: &BatchRunner) -> Result<String, JobError> {
+    let legs = s.measure_legs(0..s.p_values.len(), runner)?;
     let clk = 15.0;
-    println!(
-        "clock 15 ns, {} coupled trials at P = {p_values:?}",
-        o.trials
+    let mut out = format!(
+        "clock 15 ns, {} coupled trials at P = {:?}\n",
+        s.trials, s.p_values
     );
     for ((key, description, style), summary) in SIMULATE_LEGS.iter().zip(&legs) {
-        let clocks = match style(o.elastic) {
+        let clocks = match style(s.elastic) {
             ControlStyle::Elastic(e) => format!(" s={},l={}", e.skew_bound, e.sync_latency),
             _ => String::new(),
         };
         let label = format!("{:<7} ({description}{clocks})", key.to_ascii_uppercase());
-        println!("{label:<22} : {}", summary.to_ns_string(clk));
+        let _ = writeln!(out, "{label:<22} : {}", summary.to_ns_string(clk));
     }
-    for (p, e) in p_values.iter().zip(legs_enhancement(&legs)) {
-        println!("  P = {p}: {e:+.1}% enhancement");
+    for (p, e) in s.p_values.iter().zip(legs_enhancement(&legs)) {
+        let _ = writeln!(out, "  P = {p}: {e:+.1}% enhancement");
     }
-    Ok(())
-}
-
-fn cmd_resilience(bound: &BoundDfg, o: &Options) -> Result<(), String> {
-    if o.trials == 0 {
-        return Err("resilience sweep needs --trials >= 1".to_string());
-    }
-    let p = match o.p_values[..] {
-        [] => DEFAULT_P[0],
-        [p] => p,
-        _ => return Err("resilience sweep takes one --p value, not a list".to_string()),
-    };
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("--p {p} is not a probability"));
-    }
-    let runner = runner_for(o.threads);
-    let opts = ResilienceOptions {
-        styles: o.styles,
-        elastic: o.elastic,
-    };
-    let report = resilience_sweep_with(bound, p, o.trials as u64, o.seed, &opts, &runner);
-    print!("{}", report.to_json().to_pretty());
-    Ok(())
-}
-
-/// `tauhls explore`: the Pareto design-space sweep, locally. The flags
-/// assemble the exact `POST /v1/explore` job spec, so the printed body
-/// is byte-identical to what the service would answer for the same
-/// graph and knobs.
-fn cmd_explore(path: &str, args: &[String]) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut pairs: Vec<(&str, Json)> = Vec::new();
-    if text.trim_start().starts_with('{') {
-        let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        pairs.push(("dfg", doc));
-    } else {
-        pairs.push(("dfg_text", Json::from(text.as_str())));
-    }
-    let mut threads = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
-        let uint = |key: &'static str, v: &str| -> Result<(&'static str, Json), String> {
-            let n: u64 = v.parse().map_err(|e| format!("{flag}: {e}"))?;
-            Ok((key, Json::from(n)))
-        };
-        let floats = |key: &'static str, v: &str| -> Result<(&'static str, Json), String> {
-            let vals = v
-                .split(',')
-                .map(|t| t.parse::<f64>().map_err(|e| format!("{flag}: {e}")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((
-                key,
-                Json::Array(vals.into_iter().map(Json::Float).collect()),
-            ))
-        };
-        match flag.as_str() {
-            "--max-muls" => pairs.push(uint("max_muls", value()?)?),
-            "--max-adds" => pairs.push(uint("max_adds", value()?)?),
-            "--max-subs" => pairs.push(uint("max_subs", value()?)?),
-            "--trials" => pairs.push(uint("trials", value()?)?),
-            "--width" => pairs.push(uint("width", value()?)?),
-            "--seed" => pairs.push(uint("seed", value()?)?),
-            "--p" => pairs.push(floats("p", value()?)?),
-            "--sd-ld" => pairs.push(floats("sd_ld", value()?)?),
-            "--skew" => {
-                let vals = value()?
-                    .split(',')
-                    .map(|t| t.parse::<u64>().map_err(|e| format!("--skew: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                pairs.push((
-                    "skew",
-                    Json::Array(vals.into_iter().map(Json::from).collect()),
-                ));
-            }
-            "--encodings" => pairs.push((
-                "encodings",
-                Json::Array(value()?.split(',').map(Json::from).collect()),
-            )),
-            "--threads" => threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?),
-            other => return Err(format!("unknown explore option {other}")),
-        }
-    }
-    let spec =
-        JobSpec::from_json(Endpoint::Explore, &Json::object(pairs)).map_err(|e| e.to_string())?;
-    let runner = runner_for(threads);
-    let (body, _records) = spec.run_with(&runner, None).map_err(|e| e.to_string())?;
-    println!("{}", body.to_pretty());
-    Ok(())
+    Ok(out)
 }
 
 /// `tauhls dfg`: wire-format tooling. `validate` answers the same
 /// summary (and the same byte-offset diagnostics) as
 /// `POST /v1/dfg/validate`; `dot` renders Graphviz; `convert` flips a
 /// document between the wire format and the classic text format.
-fn cmd_dfg(args: &[String]) -> Result<(), String> {
+fn cmd_dfg(args: &[String]) -> Result<String, String> {
     let (Some(verb), Some(path)) = (args.first(), args.get(1)) else {
         return Err("dfg needs a verb (validate|dot|convert) and a file".to_string());
     };
@@ -519,9 +520,10 @@ fn cmd_dfg(args: &[String]) -> Result<(), String> {
         return Err(format!("too many arguments to dfg {verb}"));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let parse = || parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"));
     match verb.as_str() {
         "validate" => {
-            let dfg = parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"))?;
+            let dfg = parse()?;
             let canonical = canonical_wire(&dfg);
             let body = Json::object([
                 ("ok", Json::from(true)),
@@ -534,25 +536,14 @@ fn cmd_dfg(args: &[String]) -> Result<(), String> {
                     Json::from(format!("{:016x}", wire_hash(&canonical)).as_str()),
                 ),
             ]);
-            println!("{}", body.to_pretty());
+            Ok(format!("{}\n", body.to_pretty()))
         }
-        "dot" => {
-            let dfg = parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", tauhls::dfg::to_dot(&dfg, &[]));
-        }
-        "convert" => {
-            let dfg = parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"))?;
-            if text.trim_start().starts_with('{') {
-                print!("{}", dfg_to_text(&dfg));
-            } else {
-                println!("{canonical}", canonical = canonical_wire(&dfg));
-            }
-        }
-        other => return Err(format!("unknown dfg verb '{other}' (validate|dot|convert)")),
+        "dot" => Ok(tauhls::dfg::to_dot(&parse()?, &[])),
+        "convert" if text.trim_start().starts_with('{') => Ok(dfg_to_text(&parse()?)),
+        "convert" => Ok(format!("{}\n", canonical_wire(&parse()?))),
+        other => Err(format!("unknown dfg verb '{other}' (validate|dot|convert)")),
     }
-    Ok(())
 }
-
 /// Parses `tauhls serve` flags onto a [`ServeConfig`].
 fn parse_serve_options(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();
@@ -660,9 +651,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     };
     // Scripts (and the integration tests) read the resolved address off
-    // this line, so flush it out before blocking.
-    println!("listening on {}", server.local_addr());
-    let _ = std::io::stdout().flush();
+    // this line; `emit` flushes it out before the server blocks.
+    if let Err(e) = emit(&format!("listening on {}\n", server.local_addr())) {
+        eprintln!("warning: {e}");
+    }
     while !signal::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -707,10 +699,7 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
                     .map(|(_, v)| v.to_pretty())
             });
             match section {
-                Some(body) => {
-                    print!("{body}");
-                    ExitCode::SUCCESS
-                }
+                Some(body) => emit_status(&body),
                 None => {
                     eprintln!("error: status body carries no cluster section");
                     ExitCode::FAILURE
@@ -789,10 +778,7 @@ fn cmd_call(args: &[String]) -> ExitCode {
     };
     let payload = (method == "POST").then_some(body.as_str());
     match client::request(&addr, method, &path, payload, Duration::from_secs(600)) {
-        Ok(response) if response.status == 200 => {
-            print!("{}", response.body);
-            ExitCode::SUCCESS
-        }
+        Ok(response) if response.status == 200 => emit_status(&response.body),
         Ok(response) => {
             eprintln!(
                 "error: HTTP {} from {path}: {}",
@@ -916,8 +902,7 @@ fn cmd_jobs(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             };
             if !wait {
-                print!("{}", response.body);
-                return ExitCode::SUCCESS;
+                return emit_status(&response.body);
             }
             jobs_wait_and_print(&addr, &id, timeout)
         }
@@ -936,10 +921,7 @@ fn cmd_jobs(args: &[String]) -> ExitCode {
                 _ => ("DELETE", format!("/v1/jobs/{id}")),
             };
             match client::request(&addr, method, &path, None, timeout) {
-                Ok(r) if r.status == 200 => {
-                    print!("{}", r.body);
-                    ExitCode::SUCCESS
-                }
+                Ok(r) if r.status == 200 => emit_status(&r.body),
                 Ok(r) => {
                     eprintln!("error: HTTP {} from {path}: {}", r.status, r.body.trim());
                     ExitCode::FAILURE
@@ -991,10 +973,7 @@ fn jobs_wait_and_print(addr: &str, id: &str, timeout: Duration) -> ExitCode {
         }
     }
     match client::request(addr, "GET", &format!("{path}/result"), None, timeout) {
-        Ok(r) if r.status == 200 => {
-            print!("{}", r.body);
-            ExitCode::SUCCESS
-        }
+        Ok(r) if r.status == 200 => emit_status(&r.body),
         Ok(r) => {
             eprintln!(
                 "error: HTTP {} from {path}/result: {}",
@@ -1012,188 +991,168 @@ fn jobs_wait_and_print(addr: &str, id: &str, timeout: Duration) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
     // The service subcommands parse their own flags.
-    if cmd == "serve" {
-        return cmd_serve(&args[1..]);
-    }
-    if cmd == "call" {
-        return cmd_call(&args[1..]);
-    }
-    if cmd == "jobs" {
-        return cmd_jobs(&args[1..]);
-    }
-    if cmd == "cluster" {
-        return cmd_cluster(&args[1..]);
-    }
-    if cmd == "dfg" {
-        return match cmd_dfg(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "explore" {
-        let Some(path) = args.get(1) else {
-            return usage();
-        };
-        return match cmd_explore(path, &args[2..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // `table2` runs the built-in paper suite and takes no DFG file.
-    if cmd == "table2" {
-        let options = match parse_options(&args[1..]) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return usage();
-            }
-        };
-        let runner = runner_for(options.threads);
-        let table = match tauhls::core::experiments::table2(options.trials, options.seed, &runner) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{table}");
-        return ExitCode::SUCCESS;
-    }
-    let Some(path) = args.get(1) else {
-        return usage();
+    let text = match cmd.as_str() {
+        "serve" => return cmd_serve(rest),
+        "call" => return cmd_call(rest),
+        "jobs" => return cmd_jobs(rest),
+        "cluster" => return cmd_cluster(rest),
+        "dfg" => cmd_dfg(rest).map_err(CliError::Failed),
+        name => match ANALYSES.iter().find(|(n, _)| *n == name) {
+            Some(&(_, endpoint)) => analysis(name, endpoint, rest),
+            None => return usage(),
+        },
     };
-    let options = match parse_options(&args[2..]) {
-        Ok(o) => o,
-        Err(e) => {
+    match text.and_then(|t| Ok(emit(&t)?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");
-            return usage();
+            usage()
         }
-    };
-    // `synth` and `report` route through the staged pipeline, which does
-    // its own binding and validation.
-    if cmd == "synth" || cmd == "report" {
-        let run = if cmd == "synth" {
-            cmd_synth
-        } else {
-            cmd_report
-        };
-        return match run(path, &options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let bound = match bind(path, &options) {
-        Ok(b) => b,
-        Err(e) => {
+        Err(CliError::Failed(e)) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    match cmd.as_str() {
-        "simulate" | "resilience" => {
-            let run = if cmd == "simulate" {
-                cmd_simulate
-            } else {
-                cmd_resilience
-            };
-            if let Err(e) = run(&bound, &options) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "verilog" => {
-            let cu = DistributedControlUnit::generate(&bound);
-            print!(
-                "{}",
-                control_unit_to_verilog(&cu, options.encoding, &AreaModel::default())
-            );
-        }
-        "dot" => {
-            print!(
-                "{}",
-                tauhls::dfg::to_dot(bound.dfg(), bound.schedule_arcs())
-            );
-        }
-        _ => return usage(),
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tauhls::fsm::Encoding;
+    use tauhls::sim::{ControlStyleSet, ElasticSpec};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The spec `flags` translate to, with no DFG file (the spec's
+    /// default graph).
+    fn spec(endpoint: Endpoint, flags: &str) -> Result<JobSpec, CliError> {
+        job_spec(endpoint, None, &args(flags), false).map(|(spec, _)| spec)
+    }
+
+    fn usage_error(endpoint: Endpoint, flags: &str) -> String {
+        match spec(endpoint, flags) {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("{flags}: want a usage error, got {other:?}"),
+        }
+    }
+
+    fn spec_error(endpoint: Endpoint, flags: &str) -> String {
+        match spec(endpoint, flags) {
+            Err(CliError::Failed(m)) => m,
+            other => panic!("{flags}: want a spec rejection, got {other:?}"),
+        }
+    }
+
     #[test]
     fn defaults_and_overrides() {
-        let o = parse_options(&[]).unwrap();
-        assert_eq!((o.muls, o.adds, o.subs), (2, 1, 1));
-        assert!(!o.chains);
-        let o = parse_options(&args(
-            "--muls 3 --adds 2 --subs 0 --binding chains --encoding onehot --p 0.8,0.4 --trials 10 --seed 5 --threads 2",
-        ))
+        let Ok(JobSpec::Synth(s)) = spec(Endpoint::Synth, "") else {
+            panic!("synth spec");
+        };
+        assert_eq!((s.muls, s.adds, s.subs), (2, 1, 1));
+        assert!(!s.chains);
+        assert_eq!(s.encoding, Encoding::Binary);
+        let Ok(JobSpec::Synth(s)) = spec(
+            Endpoint::Synth,
+            "--muls 3 --adds 2 --subs 0 --binding chains --encoding onehot",
+        ) else {
+            panic!("synth spec");
+        };
+        assert_eq!((s.muls, s.adds, s.subs), (3, 2, 0));
+        assert!(s.chains);
+        assert_eq!(s.encoding, Encoding::OneHot);
+
+        let Ok(JobSpec::Simulate(s)) = spec(Endpoint::Simulate, "") else {
+            panic!("simulate spec");
+        };
+        assert_eq!(s.p_values, vec![0.9, 0.7, 0.5]);
+        assert_eq!((s.trials, s.seed), (2000, 2003));
+        let (overridden, knobs) = job_spec(
+            Endpoint::Simulate,
+            None,
+            &args("--p 0.8,0.4 --trials 10 --seed 5 --threads 2"),
+            false,
+        )
         .unwrap();
-        assert_eq!((o.muls, o.adds, o.subs), (3, 2, 0));
-        assert!(o.chains);
-        assert_eq!(o.encoding, Encoding::OneHot);
-        assert_eq!(o.p_values, vec![0.8, 0.4]);
-        assert_eq!(o.trials, 10);
-        assert_eq!(o.seed, 5);
-        assert_eq!(o.threads, Some(2));
+        let JobSpec::Simulate(s) = overridden else {
+            panic!("simulate spec");
+        };
+        assert_eq!(s.p_values, vec![0.8, 0.4]);
+        assert_eq!((s.trials, s.seed), (10, 5));
+        assert_eq!(knobs.threads, Some(2));
+        // A one-value list field is still a list; a later flag wins.
+        let Ok(JobSpec::Simulate(s)) = spec(Endpoint::Simulate, "--p 0.5 --trials 3 --trials 4")
+        else {
+            panic!("simulate spec");
+        };
+        assert_eq!((s.p_values, s.trials), (vec![0.5], 4));
     }
 
     #[test]
     fn elastic_and_styles_flags_parse_and_reject() {
-        let o = parse_options(&[]).unwrap();
-        assert_eq!(o.elastic, ElasticSpec::default());
-        assert!(o.styles.contains(ControlStyleSet::ELASTIC));
-        let o = parse_options(&args("--skew 3 --sync-latency 2 --styles dist,elastic")).unwrap();
-        assert_eq!(o.elastic.skew_bound, 3);
-        assert_eq!(o.elastic.sync_latency, 2);
-        assert!(o.styles.contains(ControlStyleSet::DIST));
-        assert!(o.styles.contains(ControlStyleSet::ELASTIC));
-        assert!(!o.styles.contains(ControlStyleSet::CENT));
+        let Ok(JobSpec::Resilience(r)) = spec(Endpoint::Resilience, "") else {
+            panic!("resilience spec");
+        };
+        assert_eq!(r.elastic, ElasticSpec::default());
+        assert!(r.styles.contains(ControlStyleSet::ELASTIC));
+        // The CLI's resilience default is P = 0.9, and `--p` is a scalar.
+        assert_eq!(r.p, 0.9);
+        let Ok(JobSpec::Resilience(r)) = spec(
+            Endpoint::Resilience,
+            "--p 0.5 --skew 3 --sync-latency 2 --styles dist,elastic",
+        ) else {
+            panic!("resilience spec");
+        };
+        assert_eq!(r.p, 0.5);
+        assert_eq!((r.elastic.skew_bound, r.elastic.sync_latency), (3, 2));
+        assert!(r.styles.contains(ControlStyleSet::DIST));
+        assert!(r.styles.contains(ControlStyleSet::ELASTIC));
+        assert!(!r.styles.contains(ControlStyleSet::CENT));
         // The GALS alias resolves to the elastic style.
-        let o = parse_options(&args("--styles dist,gals")).unwrap();
-        assert!(o.styles.contains(ControlStyleSet::ELASTIC));
-        assert!(parse_options(&args("--skew x")).is_err());
-        assert!(parse_options(&args("--styles cent,elastic")).is_err());
-        assert!(parse_options(&args("--styles tau,dist")).is_err());
-        assert!(parse_options(&args("--styles nope")).is_err());
+        let Ok(JobSpec::Resilience(r)) = spec(Endpoint::Resilience, "--styles dist,gals") else {
+            panic!("resilience spec");
+        };
+        assert!(r.styles.contains(ControlStyleSet::ELASTIC));
+        // Explore sweeps skew as a list.
+        let Ok(JobSpec::Explore(x)) = spec(Endpoint::Explore, "--skew 0,2 --encodings gray") else {
+            panic!("explore spec");
+        };
+        assert_eq!(x.skew, vec![0, 2]);
+        assert_eq!(x.encodings, vec![Encoding::Gray]);
+        assert!(usage_error(Endpoint::Resilience, "--skew x").contains("--skew"));
+        for (flags, needle) in [
+            ("--styles cent,elastic", "must include 'dist'"),
+            ("--styles tau,dist", "dist, cent, and elastic"),
+            ("--styles nope", "nope"),
+            ("--p 0.9,0.5", "'p' must be a number"),
+        ] {
+            let err = spec_error(Endpoint::Resilience, flags);
+            assert!(err.contains(needle), "{flags}: {err}");
+        }
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(parse_options(&args("--muls")).is_err());
-        assert!(parse_options(&args("--muls x")).is_err());
-        assert!(parse_options(&args("--binding sideways")).is_err());
-        assert!(parse_options(&args("--encoding hex")).is_err());
-        assert!(parse_options(&args("--p 0.9,oops")).is_err());
-        assert!(parse_options(&args("--wat 1")).is_err());
+        for flags in ["--muls", "--muls x", "--p 0.9,oops", "--wat 1", "--json"] {
+            usage_error(Endpoint::Simulate, flags);
+        }
+        assert!(spec_error(Endpoint::Simulate, "--binding sideways").contains("'binding'"));
+        assert!(spec_error(Endpoint::Synth, "--encoding hex").contains("'encoding'"));
+        // A flag whose field the endpoint lacks is the spec's unknown field.
+        assert!(spec_error(Endpoint::Table2, "--muls 9").contains("unknown field 'muls'"));
     }
 
     #[test]
     fn bind_reports_missing_file_and_bad_alloc() {
-        let o = Options::default();
-        assert!(bind("/nonexistent/x.dfg", &o).is_err());
+        let err = job_spec(Endpoint::Simulate, Some("/nonexistent/x.dfg"), &[], false);
+        assert!(matches!(err, Err(CliError::Failed(m)) if m.contains("/nonexistent/x.dfg")));
+        assert!(spec_error(Endpoint::Simulate, "--muls 0").contains("allocation lacks a unit"));
     }
-
     #[test]
     fn serve_options_parse_and_reject() {
         let c = parse_serve_options(&args(

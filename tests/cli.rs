@@ -79,12 +79,15 @@ fn bad_option_values_print_usage() {
     for args in [
         ["simulate", "--trials", "many"],
         ["simulate", "--p", "0.9,oops"],
-        ["simulate", "--binding", "sideways"],
     ] {
         let out = tauhls(&[args[0], example_dfg(), args[1], args[2]]);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert_graceful_failure(&out, "error:");
     }
+    // A value that parses but that the spec rejects is a spec error.
+    let out = tauhls(&["simulate", example_dfg(), "--binding", "sideways"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_graceful_failure(&out, "'binding' must be");
 }
 
 #[test]
@@ -157,21 +160,13 @@ fn simulate_on_the_wire_twin_prints_the_same_bytes() {
 
 #[test]
 fn verilog_stdout_is_pinned() {
-    // The top module declares its internal wires in hash-set order, which
-    // varies run to run; compare each run of `wire` lines as a set.
-    let sort_wires = |text: &str| {
-        let mut lines: Vec<&str> = text.lines().collect();
-        let wire = |l: &&str| l.starts_with("  wire ");
-        for run in lines.chunk_by_mut(|a, b| wire(a) && wire(b)) {
-            run.sort_unstable();
-        }
-        lines.join("\n")
-    };
+    // Exact bytes: the top module declares its internal wires in name
+    // order, so every run prints the same text.
     let out = tauhls(&["verilog", example_dfg()]);
     assert!(out.status.success(), "{}", stderr_of(&out));
     assert_eq!(
-        sort_wires(&String::from_utf8_lossy(&out.stdout)),
-        sort_wires(include_str!("pins/axpy.v"))
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("pins/axpy.v")
     );
 }
 
@@ -260,29 +255,29 @@ fn table2_runs_builtin_suite_with_cent_column() {
 fn resilience_misuse_fails_cleanly() {
     let out = tauhls(&["resilience", example_dfg(), "--trials", "0"]);
     assert_eq!(out.status.code(), Some(1));
-    assert_graceful_failure(&out, "--trials >= 1");
+    assert_graceful_failure(&out, "'trials' must be in 1..=1000000, got 0");
 
     let out = tauhls(&["resilience", example_dfg(), "--p", "1.5"]);
     assert_eq!(out.status.code(), Some(1));
-    assert_graceful_failure(&out, "not a probability");
+    assert_graceful_failure(&out, "'p' must be a probability in [0, 1], got 1.5");
 
     // The sweep runs at one P: a list is an error, not its first value.
     let out = tauhls(&["resilience", example_dfg(), "--p", "0.9,0.5"]);
     assert_eq!(out.status.code(), Some(1));
-    assert_graceful_failure(&out, "one --p value");
+    assert_graceful_failure(&out, "'p' must be a number");
 
     // --styles must keep the distributed engine (and parse at all).
     let out = tauhls(&["resilience", example_dfg(), "--styles", "cent,elastic"]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert_graceful_failure(&out, "must include 'dist'");
 }
 
 #[test]
 fn simulate_misuse_fails_cleanly() {
     for (flag, value, needle) in [
-        ("--p", "1.5", "outside [0, 1]"),
-        ("--p", "nan", "outside [0, 1]"),
-        ("--trials", "0", "trials >= 1"),
+        ("--p", "1.5", "'p' entries must be in [0, 1], got 1.5"),
+        ("--p", "nan", "'p' entries must be in [0, 1], got NaN"),
+        ("--trials", "0", "'trials' must be in 1..=1000000, got 0"),
     ] {
         let out = tauhls(&["simulate", example_dfg(), flag, value]);
         assert_eq!(out.status.code(), Some(1), "{flag} {value}");
@@ -335,7 +330,11 @@ fn synth_misuse_fails_with_one_line_messages() {
     let empty = dir.join("empty-synth.dfg");
     std::fs::write(&empty, "dfg hollow\ninput a\n").unwrap();
     for cmd in ["synth", "report", "simulate", "resilience"] {
-        let out = tauhls(&[cmd, empty.to_str().unwrap(), "--trials", "10"]);
+        let mut args = vec![cmd, empty.to_str().unwrap()];
+        if matches!(cmd, "simulate" | "resilience") {
+            args.extend(["--trials", "10"]);
+        }
+        let out = tauhls(&args);
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         assert_graceful_failure(&out, "no operations");
     }
@@ -455,5 +454,111 @@ fn resilience_happy_path_emits_deterministic_json() {
         "survival_fraction",
     ] {
         assert!(text.contains(key), "report missing {key}: {text}");
+    }
+}
+
+/// Flags the service would reject fail the CLI with the service's own
+/// message, before any trial runs.
+#[test]
+fn cli_rejects_what_the_service_rejects_with_its_message() {
+    use tauhls::core::jobspec::{Endpoint, JobSpec};
+    use tauhls_json::Json;
+    let dfg_text = std::fs::read_to_string(example_dfg()).unwrap();
+    for (cmd, endpoint, flag, value, field) in [
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--skew",
+            "17",
+            ("skew", Json::from(17u64)),
+        ),
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--sync-latency",
+            "17",
+            ("sync_latency", Json::from(17u64)),
+        ),
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--muls",
+            "65",
+            ("muls", Json::from(65u64)),
+        ),
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--trials",
+            "1000001",
+            ("trials", Json::from(1_000_001u64)),
+        ),
+        (
+            "table2",
+            Endpoint::Table2,
+            "--muls",
+            "9",
+            ("muls", Json::from(9u64)),
+        ),
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--encoding",
+            "gray",
+            ("encoding", Json::from("gray")),
+        ),
+        (
+            "dot",
+            Endpoint::Synth,
+            "--skew",
+            "3",
+            ("skew", Json::from(3u64)),
+        ),
+    ] {
+        let mut pairs = vec![field];
+        let mut args = vec![cmd];
+        if endpoint != Endpoint::Table2 {
+            pairs.push(("dfg_text", Json::from(dfg_text.as_str())));
+            args.push(example_dfg());
+        }
+        let want = JobSpec::from_json(endpoint, &Json::object(pairs))
+            .expect_err("the service rejects this spec")
+            .to_string();
+        args.extend([flag, value]);
+        let out = tauhls(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_graceful_failure(&out, &want);
+        assert_eq!(stderr_of(&out).lines().count(), 1, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// A reader that has gone away (`tauhls ... | head`) ends the output
+/// quietly: exit 0, no panic.
+#[test]
+fn closed_stdout_exits_quietly() {
+    for args in [
+        vec!["verilog", example_dfg()],
+        vec!["dot", example_dfg()],
+        vec!["dfg", "validate", example_dfg()],
+        vec![
+            "simulate",
+            example_dfg(),
+            "--trials",
+            "20",
+            "--threads",
+            "1",
+        ],
+    ] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_tauhls"))
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("spawn tauhls");
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
 }

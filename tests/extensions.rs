@@ -8,7 +8,8 @@ use rand::SeedableRng;
 use tauhls::core::experiments::paper_benchmarks;
 use tauhls::dfg::ResourceClass;
 use tauhls::fsm::{
-    control_unit_to_verilog, unit_controller_multilevel, DistributedControlUnit, Encoding,
+    control_unit_to_verilog, synthesize, unit_controller_multilevel, DistributedControlUnit,
+    Encoding,
 };
 use tauhls::logic::AreaModel;
 use tauhls::sched::{allocate_registers, fds_schedule, BoundDfg, UnitId};
@@ -29,7 +30,12 @@ fn rtl_emission_for_every_benchmark() {
         let name = dfg.name().to_string();
         let bound = BoundDfg::bind(&dfg, &alloc);
         let cu = DistributedControlUnit::generate(&bound);
-        let v = control_unit_to_verilog(&cu, Encoding::Binary, &AreaModel::default());
+        let controllers: Vec<_> = cu
+            .controllers()
+            .iter()
+            .map(|(u, fsm)| (*u, synthesize(fsm, Encoding::Binary, &AreaModel::default())))
+            .collect();
+        let v = control_unit_to_verilog(&controllers);
         // One module per controller plus the top.
         assert_eq!(
             v.matches("\nendmodule").count() + usize::from(v.starts_with("endmodule")),
