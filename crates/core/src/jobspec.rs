@@ -1865,4 +1865,95 @@ mod tests {
         assert_eq!(body.to_compact(), warm.to_compact());
         assert!(records.iter().all(|r| r.cache_hit));
     }
+
+    /// Literal content addresses: the cache key and job id a spec gets
+    /// are persisted by response caches and job journals, so they must
+    /// not drift with how a spec is parsed or what it holds.
+    #[test]
+    fn cache_keys_and_job_ids_are_pinned() {
+        let axpy_text = r#""dfg_text":"dfg axpy\ninput a\ninput x\ninput y\nop m = mul a x\nop r = add m y\noutput r r\n","muls":1,"adds":1,"subs":0"#;
+        let respelled =
+            AXPY_WIRE.replace(r#"{"id":"a","op":"input"}"#, r#"{"op":"input","id":"a"}"#);
+        let specs: [(Endpoint, String); 11] = [
+            (Endpoint::Simulate, "{}".into()),
+            (Endpoint::Table2, "{}".into()),
+            (Endpoint::Resilience, "{}".into()),
+            (Endpoint::Synth, "{}".into()),
+            (Endpoint::Area, "{}".into()),
+            (Endpoint::Explore, "{}".into()),
+            (
+                Endpoint::Synth,
+                format!(r#"{{{axpy_text},"encoding":"gray"}}"#),
+            ),
+            (
+                Endpoint::Area,
+                format!(r#"{{{axpy_text},"encoding":"gray","width":32}}"#),
+            ),
+            (
+                Endpoint::Explore,
+                format!(r#"{{"dfg":{AXPY_WIRE},"max_muls":2,"max_subs":0,"p":[0.5]}}"#),
+            ),
+            // The same explore job: other key order, another node-object
+            // spelling and another number spelling.
+            (
+                Endpoint::Explore,
+                format!(r#"{{"p":[0.5e0],"max_subs":0,"dfg":{respelled},"max_muls":2}}"#),
+            ),
+            (
+                Endpoint::Resilience,
+                r#"{"dfg":"diffeq","p":0.25,"trials":64,"styles":["elastic","dist"]}"#.into(),
+            ),
+        ];
+        let pinned: [(&str, &str); 11] = [
+            (
+                r#"{"endpoint":"simulate","dfg":"fir5","muls":2,"adds":1,"subs":1,"binding":"left-edge","p":[0.9,0.7,0.5],"trials":2000,"seed":2003,"skew":1,"sync_latency":1}"#,
+                "cfc5c56f037db151",
+            ),
+            (
+                r#"{"endpoint":"table2","trials":2000,"seed":2003}"#,
+                "07e2f21a2dc9d241",
+            ),
+            (
+                r#"{"endpoint":"resilience","dfg":"fir5","muls":2,"adds":1,"subs":1,"binding":"left-edge","p":0.5,"trials":2000,"seed":2003,"styles":["dist","cent","elastic"],"skew":1,"sync_latency":1}"#,
+                "a7c633e208248c1b",
+            ),
+            (
+                r#"{"endpoint":"synth","dfg":"fir5","muls":2,"adds":1,"subs":1,"binding":"left-edge","encoding":"binary"}"#,
+                "51291f34276f5f7d",
+            ),
+            (
+                r#"{"endpoint":"area","dfg":"fir5","muls":2,"adds":1,"subs":1,"binding":"left-edge","encoding":"binary","width":16}"#,
+                "d756e094354757c1",
+            ),
+            (
+                r#"{"endpoint":"explore","dfg":"fir5","max_muls":4,"max_adds":2,"max_subs":2,"encodings":["binary"],"p":[0.9,0.7,0.5],"sd_ld":[0.75],"skew":[0],"trials":400,"width":16,"seed":2003}"#,
+                "3d6f5ba87373d2ef",
+            ),
+            (
+                r#"{"endpoint":"synth","dfg_text":"dfg axpy\ninput a\ninput x\ninput y\nop m = mul a x\nop r = add m y\noutput r r\n","muls":1,"adds":1,"subs":0,"binding":"left-edge","encoding":"gray"}"#,
+                "b5c08544f022a25c",
+            ),
+            (
+                r#"{"endpoint":"area","dfg_text":"dfg axpy\ninput a\ninput x\ninput y\nop m = mul a x\nop r = add m y\noutput r r\n","muls":1,"adds":1,"subs":0,"binding":"left-edge","encoding":"gray","width":32}"#,
+                "f1a4059d3a5d5c94",
+            ),
+            (
+                r#"{"endpoint":"explore","dfg":{"nodes":[{"id":"a","op":"input"},{"id":"x","op":"input"},{"id":"y","op":"input"},{"id":"n0","op":"mul"},{"id":"n1","op":"add"}],"edges":[{"from":"a","to":"n0","port":0},{"from":"x","to":"n0","port":1},{"from":"n0","to":"n1","port":0},{"from":"y","to":"n1","port":1}],"outputs":{"r":"n1"},"params":{"name":"axpy"}},"max_muls":2,"max_adds":2,"max_subs":0,"encodings":["binary"],"p":[0.5],"sd_ld":[0.75],"skew":[0],"trials":400,"width":16,"seed":2003}"#,
+                "af08ea798cb37cce",
+            ),
+            (
+                r#"{"endpoint":"explore","dfg":{"nodes":[{"id":"a","op":"input"},{"id":"x","op":"input"},{"id":"y","op":"input"},{"id":"n0","op":"mul"},{"id":"n1","op":"add"}],"edges":[{"from":"a","to":"n0","port":0},{"from":"x","to":"n0","port":1},{"from":"n0","to":"n1","port":0},{"from":"y","to":"n1","port":1}],"outputs":{"r":"n1"},"params":{"name":"axpy"}},"max_muls":2,"max_adds":2,"max_subs":0,"encodings":["binary"],"p":[0.5],"sd_ld":[0.75],"skew":[0],"trials":400,"width":16,"seed":2003}"#,
+                "af08ea798cb37cce",
+            ),
+            (
+                r#"{"endpoint":"resilience","dfg":"diffeq","muls":2,"adds":1,"subs":1,"binding":"left-edge","p":0.25,"trials":64,"seed":2003,"styles":["dist","elastic"],"skew":1,"sync_latency":1}"#,
+                "5d0ad78117456160",
+            ),
+        ];
+        for ((endpoint, text), (key, id)) in specs.iter().zip(pinned) {
+            let spec = parse(*endpoint, text).expect(text);
+            assert_eq!(spec.cache_key(), key, "{text}");
+            assert_eq!(spec.job_id(), id, "{text}");
+        }
+    }
 }
