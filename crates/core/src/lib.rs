@@ -46,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod conformance;
 pub mod experiments;
