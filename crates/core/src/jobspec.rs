@@ -34,7 +34,10 @@ use tauhls_sim::{
 use crate::experiments::table2;
 use crate::explore::{design_space, SweepError, SweepParams, SweepPoint};
 use crate::report::system_area_from_logic;
-use crate::resilience::{resilience_sweep_with, ResilienceOptions, ResilienceReport};
+use crate::resilience::{
+    report_from_counters, resilience_kind_counters_with, KindCounters, ResilienceOptions,
+    ResilienceReport, FAULT_KINDS,
+};
 use crate::stages::{
     self, BindStrategy, PipelineTrace, Reports, StageCache, StageRecord, SynthesisInput,
     SynthesizedLogic,
@@ -66,10 +69,6 @@ pub const MAX_EXPLORE_POINTS: usize = 4096;
 /// The benchmark DFGs a job may name, in registry order (the canonical
 /// [`benchmarks::NAMES`] registry).
 pub const BENCHMARKS: [&str; 7] = benchmarks::NAMES;
-
-fn benchmark(name: &str) -> Option<Dfg> {
-    benchmarks::by_name(name)
-}
 
 /// The service endpoints a [`JobSpec`] can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,12 +135,16 @@ pub(crate) fn parse_encoding(s: &str) -> Option<Encoding> {
 
 pub use tauhls_dfg::DfgSource;
 
-/// Resolves a [`DfgSource`] against the built-in benchmark registry —
-/// the only registry the service exposes. `DfgSource` itself is
-/// registry-agnostic, so embedders can resolve the same specs against
-/// their own [`DfgRegistry`].
-pub(crate) fn build_dfg(source: &DfgSource) -> Result<Dfg, String> {
-    source.resolve(DfgRegistry::builtin())
+/// Binds `graph` under the paper allocation of `muls`/`adds`/`subs` —
+/// chain cover when `chains`, left-edge otherwise: the one bind a
+/// simulation or fault-sweep run makes, on the graph its spec holds.
+fn bind(graph: &Dfg, muls: usize, adds: usize, subs: usize, chains: bool) -> BoundDfg {
+    let alloc = Allocation::paper(muls, adds, subs);
+    if chains {
+        BoundDfg::bind_chains(graph, &alloc)
+    } else {
+        BoundDfg::bind(graph, &alloc)
+    }
 }
 
 /// Validated spec for `POST /v1/simulate`.
@@ -165,6 +168,8 @@ pub struct SimulateSpec {
     pub seed: u64,
     /// Clock-domain parameters of the `LT_ELAS` leg.
     pub elastic: ElasticSpec,
+    /// `dfg`, resolved and admitted at parse time.
+    pub(crate) graph: Arc<Dfg>,
 }
 
 /// The latency legs in column order: each leg's key (`lt_tau` is the
@@ -218,10 +223,8 @@ impl SimulateSpec {
             .p_values
             .get(range.clone())
             .ok_or_else(|| JobError::Invalid("slice beyond p_values".to_string()))?;
-        let bound = bind_spec(&self.dfg, self.muls, self.adds, self.subs, self.chains)
-            .map_err(JobError::Invalid)?;
         latency_batch(
-            &bound,
+            &bind(&self.graph, self.muls, self.adds, self.subs, self.chains),
             &leg_styles(self.elastic),
             p_values,
             range.start as u64,
@@ -265,6 +268,8 @@ pub struct ResilienceSpec {
     pub styles: ControlStyleSet,
     /// Clock-domain parameters of the elastic leg.
     pub elastic: ElasticSpec,
+    /// `dfg`, resolved and admitted at parse time.
+    pub(crate) graph: Arc<Dfg>,
 }
 
 impl ResilienceSpec {
@@ -281,25 +286,48 @@ impl ResilienceSpec {
     ///
     /// # Errors
     ///
-    /// [`JobError::Invalid`] if the graph does not bind;
     /// [`JobError::Cancelled`] if `runner` was cancelled, rather than a
     /// partially-populated report.
     pub fn sweep(&self, runner: &BatchRunner) -> Result<ResilienceReport, JobError> {
-        let bound = bind_spec(&self.dfg, self.muls, self.adds, self.subs, self.chains)
-            .map_err(JobError::Invalid)?;
-        let report = resilience_sweep_with(
-            &bound,
+        let counters = self.kind_counters(0..FAULT_KINDS.len(), runner)?;
+        Ok(report_from_counters(
+            self.graph.name(),
             self.p,
             self.trials,
             self.seed,
+            &counters,
+        ))
+    }
+
+    /// The raw counters of the [`FAULT_KINDS`] in `kinds`, each seeded by
+    /// its global index, so any partition of the kinds reproduces the
+    /// whole sweep's counters.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Invalid`] for a range beyond [`FAULT_KINDS`];
+    /// [`JobError::Cancelled`] if `runner` was cancelled.
+    pub(crate) fn kind_counters(
+        &self,
+        kinds: std::ops::Range<usize>,
+        runner: &BatchRunner,
+    ) -> Result<Vec<KindCounters>, JobError> {
+        if kinds.end > FAULT_KINDS.len() {
+            return Err(JobError::Invalid("slice beyond fault kinds".to_string()));
+        }
+        let counters = resilience_kind_counters_with(
+            &bind(&self.graph, self.muls, self.adds, self.subs, self.chains),
+            self.p,
+            self.trials,
+            self.seed,
+            kinds,
             &self.options(),
             runner,
         );
-        // `resilience_sweep` folds whatever chunks ran; surface a
-        // cancellation instead of returning (and caching) a
-        // partially-populated report.
+        // The sweep folds whatever chunks ran; surface a cancellation
+        // instead of returning (and caching) partial counters.
         runner.check_cancelled().map_err(JobError::from_sim)?;
-        Ok(report)
+        Ok(counters)
     }
 }
 
@@ -318,24 +346,22 @@ pub struct SynthSpec {
     pub chains: bool,
     /// The state encoding for logic synthesis.
     pub encoding: Encoding,
+    /// `dfg`, resolved and admitted at parse time.
+    pub(crate) graph: Arc<Dfg>,
 }
 
 impl SynthSpec {
     /// The staged-pipeline input this spec names.
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::Invalid`] if the graph source does not resolve.
-    pub fn input(&self) -> Result<SynthesisInput, JobError> {
-        Ok(SynthesisInput {
-            dfg: build_dfg(&self.dfg).map_err(JobError::Invalid)?,
+    pub fn input(&self) -> SynthesisInput {
+        SynthesisInput {
+            dfg: Dfg::clone(&self.graph),
             allocation: Allocation::paper(self.muls, self.adds, self.subs),
             strategy: if self.chains {
                 BindStrategy::Chains
             } else {
                 BindStrategy::LeftEdge
             },
-        })
+        }
     }
 
     /// Runs the six-stage pipeline under this spec's encoding: the `logic`
@@ -343,14 +369,14 @@ impl SynthSpec {
     ///
     /// # Errors
     ///
-    /// [`JobError::Invalid`] for a graph or binding the pipeline rejects.
+    /// [`JobError::Invalid`] for a design the pipeline rejects.
     pub fn synthesize(
         &self,
         stage_cache: Option<&StageCache>,
     ) -> Result<(Arc<SynthesizedLogic>, Arc<Reports>, PipelineTrace), JobError> {
         let mut trace = PipelineTrace::default();
         let (logic, reports) = stages::run_full(
-            &self.input()?,
+            &self.input(),
             false,
             self.encoding,
             &AreaModel::default(),
@@ -402,6 +428,8 @@ pub struct ExploreSpec {
     pub width: u32,
     /// Base RNG seed.
     pub seed: u64,
+    /// `dfg`, resolved and admitted at parse time.
+    pub(crate) graph: Arc<Dfg>,
 }
 
 impl ExploreSpec {
@@ -560,28 +588,47 @@ impl<'a> Fields<'a> {
         Ok(v)
     }
 
-    fn p_values(&self) -> Result<Vec<f64>, String> {
-        let Some(j) = self.get("p") else {
-            return Ok(vec![0.9, 0.7, 0.5]);
+    /// A swept list of numbers: 1..=`max` entries (`default` when
+    /// absent), each in `lo..=hi`, none twice — a repeated coordinate
+    /// would measure one design point twice.
+    fn float_list(
+        &self,
+        key: &str,
+        (what, entries): (&str, &str),
+        default: &[f64],
+        max: usize,
+        (lo, hi): (f64, f64),
+    ) -> Result<Vec<f64>, String> {
+        let Some(j) = self.get(key) else {
+            return Ok(default.to_vec());
         };
         let items = j
             .as_array()
-            .ok_or_else(|| "'p' must be an array of probabilities".to_string())?;
-        if items.is_empty() || items.len() > MAX_P_VALUES {
-            return Err(format!("'p' must hold 1..={MAX_P_VALUES} values"));
+            .ok_or_else(|| format!("'{key}' must be an array of {what}"))?;
+        if items.is_empty() || items.len() > max {
+            return Err(format!("'{key}' must hold 1..={max} values"));
         }
-        items
-            .iter()
-            .map(|item| {
-                let v = item
-                    .as_f64()
-                    .ok_or_else(|| "'p' must be an array of numbers".to_string())?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("'p' entries must be in [0, 1], got {v}"));
-                }
-                Ok(v)
-            })
-            .collect()
+        let mut out = Vec::new();
+        for item in items {
+            let v = item
+                .as_f64()
+                .ok_or_else(|| format!("'{key}' must be an array of numbers"))?;
+            if !(lo..=hi).contains(&v) {
+                return Err(format!(
+                    "'{key}' {entries} must be in [{lo}, {hi}], got {v}"
+                ));
+            }
+            if out.contains(&v) {
+                return Err(format!("duplicate '{key}' value {v}"));
+            }
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    fn p_values(&self) -> Result<Vec<f64>, String> {
+        let what = ("probabilities", "entries");
+        self.float_list("p", what, &[0.9, 0.7, 0.5], MAX_P_VALUES, (0.0, 1.0))
     }
 
     fn encoding(&self) -> Result<Encoding, String> {
@@ -617,30 +664,11 @@ impl<'a> Fields<'a> {
     }
 
     fn ratios(&self) -> Result<Vec<f64>, String> {
-        let Some(j) = self.get("sd_ld") else {
-            // The paper's operating point: SD = 15 ns against LD = 20 ns.
-            return Ok(vec![0.75]);
-        };
-        let items = j
-            .as_array()
-            .ok_or_else(|| "'sd_ld' must be an array of clock ratios".to_string())?;
-        if items.is_empty() || items.len() > MAX_RATIOS {
-            return Err(format!("'sd_ld' must hold 1..={MAX_RATIOS} values"));
-        }
-        items
-            .iter()
-            .map(|item| {
-                let v = item
-                    .as_f64()
-                    .ok_or_else(|| "'sd_ld' must be an array of numbers".to_string())?;
-                // Below 1/2 a long operation no longer fits in two short
-                // cycles, which breaks the telescopic timing model.
-                if !(0.5..=1.0).contains(&v) {
-                    return Err(format!("'sd_ld' ratios must be in [0.5, 1], got {v}"));
-                }
-                Ok(v)
-            })
-            .collect()
+        // The default is the paper's operating point, SD = 15 ns against
+        // LD = 20 ns. Below 1/2 a long operation no longer fits in two
+        // short cycles, which breaks the telescopic timing model.
+        let what = ("clock ratios", "ratios");
+        self.float_list("sd_ld", what, &[0.75], MAX_RATIOS, (0.5, 1.0))
     }
 
     fn skew_list(&self) -> Result<Vec<u64>, String> {
@@ -722,16 +750,39 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// The fields every synthesis spec shares, not yet bound.
-    fn synth(&self) -> Result<SynthSpec, String> {
-        Ok(SynthSpec {
-            dfg: self.dfg()?,
-            muls: self.usize_in("muls", 2, MAX_UNITS)?,
-            adds: self.usize_in("adds", 1, MAX_UNITS)?,
-            subs: self.usize_in("subs", 1, MAX_UNITS)?,
-            chains: self.binding()?,
-            encoding: self.encoding()?,
-        })
+    /// The graph source and allocation every synthesis-side spec
+    /// starts with: `dfg`, `muls`, `adds`, `subs` and `binding`, in that
+    /// order.
+    fn target(&self) -> Result<(DfgSource, usize, usize, usize, bool), String> {
+        Ok((
+            self.dfg()?,
+            self.usize_in("muls", 2, MAX_UNITS)?,
+            self.usize_in("adds", 1, MAX_UNITS)?,
+            self.usize_in("subs", 1, MAX_UNITS)?,
+            self.binding()?,
+        ))
+    }
+
+    /// A synthesis spec from [`Fields::target`] and `encoding`, plus
+    /// whatever `rest` reads after them (`area`'s width) — all read
+    /// before the admission check, as in every spec.
+    fn synth<T>(
+        &self,
+        rest: impl FnOnce(&Self) -> Result<T, String>,
+    ) -> Result<(SynthSpec, T), String> {
+        let (dfg, muls, adds, subs, chains) = self.target()?;
+        let encoding = self.encoding()?;
+        let extra = rest(self)?;
+        let synth = SynthSpec {
+            graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
+            dfg,
+            muls,
+            adds,
+            subs,
+            chains,
+            encoding,
+        };
+        Ok((synth, extra))
     }
 
     fn dfg(&self) -> Result<DfgSource, String> {
@@ -739,7 +790,7 @@ impl<'a> Fields<'a> {
             (Some(_), Some(_)) => Err("give either 'dfg' or 'dfg_text', not both".to_string()),
             (Some(j), None) => {
                 if let Some(name) = j.as_str() {
-                    if benchmark(name).is_none() {
+                    if DfgRegistry::builtin().get(name).is_none() {
                         return Err(format!(
                             "unknown benchmark '{name}' (one of: {})",
                             BENCHMARKS.join(", ")
@@ -782,42 +833,22 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Binds `graph` under `alloc` — chain cover when `chains`, left-edge
-/// otherwise — behind the one admission check every synthesis request
-/// passes: the graph must have operations and the allocation must cover
-/// it. The job specs apply it at parse time, so a request that gets
-/// through is guaranteed to synthesize, simulate and fault-sweep.
-pub(crate) fn bind_checked(
-    graph: &Dfg,
-    alloc: &Allocation,
-    chains: bool,
-) -> Result<BoundDfg, String> {
+/// Resolves `source` against the built-in registry — the only one the
+/// service exposes — behind the one admission check every synthesis-side
+/// spec passes: the graph must have operations and `alloc` must cover
+/// it. A spec runs it after reading all its other fields and holds the
+/// graph it returns, so a spec that parses is guaranteed to synthesize,
+/// simulate and fault-sweep, and its run binds that graph once without
+/// resolving it again. Nothing binds here.
+fn admit(source: &DfgSource, alloc: &Allocation) -> Result<Arc<Dfg>, String> {
+    let graph = source.resolve(DfgRegistry::builtin())?;
     if graph.num_ops() == 0 {
         return Err(format!("graph '{}' has no operations", graph.name()));
     }
-    if !alloc.covers(graph) {
+    if !alloc.covers(&graph) {
         return Err("allocation lacks a unit for a used operation class".to_string());
     }
-    Ok(if chains {
-        BoundDfg::bind_chains(graph, alloc)
-    } else {
-        BoundDfg::bind(graph, alloc)
-    })
-}
-
-/// [`bind_checked`] on a spec's graph source and unit counts.
-pub(crate) fn bind_spec(
-    dfg: &DfgSource,
-    muls: usize,
-    adds: usize,
-    subs: usize,
-    chains: bool,
-) -> Result<BoundDfg, String> {
-    bind_checked(
-        &build_dfg(dfg)?,
-        &Allocation::paper(muls, adds, subs),
-        chains,
-    )
+    Ok(Arc::new(graph))
 }
 
 /// Renders a trace's artifact-hash chain as a JSON array of
@@ -837,6 +868,28 @@ fn stage_hashes(trace: &PipelineTrace) -> Json {
             })
             .collect::<Vec<_>>(),
     )
+}
+
+/// One explore sweep point as the `/v1/dfg/explore` body and the
+/// cluster's explore partial render it; `pareto` adds the Pareto mark,
+/// which the partial leaves to the merge.
+pub(crate) fn point_json(p: &SweepPoint, pareto: bool) -> Json {
+    let mut cells = vec![
+        ("muls", Json::from(p.muls)),
+        ("adds", Json::from(p.adds)),
+        ("subs", Json::from(p.subs)),
+        ("encoding", Json::from(encoding_name(p.encoding))),
+        ("p", Json::Float(p.p)),
+        ("sd_ld", Json::Float(p.sd_ld)),
+        ("skew", Json::from(p.skew)),
+        ("avg_cycles", Json::Float(p.avg_cycles)),
+        ("latency_ns", Json::Float(p.latency_ns)),
+        ("area_ge", Json::Float(p.area_ge)),
+    ];
+    if pareto {
+        cells.push(("pareto", Json::from(p.pareto)));
+    }
+    Json::object(cells)
 }
 
 /// The deterministic `/v1/synth` payload: one row per unit controller plus
@@ -875,8 +928,10 @@ impl JobSpec {
     /// Strict by design: unknown or duplicate fields, wrong types,
     /// out-of-range values, unknown benchmarks, unparsable inline DFGs,
     /// graphs with no operations and allocations that cannot cover the
-    /// graph are all rejected here (see [`bind_checked`]), so a spec that
-    /// parses is guaranteed to run (absent cancellation).
+    /// graph are all rejected here, so a spec that parses is guaranteed
+    /// to run (absent cancellation). The graph is resolved once, here:
+    /// a synthesis-side spec holds it, and running the spec binds it
+    /// once and resolves nothing.
     pub fn from_json(endpoint: Endpoint, spec: &Json) -> Result<JobSpec, JobError> {
         let view = JsonRef::from_owned(spec);
         JobSpec::parse(endpoint, &view).map_err(JobError::Invalid)
@@ -936,19 +991,22 @@ impl JobSpec {
                         "sync_latency",
                     ],
                 )?;
-                let s = SimulateSpec {
-                    dfg: f.dfg()?,
-                    muls: f.usize_in("muls", 2, MAX_UNITS)?,
-                    adds: f.usize_in("adds", 1, MAX_UNITS)?,
-                    subs: f.usize_in("subs", 1, MAX_UNITS)?,
-                    chains: f.binding()?,
-                    p_values: f.p_values()?,
-                    trials: f.u64_in("trials", 2000, 1, MAX_TRIALS)?,
-                    seed: f.seed()?,
-                    elastic: f.elastic()?,
-                };
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
-                Ok(JobSpec::Simulate(s))
+                let (dfg, muls, adds, subs, chains) = f.target()?;
+                let p_values = f.p_values()?;
+                let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
+                let (seed, elastic) = (f.seed()?, f.elastic()?);
+                Ok(JobSpec::Simulate(SimulateSpec {
+                    graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
+                    dfg,
+                    muls,
+                    adds,
+                    subs,
+                    chains,
+                    p_values,
+                    trials,
+                    seed,
+                    elastic,
+                }))
             }
             Endpoint::Table2 => {
                 let f = Fields::new(spec, &["trials", "seed"])?;
@@ -975,20 +1033,23 @@ impl JobSpec {
                         "sync_latency",
                     ],
                 )?;
-                let s = ResilienceSpec {
-                    dfg: f.dfg()?,
-                    muls: f.usize_in("muls", 2, MAX_UNITS)?,
-                    adds: f.usize_in("adds", 1, MAX_UNITS)?,
-                    subs: f.usize_in("subs", 1, MAX_UNITS)?,
-                    chains: f.binding()?,
-                    p: f.probability("p", 0.5)?,
-                    trials: f.u64_in("trials", 2000, 1, MAX_TRIALS)?,
-                    seed: f.seed()?,
-                    styles: f.styles()?,
-                    elastic: f.elastic()?,
-                };
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
-                Ok(JobSpec::Resilience(s))
+                let (dfg, muls, adds, subs, chains) = f.target()?;
+                let p = f.probability("p", 0.5)?;
+                let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
+                let (seed, styles, elastic) = (f.seed()?, f.styles()?, f.elastic()?);
+                Ok(JobSpec::Resilience(ResilienceSpec {
+                    graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
+                    dfg,
+                    muls,
+                    adds,
+                    subs,
+                    chains,
+                    p,
+                    trials,
+                    seed,
+                    styles,
+                    elastic,
+                }))
             }
             Endpoint::Synth => {
                 let f = Fields::new(
@@ -997,9 +1058,7 @@ impl JobSpec {
                         "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding",
                     ],
                 )?;
-                let s = f.synth()?;
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains)?;
-                Ok(JobSpec::Synth(s))
+                Ok(JobSpec::Synth(f.synth(|_| Ok(()))?.0))
             }
             Endpoint::Area => {
                 let f = Fields::new(
@@ -1008,13 +1067,11 @@ impl JobSpec {
                         "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding", "width",
                     ],
                 )?;
-                let s = AreaSpec {
-                    synth: f.synth()?,
-                    width: f.u64_in("width", 16, 1, MAX_WIDTH)? as u32,
-                };
-                let t = &s.synth;
-                bind_spec(&t.dfg, t.muls, t.adds, t.subs, t.chains)?;
-                Ok(JobSpec::Area(s))
+                let (synth, width) = f.synth(|f| f.u64_in("width", 16, 1, MAX_WIDTH))?;
+                Ok(JobSpec::Area(AreaSpec {
+                    synth,
+                    width: width as u32,
+                }))
             }
             Endpoint::Explore => {
                 let f = Fields::new(
@@ -1034,22 +1091,31 @@ impl JobSpec {
                         "seed",
                     ],
                 )?;
+                let dfg = f.dfg()?;
+                let max_muls = f.usize_in("max_muls", 4, MAX_EXPLORE_UNITS)?;
+                let max_adds = f.usize_in("max_adds", 2, MAX_EXPLORE_UNITS)?;
+                let max_subs = f.usize_in("max_subs", 2, MAX_EXPLORE_UNITS)?;
+                let (encodings, p_values) = (f.encodings()?, f.p_values()?);
+                let (sd_ld, skew) = (f.ratios()?, f.skew_list()?);
+                let trials = f.u64_in("trials", 400, 1, MAX_TRIALS)?;
+                let width = f.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
+                let seed = f.seed()?;
                 let s = ExploreSpec {
-                    dfg: f.dfg()?,
-                    max_muls: f.usize_in("max_muls", 4, MAX_EXPLORE_UNITS)?,
-                    max_adds: f.usize_in("max_adds", 2, MAX_EXPLORE_UNITS)?,
-                    max_subs: f.usize_in("max_subs", 2, MAX_EXPLORE_UNITS)?,
-                    encodings: f.encodings()?,
-                    p_values: f.p_values()?,
-                    sd_ld: f.ratios()?,
-                    skew: f.skew_list()?,
-                    trials: f.u64_in("trials", 400, 1, MAX_TRIALS)?,
-                    width: f.u64_in("width", 16, 1, MAX_WIDTH)? as u32,
-                    seed: f.seed()?,
+                    // The maximal allocation must cover the graph, so at
+                    // least one swept point is feasible.
+                    graph: admit(&dfg, &Allocation::paper(max_muls, max_adds, max_subs))?,
+                    dfg,
+                    max_muls,
+                    max_adds,
+                    max_subs,
+                    encodings,
+                    p_values,
+                    sd_ld,
+                    skew,
+                    trials,
+                    width,
+                    seed,
                 };
-                // The maximal allocation must cover the graph, so at least
-                // one swept point is feasible.
-                bind_spec(&s.dfg, s.max_muls, s.max_adds, s.max_subs, false)?;
                 let grid = s.max_muls.max(1)
                     * s.max_adds.max(1)
                     * s.max_subs.max(1)
@@ -1305,14 +1371,13 @@ impl JobSpec {
                 Ok((body, trace.records))
             }
             JobSpec::Explore(s) => {
-                let graph = build_dfg(&s.dfg).map_err(JobError::Invalid)?;
                 let params = s.sweep_params();
-                let (points, records) = design_space(&graph, &params, runner, stage_cache)
+                let (points, records) = design_space(&s.graph, &params, runner, stage_cache)
                     .map_err(|e| match e {
                         SweepError::Sim(err) => JobError::from_sim(err),
                         SweepError::Synthesis(err) => JobError::from_synthesis(err),
                     })?;
-                Ok((self.explore_body(&graph, &points), records))
+                Ok((self.explore_body(&s.graph, &points), records))
             }
         }
     }
@@ -1355,23 +1420,9 @@ impl JobSpec {
     /// Pareto-marked) grid. Shared by local execution and the distributed
     /// merge.
     pub(crate) fn explore_body(&self, graph: &Dfg, points: &[SweepPoint]) -> Json {
-        let point_json = |p: &SweepPoint| {
-            Json::object([
-                ("muls", Json::from(p.muls)),
-                ("adds", Json::from(p.adds)),
-                ("subs", Json::from(p.subs)),
-                ("encoding", Json::from(encoding_name(p.encoding))),
-                ("p", Json::Float(p.p)),
-                ("sd_ld", Json::Float(p.sd_ld)),
-                ("skew", Json::from(p.skew)),
-                ("avg_cycles", Json::Float(p.avg_cycles)),
-                ("latency_ns", Json::Float(p.latency_ns)),
-                ("area_ge", Json::Float(p.area_ge)),
-                ("pareto", Json::from(p.pareto)),
-            ])
-        };
-        let frontier: Vec<Json> = points.iter().filter(|p| p.pareto).map(point_json).collect();
-        let all: Vec<Json> = points.iter().map(point_json).collect();
+        let marked = |p: &SweepPoint| point_json(p, true);
+        let frontier: Vec<Json> = points.iter().filter(|p| p.pareto).map(marked).collect();
+        let all: Vec<Json> = points.iter().map(marked).collect();
         Json::object([
             ("spec", self.canonical()),
             (
@@ -1473,6 +1524,22 @@ mod tests {
                 Endpoint::Simulate,
                 r#"{"dfg":"fir5","subs":0,"adds":0}"#,
                 "allocation lacks a unit",
+            ),
+            // A swept coordinate given twice would measure one point twice.
+            (
+                Endpoint::Simulate,
+                r#"{"p":[0.5,0.5]}"#,
+                "duplicate 'p' value 0.5",
+            ),
+            (
+                Endpoint::Explore,
+                r#"{"p":[1,0.5,1.0]}"#,
+                "duplicate 'p' value 1",
+            ),
+            (
+                Endpoint::Explore,
+                r#"{"sd_ld":[0.75,0.75]}"#,
+                "duplicate 'sd_ld' value 0.75",
             ),
         ];
         for (endpoint, text, needle) in cases {

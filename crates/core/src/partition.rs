@@ -34,12 +34,8 @@
 use crate::explore::{
     design_space_slice, enumerate_allocations, mark_scenario_pareto, SweepError, SweepPoint,
 };
-use crate::jobspec::{
-    bind_spec, build_dfg, encoding_name, parse_encoding, JobError, JobSpec, SIMULATE_LEGS,
-};
-use crate::resilience::{
-    report_from_counters, resilience_kind_counters_with, KindCounters, FAULT_KINDS,
-};
+use crate::jobspec::{parse_encoding, point_json, JobError, JobSpec, SIMULATE_LEGS};
+use crate::resilience::{report_from_counters, KindCounters, COUNTER_FIELDS, FAULT_KINDS};
 use crate::stages::{StageCache, StageRecord};
 use tauhls_json::Json;
 use tauhls_sim::{BatchRunner, LatencySummary};
@@ -64,20 +60,13 @@ pub struct Part {
 /// The length of `spec`'s partition axis: swept `P` values for simulate,
 /// fault kinds for resilience, covering allocations for explore, and `1`
 /// for the indivisible kinds.
-///
-/// # Errors
-///
-/// [`JobError::Invalid`] when the spec's DFG fails to resolve.
-pub fn unit_count(spec: &JobSpec) -> Result<usize, JobError> {
-    Ok(match spec {
+pub fn unit_count(spec: &JobSpec) -> usize {
+    match spec {
         JobSpec::Simulate(s) => s.p_values.len(),
         JobSpec::Resilience(_) => FAULT_KINDS.len(),
-        JobSpec::Explore(s) => {
-            let graph = build_dfg(&s.dfg).map_err(JobError::Invalid)?;
-            enumerate_allocations(&graph, &s.sweep_params()).len()
-        }
+        JobSpec::Explore(s) => enumerate_allocations(&s.graph, &s.sweep_params()).len(),
         JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => 1,
-    })
+    }
 }
 
 /// Plans `spec` into at most `max_parts` contiguous partitions.
@@ -86,21 +75,17 @@ pub fn unit_count(spec: &JobSpec) -> Result<usize, JobError> {
 /// arithmetic on every node, so a coordinator and a worker handed only
 /// `(spec, k, n)` agree on the slice without negotiation. The plan never
 /// exceeds the unit count (no empty partitions) and is never empty.
-///
-/// # Errors
-///
-/// As [`unit_count`].
-pub fn plan(spec: &JobSpec, max_parts: usize) -> Result<Vec<Part>, JobError> {
-    let units = unit_count(spec)?;
+pub fn plan(spec: &JobSpec, max_parts: usize) -> Vec<Part> {
+    let units = unit_count(spec);
     let total = max_parts.max(1).min(units.max(1));
-    Ok((0..total)
+    (0..total)
         .map(|k| Part {
             index: k,
             total,
             lo: k * units / total,
             hi: (k + 1) * units / total,
         })
-        .collect())
+        .collect()
 }
 
 /// Recomputes the slice partition `index` of `total` covers — the
@@ -112,7 +97,7 @@ pub fn plan(spec: &JobSpec, max_parts: usize) -> Result<Vec<Part>, JobError> {
 /// [`JobError::Invalid`] when the coordinates are out of range for the
 /// spec (wrong `total`, or `index >= total`).
 pub fn part_for(spec: &JobSpec, index: usize, total: usize) -> Result<Part, JobError> {
-    let parts = plan(spec, total)?;
+    let parts = plan(spec, total);
     if parts.len() != total {
         return Err(JobError::Invalid(format!(
             "job splits into at most {} parts, not {total}",
@@ -176,71 +161,28 @@ pub fn run_part(
             Ok((coords(("legs", Json::object(legs))), Vec::new()))
         }
         JobSpec::Resilience(s) => {
-            if part.hi > FAULT_KINDS.len() {
-                return Err(JobError::Invalid("slice beyond fault kinds".to_string()));
-            }
-            let bound =
-                bind_spec(&s.dfg, s.muls, s.adds, s.subs, s.chains).map_err(JobError::Invalid)?;
-            let counters = resilience_kind_counters_with(
-                &bound,
-                s.p,
-                s.trials,
-                s.seed,
-                part.lo..part.hi,
-                &s.options(),
-                runner,
-            );
-            runner.check_cancelled().map_err(JobError::from_sim)?;
+            let counters = s.kind_counters(part.lo..part.hi, runner)?;
             let rows: Vec<Json> = counters
-                .iter()
-                .map(|c| {
-                    Json::object([
-                        ("deadlock", Json::from(c.deadlock)),
-                        ("desync", Json::from(c.desync)),
-                        ("survived", Json::from(c.survived)),
-                        ("latency_sum", Json::from(c.latency_sum)),
-                        ("latency_samples", Json::from(c.latency_samples)),
-                        ("cent_agree", Json::from(c.cent_agree)),
-                        ("elastic_deadlock", Json::from(c.elastic_deadlock)),
-                        ("elastic_desync", Json::from(c.elastic_desync)),
-                        ("elastic_survived", Json::from(c.elastic_survived)),
-                        ("elastic_latency_sum", Json::from(c.elastic_latency_sum)),
-                        (
-                            "elastic_latency_samples",
-                            Json::from(c.elastic_latency_samples),
-                        ),
-                    ])
+                .into_iter()
+                .map(|mut c| {
+                    Json::object(
+                        COUNTER_FIELDS.map(|(name, field)| (name, Json::from(*field(&mut c)))),
+                    )
                 })
                 .collect();
             Ok((coords(("counters", Json::array(rows))), Vec::new()))
         }
         JobSpec::Explore(s) => {
-            let graph = build_dfg(&s.dfg).map_err(JobError::Invalid)?;
             let params = s.sweep_params();
-            let allocs = enumerate_allocations(&graph, &params);
+            let allocs = enumerate_allocations(&s.graph, &params);
             if part.hi > allocs.len().max(1) {
                 return Err(JobError::Invalid("slice beyond allocations".to_string()));
             }
             let slice = &allocs[part.lo.min(allocs.len())..part.hi.min(allocs.len())];
-            let (points, records) = design_space_slice(&graph, &params, slice, runner, stage_cache)
-                .map_err(sweep_error)?;
-            let pts: Vec<Json> = points
-                .iter()
-                .map(|p| {
-                    Json::object([
-                        ("muls", Json::from(p.muls)),
-                        ("adds", Json::from(p.adds)),
-                        ("subs", Json::from(p.subs)),
-                        ("encoding", Json::from(encoding_name(p.encoding))),
-                        ("p", Json::Float(p.p)),
-                        ("sd_ld", Json::Float(p.sd_ld)),
-                        ("skew", Json::from(p.skew)),
-                        ("avg_cycles", Json::Float(p.avg_cycles)),
-                        ("latency_ns", Json::Float(p.latency_ns)),
-                        ("area_ge", Json::Float(p.area_ge)),
-                    ])
-                })
-                .collect();
+            let (points, records) =
+                design_space_slice(&s.graph, &params, slice, runner, stage_cache)
+                    .map_err(sweep_error)?;
+            let pts: Vec<Json> = points.iter().map(|p| point_json(p, false)).collect();
             Ok((coords(("points", Json::array(pts))), records))
         }
         JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => {
@@ -307,7 +249,7 @@ fn summary_from_partial(
 /// ([`plan`]`(spec, partials.len())`) — wrong count, wrong coordinates,
 /// missing fields, or mismatched slice lengths.
 pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
-    let parts = plan(spec, partials.len())?;
+    let parts = plan(spec, partials.len());
     if parts.len() != partials.len() {
         return Err(bad(&format!(
             "expected {} partials, got {}",
@@ -363,30 +305,20 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                     return Err(bad("counters length mismatch"));
                 }
                 for row in rows {
-                    counters.push(KindCounters {
-                        deadlock: u64_field(row, "deadlock")?,
-                        desync: u64_field(row, "desync")?,
-                        survived: u64_field(row, "survived")?,
-                        latency_sum: u64_field(row, "latency_sum")?,
-                        latency_samples: u64_field(row, "latency_samples")?,
-                        cent_agree: u64_field(row, "cent_agree")?,
-                        elastic_deadlock: u64_field(row, "elastic_deadlock")?,
-                        elastic_desync: u64_field(row, "elastic_desync")?,
-                        elastic_survived: u64_field(row, "elastic_survived")?,
-                        elastic_latency_sum: u64_field(row, "elastic_latency_sum")?,
-                        elastic_latency_samples: u64_field(row, "elastic_latency_samples")?,
-                    });
+                    let mut c = KindCounters::default();
+                    for (name, field) in COUNTER_FIELDS {
+                        *field(&mut c) = u64_field(row, name)?;
+                    }
+                    counters.push(c);
                 }
             }
             if counters.len() != FAULT_KINDS.len() {
                 return Err(bad("merged counters do not cover all fault kinds"));
             }
-            let graph = build_dfg(&s.dfg).map_err(JobError::Invalid)?;
-            let report = report_from_counters(graph.name(), s.p, s.trials, s.seed, &counters);
+            let report = report_from_counters(s.graph.name(), s.p, s.trials, s.seed, &counters);
             Ok(spec.resilience_body(&report))
         }
         JobSpec::Explore(s) => {
-            let graph = build_dfg(&s.dfg).map_err(JobError::Invalid)?;
             let mut points = Vec::new();
             for partial in partials {
                 let pts = field(partial, "points", "points")?
@@ -416,7 +348,7 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                 }
             }
             mark_scenario_pareto(&mut points);
-            Ok(spec.explore_body(&graph, &points))
+            Ok(spec.explore_body(&s.graph, &points))
         }
         JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => partials
             .first()
@@ -446,7 +378,7 @@ mod tests {
             .0
             .to_compact();
         for &max_parts in max_parts_list {
-            let parts = plan(spec, max_parts).expect("plan");
+            let parts = plan(spec, max_parts);
             let partials: Vec<Json> = parts
                 .iter()
                 .map(|&part| {
@@ -497,7 +429,7 @@ mod tests {
             Endpoint::Synth,
             r#"{"dfg":"fir3","muls":1,"adds":1,"encoding":"gray"}"#,
         );
-        assert_eq!(unit_count(&s).unwrap(), 1);
+        assert_eq!(unit_count(&s), 1);
         assert_conformance(&s, &[1, 3]);
     }
 
@@ -508,7 +440,7 @@ mod tests {
             r#"{"dfg":"fir3","p":[0.1,0.2,0.3,0.4,0.5],"trials":10}"#,
         );
         for max_parts in 1..=7 {
-            let parts = plan(&s, max_parts).unwrap();
+            let parts = plan(&s, max_parts);
             assert!(parts.len() <= 5, "never more parts than units");
             assert_eq!(parts[0].lo, 0);
             assert_eq!(parts.last().unwrap().hi, 5);
@@ -535,7 +467,7 @@ mod tests {
             r#"{"dfg":"fir3","p":[0.25,0.75],"trials":20}"#,
         );
         let runner = BatchRunner::serial();
-        let parts = plan(&s, 2).unwrap();
+        let parts = plan(&s, 2);
         let mut partials: Vec<Json> = parts
             .iter()
             .map(|&part| run_part(&s, part, &runner, None).unwrap().0)

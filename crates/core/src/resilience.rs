@@ -103,22 +103,36 @@ pub struct KindCounters {
     pub elastic_latency_samples: u64,
 }
 
+/// One [`KindCounters`] field, as the place it is read from and written to.
+pub(crate) type CounterField = fn(&mut KindCounters) -> &mut u64;
+
+/// Every [`KindCounters`] field with its name in a partition partial, in
+/// partial order. Folding, the partial's rendering and its parse all walk
+/// this table, so a new counter is one field plus one row here.
+pub(crate) const COUNTER_FIELDS: [(&str, CounterField); 11] = [
+    ("deadlock", |c| &mut c.deadlock),
+    ("desync", |c| &mut c.desync),
+    ("survived", |c| &mut c.survived),
+    ("latency_sum", |c| &mut c.latency_sum),
+    ("latency_samples", |c| &mut c.latency_samples),
+    ("cent_agree", |c| &mut c.cent_agree),
+    ("elastic_deadlock", |c| &mut c.elastic_deadlock),
+    ("elastic_desync", |c| &mut c.elastic_desync),
+    ("elastic_survived", |c| &mut c.elastic_survived),
+    ("elastic_latency_sum", |c| &mut c.elastic_latency_sum),
+    ("elastic_latency_samples", |c| {
+        &mut c.elastic_latency_samples
+    }),
+];
+
 impl Accumulator for KindCounters {
     fn empty() -> Self {
         KindCounters::default()
     }
-    fn fold(&mut self, other: Self) {
-        self.deadlock += other.deadlock;
-        self.desync += other.desync;
-        self.survived += other.survived;
-        self.latency_sum += other.latency_sum;
-        self.latency_samples += other.latency_samples;
-        self.cent_agree += other.cent_agree;
-        self.elastic_deadlock += other.elastic_deadlock;
-        self.elastic_desync += other.elastic_desync;
-        self.elastic_survived += other.elastic_survived;
-        self.elastic_latency_sum += other.elastic_latency_sum;
-        self.elastic_latency_samples += other.elastic_latency_samples;
+    fn fold(&mut self, mut other: Self) {
+        for (_, field) in COUNTER_FIELDS {
+            *field(self) += *field(&mut other);
+        }
     }
 }
 

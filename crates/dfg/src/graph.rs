@@ -175,7 +175,7 @@ impl std::error::Error for DfgError {}
 /// let out = g.evaluate(&[3, 4]);
 /// assert_eq!(out["r"], 13);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dfg {
     name: String,
     input_names: Vec<String>,

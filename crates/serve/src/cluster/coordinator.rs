@@ -113,7 +113,7 @@ impl Coordinator {
         } else {
             live.len()
         };
-        let parts = partition::plan(spec, want)?;
+        let parts = partition::plan(spec, want);
         let job = spec.job_id();
         let canonical = spec.canonical();
         let mut slots: Vec<Option<ExecResult>> = (0..parts.len()).map(|_| None).collect();

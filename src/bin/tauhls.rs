@@ -377,7 +377,7 @@ fn analysis(cmd: &str, endpoint: Endpoint, args: &[String]) -> Result<String, Cl
             "verilog" => control_unit_to_verilog(s.synthesize(None)?.0.controllers()),
             _ => {
                 let mut trace = PipelineTrace::default();
-                let controls = stages::run_front(&s.input()?, false, None, &mut trace)
+                let controls = stages::run_front(&s.input(), false, None, &mut trace)
                     .map_err(|e| e.to_string())?;
                 let bound = controls.design().bound();
                 tauhls::dfg::to_dot(bound.dfg(), bound.schedule_arcs())

@@ -514,6 +514,20 @@ fn cli_rejects_what_the_service_rejects_with_its_message() {
             "3",
             ("skew", Json::from(3u64)),
         ),
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--p",
+            "0.5,0.5",
+            ("p", Json::array([Json::Float(0.5), Json::Float(0.5)])),
+        ),
+        (
+            "explore",
+            Endpoint::Explore,
+            "--sd-ld",
+            "0.75,0.75",
+            ("sd_ld", Json::array([Json::Float(0.75), Json::Float(0.75)])),
+        ),
     ] {
         let mut pairs = vec![field];
         let mut args = vec![cmd];
