@@ -507,6 +507,13 @@ impl JobError {
         // bad allocation, bad binding), so they all map to HTTP 400.
         JobError::Invalid(err.to_string())
     }
+
+    pub(crate) fn from_sweep(err: SweepError) -> JobError {
+        match err {
+            SweepError::Sim(err) => JobError::from_sim(err),
+            SweepError::Synthesis(err) => JobError::from_synthesis(err),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -763,16 +770,13 @@ impl<'a> Fields<'a> {
         ))
     }
 
-    /// A synthesis spec from [`Fields::target`] and `encoding`, plus
-    /// whatever `rest` reads after them (`area`'s width) — all read
-    /// before the admission check, as in every spec.
-    fn synth<T>(
-        &self,
-        rest: impl FnOnce(&Self) -> Result<T, String>,
-    ) -> Result<(SynthSpec, T), String> {
+    /// An area spec: [`Fields::target`], `encoding` and `width`, then
+    /// the admission check. A `synth` spec is its `synth` part: it cannot
+    /// carry a `width`, so its width reads as the default.
+    fn area(&self) -> Result<AreaSpec, String> {
         let (dfg, muls, adds, subs, chains) = self.target()?;
         let encoding = self.encoding()?;
-        let extra = rest(self)?;
+        let width = self.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
         let synth = SynthSpec {
             graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
             dfg,
@@ -782,7 +786,7 @@ impl<'a> Fields<'a> {
             chains,
             encoding,
         };
-        Ok((synth, extra))
+        Ok(AreaSpec { synth, width })
     }
 
     fn dfg(&self) -> Result<DfgSource, String> {
@@ -868,6 +872,24 @@ fn stage_hashes(trace: &PipelineTrace) -> Json {
             })
             .collect::<Vec<_>>(),
     )
+}
+
+/// One latency leg as the `/v1/simulate` body and the cluster's simulate
+/// partial render it; a clock period adds the leg rendered in ns, which
+/// the partial leaves to the merge.
+pub(crate) fn summary_json(summary: &LatencySummary, clock_ns: Option<f64>) -> Json {
+    let mut cells = vec![
+        ("best_cycles", Json::from(summary.best_cycles)),
+        ("average_cycles", Json::floats(&summary.average_cycles)),
+        ("worst_cycles", Json::from(summary.worst_cycles)),
+    ];
+    if let Some(clk) = clock_ns {
+        cells.push((
+            "rendered_ns",
+            Json::from(summary.to_ns_string(clk).as_str()),
+        ));
+    }
+    Json::object(cells)
 }
 
 /// One explore sweep point as the `/v1/dfg/explore` body and the
@@ -994,7 +1016,8 @@ impl JobSpec {
                 let (dfg, muls, adds, subs, chains) = f.target()?;
                 let p_values = f.p_values()?;
                 let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
-                let (seed, elastic) = (f.seed()?, f.elastic()?);
+                let seed = f.seed()?;
+                let elastic = f.elastic()?;
                 Ok(JobSpec::Simulate(SimulateSpec {
                     graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
                     dfg,
@@ -1036,7 +1059,9 @@ impl JobSpec {
                 let (dfg, muls, adds, subs, chains) = f.target()?;
                 let p = f.probability("p", 0.5)?;
                 let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
-                let (seed, styles, elastic) = (f.seed()?, f.styles()?, f.elastic()?);
+                let seed = f.seed()?;
+                let styles = f.styles()?;
+                let elastic = f.elastic()?;
                 Ok(JobSpec::Resilience(ResilienceSpec {
                     graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
                     dfg,
@@ -1058,7 +1083,7 @@ impl JobSpec {
                         "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding",
                     ],
                 )?;
-                Ok(JobSpec::Synth(f.synth(|_| Ok(()))?.0))
+                Ok(JobSpec::Synth(f.area()?.synth))
             }
             Endpoint::Area => {
                 let f = Fields::new(
@@ -1067,11 +1092,7 @@ impl JobSpec {
                         "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding", "width",
                     ],
                 )?;
-                let (synth, width) = f.synth(|f| f.u64_in("width", 16, 1, MAX_WIDTH))?;
-                Ok(JobSpec::Area(AreaSpec {
-                    synth,
-                    width: width as u32,
-                }))
+                Ok(JobSpec::Area(f.area()?))
             }
             Endpoint::Explore => {
                 let f = Fields::new(
@@ -1095,8 +1116,10 @@ impl JobSpec {
                 let max_muls = f.usize_in("max_muls", 4, MAX_EXPLORE_UNITS)?;
                 let max_adds = f.usize_in("max_adds", 2, MAX_EXPLORE_UNITS)?;
                 let max_subs = f.usize_in("max_subs", 2, MAX_EXPLORE_UNITS)?;
-                let (encodings, p_values) = (f.encodings()?, f.p_values()?);
-                let (sd_ld, skew) = (f.ratios()?, f.skew_list()?);
+                let encodings = f.encodings()?;
+                let p_values = f.p_values()?;
+                let sd_ld = f.ratios()?;
+                let skew = f.skew_list()?;
                 let trials = f.u64_in("trials", 400, 1, MAX_TRIALS)?;
                 let width = f.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
                 let seed = f.seed()?;
@@ -1373,10 +1396,7 @@ impl JobSpec {
             JobSpec::Explore(s) => {
                 let params = s.sweep_params();
                 let (points, records) = design_space(&s.graph, &params, runner, stage_cache)
-                    .map_err(|e| match e {
-                        SweepError::Sim(err) => JobError::from_sim(err),
-                        SweepError::Synthesis(err) => JobError::from_synthesis(err),
-                    })?;
+                    .map_err(JobError::from_sweep)?;
                 Ok((self.explore_body(&s.graph, &points), records))
             }
         }
@@ -1388,23 +1408,12 @@ impl JobSpec {
     /// byte-identical to a single-node run by construction.
     pub(crate) fn simulate_body(&self, legs: &[LatencySummary]) -> Json {
         let clk = Timing::default().clock_ns();
-        let cells = |summary: &LatencySummary| {
-            Json::object([
-                ("best_cycles", Json::from(summary.best_cycles)),
-                ("average_cycles", Json::floats(&summary.average_cycles)),
-                ("worst_cycles", Json::from(summary.worst_cycles)),
-                (
-                    "rendered_ns",
-                    Json::from(summary.to_ns_string(clk).as_str()),
-                ),
-            ])
-        };
         let mut body = vec![("spec", self.canonical()), ("clock_ns", Json::from(clk))];
         body.extend(
             SIMULATE_LEGS
                 .iter()
                 .zip(legs)
-                .map(|((key, _, _), summary)| (*key, cells(summary))),
+                .map(|((key, _, _), summary)| (*key, summary_json(summary, Some(clk)))),
         );
         body.push(("enhancement_percent", Json::floats(&legs_enhancement(legs))));
         Json::object(body)

@@ -31,10 +31,8 @@
 //! enumeration. `table2`, `synth`, and `area` have no partitionable axis
 //! and plan as a single partition whose partial embeds the whole body.
 
-use crate::explore::{
-    design_space_slice, enumerate_allocations, mark_scenario_pareto, SweepError, SweepPoint,
-};
-use crate::jobspec::{parse_encoding, point_json, JobError, JobSpec, SIMULATE_LEGS};
+use crate::explore::{design_space_slice, enumerate_allocations, mark_scenario_pareto, SweepPoint};
+use crate::jobspec::{parse_encoding, point_json, summary_json, JobError, JobSpec, SIMULATE_LEGS};
 use crate::resilience::{report_from_counters, KindCounters, COUNTER_FIELDS, FAULT_KINDS};
 use crate::stages::{StageCache, StageRecord};
 use tauhls_json::Json;
@@ -110,21 +108,6 @@ pub fn part_for(spec: &JobSpec, index: usize, total: usize) -> Result<Part, JobE
         .ok_or_else(|| JobError::Invalid(format!("part {index} out of range for {total} parts")))
 }
 
-fn sweep_error(e: SweepError) -> JobError {
-    match e {
-        SweepError::Sim(err) => JobError::from_sim(err),
-        SweepError::Synthesis(err) => JobError::from_synthesis(err),
-    }
-}
-
-fn summary_partial(s: &LatencySummary) -> Json {
-    Json::object([
-        ("best_cycles", Json::from(s.best_cycles)),
-        ("average_cycles", Json::floats(&s.average_cycles)),
-        ("worst_cycles", Json::from(s.worst_cycles)),
-    ])
-}
-
 /// Runs one partition of `spec` to its partial-result JSON.
 ///
 /// The partial carries the partition coordinates plus exactly the values
@@ -157,7 +140,7 @@ pub fn run_part(
             let legs = SIMULATE_LEGS
                 .iter()
                 .zip(&summaries)
-                .map(|((key, _, _), summary)| (*key, summary_partial(summary)));
+                .map(|((key, _, _), summary)| (*key, summary_json(summary, None)));
             Ok((coords(("legs", Json::object(legs))), Vec::new()))
         }
         JobSpec::Resilience(s) => {
@@ -181,7 +164,7 @@ pub fn run_part(
             let slice = &allocs[part.lo.min(allocs.len())..part.hi.min(allocs.len())];
             let (points, records) =
                 design_space_slice(&s.graph, &params, slice, runner, stage_cache)
-                    .map_err(sweep_error)?;
+                    .map_err(JobError::from_sweep)?;
             let pts: Vec<Json> = points.iter().map(|p| point_json(p, false)).collect();
             Ok((coords(("points", Json::array(pts))), records))
         }
