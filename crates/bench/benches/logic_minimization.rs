@@ -1,4 +1,4 @@
-//! Ablation bench (DESIGN.md decision 4): exact Quine–McCluskey vs the
+//! Ablation bench (DESIGN.md decision 4): exact minimization vs the
 //! espresso-style heuristic, in runtime and result quality, on functions
 //! shaped like controller next-state logic.
 

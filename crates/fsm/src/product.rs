@@ -8,8 +8,8 @@
 //! while the distributed realization keeps the components separate.
 
 use crate::machine::{Fsm, StateId};
+use crate::minimize::minterms_to_expr;
 use std::collections::HashMap;
-use tauhls_logic::{Cube, Expr};
 
 /// Maximum number of external inputs a product may enumerate (2^k input
 /// minterms per composite state).
@@ -108,7 +108,7 @@ pub fn synchronous_product(name: &str, components: &[&Fsm]) -> Fsm {
                 queue.push(next.clone());
                 product.add_state(tuple_name(&next))
             });
-            let guard = minterms_to_expr(&minterms, &ext_idx);
+            let guard = minterms_to_expr(&minterms, &ext_idx, ext_idx.len());
             product.add_transition(from_id, to_id, guard, outs);
         }
     }
@@ -163,40 +163,6 @@ pub(crate) fn step_product(
     // One extra settling check: if the last two iterations agreed we are
     // fine; otherwise the combinational wiring oscillates.
     last.expect("at least one iteration ran")
-}
-
-/// Builds a guard expression as a disjunction of input minterms.
-fn minterms_to_expr(minterms: &[u64], ext_idx: &[usize]) -> Expr {
-    if minterms.len() == 1 << ext_idx.len() {
-        return Expr::truth();
-    }
-    // Merge minterms into cubes via the logic crate for compact guards.
-    let primes = tauhls_logic::prime_implicants(ext_idx.len(), minterms);
-    // Cover greedily: keep primes that cover at least one minterm not yet
-    // covered (primes from the minterm set alone are all valid).
-    let mut remaining: Vec<u64> = minterms.to_vec();
-    let mut chosen: Vec<Cube> = Vec::new();
-    for p in primes {
-        if remaining.iter().any(|&m| p.covers_minterm(m)) {
-            remaining.retain(|&m| !p.covers_minterm(m));
-            chosen.push(p);
-        }
-        if remaining.is_empty() {
-            break;
-        }
-    }
-    Expr::any(chosen.into_iter().map(|c| {
-        Expr::all((0..ext_idx.len()).filter_map(|v| {
-            c.literal(v).map(|pol| {
-                let var = Expr::var(ext_idx[v]);
-                if pol {
-                    var
-                } else {
-                    var.not()
-                }
-            })
-        }))
-    }))
 }
 
 #[cfg(test)]

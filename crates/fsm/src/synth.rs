@@ -142,17 +142,28 @@ fn shift_guard(guard: &Expr, num_inputs: usize, bits: usize) -> Vec<Cube> {
         .collect()
 }
 
-/// Synthesizes `fsm` under `encoding`, minimizing every next-state and
-/// output function and costing the result with `model`.
-///
-/// Unused state codes (binary/Gray) become don't-cares for all functions.
-/// Exact Quine–McCluskey is used up to 11 combined variables, the
-/// espresso-style heuristic beyond.
+/// Widest function, in state bits plus inputs, that [`synthesize`]
+/// minimizes exactly; wider ones go through the espresso-style heuristic.
+pub const EXACT_LIMIT: usize = 11;
+
+/// The two-level functions a controller's logic implements, before
+/// minimization, over the variable order `[state bits..., inputs...]`.
+#[derive(Clone, Debug)]
+pub struct ControllerFunctions {
+    /// On-set of each next-state bit.
+    pub next_state: Vec<Cover>,
+    /// On-set of each output signal.
+    pub outputs: Vec<Cover>,
+    /// The unused state codes (binary/Gray): don't-care for every function.
+    pub dcset: Cover,
+}
+
+/// Builds the next-state and output functions of `fsm` under `encoding`.
 ///
 /// # Panics
 ///
 /// Panics if `state_bits + inputs > 64` (cover variable limit).
-pub fn synthesize(fsm: &Fsm, encoding: Encoding, model: &AreaModel) -> SynthesizedFsm {
+pub fn controller_functions(fsm: &Fsm, encoding: Encoding) -> ControllerFunctions {
     let n = fsm.num_states();
     let bits = state_bits(encoding, n);
     let num_inputs = fsm.inputs().len();
@@ -195,11 +206,29 @@ pub fn synthesize(fsm: &Fsm, encoding: Encoding, model: &AreaModel) -> Synthesiz
             }
         }
     }
+    ControllerFunctions {
+        next_state: next_on,
+        outputs: out_on,
+        dcset: dc,
+    }
+}
 
-    const EXACT_LIMIT: usize = 11;
-    let minimize = |c: &Cover| -> Cover { minimize_auto(c, &dc, EXACT_LIMIT) };
-    let next_state: Vec<Cover> = next_on.iter().map(minimize).collect();
-    let outputs: Vec<Cover> = out_on.iter().map(minimize).collect();
+/// Synthesizes `fsm` under `encoding`, minimizing every next-state and
+/// output function and costing the result with `model`.
+///
+/// Unused state codes (binary/Gray) become don't-cares for all functions.
+/// Exact minimization is used up to [`EXACT_LIMIT`] combined variables,
+/// the espresso-style heuristic beyond.
+///
+/// # Panics
+///
+/// Panics if `state_bits + inputs > 64` (cover variable limit).
+pub fn synthesize(fsm: &Fsm, encoding: Encoding, model: &AreaModel) -> SynthesizedFsm {
+    let bits = state_bits(encoding, fsm.num_states());
+    let f = controller_functions(fsm, encoding);
+    let minimize = |c: &Cover| -> Cover { minimize_auto(c, &f.dcset, EXACT_LIMIT) };
+    let next_state: Vec<Cover> = f.next_state.iter().map(minimize).collect();
+    let outputs: Vec<Cover> = f.outputs.iter().map(minimize).collect();
 
     let all: Vec<Cover> = next_state.iter().chain(&outputs).cloned().collect();
     let area = model.area(&all, bits);
@@ -207,8 +236,8 @@ pub fn synthesize(fsm: &Fsm, encoding: Encoding, model: &AreaModel) -> Synthesiz
     SynthesizedFsm {
         name: fsm.name().to_string(),
         encoding,
-        num_states: n,
-        num_inputs,
+        num_states: fsm.num_states(),
+        num_inputs: fsm.inputs().len(),
         num_outputs: fsm.outputs().len(),
         state_bits: bits,
         initial_code: encode(encoding, fsm.initial()),

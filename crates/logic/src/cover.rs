@@ -314,11 +314,18 @@ impl Cover {
         out
     }
 
-    /// Exhaustively enumerates the on-set. Only sensible for small `n`.
+    /// Enumerates the on-set, ascending, by marking every cube's minterms.
+    /// Only sensible for small `n`.
     pub fn onset_minterms(&self) -> Vec<u64> {
         assert!(self.num_vars <= 24, "onset enumeration limited to 24 vars");
+        let mut on = vec![false; 1 << self.num_vars];
+        for c in &self.cubes {
+            for m in c.minterms(self.num_vars) {
+                on[m as usize] = true;
+            }
+        }
         (0..1u64 << self.num_vars)
-            .filter(|&m| self.evaluate(m))
+            .filter(|&m| on[m as usize])
             .collect()
     }
 }

@@ -142,25 +142,23 @@ impl Cube {
 
     /// The number of variables on which the cubes have opposite polarities.
     ///
-    /// Two cubes with equal masks and distance 1 can be merged by the
-    /// adjacency theorem `a·x + a·x' = a`.
+    /// Two cubes at distance 1 have a [consensus](Cube::consensus).
     pub const fn distance(&self, other: &Cube) -> u32 {
         ((self.val ^ other.val) & self.mask & other.mask).count_ones()
     }
 
-    /// Merges two cubes with identical masks differing in exactly one
-    /// variable, dropping that variable. Returns `None` otherwise.
-    pub fn merge_adjacent(&self, other: &Cube) -> Option<Cube> {
-        if self.mask != other.mask {
+    /// The consensus of two cubes at distance 1: every literal of both
+    /// except the one variable on which they disagree (`x·a + x'·b` implies
+    /// `a·b`). Returns `None` at any other distance.
+    pub fn consensus(&self, other: &Cube) -> Option<Cube> {
+        let conflict = (self.val ^ other.val) & self.mask & other.mask;
+        if conflict.count_ones() != 1 {
             return None;
         }
-        let diff = self.val ^ other.val;
-        if diff.count_ones() != 1 {
-            return None;
-        }
+        let mask = (self.mask | other.mask) & !conflict;
         Some(Cube {
-            mask: self.mask & !diff,
-            val: self.val & !diff,
+            mask,
+            val: (self.val | other.val) & mask,
         })
     }
 
@@ -327,17 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_adjacent_drops_variable() {
+    fn consensus_drops_the_conflicting_variable() {
+        // Adjacent cubes merge: 10-1 + 11-1 = 1--1.
         let a = Cube::parse_pcn("10-1").unwrap();
         let b = Cube::parse_pcn("11-1").unwrap();
-        let m = a.merge_adjacent(&b).unwrap();
-        assert_eq!(m, Cube::parse_pcn("1--1").unwrap());
-        // Non-adjacent cubes do not merge.
-        let c = Cube::parse_pcn("01-0").unwrap();
-        assert!(a.merge_adjacent(&c).is_none());
-        // Different masks do not merge.
-        let d = Cube::parse_pcn("1-11").unwrap();
-        assert!(a.merge_adjacent(&d).is_none());
+        assert_eq!(a.consensus(&b), Some(Cube::parse_pcn("1--1").unwrap()));
+        // Different masks keep the union of the other literals:
+        // x0·x1' + x0'·x2 implies x1'·x2.
+        let c = Cube::parse_pcn("10--").unwrap();
+        let d = Cube::parse_pcn("0-1-").unwrap();
+        assert_eq!(c.consensus(&d), Some(Cube::parse_pcn("-01-").unwrap()));
+        // Distance 0 and distance 2 have no consensus.
+        assert!(a.consensus(&a).is_none());
+        assert!(a.consensus(&Cube::parse_pcn("01-0").unwrap()).is_none());
     }
 
     #[test]

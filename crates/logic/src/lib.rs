@@ -8,8 +8,8 @@
 //! * [`Cube`] / [`Cover`] — product terms and sum-of-products covers with
 //!   the unate-recursive tautology/containment tests.
 //! * [`TruthTable`] — explicit incompletely-specified functions.
-//! * [`minimize_exact`] — Quine–McCluskey prime generation plus exact or
-//!   greedy covering.
+//! * [`minimize_exact`] — prime generation by iterated consensus over
+//!   cubes ([`primes_of_cubes`]) plus exact or greedy covering.
 //! * [`minimize_heuristic`] — espresso-style EXPAND/IRREDUNDANT loop that
 //!   scales to wide (e.g. one-hot encoded) controller logic.
 //! * [`Expr`] — guard expressions lowered to covers.
@@ -47,16 +47,19 @@ pub use cover::Cover;
 pub use cube::{Cube, MAX_VARS};
 pub use espresso::minimize_heuristic;
 pub use expr::Expr;
-pub use qm::{minimize_exact, prime_implicants};
+pub use qm::{minimize_exact, prime_implicants, primes_of_cubes};
 pub use truth::{Tri, TruthTable};
 
 /// Minimizes a cover choosing the right engine for its width: exact
-/// Quine–McCluskey when the function has at most `exact_limit` variables,
+/// minimization when the function has at most `exact_limit` variables,
 /// the heuristic EXPAND/IRREDUNDANT loop otherwise.
 ///
-/// This is the entry point the FSM synthesizer uses: binary-encoded
-/// controllers stay under the exact limit, one-hot controllers go through
-/// the heuristic.
+/// This is the entry point the FSM synthesizer uses, with a limit of 11
+/// state bits plus inputs: binary- and Gray-encoded controllers, and
+/// one-hot controllers that fit in 11 variables, take the exact path;
+/// wider one-hot controllers go through the heuristic. The exact path
+/// generates primes straight from the `onset` and `dcset` cubes; the only
+/// minterms it enumerates are the on-set's, which the covering step needs.
 ///
 /// # Examples
 ///
@@ -69,16 +72,8 @@ pub use truth::{Tri, TruthTable};
 pub fn minimize_auto(onset: &Cover, dcset: &Cover, exact_limit: usize) -> Cover {
     let n = onset.num_vars();
     if n <= exact_limit && n <= 16 {
-        let table = TruthTable::from_fn(n, |m| {
-            if onset.evaluate(m) {
-                Some(true)
-            } else if dcset.evaluate(m) {
-                None
-            } else {
-                Some(false)
-            }
-        });
-        minimize_exact(&table)
+        let on_dc = onset.cubes().iter().chain(dcset.cubes()).copied();
+        qm::minimize_cubes(n, on_dc, &onset.onset_minterms())
     } else {
         minimize_heuristic(onset, dcset)
     }

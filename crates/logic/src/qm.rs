@@ -1,6 +1,7 @@
-//! Exact two-level minimization: Quine–McCluskey prime generation followed
-//! by unate covering (essential extraction + branch-and-bound with a greedy
-//! fallback for large instances).
+//! Exact two-level minimization: prime generation by iterated consensus
+//! over the on-set ∪ dc-set cubes, followed by unate covering (essential
+//! extraction + branch-and-bound with a greedy fallback for large
+//! instances).
 
 use crate::cover::Cover;
 use crate::cube::Cube;
@@ -14,8 +15,8 @@ const EXACT_COVER_BUDGET: usize = 200_000;
 /// Minimizes an incompletely-specified function to a (near-)minimum
 /// sum-of-products cover.
 ///
-/// Prime implicants are generated exactly by iterative adjacency merging
-/// over the on-set ∪ dc-set. The covering problem is then solved exactly by
+/// Prime implicants are generated exactly over the on-set ∪ dc-set (see
+/// [`primes_of_cubes`]). The covering problem is then solved exactly by
 /// branch-and-bound when small, or greedily otherwise; in both cases every
 /// returned cube is a prime implicant and the cover implements the function.
 ///
@@ -31,60 +32,83 @@ const EXACT_COVER_BUDGET: usize = 200_000;
 /// ```
 pub fn minimize_exact(table: &TruthTable) -> Cover {
     let n = table.num_vars();
-    let onset = table.onset();
+    let care_or_dc = (0..1u64 << n)
+        .filter(|&m| table.get(m) != Tri::Off)
+        .map(|m| Cube::minterm(n, m));
+    minimize_cubes(n, care_or_dc, &table.onset())
+}
+
+/// Minimizes the `n`-variable function whose on-set ∪ dc-set is the union
+/// of `cubes` and whose on-set minterms are `onset` (ascending).
+pub(crate) fn minimize_cubes(
+    n: usize,
+    cubes: impl IntoIterator<Item = Cube>,
+    onset: &[u64],
+) -> Cover {
     if onset.is_empty() {
         return Cover::empty(n);
     }
-    let care_or_dc: Vec<u64> = (0..1u64 << n)
-        .filter(|&m| table.get(m) != Tri::Off)
-        .collect();
-    if care_or_dc.len() == 1 << n {
-        return Cover::tautology_cover(n);
-    }
-
-    let primes = prime_implicants(n, &care_or_dc);
-    select_cover(n, &primes, &onset)
+    select_cover(n, &primes_of_cubes(cubes), onset)
 }
 
-/// Generates all prime implicants of the function whose on∪dc set is
-/// `minterms`, via classic iterative merging.
+/// Generates all prime implicants of the `n`-variable function whose
+/// on∪dc set is `minterms`, sorted.
 pub fn prime_implicants(n: usize, minterms: &[u64]) -> Vec<Cube> {
-    let mut current: HashSet<Cube> = minterms.iter().map(|&m| Cube::minterm(n, m)).collect();
-    let mut primes: Vec<Cube> = Vec::new();
+    primes_of_cubes(minterms.iter().map(|&m| Cube::minterm(n, m)))
+}
 
-    while !current.is_empty() {
-        let cubes: Vec<Cube> = current.iter().copied().collect();
-        let mut merged_flag = vec![false; cubes.len()];
-        let mut next: HashSet<Cube> = HashSet::new();
-
-        // Group by (mask, popcount of val) so only plausible partners meet.
-        for i in 0..cubes.len() {
-            for j in (i + 1)..cubes.len() {
-                if cubes[i].mask() != cubes[j].mask() {
-                    continue;
-                }
-                if let Some(m) = cubes[i].merge_adjacent(&cubes[j]) {
-                    merged_flag[i] = true;
-                    merged_flag[j] = true;
-                    next.insert(m);
-                }
-            }
+/// Generates all prime implicants of the function covered by `cubes` (its
+/// on-set ∪ dc-set), sorted.
+///
+/// Iterated consensus with single-cube absorption: a cube set in which no
+/// cube contains another, and which contains every consensus term of its
+/// members within one of them, is exactly the set of primes. A worklist
+/// pairs each added cube once against the set, so the cost follows the
+/// cubes and primes of the function, not the size of its minterm space.
+///
+/// # Examples
+///
+/// ```
+/// use tauhls_logic::{primes_of_cubes, Cube};
+/// // x0·x1 + x0'·x2 has the consensus prime x1·x2.
+/// let f = [
+///     Cube::from_literals(&[(0, true), (1, true)]),
+///     Cube::from_literals(&[(0, false), (2, true)]),
+/// ];
+/// assert_eq!(primes_of_cubes(f).len(), 3);
+/// ```
+pub fn primes_of_cubes(cubes: impl IntoIterator<Item = Cube>) -> Vec<Cube> {
+    /// Adds `c` unless a member covers it, dropping the members it covers.
+    fn add(set: &mut Vec<Cube>, work: &mut Vec<Cube>, c: Cube) {
+        if set.iter().any(|s| s.covers(&c)) {
+            return;
         }
-        for (i, c) in cubes.iter().enumerate() {
-            if !merged_flag[i] {
-                primes.push(*c);
-            }
-        }
-        current = next;
+        set.retain(|s| !c.covers(s));
+        set.push(c);
+        work.push(c);
     }
-    // Merging can produce duplicates of earlier primes via different paths.
-    primes.sort_unstable();
-    primes.dedup();
-    // Remove non-maximal cubes (a cube unmerged at one level may still be
-    // contained in a wider prime produced later).
-    let snapshot = primes.clone();
-    primes.retain(|c| !snapshot.iter().any(|d| d != c && d.covers(c)));
-    primes
+
+    // A cube leaves `set` only for one that covers it, so it never returns
+    // and enters `work` at most once.
+    let mut set = Vec::new();
+    let mut work = Vec::new();
+    for c in cubes {
+        add(&mut set, &mut work, c);
+    }
+    while let Some(c) = work.pop() {
+        // A cube absorbed since it was queued needs no pairing: every
+        // consensus term it has lies within the absorbing cube or within
+        // that cube's consensus with the same partner.
+        if !set.contains(&c) {
+            continue;
+        }
+        let terms: Vec<Cube> = set.iter().filter_map(|s| c.consensus(s)).collect();
+        for t in terms {
+            add(&mut set, &mut work, t);
+        }
+    }
+    set.sort_unstable();
+    set
 }
 
 /// Solves the prime-implicant covering problem for `onset`.

@@ -80,7 +80,7 @@
 //!   --queue N                    job queue capacity (default 64)
 //!   --cache-mb N                 response cache budget in MiB (default 32)
 //!   --stage-cache N              synthesis stage-cache entries (default
-//!                                1024; 0 disables)
+//!                                256; 0 disables)
 //!   --threads N                  simulation threads per job (default: all)
 //!   --data-dir PATH              durable job store (journal + artifacts;
 //!                                replayed on restart; default: memory only)
