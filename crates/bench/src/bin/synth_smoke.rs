@@ -4,11 +4,11 @@
 //! With a path argument it spawns that `tauhls` binary as a real server
 //! process and checks the `tauhls call synth` round-trip; without one it
 //! runs against an in-process [`Server`]. Either way it measures four
-//! regimes — cold synthesis (every stage executes), encoding sweeps
-//! (the stage cache serves the front of the pipeline), response-cache
+//! regimes — cold synthesis of new designs, encoding sweeps (new
+//! responses for designs already synthesized once), response-cache
 //! replays, and `/v1/explore` design-space sweeps — then scrapes
-//! `/metrics` for the per-stage latency histograms and stage-cache
-//! counters, and writes everything to `BENCH_synth.json`.
+//! `/metrics` for the per-stage latency histograms, and writes
+//! everything to `BENCH_synth.json`.
 //!
 //! CI runs this as the `synth-smoke` job; like `serve_smoke` it is a
 //! regression canary plus a trend artifact, not a calibrated benchmark.
@@ -26,8 +26,8 @@ const TIMEOUT: Duration = Duration::from_secs(120);
 /// Benchmarks used for the cold pass — the cheap end of the paper suite,
 /// so the job stays a smoke test even on a loaded CI runner.
 const COLD_DFGS: [&str; 4] = ["fir3", "fir5", "iir2", "diffeq"];
-/// Encodings swept per benchmark after warmup: only `logic`/`report`
-/// rerun, everything earlier comes from the stage cache.
+/// Encodings swept per benchmark after the cold pass: each is a new
+/// response, so the whole pipeline reruns.
 const SWEEP_ENCODINGS: [&str; 2] = ["gray", "onehot"];
 /// Replays of one warmed spec — pure response-cache path.
 const HIT_JOBS: u64 = 200;
@@ -129,7 +129,7 @@ fn synth(addr: &str, body: &str, want_cache: &str) {
 }
 
 /// Reads one sample value; `prefix` must include everything up to the
-/// value, e.g. `"tauhls_serve_stage_cache_hits_total{stage=\"bind\"} "`.
+/// value, e.g. `"tauhls_serve_stage_seconds_count{stage=\"bind\"} "`.
 fn metric(text: &str, prefix: &str) -> f64 {
     text.lines()
         .find_map(|line| line.strip_prefix(prefix)?.trim().parse::<f64>().ok())
@@ -156,9 +156,8 @@ fn main() {
     }
     let cold_elapsed = cold_start.elapsed();
 
-    // Sweep pass: same benchmarks, new encodings. The encoding enters the
-    // pipeline at the logic stage, so canonicalize/order/bind/controllers
-    // are all stage-cache hits — this is the prefix-reuse path.
+    // Sweep pass: same benchmarks, new encodings. Each is a response-cache
+    // miss, so every stage executes again.
     let sweep_start = Instant::now();
     for dfg in COLD_DFGS {
         for encoding in SWEEP_ENCODINGS {
@@ -202,17 +201,7 @@ fn main() {
         "logic",
         "report",
     ];
-    let mut stage_hits = 0.0;
-    let mut stage_misses = 0.0;
     let stages = Json::object(stage_names.map(|stage| {
-        let hits = metric(
-            &metrics.body,
-            &format!("tauhls_serve_stage_cache_hits_total{{stage=\"{stage}\"}} "),
-        );
-        let misses = metric(
-            &metrics.body,
-            &format!("tauhls_serve_stage_cache_misses_total{{stage=\"{stage}\"}} "),
-        );
         let sum = metric(
             &metrics.body,
             &format!("tauhls_serve_stage_seconds_sum{{stage=\"{stage}\"}} "),
@@ -221,13 +210,9 @@ fn main() {
             &metrics.body,
             &format!("tauhls_serve_stage_seconds_count{{stage=\"{stage}\"}} "),
         );
-        stage_hits += hits;
-        stage_misses += misses;
         (
             stage,
             Json::object([
-                ("cache_hits", Json::from(hits)),
-                ("cache_misses", Json::from(misses)),
                 ("runs", Json::from(count)),
                 (
                     "mean_us",
@@ -248,10 +233,9 @@ fn main() {
     let hit_rps = HIT_JOBS as f64 / hit_elapsed.as_secs_f64();
     let explore_sps = EXPLORE_JOBS as f64 / explore_elapsed.as_secs_f64();
     println!("cold (full pipeline):   {cold_sps:>10.1} synth/sec");
-    println!("sweep (prefix reuse):   {sweep_sps:>10.1} synth/sec");
+    println!("sweep (new encodings):  {sweep_sps:>10.1} synth/sec");
     println!("hot (response cache):   {hit_rps:>10.1} requests/sec");
     println!("explore (design space): {explore_sps:>10.1} sweeps/sec");
-    println!("stage cache: {stage_hits} hits / {stage_misses} misses");
 
     let report = Json::object([
         (
@@ -270,8 +254,6 @@ fn main() {
         ("hit_requests_per_sec", Json::from(hit_rps)),
         ("explore_jobs", Json::from(EXPLORE_JOBS)),
         ("explore_per_sec", Json::from(explore_sps)),
-        ("stage_cache_hits", Json::from(stage_hits)),
-        ("stage_cache_misses", Json::from(stage_misses)),
         ("synth_requests_total", Json::from(synth_requests)),
         ("stages", stages),
     ]);

@@ -21,7 +21,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use tauhls_dfg::{benchmarks, canonical_wire, parse_wire_dfg, Dfg, DfgRegistry};
+use tauhls_dfg::{benchmarks, dfg_to_wire, parse_wire_dfg, Dfg, DfgRegistry};
 use tauhls_fsm::Encoding;
 use tauhls_json::{Json, JsonRef, ToJson};
 use tauhls_logic::AreaModel;
@@ -135,6 +135,43 @@ pub(crate) fn parse_encoding(s: &str) -> Option<Encoding> {
 
 pub use tauhls_dfg::DfgSource;
 
+/// The `dfg` or `dfg_text` pair a spec's canonical rendering embeds — a
+/// benchmark name, the canonical wire object or the graph text — built
+/// once when the spec is parsed, so rendering a spec never re-parses its
+/// graph. Embedding a wire graph as a JSON object (not a string) keeps
+/// the canonical spec self-describing and makes
+/// [`JobSpec::from_canonical`] re-validate it like a fresh request.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct DfgField(&'static str, Json);
+
+// A name, a text or canonical wire JSON holds no float, so no NaN.
+impl Eq for DfgField {}
+
+/// A spec's graph as [`Fields::dfg`] reads it, before admission.
+struct ReadDfg {
+    source: DfgSource,
+    graph: Dfg,
+    field: DfgField,
+}
+
+impl ReadDfg {
+    /// The one admission check every synthesis-side spec passes: the
+    /// graph must have operations and `alloc` must cover it. A spec runs
+    /// it after reading all its other fields and holds what it returns,
+    /// so a spec that parses is guaranteed to synthesize, simulate and
+    /// fault-sweep, and its run binds the held graph once without
+    /// resolving it again. Nothing binds here.
+    fn admit(self, alloc: &Allocation) -> Result<(DfgSource, Arc<Dfg>, DfgField), String> {
+        if self.graph.num_ops() == 0 {
+            return Err(format!("graph '{}' has no operations", self.graph.name()));
+        }
+        if !alloc.covers(&self.graph) {
+            return Err("allocation lacks a unit for a used operation class".to_string());
+        }
+        Ok((self.source, Arc::new(self.graph), self.field))
+    }
+}
+
 /// Binds `graph` under the paper allocation of `muls`/`adds`/`subs` —
 /// chain cover when `chains`, left-edge otherwise: the one bind a
 /// simulation or fault-sweep run makes, on the graph its spec holds.
@@ -170,6 +207,8 @@ pub struct SimulateSpec {
     pub elastic: ElasticSpec,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
+    /// `dfg` as the canonical rendering embeds it.
+    pub(crate) dfg_field: DfgField,
 }
 
 /// The latency legs in column order: each leg's key (`lt_tau` is the
@@ -270,6 +309,8 @@ pub struct ResilienceSpec {
     pub elastic: ElasticSpec,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
+    /// `dfg` as the canonical rendering embeds it.
+    pub(crate) dfg_field: DfgField,
 }
 
 impl ResilienceSpec {
@@ -348,6 +389,8 @@ pub struct SynthSpec {
     pub encoding: Encoding,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
+    /// `dfg` as the canonical rendering embeds it.
+    pub(crate) dfg_field: DfgField,
 }
 
 impl SynthSpec {
@@ -430,6 +473,8 @@ pub struct ExploreSpec {
     pub seed: u64,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
+    /// `dfg` as the canonical rendering embeds it.
+    pub(crate) dfg_field: DfgField,
 }
 
 impl ExploreSpec {
@@ -760,7 +805,7 @@ impl<'a> Fields<'a> {
     /// The graph source and allocation every synthesis-side spec
     /// starts with: `dfg`, `muls`, `adds`, `subs` and `binding`, in that
     /// order.
-    fn target(&self) -> Result<(DfgSource, usize, usize, usize, bool), String> {
+    fn target(&self) -> Result<(ReadDfg, usize, usize, usize, bool), String> {
         Ok((
             self.dfg()?,
             self.usize_in("muls", 2, MAX_UNITS)?,
@@ -777,9 +822,11 @@ impl<'a> Fields<'a> {
         let (dfg, muls, adds, subs, chains) = self.target()?;
         let encoding = self.encoding()?;
         let width = self.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
+        let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
         let synth = SynthSpec {
-            graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
             dfg,
+            graph,
+            dfg_field,
             muls,
             adds,
             subs,
@@ -789,9 +836,18 @@ impl<'a> Fields<'a> {
         Ok(AreaSpec { synth, width })
     }
 
-    fn dfg(&self) -> Result<DfgSource, String> {
-        match (self.get("dfg"), self.get("dfg_text")) {
-            (Some(_), Some(_)) => Err("give either 'dfg' or 'dfg_text', not both".to_string()),
+    /// `dfg` or `dfg_text`, resolved against the built-in registry — the
+    /// only one the service exposes. Every malformed graph, named, wire
+    /// or text, is reported here, before any later field.
+    fn dfg(&self) -> Result<ReadDfg, String> {
+        let named = |name: &str| {
+            let field = DfgField("dfg", Json::from(name));
+            (DfgSource::Named(name.to_string()), field)
+        };
+        let (source, field) = match (self.get("dfg"), self.get("dfg_text")) {
+            (Some(_), Some(_)) => {
+                return Err("give either 'dfg' or 'dfg_text', not both".to_string())
+            }
             (Some(j), None) => {
                 if let Some(name) = j.as_str() {
                     if DfgRegistry::builtin().get(name).is_none() {
@@ -800,9 +856,8 @@ impl<'a> Fields<'a> {
                             BENCHMARKS.join(", ")
                         ));
                     }
-                    return Ok(DfgSource::Named(name.to_string()));
-                }
-                if j.as_object().is_some() {
+                    named(name)
+                } else if j.as_object().is_some() {
                     // An inline wire-format graph. Validate it fully here
                     // and retain the *canonical* rendering, so every JSON
                     // spelling of the same graph shares one cache key and
@@ -816,9 +871,17 @@ impl<'a> Fields<'a> {
                         ));
                     }
                     let graph = parse_wire_dfg(&text).map_err(|e| format!("dfg: {e}"))?;
-                    return Ok(DfgSource::InlineWire(canonical_wire(&graph)));
+                    let wire = dfg_to_wire(&graph);
+                    (
+                        DfgSource::InlineWire(wire.to_compact()),
+                        DfgField("dfg", wire),
+                    )
+                } else {
+                    return Err(
+                        "'dfg' must be a benchmark name string or an inline graph object"
+                            .to_string(),
+                    );
                 }
-                Err("'dfg' must be a benchmark name string or an inline graph object".to_string())
             }
             (None, Some(j)) => {
                 let text = j
@@ -830,29 +893,22 @@ impl<'a> Fields<'a> {
                         text.len()
                     ));
                 }
-                Ok(DfgSource::InlineText(text.to_string()))
+                (
+                    DfgSource::InlineText(text.to_string()),
+                    DfgField("dfg_text", Json::from(text)),
+                )
             }
-            (None, None) => Ok(DfgSource::Named("fir5".to_string())),
-        }
+            (None, None) => named("fir5"),
+        };
+        // A wire graph is held as parsed from its canonical text, whose
+        // node ids differ from the sent ones.
+        let graph = source.resolve(DfgRegistry::builtin())?;
+        Ok(ReadDfg {
+            source,
+            graph,
+            field,
+        })
     }
-}
-
-/// Resolves `source` against the built-in registry — the only one the
-/// service exposes — behind the one admission check every synthesis-side
-/// spec passes: the graph must have operations and `alloc` must cover
-/// it. A spec runs it after reading all its other fields and holds the
-/// graph it returns, so a spec that parses is guaranteed to synthesize,
-/// simulate and fault-sweep, and its run binds that graph once without
-/// resolving it again. Nothing binds here.
-fn admit(source: &DfgSource, alloc: &Allocation) -> Result<Arc<Dfg>, String> {
-    let graph = source.resolve(DfgRegistry::builtin())?;
-    if graph.num_ops() == 0 {
-        return Err(format!("graph '{}' has no operations", graph.name()));
-    }
-    if !alloc.covers(&graph) {
-        return Err("allocation lacks a unit for a used operation class".to_string());
-    }
-    Ok(Arc::new(graph))
 }
 
 /// Renders a trace's artifact-hash chain as a JSON array of
@@ -1018,9 +1074,11 @@ impl JobSpec {
                 let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
                 let seed = f.seed()?;
                 let elastic = f.elastic()?;
+                let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
                 Ok(JobSpec::Simulate(SimulateSpec {
-                    graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
                     dfg,
+                    graph,
+                    dfg_field,
                     muls,
                     adds,
                     subs,
@@ -1062,9 +1120,11 @@ impl JobSpec {
                 let seed = f.seed()?;
                 let styles = f.styles()?;
                 let elastic = f.elastic()?;
+                let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
                 Ok(JobSpec::Resilience(ResilienceSpec {
-                    graph: admit(&dfg, &Allocation::paper(muls, adds, subs))?,
                     dfg,
+                    graph,
+                    dfg_field,
                     muls,
                     adds,
                     subs,
@@ -1123,11 +1183,14 @@ impl JobSpec {
                 let trials = f.u64_in("trials", 400, 1, MAX_TRIALS)?;
                 let width = f.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
                 let seed = f.seed()?;
+                // The maximal allocation must cover the graph, so at least
+                // one swept point is feasible.
+                let (dfg, graph, dfg_field) =
+                    dfg.admit(&Allocation::paper(max_muls, max_adds, max_subs))?;
                 let s = ExploreSpec {
-                    // The maximal allocation must cover the graph, so at
-                    // least one swept point is feasible.
-                    graph: admit(&dfg, &Allocation::paper(max_muls, max_adds, max_subs))?,
                     dfg,
+                    graph,
+                    dfg_field,
                     max_muls,
                     max_adds,
                     max_subs,
@@ -1187,21 +1250,8 @@ impl JobSpec {
     /// order, with the endpoint embedded — the value whose compact form is
     /// [`JobSpec::cache_key`].
     pub fn canonical(&self) -> Json {
-        fn dfg_pair(dfg: &DfgSource) -> (&'static str, Json) {
-            match dfg {
-                DfgSource::Named(name) => ("dfg", Json::from(name.as_str())),
-                DfgSource::InlineText(text) => ("dfg_text", Json::from(text.as_str())),
-                DfgSource::InlineWire(text) => (
-                    // The stored text is the canonical compact rendering
-                    // the wire parser itself produced, so it re-parses by
-                    // construction; embedding it as a JSON object (not a
-                    // string) keeps the canonical spec self-describing and
-                    // makes `from_canonical` re-validate it like a fresh
-                    // request.
-                    "dfg",
-                    Json::parse(text).unwrap_or_else(|_| Json::from(text.as_str())),
-                ),
-            }
+        fn dfg_pair(DfgField(key, value): &DfgField) -> (&'static str, Json) {
+            (key, value.clone())
         }
         fn binding(chains: bool) -> Json {
             Json::from(if chains { "chains" } else { "left-edge" })
@@ -1209,7 +1259,7 @@ impl JobSpec {
         match self {
             JobSpec::Simulate(s) => Json::object([
                 ("endpoint", Json::from("simulate")),
-                dfg_pair(&s.dfg),
+                dfg_pair(&s.dfg_field),
                 ("muls", Json::from(s.muls)),
                 ("adds", Json::from(s.adds)),
                 ("subs", Json::from(s.subs)),
@@ -1230,7 +1280,7 @@ impl JobSpec {
             ]),
             JobSpec::Resilience(s) => Json::object([
                 ("endpoint", Json::from("resilience")),
-                dfg_pair(&s.dfg),
+                dfg_pair(&s.dfg_field),
                 ("muls", Json::from(s.muls)),
                 ("adds", Json::from(s.adds)),
                 ("subs", Json::from(s.subs)),
@@ -1256,7 +1306,7 @@ impl JobSpec {
             ]),
             JobSpec::Synth(s) => Json::object([
                 ("endpoint", Json::from("synth")),
-                dfg_pair(&s.dfg),
+                dfg_pair(&s.dfg_field),
                 ("muls", Json::from(s.muls)),
                 ("adds", Json::from(s.adds)),
                 ("subs", Json::from(s.subs)),
@@ -1265,7 +1315,7 @@ impl JobSpec {
             ]),
             JobSpec::Area(AreaSpec { synth: s, width }) => Json::object([
                 ("endpoint", Json::from("area")),
-                dfg_pair(&s.dfg),
+                dfg_pair(&s.dfg_field),
                 ("muls", Json::from(s.muls)),
                 ("adds", Json::from(s.adds)),
                 ("subs", Json::from(s.subs)),
@@ -1275,7 +1325,7 @@ impl JobSpec {
             ]),
             JobSpec::Explore(s) => Json::object([
                 ("endpoint", Json::from("explore")),
-                dfg_pair(&s.dfg),
+                dfg_pair(&s.dfg_field),
                 ("max_muls", Json::from(s.max_muls)),
                 ("max_adds", Json::from(s.max_adds)),
                 ("max_subs", Json::from(s.max_subs)),
@@ -1528,6 +1578,18 @@ mod tests {
                 "not both",
             ),
             (Endpoint::Simulate, r#"{"dfg_text":"@#$"}"#, "dfg_text:"),
+            // A malformed graph is reported before any later field, in
+            // text form as in wire form.
+            (
+                Endpoint::Simulate,
+                r#"{"dfg_text":"@#$","muls":65}"#,
+                "dfg_text:",
+            ),
+            (
+                Endpoint::Simulate,
+                r#"{"dfg":{"nodes":7},"muls":65}"#,
+                "dfg:",
+            ),
             (Endpoint::Simulate, r#"{"muls":65}"#, "'muls' must be in"),
             (
                 Endpoint::Simulate,

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use tauhls_core::jobspec::{JobError, JobSpec};
 use tauhls_core::partition::{self, Part};
-use tauhls_core::{StageCache, StageRecord};
+use tauhls_core::StageRecord;
 use tauhls_json::Json;
 use tauhls_sim::BatchRunner;
 
@@ -101,12 +101,11 @@ impl Coordinator {
         &self,
         spec: &JobSpec,
         runner: &BatchRunner,
-        stages: Option<&StageCache>,
     ) -> Result<(Json, Vec<StageRecord>), JobError> {
         let live = self.registry.live_workers();
         if live.is_empty() {
             self.metrics.count_cluster("local");
-            return spec.run_with(runner, stages);
+            return spec.run_with(runner, None);
         }
         let want = if self.partitions > 0 {
             self.partitions
@@ -122,7 +121,7 @@ impl Coordinator {
                 .iter()
                 .map(|&part| {
                     let (job, canonical) = (&job, &canonical);
-                    scope.spawn(move || self.run_one(spec, part, job, canonical, runner, stages))
+                    scope.spawn(move || self.run_one(spec, part, job, canonical, runner))
                 })
                 .collect();
             for (slot, handle) in slots.iter_mut().zip(handles) {
@@ -152,10 +151,9 @@ impl Coordinator {
         job: &str,
         canonical: &Json,
         runner: &BatchRunner,
-        stages: Option<&StageCache>,
     ) -> Result<(Json, Vec<StageRecord>), JobError> {
         self.inflight.fetch_add(1, Ordering::Relaxed);
-        let result = self.run_one_inner(spec, part, job, canonical, runner, stages);
+        let result = self.run_one_inner(spec, part, job, canonical, runner);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         result
     }
@@ -167,7 +165,6 @@ impl Coordinator {
         job: &str,
         canonical: &Json,
         runner: &BatchRunner,
-        stages: Option<&StageCache>,
     ) -> Result<(Json, Vec<StageRecord>), JobError> {
         let body = Json::object([
             ("spec", canonical.clone()),
@@ -221,7 +218,7 @@ impl Coordinator {
         // Remote attempts exhausted (or no worker live): converge by
         // computing the slice here.
         self.metrics.count_cluster("local");
-        let result = partition::run_part(spec, part, runner, stages)?;
+        let result = partition::run_part(spec, part, runner, None)?;
         self.journal_event(job, "part_done", coords());
         Ok(result)
     }

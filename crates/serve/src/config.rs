@@ -17,14 +17,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Response-cache budget in bytes (key + body payload).
     pub cache_bytes: usize,
-    /// Synthesis stage-cache capacity in artifacts (`0` disables stage
-    /// caching; each entry is one pipeline-stage output shared across
-    /// `/v1/synth` and `/v1/area` requests with a common prefix). The
-    /// default of 256 holds the full stage chains of the last 25 or more
-    /// designs, enough for the back-to-back encoding changes of one
-    /// design that hit it; a full miss reruns exact logic synthesis in
-    /// milliseconds.
-    pub stage_cache_entries: usize,
     /// Simulation threads per job (`None` → all cores). Worker-level
     /// concurrency times this is the peak core demand.
     pub sim_threads: Option<usize>,
@@ -97,7 +89,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_bytes: 32 * 1024 * 1024,
-            stage_cache_entries: 256,
             sim_threads: None,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),

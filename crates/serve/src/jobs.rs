@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use rand::splitmix64_mix;
 use tauhls_core::jobspec::{JobError, JobSpec};
 use tauhls_core::stages::Fnv64;
-use tauhls_core::{StageCache, StageRecord};
+use tauhls_core::StageRecord;
 use tauhls_json::Json;
 use tauhls_sim::{BatchRunner, CancelToken};
 
@@ -58,7 +58,6 @@ use crate::cache::Cache;
 use crate::config::ServeConfig;
 use crate::metrics::Metrics;
 use crate::queue::Queue;
-use crate::stagewarm::StageWarmer;
 
 /// Lifecycle of one job. `Backoff` is `Queued` with a scheduled wake-up;
 /// both replay as `Queued`.
@@ -142,8 +141,7 @@ pub(crate) type ExecResult = Result<(Json, Vec<StageRecord>), JobError>;
 /// How a job's spec becomes its body: single-node servers call
 /// [`JobSpec::run_with`] directly, coordinators route through the
 /// cluster dispatcher. Injected via [`JobManager::start_with`].
-pub(crate) type Executor =
-    Arc<dyn Fn(&JobSpec, &BatchRunner, Option<&StageCache>) -> ExecResult + Send + Sync>;
+pub(crate) type Executor = Arc<dyn Fn(&JobSpec, &BatchRunner) -> ExecResult + Send + Sync>;
 
 #[derive(Debug)]
 struct JobRecord {
@@ -233,8 +231,6 @@ struct Inner {
     shutting_down: AtomicBool,
     metrics: Arc<Metrics>,
     cache: Arc<Cache>,
-    stages: Arc<StageCache>,
-    warmer: Arc<StageWarmer>,
     executor: Executor,
 }
 
@@ -253,12 +249,10 @@ impl JobManager {
         config: &ServeConfig,
         metrics: Arc<Metrics>,
         cache: Arc<Cache>,
-        stages: Arc<StageCache>,
-        warmer: Arc<StageWarmer>,
         cancel: CancelToken,
     ) -> std::io::Result<JobManager> {
-        let executor: Executor = Arc::new(|spec, runner, stages| spec.run_with(runner, stages));
-        JobManager::start_with(config, metrics, cache, stages, warmer, cancel, executor)
+        let executor: Executor = Arc::new(|spec, runner| spec.run_with(runner, None));
+        JobManager::start_with(config, metrics, cache, cancel, executor)
     }
 
     /// [`JobManager::start`] with an injected execution strategy — how
@@ -268,8 +262,6 @@ impl JobManager {
         config: &ServeConfig,
         metrics: Arc<Metrics>,
         cache: Arc<Cache>,
-        stages: Arc<StageCache>,
-        warmer: Arc<StageWarmer>,
         cancel: CancelToken,
         executor: Executor,
     ) -> std::io::Result<JobManager> {
@@ -327,8 +319,6 @@ impl JobManager {
             shutting_down: AtomicBool::new(false),
             metrics,
             cache,
-            stages,
-            warmer,
             executor,
         });
         let mut threads = Vec::with_capacity(config.job_workers + 1);
@@ -703,13 +693,11 @@ fn run_one(inner: &Arc<Inner>, id: &str) {
     );
     let started = Instant::now();
     let runner = BatchRunner::sized(inner.sim_threads).with_cancel(token.clone());
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        (inner.executor)(&spec, &runner, Some(&inner.stages))
-    }))
-    .unwrap_or_else(|_| {
-        inner.metrics.count_panic();
-        Err(JobError::Failed("job attempt panicked".to_string()))
-    });
+    let outcome = catch_unwind(AssertUnwindSafe(|| (inner.executor)(&spec, &runner)))
+        .unwrap_or_else(|_| {
+            inner.metrics.count_panic();
+            Err(JobError::Failed("job attempt panicked".to_string()))
+        });
     match outcome {
         Ok((json, records)) => complete(inner, id, &spec, &json, &records, started),
         Err(JobError::Cancelled) => {
@@ -771,7 +759,6 @@ fn complete(
     inner.metrics.count_trials(spec.trials());
     inner.metrics.observe_latency("jobs", started.elapsed());
     inner.cache.insert(spec.cache_key(), Arc::clone(&body));
-    inner.warmer.record(spec);
     let mut table = inner.lock_table();
     if let Some(rec) = table.get_mut(id) {
         rec.state = JobState::Done;
@@ -1204,8 +1191,6 @@ mod tests {
             config,
             Arc::new(Metrics::new()),
             Arc::new(Cache::new(1 << 20)),
-            Arc::new(StageCache::new(64)),
-            Arc::new(StageWarmer::open(None)),
             CancelToken::new(),
         )
         .expect("manager")
@@ -1216,8 +1201,6 @@ mod tests {
             config,
             Arc::new(Metrics::new()),
             Arc::new(Cache::new(1 << 20)),
-            Arc::new(StageCache::new(64)),
-            Arc::new(StageWarmer::open(None)),
             CancelToken::new(),
             executor,
         )
@@ -1268,7 +1251,7 @@ mod tests {
     fn retries_back_off_then_fail_permanently() {
         let attempts = Arc::new(AtomicU32::new(0));
         let seen = Arc::clone(&attempts);
-        let executor: Executor = Arc::new(move |_, _, _| {
+        let executor: Executor = Arc::new(move |_, _| {
             seen.fetch_add(1, Ordering::SeqCst);
             Err(JobError::Failed("flaky backend".to_string()))
         });
@@ -1288,7 +1271,7 @@ mod tests {
     fn a_transient_failure_recovers_on_retry() {
         let attempts = Arc::new(AtomicU32::new(0));
         let seen = Arc::clone(&attempts);
-        let executor: Executor = Arc::new(move |_, _, _| {
+        let executor: Executor = Arc::new(move |_, _| {
             if seen.fetch_add(1, Ordering::SeqCst) == 0 {
                 Err(JobError::Failed("first attempt flakes".to_string()))
             } else {
@@ -1307,7 +1290,7 @@ mod tests {
 
     #[test]
     fn a_panicking_attempt_counts_as_a_failure_not_a_crash() {
-        let executor: Executor = Arc::new(|_, _, _| panic!("executor exploded"));
+        let executor: Executor = Arc::new(|_, _| panic!("executor exploded"));
         let m = manager_with(&config(None), executor);
         let id = m.submit(spec(10), "alice", 5).expect("submit").id;
         wait_until("job failed", || m.state(&id) == Some(JobState::Failed));

@@ -24,11 +24,9 @@
 //! `DELETE /v1/jobs/<id>` cancels — with a crash-recoverable journal,
 //! retry/backoff, and per-client admission control (`429` +
 //! `Retry-After`); see [`JobManager`]. The synthesis
-//! endpoints run the staged pipeline of [`tauhls_core::stages`] against
-//! a second, content-addressed **stage cache**: stage outputs are keyed
-//! by their input-hash chain, so two requests differing only in state
-//! `encoding` share every artifact up to the generated controllers, and
-//! per-stage latency and hit/miss counters surface in `/metrics`.
+//! endpoints run the staged pipeline of [`tauhls_core::stages`] cold on
+//! every response-cache miss (a whole synthesis costs well under a
+//! millisecond), and each stage's latency surfaces in `/metrics`.
 //! Graceful shutdown (SIGTERM/ctrl-c via [`signal`],
 //! or [`Server::shutdown`]) stops the acceptor, flushes the queue
 //! backlog with `503`, and drains in-flight jobs — cancelling them
@@ -72,7 +70,6 @@ mod jobs;
 mod metrics;
 mod queue;
 mod server;
-mod stagewarm;
 
 pub mod client;
 pub mod cluster;
@@ -88,4 +85,3 @@ pub use metrics::{
 };
 pub use queue::Queue;
 pub use server::Server;
-pub use stagewarm::{StageWarmer, WarmSummary};

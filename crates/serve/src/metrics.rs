@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tauhls_core::stages::STAGE_NAMES;
-use tauhls_core::{StageCache, StageRecord};
+use tauhls_core::StageRecord;
 
 use crate::cache::Cache;
 use crate::jobs::JobState;
@@ -304,8 +304,6 @@ pub struct Metrics {
     panics: AtomicU64,
     latency: Labelled<Histogram>,
     stage_seconds: Labelled<Histogram>,
-    stage_hits: Labelled<AtomicU64>,
-    stage_misses: Labelled<AtomicU64>,
     jobs: Labelled<AtomicU64>,
     cluster: Labelled<AtomicU64>,
     events: EventLog,
@@ -321,8 +319,6 @@ impl Default for Metrics {
             panics: AtomicU64::new(0),
             latency: Labelled::new(&TIMED_ENDPOINTS),
             stage_seconds: Labelled::new(&STAGE_NAMES),
-            stage_hits: Labelled::new(&STAGE_NAMES),
-            stage_misses: Labelled::new(&STAGE_NAMES),
             jobs: Labelled::new(&JOB_EVENTS),
             cluster: Labelled::new(&CLUSTER_EVENTS),
             events: EventLog::default(),
@@ -363,25 +359,11 @@ impl Metrics {
     }
 
     /// Folds one executed pipeline stage into the per-stage latency
-    /// histograms (cache hits are recorded too — their near-zero wall
-    /// times are exactly the point of the stage cache).
+    /// histograms.
     pub fn observe_stage(&self, record: &StageRecord) {
         if let Some(h) = self.stage_seconds.get(record.stage) {
             h.observe(record.wall);
-            let outcome = if record.cache_hit {
-                &self.stage_hits
-            } else {
-                &self.stage_misses
-            };
-            outcome.add(record.stage);
         }
-    }
-
-    /// Stage-cache hits recorded for one stage (test hook; the rendered
-    /// `tauhls_serve_stage_cache_hits_total` series carries the same
-    /// values).
-    pub fn stage_hit_count(&self, stage: &str) -> u64 {
-        self.stage_hits.count(stage)
     }
 
     /// Marks a job entering (`+1`) or leaving (`-1`) the worker pool.
@@ -485,16 +467,10 @@ impl Metrics {
     }
 
     /// Renders the Prometheus exposition text, folding in the response
-    /// cache's and stage cache's own counters, the queue's current depth,
+    /// cache's own counters, the queue's current depth,
     /// and the job gauges derived from the job table's `job_states`
     /// (pending = queued + backing off).
-    pub fn render(
-        &self,
-        cache: &Cache,
-        stages: &StageCache,
-        queue_depth: usize,
-        job_states: &[(&str, u64)],
-    ) -> String {
+    pub fn render(&self, cache: &Cache, queue_depth: usize, job_states: &[(&str, u64)]) -> String {
         let jobs_in = |states: &[JobState]| -> u64 {
             job_states
                 .iter()
@@ -513,9 +489,6 @@ impl Metrics {
             ("tauhls_serve_cache_evictions_total", counter(cache.eviction_count())),
             ("tauhls_serve_cache_bytes", gauge(cache.bytes())),
             ("tauhls_serve_cache_entries", gauge(cache.entries())),
-            ("tauhls_serve_stage_cache_hits_total", self.stage_hits.counter("stage")),
-            ("tauhls_serve_stage_cache_misses_total", self.stage_misses.counter("stage")),
-            ("tauhls_serve_stage_cache_entries", gauge(stages.entries())),
             ("tauhls_serve_queue_depth", gauge(queue_depth)),
             ("tauhls_serve_inflight_jobs", gauge(self.inflight())),
             ("tauhls_serve_worker_panics_total", counter(load(&self.panics))),
@@ -550,7 +523,6 @@ mod tests {
     fn render_exposes_every_family_with_values() {
         let m = Metrics::new();
         let cache = Cache::new(1024);
-        let stages = StageCache::new(16);
         m.count_request("simulate");
         m.count_request("simulate");
         m.count_request("/weird");
@@ -571,7 +543,7 @@ mod tests {
             input_hash: 1,
             output_hash: 2,
             wall: Duration::from_micros(5),
-            cache_hit: true,
+            cache_hit: false,
         });
         cache.insert("k".to_string(), "v".into());
         cache.get("k");
@@ -580,12 +552,7 @@ mod tests {
         m.count_job("submitted");
         m.count_job("completed");
         m.count_job("nonesuch"); // ignored
-        let text = m.render(
-            &cache,
-            &stages,
-            3,
-            &[("queued", 1), ("backoff", 2), ("running", 1)],
-        );
+        let text = m.render(&cache, 3, &[("queued", 1), ("backoff", 2), ("running", 1)]);
         for needle in [
             "tauhls_serve_requests_total{endpoint=\"simulate\"} 2",
             "tauhls_serve_requests_total{endpoint=\"other\"} 1",
@@ -608,10 +575,6 @@ mod tests {
             "tauhls_serve_uptime_seconds ",
             "tauhls_serve_events_total 0",
             "tauhls_serve_events_dropped_total 0",
-            "tauhls_serve_stage_cache_hits_total{stage=\"bind\"} 1",
-            "tauhls_serve_stage_cache_misses_total{stage=\"bind\"} 1",
-            "tauhls_serve_stage_cache_hits_total{stage=\"logic\"} 0",
-            "tauhls_serve_stage_cache_entries 0",
             "tauhls_serve_stage_seconds_count{stage=\"bind\"} 2",
             "tauhls_serve_jobs_total{event=\"submitted\"} 2",
             "tauhls_serve_jobs_total{event=\"completed\"} 1",
@@ -625,8 +588,6 @@ mod tests {
         // 2ms lands in every bucket from 4ms upward, not the 1ms one.
         assert!(text.contains("le=\"0.001\"} 0"));
         assert!(text.contains("{endpoint=\"simulate\",le=\"0.004\"} 1"));
-        assert_eq!(m.stage_hit_count("bind"), 1);
-        assert_eq!(m.stage_hit_count("nonesuch"), 0);
     }
 
     #[test]
@@ -662,7 +623,7 @@ mod tests {
             Some((EVENT_LOG_CAPACITY + 11) as u64),
             "sequence numbers are monotone over drops"
         );
-        let text = m.render(&Cache::new(1024), &StageCache::new(4), 0, &[]);
+        let text = m.render(&Cache::new(1024), 0, &[]);
         assert!(text.contains(&format!(
             "tauhls_serve_events_total {}",
             EVENT_LOG_CAPACITY + 11

@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tauhls_core::jobspec::{Endpoint, JobError, JobSpec};
-use tauhls_core::{partition, StageCache};
+use tauhls_core::partition;
 use tauhls_dfg::{canonical_wire, parse_wire_dfg, wire_hash};
 use tauhls_json::{Json, JsonRef};
 use tauhls_sim::{BatchRunner, CancelToken};
@@ -37,7 +37,6 @@ use crate::http::{read_request, write_response, HttpError, Request};
 use crate::jobs::{Executor, JobManager, JobResult, JobState, SubmitError};
 use crate::metrics::Metrics;
 use crate::queue::Queue;
-use crate::stagewarm::StageWarmer;
 
 /// How often the acceptor polls between accepts and stop checks.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
@@ -46,12 +45,10 @@ struct Shared {
     config: ServeConfig,
     queue: Queue<TcpStream>,
     cache: Arc<Cache>,
-    stages: Arc<StageCache>,
     metrics: Arc<Metrics>,
     cancel: CancelToken,
     stop: AtomicBool,
     jobs: JobManager,
-    warmer: Arc<StageWarmer>,
     cluster: Arc<Cluster>,
 }
 
@@ -71,21 +68,9 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let cache = Arc::new(Cache::new(config.cache_bytes));
-        let stages = Arc::new(StageCache::new(config.stage_cache_entries));
         let metrics = Arc::new(Metrics::new());
         let cancel = CancelToken::new();
         metrics.log_event(&format!("server starting on {addr}"));
-        // Warm the stage cache from the persisted spec journal before the
-        // job manager replays its own journal, so recovered synthesis
-        // jobs immediately land on warm stages.
-        let warmer = Arc::new(StageWarmer::open(config.data_dir.as_deref()));
-        if config.data_dir.is_some() {
-            let warm = warmer.warm(&stages);
-            metrics.log_event(&format!(
-                "stage cache warmed: {} specs replayed, {} journal lines dropped",
-                warm.replayed, warm.dropped
-            ));
-        }
         let cluster = build_cluster(&config, addr, &metrics)?;
         let jobs = match &cluster.coordinator {
             Some(_) => {
@@ -94,18 +79,14 @@ impl Server {
                 // the coordinator somehow vanished (it cannot).
                 let cluster = Arc::clone(&cluster);
                 let executor: Executor =
-                    Arc::new(
-                        move |spec, runner, stages| match cluster.coordinator.as_ref() {
-                            Some(c) => c.execute(spec, runner, stages),
-                            None => spec.run_with(runner, stages),
-                        },
-                    );
+                    Arc::new(move |spec, runner| match cluster.coordinator.as_ref() {
+                        Some(c) => c.execute(spec, runner),
+                        None => spec.run_with(runner, None),
+                    });
                 JobManager::start_with(
                     &config,
                     Arc::clone(&metrics),
                     Arc::clone(&cache),
-                    Arc::clone(&stages),
-                    Arc::clone(&warmer),
                     cancel.clone(),
                     executor,
                 )?
@@ -114,8 +95,6 @@ impl Server {
                 &config,
                 Arc::clone(&metrics),
                 Arc::clone(&cache),
-                Arc::clone(&stages),
-                Arc::clone(&warmer),
                 cancel.clone(),
             )?,
         };
@@ -128,12 +107,10 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Queue::new(config.queue_capacity),
             cache,
-            stages,
             metrics,
             cancel,
             stop: AtomicBool::new(false),
             jobs,
-            warmer,
             cluster,
             config,
         });
@@ -607,7 +584,6 @@ fn route(shared: &Shared, request: &Request) -> Answer {
         ("GET", "/metrics") => {
             let mut text = shared.metrics.render(
                 &shared.cache,
-                &shared.stages,
                 shared.queue.depth(),
                 &shared.jobs.state_counts(),
             );
@@ -720,8 +696,8 @@ fn handle_job(shared: &Shared, endpoint: Endpoint, raw_body: &[u8]) -> Answer {
     // Coordinator-mode servers shard the work across their workers; the
     // merged body is byte-identical to the local run either way.
     let outcome = match &shared.cluster.coordinator {
-        Some(coordinator) => coordinator.execute(&spec, &runner, Some(&shared.stages)),
-        None => spec.run_with(&runner, Some(&shared.stages)),
+        Some(coordinator) => coordinator.execute(&spec, &runner),
+        None => spec.run_with(&runner, None),
     };
     let (json, records) = outcome.map_err(|e| match e {
         JobError::Cancelled => busy(shared, "job cancelled during shutdown"),
@@ -737,7 +713,6 @@ fn handle_job(shared: &Shared, endpoint: Endpoint, raw_body: &[u8]) -> Answer {
         shared.metrics.observe_stage(record);
     }
     shared.cache.insert(key, Arc::clone(&body));
-    shared.warmer.record(&spec);
     Ok(Reply::json(200, body).with("X-Cache", "miss"))
 }
 
@@ -773,14 +748,13 @@ fn handle_cluster_partition(shared: &Shared, raw_body: &[u8]) -> Answer {
     }
     let started = Instant::now();
     let runner = BatchRunner::sized(shared.config.sim_threads).with_cancel(shared.cancel.clone());
-    let (json, records) =
-        partition::run_part(&spec, part, &runner, Some(&shared.stages)).map_err(|e| match e {
-            JobError::Cancelled => {
-                Reply::error(503, "partition cancelled during shutdown").with("Retry-After", "1")
-            }
-            JobError::Invalid(m) => bad(format!("invalid partition: {m}")),
-            JobError::Failed(m) => Reply::error(500, &format!("partition failed: {m}")),
-        })?;
+    let (json, records) = partition::run_part(&spec, part, &runner, None).map_err(|e| match e {
+        JobError::Cancelled => {
+            Reply::error(503, "partition cancelled during shutdown").with("Retry-After", "1")
+        }
+        JobError::Invalid(m) => bad(format!("invalid partition: {m}")),
+        JobError::Failed(m) => Reply::error(500, &format!("partition failed: {m}")),
+    })?;
     let reply = Reply::compact(200, &json);
     shared.metrics.count_cluster("served");
     shared.metrics.observe_latency("cluster", started.elapsed());
@@ -834,7 +808,7 @@ fn handle_cluster_membership(shared: &Shared, raw_body: &[u8], heartbeat: bool) 
 
 /// `GET /v1/status`: one compact JSON snapshot of the live service —
 /// uptime, queue/inflight gauges, the job table by lifecycle state,
-/// both cache populations, and the most recent operational events.
+/// the response cache's population, and the most recent operational events.
 /// Unlike `/metrics` this is meant for humans and scripts (`jq`), not
 /// scrapers, so it answers `application/json` and nests.
 fn handle_status(shared: &Shared) -> Reply {
@@ -846,26 +820,16 @@ fn handle_status(shared: &Shared) -> Reply {
             .map(|(state, n)| (state, Json::from(n)))
             .collect::<Vec<_>>(),
     );
-    let caches = Json::object([
-        (
-            "response",
-            Json::object([
-                ("entries", Json::from(shared.cache.entries())),
-                ("bytes", Json::from(shared.cache.bytes())),
-                ("hits", Json::from(shared.cache.hit_count())),
-                ("misses", Json::from(shared.cache.miss_count())),
-                ("evictions", Json::from(shared.cache.eviction_count())),
-            ]),
-        ),
-        (
-            "stages",
-            Json::object([
-                ("entries", Json::from(shared.stages.entries())),
-                ("hits", Json::from(shared.stages.hit_count())),
-                ("misses", Json::from(shared.stages.miss_count())),
-            ]),
-        ),
-    ]);
+    let caches = Json::object([(
+        "response",
+        Json::object([
+            ("entries", Json::from(shared.cache.entries())),
+            ("bytes", Json::from(shared.cache.bytes())),
+            ("hits", Json::from(shared.cache.hit_count())),
+            ("misses", Json::from(shared.cache.miss_count())),
+            ("evictions", Json::from(shared.cache.eviction_count())),
+        ]),
+    )]);
     let events = Json::Array(
         shared
             .metrics
@@ -1106,22 +1070,12 @@ mod tests {
     /// pipeline when `None`).
     fn shared_running(config: ServeConfig, executor: Option<Executor>) -> Shared {
         let cache = Arc::new(Cache::new(1 << 20));
-        let stages = Arc::new(StageCache::new(64));
         let metrics = Arc::new(Metrics::new());
         let cancel = CancelToken::new();
-        let warmer = Arc::new(StageWarmer::open(None));
-        let parts = (
-            Arc::clone(&metrics),
-            Arc::clone(&cache),
-            Arc::clone(&stages),
-            Arc::clone(&warmer),
-            cancel.clone(),
-        );
+        let parts = (Arc::clone(&metrics), Arc::clone(&cache), cancel.clone());
         let jobs = match executor {
-            Some(executor) => JobManager::start_with(
-                &config, parts.0, parts.1, parts.2, parts.3, parts.4, executor,
-            ),
-            None => JobManager::start(&config, parts.0, parts.1, parts.2, parts.3, parts.4),
+            Some(executor) => JobManager::start_with(&config, parts.0, parts.1, parts.2, executor),
+            None => JobManager::start(&config, parts.0, parts.1, parts.2),
         }
         .expect("job manager");
         let registry = Arc::new(WorkerRegistry::new());
@@ -1130,12 +1084,10 @@ mod tests {
             config,
             queue: Queue::new(4),
             cache,
-            stages,
             metrics,
             cancel,
             stop: AtomicBool::new(false),
             jobs,
-            warmer,
             cluster: Arc::new(Cluster {
                 role: Role::Single,
                 registry,
@@ -1215,32 +1167,33 @@ mod tests {
     }
 
     #[test]
-    fn synth_requests_share_the_stage_cache_across_encodings() {
+    fn synth_requests_hit_the_response_cache_and_time_every_stage() {
         let sh = shared();
+        let body = |r: &str| r.split("\r\n\r\n").nth(1).map(String::from);
         let cold = drive(&sh, &post("/v1/synth", r#"{"dfg":"fir3"}"#));
         assert!(cold.contains("X-Cache: miss"), "{cold}");
         assert!(cold.contains("\"controllers\""), "{cold}");
-        assert_eq!(sh.metrics.stage_hit_count("bind"), 0);
-        // Different encoding: the response cache misses, but the graph /
-        // order / bind / controller stages are served from the stage cache.
-        let gray = drive(
+        // A respelled spec is the same content address: a byte-identical hit.
+        let respelled = drive(
             &sh,
-            &post("/v1/synth", r#"{"dfg":"fir3","encoding":"gray"}"#),
+            &post("/v1/synth", r#"{"encoding":"binary","dfg":"fir3"}"#),
         );
+        assert!(respelled.contains("X-Cache: hit"), "{respelled}");
+        assert_eq!(body(&respelled), body(&cold));
+        // A different encoding is a new job, answered with the offline body.
+        let spec = r#"{"dfg":"fir3","encoding":"gray"}"#;
+        let gray = drive(&sh, &post("/v1/synth", spec));
         assert!(gray.contains("X-Cache: miss"), "{gray}");
-        for stage in ["canonicalize", "order", "bind", "controllers"] {
-            assert_eq!(sh.metrics.stage_hit_count(stage), 1, "{stage}");
-        }
-        assert_eq!(sh.metrics.stage_hit_count("logic"), 0);
-        // An area request over the same design reuses the whole front too.
-        let area = drive(&sh, &post("/v1/area", r#"{"dfg":"fir3","width":32}"#));
-        assert!(area.contains("\"system\""), "{area}");
-        assert_eq!(sh.metrics.stage_hit_count("bind"), 2);
+        let offline = JobSpec::from_json(Endpoint::Synth, &Json::parse(spec).expect("json"))
+            .and_then(|s| s.run(&BatchRunner::serial()))
+            .expect("offline synth");
+        assert_eq!(body(&gray), Some(offline.to_pretty()));
+        // Both misses ran the whole pipeline; the hit ran none of it.
         let metrics = drive(&sh, "GET /metrics HTTP/1.1\r\n\r\n");
-        assert!(
-            metrics.contains("tauhls_serve_stage_cache_hits_total{stage=\"bind\"} 2"),
-            "{metrics}"
-        );
+        for stage in tauhls_core::stages::STAGE_NAMES {
+            let needle = format!("tauhls_serve_stage_seconds_count{{stage=\"{stage}\"}} 2");
+            assert!(metrics.contains(&needle), "missing {needle}: {metrics}");
+        }
         assert!(
             metrics.contains("tauhls_serve_request_seconds_count{endpoint=\"synth\"} 2"),
             "{metrics}"
@@ -1261,7 +1214,7 @@ mod tests {
             "\"queued\"",
             "\"running\"",
             "\"caches\"",
-            "\"stages\"",
+            "\"response\"",
             "test event one",
         ] {
             assert!(status.contains(needle), "missing {needle}: {status}");
@@ -1583,7 +1536,7 @@ mod tests {
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, outcomes) = std::sync::mpsc::channel::<Result<(), JobError>>();
         let outcomes = std::sync::Mutex::new(outcomes);
-        let executor: Executor = Arc::new(move |_, _, _| {
+        let executor: Executor = Arc::new(move |_, _| {
             let _ = entered_tx.send(());
             let outcome = outcomes
                 .lock()
@@ -1665,13 +1618,13 @@ mod tests {
             m.observe_latency(endpoint, Duration::from_micros(300 << (2 * i)));
         }
         for (i, stage) in tauhls_core::stages::STAGE_NAMES.iter().enumerate() {
-            for hit in [false, true, true] {
+            for _ in 0..3 {
                 m.observe_stage(&tauhls_core::StageRecord {
                     stage,
                     input_hash: 1,
                     output_hash: 2,
                     wall: Duration::from_micros(700 << (2 * i)),
-                    cache_hit: hit,
+                    cache_hit: false,
                 });
             }
         }

@@ -79,8 +79,6 @@
 //!   --workers N                  job worker threads (default 4)
 //!   --queue N                    job queue capacity (default 64)
 //!   --cache-mb N                 response cache budget in MiB (default 32)
-//!   --stage-cache N              synthesis stage-cache entries (default
-//!                                256; 0 disables)
 //!   --threads N                  simulation threads per job (default: all)
 //!   --data-dir PATH              durable job store (journal + artifacts;
 //!                                replayed on restart; default: memory only)
@@ -135,7 +133,7 @@ fn usage() -> ExitCode {
          [--trials N] [--width N] [--seed N] [--threads N]\
          \n       tauhls dfg <validate|dot|convert> <file>\
          \n       tauhls serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--cache-mb N] [--stage-cache N] [--threads N] [--data-dir PATH] \
+         [--cache-mb N] [--threads N] [--data-dir PATH] \
          [--job-workers N] [--job-queue N] [--max-attempts N] [--backoff-ms N] \
          [--rate R] [--burst B] [--max-pending N] \
          [--coordinator] [--workers-file PEERS.json] [--worker-of HOST:PORT] \
@@ -561,11 +559,6 @@ fn parse_serve_options(args: &[String]) -> Result<ServeConfig, String> {
             "--cache-mb" => {
                 let mb: usize = value()?.parse().map_err(|e| format!("--cache-mb: {e}"))?;
                 config.cache_bytes = mb * 1024 * 1024;
-            }
-            "--stage-cache" => {
-                config.stage_cache_entries = value()?
-                    .parse()
-                    .map_err(|e| format!("--stage-cache: {e}"))?
             }
             "--threads" => {
                 config.sim_threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
@@ -1156,18 +1149,22 @@ mod tests {
     #[test]
     fn serve_options_parse_and_reject() {
         let c = parse_serve_options(&args(
-            "--addr 0.0.0.0:9000 --workers 2 --queue 8 --cache-mb 4 --stage-cache 16 --threads 1",
+            "--addr 0.0.0.0:9000 --workers 2 --queue 8 --cache-mb 4 --threads 1",
         ))
         .unwrap();
         assert_eq!(c.addr, "0.0.0.0:9000");
         assert_eq!((c.workers, c.queue_capacity), (2, 8));
         assert_eq!(c.cache_bytes, 4 * 1024 * 1024);
-        assert_eq!(c.stage_cache_entries, 16);
         assert_eq!(c.sim_threads, Some(1));
         assert!(parse_serve_options(&args("--workers")).is_err());
         assert!(parse_serve_options(&args("--cache-mb x")).is_err());
-        assert!(parse_serve_options(&args("--stage-cache x")).is_err());
         assert!(parse_serve_options(&args("--wat 1")).is_err());
+        assert_eq!(
+            parse_serve_options(&args("--stage-cache 16"))
+                .err()
+                .as_deref(),
+            Some("unknown serve option --stage-cache")
+        );
     }
 
     #[test]

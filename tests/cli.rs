@@ -463,8 +463,9 @@ fn resilience_happy_path_emits_deterministic_json() {
 fn cli_rejects_what_the_service_rejects_with_its_message() {
     use tauhls::core::jobspec::{Endpoint, JobSpec};
     use tauhls_json::Json;
-    let dfg_text = std::fs::read_to_string(example_dfg()).unwrap();
-    for (cmd, endpoint, flag, value, field) in [
+    let malformed = scratch_dir().join("malformed.dfg");
+    std::fs::write(&malformed, "@#$").unwrap();
+    let rows = [
         (
             "simulate",
             Endpoint::Simulate,
@@ -528,12 +529,27 @@ fn cli_rejects_what_the_service_rejects_with_its_message() {
             "0.75,0.75",
             ("sd_ld", Json::array([Json::Float(0.75), Json::Float(0.75)])),
         ),
-    ] {
+    ];
+    // A malformed graph file is reported before the bad flag, as the
+    // service reports a malformed `dfg_text` before a later field.
+    let bad_graph = (
+        (
+            "simulate",
+            Endpoint::Simulate,
+            "--muls",
+            "65",
+            ("muls", Json::from(65u64)),
+        ),
+        malformed.to_str().unwrap(),
+    );
+    let cases = rows.into_iter().map(|row| (row, example_dfg()));
+    for ((cmd, endpoint, flag, value, field), file) in cases.chain([bad_graph]) {
         let mut pairs = vec![field];
         let mut args = vec![cmd];
         if endpoint != Endpoint::Table2 {
+            let dfg_text = std::fs::read_to_string(file).unwrap();
             pairs.push(("dfg_text", Json::from(dfg_text.as_str())));
-            args.push(example_dfg());
+            args.push(file);
         }
         let want = JobSpec::from_json(endpoint, &Json::object(pairs))
             .expect_err("the service rejects this spec")

@@ -1,7 +1,7 @@
 //! End-to-end tests for first-class DFG ingestion: inline wire-format
 //! graphs through the synchronous endpoints, the validator, the
-//! design-space explorer (sync, async + kill -9 recovery, CLI), the
-//! live-status endpoint, and stage-cache warm-up across restarts.
+//! design-space explorer (sync, async + kill -9 recovery, CLI), and the
+//! live-status endpoint.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -42,14 +42,13 @@ impl Drop for TempDir {
     }
 }
 
-fn start_server(sim_threads: Option<usize>, data_dir: Option<&Path>) -> Server {
+fn start_server(sim_threads: Option<usize>) -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         sim_threads,
         job_workers: 1,
         job_backoff_base: Duration::from_millis(5),
-        data_dir: data_dir.map(Path::to_path_buf),
         ..ServeConfig::default()
     })
     .expect("bind ephemeral port")
@@ -122,7 +121,7 @@ fn spawn_serve(data_dir: &Path) -> (Child, String) {
 
 #[test]
 fn inline_wire_dfgs_run_on_every_sync_endpoint_and_canonicalize() {
-    let server = start_server(Some(1), None);
+    let server = start_server(Some(1));
     let addr = server.local_addr().to_string();
 
     // Simulate with an inline graph: 200, and the canonical echo holds
@@ -175,7 +174,7 @@ fn inline_wire_dfgs_run_on_every_sync_endpoint_and_canonicalize() {
 
 #[test]
 fn dfg_validate_and_status_round_trip_over_http() {
-    let server = start_server(Some(1), None);
+    let server = start_server(Some(1));
     let addr = server.local_addr().to_string();
 
     let ok = post(&addr, "/v1/dfg/validate", AXPY_WIRE);
@@ -237,7 +236,7 @@ fn explore_frontier_is_thread_count_invariant_and_kill9_durable() {
     );
 
     // Reference frontier from a single-threaded in-process server.
-    let server = start_server(Some(1), None);
+    let server = start_server(Some(1));
     let addr = server.local_addr().to_string();
     let serial = post(&addr, "/v1/dfg/explore", &explore_spec);
     assert_eq!(serial.status, 200, "{}", serial.body);
@@ -245,7 +244,7 @@ fn explore_frontier_is_thread_count_invariant_and_kill9_durable() {
     server.shutdown();
 
     // Same spec on a 4-thread server: byte-identical body.
-    let server = start_server(Some(4), None);
+    let server = start_server(Some(4));
     let addr = server.local_addr().to_string();
     let threaded = post(&addr, "/v1/explore", &explore_spec);
     assert_eq!(threaded.status, 200);
@@ -295,51 +294,6 @@ fn explore_frontier_is_thread_count_invariant_and_kill9_durable() {
 }
 
 #[test]
-fn stage_cache_warms_from_the_journal_across_restarts() {
-    let dir = TempDir::new("stagewarm");
-
-    let server = start_server(Some(1), Some(dir.path()));
-    let addr = server.local_addr().to_string();
-    let cold = post(&addr, "/v1/synth", r#"{"dfg":"fir5"}"#);
-    assert_eq!(cold.status, 200, "{}", cold.body);
-    server.shutdown();
-    assert!(
-        dir.path().join("stage_warm.journal").exists(),
-        "synth run did not journal its spec"
-    );
-
-    // Restart: the warmer replays the journalled spec, so the very first
-    // synth request hits every pipeline stage.
-    let server = start_server(Some(1), Some(dir.path()));
-    let addr = server.local_addr().to_string();
-    let metrics = client::request(&addr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
-    assert!(
-        !metrics.body.contains("tauhls_serve_stage_cache_entries 0"),
-        "stage cache still cold after restart:\n{}",
-        metrics.body
-    );
-    let warm = post(&addr, "/v1/synth", r#"{"dfg":"fir5"}"#);
-    assert_eq!(warm.status, 200);
-    assert_eq!(warm.body, cold.body, "warm synth body diverged");
-    let metrics = client::request(&addr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
-    assert!(
-        metrics
-            .body
-            .contains("tauhls_serve_stage_cache_hits_total{stage=\"logic\"} 1"),
-        "first post-restart synth missed the warmed stages:\n{}",
-        metrics.body
-    );
-    // The status event log records the warm-up.
-    let status = client::request(&addr, "GET", "/v1/status", None, TIMEOUT).expect("status");
-    assert!(
-        status.body.contains("stage cache warmed"),
-        "{}",
-        status.body
-    );
-    server.shutdown();
-}
-
-#[test]
 fn explore_cli_matches_the_service_and_dfg_verbs_work() {
     let dir = TempDir::new("cli");
     let wire_file = dir.path().join("axpy.json");
@@ -372,7 +326,7 @@ fn explore_cli_matches_the_service_and_dfg_verbs_work() {
     );
     let printed = String::from_utf8(output.stdout).expect("utf-8 explore output");
 
-    let server = start_server(Some(2), None);
+    let server = start_server(Some(2));
     let addr = server.local_addr().to_string();
     let served = post(
         &addr,

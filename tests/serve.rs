@@ -7,7 +7,11 @@ use std::process::{Command, Stdio};
 use std::thread;
 use std::time::Duration;
 
+use tauhls::core::jobspec::{Endpoint, JobSpec};
+use tauhls::core::stages::STAGE_NAMES;
 use tauhls::serve::{client, ServeConfig, Server};
+use tauhls::sim::BatchRunner;
+use tauhls_json::Json;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -75,19 +79,15 @@ fn concurrent_cache_hits_are_byte_identical_to_the_cold_run() {
 }
 
 #[test]
-fn synth_reuses_cached_stage_prefix_across_encodings() {
+fn synth_respelled_specs_hit_and_new_encodings_match_the_offline_run() {
     let server = start(2, 64);
     let addr = server.local_addr().to_string();
+    let synth = |spec: &str| {
+        client::request(&addr, "POST", "/v1/synth", Some(spec), TIMEOUT).expect("synth")
+    };
 
-    // Cold run: every stage executes (6 stage-cache misses).
-    let cold = client::request(
-        &addr,
-        "POST",
-        "/v1/synth",
-        Some(r#"{"dfg":"fir3","encoding":"binary"}"#),
-        TIMEOUT,
-    )
-    .expect("cold synth");
+    // Cold run: every stage executes.
+    let cold = synth(r#"{"dfg":"fir3","encoding":"binary"}"#);
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert_eq!(cold.header("x-cache"), Some("miss"));
     assert!(cold.body.contains("\"stages\""), "{}", cold.body);
@@ -96,49 +96,31 @@ fn synth_reuses_cached_stage_prefix_across_encodings() {
     // A different spelling of the same spec is a response-cache hit:
     // byte-identical to the cold run (this is what `tauhls call synth`
     // observes), and it never touches the stage pipeline.
-    let respelled = client::request(
-        &addr,
-        "POST",
-        "/v1/synth",
-        Some(r#"{"encoding":"binary","dfg":"fir3"}"#),
-        TIMEOUT,
-    )
-    .expect("respelled synth");
+    let respelled = synth(r#"{"encoding":"binary","dfg":"fir3"}"#);
     assert_eq!(respelled.header("x-cache"), Some("hit"));
     assert_eq!(respelled.body, cold.body, "hot body diverged from cold run");
 
-    // Changing only the encoding is a new response, but the encoding
-    // enters the pipeline at the logic stage — canonicalize, order, bind
-    // and controllers are all served from the stage cache.
-    let gray = client::request(
-        &addr,
-        "POST",
-        "/v1/synth",
-        Some(r#"{"dfg":"fir3","encoding":"gray"}"#),
-        TIMEOUT,
-    )
-    .expect("gray synth");
+    // Changing only the encoding is a new response: the server reruns the
+    // pipeline and answers exactly what the same spec answers offline.
+    let gray_spec = r#"{"dfg":"fir3","encoding":"gray"}"#;
+    let gray = synth(gray_spec);
     assert_eq!(gray.header("x-cache"), Some("miss"));
     assert_ne!(gray.body, cold.body);
+    let offline = JobSpec::from_json(Endpoint::Synth, &Json::parse(gray_spec).expect("json"))
+        .and_then(|spec| spec.run(&BatchRunner::serial()))
+        .expect("offline synth");
+    assert_eq!(gray.body, offline.to_pretty());
 
+    // Both misses ran every stage; the hit ran none.
     let metrics = client::request(&addr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
-    for needle in [
-        // The front of the pipeline ran once (cold) and was reused once.
-        "tauhls_serve_stage_cache_hits_total{stage=\"canonicalize\"} 1",
-        "tauhls_serve_stage_cache_hits_total{stage=\"order\"} 1",
-        "tauhls_serve_stage_cache_hits_total{stage=\"bind\"} 1",
-        "tauhls_serve_stage_cache_hits_total{stage=\"controllers\"} 1",
-        // The encoding-dependent tail ran in both jobs.
-        "tauhls_serve_stage_cache_hits_total{stage=\"logic\"} 0",
-        "tauhls_serve_stage_cache_misses_total{stage=\"logic\"} 2",
-        "tauhls_serve_stage_cache_misses_total{stage=\"canonicalize\"} 1",
-        // Latency histograms cover every executed stage.
-        "tauhls_serve_stage_seconds_count{stage=\"bind\"} 2",
-        "tauhls_serve_stage_seconds_count{stage=\"logic\"} 2",
-        "tauhls_serve_request_seconds_count{endpoint=\"synth\"} 2",
-    ] {
+    let mut needles: Vec<String> = STAGE_NAMES
+        .iter()
+        .map(|stage| format!("tauhls_serve_stage_seconds_count{{stage=\"{stage}\"}} 2"))
+        .collect();
+    needles.push("tauhls_serve_request_seconds_count{endpoint=\"synth\"} 2".to_string());
+    for needle in needles {
         assert!(
-            metrics.body.contains(needle),
+            metrics.body.contains(&needle),
             "missing {needle}:\n{}",
             metrics.body
         );
