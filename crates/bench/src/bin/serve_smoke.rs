@@ -6,22 +6,22 @@
 //! cold (cache-miss) and hot (cache-hit) request throughput with the
 //! std-only HTTP client, scrapes `/metrics`, and writes the numbers to
 //! `BENCH_serve.json`. Without an argument it runs the same measurement
-//! against an in-process [`Server`] (handy for local iteration).
+//! against an in-process [`tauhls_serve::Server`] (handy for local
+//! iteration).
 //!
 //! CI runs this as the `serve-smoke` job; like `kernel_smoke` it is a
 //! regression canary plus a trend artifact, not a calibrated benchmark.
 //!
 //! Usage: `serve_smoke [path/to/tauhls]`
 
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use tauhls_bench::serve::{cli_round_trip, metric, post, start, stop, Instance, TIMEOUT};
 use tauhls_json::Json;
-use tauhls_serve::{client, ServeConfig, Server};
+use tauhls_serve::{client, ServeConfig};
 
-const TIMEOUT: Duration = Duration::from_secs(120);
 /// Distinct specs for the cold pass — every request simulates.
 const COLD_JOBS: u64 = 16;
 /// Replays of one spec for the sequential hot pass — every request hits.
@@ -36,106 +36,19 @@ fn spec(seed: u64) -> String {
     format!(r#"{{"dfg":"fir3","trials":200,"p":[0.5],"seed":{seed}}}"#)
 }
 
-enum Instance {
-    Spawned(Child),
-    InProcess(Server),
-}
-
-fn start(binary: Option<&str>, data_dir: &std::path::Path) -> (Instance, String) {
+/// Starts the measured server: four connection workers, journalling
+/// into `data_dir`.
+fn start_server(binary: Option<&str>, data_dir: &Path) -> (Instance, String) {
     let dir = data_dir.to_str().expect("utf-8 temp path");
-    match binary {
-        Some(bin) => {
-            let mut child = Command::new(bin)
-                .args([
-                    "serve",
-                    "--addr",
-                    "127.0.0.1:0",
-                    "--workers",
-                    "4",
-                    "--data-dir",
-                    dir,
-                ])
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn tauhls serve");
-            let mut banner = String::new();
-            std::io::BufReader::new(child.stdout.take().expect("stdout piped"))
-                .read_line(&mut banner)
-                .expect("read banner");
-            let addr = banner
-                .trim()
-                .strip_prefix("listening on ")
-                .expect("banner format")
-                .to_string();
-            (Instance::Spawned(child), addr)
-        }
-        None => {
-            let server = Server::start(ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                data_dir: Some(data_dir.to_path_buf()),
-                ..ServeConfig::default()
-            })
-            .expect("bind ephemeral port");
-            let addr = server.local_addr().to_string();
-            (Instance::InProcess(server), addr)
-        }
-    }
-}
-
-fn stop(instance: Instance) {
-    match instance {
-        Instance::Spawned(mut child) => {
-            let killed = Command::new("kill")
-                .args(["-TERM", &child.id().to_string()])
-                .status()
-                .expect("send SIGTERM");
-            assert!(killed.success(), "kill -TERM failed");
-            let status = child.wait().expect("wait for server");
-            assert!(status.success(), "server exited non-zero: {status:?}");
-        }
-        Instance::InProcess(server) => server.shutdown(),
-    }
-}
-
-/// Exercises the scripting client once per endpoint kind — the smoke
-/// half of the job: `tauhls call` must round-trip against a live server.
-fn drive_with_cli(bin: &str, addr: &str) {
-    let dir = std::env::temp_dir().join("tauhls-serve-smoke");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let spec_path = dir.join("spec.json");
-    std::fs::write(&spec_path, spec(1)).expect("write spec file");
-    let spec_arg = spec_path.to_str().expect("utf-8 temp path");
-    for args in [
-        vec!["call", "healthz", "--addr", addr],
-        vec!["call", "simulate", spec_arg, "--addr", addr],
-        vec!["call", "metrics", "--addr", addr],
-    ] {
-        let out = Command::new(bin)
-            .args(&args)
-            .output()
-            .expect("run tauhls call");
-        assert!(
-            out.status.success(),
-            "tauhls {args:?} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    println!("tauhls call healthz/simulate/metrics: ok");
+    let config = ServeConfig {
+        data_dir: Some(data_dir.to_path_buf()),
+        ..ServeConfig::default()
+    };
+    start(binary, &["--workers", "4", "--data-dir", dir], config)
 }
 
 fn simulate(addr: &str, body: &str, want_cache: &str) {
-    let r = client::request(addr, "POST", "/v1/simulate", Some(body), TIMEOUT)
-        .expect("simulate response");
-    assert_eq!(r.status, 200, "{}", r.body);
-    assert_eq!(r.header("x-cache"), Some(want_cache), "for spec {body}");
-}
-
-/// Reads one un-labelled (or fully-labelled) sample value; `prefix` must
-/// include everything up to the value, e.g. `"tauhls_serve_trials_total "`.
-fn metric(text: &str, prefix: &str) -> f64 {
-    text.lines()
-        .find_map(|line| line.strip_prefix(prefix)?.trim().parse::<f64>().ok())
-        .unwrap_or_else(|| panic!("metric {prefix:?} missing from /metrics"))
+    post(addr, "/v1/simulate", body, want_cache);
 }
 
 /// Submits one async job, returning its id.
@@ -185,48 +98,17 @@ fn cluster_spec() -> String {
 /// coordinator over the listed workers otherwise. Single-threaded
 /// simulation so the 1-vs-3-worker comparison measures sharding, not
 /// the in-process thread pool.
-fn start_node(binary: Option<&str>, peers: Option<&std::path::Path>) -> (Instance, String) {
-    match binary {
-        Some(bin) => {
-            let mut args = vec![
-                "serve".to_string(),
-                "--addr".to_string(),
-                "127.0.0.1:0".to_string(),
-                "--threads".to_string(),
-                "1".to_string(),
-            ];
-            if let Some(path) = peers {
-                args.push("--workers-file".to_string());
-                args.push(path.to_str().expect("utf-8 peers path").to_string());
-            }
-            let mut child = Command::new(bin)
-                .args(&args)
-                .stdout(Stdio::piped())
-                .spawn()
-                .expect("spawn cluster node");
-            let mut banner = String::new();
-            std::io::BufReader::new(child.stdout.take().expect("stdout piped"))
-                .read_line(&mut banner)
-                .expect("read banner");
-            let addr = banner
-                .trim()
-                .strip_prefix("listening on ")
-                .expect("banner format")
-                .to_string();
-            (Instance::Spawned(child), addr)
-        }
-        None => {
-            let server = Server::start(ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                sim_threads: Some(1),
-                workers_file: peers.map(std::path::Path::to_path_buf),
-                ..ServeConfig::default()
-            })
-            .expect("bind cluster node");
-            let addr = server.local_addr().to_string();
-            (Instance::InProcess(server), addr)
-        }
+fn start_node(binary: Option<&str>, peers: Option<&Path>) -> (Instance, String) {
+    let mut flags = vec!["--threads", "1"];
+    if let Some(path) = peers {
+        flags.extend(["--workers-file", path.to_str().expect("utf-8 peers path")]);
     }
+    let config = ServeConfig {
+        sim_threads: Some(1),
+        workers_file: peers.map(Path::to_path_buf),
+        ..ServeConfig::default()
+    };
+    start(binary, &flags, config)
 }
 
 /// Runs the cluster batch through a fresh coordinator over `workers`
@@ -234,7 +116,7 @@ fn start_node(binary: Option<&str>, peers: Option<&std::path::Path>) -> (Instanc
 /// requeue recovery); returns (elapsed, merged body).
 fn cluster_batch(
     binary: Option<&str>,
-    dir: &std::path::Path,
+    dir: &Path,
     worker_count: usize,
     with_dead_worker: bool,
 ) -> (Duration, String) {
@@ -277,10 +159,11 @@ fn main() {
     let data_dir = std::env::temp_dir().join(format!("tauhls-serve-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
     std::fs::create_dir_all(&data_dir).expect("create data dir");
-    let (instance, addr) = start(binary.as_deref(), &data_dir);
+    let (instance, addr) = start_server(binary.as_deref(), &data_dir);
     println!("server at {addr}");
     if let Some(bin) = binary.as_deref() {
-        drive_with_cli(bin, &addr);
+        let endpoints = ["healthz", "simulate", "metrics"];
+        cli_round_trip(bin, &addr, "tauhls-serve-smoke", &spec(1), &endpoints);
     }
 
     // Cold pass: distinct seeds, so every request runs the simulation.
@@ -355,7 +238,7 @@ fn main() {
     // replay plus artifact re-verification, then confirm a recovered
     // job's result is served from disk without recomputation.
     let replay_start = Instant::now();
-    let (instance, addr) = start(binary.as_deref(), &data_dir);
+    let (instance, addr) = start_server(binary.as_deref(), &data_dir);
     let replay_elapsed = replay_start.elapsed();
     let recovered = await_job(&addr, &ids[0]);
     assert!(recovered.contains("\"spec\""), "{recovered}");

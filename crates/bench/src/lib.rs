@@ -24,6 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod serve;
+
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 

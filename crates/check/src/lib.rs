@@ -111,11 +111,7 @@ impl Gen {
 /// The property name participates so distinct properties in one test
 /// binary explore different spaces.
 pub fn case_seed(name: &str, case: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the name
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = tauhls_dfg::Fnv64::of(name.as_bytes());
     splitmix64_mix(splitmix64_mix(h) ^ case)
 }
 

@@ -54,56 +54,9 @@ pub const STAGE_NAMES: [&str; 6] = [
 // Content hashing
 // ---------------------------------------------------------------------------
 
-/// Incremental 64-bit FNV-1a hasher over a canonical byte encoding.
-///
-/// Deliberately *not* `std::hash::Hasher`: the std trait is allowed to vary
-/// across releases/platforms, while artifact hashes must be stable enough
-/// to serve as cross-process cache keys and golden-file fingerprints.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a `usize` widened to `u64` (stable across word sizes).
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Absorbs a length-prefixed UTF-8 string (the prefix prevents
-    /// concatenation ambiguity between adjacent fields).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The content hasher every artifact hash, cache key and job id uses
+/// (64-bit FNV-1a; defined beside the wire hash in `tauhls-dfg`).
+pub use tauhls_dfg::Fnv64;
 
 fn hash_operand(h: &mut Fnv64, o: Operand) {
     match o {

@@ -42,6 +42,7 @@ mod analysis;
 pub mod benchmarks;
 mod dot;
 mod graph;
+mod hash;
 mod random;
 mod source;
 mod taubm;
@@ -53,6 +54,7 @@ pub use dot::to_dot;
 pub use graph::{
     Dfg, DfgBuilder, DfgError, InputId, OpId, OpKind, Operand, Operation, ResourceClass,
 };
+pub use hash::Fnv64;
 pub use random::{random_dfg, RandomDfgParams};
 pub use source::{DfgRegistry, DfgSource};
 pub use taubm::{TaubmDfg, TaubmStep};

@@ -106,12 +106,7 @@ pub fn valid_wire_id(s: &str) -> bool {
 /// FNV-1a 64 over `text` — the content hash `/v1/dfg/validate` reports
 /// for a canonical wire rendering.
 pub fn wire_hash(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    crate::Fnv64::of(text.as_bytes())
 }
 
 #[derive(Clone, Copy, PartialEq)]

@@ -17,17 +17,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-const NUM_SHARDS: usize = 16;
+use tauhls_dfg::Fnv64;
 
-/// FNV-1a, 64-bit — the shard selector (not the cache key).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const NUM_SHARDS: usize = 16;
 
 #[derive(Debug)]
 struct Entry {
@@ -88,7 +80,7 @@ impl Cache {
     }
 
     fn shard(&self, key: &str) -> std::sync::MutexGuard<'_, Shard> {
-        let idx = (fnv1a(key.as_bytes()) as usize) % NUM_SHARDS;
+        let idx = (Fnv64::of(key.as_bytes()) as usize) % NUM_SHARDS;
         self.shards[idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

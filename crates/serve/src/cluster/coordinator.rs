@@ -1,27 +1,29 @@
 //! The dispatch half of cluster mode: split a job, ship the partitions,
 //! survive the failures, merge the partials.
 //!
-//! [`Coordinator::execute`] has exactly the executor shape the job
-//! manager and the synchronous handlers use, so cluster mode is a
-//! drop-in execution strategy: every caller keeps its caching,
-//! journaling, and error semantics. The invariants:
+//! [`Coordinator::execute`] answers what a local [`JobSpec::run_with`]
+//! answers, so [`super::Cluster::execute`] can pick either for the
+//! synchronous handlers and the job manager alike: every caller keeps
+//! its caching, journaling, and error semantics. The invariants:
 //!
 //! * **Byte-identity.** Partition planning and merging are
 //!   [`tauhls_core::partition`]; the merged body equals a single-node
 //!   run at any worker count. Workers recompute their slice from
 //!   `(spec, part, of)` — no negotiated state.
 //! * **Requeue on loss.** A failed or timed-out dispatch marks the
-//!   worker, journals a `part_requeue`, backs off deterministically
-//!   (the job-retry curve, keyed by `job:part:attempt`), and retries on
-//!   the next live worker. When attempts run out — or no worker is
-//!   live — the coordinator computes the slice locally, so a job
-//!   converges even with every worker dead.
+//!   worker, logs the requeue as an operational event, backs off
+//!   deterministically (the job-retry curve, keyed by
+//!   `job:part:attempt`), and retries on the next live worker. When
+//!   attempts run out — or no worker is live — the coordinator computes
+//!   the slice locally, so a job converges even with every worker dead.
 //! * **No lost answers.** Workers cache partials content-addressed, so
 //!   a re-dispatched partition (worker restart, coordinator restart)
-//!   is answered from cache, byte-identical.
+//!   is answered from cache, byte-identical. A partition is never
+//!   journalled: a job recovers from its own job-level events and
+//!   simply re-runs its partitions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tauhls_core::jobspec::{JobError, JobSpec};
@@ -36,11 +38,6 @@ use crate::config::ServeConfig;
 use crate::jobs::{backoff_delay, ExecResult};
 use crate::metrics::Metrics;
 
-/// Where the coordinator's partition lifecycle events go: the job
-/// manager's durable journal, once it exists (`(job_id, event, extra)`,
-/// exactly the journal's own shape).
-pub type JournalSink = Arc<dyn Fn(&str, &str, Vec<(&str, Json)>) + Send + Sync>;
-
 /// The cluster dispatcher. One per coordinator-mode server, shared by
 /// the synchronous handlers and the async job workers.
 pub struct Coordinator {
@@ -52,7 +49,6 @@ pub struct Coordinator {
     backoff_base: Duration,
     partitions: usize,
     inflight: AtomicU64,
-    journal: Mutex<Option<JournalSink>>,
 }
 
 impl Coordinator {
@@ -72,26 +68,12 @@ impl Coordinator {
             backoff_base: config.job_backoff_base,
             partitions: config.cluster_partitions,
             inflight: AtomicU64::new(0),
-            journal: Mutex::new(None),
         }
-    }
-
-    /// Connects the partition lifecycle events to the durable job
-    /// journal (called once the job manager exists).
-    pub fn set_journal(&self, sink: JournalSink) {
-        *self.journal.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
     }
 
     /// Partitions currently dispatched or running.
     pub fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Relaxed)
-    }
-
-    fn journal_event(&self, job: &str, event: &str, extra: Vec<(&str, Json)>) {
-        let guard = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(sink) = guard.as_ref() {
-            sink(job, event, extra);
-        }
     }
 
     /// Runs `spec` across the cluster: plan, dispatch, requeue, merge.
@@ -172,12 +154,6 @@ impl Coordinator {
             ("of", Json::from(part.total)),
         ])
         .to_compact();
-        let coords = || {
-            vec![
-                ("part", Json::from(part.index)),
-                ("of", Json::from(part.total)),
-            ]
-        };
         for attempt in 1..=self.max_attempts {
             runner.check_cancelled().map_err(|_| JobError::Cancelled)?;
             let live = self.registry.live_workers();
@@ -189,24 +165,15 @@ impl Coordinator {
             let worker = &live[(part.index + attempt as usize - 1) % live.len()];
             self.registry.mark_dispatch(worker);
             self.metrics.count_cluster("dispatched");
-            let mut extra = coords();
-            extra.push(("worker", Json::from(worker.as_str())));
-            extra.push(("attempt", Json::from(u64::from(attempt))));
-            self.journal_event(job, "dispatch", extra);
             match self.dispatch(worker, &body) {
                 Ok(partial) => {
                     self.registry.mark_success(worker);
                     self.metrics.count_cluster("completed");
-                    self.journal_event(job, "part_done", coords());
                     return Ok((partial, Vec::new()));
                 }
                 Err(error) => {
                     self.registry.mark_failure(worker);
                     self.metrics.count_cluster("requeued");
-                    let mut extra = coords();
-                    extra.push(("worker", Json::from(worker.as_str())));
-                    extra.push(("error", Json::from(error.as_str())));
-                    self.journal_event(job, "part_requeue", extra);
                     self.metrics.log_event(&format!(
                         "cluster: partition {}/{} requeued off {worker} (attempt {attempt}): {error}",
                         part.index, part.total
@@ -218,9 +185,7 @@ impl Coordinator {
         // Remote attempts exhausted (or no worker live): converge by
         // computing the slice here.
         self.metrics.count_cluster("local");
-        let result = partition::run_part(spec, part, runner, None)?;
-        self.journal_event(job, "part_done", coords());
-        Ok(result)
+        partition::run_part(spec, part, runner, None)
     }
 
     /// POSTs one partition to `worker` and parses the partial strictly.

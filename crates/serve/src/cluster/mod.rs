@@ -10,6 +10,8 @@
 //! * **Coordinator** (`coordinator` / `workers_file`): keeps a
 //!   [`WorkerRegistry`], health-probes it, and executes jobs through
 //!   the [`Coordinator`] — partition, dispatch, requeue-on-loss, merge.
+//!   `Cluster::execute` is the one place that choice is made, for the
+//!   synchronous handlers and the async job workers alike.
 //! * **Worker** (`worker_of`): registers with its coordinator at
 //!   startup and heartbeats on `heartbeat_interval`.
 //!
@@ -22,13 +24,16 @@
 mod coordinator;
 mod registry;
 
-pub use coordinator::{Coordinator, JournalSink};
+pub use coordinator::Coordinator;
 pub use registry::{RegisterError, WorkerRegistry, WorkerStats, FAILURE_LIMIT};
 
 use std::sync::Arc;
 
+use tauhls_core::jobspec::JobSpec;
 use tauhls_json::Json;
+use tauhls_sim::BatchRunner;
 
+use crate::jobs::ExecResult;
 use crate::metrics::{exposition, gauge, Samples};
 
 /// Which part a server plays in a cluster.
@@ -66,6 +71,16 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// Runs `spec` where this server's role says: sharded across the
+    /// workers on a coordinator, in process otherwise. The body is
+    /// byte-identical either way.
+    pub(crate) fn execute(&self, spec: &JobSpec, runner: &BatchRunner) -> ExecResult {
+        match &self.coordinator {
+            Some(coordinator) => coordinator.execute(spec, runner),
+            None => spec.run_with(runner, None),
+        }
+    }
+
     /// The `cluster` section of `GET /v1/status`.
     pub fn status_json(&self, metrics: &crate::Metrics) -> Json {
         let workers: Vec<Json> = self

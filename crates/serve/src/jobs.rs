@@ -138,9 +138,9 @@ pub enum JobResult {
 
 /// A job body (or partition partial) plus its stage-latency records.
 pub(crate) type ExecResult = Result<(Json, Vec<StageRecord>), JobError>;
-/// How a job's spec becomes its body: single-node servers call
-/// [`JobSpec::run_with`] directly, coordinators route through the
-/// cluster dispatcher. Injected via [`JobManager::start_with`].
+/// How a job's spec becomes its body: the server passes
+/// [`crate::cluster::Cluster::execute`] to [`JobManager::start`], so a
+/// job runs wherever the server's cluster role sends it.
 pub(crate) type Executor = Arc<dyn Fn(&JobSpec, &BatchRunner) -> ExecResult + Send + Sync>;
 
 #[derive(Debug)]
@@ -245,20 +245,8 @@ impl JobManager {
     /// Starts the manager: replays the journal under `config.data_dir`
     /// (if any), requeues interrupted jobs, compacts the journal, and
     /// spawns `config.job_workers` workers plus the retry scheduler.
-    pub fn start(
-        config: &ServeConfig,
-        metrics: Arc<Metrics>,
-        cache: Arc<Cache>,
-        cancel: CancelToken,
-    ) -> std::io::Result<JobManager> {
-        let executor: Executor = Arc::new(|spec, runner| spec.run_with(runner, None));
-        JobManager::start_with(config, metrics, cache, cancel, executor)
-    }
-
-    /// [`JobManager::start`] with an injected execution strategy — how
-    /// coordinator-mode servers route async jobs through the cluster
-    /// dispatcher while keeping every journal/retry/artifact behavior.
-    pub(crate) fn start_with(
+    /// Every attempt runs through `executor`.
+    pub(crate) fn start(
         config: &ServeConfig,
         metrics: Arc<Metrics>,
         cache: Arc<Cache>,
@@ -486,18 +474,6 @@ impl JobManager {
         self.inner.pending.depth()
     }
 
-    /// A handle onto this manager's durable journal for the cluster
-    /// coordinator's partition lifecycle events (`dispatch`,
-    /// `part_done`, `part_requeue`). They share the job journal so one
-    /// replay reconstructs the whole story; the replayer treats them as
-    /// informational (job state lives in the job-level events).
-    pub(crate) fn journal_sink(&self) -> crate::cluster::JournalSink {
-        let inner = Arc::clone(&self.inner);
-        Arc::new(move |id: &str, event: &str, extra: Vec<(&str, Json)>| {
-            inner.journal_event(id, event, extra);
-        })
-    }
-
     /// A count per lifecycle state over the whole job table, in the
     /// fixed order queued/running/backoff/done/failed/cancelled (states
     /// with zero jobs included) — the `jobs` block of `GET /v1/status`.
@@ -619,12 +595,6 @@ pub(crate) fn backoff_delay(base: Duration, id: &str, attempt: u32) -> Duration 
     Duration::from_millis(base_ms * factor + jitter)
 }
 
-fn fnv_of(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 fn artifact_path(dir: &Path, hash: u64) -> PathBuf {
     dir.join("artifacts").join(format!("{hash:016x}.json"))
 }
@@ -740,7 +710,7 @@ fn complete(
     started: Instant,
 ) {
     let body: Arc<str> = Arc::from(json.to_pretty());
-    let hash = fnv_of(body.as_bytes());
+    let hash = Fnv64::of(body.as_bytes());
     // Durability order: artifact first, then the journal entry that
     // points at it — a crash between the two replays as "still running"
     // and recomputes, never as "done with a missing artifact".
@@ -964,10 +934,10 @@ fn replay_journal(path: &Path) -> Replay {
             }
             continue;
         }
-        // Cluster partition events are informational: job state lives in
-        // the job-level events, and synchronous cluster jobs journal
-        // partition traffic without ever being submitted — so these must
-        // not trip the unknown-job diagnostic either.
+        // Partition events (`dispatch`, `part_done`, `part_requeue`) are
+        // no longer written — job state lives in the job-level events —
+        // but journals from earlier versions hold them, for submitted
+        // jobs and for synchronous requests alike. Skip them silently.
         if matches!(event, "dispatch" | "part_done" | "part_requeue") {
             continue;
         }
@@ -1095,7 +1065,7 @@ fn verify_artifact(dir: &Path, hash: Option<u64>) -> Result<(u64, String), Strin
     let hash = hash.ok_or_else(|| "hash missing from journal".to_string())?;
     let path = artifact_path(dir, hash);
     let bytes = fs::read(&path).map_err(|e| format!("{hash:016x} unreadable ({e})"))?;
-    if fnv_of(&bytes) != hash {
+    if Fnv64::of(&bytes) != hash {
         return Err(format!("{hash:016x} failed its integrity check"));
     }
     String::from_utf8(bytes)
@@ -1187,17 +1157,11 @@ mod tests {
     }
 
     fn manager(config: &ServeConfig) -> JobManager {
-        JobManager::start(
-            config,
-            Arc::new(Metrics::new()),
-            Arc::new(Cache::new(1 << 20)),
-            CancelToken::new(),
-        )
-        .expect("manager")
+        manager_with(config, Arc::new(|spec, runner| spec.run_with(runner, None)))
     }
 
     fn manager_with(config: &ServeConfig, executor: Executor) -> JobManager {
-        JobManager::start_with(
+        JobManager::start(
             config,
             Arc::new(Metrics::new()),
             Arc::new(Cache::new(1 << 20)),
@@ -1505,6 +1469,54 @@ mod tests {
         assert_eq!(m.state(&id), Some(JobState::Done));
         m.begin_shutdown();
         m.join();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partition_lines_of_earlier_journals_replay_silently() {
+        let dir = tempdir("partition-lines");
+        let journal = dir.join("jobs.journal");
+        let s = spec(30);
+        let id = s.job_id();
+        let submit = Json::object([
+            ("event", Json::from("submit")),
+            ("job", Json::from(id.as_str())),
+            ("spec", s.canonical()),
+        ])
+        .to_compact();
+        let start = format!(r#"{{"event":"start","job":"{id}","attempt":1}}"#);
+        let partition_lines = |job: &str| {
+            [
+                format!(
+                    r#"{{"event":"dispatch","job":"{job}","part":0,"of":2,"worker":"127.0.0.1:9001","attempt":1}}"#
+                ),
+                format!(
+                    r#"{{"event":"part_requeue","job":"{job}","part":0,"of":2,"worker":"127.0.0.1:9001","error":"refused"}}"#
+                ),
+                format!(r#"{{"event":"part_done","job":"{job}","part":1,"of":2}}"#),
+            ]
+        };
+        let replay = |lines: &[String]| {
+            fs::write(&journal, lines.join("\n") + "\n").expect("journal");
+            replay_journal(&journal)
+        };
+        let plain = replay(&[submit.clone(), start.clone()]);
+        let mut lines = vec![submit];
+        lines.extend(partition_lines(&id));
+        lines.push(start);
+        // A synchronous cluster request never submitted a job.
+        lines.extend(partition_lines("0123456789abcdef"));
+        let mixed = replay(&lines);
+        assert!(mixed.diagnostics.is_empty(), "{:?}", mixed.diagnostics);
+        assert_eq!(mixed.jobs.len(), 1);
+        let (got_id, got) = &mixed.jobs[0];
+        let (_, want) = &plain.jobs[0];
+        assert_eq!(got_id, &id);
+        assert_eq!(got.state, JobState::Running);
+        assert_eq!(
+            (got.state, got.attempts, &got.error, got.artifact),
+            (want.state, want.attempts, &want.error, want.artifact)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,8 +18,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,13 +40,43 @@ use crate::queue::Queue;
 /// How often the acceptor polls between accepts and stop checks.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
+/// A one-way flag a thread can sleep on: [`Latch::set`] wakes every
+/// [`Latch::wait`] at once, so a stop is noticed without polling.
+#[derive(Default)]
+struct Latch {
+    set: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Latch {
+    fn set(&self) {
+        *self.set.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.changed.notify_all();
+    }
+
+    fn is_set(&self) -> bool {
+        *self.set.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleeps until the latch is set or `timeout` passes; answers
+    /// whether it is set.
+    fn wait(&self, timeout: Duration) -> bool {
+        let guard = self.set.lock().unwrap_or_else(PoisonError::into_inner);
+        *self
+            .changed
+            .wait_timeout_while(guard, timeout, |set| !*set)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+    }
+}
+
 struct Shared {
     config: ServeConfig,
     queue: Queue<TcpStream>,
     cache: Arc<Cache>,
     metrics: Arc<Metrics>,
     cancel: CancelToken,
-    stop: AtomicBool,
+    stop: Latch,
     jobs: JobManager,
     cluster: Arc<Cluster>,
 }
@@ -72,44 +101,23 @@ impl Server {
         let cancel = CancelToken::new();
         metrics.log_event(&format!("server starting on {addr}"));
         let cluster = build_cluster(&config, addr, &metrics)?;
-        let jobs = match &cluster.coordinator {
-            Some(_) => {
-                // Coordinator mode: async jobs execute through the cluster
-                // dispatcher. The closure falls back to a local run only if
-                // the coordinator somehow vanished (it cannot).
-                let cluster = Arc::clone(&cluster);
-                let executor: Executor =
-                    Arc::new(move |spec, runner| match cluster.coordinator.as_ref() {
-                        Some(c) => c.execute(spec, runner),
-                        None => spec.run_with(runner, None),
-                    });
-                JobManager::start_with(
-                    &config,
-                    Arc::clone(&metrics),
-                    Arc::clone(&cache),
-                    cancel.clone(),
-                    executor,
-                )?
-            }
-            None => JobManager::start(
-                &config,
-                Arc::clone(&metrics),
-                Arc::clone(&cache),
-                cancel.clone(),
-            )?,
+        let executor: Executor = {
+            let cluster = Arc::clone(&cluster);
+            Arc::new(move |spec, runner| cluster.execute(spec, runner))
         };
-        if let Some(coordinator) = &cluster.coordinator {
-            // Wired after construction: the coordinator must exist before
-            // the job manager (to build its executor), but journals through
-            // the manager's sink.
-            coordinator.set_journal(jobs.journal_sink());
-        }
+        let jobs = JobManager::start(
+            &config,
+            Arc::clone(&metrics),
+            Arc::clone(&cache),
+            cancel.clone(),
+            executor,
+        )?;
         let shared = Arc::new(Shared {
             queue: Queue::new(config.queue_capacity),
             cache,
             metrics,
             cancel,
-            stop: AtomicBool::new(false),
+            stop: Latch::default(),
             jobs,
             cluster,
             config,
@@ -148,7 +156,7 @@ impl Server {
     /// the drain timeout), and join every thread.
     pub fn shutdown(mut self) {
         self.shared.metrics.log_event("shutdown requested");
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.set();
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
@@ -163,19 +171,14 @@ impl Server {
         // get the rest of the drain window before the watchdog cancels
         // them (journalling a requeue).
         self.shared.jobs.begin_shutdown();
-        let drained = Arc::new(AtomicBool::new(false));
+        let drained = Arc::new(Latch::default());
         let watchdog = {
             let drained = Arc::clone(&drained);
             let cancel = self.shared.cancel.clone();
             let timeout = self.shared.config.drain_timeout;
             std::thread::spawn(move || {
-                let start = Instant::now();
-                while !drained.load(Ordering::SeqCst) {
-                    if start.elapsed() >= timeout {
-                        cancel.cancel();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
+                if !drained.wait(timeout) {
+                    cancel.cancel();
                 }
             })
         };
@@ -183,7 +186,7 @@ impl Server {
             let _ = handle.join();
         }
         self.shared.jobs.join();
-        drained.store(true, Ordering::SeqCst);
+        drained.set();
         let _ = watchdog.join();
         for handle in self.cluster_threads.drain(..) {
             let _ = handle.join();
@@ -262,18 +265,6 @@ fn build_cluster(
     }))
 }
 
-/// Sleeps `total` in short slices so the thread notices `stop` quickly.
-fn sliced_sleep(stop: &AtomicBool, total: Duration) {
-    let deadline = Instant::now() + total;
-    while !stop.load(Ordering::SeqCst) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(25)));
-    }
-}
-
 /// Starts the role's background loop: coordinators probe every
 /// registered worker's `/healthz` each `heartbeat_interval` (a probe
 /// success revives a dead worker, a failure counts toward
@@ -293,11 +284,7 @@ fn spawn_cluster_threads(
                 std::thread::Builder::new()
                     .name("tauhls-serve-cluster-probe".to_string())
                     .spawn(move || {
-                        while !shared.stop.load(Ordering::SeqCst) {
-                            sliced_sleep(&shared.stop, shared.config.heartbeat_interval);
-                            if shared.stop.load(Ordering::SeqCst) {
-                                return;
-                            }
+                        while !shared.stop.wait(shared.config.heartbeat_interval) {
                             for worker in shared.cluster.registry.all_workers() {
                                 let probe = client::request_timeouts(
                                     &worker,
@@ -387,11 +374,7 @@ fn worker_heartbeat_loop(shared: &Shared, self_addr: &str) {
         Ok(_) => true,
         Err(_) => false,
     };
-    while !shared.stop.load(Ordering::SeqCst) {
-        sliced_sleep(&shared.stop, shared.config.heartbeat_interval);
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
+    while !shared.stop.wait(shared.config.heartbeat_interval) {
         let ok = matches!(send("/v1/cluster/heartbeat"), Ok(r) if r.status == 200);
         if ok != reachable {
             reachable = ok;
@@ -404,7 +387,7 @@ fn worker_heartbeat_loop(shared: &Shared, self_addr: &str) {
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.stop.is_set() {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Accepted sockets must not inherit the listener's
@@ -693,17 +676,14 @@ fn handle_job(shared: &Shared, endpoint: Endpoint, raw_body: &[u8]) -> Answer {
     }
     let started = Instant::now();
     let runner = BatchRunner::sized(shared.config.sim_threads).with_cancel(shared.cancel.clone());
-    // Coordinator-mode servers shard the work across their workers; the
-    // merged body is byte-identical to the local run either way.
-    let outcome = match &shared.cluster.coordinator {
-        Some(coordinator) => coordinator.execute(&spec, &runner),
-        None => spec.run_with(&runner, None),
-    };
-    let (json, records) = outcome.map_err(|e| match e {
-        JobError::Cancelled => busy(shared, "job cancelled during shutdown"),
-        JobError::Invalid(m) => bad(format!("invalid job spec: {m}")),
-        JobError::Failed(m) => Reply::error(500, &format!("simulation failed: {m}")),
-    })?;
+    let (json, records) = shared
+        .cluster
+        .execute(&spec, &runner)
+        .map_err(|e| match e {
+            JobError::Cancelled => busy(shared, "job cancelled during shutdown"),
+            JobError::Invalid(m) => bad(format!("invalid job spec: {m}")),
+            JobError::Failed(m) => Reply::error(500, &format!("simulation failed: {m}")),
+        })?;
     let body: Arc<str> = Arc::from(json.to_pretty());
     shared.metrics.count_trials(spec.trials());
     shared
@@ -1072,27 +1052,34 @@ mod tests {
         let cache = Arc::new(Cache::new(1 << 20));
         let metrics = Arc::new(Metrics::new());
         let cancel = CancelToken::new();
-        let parts = (Arc::clone(&metrics), Arc::clone(&cache), cancel.clone());
-        let jobs = match executor {
-            Some(executor) => JobManager::start_with(&config, parts.0, parts.1, parts.2, executor),
-            None => JobManager::start(&config, parts.0, parts.1, parts.2),
-        }
-        .expect("job manager");
         let registry = Arc::new(WorkerRegistry::new());
         registry.set_self_addr("127.0.0.1:7203");
+        let cluster = Arc::new(Cluster {
+            role: Role::Single,
+            registry,
+            coordinator: None,
+        });
+        let executor = executor.unwrap_or_else(|| {
+            let cluster = Arc::clone(&cluster);
+            Arc::new(move |spec, runner| cluster.execute(spec, runner))
+        });
+        let jobs = JobManager::start(
+            &config,
+            Arc::clone(&metrics),
+            Arc::clone(&cache),
+            cancel.clone(),
+            executor,
+        )
+        .expect("job manager");
         Shared {
             config,
             queue: Queue::new(4),
             cache,
             metrics,
             cancel,
-            stop: AtomicBool::new(false),
+            stop: Latch::default(),
             jobs,
-            cluster: Arc::new(Cluster {
-                role: Role::Single,
-                registry,
-                coordinator: None,
-            }),
+            cluster,
         }
     }
 

@@ -135,6 +135,83 @@ fn coordinator_merges_are_byte_identical_at_any_worker_count() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn synchronous_cluster_requests_journal_no_partition_lines() {
+    let dir = temp_dir("journal");
+    let worker = start_single();
+    let coordinator = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        sim_threads: Some(1),
+        data_dir: Some(dir.join("data")),
+        workers_file: Some(write_peers(&dir, &[worker.local_addr().to_string()])),
+        ..ServeConfig::default()
+    })
+    .expect("bind coordinator");
+    let caddr = coordinator.local_addr().to_string();
+    let (path, spec) = SPECS[0];
+    let r = client::request(&caddr, "POST", path, Some(spec), TIMEOUT).expect("simulate");
+    assert_eq!(r.status, 200, "{}", r.body);
+    let metrics = client::request(&caddr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
+    assert!(
+        !metrics
+            .body
+            .contains("tauhls_serve_cluster_partitions_total{event=\"completed\"} 0\n"),
+        "the request never reached the worker:\n{}",
+        metrics.body
+    );
+    coordinator.shutdown();
+    worker.shutdown();
+    let journal = std::fs::read_to_string(dir.join("data").join("jobs.journal")).expect("journal");
+    for event in ["dispatch", "part_done", "part_requeue"] {
+        assert!(
+            !journal.contains(&format!("\"event\":\"{event}\"")),
+            "{event} journalled:\n{journal}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn long_heartbeat_intervals_do_not_delay_shutdown() {
+    let slow = Duration::from_secs(30);
+    let coordinator = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        coordinator: true,
+        heartbeat_interval: slow,
+        ..ServeConfig::default()
+    })
+    .expect("bind coordinator");
+    let caddr = coordinator.local_addr().to_string();
+    let worker = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        worker_of: Some(caddr.clone()),
+        heartbeat_interval: slow,
+        ..ServeConfig::default()
+    })
+    .expect("bind worker");
+    // Both background loops are asleep once the worker has registered.
+    let waddr = worker.local_addr().to_string();
+    let deadline = Instant::now() + TIMEOUT;
+    while !client::request(&caddr, "GET", "/v1/status", None, TIMEOUT)
+        .expect("status")
+        .body
+        .contains(&waddr)
+    {
+        assert!(Instant::now() < deadline, "worker never registered");
+        thread::sleep(Duration::from_millis(20));
+    }
+    for (role, server) in [("worker", worker), ("coordinator", coordinator)] {
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "{role} shutdown took {took:?}"
+        );
+    }
+}
+
 fn spawn_serve(extra: &[&str]) -> (Child, String) {
     let mut args = vec!["serve", "--addr", "127.0.0.1:0", "--threads", "1"];
     args.extend_from_slice(extra);
