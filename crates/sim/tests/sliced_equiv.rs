@@ -14,13 +14,14 @@
 //!   while `Fallback` lanes are sound by construction (the batch layer
 //!   re-runs them through the very oracle we compare against).
 
-use tauhls_check::{arbitrary_plan, forall, Gen};
+use tauhls_check::{arbitrary_elastic_spec, arbitrary_fault, arbitrary_plan, forall, Gen};
 use tauhls_dfg::{random_dfg, RandomDfgParams};
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    elastic_trial_skew_seed, trial_rng, BatchRunner, CompletionModel, ControlStyle, ElasticSpec,
-    Engine, LaneConfigs, LaneModels, LaneOutcome, SimConfig, SimJob, SlicedSim,
+    elastic_trial_skew_seed, trial_rng, BatchRunner, CompletionModel, ControlStyle, CycleStats,
+    ElasticSpec, Engine, FaultPlan, LaneBuilder, LaneConfigs, LaneInput, LaneModels, LaneOutcome,
+    SimConfig, SimJob, SlabDriver, SlicedSim,
 };
 
 /// A random bound design: 3..=14 ops over Add/Sub/Mul with a random
@@ -124,5 +125,105 @@ fn sliced_lanes_match_scalar_results_exactly() {
                 }
             }
         }
+    });
+}
+
+/// The fault kinds a resilience sweep injects, one kind per sweep row.
+const FAULT_KINDS: [&str; 6] = [
+    "stuck_short",
+    "stuck_long",
+    "drop_pulse",
+    "spurious_pulse",
+    "delay_latch",
+    "flip_state",
+];
+
+/// Per-lane configs drawn like a resilience sweep's: lane `t` carries one
+/// fault of kind `t % 6`, drawn by rejection from `arbitrary_fault` over
+/// the sweep's injection window; every seventh lane instead carries an
+/// [`arbitrary_config`] (multi-fault, or fault-free).
+fn sweep_configs(
+    g: &mut Gen,
+    bound: &BoundDfg,
+    num_controllers: usize,
+    lanes: usize,
+) -> Vec<SimConfig> {
+    let num_ops = bound.dfg().num_ops();
+    (0..lanes)
+        .map(|t| {
+            if t % 7 == 6 {
+                return arbitrary_config(g, bound, num_controllers);
+            }
+            let fault = loop {
+                let f = arbitrary_fault(g, num_ops, num_controllers, 2 * num_ops + 4);
+                if f.kind.tag() == FAULT_KINDS[t % FAULT_KINDS.len()] {
+                    break f;
+                }
+            };
+            SimConfig::with_faults(FaultPlan::single(fault.at_cycle, fault.kind))
+        })
+        .collect()
+}
+
+#[test]
+fn sliced_lane_errors_match_scalar() {
+    forall("sliced-lane-errors", 60, |g| {
+        let bound = arbitrary_bound(g);
+        let cu = DistributedControlUnit::generate(&bound);
+        let lanes = g.usize(1..=64);
+        let configs = sweep_configs(g, &bound, cu.controllers().len(), lanes);
+        let model = CompletionModel::Bernoulli { p: g.unit_f64() };
+        let seed = g.u64(0..1_000_000);
+        let styles = [
+            ControlStyle::Distributed,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(arbitrary_elastic_spec(g, 2)),
+        ];
+        let scalar = |engine: &Engine, job: u64, t: u64| {
+            let mut rng = trial_rng(seed, job, t);
+            let skew = elastic_trial_skew_seed(seed, job, t);
+            engine.run_scalar(&bound, &model, None, &mut rng, &configs[t as usize], skew)
+        };
+
+        // DIST and ELASTIC lane by lane, on the engine itself.
+        for style in [styles[0], styles[2]] {
+            let engine = Engine::generate(&bound, style);
+            let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, 0, t as u64)).collect();
+            let skews: Vec<_> = (0..lanes as u64)
+                .map(|t| elastic_trial_skew_seed(seed, 0, t))
+                .collect();
+            let out = SlicedSim::new(&bound, &engine).run(
+                &skews,
+                &LaneModels::Shared(&model),
+                &LaneConfigs::PerLane(&configs),
+                &mut rngs,
+            );
+            for (t, lane) in out.iter().enumerate() {
+                let want = scalar(&engine, 0, t as u64);
+                let config = &configs[t];
+                match lane {
+                    LaneOutcome::Done(r) => {
+                        assert_eq!(Ok(r), want.as_ref(), "{style:?} lane {t}, {config:?}")
+                    }
+                    LaneOutcome::Fallback => {}
+                }
+            }
+        }
+
+        // DIST, CENT and ELASTIC through one driver: CENT reads DIST's pass.
+        let driver = SlabDriver::new(&bound, &styles);
+        let builder = LaneBuilder {
+            rng: &|t| trial_rng(seed, 1, t),
+            model: LaneInput::Shared(&model),
+            config: LaneInput::PerLane(&|t, _| configs[t as usize].clone()),
+            skew_seed: &|t| elastic_trial_skew_seed(seed, 1, t),
+        };
+        let runner = BatchRunner::serial();
+        driver.run::<CycleStats, _>(lanes as u64, &runner, &builder, |_, t, config, results| {
+            for ((engine, style), &got) in driver.engines().iter().zip(styles).zip(results) {
+                let want = scalar(engine, 1, t);
+                assert_eq!(want.as_ref(), got, "{style:?} trial {t}, {config:?}");
+            }
+        });
     });
 }
