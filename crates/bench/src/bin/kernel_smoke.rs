@@ -15,6 +15,12 @@
 //! scratch-reuse contract), and a second sliced pass over a reused
 //! `SlicedSim` must reproduce the first pass's cycle totals exactly.
 //!
+//! The `<style>_faulty` rows (DIST, CENT, ELASTIC) run each benchmark's
+//! trials under resilience-sweep fault draws — trial `t` carries one
+//! fault of kind `t % 6` — through a serial [`SlabDriver`], counting the
+//! cycles simulated to completion or to detection, and record how many
+//! cells reran through the scalar engine (`reruns`).
+//!
 //! Usage: `kernel_smoke [trials-per-benchmark]` (default 300).
 
 use rand::rngs::StdRng;
@@ -24,11 +30,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tauhls_core::experiments::paper_benchmarks;
 use tauhls_core::jobspec::{Endpoint, JobSpec};
+use tauhls_core::resilience::{sweep_trial_config, FAULT_KINDS};
 use tauhls_json::{Json, JsonRef};
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    elastic_trial_skew_seed, trial_rng, CompletionModel, ControlStyle, ElasticSpec, Engine,
-    LaneConfigs, LaneModels, LaneOutcome, SimConfig, SlicedSim, LANES,
+    elastic_trial_skew_seed, trial_rng, Accumulator, BatchRunner, CompletionModel, ControlStyle,
+    ElasticSpec, Engine, LaneBuilder, LaneConfigs, LaneInput, LaneModels, LaneOutcome, SimConfig,
+    SlabDriver, SlicedSim, LANES,
 };
 
 /// Counts every heap allocation so the smoke can assert the sliced
@@ -71,6 +79,8 @@ struct EngineRow {
     total_cycles: u64,
     elapsed_ns: u64,
     allocs: u64,
+    /// Cells rerun through the scalar engine (faulty rows only).
+    reruns: Option<u64>,
 }
 
 impl EngineRow {
@@ -79,7 +89,7 @@ impl EngineRow {
     }
 
     fn to_json(&self) -> Json {
-        Json::object([
+        let mut fields = vec![
             ("engine", Json::from(self.engine.as_str())),
             ("benchmark", Json::from(self.benchmark.as_str())),
             ("trials", Json::from(self.trials)),
@@ -87,7 +97,9 @@ impl EngineRow {
             ("elapsed_ns", Json::from(self.elapsed_ns)),
             ("cycles_per_sec", Json::from(self.cycles_per_sec())),
             ("allocs", Json::from(self.allocs)),
-        ])
+        ];
+        fields.extend(self.reruns.map(|r| ("reruns", Json::from(r))));
+        Json::object(fields)
     }
 }
 
@@ -145,9 +157,58 @@ fn slab_cycles(out: Vec<LaneOutcome>) -> u64 {
     out.iter()
         .map(|lane| match lane {
             LaneOutcome::Done(r) => r.cycles as u64,
-            LaneOutcome::Fallback => panic!("fault-free sliced lane fell back"),
+            _ => panic!("fault-free sliced lane did not complete: {lane:?}"),
         })
         .sum()
+}
+
+/// An exact cycle total, folded chunk by chunk.
+struct Cycles(u64);
+
+impl Accumulator for Cycles {
+    fn empty() -> Self {
+        Cycles(0)
+    }
+    fn fold(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+}
+
+/// Times `trials` resilience-style faulty trials of `style` on `bound`
+/// through a serial [`SlabDriver`]: the cycles simulated to completion or
+/// to detection, the wall-clock, the heap allocations, and the cells that
+/// reran scalar.
+fn measure_faulty(bound: &BoundDfg, style: ControlStyle, trials: u64) -> (u64, u64, u64, u64) {
+    let num_ops = bound.dfg().num_ops();
+    let controllers = Engine::generate(bound, ControlStyle::Distributed)
+        .dist_bank()
+        .map_or(0, |cu| cu.controllers().len());
+    let model = CompletionModel::Bernoulli { p: P_SHORT };
+    let config = |trial: u64, _: &mut StdRng| {
+        let kind = (trial % FAULT_KINDS.len() as u64) as usize;
+        sweep_trial_config(SEED, kind, trial, num_ops, controllers)
+    };
+    let lanes = LaneBuilder {
+        rng: &|trial| trial_rng(SEED, 0, trial),
+        model: LaneInput::Shared(&model),
+        config: LaneInput::PerLane(&config),
+        skew_seed: &|trial| elastic_trial_skew_seed(SEED, 0, trial),
+    };
+    let driver = SlabDriver::new(bound, &[style]);
+    let allocs_before = alloc_count();
+    let start = Instant::now();
+    let runner = BatchRunner::serial();
+    let Cycles(total) = driver.run(trials, &runner, &lanes, |Cycles(acc), _, _, results| {
+        for result in results {
+            *acc += match result {
+                Ok(r) => r.cycles,
+                Err(e) => e.detected_cycle().expect("a fault is diagnosed at a cycle"),
+            } as u64;
+        }
+    });
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    let allocs = alloc_count() - allocs_before;
+    (total, elapsed_ns, allocs, driver.paths().reruns())
 }
 
 fn main() {
@@ -185,6 +246,7 @@ fn main() {
             total_cycles: cycles,
             elapsed_ns: ns,
             allocs,
+            reruns: None,
         };
         // Scalar rows first, then the sliced ones, in style order.
         let mut sliced_rows = Vec::new();
@@ -216,6 +278,16 @@ fn main() {
             sliced_rows.push(row(format!("{style_name}_sliced"), first));
         }
         rows.append(&mut sliced_rows);
+        for (style_name, style) in styles {
+            if style == ControlStyle::CentSync {
+                continue;
+            }
+            let (cycles, ns, allocs, reruns) = measure_faulty(&bound, style, trials);
+            rows.push(EngineRow {
+                reruns: Some(reruns),
+                ..row(format!("{style_name}_faulty"), (cycles, ns, allocs))
+            });
+        }
     }
 
     for row in &rows {

@@ -22,9 +22,9 @@ use std::fmt;
 use tauhls_check::{arbitrary_fault, Gen};
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    derive_seed, elastic_trial_skew_seed, trial_rng, Accumulator, BatchRunner, CompletionModel,
-    ControlStyle, ControlStyleSet, ElasticSpec, FaultPlan, LaneBuilder, LaneInput, SimConfig,
-    SimError, SimResult, SlabDriver,
+    derive_seed, elastic_trial_skew_seed, trial_rng, Accumulator, BatchRunner, CellPaths,
+    CompletionModel, ControlStyle, ControlStyleSet, ElasticSpec, FaultPlan, LaneBuilder, LaneInput,
+    SimConfig, SimError, SimResult, SlabDriver,
 };
 
 /// The fault-kind tags a sweep probes, in report order.
@@ -231,6 +231,37 @@ fn draw_fault_of_kind(
     }
 }
 
+/// The fault config of trial `trial` of fault kind `kind_idx` (an index
+/// into [`FAULT_KINDS`]) in a sweep seeded `seed` over a design of
+/// `num_ops` ops and `num_controllers` controllers: one fault of that
+/// kind, drawn from the trial's own plan stream.
+///
+/// # Panics
+///
+/// Panics if `kind_idx` is not an index into [`FAULT_KINDS`], or
+/// `num_ops` or `num_controllers` is zero.
+pub fn sweep_trial_config(
+    seed: u64,
+    kind_idx: usize,
+    trial: u64,
+    num_ops: usize,
+    num_controllers: usize,
+) -> SimConfig {
+    let plan_seed = derive_seed(seed, PLAN_JOB_BASE + kind_idx as u64, trial);
+    // Injection window: wide enough to hit every phase of a run (worst
+    // case is ~best + one extension per TAU op <= 2n), narrow enough that
+    // most faults land inside the run.
+    let max_cycle = 2 * num_ops + 4;
+    let fault = draw_fault_of_kind(
+        &mut Gen::from_seed(plan_seed),
+        FAULT_KINDS[kind_idx],
+        num_ops,
+        num_controllers,
+        max_cycle,
+    );
+    SimConfig::with_faults(FaultPlan::single(fault.at_cycle, fault.kind))
+}
+
 /// Runs `trials` fault-injection trials per fault kind against the
 /// distributed engine at short-probability `p`, fanned over `runner`'s
 /// workers.
@@ -307,6 +338,25 @@ pub fn resilience_kind_counters_with(
     opts: &ResilienceOptions,
     runner: &BatchRunner,
 ) -> Vec<KindCounters> {
+    resilience_kind_counters_with_paths(bound, p, trials, seed, kinds, opts, runner).0
+}
+
+/// [`resilience_kind_counters_with`], also returning how many of the
+/// sweep's cells (one trial of one leg) the bit-sliced engine completed
+/// or diagnosed and how many reran through the scalar engine.
+///
+/// # Panics
+///
+/// As [`resilience_kind_counters_with`].
+pub fn resilience_kind_counters_with_paths(
+    bound: &BoundDfg,
+    p: f64,
+    trials: u64,
+    seed: u64,
+    kinds: std::ops::Range<usize>,
+    opts: &ResilienceOptions,
+    runner: &BatchRunner,
+) -> (Vec<KindCounters>, CellPaths) {
     assert!(trials > 0 && (0.0..=1.0).contains(&p));
     assert!(kinds.end <= FAULT_KINDS.len());
     assert!(
@@ -325,26 +375,14 @@ pub fn resilience_kind_counters_with(
     let num_controllers = driver.engines()[0]
         .dist_bank()
         .map_or(0, |cu| cu.controllers().len());
-    // Injection window: wide enough to hit every phase of a run (worst
-    // case is ~best + one extension per TAU op <= 2n), narrow enough that
-    // most faults land inside the run.
-    let max_cycle = 2 * num_ops + 4;
-    kinds
+    let counters = kinds
         .map(|kind_idx| {
             let job = SIM_JOB_BASE + kind_idx as u64;
             let lanes = LaneBuilder {
                 rng: &|trial| trial_rng(seed, job, trial),
                 model: LaneInput::PerLane(&|_, rng| CompletionModel::draw_table(num_ops, p, rng)),
                 config: LaneInput::PerLane(&|trial, _| {
-                    let plan_seed = derive_seed(seed, PLAN_JOB_BASE + kind_idx as u64, trial);
-                    let fault = draw_fault_of_kind(
-                        &mut Gen::from_seed(plan_seed),
-                        FAULT_KINDS[kind_idx],
-                        num_ops,
-                        num_controllers,
-                        max_cycle,
-                    );
-                    SimConfig::with_faults(FaultPlan::single(fault.at_cycle, fault.kind))
+                    sweep_trial_config(seed, kind_idx, trial, num_ops, num_controllers)
                 }),
                 skew_seed: &|trial| elastic_trial_skew_seed(seed, job, trial),
             };
@@ -362,7 +400,8 @@ pub fn resilience_kind_counters_with(
                 }
             })
         })
-        .collect()
+        .collect();
+    (counters, driver.paths())
 }
 
 impl KindCounters {

@@ -233,6 +233,13 @@ impl DistributedControlUnit {
         cu
     }
 
+    /// A control unit over the given controllers, as they are: no
+    /// completion-signal optimization, no checks. For controllers built
+    /// by hand, e.g. to exercise how a simulator treats a malformed one.
+    pub fn from_controllers(controllers: Vec<(UnitId, Fsm)>) -> Self {
+        DistributedControlUnit { controllers }
+    }
+
     /// The per-unit controllers.
     pub fn controllers(&self) -> &[(UnitId, Fsm)] {
         &self.controllers

@@ -12,6 +12,12 @@
 //! monotonically increasing stamp and evicts the smallest stamp until it
 //! is back under its byte budget — O(entries) per eviction, which is
 //! fine at the entry counts a response cache holds.
+//!
+//! Bodies are held LZ77-packed ([`pack`]): pretty-printed JSON repeats
+//! its field names and indentation, so a cached resilience report keeps
+//! about a third of its bytes resident and a simulate body about half.
+//! The budget and the byte counts still measure the unpacked payload, so
+//! what is evicted when does not depend on how well a body packs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +29,10 @@ const NUM_SHARDS: usize = 16;
 
 #[derive(Debug)]
 struct Entry {
-    body: Arc<str>,
+    /// The body, [`pack`]ed.
+    packed: Box<[u8]>,
+    /// The body's unpacked length in bytes.
+    len: usize,
     stamp: u64,
 }
 
@@ -46,7 +55,7 @@ impl Shard {
                 break;
             };
             if let Some(e) = self.entries.remove(&oldest) {
-                self.bytes -= oldest.len() + e.body.len();
+                self.bytes -= oldest.len() + e.len;
                 evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -92,20 +101,18 @@ impl Cache {
         let mut shard = self.shard(key);
         shard.clock += 1;
         let stamp = shard.clock;
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                let body = Arc::clone(&entry.body);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let body = shard.entries.get_mut(key).and_then(|entry| {
+            entry.stamp = stamp;
+            unpack(&entry.packed, entry.len)
+        });
+        drop(shard);
+        let counter = if body.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        body.map(Arc::from)
     }
 
     /// Inserts (or refreshes) a response body, evicting least-recently
@@ -113,12 +120,18 @@ impl Cache {
     pub fn insert(&self, key: String, body: Arc<str>) {
         let body_len = body.len();
         let added = key.len() + body_len;
+        let packed = pack(body.as_bytes());
         let mut shard = self.shard(&key);
         shard.clock += 1;
         let stamp = shard.clock;
-        if let Some(old) = shard.entries.insert(key, Entry { body, stamp }) {
+        let entry = Entry {
+            packed,
+            len: body_len,
+            stamp,
+        };
+        if let Some(old) = shard.entries.insert(key, entry) {
             // The key's bytes stay accounted; swap only the body's.
-            shard.bytes -= old.body.len();
+            shard.bytes -= old.len;
             shard.bytes += body_len;
         } else {
             shard.bytes += added;
@@ -167,6 +180,83 @@ impl Cache {
     }
 }
 
+/// Longest literal run one token carries.
+const MAX_LITERALS: usize = 0x80;
+/// Shortest and longest back-reference one token copies.
+const MIN_MATCH: usize = 4;
+const MAX_MATCH: usize = MIN_MATCH + 0x7F;
+/// Bits of the hash indexing [`pack`]'s table of earlier positions.
+const HASH_BITS: u32 = 12;
+
+/// The table slot of the 4-byte sequence `b` starts with.
+fn slot(b: &[u8]) -> usize {
+    let word = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// LZ77-packs `data` into tokens: a byte `t < 0x80` is followed by
+/// `t + 1` literal bytes; a byte `t >= 0x80` copies `t - 0x80 + 4` bytes
+/// from a two-byte little-endian distance back in the unpacked output.
+/// Greedy, with one remembered position per hash slot.
+fn pack(data: &[u8]) -> Box<[u8]> {
+    fn literals(out: &mut Vec<u8>, run: &[u8]) {
+        for chunk in run.chunks(MAX_LITERALS) {
+            out.push((chunk.len() - 1) as u8);
+            out.extend_from_slice(chunk);
+        }
+    }
+    let mut out = Vec::with_capacity(data.len() / 2);
+    // Position + 1 of the last sequence seen per slot (0 = none).
+    let mut last = vec![0u32; 1 << HASH_BITS];
+    let (mut i, mut run_start) = (0, 0);
+    while i + MIN_MATCH <= data.len() {
+        let earlier = std::mem::replace(&mut last[slot(&data[i..])], i as u32 + 1);
+        let j = match (earlier as usize).checked_sub(1) {
+            Some(j) if i - j <= usize::from(u16::MAX) && data[j..j + 4] == data[i..i + 4] => j,
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let mut len = MIN_MATCH;
+        while len < MAX_MATCH && i + len < data.len() && data[j + len] == data[i + len] {
+            len += 1;
+        }
+        literals(&mut out, &data[run_start..i]);
+        out.push(0x80 + (len - MIN_MATCH) as u8);
+        out.extend_from_slice(&((i - j) as u16).to_le_bytes());
+        for k in i + 1..(i + len).min(data.len() + 1 - MIN_MATCH) {
+            last[slot(&data[k..])] = k as u32 + 1;
+        }
+        i += len;
+        run_start = i;
+    }
+    literals(&mut out, &data[run_start..]);
+    out.into_boxed_slice()
+}
+
+/// Unpacks a [`pack`]ed body of `len` bytes; `None` if the tokens do not
+/// decode to UTF-8.
+fn unpack(packed: &[u8], len: usize) -> Option<String> {
+    let mut out = Vec::with_capacity(len);
+    let mut i = 0;
+    while let Some(&token) = packed.get(i) {
+        if token < 0x80 {
+            let end = i + 2 + usize::from(token);
+            out.extend_from_slice(packed.get(i + 1..end)?);
+            i = end;
+        } else {
+            let dist = u16::from_le_bytes([*packed.get(i + 1)?, *packed.get(i + 2)?]);
+            let start = (out.len().checked_sub(usize::from(dist))).filter(|_| dist > 0)?;
+            for k in start..start + usize::from(token - 0x80) + MIN_MATCH {
+                out.push(out[k]);
+            }
+            i += 3;
+        }
+    }
+    String::from_utf8(out).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +302,8 @@ mod tests {
             shard.entries.insert(
                 (*k).to_string(),
                 Entry {
-                    body: body("xxxx"),
+                    packed: pack(b"xxxx"),
+                    len: 4,
                     stamp: i as u64 + 1,
                 },
             );
@@ -236,5 +327,54 @@ mod tests {
         let big = "x".repeat(4096);
         c.insert("big".to_string(), body(&big));
         assert_eq!(c.get("big").map(|b| b.len()), Some(4096));
+    }
+
+    #[test]
+    fn packed_bodies_round_trip() {
+        let report = (0..40)
+            .map(|i| {
+                format!(
+                    "  {{\n    \"kind\": \"k{i}\",\n    \"trials\": {}\n  }}",
+                    i * 37
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",\n");
+        let mut noise = String::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            noise.push(char::from(b' ' + (x % 4) as u8));
+        }
+        let cases = [
+            String::new(),
+            "v".to_string(),
+            "abcd".to_string(),
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa".repeat(20),
+            "µ-ΔΩ ✓ ünïcödé ".repeat(30),
+            "x".repeat(70_000) + "tail",
+            report.clone(),
+            noise,
+        ];
+        for text in cases {
+            let packed = pack(text.as_bytes());
+            assert_eq!(unpack(&packed, text.len()).as_deref(), Some(text.as_str()));
+        }
+        // Pretty JSON's repeated keys and indentation pack well.
+        assert!(pack(report.as_bytes()).len() * 2 < report.len());
+    }
+
+    #[test]
+    fn corrupt_packing_reads_as_absent() {
+        for bad in [
+            &[0x05, b'a'][..],
+            &[0x80, 1],
+            &[0x00, b'a', 0x80, 9, 0],
+            &[0x00, 0xFF],
+        ] {
+            assert_eq!(unpack(bad, 8), None);
+        }
     }
 }

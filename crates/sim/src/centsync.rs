@@ -28,7 +28,14 @@ use rand::Rng;
 use tauhls_dfg::{OpId, TaubmDfg};
 use tauhls_sched::BoundDfg;
 
-fn cent_sync_diag(cycle: usize, reason: String, completed: &[usize]) -> Box<Diagnostics> {
+/// A CENT-SYNC diagnostics snapshot: the single synchronized controller
+/// has no per-unit states and no pulse fabric, so only the done flags
+/// (ops whose completion cycle is set) are reported.
+pub(crate) fn cent_sync_diag(
+    cycle: usize,
+    reason: String,
+    completed: &[usize],
+) -> Box<Diagnostics> {
     Box::new(Diagnostics {
         cycle,
         reason,

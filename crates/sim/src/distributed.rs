@@ -54,22 +54,18 @@ pub(crate) fn parse_phase(name: &str) -> Option<Phase> {
     }
 }
 
-/// Builds the per-controller state snapshot for a [`Diagnostics`] record.
-pub(crate) fn controller_snapshots(
-    fsms: &[(usize, &Fsm)],
-    states: &[StateId],
-) -> Vec<ControllerSnapshot> {
-    fsms.iter()
-        .zip(states)
-        .map(|((u, f), &st)| ControllerSnapshot {
-            unit: *u,
-            fsm: f.name().to_string(),
-            state: f
-                .state_name_opt(st)
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("<invalid:{}>", st.0)),
-        })
-        .collect()
+/// The snapshot of unit `unit`'s controller `f`, latched in `st`, for a
+/// [`Diagnostics`](crate::Diagnostics) record: the state's name, or
+/// `<invalid:N>` for a state id out of range.
+pub(crate) fn controller_snapshot(unit: usize, f: &Fsm, st: StateId) -> ControllerSnapshot {
+    ControllerSnapshot {
+        unit,
+        fsm: f.name().to_string(),
+        state: f
+            .state_name_opt(st)
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("<invalid:{}>", st.0)),
+    }
 }
 
 /// Precomputes the `(lhs, rhs)` operand values of every operation from

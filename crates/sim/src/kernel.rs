@@ -518,22 +518,9 @@ impl<'a> FsmBank<'a> {
 
     /// Per-controller state snapshots for a [`Diagnostics`] record.
     pub(crate) fn snapshots(&self) -> Vec<ControllerSnapshot> {
-        crate::distributed::controller_snapshots(&self.fsms, &self.states)
-    }
-
-    /// The component state names joined with `.` — the composite state
-    /// name of the equivalent product controller.
-    pub(crate) fn composite_state(&self) -> String {
-        self.fsms
-            .iter()
-            .zip(&self.states)
-            .map(|((_, f), &st)| {
-                f.state_name_opt(st)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("<invalid:{}>", st.0))
-            })
-            .collect::<Vec<_>>()
-            .join(".")
+        (self.fsms.iter().zip(&self.states))
+            .map(|(&(u, f), &st)| crate::distributed::controller_snapshot(u, f, st))
+            .collect()
     }
 }
 
@@ -789,9 +776,38 @@ impl<R: Rng, H: PulseHooks> ControlStyle<R> for FsmStyle<'_, H> {
 /// How a single-iteration FSM engine labels its diagnostics: one snapshot
 /// per unit controller (distributed), or one composite snapshot naming
 /// the product controller (centralized).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum DiagMode {
     PerUnit,
     Composite(&'static str),
+}
+
+impl DiagMode {
+    /// Labels per-unit controller snapshots for this mode. The composite
+    /// snapshot's state is the component state names joined with `.` —
+    /// the state name of the equivalent product controller.
+    pub(crate) fn label(self, per_unit: Vec<ControllerSnapshot>) -> Vec<ControllerSnapshot> {
+        match self {
+            DiagMode::PerUnit => per_unit,
+            DiagMode::Composite(name) => vec![ControllerSnapshot {
+                unit: 0,
+                fsm: name.to_string(),
+                state: (per_unit.iter())
+                    .map(|c| c.state.as_str())
+                    .collect::<Vec<_>>()
+                    .join("."),
+            }],
+        }
+    }
+
+    /// `err`, a per-unit diagnosis of the bank, with its controllers
+    /// labelled for this mode.
+    pub(crate) fn relabel(self, mut err: SimError) -> SimError {
+        if let SimError::Deadlock(d) | SimError::Desync(d) = &mut err {
+            d.controllers = self.label(std::mem::take(&mut d.controllers));
+        }
+        err
+    }
 }
 
 /// Hooks for the single-iteration engines (distributed and centralized):
@@ -840,14 +856,7 @@ pub(crate) fn single_iter_diagnostics(
     Box::new(Diagnostics {
         cycle,
         reason,
-        controllers: match diag {
-            DiagMode::PerUnit => bank.snapshots(),
-            DiagMode::Composite(name) => vec![ControllerSnapshot {
-                unit: 0,
-                fsm: name.to_string(),
-                state: bank.composite_state(),
-            }],
-        },
+        controllers: diag.label(bank.snapshots()),
         done: (0..n).map(|i| fabric.done.contains(OpId(i))).collect(),
         outstanding: fabric.done.complement().collect(),
         pulses: fabric.pulses.iter().map(|o| o.0).collect(),

@@ -225,6 +225,16 @@ impl Engine {
         }
     }
 
+    /// How the style labels its diagnostics: CENT names one composite
+    /// [`CENT_FSM_NAME`] controller, every other style its unit
+    /// controllers.
+    pub(crate) fn diag_mode(&self) -> DiagMode {
+        match self {
+            Engine::Cent(_) => DiagMode::Composite(CENT_FSM_NAME),
+            _ => DiagMode::PerUnit,
+        }
+    }
+
     /// The ELASTIC clocking spec, `None` for the synchronous styles.
     pub(crate) fn elastic_spec(&self) -> Option<ElasticSpec> {
         match self {
@@ -253,9 +263,9 @@ impl Engine {
         skew_seed: u64,
     ) -> Result<SimResult, SimError> {
         let n = bound.dfg().num_ops();
-        let (cu, diag) = match self {
-            Engine::Dist(cu) => (cu, DiagMode::PerUnit),
-            Engine::Cent(cu) => (cu.components(), DiagMode::Composite(CENT_FSM_NAME)),
+        let cu = match self {
+            Engine::Dist(cu) => cu,
+            Engine::Cent(cu) => cu.components(),
             Engine::Sync => return run_cent_sync(bound, model, inputs, rng, config),
             Engine::Elastic(cu, spec) => {
                 let clock = ClockFabric::elastic(n, *spec, skew_seed);
@@ -263,7 +273,7 @@ impl Engine {
             }
         };
         // DIST and CENT: the single-iteration body on plain hooks.
-        let budget = config.budget(n, 1);
+        let (diag, budget) = (self.diag_mode(), config.budget(n, 1));
         run_single_iter(bound, cu, model, inputs, rng, config, diag, budget, |h| h)
     }
 

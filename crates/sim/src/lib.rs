@@ -22,7 +22,8 @@
 //!   chunk-ordered reduction make results bit-identical for any thread
 //!   count, with `threads = 1` as the reference oracle;
 //! * [`SlicedSim`] — the bit-sliced twin of one [`Engine`], 64 trials per
-//!   word; [`SlabDriver`] — the one slab loop behind the batch APIs, with
+//!   word, which reports the deadlocks and desyncs it detects itself;
+//!   [`SlabDriver`] — the one slab loop behind the batch APIs, with
 //!   scalar reruns (through [`Engine`]) of the lanes it declines;
 //! * [`FaultPlan`] / [`SimConfig`] — deterministic completion-signal fault
 //!   injection (stuck-at predictors, dropped/spurious pulses, delayed
@@ -120,5 +121,5 @@ pub use latency::{enhancement_percent, ControlStyle, ControlStyleSet, Engine, La
 pub use model::{CompletionModel, TauLibrary};
 pub use pipeline::{simulate_pipelined_with, PipelinedResult};
 pub use result::SimResult;
-pub use slab::{LaneBuilder, LaneInput, SlabDriver};
+pub use slab::{CellPaths, LaneBuilder, LaneInput, SlabDriver};
 pub use sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};

@@ -4,11 +4,13 @@
 use crate::batch::{Accumulator, BatchRunner};
 use crate::error::SimError;
 use crate::fault::SimConfig;
+use crate::kernel::DiagMode;
 use crate::latency::{ControlStyle, Engine};
 use crate::model::CompletionModel;
 use crate::result::SimResult;
 use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
 use rand::rngs::StdRng;
+use std::sync::{Mutex, PoisonError};
 use tauhls_sched::BoundDfg;
 
 /// One input of a trial's lane: a value every lane shares, or one the
@@ -35,6 +37,73 @@ pub struct LaneBuilder<'a> {
     pub skew_seed: &'a (dyn Fn(u64) -> u64 + Sync),
 }
 
+/// How many cells — one trial of one style — of a [`SlabDriver`]'s runs
+/// took each path. Rerun cells are split by what the scalar rerun
+/// reported, which names why the sliced engine declined the lane.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CellPaths {
+    /// Cells the sliced engine completed.
+    pub sliced_done: u64,
+    /// Cells the sliced engine diagnosed as a deadlock or desync.
+    pub sliced_error: u64,
+    /// Cells rerun scalar because the lane's model is an
+    /// [`SimError::InvalidConfig`].
+    pub rerun_invalid_config: u64,
+    /// Cells rerun scalar because a controller state name falls outside
+    /// the `S`/`R` convention ([`SimError::UnknownState`]).
+    pub rerun_unknown_state: u64,
+    /// Every other rerun: the lanes of a run the sliced engine declined
+    /// whole, or of a diagnosis it could not reproduce.
+    pub rerun_other: u64,
+}
+
+impl CellPaths {
+    /// Every cell counted.
+    pub fn cells(&self) -> u64 {
+        self.sliced_done + self.sliced_error + self.reruns()
+    }
+
+    /// Cells rerun through the scalar engine, for any reason.
+    pub fn reruns(&self) -> u64 {
+        self.rerun_invalid_config + self.rerun_unknown_state + self.rerun_other
+    }
+
+    /// Counts one scalar rerun by what it reported.
+    fn rerun(&mut self, result: &Result<SimResult, SimError>) {
+        match result {
+            Err(SimError::InvalidConfig(_)) => self.rerun_invalid_config += 1,
+            Err(SimError::UnknownState { .. }) => self.rerun_unknown_state += 1,
+            _ => self.rerun_other += 1,
+        }
+    }
+}
+
+impl std::ops::AddAssign for CellPaths {
+    fn add_assign(&mut self, other: CellPaths) {
+        self.sliced_done += other.sliced_done;
+        self.sliced_error += other.sliced_error;
+        self.rerun_invalid_config += other.rerun_invalid_config;
+        self.rerun_unknown_state += other.rerun_unknown_state;
+        self.rerun_other += other.rerun_other;
+    }
+}
+
+/// One cell's result: read from a sliced pass, or owned — a scalar
+/// rerun, or a pass's diagnosis relabelled for the cell's style.
+enum Cell<'p> {
+    Lane(Result<&'p SimResult, &'p SimError>),
+    Owned(Result<SimResult, SimError>),
+}
+
+impl Cell<'_> {
+    fn get(&self) -> Result<&SimResult, &SimError> {
+        match self {
+            Cell::Lane(r) => *r,
+            Cell::Owned(r) => r.as_ref(),
+        }
+    }
+}
+
 /// Runs trials of a list of controller styles through the bit-sliced
 /// engine, with scalar fallback.
 ///
@@ -44,13 +113,18 @@ pub struct LaneBuilder<'a> {
 /// (bisimulation), CENT-SYNC runs its own, and ELASTIC one per distinct
 /// spec. Every pass starts from fresh copies of the lanes' RNGs.
 ///
-/// **Fallback contract.** A lane the sliced engine declines
-/// ([`LaneOutcome::Fallback`]) reruns through the style's scalar engine
-/// ([`Engine::run_scalar`]) from the lane as its builder made it: a fresh
-/// copy of the builder's RNG, never the RNG a sliced pass advanced, with
-/// the same model, config and skew seed. Every result — value or error,
-/// diagnostics included — is therefore the one a scalar run of the trial
-/// produces.
+/// **Fallback contract.** Every cell's result — value or error,
+/// diagnostics included — is the one a scalar run of the trial produces.
+/// A lane the sliced engine completes or diagnoses
+/// ([`LaneOutcome::Done`], [`LaneOutcome::Failed`]) is folded as it
+/// stands; CENT reads DIST's pass, so its errors are DIST's with the
+/// controllers relabelled as the one composite `CENT` snapshot. Only the
+/// lanes the engine declines ([`LaneOutcome::Fallback`]: an
+/// `InvalidConfig` model, an `UnknownState` name, or a declined run)
+/// rerun through the style's scalar engine ([`Engine::run_scalar`]),
+/// from the lane as its builder made it: a fresh copy of the builder's
+/// RNG, never the RNG a sliced pass advanced, with the same model, config
+/// and skew seed. [`SlabDriver::paths`] counts the cells of each path.
 ///
 /// The fold sees each trial once, in trial order, with its config and one
 /// result per style in style order. Chunks fold through
@@ -62,6 +136,7 @@ pub struct SlabDriver<'a> {
     /// Style `k` reads the sliced lanes of style `lanes_of[k]`, the first
     /// style sharing its pass.
     lanes_of: Vec<usize>,
+    paths: Mutex<CellPaths>,
 }
 
 impl<'a> SlabDriver<'a> {
@@ -79,12 +154,18 @@ impl<'a> SlabDriver<'a> {
             bound,
             engines,
             lanes_of,
+            paths: Mutex::default(),
         }
     }
 
     /// The styles' engines, in style order.
     pub fn engines(&self) -> &[Engine] {
         &self.engines
+    }
+
+    /// The paths the cells of every run so far took.
+    pub fn paths(&self) -> CellPaths {
+        *self.paths.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs trials `0..trials` on `runner` and folds each trial's results
@@ -103,10 +184,16 @@ impl<'a> SlabDriver<'a> {
         let make_slab = || {
             // One CENT-SYNC simulator and one over the DIST bank that
             // DIST, CENT and every ELASTIC spec step, when a style needs it.
+            // Bank passes diagnose per unit; each cell relabels for its
+            // style.
             let sim_for = |bank: bool| {
                 (self.engines.iter())
                     .find(|e| e.dist_bank().is_some() == bank)
-                    .map(|e| SlicedSim::new(self.bound, e))
+                    .map(|e| {
+                        let mut sim = SlicedSim::new(self.bound, e);
+                        sim.diag = DiagMode::PerUnit;
+                        sim
+                    })
             };
             Slab {
                 sync_sim: sim_for(false),
@@ -140,30 +227,45 @@ impl<'a> SlabDriver<'a> {
                         sim.run(&w.skews, &models, &configs, &mut w.rngs)
                     })
                     .collect();
-                // Per lane and style: the sliced result, or the scalar rerun.
+                // Per lane and style: the sliced outcome, or the scalar
+                // rerun.
+                let mut paths = CellPaths::default();
                 let mut cells = Vec::with_capacity(w.fresh.len() * self.engines.len());
                 for (lane, fresh) in w.fresh.iter().enumerate() {
                     for (k, engine) in self.engines.iter().enumerate() {
                         cells.push(match passes[self.lanes_of[k]].get(lane) {
-                            Some(LaneOutcome::Done(r)) => Ok(r),
-                            _ => Err(engine.run_scalar(
-                                self.bound,
-                                models.model(lane),
-                                None,
-                                &mut fresh.clone(),
-                                configs.cfg(lane),
-                                w.skews[lane],
-                            )),
+                            Some(LaneOutcome::Done(r)) => {
+                                paths.sliced_done += 1;
+                                Cell::Lane(Ok(r))
+                            }
+                            Some(LaneOutcome::Failed(e)) => {
+                                paths.sliced_error += 1;
+                                match engine.diag_mode() {
+                                    DiagMode::PerUnit => Cell::Lane(Err(e)),
+                                    mode => Cell::Owned(Err(mode.relabel(e.clone()))),
+                                }
+                            }
+                            _ => {
+                                let result = engine.run_scalar(
+                                    self.bound,
+                                    models.model(lane),
+                                    None,
+                                    &mut fresh.clone(),
+                                    configs.cfg(lane),
+                                    w.skews[lane],
+                                );
+                                paths.rerun(&result);
+                                Cell::Owned(result)
+                            }
                         });
                     }
                 }
+                // Counts stay valid whatever a panicking holder left.
+                *self.paths.lock().unwrap_or_else(PoisonError::into_inner) += paths;
                 let mut results = Vec::with_capacity(self.engines.len());
                 for (lane, row) in cells.chunks(self.engines.len().max(1)).enumerate() {
                     results.clear();
-                    results.extend(row.iter().map(|cell| match cell {
-                        Ok(sliced) => Ok(*sliced),
-                        Err(scalar) => scalar.as_ref(),
-                    }));
+                    results.extend(row.iter().map(Cell::get));
                     fold(acc, first + lane as u64, configs.cfg(lane), &results);
                 }
                 first += w.fresh.len() as u64;

@@ -12,15 +12,18 @@
 //! # Contract
 //!
 //! The sliced engine is **bit-identical to the scalar kernel, per lane**:
-//! for every trial it either produces exactly the [`SimResult`] the
-//! scalar engine would (same RNG stream, same fault overlay, same cycle
-//! accounting) or reports [`LaneOutcome::Fallback`], meaning the caller
-//! must re-run that trial through the scalar engine. Every condition the
-//! scalar engine reports as a [`crate::SimError`] — deadlock, desync,
-//! premature latch, invalid config — falls back, because those paths
-//! carry `Diagnostics` snapshots only the scalar engine can produce.
-//! Fallback is always sound: the scalar re-run *is* the oracle, so
-//! over-falling-back can cost speed but never correctness.
+//! for every trial it produces exactly the outcome the scalar engine
+//! would (same RNG stream, same fault overlay, same cycle accounting) —
+//! a [`LaneOutcome::Done`] result, or a [`LaneOutcome::Failed`] deadlock
+//! or desync whose [`crate::Diagnostics`] (cycle, reason, controller
+//! states, done flags, outstanding ops, pulse wavefront) it builds from
+//! its bit-planes in the cycle it detects the fault. Only three cases
+//! report [`LaneOutcome::Fallback`], meaning the caller must re-run the
+//! trial through the scalar engine: a model the scalar engine rejects as
+//! `InvalidConfig`, a controller state name outside the `S`/`R`
+//! convention (`UnknownState`), and the whole runs [`SlicedSim::run`]
+//! declines. Fallback is always sound: the scalar re-run *is* the
+//! oracle, so over-falling-back can cost speed but never correctness.
 //!
 //! # Layout
 //!
@@ -36,16 +39,18 @@
 //! ([`LaneConfigs`]), applied after the completion-model draws exactly
 //! like the scalar kernel, so RNG streams stay plan-independent.
 
-use crate::distributed::{operand_values, parse_phase, Phase};
+use crate::centsync::cent_sync_diag;
+use crate::distributed::{controller_snapshot, operand_values, parse_phase, Phase};
+use crate::error::{Diagnostics, SimError};
 use crate::fault::SimConfig;
-use crate::kernel::{ClockFabric, ElasticSpec};
+use crate::kernel::{ClockFabric, DiagMode, ElasticSpec};
 use crate::latency::Engine;
 use crate::model::CompletionModel;
 use crate::result::SimResult;
 use rand::rngs::StdRng;
 use rand::Rng;
 use tauhls_dfg::{OpId, TaubmDfg};
-use tauhls_fsm::{DistributedControlUnit, StateId};
+use tauhls_fsm::{DistributedControlUnit, Fsm, FsmError, StateId};
 use tauhls_logic::Expr;
 use tauhls_sched::BoundDfg;
 
@@ -58,12 +63,28 @@ pub enum LaneOutcome {
     /// The lane completed; the result is bit-identical to the scalar
     /// engine's for the same trial RNG and config.
     Done(SimResult),
-    /// The lane hit a condition the scalar engine reports as a
-    /// [`crate::SimError`] (or one the sliced engine cannot represent);
-    /// re-run the trial through the scalar engine to recover the error's
-    /// `Diagnostics` — or its result, when the sliced engine merely
-    /// declined the case.
+    /// The lane failed: the [`SimError::Deadlock`] or
+    /// [`SimError::Desync`] the scalar engine reports for the same trial,
+    /// diagnostics included, field for field.
+    Failed(SimError),
+    /// The sliced engine declined the lane: its model is one the scalar
+    /// engine rejects as [`SimError::InvalidConfig`], a controller state
+    /// name falls outside the `S`/`R` convention
+    /// ([`SimError::UnknownState`]), or [`SlicedSim::run`] declined the
+    /// whole run. Re-run the trial through the scalar engine.
     Fallback,
+}
+
+impl LaneOutcome {
+    /// The lane's outcome as the scalar engine reports it; `None` when it
+    /// fell back.
+    pub fn result(&self) -> Option<Result<&SimResult, &SimError>> {
+        match self {
+            LaneOutcome::Done(r) => Some(Ok(r)),
+            LaneOutcome::Failed(e) => Some(Err(e)),
+            LaneOutcome::Fallback => None,
+        }
+    }
 }
 
 /// Completion models per lane: one shared model (the common batch case)
@@ -473,6 +494,8 @@ struct CTrans<'a> {
 /// the order the scalar `try_step` scan observes).
 struct CCtrl<'a> {
     unit: usize,
+    /// The controller itself, for the names a diagnosis reports.
+    fsm: &'a Fsm,
     inputs: Vec<InKind>,
     out_is_re: Vec<bool>,
     phases: Vec<Option<Phase>>,
@@ -531,6 +554,7 @@ fn compile(cu: &DistributedControlUnit) -> Option<Vec<CCtrl<'_>>> {
         }
         out.push(CCtrl {
             unit: u.0,
+            fsm: f,
             inputs,
             out_is_re,
             phases,
@@ -576,6 +600,11 @@ struct Scratch {
     flips: Vec<(u32, u64)>,
     budgets: Vec<usize>,
     fin_cycle: Vec<usize>,
+    // Faulty lanes' control state when they finished (`ctrl * 64 + t`,
+    // `usize::MAX` = none) and their last pulse wavefront: what the
+    // post-run invariant's diagnosis reads.
+    fin_states: Vec<usize>,
+    fin_pulses: Vec<u64>,
     spur: Vec<OpId>,
     // Cent-sync per-lane cycle counters and per-step draw words.
     cyc: Vec<usize>,
@@ -633,10 +662,67 @@ fn latch_single(
     upd
 }
 
+/// Lane `t`'s per-unit diagnostics at `cycle`, exactly as the scalar
+/// bank snapshots them: controller `i` latched in `state(i)`, with the
+/// lane's bits of the `done` and `pulses` planes. `None` when a
+/// controller holds no state for the lane (the lane then falls back).
+fn lane_diagnostics(
+    ctrls: &[CCtrl<'_>],
+    t: usize,
+    cycle: usize,
+    reason: String,
+    state: impl Fn(usize) -> Option<usize>,
+    done: &[u64],
+    pulses: &[u64],
+) -> Option<Box<Diagnostics>> {
+    let bit = 1u64 << t;
+    let controllers = (ctrls.iter().enumerate())
+        .map(|(i, c)| Some(controller_snapshot(c.unit, c.fsm, StateId(state(i)?))))
+        .collect::<Option<Vec<_>>>()?;
+    let ops = |plane: &[u64], set: bool| -> Vec<usize> {
+        (0..plane.len())
+            .filter(|&op| (plane[op] & bit != 0) == set)
+            .collect()
+    };
+    Some(Box::new(Diagnostics {
+        cycle,
+        reason,
+        controllers,
+        done: done.iter().map(|w| w & bit != 0).collect(),
+        outstanding: ops(done, false),
+        pulses: ops(pulses, true),
+    }))
+}
+
+/// Records the scalar error of every lane in `lanes`, detected at
+/// `cycle`: `variant` wrapping lane `t`'s diagnostics with `reason(t)`,
+/// read from the controllers' occupancy and the `done` and `pulses`
+/// planes as they stand.
+fn diagnose(
+    errors: &mut Vec<(usize, SimError)>,
+    ctrls: &[CCtrl<'_>],
+    scr: &Scratch,
+    lanes: u64,
+    cycle: usize,
+    variant: fn(Box<Diagnostics>) -> SimError,
+    reason: impl Fn(usize) -> String,
+) {
+    for t in BitIter(lanes) {
+        let state = |i: usize| {
+            let occ: &[(usize, u64)] = &scr.occupancy[i];
+            occ.iter().find(|e| e.1 >> t & 1 != 0).map(|e| e.0)
+        };
+        let diag = lane_diagnostics(ctrls, t, cycle, reason(t), state, &scr.done, &scr.pulses);
+        errors.extend(diag.map(|d| (t, variant(d))));
+    }
+}
+
 /// The word-parallel single-iteration FSM cycle engine of the controller
 /// bank (DIST, CENT and ELASTIC). Mirrors `kernel::run` +
-/// `FsmStyle::advance` stage for stage; any lane that would take a scalar
-/// error path is moved to the returned fallback lane mask.
+/// `FsmStyle::advance` stage for stage. Returns the mask of lanes that
+/// left the run early and, for each of them the engine diagnosed, the
+/// per-unit [`SimError`] the scalar engine reports; the rest of the mask
+/// falls back.
 ///
 /// `elastic` carries the GALS clocking parameters and one skew seed per
 /// lane; `None` is the synchronous (one-domain) case. With it set, each
@@ -654,7 +740,7 @@ fn fsm_engine(
     configs: &LaneConfigs<'_>,
     rngs: &mut [StdRng],
     scr: &mut Scratch,
-) -> u64 {
+) -> (u64, Vec<(usize, SimError)>) {
     let dfg = bound.dfg();
     let n = dfg.num_ops();
     let nu = bound.allocation().units().len();
@@ -667,7 +753,8 @@ fn fsm_engine(
     let skewed = period > 1;
     let vis_latched = lat > 0;
 
-    let mut fallback = models.invalid_mask(n, lanes);
+    let mut flagged = models.invalid_mask(n, lanes);
+    let mut errors = Vec::new();
     let mut finished = 0u64;
     let faulty = configs.faulty_mask(lanes);
     configs.budgets(n, lanes, &mut scr.budgets);
@@ -693,6 +780,11 @@ fn fsm_engine(
     scr.done_count.resize(lanes, 0);
     scr.deferred.clear();
     reset_usize(&mut scr.fin_cycle, lanes);
+    if faulty != 0 {
+        scr.fin_states.clear();
+        scr.fin_states.resize(nc * 64, usize::MAX);
+        reset_words(&mut scr.fin_pulses, n);
+    }
     if elastic.is_some() {
         reset_words(&mut scr.visible, if vis_latched { n } else { 0 });
         reset_words(&mut scr.vis_ring, lat * n);
@@ -717,11 +809,27 @@ fn fsm_engine(
         // Loop-top running check (the kernel's `while style.running`):
         // a lane stays running while its deferred latches are pending.
         let defm = scr.deferred.iter().fold(0u64, |a, e| a | e.2);
-        let alive = all & !fallback & !finished;
+        let alive = all & !flagged & !finished;
         let still = (lanes_incomplete | defm) & alive;
         let newly = alive & !still;
         for t in BitIter(newly) {
             scr.fin_cycle[t] = cycle;
+        }
+        // A faulty lane's post-run invariant check may still fail; its
+        // diagnosis reads the state the lane finished in, which commit
+        // drops from the occupancy from here on.
+        let snap = newly & faulty;
+        if snap != 0 {
+            for (i, occ) in scr.occupancy.iter().enumerate() {
+                for &(st, m) in occ {
+                    for t in BitIter(m & snap) {
+                        scr.fin_states[i * 64 + t] = st;
+                    }
+                }
+            }
+            for (f, &p) in scr.fin_pulses.iter_mut().zip(&scr.pulses) {
+                *f = (*f & !snap) | (p & snap);
+            }
         }
         finished |= newly;
         if still == 0 {
@@ -740,7 +848,8 @@ fn fsm_engine(
             }
         }
 
-        // Watchdog: a lane over budget is a scalar Deadlock -> fallback.
+        // Watchdog: a lane over budget is a scalar Deadlock, snapshotting
+        // the previous cycle's wavefront (this cycle has not sampled).
         let mut adv = still;
         if cycle > min_budget {
             let mut over = 0u64;
@@ -749,7 +858,19 @@ fn fsm_engine(
                     over |= 1u64 << t;
                 }
             }
-            fallback |= over;
+            diagnose(
+                &mut errors,
+                ctrls,
+                scr,
+                over,
+                cycle,
+                SimError::Deadlock,
+                |t| {
+                    let budget = scr.budgets[t];
+                    format!("no progress within the {budget}-cycle watchdog budget")
+                },
+            );
+            flagged |= over;
             adv &= !over;
             if adv == 0 {
                 continue;
@@ -862,10 +983,16 @@ fn fsm_engine(
                 let phase = match c.phases.get(st).copied().flatten() {
                     Some(p) => p,
                     None => {
-                        // Invalid state id (flip fallout) or a state name
-                        // outside the S/R convention: scalar Desync /
-                        // UnknownState.
-                        fallback |= w;
+                        // An invalid state id (flip fallout) is a scalar
+                        // Desync; a state name outside the S/R convention
+                        // is an UnknownState, which falls back.
+                        if st >= c.phases.len() {
+                            diagnose(&mut errors, ctrls, scr, w, cycle, SimError::Desync, |_| {
+                                let name = c.fsm.name();
+                                format!("controller {name} latched invalid state id {st}")
+                            });
+                        }
+                        flagged |= w;
                         adv &= !w;
                         continue;
                     }
@@ -882,7 +1009,16 @@ fn fsm_engine(
                     for p in dfg.preds(op) {
                         let viol = w & !scr.done[p.0];
                         if viol != 0 {
-                            fallback |= viol;
+                            diagnose(
+                                &mut errors,
+                                ctrls,
+                                scr,
+                                viol,
+                                cycle,
+                                SimError::Desync,
+                                |_| format!("{op} fired before its producer {p} completed"),
+                            );
+                            flagged |= viol;
                             adv &= !viol;
                             w &= !viol;
                         }
@@ -963,10 +1099,19 @@ fn fsm_engine(
                         scr.ev.push(e);
                     }
                     // >1 enabled: scalar Nondeterministic; 0 enabled:
-                    // scalar Incomplete — both Desync "lost lockstep".
+                    // scalar Incomplete — both Desync "lost lockstep",
+                    // snapshotting this round's input wavefront.
                     let bad = ov | (w & !any);
                     if bad != 0 {
-                        fallback |= bad;
+                        diagnose(&mut errors, ctrls, scr, bad, cycle, SimError::Desync, |t| {
+                            let e = if ov >> t & 1 != 0 {
+                                FsmError::Nondeterministic(StateId(st))
+                            } else {
+                                FsmError::Incomplete(StateId(st))
+                            };
+                            format!("controller {} lost lockstep: {e}", c.fsm.name())
+                        });
+                        flagged |= bad;
                         adv &= !bad;
                     }
                     for (k, tr) in trs.iter().enumerate() {
@@ -1055,14 +1200,29 @@ fn fsm_engine(
                             }
                             let a = &trs[ka];
                             let b = &trs[kb];
-                            let premature = a
-                                .outs
-                                .iter()
-                                .any(|&o| c.out_is_re[o] && !b.outs.contains(&o));
-                            if premature {
-                                // Scalar: Desync "latched before its true
-                                // completion (stuck-at-short)".
-                                fallback |= wab;
+                            // Scalar: Desync naming the first result enable
+                            // the taken transition asserts but the truth's
+                            // would not.
+                            let premature =
+                                (a.outs.iter()).find(|&&o| c.out_is_re[o] && !b.outs.contains(&o));
+                            if let Some(&o) = premature {
+                                let (unit, re) = (c.unit, &c.fsm.outputs()[o]);
+                                let reason = |_: usize| {
+                                    format!(
+                                        "unit {unit} latched {re} before its true completion \
+                                         (stuck-at-short)"
+                                    )
+                                };
+                                diagnose(
+                                    &mut errors,
+                                    ctrls,
+                                    scr,
+                                    wab,
+                                    cycle,
+                                    SimError::Desync,
+                                    reason,
+                                );
+                                flagged |= wab;
                                 adv &= !wab;
                             }
                         }
@@ -1180,13 +1340,21 @@ fn fsm_engine(
             }
         }
     }
-    fallback
+    (flagged, errors)
+}
+
+/// Lane `t`'s column of the stride-64 completion cycles: what a
+/// CENT-SYNC diagnosis reads.
+fn completed(scr: &Scratch, n: usize, t: usize) -> Vec<usize> {
+    (0..n).map(|o| scr.completion_cycle[o * 64 + t]).collect()
 }
 
 /// The word-parallel synchronized step-walk (CENT-SYNC). Unlike the FSM
 /// modes the step sequence is trial-independent, but the cycle counter is
 /// per-lane: a lane only spends the extension half when one of its own
-/// TAU draws comes back long. Returns the fallback lane mask.
+/// TAU draws comes back long. Returns the mask of lanes that left the run
+/// early, with the scalar error of each (every one is diagnosed; only
+/// invalid models fall back).
 #[allow(clippy::too_many_arguments)]
 fn cent_sync_engine(
     bound: &BoundDfg,
@@ -1196,13 +1364,14 @@ fn cent_sync_engine(
     configs: &LaneConfigs<'_>,
     rngs: &mut [StdRng],
     scr: &mut Scratch,
-) -> u64 {
+) -> (u64, Vec<(usize, SimError)>) {
     let dfg = bound.dfg();
     let n = dfg.num_ops();
     let nu = bound.allocation().units().len();
     let lanes = rngs.len();
     let all = lane_mask(lanes);
-    let mut fallback = models.invalid_mask(n, lanes);
+    let mut flagged = models.invalid_mask(n, lanes);
+    let mut errors = Vec::new();
     let faulty = configs.faulty_mask(lanes);
     configs.budgets(n, lanes, &mut scr.budgets);
     reset_usize(&mut scr.completion_cycle, n * 64);
@@ -1211,7 +1380,7 @@ fn cent_sync_engine(
     reset_usize(&mut scr.cyc, lanes);
 
     for step in taubm.steps() {
-        let mut m = all & !fallback;
+        let mut m = all & !flagged;
         if m == 0 {
             break;
         }
@@ -1219,11 +1388,15 @@ fn cent_sync_engine(
         // trip the watchdog before the step body.
         for t in BitIter(m) {
             scr.cyc[t] += 1;
-            if scr.cyc[t] > scr.budgets[t] {
-                fallback |= 1u64 << t;
+            let (cycle, budget) = (scr.cyc[t], scr.budgets[t]);
+            if cycle > budget {
+                let reason = format!("no progress within the {budget}-cycle watchdog budget");
+                let diag = cent_sync_diag(cycle, reason, &completed(scr, n, t));
+                errors.push((t, SimError::Deadlock(diag)));
+                flagged |= 1u64 << t;
             }
         }
-        m &= !fallback;
+        m &= !flagged;
         if m == 0 {
             continue;
         }
@@ -1270,13 +1443,22 @@ fn cent_sync_engine(
             scr.cyc[t] += 1;
         }
         // A stuck-at-short that masks a long completion while no sibling
-        // extends the step: scalar Desync, detected before latching.
+        // extends the step: scalar Desync, detected before latching and
+        // naming the first such op in step order.
         if faulty & m & all_short != 0 {
             let mut bad = 0u64;
-            for &tw in &scr.truth_w {
-                bad |= faulty & m & all_short & !tw;
+            for (&o, &tw) in step.tau_ops.iter().zip(&scr.truth_w) {
+                let first = faulty & m & all_short & !tw & !bad;
+                for t in BitIter(first) {
+                    let reason = format!(
+                        "step latched {o} at the base half but its true completion was long"
+                    );
+                    let diag = cent_sync_diag(scr.cyc[t], reason, &completed(scr, n, t));
+                    errors.push((t, SimError::Desync(diag)));
+                }
+                bad |= first;
             }
-            fallback |= bad;
+            flagged |= bad;
             m &= !bad;
             if m == 0 {
                 continue;
@@ -1297,7 +1479,7 @@ fn cent_sync_engine(
             }
         }
     }
-    fallback
+    (flagged, errors)
 }
 
 /// Which scalar body this sliced simulator mirrors.
@@ -1328,51 +1510,12 @@ pub struct SlicedSim<'a> {
     /// synchronous clock. The [`SlabDriver`](crate::SlabDriver) points its
     /// one bank simulator at each style's spec in turn.
     pub(crate) clock: Option<ElasticSpec>,
+    /// How [`LaneOutcome::Failed`] diagnostics label the bank's
+    /// controllers: the engine's own mode (CENT's composite controller),
+    /// or per unit where the [`SlabDriver`](crate::SlabDriver) relabels
+    /// one pass for several styles.
+    pub(crate) diag: DiagMode,
     scr: Scratch,
-}
-
-/// Transposes the engine scratch back into per-lane [`SimResult`]s:
-/// fallback lanes stay fallback, and a terminating faulty lane that
-/// latched out of order falls back too (the scalar engines turn that into
-/// a Desync via the post-run invariant check).
-fn collect_lanes(
-    bound: &BoundDfg,
-    scr: &Scratch,
-    fb: u64,
-    faulty: u64,
-    lanes: usize,
-    cent_sync: bool,
-    values: &[i64],
-) -> Vec<LaneOutcome> {
-    let n = bound.dfg().num_ops();
-    let nu = bound.allocation().units().len();
-    let mut out = Vec::with_capacity(lanes);
-    for t in 0..lanes {
-        if fb & (1u64 << t) != 0 {
-            out.push(LaneOutcome::Fallback);
-            continue;
-        }
-        let completion_cycle: Vec<usize> =
-            (0..n).map(|o| scr.completion_cycle[o * 64 + t]).collect();
-        let cycles = if cent_sync {
-            scr.cyc[t].max(completion_cycle.iter().copied().max().unwrap_or(0))
-        } else {
-            scr.fin_cycle[t]
-        };
-        let r = SimResult {
-            cycles,
-            completion_cycle,
-            start_cycle: (0..n).map(|o| scr.start_cycle[o * 64 + t]).collect(),
-            unit_busy_cycles: (0..nu).map(|u| scr.unit_busy[u * 64 + t]).collect(),
-            values: values.to_vec(),
-        };
-        if faulty & (1u64 << t) != 0 && r.verify(bound).is_err() {
-            out.push(LaneOutcome::Fallback);
-        } else {
-            out.push(LaneOutcome::Done(r));
-        }
-    }
-    out
 }
 
 impl<'a> SlicedSim<'a> {
@@ -1399,6 +1542,7 @@ impl<'a> SlicedSim<'a> {
             values,
             opvals,
             clock: engine.elastic_spec(),
+            diag: engine.diag_mode(),
             scr: Scratch::default(),
         }
     }
@@ -1419,9 +1563,12 @@ impl<'a> SlicedSim<'a> {
     /// Lane `t` consumes `rngs[t]` exactly as the scalar engine would and,
     /// under ELASTIC, draws its clock schedule from `skew_seeds[t]` (the
     /// synchronous styles ignore the seeds). A [`LaneOutcome::Done`]
-    /// result is therefore bit-identical to the scalar run seeded the same
-    /// way; [`LaneOutcome::Fallback`] lanes must be re-run scalar (with a
-    /// fresh RNG) to recover their result or diagnostics.
+    /// result or [`LaneOutcome::Failed`] error is therefore the scalar
+    /// run's outcome seeded the same way; [`LaneOutcome::Fallback`] lanes
+    /// must be re-run scalar (with a fresh RNG). Every lane falls back
+    /// when the run is declined: more than [`LANES`] lanes, fewer skew
+    /// seeds (under ELASTIC), models or configs than lanes, or a
+    /// controller bank outside the compilable naming convention.
     pub fn run(
         &mut self,
         skew_seeds: &[u64],
@@ -1438,7 +1585,7 @@ impl<'a> SlicedSim<'a> {
             return vec![LaneOutcome::Fallback; lanes];
         }
         let faulty = configs.faulty_mask(lanes);
-        let fb = match &self.mode {
+        let (flagged, errors) = match &self.mode {
             EngineMode::Bank(Some(ctrls)) => {
                 let clock = self.clock.map(|spec| (spec, &skew_seeds[..lanes]));
                 fsm_engine(
@@ -1463,23 +1610,76 @@ impl<'a> SlicedSim<'a> {
                 &mut self.scr,
             ),
         };
-        let cent_sync = matches!(self.mode, EngineMode::CentSync(_));
-        collect_lanes(
-            self.bound,
-            &self.scr,
-            fb,
-            faulty,
-            lanes,
-            cent_sync,
-            &self.values,
-        )
+        self.collect(flagged, errors, faulty, lanes)
+    }
+
+    /// Transposes the engine scratch back into per-lane outcomes: a
+    /// flagged lane takes its diagnosed error or falls back, and a
+    /// terminating faulty lane that latched out of order fails the scalar
+    /// engines' post-run invariant check as a Desync.
+    fn collect(
+        &self,
+        flagged: u64,
+        mut errors: Vec<(usize, SimError)>,
+        faulty: u64,
+        lanes: usize,
+    ) -> Vec<LaneOutcome> {
+        let scr = &self.scr;
+        let n = self.bound.dfg().num_ops();
+        let nu = self.bound.allocation().units().len();
+        let failed = |e| LaneOutcome::Failed(self.diag.relabel(e));
+        let mut out = Vec::with_capacity(lanes);
+        for t in 0..lanes {
+            if flagged & (1u64 << t) != 0 {
+                out.push(match errors.iter().position(|e| e.0 == t) {
+                    Some(i) => failed(errors.swap_remove(i).1),
+                    None => LaneOutcome::Fallback,
+                });
+                continue;
+            }
+            let completion_cycle = completed(scr, n, t);
+            let cycles = match self.mode {
+                EngineMode::CentSync(_) => {
+                    scr.cyc[t].max(completion_cycle.iter().copied().max().unwrap_or(0))
+                }
+                EngineMode::Bank(_) => scr.fin_cycle[t],
+            };
+            let r = SimResult {
+                cycles,
+                completion_cycle,
+                start_cycle: (0..n).map(|o| scr.start_cycle[o * 64 + t]).collect(),
+                unit_busy_cycles: (0..nu).map(|u| scr.unit_busy[u * 64 + t]).collect(),
+                values: self.values.clone(),
+            };
+            let violation = match faulty & (1u64 << t) {
+                0 => None,
+                _ => r.verify(self.bound).err(),
+            };
+            let Some(msg) = violation else {
+                out.push(LaneOutcome::Done(r));
+                continue;
+            };
+            let reason = format!("post-run invariant violated: {msg}");
+            let diag = match &self.mode {
+                EngineMode::CentSync(_) => {
+                    Some(cent_sync_diag(cycles, reason, &r.completion_cycle))
+                }
+                EngineMode::Bank(ctrls) => ctrls.as_deref().and_then(|ctrls| {
+                    let state =
+                        |i: usize| Some(scr.fin_states[i * 64 + t]).filter(|&s| s != usize::MAX);
+                    lane_diagnostics(ctrls, t, cycles, reason, state, &scr.done, &scr.fin_pulses)
+                }),
+            };
+            out.push(diag.map_or(LaneOutcome::Fallback, |d| failed(SimError::Desync(d))));
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan, SimConfig};
+    use crate::fault::{FaultKind, FaultPlan, SimConfig, Watchdog};
     use crate::latency::ControlStyle;
     use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3, fir5};
@@ -1497,10 +1697,10 @@ mod tests {
             .collect()
     }
 
-    /// Done lanes must be bit-identical to the engine's scalar run on the
-    /// same trial RNG and skew seed; scalar errors must come back as
-    /// Fallback (never as a Done with different content). With
-    /// `require_done`, no lane may fall back.
+    /// Done and Failed lanes must equal the engine's scalar run on the
+    /// same trial RNG and skew seed, diagnostics included; no lane of a
+    /// valid model may fall back. With `require_done`, every lane must
+    /// complete.
     fn assert_equiv(
         bound: &BoundDfg,
         engine: &Engine,
@@ -1524,7 +1724,11 @@ mod tests {
             let scalar = engine.run_scalar(bound, model, None, &mut srng, config, skews[t]);
             match lane {
                 LaneOutcome::Done(r) => assert_eq!(Ok(r), scalar.as_ref(), "lane {t} diverged"),
-                LaneOutcome::Fallback => assert!(!require_done, "lane {t} fell back: {scalar:?}"),
+                LaneOutcome::Failed(e) => {
+                    assert!(!require_done, "lane {t} failed: {e}");
+                    assert_eq!(Err(e), scalar.as_ref(), "lane {t} diagnosed differently");
+                }
+                LaneOutcome::Fallback => panic!("lane {t} fell back: {scalar:?}"),
             }
         }
     }
@@ -1565,9 +1769,9 @@ mod tests {
 
     #[test]
     fn dist_and_cent_match_scalar_under_faults() {
-        // CENT steps DIST's bank, so its Done lanes equal DIST's; its
-        // error lanes fall back to the scalar CENT body, whose composite
-        // diagnostics only it can render.
+        // CENT steps DIST's bank, so its Done lanes equal DIST's and its
+        // Failed lanes carry DIST's diagnosis under the one composite
+        // controller the scalar CENT body renders.
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
         let plans = [
             FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(1) }),
@@ -1619,9 +1823,7 @@ mod tests {
         for (t, lane) in out.iter().enumerate() {
             let mut srng = StdRng::seed_from_u64(42 ^ (t as u64).wrapping_mul(0x9E37));
             let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &configs[t], 0);
-            if let LaneOutcome::Done(r) = lane {
-                assert_eq!(Ok(r), scalar.as_ref(), "lane {t}");
-            }
+            assert_eq!(lane.result(), Some(scalar.as_ref()), "lane {t}");
         }
     }
 
@@ -1730,7 +1932,7 @@ mod tests {
     #[test]
     fn elastic_matches_scalar_under_faults() {
         // All six synchronous kinds plus the elastic-only ClockSkew must
-        // compose: Done lanes equal scalar, error lanes fall back.
+        // compose: Done and Failed lanes equal scalar.
         let bound = BoundDfg::bind(&diffeq(), &Allocation::paper(2, 1, 1));
         let spec = ElasticSpec {
             skew_bound: 1,
@@ -1798,9 +2000,7 @@ mod tests {
         for (t, lane) in out.iter().enumerate() {
             let mut srng = StdRng::seed_from_u64(21 ^ (t as u64).wrapping_mul(0x9E37));
             let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &configs[t], skews[t]);
-            if let LaneOutcome::Done(r) = lane {
-                assert_eq!(Ok(r), scalar.as_ref(), "lane {t}");
-            }
+            assert_eq!(lane.result(), Some(scalar.as_ref()), "lane {t}");
         }
     }
 
@@ -1846,6 +2046,193 @@ mod tests {
             } else {
                 assert_eq!(out, baseline, "round {round} leaked scratch state");
             }
+        }
+    }
+
+    /// Runs `config` on 3 lanes of `engine` over fir3 (2 multipliers, 1
+    /// adder) under `model`, and checks every lane is the scalar
+    /// engine's error, field for field, with the given reason prefix and
+    /// pulse wavefront.
+    fn assert_site(
+        engine: &Engine,
+        model: &CompletionModel,
+        config: &SimConfig,
+        reason: &str,
+        pulses: &[usize],
+    ) {
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
+        let out = SlicedSim::new(&bound, engine).run(
+            &skew_bank(1, 3),
+            &LaneModels::Shared(model),
+            &LaneConfigs::Shared(config),
+            &mut rng_bank(1, 3),
+        );
+        for (t, lane) in out.iter().enumerate() {
+            let mut srng = StdRng::seed_from_u64(1 ^ (t as u64).wrapping_mul(0x9E37));
+            let scalar = engine.run_scalar(&bound, model, None, &mut srng, config, 0);
+            let LaneOutcome::Failed(err) = lane else {
+                panic!("lane {t}: {lane:?}, scalar {scalar:?}");
+            };
+            assert_eq!(Err(err), scalar.as_ref(), "lane {t}");
+            let diag = err.diagnostics().expect("deadlock or desync");
+            assert!(diag.reason.starts_with(reason), "lane {t}: {}", diag.reason);
+            assert_eq!(diag.pulses, pulses, "lane {t}");
+        }
+    }
+
+    /// DIST and CENT (the composite relabelling) on fir3's bank.
+    fn assert_bank_site(model: &CompletionModel, fault: FaultKind, reason: &str, pulses: &[usize]) {
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
+        let config = SimConfig::with_faults(FaultPlan::single(1, fault));
+        for style in [ControlStyle::Distributed, ControlStyle::Cent] {
+            assert_site(
+                &Engine::generate(&bound, style),
+                model,
+                &config,
+                reason,
+                pulses,
+            );
+        }
+    }
+
+    #[test]
+    fn watchdog_deadlock_carries_the_previous_cycles_pulses() {
+        assert_bank_site(
+            &CompletionModel::AlwaysShort,
+            FaultKind::StuckAtLong { op: OpId(0) },
+            "no progress within the 125-cycle watchdog budget",
+            &[0, 1],
+        );
+    }
+
+    #[test]
+    fn invalid_state_id_is_a_desync() {
+        assert_bank_site(
+            &CompletionModel::AlwaysShort,
+            FaultKind::FlipState {
+                controller: 0,
+                bit: 2,
+            },
+            "controller D-FSM-M1 latched invalid state id 6",
+            &[0, 1],
+        );
+    }
+
+    #[test]
+    fn producer_order_violation_names_the_first_pending_producer() {
+        assert_bank_site(
+            &CompletionModel::AlwaysShort,
+            FaultKind::DelayLatch {
+                op: OpId(0),
+                delay: 2,
+            },
+            "O3 fired before its producer O0 completed",
+            &[0, 1],
+        );
+    }
+
+    #[test]
+    fn stuck_at_short_premature_latch_names_the_result_enable() {
+        assert_bank_site(
+            &CompletionModel::AlwaysLong,
+            FaultKind::StuckAtShort { op: OpId(0) },
+            "unit 0 latched RE0 before its true completion (stuck-at-short)",
+            &[0],
+        );
+    }
+
+    #[test]
+    fn post_run_invariant_reads_the_state_a_lane_finished_in() {
+        assert_bank_site(
+            &CompletionModel::AlwaysShort,
+            FaultKind::SpuriousPulse { op: OpId(2) },
+            "post-run invariant violated: O2 has inconsistent start/completion",
+            &[0, 1, 4],
+        );
+    }
+
+    /// fir3's DIST bank with its first controller rebuilt: same states,
+    /// inputs and outputs, transitions from `edit`.
+    fn edited_bank(edit: impl Fn(&Fsm, &mut Fsm)) -> Engine {
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
+        let mut ctrls = DistributedControlUnit::generate(&bound)
+            .controllers()
+            .to_vec();
+        let f = &ctrls[0].1;
+        let mut g = Fsm::new(f.name());
+        for s in 0..f.num_states() {
+            g.add_state(f.state_name(StateId(s)));
+        }
+        for name in f.inputs() {
+            g.add_input(name.clone());
+        }
+        for name in f.outputs() {
+            g.add_output(name.clone());
+        }
+        g.set_initial(f.initial());
+        edit(f, &mut g);
+        ctrls[0].1 = g;
+        Engine::Dist(DistributedControlUnit::from_controllers(ctrls))
+    }
+
+    #[test]
+    fn lost_lockstep_reports_the_fsm_error() {
+        let copy = |f: &Fsm, g: &mut Fsm, skip_initial: bool| {
+            for t in f.transitions() {
+                if !(skip_initial && t.from == f.initial()) {
+                    g.add_transition(t.from, t.to, t.guard.clone(), t.outputs.clone());
+                }
+            }
+        };
+        let overlapping = edited_bank(|f, g| {
+            copy(f, g, false);
+            g.add_transition(f.initial(), f.initial(), Expr::Const(true), Vec::new());
+        });
+        let uncovered = edited_bank(|f, g| copy(f, g, true));
+        let error: [fn(StateId) -> FsmError; 2] =
+            [FsmError::Nondeterministic, FsmError::Incomplete];
+        for (engine, error) in [overlapping, uncovered].into_iter().zip(error) {
+            let initial = engine.dist_bank().expect("a DIST bank").controllers()[0]
+                .1
+                .initial();
+            let reason = format!("controller D-FSM-M1 lost lockstep: {}", error(initial));
+            let model = CompletionModel::AlwaysShort;
+            assert_site(&engine, &model, &SimConfig::default(), &reason, &[]);
+        }
+    }
+
+    #[test]
+    fn cent_sync_sites_match_scalar() {
+        let stuck_short = SimConfig::with_faults(FaultPlan::single(
+            1,
+            FaultKind::StuckAtShort { op: OpId(2) },
+        ));
+        let delayed = SimConfig::with_faults(FaultPlan::single(
+            1,
+            FaultKind::DelayLatch {
+                op: OpId(0),
+                delay: 2,
+            },
+        ));
+        let starved = SimConfig {
+            watchdog: Watchdog::Cycles(1),
+            ..SimConfig::default()
+        };
+        let (short, long) = (CompletionModel::AlwaysShort, CompletionModel::AlwaysLong);
+        for (model, config, reason) in [
+            (&long, &stuck_short, "step latched O2 at the base half"),
+            (
+                &short,
+                &delayed,
+                "post-run invariant violated: O3 started at 2",
+            ),
+            (
+                &long,
+                &starved,
+                "no progress within the 1-cycle watchdog budget",
+            ),
+        ] {
+            assert_site(&Engine::Sync, model, config, reason, &[]);
         }
     }
 }

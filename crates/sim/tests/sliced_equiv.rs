@@ -10,9 +10,10 @@
 //!   reduced statistics and first-error outcomes must be byte-identical;
 //! * **lane level** — `SlicedSim` lanes against `Engine::run_scalar` on
 //!   the same per-trial RNG streams: every `Done` lane must equal the
-//!   scalar `SimResult` exactly (per-op cycles, busy counters, values),
-//!   while `Fallback` lanes are sound by construction (the batch layer
-//!   re-runs them through the very oracle we compare against).
+//!   scalar `SimResult` exactly (per-op cycles, busy counters, values)
+//!   and every `Failed` lane the scalar `SimError`, diagnostics included.
+//!   No lane of a generated design falls back: its controllers follow
+//!   the state-name convention and its models are valid.
 
 use tauhls_check::{arbitrary_elastic_spec, arbitrary_fault, arbitrary_plan, forall, Gen};
 use tauhls_dfg::{random_dfg, RandomDfgParams};
@@ -112,16 +113,15 @@ fn sliced_lanes_match_scalar_results_exactly() {
                 .collect();
             let out = SlicedSim::new(&bound, &engine).run(&skews, &models, &cfgs, &mut rngs);
             for (t, lane) in out.iter().enumerate() {
-                match lane {
-                    LaneOutcome::Done(r) => {
-                        let mut srng = trial_rng(seed, job, t as u64);
-                        let scalar =
-                            engine.run_scalar(&bound, &model, None, &mut srng, &config, skews[t]);
-                        assert_eq!(Ok(r), scalar.as_ref(), "{style:?} lane {t}, {config:?}");
-                    }
-                    LaneOutcome::Fallback => {
-                        assert!(!fault_free, "fault-free {style:?} lane {t} fell back");
-                    }
+                let mut srng = trial_rng(seed, job, t as u64);
+                let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &config, skews[t]);
+                assert_eq!(
+                    lane.result(),
+                    Some(scalar.as_ref()),
+                    "{style:?} lane {t}, {config:?}"
+                );
+                if fault_free {
+                    assert!(matches!(lane, LaneOutcome::Done(_)), "{style:?} lane {t}");
                 }
             }
         }
@@ -201,12 +201,11 @@ fn sliced_lane_errors_match_scalar() {
             for (t, lane) in out.iter().enumerate() {
                 let want = scalar(&engine, 0, t as u64);
                 let config = &configs[t];
-                match lane {
-                    LaneOutcome::Done(r) => {
-                        assert_eq!(Ok(r), want.as_ref(), "{style:?} lane {t}, {config:?}")
-                    }
-                    LaneOutcome::Fallback => {}
-                }
+                assert_eq!(
+                    lane.result(),
+                    Some(want.as_ref()),
+                    "{style:?} lane {t}, {config:?}"
+                );
             }
         }
 
@@ -225,5 +224,10 @@ fn sliced_lane_errors_match_scalar() {
                 assert_eq!(want.as_ref(), got, "{style:?} trial {t}, {config:?}");
             }
         });
+        // Every cell came from the sliced engine: CENT reads DIST's pass
+        // and relabels its diagnoses, and nothing reran scalar.
+        let paths = driver.paths();
+        assert_eq!(paths.cells(), lanes as u64 * styles.len() as u64);
+        assert_eq!(paths.reruns(), 0, "{paths:?}");
     });
 }

@@ -145,3 +145,54 @@ fn elastic_columns_partition_trials_and_bisimulate_at_zero_spec() {
         );
     }
 }
+
+#[test]
+fn sliced_engine_diagnoses_the_golden_sweeps_without_scalar_reruns() {
+    use tauhls::core::resilience::{resilience_kind_counters_with_paths, ResilienceOptions};
+    use tauhls::sim::{CellPaths, ControlStyleSet, ElasticSpec};
+
+    // The inputs of results/resilience_golden.json: every paper benchmark
+    // at P = 0.5, 100 trials per kind, seed 2003, under the three leg
+    // selections of the corpus.
+    let all = ResilienceOptions::default();
+    let options = [
+        all,
+        ResilienceOptions {
+            styles: ControlStyleSet::DIST,
+            ..all
+        },
+        ResilienceOptions {
+            elastic: ElasticSpec::zero(),
+            ..all
+        },
+    ];
+    let mut total = CellPaths::default();
+    for (dfg, alloc, _) in paper_benchmarks() {
+        let bound = BoundDfg::bind(&dfg, &alloc);
+        for opts in &options {
+            let runner = BatchRunner::available();
+            let (_, paths) = resilience_kind_counters_with_paths(
+                &bound,
+                0.5,
+                100,
+                2003,
+                0..FAULT_KINDS.len(),
+                opts,
+                &runner,
+            );
+            assert_eq!(paths.cells(), 100 * FAULT_KINDS.len() as u64 * legs(opts));
+            total += paths;
+        }
+    }
+    println!("golden resilience cells: {total:?}");
+    // The sweep diagnoses thousands of faults; the sliced engine reports
+    // them itself, so fewer than 1 % of cells rerun through the scalar
+    // engine.
+    assert!(total.sliced_error > 0, "{total:?}");
+    assert!(total.reruns() * 100 < total.cells(), "{total:?}");
+}
+
+/// Engine legs a sweep under `opts` runs per trial.
+fn legs(opts: &tauhls::core::resilience::ResilienceOptions) -> u64 {
+    opts.styles.names().len() as u64
+}
