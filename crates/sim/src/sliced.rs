@@ -2049,6 +2049,136 @@ mod tests {
         }
     }
 
+    #[test]
+    fn one_simulator_reused_across_styles_lane_counts_and_faults() {
+        // One bank simulator, as a slab worker holds it: DIST then
+        // ELASTIC per step, lane counts shrinking and growing, fault-free
+        // and faulty steps alternating, and a lane whose invalid model
+        // falls back on the faulty steps. Every run must equal a fresh
+        // simulator's, so no lane may read what an earlier run left.
+        let spec = ElasticSpec {
+            skew_bound: 2,
+            sync_latency: 1,
+        };
+        let plans = [
+            FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(1) }),
+            FaultPlan::single(2, FaultKind::DropPulse { op: OpId(0) }),
+            FaultPlan::single(2, FaultKind::SpuriousPulse { op: OpId(3) }),
+            FaultPlan::single(
+                2,
+                FaultKind::FlipState {
+                    controller: 0,
+                    bit: 0,
+                },
+            ),
+        ];
+        for g in [fir3(), diffeq()] {
+            let bound = BoundDfg::bind(&g, &Allocation::paper(2, 1, 1));
+            let n = bound.dfg().num_ops();
+            let engines = [
+                Engine::generate(&bound, ControlStyle::Distributed),
+                Engine::generate(&bound, ControlStyle::Elastic(spec)),
+            ];
+            let mut sim = SlicedSim::new(&bound, &engines[0]);
+            for (step, lanes) in [64, 17, 1, 64].into_iter().enumerate() {
+                let faulty = step % 2 == 1;
+                let configs: Vec<SimConfig> = (0..lanes)
+                    .map(|t| match (faulty, t % 5) {
+                        (true, k) if k < plans.len() => SimConfig::with_faults(plans[k].clone()),
+                        _ => SimConfig::default(),
+                    })
+                    .collect();
+                let models: Vec<CompletionModel> = (0..lanes)
+                    .map(|t| match t % 3 {
+                        0 if faulty => CompletionModel::Table(Vec::new()),
+                        1 => CompletionModel::Table((0..n).map(|o| (o + t) % 3 != 0).collect()),
+                        _ => CompletionModel::Bernoulli { p: 0.6 },
+                    })
+                    .collect();
+                for engine in &engines {
+                    sim.clock = engine.elastic_spec();
+                    let run = |sim: &mut SlicedSim<'_>| {
+                        sim.run(
+                            &skew_bank(step as u64, lanes),
+                            &LaneModels::PerLane(&models),
+                            &LaneConfigs::PerLane(&configs),
+                            &mut rng_bank(40 + step as u64, lanes),
+                        )
+                    };
+                    let reused = run(&mut sim);
+                    let fresh = run(&mut SlicedSim::new(&bound, engine));
+                    assert_eq!(reused, fresh, "{}: step {step}, {lanes} lanes", g.name());
+                    assert_eq!(
+                        (reused.iter())
+                            .filter(|l| matches!(l, LaneOutcome::Fallback))
+                            .count(),
+                        if faulty { lanes.div_ceil(3) } else { 0 },
+                        "{}: step {step}",
+                        g.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pulse_chain_across_three_controllers_settles_in_one_cycle() {
+        // A hand-built bank whose result enables chain through `C_CO`
+        // inputs: unit 0 pulses RE0 unconditionally, unit 1 pulses RE1
+        // when it sees C_CO(0), and unit 2 pulses RE2..RE4 when it sees
+        // C_CO(1). The whole chain settles within cycle 1, which takes
+        // the fixpoint three rounds before it converges.
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
+        let n = bound.dfg().num_ops();
+        let link = |unit: usize, op: usize, input: Option<usize>, res: &[usize]| {
+            let mut f = Fsm::new(format!("D-FSM-chain{unit}"));
+            let s = f.add_state(format!("R{op}"));
+            let outs: Vec<usize> = res.iter().map(|r| f.add_output(format!("RE{r}"))).collect();
+            match input {
+                None => f.add_transition(s, s, Expr::Const(true), outs),
+                Some(p) => {
+                    let v = Expr::var(f.add_input(format!("C_CO({p})")));
+                    f.add_transition(s, s, v.clone(), outs);
+                    f.add_transition(s, s, v.not(), Vec::new());
+                }
+            }
+            f.set_initial(s);
+            (tauhls_sched::UnitId(unit), f)
+        };
+        let tail: Vec<usize> = (2..n).collect();
+        let cu = DistributedControlUnit::from_controllers(vec![
+            link(0, 0, None, &[0]),
+            link(1, 1, Some(0), &[1]),
+            link(2, 2, Some(1), &tail),
+        ]);
+        let model = CompletionModel::Bernoulli { p: 0.5 };
+        let config = SimConfig::default();
+        let skewed = ElasticSpec {
+            skew_bound: 2,
+            sync_latency: 0,
+        };
+        for engine in [
+            Engine::Dist(cu.clone()),
+            Engine::Elastic(cu.clone(), skewed),
+        ] {
+            assert_equiv(&bound, &engine, &model, &config, 9, 64, true);
+        }
+        let dist = Engine::Dist(cu);
+        let out = SlicedSim::new(&bound, &dist).run(
+            &[],
+            &LaneModels::Shared(&model),
+            &LaneConfigs::Shared(&config),
+            &mut rng_bank(9, 3),
+        );
+        for lane in &out {
+            let Some(Ok(r)) = lane.result() else {
+                panic!("chain lane did not complete: {lane:?}");
+            };
+            assert_eq!(r.completion_cycle, vec![1; n]);
+            assert_eq!(r.cycles, 1);
+        }
+    }
+
     /// Runs `config` on 3 lanes of `engine` over fir3 (2 multipliers, 1
     /// adder) under `model`, and checks every lane is the scalar
     /// engine's error, field for field, with the given reason prefix and

@@ -21,8 +21,8 @@ use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
     elastic_trial_skew_seed, trial_rng, BatchRunner, CompletionModel, ControlStyle, CycleStats,
-    ElasticSpec, Engine, FaultPlan, LaneBuilder, LaneConfigs, LaneInput, LaneModels, LaneOutcome,
-    SimConfig, SimJob, SlabDriver, SlicedSim,
+    Engine, FaultPlan, LaneBuilder, LaneConfigs, LaneInput, LaneModels, LaneOutcome, SimConfig,
+    SimJob, SlabDriver, SlicedSim,
 };
 
 /// A random bound design: 3..=14 ops over Add/Sub/Mul with a random
@@ -86,6 +86,25 @@ fn sliced_jobs_match_scalar_oracle_on_random_designs() {
     });
 }
 
+/// Lane models for `lanes` lanes: one shared Bernoulli model, or (half
+/// the time) a per-lane mix of completion tables and Bernoulli lanes, so
+/// one word holds lanes that read a fixed table and lanes that draw.
+fn arbitrary_lane_models(g: &mut Gen, num_ops: usize, lanes: usize) -> Vec<CompletionModel> {
+    if g.bool(0.5) {
+        return vec![CompletionModel::Bernoulli { p: g.unit_f64() }];
+    }
+    (0..lanes)
+        .map(|_| {
+            let p = g.unit_f64();
+            if g.bool(0.5) {
+                CompletionModel::draw_table(num_ops, p, g.rng())
+            } else {
+                CompletionModel::Bernoulli { p }
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn sliced_lanes_match_scalar_results_exactly() {
     forall("sliced-equiv-lanes", 60, |g| {
@@ -93,9 +112,13 @@ fn sliced_lanes_match_scalar_results_exactly() {
         let cu = DistributedControlUnit::generate(&bound);
         let config = arbitrary_config(g, &bound, cu.controllers().len());
         let lanes = g.usize(1..=64);
-        let model = CompletionModel::Bernoulli { p: g.unit_f64() };
+        let lane_models = arbitrary_lane_models(g, bound.dfg().num_ops(), lanes);
+        let model = |t: usize| &lane_models[t % lane_models.len()];
         let seed = g.u64(0..1_000_000);
-        let models = LaneModels::Shared(&model);
+        let models = match lane_models.as_slice() {
+            [shared] => LaneModels::Shared(shared),
+            per_lane => LaneModels::PerLane(per_lane),
+        };
         let cfgs = LaneConfigs::Shared(&config);
 
         let fault_free = config == SimConfig::default();
@@ -103,7 +126,7 @@ fn sliced_lanes_match_scalar_results_exactly() {
             ControlStyle::Distributed,
             ControlStyle::CentSync,
             ControlStyle::Cent,
-            ControlStyle::Elastic(ElasticSpec::default()),
+            ControlStyle::Elastic(arbitrary_elastic_spec(g, 3)),
         ];
         for (job, style) in (0u64..).zip(styles) {
             let engine = Engine::generate(&bound, style);
@@ -114,7 +137,8 @@ fn sliced_lanes_match_scalar_results_exactly() {
             let out = SlicedSim::new(&bound, &engine).run(&skews, &models, &cfgs, &mut rngs);
             for (t, lane) in out.iter().enumerate() {
                 let mut srng = trial_rng(seed, job, t as u64);
-                let scalar = engine.run_scalar(&bound, &model, None, &mut srng, &config, skews[t]);
+                let scalar =
+                    engine.run_scalar(&bound, model(t), None, &mut srng, &config, skews[t]);
                 assert_eq!(
                     lane.result(),
                     Some(scalar.as_ref()),
