@@ -117,15 +117,29 @@ impl CompletionModel {
         b: i64,
         rng: &mut impl Rng,
     ) -> bool {
+        self.fixed_completion(op, kind, a, b)
+            .unwrap_or_else(|p| rng.random_bool(p))
+    }
+
+    /// The completion signal of a model that draws nothing, or `Err(p)`:
+    /// the probability a [`CompletionModel::Bernoulli`] model draws it
+    /// with.
+    pub(crate) fn fixed_completion(
+        &self,
+        op: tauhls_dfg::OpId,
+        kind: OpKind,
+        a: i64,
+        b: i64,
+    ) -> Result<bool, f64> {
         match self {
-            CompletionModel::Bernoulli { p } => rng.random_bool(*p),
-            CompletionModel::AlwaysShort => true,
-            CompletionModel::AlwaysLong => false,
-            CompletionModel::Table(t) => t[op.0],
+            CompletionModel::Bernoulli { p } => Err(*p),
+            CompletionModel::AlwaysShort => Ok(true),
+            CompletionModel::AlwaysLong => Ok(false),
+            CompletionModel::Table(t) => Ok(t[op.0]),
             CompletionModel::OperandDriven(lib) => {
                 // A kind without a telescopic instance behaves fixed-delay
                 // (always completes in its single cycle).
-                lib.completion(kind, a, b).unwrap_or(true)
+                Ok(lib.completion(kind, a, b).unwrap_or(true))
             }
         }
     }

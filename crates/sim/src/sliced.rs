@@ -27,13 +27,27 @@
 //!
 //! # Layout
 //!
-//! * Completion state (`done`, `pulses`, `injected`, `scratch`) is one
+//! * Completion state (`done`, `pulses`, `injected`, `next`) is one
 //!   `u64` per op: bit `t` = trial `t`.
+//! * Completion models are transposed once per run: every lane whose
+//!   model draws nothing (a table, a fixed case, operand-driven units)
+//!   reads one bit-plane per op, so sampling it is one AND; only
+//!   Bernoulli lanes draw, one RNG call per lane and sample.
 //! * Per-trial scalar quantities (`start_cycle`, `completion_cycle`,
 //!   `unit_busy`) are stride-64 arrays indexed `op * 64 + t`.
 //! * Controller state is an *occupancy list* per controller: `(state,
 //!   lane mask)` groups, rebuilt each cycle from the transitions taken.
-//!   Lanes sharing a state share one guard evaluation.
+//!   Lanes sharing a state share one guard evaluation, over input words
+//!   built once per controller and fixpoint round for all live lanes.
+//! * The same-cycle pulse fixpoint is incremental. After round 0 it
+//!   re-steps only the controllers with a `C_CO` input whose pulse word
+//!   changed in the round before, and rebuilds the wavefront from every
+//!   controller's kept result enables. Under latched visibility `C_CO`
+//!   reads no pulses, so no controller re-steps.
+//! * Operand values and data-predecessor lists are built once per
+//!   [`SlicedSim`], and [`SlicedSim::run`] refills the vectors of the
+//!   `Done` results its caller's outcome buffer holds, so a reused
+//!   simulator and buffer allocate no result buffers per run.
 //!
 //! Faults are whole-word overlays with per-lane masks
 //! ([`LaneConfigs`]), applied after the completion-model draws exactly
@@ -49,7 +63,7 @@ use crate::model::CompletionModel;
 use crate::result::SimResult;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tauhls_dfg::{OpId, TaubmDfg};
+use tauhls_dfg::{Dfg, OpId, TaubmDfg};
 use tauhls_fsm::{DistributedControlUnit, Fsm, FsmError, StateId};
 use tauhls_logic::Expr;
 use tauhls_sched::BoundDfg;
@@ -129,54 +143,75 @@ impl LaneModels<'_> {
             }
         }
     }
+}
 
-    /// Draws/computes the completion word for `op` over the lanes in `w`,
-    /// consuming per-lane RNG draws exactly where the scalar model would.
-    fn truth_word(
-        &self,
-        op: OpId,
-        kind: tauhls_dfg::OpKind,
-        lhs: i64,
-        rhs: i64,
-        w: u64,
-        rngs: &mut [StdRng],
-    ) -> u64 {
-        match self {
-            LaneModels::Shared(CompletionModel::AlwaysShort) => w,
-            LaneModels::Shared(CompletionModel::AlwaysLong) => 0,
-            LaneModels::Shared(CompletionModel::Table(t)) => {
-                if t[op.0] {
-                    w
-                } else {
-                    0
-                }
-            }
-            LaneModels::Shared(CompletionModel::OperandDriven(lib)) => {
-                if lib.completion(kind, lhs, rhs).unwrap_or(true) {
-                    w
-                } else {
-                    0
-                }
-            }
-            LaneModels::Shared(CompletionModel::Bernoulli { p }) => {
-                let mut out = 0u64;
-                for t in BitIter(w) {
-                    if rngs[t].random_bool(*p) {
-                        out |= 1u64 << t;
-                    }
-                }
-                out
-            }
+/// One pass's completion models, transposed: every lane whose model
+/// draws nothing (a table, a fixed case, operand-driven units, all fixed
+/// per op under zero inputs) reads one bit-plane per op, and only the
+/// Bernoulli lanes draw from their RNG.
+#[derive(Default)]
+struct Draws {
+    /// Per op: the completion bit of every lane whose model is fixed.
+    planes: Vec<u64>,
+    /// The lanes that draw, and each drawing lane's `P`.
+    drawn: u64,
+    p: Vec<f64>,
+}
+
+impl Draws {
+    /// Transposes the models of the lanes in `valid` over `dfg`'s ops.
+    fn fill(&mut self, models: &LaneModels<'_>, dfg: &Dfg, opvals: &[(i64, i64)], valid: u64) {
+        reset_words(&mut self.planes, dfg.num_ops());
+        self.p.clear();
+        self.p.resize(LANES, 0.0);
+        self.drawn = 0;
+        match models {
+            LaneModels::Shared(m) if valid != 0 => self.add(m, valid, dfg, opvals),
+            LaneModels::Shared(_) => {}
             LaneModels::PerLane(ms) => {
-                let mut out = 0u64;
-                for t in BitIter(w) {
-                    if ms[t].completion(op, kind, lhs, rhs, &mut rngs[t]) {
-                        out |= 1u64 << t;
-                    }
+                for t in BitIter(valid) {
+                    self.add(&ms[t], 1u64 << t, dfg, opvals);
                 }
-                out
             }
         }
+    }
+
+    fn add(&mut self, model: &CompletionModel, lanes: u64, dfg: &Dfg, opvals: &[(i64, i64)]) {
+        match model {
+            CompletionModel::Bernoulli { p } => {
+                self.drawn |= lanes;
+                for t in BitIter(lanes) {
+                    self.p[t] = *p;
+                }
+            }
+            // One table per lane is the coupled comparison's hot case.
+            CompletionModel::Table(table) => {
+                for (plane, &short) in self.planes.iter_mut().zip(table) {
+                    *plane |= lanes & u64::from(short).wrapping_neg();
+                }
+            }
+            fixed => {
+                for (op, plane) in self.planes.iter_mut().enumerate() {
+                    let (lhs, rhs) = opvals[op];
+                    let kind = dfg.op(OpId(op)).kind;
+                    if fixed.fixed_completion(OpId(op), kind, lhs, rhs) == Ok(true) {
+                        *plane |= lanes;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The completion word of `op` over the lanes in `w`, drawing from
+    /// each Bernoulli lane's RNG exactly where the scalar model would.
+    fn word(&self, op: OpId, w: u64, rngs: &mut [StdRng]) -> u64 {
+        let mut out = self.planes[op.0] & w;
+        for t in BitIter(w & self.drawn) {
+            if rngs[t].random_bool(self.p[t]) {
+                out |= 1u64 << t;
+            }
+        }
+        out
     }
 }
 
@@ -569,6 +604,7 @@ fn compile(cu: &DistributedControlUnit) -> Option<Vec<CCtrl<'_>>> {
 /// across chunks (the scratch/arena-reuse contract of the batch runner).
 #[derive(Default)]
 struct Scratch {
+    draws: Draws,
     // Bit-planes indexed by op: bit `t` = trial `t`.
     done: Vec<u64>,
     pulses: Vec<u64>,
@@ -754,6 +790,7 @@ fn fsm_engine(
     let vis_latched = lat > 0;
 
     let mut flagged = models.invalid_mask(n, lanes);
+    scr.draws.fill(models, dfg, opvals, all & !flagged);
     let mut errors = Vec::new();
     let mut finished = 0u64;
     let faulty = configs.faulty_mask(lanes);
@@ -1026,9 +1063,7 @@ fn fsm_engine(
                     if w == 0 {
                         continue;
                     }
-                    let node = dfg.op(op);
-                    let (lhs, rhs) = opvals[op.0];
-                    let truth = models.truth_word(op, node.kind, lhs, rhs, w, rngs) & w;
+                    let truth = scr.draws.word(op, w, rngs);
                     let (s, l) = configs.stuck_masks_at(faulty, op, cycle, w);
                     let eff = (truth & !(s | l)) | s;
                     scr.unit_completion[c.unit] |= eff;
@@ -1371,6 +1406,7 @@ fn cent_sync_engine(
     let lanes = rngs.len();
     let all = lane_mask(lanes);
     let mut flagged = models.invalid_mask(n, lanes);
+    scr.draws.fill(models, dfg, opvals, all & !flagged);
     let mut errors = Vec::new();
     let faulty = configs.faulty_mask(lanes);
     configs.budgets(n, lanes, &mut scr.budgets);
@@ -1418,9 +1454,7 @@ fn cent_sync_engine(
             for t in BitIter(m) {
                 scr.start_cycle[o.0 * 64 + t] = scr.cyc[t];
             }
-            let node = dfg.op(o);
-            let (lhs, rhs) = opvals[o.0];
-            let truth = models.truth_word(o, node.kind, lhs, rhs, m, rngs) & m;
+            let truth = scr.draws.word(o, m, rngs);
             let mut short = truth;
             if faulty & m != 0 {
                 for t in BitIter(faulty & m) {
