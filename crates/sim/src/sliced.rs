@@ -532,6 +532,8 @@ struct CCtrl<'a> {
     /// The controller itself, for the names a diagnosis reports.
     fsm: &'a Fsm,
     inputs: Vec<InKind>,
+    /// The ops of its `C_CO` inputs that exist in the DFG.
+    cco: Vec<usize>,
     out_is_re: Vec<bool>,
     phases: Vec<Option<Phase>>,
     trans: Vec<Vec<CTrans<'a>>>,
@@ -543,7 +545,7 @@ struct CCtrl<'a> {
 /// over undeclared inputs). `None` sends every lane to scalar fallback,
 /// which reproduces the scalar engine's behaviour — including its
 /// documented panics on malformed generated controllers — exactly.
-fn compile(cu: &DistributedControlUnit) -> Option<Vec<CCtrl<'_>>> {
+fn compile(cu: &DistributedControlUnit, num_ops: usize) -> Option<Vec<CCtrl<'_>>> {
     let mut out = Vec::with_capacity(cu.controllers().len());
     for (u, f) in cu.controllers() {
         let mut inputs = Vec::with_capacity(f.inputs().len());
@@ -587,10 +589,17 @@ fn compile(cu: &DistributedControlUnit) -> Option<Vec<CCtrl<'_>>> {
                 });
             }
         }
+        let cco = (inputs.iter())
+            .filter_map(|ik| match ik {
+                InKind::Cco(p) if *p < num_ops => Some(*p),
+                _ => None,
+            })
+            .collect();
         out.push(CCtrl {
             unit: u.0,
             fsm: f,
             inputs,
+            cco,
             out_is_re,
             phases,
             trans,
@@ -629,6 +638,8 @@ struct Scratch {
     // Per controller: `(state, lane mask)` groups that step this cycle.
     agenda: Vec<Vec<(usize, u64)>>,
     taken: Vec<Vec<(usize, usize, u64)>>,
+    // Per controller: the `(op, lane mask)` result enables of its steps.
+    re_out: Vec<Vec<(usize, u64)>>,
     input_words: Vec<u64>,
     ev: Vec<u64>,
     tev: Vec<u64>,
@@ -835,6 +846,7 @@ fn fsm_engine(
     scr.occupancy.resize_with(nc, Vec::new);
     scr.agenda.resize_with(nc, Vec::new);
     scr.taken.resize_with(nc, Vec::new);
+    scr.re_out.resize_with(nc, Vec::new);
     for (i, c) in ctrls.iter().enumerate() {
         scr.occupancy[i].clear();
         scr.occupancy[i].push((c.initial, all));
@@ -1082,17 +1094,26 @@ fn fsm_engine(
         }
 
         // --- advance: pulse fixpoint --------------------------------
+        // Round 0 steps every controller. A later round re-steps only the
+        // controllers with a `C_CO` input whose pulse word changed in the
+        // round before (none under latched visibility, where `C_CO` reads
+        // `visible`); the others keep their steps and result enables, and
+        // `next` is rebuilt from all of them.
         for w in scr.injected.iter_mut() {
             *w = 0;
         }
         configs.spurious_into(faulty, cycle, adv, &mut scr.spur, &mut scr.injected);
         scr.pulses.copy_from_slice(&scr.injected);
-        for _round in 0..nc + 2 {
-            for tk in scr.taken.iter_mut() {
-                tk.clear();
-            }
-            scr.next.copy_from_slice(&scr.injected);
+        for round in 0..nc + 2 {
             for (i, c) in ctrls.iter().enumerate() {
+                // After a round, `next` holds the pulses that round read.
+                let (pulses, prev) = (&scr.pulses, &scr.next);
+                let changed = |&p: &usize| (pulses[p] ^ prev[p]) & adv != 0;
+                if round > 0 && (vis_latched || !c.cco.iter().any(changed)) {
+                    continue;
+                }
+                scr.taken[i].clear();
+                scr.re_out[i].clear();
                 for gi in 0..scr.agenda[i].len() {
                     let (st, gm) = scr.agenda[i][gi];
                     let w = gm & adv;
@@ -1158,11 +1179,15 @@ fn fsm_engine(
                         for &re in &tr.res {
                             if re < n {
                                 let dm = configs.drop_mask_at(faulty, OpId(re), cycle, fw);
-                                scr.next[re] |= fw & !dm;
+                                scr.re_out[i].push((re, fw & !dm));
                             }
                         }
                     }
                 }
+            }
+            scr.next.copy_from_slice(&scr.injected);
+            for &(re, m) in scr.re_out.iter().flatten() {
+                scr.next[re] |= m;
             }
             let converged = (0..n).all(|op| (scr.next[op] ^ scr.pulses[op]) & adv == 0);
             if converged {
@@ -1563,7 +1588,7 @@ impl<'a> SlicedSim<'a> {
         let values = dfg.evaluate_all(&zeros);
         let opvals = operand_values(bound, &zeros, &values);
         let mode = match engine.dist_bank() {
-            Some(cu) => EngineMode::Bank(compile(cu)),
+            Some(cu) => EngineMode::Bank(compile(cu, dfg.num_ops())),
             None => EngineMode::CentSync(TaubmDfg::derive(
                 dfg,
                 bound.schedule().step_of(),
