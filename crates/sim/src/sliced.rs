@@ -764,6 +764,18 @@ fn diagnose(
     }
 }
 
+/// The `C_CO(p)` word as a bank controller reads it: done or pulsing this
+/// round, or, when cross-domain transfer is latched, only the
+/// handshake-crossed `visible` plane, never pulses. An op outside the DFG
+/// never completes.
+fn cco_word(scr: &Scratch, p: usize, vis_latched: bool) -> u64 {
+    match scr.done.get(p) {
+        None => 0,
+        Some(_) if vis_latched => scr.visible[p],
+        Some(&done) => done | scr.pulses[p],
+    }
+}
+
 /// The word-parallel single-iteration FSM cycle engine of the controller
 /// bank (DIST, CENT and ELASTIC). Mirrors `kernel::run` +
 /// `FsmStyle::advance` stage for stage. Returns the mask of lanes that
@@ -1114,36 +1126,25 @@ fn fsm_engine(
                 }
                 scr.taken[i].clear();
                 scr.re_out[i].clear();
+                // Input words over every live lane (stuck overlays layered
+                // on top of the style's completion semantics); each group
+                // masks its own lanes out of the guards.
+                scr.input_words.clear();
+                for ik in &c.inputs {
+                    let word = match ik {
+                        InKind::Cco(p) => {
+                            let (s, l) = configs.stuck_masks_at(faulty, OpId(*p), cycle, adv);
+                            (cco_word(scr, *p, vis_latched) & !(s | l)) | s
+                        }
+                        InKind::Own => scr.unit_completion[c.unit],
+                    };
+                    scr.input_words.push(word);
+                }
                 for gi in 0..scr.agenda[i].len() {
                     let (st, gm) = scr.agenda[i][gi];
                     let w = gm & adv;
                     if w == 0 {
                         continue;
-                    }
-                    // Input words for this group (stuck overlays layered
-                    // on top of the style's completion semantics).
-                    scr.input_words.clear();
-                    for ik in &c.inputs {
-                        let word = match ik {
-                            InKind::Cco(p) => {
-                                let base = if *p < n {
-                                    if vis_latched {
-                                        // Cross-domain transfer is latched:
-                                        // only handshake-crossed completions
-                                        // are visible, never pulses.
-                                        scr.visible[*p]
-                                    } else {
-                                        scr.done[*p] | scr.pulses[*p]
-                                    }
-                                } else {
-                                    0
-                                };
-                                let (s, l) = configs.stuck_masks_at(faulty, OpId(*p), cycle, w);
-                                (base & !(s | l)) | s
-                            }
-                            InKind::Own => scr.unit_completion[c.unit],
-                        };
-                        scr.input_words.push(word);
                     }
                     let trs = &c.trans[st];
                     scr.ev.clear();
@@ -1203,31 +1204,21 @@ fn fsm_engine(
                 if uw == 0 {
                     continue;
                 }
+                // Truth inputs: no stuck overlay, own completion is the
+                // model's draw.
+                scr.input_words.clear();
+                for ik in &c.inputs {
+                    let word = match ik {
+                        InKind::Cco(p) => cco_word(scr, *p, vis_latched),
+                        InKind::Own => scr.unit_completion[c.unit] ^ uw,
+                    };
+                    scr.input_words.push(word);
+                }
                 for gi in 0..scr.agenda[i].len() {
                     let (st, gm) = scr.agenda[i][gi];
                     let dm = gm & adv & uw;
                     if dm == 0 {
                         continue;
-                    }
-                    // Truth inputs: no stuck overlay, own completion is
-                    // the model's draw.
-                    scr.input_words.clear();
-                    for ik in &c.inputs {
-                        let word = match ik {
-                            InKind::Cco(p) => {
-                                if *p < n {
-                                    if vis_latched {
-                                        scr.visible[*p]
-                                    } else {
-                                        scr.done[*p] | scr.pulses[*p]
-                                    }
-                                } else {
-                                    0
-                                }
-                            }
-                            InKind::Own => scr.unit_completion[c.unit] ^ scr.unit_diverged[c.unit],
-                        };
-                        scr.input_words.push(word);
                     }
                     let trs = &c.trans[st];
                     scr.tev.clear();
