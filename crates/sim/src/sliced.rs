@@ -794,6 +794,7 @@ fn fsm_engine(
     bound: &BoundDfg,
     ctrls: &[CCtrl<'_>],
     opvals: &[(i64, i64)],
+    preds: &[Vec<OpId>],
     elastic: Option<(ElasticSpec, &[u64])>,
     models: &LaneModels<'_>,
     configs: &LaneConfigs<'_>,
@@ -1067,7 +1068,7 @@ fn fsm_engine(
                             scr.start_cycle[op.0 * 64 + t] = cycle;
                         }
                     }
-                    for p in dfg.preds(op) {
+                    for &p in &preds[op.0] {
                         let viol = w & !scr.done[p.0];
                         if viol != 0 {
                             diagnose(
@@ -1553,9 +1554,11 @@ enum EngineMode<'a> {
 pub struct SlicedSim<'a> {
     bound: &'a BoundDfg,
     mode: EngineMode<'a>,
-    /// Reference values and per-op operands under zero primary inputs.
+    /// Reference values, per-op operands under zero primary inputs, and
+    /// per-op data predecessors.
     values: Vec<i64>,
     opvals: Vec<(i64, i64)>,
+    preds: Vec<Vec<OpId>>,
     /// The ELASTIC spec clocking the bank's lanes; `None` runs them on one
     /// synchronous clock. The [`SlabDriver`](crate::SlabDriver) points its
     /// one bank simulator at each style's spec in turn.
@@ -1591,6 +1594,7 @@ impl<'a> SlicedSim<'a> {
             mode,
             values,
             opvals,
+            preds: dfg.op_ids().map(|op| dfg.preds(op)).collect(),
             clock: engine.elastic_spec(),
             diag: engine.diag_mode(),
             scr: Scratch::default(),
@@ -1642,6 +1646,7 @@ impl<'a> SlicedSim<'a> {
                     self.bound,
                     ctrls,
                     &self.opvals,
+                    &self.preds,
                     clock,
                     models,
                     configs,
