@@ -21,6 +21,15 @@
 //! cycles simulated to completion or to detection, and record how many
 //! cells reran through the scalar engine (`reruns`).
 //!
+//! The `legs_coupled` row per benchmark runs a `/v1/simulate` request's
+//! shape: every [`SIMULATE_LEGS`] style through one serial
+//! [`SlabDriver`], each trial drawing one completion table at P = 0.9
+//! and at P = 0.5 and feeding it to every style, the way `latency_batch`
+//! runs them. Its `trials` counts both `P` values, and `total_cycles`
+//! every cell.
+//!
+//! [`SIMULATE_LEGS`]: tauhls_core::jobspec::SIMULATE_LEGS
+//!
 //! Usage: `kernel_smoke [trials-per-benchmark]` (default 300).
 
 use rand::rngs::StdRng;
@@ -29,7 +38,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tauhls_core::experiments::paper_benchmarks;
-use tauhls_core::jobspec::{Endpoint, JobSpec};
+use tauhls_core::jobspec::{leg_styles, Endpoint, JobSpec};
 use tauhls_core::resilience::{sweep_trial_config, FAULT_KINDS};
 use tauhls_json::{Json, JsonRef};
 use tauhls_sched::BoundDfg;
@@ -153,7 +162,7 @@ fn measure_sliced(trials: u64, mut run: impl FnMut(&mut [StdRng]) -> u64) -> (u6
     )
 }
 
-fn slab_cycles(out: Vec<LaneOutcome>) -> u64 {
+fn slab_cycles(out: &[LaneOutcome]) -> u64 {
     out.iter()
         .map(|lane| match lane {
             LaneOutcome::Done(r) => r.cycles as u64,
@@ -211,6 +220,41 @@ fn measure_faulty(bound: &BoundDfg, style: ControlStyle, trials: u64) -> (u64, u
     (total, elapsed_ns, allocs, driver.paths().reruns())
 }
 
+/// The `P` values of the `legs_coupled` rows: a `simulate_mc` request's.
+const COUPLED_P: [f64; 2] = [0.9, 0.5];
+
+/// Times `trials` fault-free trials per [`COUPLED_P`] value of every
+/// [`SIMULATE_LEGS`] style through one serial [`SlabDriver`], each trial
+/// drawing its completion table the way `latency_batch` does: the cycles
+/// of every cell, the wall-clock and the heap allocations.
+///
+/// [`SIMULATE_LEGS`]: tauhls_core::jobspec::SIMULATE_LEGS
+fn measure_coupled(bound: &BoundDfg, trials: u64) -> (u64, u64, u64) {
+    let num_ops = bound.dfg().num_ops();
+    let fault_free = SimConfig::default();
+    let driver = SlabDriver::new(bound, &leg_styles(ElasticSpec::default()));
+    let runner = BatchRunner::serial();
+    let allocs_before = alloc_count();
+    let start = Instant::now();
+    let mut total = 0;
+    for (job, p) in (0u64..).zip(COUPLED_P) {
+        let lanes = LaneBuilder {
+            rng: &|trial| trial_rng(SEED, job, trial),
+            model: LaneInput::PerLane(&|_, rng| CompletionModel::draw_table(num_ops, p, rng)),
+            config: LaneInput::Shared(&fault_free),
+            skew_seed: &|trial| elastic_trial_skew_seed(SEED, job, trial),
+        };
+        let Cycles(cycles) = driver.run(trials, &runner, &lanes, |Cycles(acc), _, _, results| {
+            for result in results {
+                *acc += result.expect("fault-free coupled trial").cycles as u64;
+            }
+        });
+        total += cycles;
+    }
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    (total, elapsed_ns, alloc_count() - allocs_before)
+}
+
 fn main() {
     let trials: u64 = std::env::args()
         .nth(1)
@@ -261,10 +305,12 @@ fn main() {
                 }),
             ));
             let mut sim = SlicedSim::new(&bound, &engine);
+            let mut out = Vec::with_capacity(LANES);
             let mut sliced = || {
                 measure_sliced(trials, |rngs| {
                     let skews = &skew_seeds[..rngs.len()];
-                    slab_cycles(sim.run(skews, &models, &cfgs, rngs))
+                    sim.run(skews, &models, &cfgs, rngs, &mut out);
+                    slab_cycles(&out)
                 })
             };
             let first = sliced();
@@ -288,6 +334,10 @@ fn main() {
                 ..row(format!("{style_name}_faulty"), (cycles, ns, allocs))
             });
         }
+        rows.push(EngineRow {
+            trials: trials * COUPLED_P.len() as u64,
+            ..row("legs_coupled".to_string(), measure_coupled(&bound, trials))
+        });
     }
 
     for row in &rows {

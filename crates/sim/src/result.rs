@@ -5,7 +5,7 @@ use tauhls_dfg::OpId;
 use tauhls_sched::BoundDfg;
 
 /// Outcome of simulating one DFG iteration under some control unit.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimResult {
     /// Total cycles until every operation completed (the latency).
     pub cycles: usize,

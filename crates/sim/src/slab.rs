@@ -198,6 +198,7 @@ impl<'a> SlabDriver<'a> {
             Slab {
                 sync_sim: sim_for(false),
                 bank_sim: sim_for(true),
+                passes: (self.engines.iter()).map(|_| Vec::new()).collect(),
                 ..Slab::default()
             }
         };
@@ -213,20 +214,20 @@ impl<'a> SlabDriver<'a> {
                     LaneInput::Shared(c) => LaneConfigs::Shared(c),
                     LaneInput::PerLane(_) => LaneConfigs::PerLane(&w.configs),
                 };
-                // One sliced pass per lane-sharing group, on its first style.
-                let passes: Vec<Vec<LaneOutcome>> = (self.engines.iter().enumerate())
-                    .map(|(k, engine)| {
-                        let sim = match (self.lanes_of[k] == k, engine.dist_bank()) {
-                            (false, _) => None,
-                            (true, Some(_)) => w.bank_sim.as_mut(),
-                            (true, None) => w.sync_sim.as_mut(),
-                        };
-                        let Some(sim) = sim else { return Vec::new() };
-                        w.rngs.clone_from(&w.fresh);
-                        sim.clock = engine.elastic_spec();
-                        sim.run(&w.skews, &models, &configs, &mut w.rngs)
-                    })
-                    .collect();
+                // One sliced pass per lane-sharing group, on its first style,
+                // into the lanes that pass wrote last slab.
+                for (k, engine) in self.engines.iter().enumerate() {
+                    let sim = match (self.lanes_of[k] == k, engine.dist_bank()) {
+                        (false, _) => None,
+                        (true, Some(_)) => w.bank_sim.as_mut(),
+                        (true, None) => w.sync_sim.as_mut(),
+                    };
+                    let Some(sim) = sim else { continue };
+                    w.rngs.clone_from(&w.fresh);
+                    sim.clock = engine.elastic_spec();
+                    sim.run(&w.skews, &models, &configs, &mut w.rngs, &mut w.passes[k]);
+                }
+                let passes = &w.passes;
                 // Per lane and style: the sliced outcome, or the scalar
                 // rerun.
                 let mut paths = CellPaths::default();
@@ -279,6 +280,10 @@ impl<'a> SlabDriver<'a> {
 struct Slab<'s> {
     sync_sim: Option<SlicedSim<'s>>,
     bank_sim: Option<SlicedSim<'s>>,
+    /// Per style, the lanes of its sliced pass (empty for a style that
+    /// reads another style's pass), kept across slabs so each pass refills
+    /// its results' vectors.
+    passes: Vec<Vec<LaneOutcome>>,
     /// Each lane's RNG as its builder made it.
     fresh: Vec<StdRng>,
     /// The copies a sliced pass advances.

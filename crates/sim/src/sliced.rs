@@ -1395,10 +1395,14 @@ fn fsm_engine(
     (flagged, errors)
 }
 
-/// Lane `t`'s column of the stride-64 completion cycles: what a
-/// CENT-SYNC diagnosis reads.
+/// Lane `t`'s column of a stride-64 plane of `rows` rows.
+fn column(plane: &[usize], rows: usize, t: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..rows).map(move |i| plane[i * 64 + t])
+}
+
+/// Lane `t`'s completion cycles: what a CENT-SYNC diagnosis reads.
 fn completed(scr: &Scratch, n: usize, t: usize) -> Vec<usize> {
-    (0..n).map(|o| scr.completion_cycle[o * 64 + t]).collect()
+    column(&scr.completion_cycle, n, t).collect()
 }
 
 /// The word-parallel synchronized step-walk (CENT-SYNC). Unlike the FSM
@@ -1613,7 +1617,8 @@ impl<'a> SlicedSim<'a> {
         m_ok && c_ok
     }
 
-    /// Runs `rngs.len()` trials (one per bit lane, at most [`LANES`]).
+    /// Runs `rngs.len()` trials (one per bit lane, at most [`LANES`]) and
+    /// writes one outcome per lane into `out`, replacing what it held.
     /// Lane `t` consumes `rngs[t]` exactly as the scalar engine would and,
     /// under ELASTIC, draws its clock schedule from `skew_seeds[t]` (the
     /// synchronous styles ignore the seeds). A [`LaneOutcome::Done`]
@@ -1623,21 +1628,28 @@ impl<'a> SlicedSim<'a> {
     /// when the run is declined: more than [`LANES`] lanes, fewer skew
     /// seeds (under ELASTIC), models or configs than lanes, or a
     /// controller bank outside the compilable naming convention.
+    ///
+    /// A `Done` lane refills the vectors of the result its slot of `out`
+    /// held, so a caller that keeps `out` across runs allocates no result
+    /// buffers on the steady state.
     pub fn run(
         &mut self,
         skew_seeds: &[u64],
         models: &LaneModels<'_>,
         configs: &LaneConfigs<'_>,
         rngs: &mut [StdRng],
-    ) -> Vec<LaneOutcome> {
+        out: &mut Vec<LaneOutcome>,
+    ) {
         let lanes = rngs.len();
-        if lanes == 0 {
-            return Vec::new();
-        }
         let seeds_ok = self.clock.is_none() || skew_seeds.len() >= lanes;
-        if lanes > LANES || !seeds_ok || !Self::lanes_ok(models, configs, lanes) {
-            return vec![LaneOutcome::Fallback; lanes];
+        let declined = lanes > LANES || !seeds_ok || !Self::lanes_ok(models, configs, lanes);
+        if declined || matches!(self.mode, EngineMode::Bank(None)) {
+            out.clear();
+            out.resize(lanes, LaneOutcome::Fallback);
+            return;
         }
+        out.truncate(lanes);
+        out.resize(lanes, LaneOutcome::Fallback);
         let faulty = configs.faulty_mask(lanes);
         let (flagged, errors) = match &self.mode {
             EngineMode::Bank(Some(ctrls)) => {
@@ -1654,7 +1666,7 @@ impl<'a> SlicedSim<'a> {
                     &mut self.scr,
                 )
             }
-            EngineMode::Bank(None) => return vec![LaneOutcome::Fallback; lanes],
+            EngineMode::Bank(None) => return,
             EngineMode::CentSync(taubm) => cent_sync_engine(
                 self.bound,
                 taubm,
@@ -1665,69 +1677,80 @@ impl<'a> SlicedSim<'a> {
                 &mut self.scr,
             ),
         };
-        self.collect(flagged, errors, faulty, lanes)
+        self.collect(flagged, errors, faulty, out);
     }
 
-    /// Transposes the engine scratch back into per-lane outcomes: a
-    /// flagged lane takes its diagnosed error or falls back, and a
-    /// terminating faulty lane that latched out of order fails the scalar
-    /// engines' post-run invariant check as a Desync.
+    /// Transposes the engine scratch back into per-lane outcomes, one per
+    /// slot of `out`: a flagged lane takes its diagnosed error or falls
+    /// back, and a terminating faulty lane that latched out of order fails
+    /// the scalar engines' post-run invariant check as a Desync.
     fn collect(
         &self,
         flagged: u64,
         mut errors: Vec<(usize, SimError)>,
         faulty: u64,
-        lanes: usize,
-    ) -> Vec<LaneOutcome> {
+        out: &mut [LaneOutcome],
+    ) {
         let scr = &self.scr;
         let n = self.bound.dfg().num_ops();
         let nu = self.bound.allocation().units().len();
         let failed = |e| LaneOutcome::Failed(self.diag.relabel(e));
-        let mut out = Vec::with_capacity(lanes);
-        for t in 0..lanes {
+        for (t, slot) in out.iter_mut().enumerate() {
             if flagged & (1u64 << t) != 0 {
-                out.push(match errors.iter().position(|e| e.0 == t) {
+                *slot = match errors.iter().position(|e| e.0 == t) {
                     Some(i) => failed(errors.swap_remove(i).1),
                     None => LaneOutcome::Fallback,
-                });
+                };
                 continue;
             }
-            let completion_cycle = completed(scr, n, t);
-            let cycles = match self.mode {
+            let mut r = match std::mem::replace(slot, LaneOutcome::Fallback) {
+                LaneOutcome::Done(r) => r,
+                _ => SimResult::default(),
+            };
+            r.completion_cycle.clear();
+            r.completion_cycle
+                .extend(column(&scr.completion_cycle, n, t));
+            r.start_cycle.clear();
+            r.start_cycle.extend(column(&scr.start_cycle, n, t));
+            r.unit_busy_cycles.clear();
+            r.unit_busy_cycles.extend(column(&scr.unit_busy, nu, t));
+            r.values.clear();
+            r.values.extend_from_slice(&self.values);
+            r.cycles = match self.mode {
                 EngineMode::CentSync(_) => {
-                    scr.cyc[t].max(completion_cycle.iter().copied().max().unwrap_or(0))
+                    scr.cyc[t].max(r.completion_cycle.iter().copied().max().unwrap_or(0))
                 }
                 EngineMode::Bank(_) => scr.fin_cycle[t],
-            };
-            let r = SimResult {
-                cycles,
-                completion_cycle,
-                start_cycle: (0..n).map(|o| scr.start_cycle[o * 64 + t]).collect(),
-                unit_busy_cycles: (0..nu).map(|u| scr.unit_busy[u * 64 + t]).collect(),
-                values: self.values.clone(),
             };
             let violation = match faulty & (1u64 << t) {
                 0 => None,
                 _ => r.verify(self.bound).err(),
             };
             let Some(msg) = violation else {
-                out.push(LaneOutcome::Done(r));
+                *slot = LaneOutcome::Done(r);
                 continue;
             };
             let reason = format!("post-run invariant violated: {msg}");
             let diag = match &self.mode {
                 EngineMode::CentSync(_) => {
-                    Some(cent_sync_diag(cycles, reason, &r.completion_cycle))
+                    Some(cent_sync_diag(r.cycles, reason, &r.completion_cycle))
                 }
                 EngineMode::Bank(ctrls) => ctrls.as_deref().and_then(|ctrls| {
                     let state =
                         |i: usize| Some(scr.fin_states[i * 64 + t]).filter(|&s| s != usize::MAX);
-                    lane_diagnostics(ctrls, t, cycles, reason, state, &scr.done, &scr.fin_pulses)
+                    lane_diagnostics(
+                        ctrls,
+                        t,
+                        r.cycles,
+                        reason,
+                        state,
+                        &scr.done,
+                        &scr.fin_pulses,
+                    )
                 }),
             };
-            out.push(diag.map_or(LaneOutcome::Fallback, |d| failed(SimError::Desync(d))));
+            *slot = diag.map_or(LaneOutcome::Fallback, |d| failed(SimError::Desync(d)));
         }
-        out
     }
 }
 
@@ -1744,6 +1767,19 @@ mod tests {
         (0..lanes)
             .map(|t| StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37)))
             .collect()
+    }
+
+    /// One run of `sim` into a fresh outcome vector.
+    fn run_once(
+        sim: &mut SlicedSim<'_>,
+        skews: &[u64],
+        models: &LaneModels<'_>,
+        configs: &LaneConfigs<'_>,
+        rngs: &mut [StdRng],
+    ) -> Vec<LaneOutcome> {
+        let mut out = Vec::new();
+        sim.run(skews, models, configs, rngs, &mut out);
+        out
     }
 
     fn skew_bank(seed: u64, lanes: usize) -> Vec<u64> {
@@ -1767,7 +1803,8 @@ mod tests {
     ) {
         let mut rngs = rng_bank(seed, lanes);
         let skews = skew_bank(seed.wrapping_mul(31), lanes);
-        let out = SlicedSim::new(bound, engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(bound, engine),
             &skews,
             &LaneModels::Shared(model),
             &LaneConfigs::Shared(config),
@@ -1813,7 +1850,8 @@ mod tests {
         let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
         let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let mut rngs = rng_bank(11, 64);
-        let out = SlicedSim::new(&bound, &engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &engine),
             &[],
             &LaneModels::Shared(&CompletionModel::Bernoulli { p: 0.5 }),
             &LaneConfigs::Shared(&SimConfig::default()),
@@ -1869,7 +1907,8 @@ mod tests {
         configs[3].faults = FaultPlan::single(1, FaultKind::StuckAtShort { op: OpId(0) });
         let model = CompletionModel::Bernoulli { p: 0.5 };
         let mut rngs = rng_bank(42, lanes);
-        let out = SlicedSim::new(&bound, &engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &engine),
             &[],
             &LaneModels::Shared(&model),
             &LaneConfigs::PerLane(&configs),
@@ -1897,7 +1936,8 @@ mod tests {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
         let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let mut rngs = rng_bank(0, 65);
-        let out = SlicedSim::new(&bound, &engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &engine),
             &[],
             &LaneModels::Shared(&CompletionModel::AlwaysShort),
             &LaneConfigs::Shared(&SimConfig::default()),
@@ -1920,7 +1960,8 @@ mod tests {
             CompletionModel::Bernoulli { p: f64::NAN },
         ];
         let mut rngs = rng_bank(0, 3);
-        let out = SlicedSim::new(&bound, &engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &engine),
             &[],
             &LaneModels::PerLane(&models),
             &LaneConfigs::Shared(&SimConfig::default()),
@@ -1971,7 +2012,8 @@ mod tests {
         let model = CompletionModel::Bernoulli { p: 0.5 };
         let run = |style| {
             let engine = Engine::generate(&bound, style);
-            SlicedSim::new(&bound, &engine).run(
+            run_once(
+                &mut SlicedSim::new(&bound, &engine),
                 &skew_bank(999, 64),
                 &LaneModels::Shared(&model),
                 &LaneConfigs::Shared(&SimConfig::default()),
@@ -2046,7 +2088,8 @@ mod tests {
         let model = CompletionModel::Bernoulli { p: 0.5 };
         let mut rngs = rng_bank(21, lanes);
         let skews = skew_bank(5, lanes);
-        let out = SlicedSim::new(&bound, &engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &engine),
             &skews,
             &LaneModels::Shared(&model),
             &LaneConfigs::PerLane(&configs),
@@ -2066,7 +2109,8 @@ mod tests {
         let model = CompletionModel::AlwaysShort;
         let run = |style| {
             let engine = Engine::generate(&bound, style);
-            SlicedSim::new(&bound, &engine).run(
+            run_once(
+                &mut SlicedSim::new(&bound, &engine),
                 &skew_bank(0, 3),
                 &LaneModels::Shared(&model),
                 &LaneConfigs::Shared(&SimConfig::default()),
@@ -2087,17 +2131,18 @@ mod tests {
         let engine = Engine::generate(&bound, ControlStyle::Distributed);
         let model = CompletionModel::Bernoulli { p: 0.6 };
         let mut sim = SlicedSim::new(&bound, &engine);
-        let mut baseline = Vec::new();
+        let (mut baseline, mut out) = (Vec::new(), Vec::new());
         for round in 0..3 {
             let mut rngs = rng_bank(77, 13);
-            let out = sim.run(
+            sim.run(
                 &[],
                 &LaneModels::Shared(&model),
                 &LaneConfigs::Shared(&SimConfig::default()),
                 &mut rngs,
+                &mut out,
             );
             if round == 0 {
-                baseline = out;
+                baseline = out.clone();
             } else {
                 assert_eq!(out, baseline, "round {round} leaked scratch state");
             }
@@ -2135,6 +2180,7 @@ mod tests {
                 Engine::generate(&bound, ControlStyle::Elastic(spec)),
             ];
             let mut sim = SlicedSim::new(&bound, &engines[0]);
+            let mut reused = Vec::new();
             for (step, lanes) in [64, 17, 1, 64].into_iter().enumerate() {
                 let faulty = step % 2 == 1;
                 let configs: Vec<SimConfig> = (0..lanes)
@@ -2152,16 +2198,15 @@ mod tests {
                     .collect();
                 for engine in &engines {
                     sim.clock = engine.elastic_spec();
-                    let run = |sim: &mut SlicedSim<'_>| {
-                        sim.run(
-                            &skew_bank(step as u64, lanes),
-                            &LaneModels::PerLane(&models),
-                            &LaneConfigs::PerLane(&configs),
-                            &mut rng_bank(40 + step as u64, lanes),
-                        )
-                    };
-                    let reused = run(&mut sim);
-                    let fresh = run(&mut SlicedSim::new(&bound, engine));
+                    let (skews, models, configs) = (
+                        skew_bank(step as u64, lanes),
+                        LaneModels::PerLane(&models),
+                        LaneConfigs::PerLane(&configs),
+                    );
+                    let rngs = || rng_bank(40 + step as u64, lanes);
+                    sim.run(&skews, &models, &configs, &mut rngs(), &mut reused);
+                    let mut fresh_sim = SlicedSim::new(&bound, engine);
+                    let fresh = run_once(&mut fresh_sim, &skews, &models, &configs, &mut rngs());
                     assert_eq!(reused, fresh, "{}: step {step}, {lanes} lanes", g.name());
                     assert_eq!(
                         (reused.iter())
@@ -2171,6 +2216,8 @@ mod tests {
                         "{}: step {step}",
                         g.name()
                     );
+                    let failed = (reused.iter()).any(|l| matches!(l, LaneOutcome::Failed(_)));
+                    assert_eq!(failed, faulty, "{}: step {step}", g.name());
                 }
             }
         }
@@ -2219,7 +2266,8 @@ mod tests {
             assert_equiv(&bound, &engine, &model, &config, 9, 64, true);
         }
         let dist = Engine::Dist(cu);
-        let out = SlicedSim::new(&bound, &dist).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, &dist),
             &[],
             &LaneModels::Shared(&model),
             &LaneConfigs::Shared(&config),
@@ -2246,7 +2294,8 @@ mod tests {
         pulses: &[usize],
     ) {
         let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
-        let out = SlicedSim::new(&bound, engine).run(
+        let out = run_once(
+            &mut SlicedSim::new(&bound, engine),
             &skew_bank(1, 3),
             &LaneModels::Shared(model),
             &LaneConfigs::Shared(config),

@@ -134,7 +134,8 @@ fn sliced_lanes_match_scalar_results_exactly() {
             let skews: Vec<_> = (0..lanes as u64)
                 .map(|t| elastic_trial_skew_seed(seed, job, t))
                 .collect();
-            let out = SlicedSim::new(&bound, &engine).run(&skews, &models, &cfgs, &mut rngs);
+            let mut out = Vec::new();
+            SlicedSim::new(&bound, &engine).run(&skews, &models, &cfgs, &mut rngs, &mut out);
             for (t, lane) in out.iter().enumerate() {
                 let mut srng = trial_rng(seed, job, t as u64);
                 let scalar =
@@ -216,11 +217,13 @@ fn sliced_lane_errors_match_scalar() {
             let skews: Vec<_> = (0..lanes as u64)
                 .map(|t| elastic_trial_skew_seed(seed, 0, t))
                 .collect();
-            let out = SlicedSim::new(&bound, &engine).run(
+            let mut out = Vec::new();
+            SlicedSim::new(&bound, &engine).run(
                 &skews,
                 &LaneModels::Shared(&model),
                 &LaneConfigs::PerLane(&configs),
                 &mut rngs,
+                &mut out,
             );
             for (t, lane) in out.iter().enumerate() {
                 let want = scalar(&engine, 0, t as u64);
