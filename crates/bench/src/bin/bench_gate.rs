@@ -15,7 +15,9 @@
 //! baseline comparison is the noisier cross-run check the tolerance and
 //! allowlist exist for. Likewise machine-independent: every engine ×
 //! benchmark row of the kernel baseline must reappear with exactly its
-//! `total_cycles`, which the fixed seed and trial count determine.
+//! `total_cycles`, which the fixed seed and trial count determine, and
+//! with no more heap `allocs` than the baseline row records: a ceiling
+//! that, like the cycle count, depends on the code alone.
 //!
 //! Usage:
 //!   bench_gate <kernel|serve|synth> <fresh.json> <baseline.json>
@@ -108,6 +110,31 @@ fn total_cycles_mismatches(baseline: &Json, fresh: &Json) -> Result<Vec<String>,
         }
     }
     Ok(mismatches)
+}
+
+/// The allocation ceiling: every baseline kernel row with an `allocs`
+/// count whose fresh twin allocated more, or reports no count, described
+/// for the report. Rows missing from the fresh report are left to
+/// [`total_cycles_mismatches`].
+fn allocs_increases(baseline: &Json, fresh: &Json) -> Result<Vec<String>, String> {
+    let allocs = |row: &Json| row.get("allocs").and_then(Json::as_u64);
+    let fresh = kernel_rows(fresh)?;
+    let mut increases = Vec::new();
+    for (key, row) in kernel_rows(baseline)? {
+        let Some(ceiling) = allocs(row) else { continue };
+        match fresh
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, r)| allocs(r))
+        {
+            Some(Some(got)) if got > ceiling => {
+                increases.push(format!("{key} allocs {got} > {ceiling}"))
+            }
+            Some(None) => increases.push(format!("{key} reports no allocs")),
+            _ => {}
+        }
+    }
+    Ok(increases)
 }
 
 /// One metric that fell more than the tolerance below its baseline.
@@ -259,6 +286,15 @@ fn run(args: &[String]) -> Result<bool, String> {
             "kernel: {} total_cycles rows differ from baseline",
             mismatches.len()
         );
+        let increases = allocs_increases(&baseline, &fresh)?;
+        for m in &increases {
+            println!("FAIL: {m}");
+        }
+        pass &= increases.is_empty();
+        println!(
+            "kernel: {} rows allocate above their baseline allocs",
+            increases.len()
+        );
         let speedup = sliced_dist_speedup(&fresh)?;
         if speedup < MIN_SLICED_DIST_SPEEDUP {
             println!(
@@ -389,6 +425,37 @@ mod tests {
                 "kernel/dist/fir3 total_cycles 1001 != 1000".to_string(),
                 "kernel/cent/fir3 missing from the fresh report".to_string(),
             ]
+        );
+    }
+
+    #[test]
+    fn allocs_must_not_rise_above_the_baseline() {
+        let with_allocs = |rows: &[(&str, u64)]| {
+            Json::object([(
+                "engines",
+                Json::array(rows.iter().map(|(engine, allocs)| {
+                    Json::object([
+                        ("engine", Json::from(*engine)),
+                        ("benchmark", Json::from("fir3")),
+                        ("allocs", Json::from(*allocs)),
+                    ])
+                })),
+            )])
+        };
+        let baseline = with_allocs(&[("dist", 100), ("dist_sliced", 10)]);
+        // Fewer or equal allocations pass; a new row has no ceiling.
+        let fewer = with_allocs(&[("dist", 100), ("dist_sliced", 3), ("legs", 9)]);
+        assert!(allocs_increases(&baseline, &fewer).unwrap().is_empty());
+        let more = with_allocs(&[("dist", 101), ("dist_sliced", 10)]);
+        assert_eq!(
+            allocs_increases(&baseline, &more).unwrap(),
+            vec!["kernel/dist/fir3 allocs 101 > 100".to_string()]
+        );
+        // A row that stops counting cannot pass the ceiling.
+        let uncounted = kernel_report(&[("dist_sliced", "fir3", 1, 1)]);
+        assert_eq!(
+            allocs_increases(&baseline, &uncounted).unwrap(),
+            vec!["kernel/dist_sliced/fir3 reports no allocs".to_string()]
         );
     }
 
