@@ -198,7 +198,7 @@ impl<'a> SlabDriver<'a> {
             Slab {
                 sync_sim: sim_for(false),
                 bank_sim: sim_for(true),
-                passes: (self.engines.iter()).map(|_| Vec::new()).collect(),
+                passes: vec![Vec::new(); self.engines.len()],
                 ..Slab::default()
             }
         };

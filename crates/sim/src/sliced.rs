@@ -165,9 +165,11 @@ impl Draws {
         self.p.clear();
         self.p.resize(LANES, 0.0);
         self.drawn = 0;
+        if valid == 0 {
+            return;
+        }
         match models {
-            LaneModels::Shared(m) if valid != 0 => self.add(m, valid, dfg, opvals),
-            LaneModels::Shared(_) => {}
+            LaneModels::Shared(m) => self.add(m, valid, dfg, opvals),
             LaneModels::PerLane(ms) => {
                 for t in BitIter(valid) {
                     self.add(&ms[t], 1u64 << t, dfg, opvals);
