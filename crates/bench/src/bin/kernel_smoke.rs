@@ -305,7 +305,7 @@ fn main() {
                 }),
             ));
             let mut sim = SlicedSim::new(&bound, &engine);
-            let mut out = Vec::with_capacity(LANES);
+            let mut out = Vec::new();
             let mut sliced = || {
                 measure_sliced(trials, |rngs| {
                     let skews = &skew_seeds[..rngs.len()];

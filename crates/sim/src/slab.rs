@@ -227,14 +227,13 @@ impl<'a> SlabDriver<'a> {
                     sim.clock = engine.elastic_spec();
                     sim.run(&w.skews, &models, &configs, &mut w.rngs, &mut w.passes[k]);
                 }
-                let passes = &w.passes;
                 // Per lane and style: the sliced outcome, or the scalar
                 // rerun.
                 let mut paths = CellPaths::default();
                 let mut cells = Vec::with_capacity(w.fresh.len() * self.engines.len());
                 for (lane, fresh) in w.fresh.iter().enumerate() {
                     for (k, engine) in self.engines.iter().enumerate() {
-                        cells.push(match passes[self.lanes_of[k]].get(lane) {
+                        cells.push(match w.passes[self.lanes_of[k]].get(lane) {
                             Some(LaneOutcome::Done(r)) => {
                                 paths.sliced_done += 1;
                                 Cell::Lane(Ok(r))

@@ -1402,6 +1402,12 @@ fn column(plane: &[usize], rows: usize, t: usize) -> impl Iterator<Item = usize>
     (0..rows).map(move |i| plane[i * 64 + t])
 }
 
+/// Replaces `v`'s contents with `items`, keeping its capacity.
+fn refill<T>(v: &mut Vec<T>, items: impl IntoIterator<Item = T>) {
+    v.clear();
+    v.extend(items);
+}
+
 /// Lane `t`'s completion cycles: what a CENT-SYNC diagnosis reads.
 fn completed(scr: &Scratch, n: usize, t: usize) -> Vec<usize> {
     column(&scr.completion_cycle, n, t).collect()
@@ -1645,12 +1651,11 @@ impl<'a> SlicedSim<'a> {
         let lanes = rngs.len();
         let seeds_ok = self.clock.is_none() || skew_seeds.len() >= lanes;
         let declined = lanes > LANES || !seeds_ok || !Self::lanes_ok(models, configs, lanes);
-        if declined || matches!(self.mode, EngineMode::Bank(None)) {
+        if lanes == 0 || declined || matches!(self.mode, EngineMode::Bank(None)) {
             out.clear();
             out.resize(lanes, LaneOutcome::Fallback);
             return;
         }
-        out.truncate(lanes);
         out.resize(lanes, LaneOutcome::Fallback);
         let faulty = configs.faulty_mask(lanes);
         let (flagged, errors) = match &self.mode {
@@ -1709,15 +1714,10 @@ impl<'a> SlicedSim<'a> {
                 LaneOutcome::Done(r) => r,
                 _ => SimResult::default(),
             };
-            r.completion_cycle.clear();
-            r.completion_cycle
-                .extend(column(&scr.completion_cycle, n, t));
-            r.start_cycle.clear();
-            r.start_cycle.extend(column(&scr.start_cycle, n, t));
-            r.unit_busy_cycles.clear();
-            r.unit_busy_cycles.extend(column(&scr.unit_busy, nu, t));
-            r.values.clear();
-            r.values.extend_from_slice(&self.values);
+            refill(&mut r.completion_cycle, column(&scr.completion_cycle, n, t));
+            refill(&mut r.start_cycle, column(&scr.start_cycle, n, t));
+            refill(&mut r.unit_busy_cycles, column(&scr.unit_busy, nu, t));
+            refill(&mut r.values, self.values.iter().copied());
             r.cycles = match self.mode {
                 EngineMode::CentSync(_) => {
                     scr.cyc[t].max(r.completion_cycle.iter().copied().max().unwrap_or(0))
