@@ -15,14 +15,16 @@
 //!   No lane of a generated design falls back: its controllers follow
 //!   the state-name convention and its models are valid.
 
-use tauhls_check::{arbitrary_elastic_spec, arbitrary_fault, arbitrary_plan, forall, Gen};
-use tauhls_dfg::{random_dfg, RandomDfgParams};
+use tauhls_check::{
+    arbitrary_elastic_spec, arbitrary_fault, arbitrary_plan, arbitrary_skew_plan, forall, Gen,
+};
+use tauhls_dfg::{random_dfg, OpId, RandomDfgParams};
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
     elastic_trial_skew_seed, trial_rng, BatchRunner, CompletionModel, ControlStyle, CycleStats,
-    Engine, FaultPlan, LaneBuilder, LaneConfigs, LaneInput, LaneModels, LaneOutcome, SimConfig,
-    SimJob, SlabDriver, SlicedSim,
+    Engine, Fault, FaultKind, FaultPlan, LaneBuilder, LaneConfigs, LaneInput, LaneModels,
+    LaneOutcome, SimConfig, SimJob, SlabDriver, SlicedSim,
 };
 
 /// A random bound design: 3..=14 ops over Add/Sub/Mul with a random
@@ -255,6 +257,147 @@ fn sliced_lane_errors_match_scalar() {
         // and relabels its diagnoses, and nothing reran scalar.
         let paths = driver.paths();
         assert_eq!(paths.cells(), lanes as u64 * styles.len() as u64);
+        assert_eq!(paths.reruns(), 0, "{paths:?}");
+    });
+}
+
+/// One lane's config for the fault-index check: fault-free, a generated
+/// multi-fault plan (half the time with clock-skew excursions appended),
+/// or one of the hand-built shapes an index must keep exact — a stuck-short
+/// then a stuck-long fault on one op (the later one wins once both are
+/// active), two latch delays on one op, or one fault naming an op or
+/// controller the design lacks.
+fn index_config(g: &mut Gen, num_ops: usize, num_controllers: usize) -> SimConfig {
+    let max_cycle = 2 * num_ops + 4;
+    let op = OpId(g.usize(0..num_ops));
+    let at = |g: &mut Gen| g.usize(1..=max_cycle);
+    let plan = match g.usize(0..6) {
+        0 => return SimConfig::default(),
+        1 => {
+            let mut plan = FaultPlan::single(at(g), FaultKind::StuckAtShort { op });
+            let kind = FaultKind::StuckAtLong { op };
+            plan.push(Fault {
+                at_cycle: at(g),
+                kind,
+            });
+            plan
+        }
+        2 => {
+            let delay = g.usize(1..=4);
+            let mut plan = FaultPlan::single(at(g), FaultKind::DelayLatch { op, delay });
+            let kind = FaultKind::DelayLatch {
+                op,
+                delay: g.usize(1..=4),
+            };
+            plan.push(Fault {
+                at_cycle: at(g),
+                kind,
+            });
+            plan
+        }
+        3 => {
+            let op = OpId(num_ops + g.usize(0..3));
+            let controller = num_controllers + g.usize(0..3);
+            let kind = match g.usize(0..6) {
+                0 => FaultKind::StuckAtShort { op },
+                1 => FaultKind::StuckAtLong { op },
+                2 => FaultKind::DropPulse { op },
+                3 => FaultKind::SpuriousPulse { op },
+                4 => FaultKind::FlipState { controller, bit: 0 },
+                _ => FaultKind::ClockSkew {
+                    controller,
+                    stall: 2,
+                },
+            };
+            FaultPlan::single(at(g), kind)
+        }
+        _ => {
+            let mut plan = arbitrary_plan(g, num_ops, num_controllers, max_cycle, 3);
+            if g.bool(0.5) {
+                let skew = arbitrary_skew_plan(g, num_controllers, max_cycle, 3, 2);
+                for &fault in skew.faults() {
+                    plan.push(fault);
+                }
+            }
+            plan
+        }
+    };
+    SimConfig::with_faults(plan)
+}
+
+#[test]
+fn sliced_fault_index_matches_scalar() {
+    forall("sliced-fault-index", 60, |g| {
+        let bound = arbitrary_bound(g);
+        let cu = DistributedControlUnit::generate(&bound);
+        let num_ops = bound.dfg().num_ops();
+        let lanes = g.usize(1..=64);
+        let configs: Vec<_> = (0..lanes)
+            .map(|_| index_config(g, num_ops, cu.controllers().len()))
+            .collect();
+        // One drawn table per lane, the shape of a resilience sweep.
+        let p = g.unit_f64();
+        let models: Vec<_> = (0..lanes)
+            .map(|_| CompletionModel::draw_table(num_ops, p, g.rng()))
+            .collect();
+        let seed = g.u64(0..1_000_000);
+        let styles = [
+            ControlStyle::Distributed,
+            ControlStyle::CentSync,
+            ControlStyle::Cent,
+            ControlStyle::Elastic(arbitrary_elastic_spec(g, 3)),
+        ];
+        let scalar = |engine: &Engine, job: u64, t: u64| {
+            let mut rng = trial_rng(seed, job, t);
+            let skew = elastic_trial_skew_seed(seed, job, t);
+            let (model, config) = (&models[t as usize], &configs[t as usize]);
+            engine.run_scalar(&bound, model, None, &mut rng, config, skew)
+        };
+
+        // Every style lane by lane, on the engine itself.
+        for (job, style) in (0u64..).zip(styles) {
+            let engine = Engine::generate(&bound, style);
+            let mut rngs: Vec<_> = (0..lanes).map(|t| trial_rng(seed, job, t as u64)).collect();
+            let skews: Vec<_> = (0..lanes as u64)
+                .map(|t| elastic_trial_skew_seed(seed, job, t))
+                .collect();
+            let mut out = Vec::new();
+            SlicedSim::new(&bound, &engine).run(
+                &skews,
+                &LaneModels::PerLane(&models),
+                &LaneConfigs::PerLane(&configs),
+                &mut rngs,
+                &mut out,
+            );
+            for (t, lane) in out.iter().enumerate() {
+                let want = scalar(&engine, job, t as u64);
+                let config = &configs[t];
+                assert_eq!(
+                    lane.result(),
+                    Some(want.as_ref()),
+                    "{style:?} lane {t}, {config:?}"
+                );
+            }
+        }
+
+        // DIST, CENT and ELASTIC through one driver.
+        let driven = [styles[0], styles[2], styles[3]];
+        let driver = SlabDriver::new(&bound, &driven);
+        let builder = LaneBuilder {
+            rng: &|t| trial_rng(seed, 9, t),
+            model: LaneInput::PerLane(&|t, _| models[t as usize].clone()),
+            config: LaneInput::PerLane(&|t, _| configs[t as usize].clone()),
+            skew_seed: &|t| elastic_trial_skew_seed(seed, 9, t),
+        };
+        let runner = BatchRunner::serial();
+        driver.run::<CycleStats, _>(lanes as u64, &runner, &builder, |_, t, config, results| {
+            for ((engine, style), &got) in driver.engines().iter().zip(driven).zip(results) {
+                let want = scalar(engine, 9, t);
+                assert_eq!(want.as_ref(), got, "{style:?} trial {t}, {config:?}");
+            }
+        });
+        let paths = driver.paths();
+        assert_eq!(paths.cells(), lanes as u64 * driven.len() as u64);
         assert_eq!(paths.reruns(), 0, "{paths:?}");
     });
 }
