@@ -56,7 +56,7 @@
 use crate::centsync::cent_sync_diag;
 use crate::distributed::{controller_snapshot, operand_values, parse_phase, Phase};
 use crate::error::{Diagnostics, SimError};
-use crate::fault::SimConfig;
+use crate::fault::{FaultKind, FaultPlan, SimConfig};
 use crate::kernel::{ClockFabric, DiagMode, ElasticSpec};
 use crate::latency::Engine;
 use crate::model::CompletionModel;
@@ -262,8 +262,12 @@ impl LaneConfigs<'_> {
 
     /// `(forced-short, forced-long)` lane masks for `op`'s completion
     /// signal at `cycle`, restricted to `w`.
-    fn stuck_masks_at(&self, faulty: u64, op: OpId, cycle: usize, w: u64) -> (u64, u64) {
-        let fw = faulty & w;
+    ///
+    /// Every query asks only its candidate lanes `cand` (the
+    /// [`FaultIndex`] lanes whose plan names the op or controller asked
+    /// about, or every faulty lane); the [`FaultPlan`] methods decide.
+    fn stuck_masks_at(&self, cand: u64, op: OpId, cycle: usize, w: u64) -> (u64, u64) {
+        let fw = cand & w;
         if fw == 0 {
             return (0, 0);
         }
@@ -288,8 +292,8 @@ impl LaneConfigs<'_> {
     }
 
     /// Lanes in `w` whose plan drops a pulse for `op` at `cycle`.
-    fn drop_mask_at(&self, faulty: u64, op: OpId, cycle: usize, w: u64) -> u64 {
-        let fw = faulty & w;
+    fn drop_mask_at(&self, cand: u64, op: OpId, cycle: usize, w: u64) -> u64 {
+        let fw = cand & w;
         if fw == 0 {
             return 0;
         }
@@ -317,13 +321,13 @@ impl LaneConfigs<'_> {
     /// by op), restricted to `w`. `buf` is a reusable query buffer.
     fn spurious_into(
         &self,
-        faulty: u64,
+        cand: u64,
         cycle: usize,
         w: u64,
         buf: &mut Vec<OpId>,
         injected: &mut [u64],
     ) {
-        let fw = faulty & w;
+        let fw = cand & w;
         if fw == 0 {
             return;
         }
@@ -354,8 +358,8 @@ impl LaneConfigs<'_> {
     /// Lanes in `w` whose plan freezes `controller`'s local clock at
     /// `cycle` (the `ClockSkew` kind — consulted by the elastic engine
     /// only, exactly like the scalar hooks).
-    fn clock_stall_at(&self, faulty: u64, controller: usize, cycle: usize, w: u64) -> u64 {
-        let fw = faulty & w;
+    fn clock_stall_at(&self, cand: u64, controller: usize, cycle: usize, w: u64) -> u64 {
+        let fw = cand & w;
         if fw == 0 {
             return 0;
         }
@@ -383,14 +387,14 @@ impl LaneConfigs<'_> {
     /// `(delay, lane mask)` groups (delay 0 latches immediately).
     fn latch_groups_at(
         &self,
-        faulty: u64,
+        cand: u64,
         op: OpId,
         cycle: usize,
         w: u64,
         out: &mut Vec<(usize, u64)>,
     ) {
         out.clear();
-        let fw = faulty & w;
+        let fw = cand & w;
         if fw == 0 {
             if w != 0 {
                 out.push((0, w));
@@ -421,14 +425,14 @@ impl LaneConfigs<'_> {
     /// at `cycle` into `(bit, lane mask)` groups.
     fn flip_groups_at(
         &self,
-        faulty: u64,
+        cand: u64,
         controller: usize,
         cycle: usize,
         w: u64,
         out: &mut Vec<(u32, u64)>,
     ) {
         out.clear();
-        let fw = faulty & w;
+        let fw = cand & w;
         if fw == 0 {
             return;
         }
@@ -461,6 +465,105 @@ impl LaneConfigs<'_> {
                 out.extend(cs.iter().take(lanes).map(|c| c.budget(n, 1)));
             }
         }
+    }
+}
+
+/// One pass's fault plans indexed by what they name: per op and per
+/// controller, the faulty lanes whose plan holds a fault of each kind
+/// naming it. A fault query asks only these candidate lanes instead of
+/// every faulty lane; the [`FaultPlan`] methods still decide each answer,
+/// so plan order, one-shot faults and multi-fault plans stay exact. A
+/// pass with no faulty lane builds nothing.
+#[derive(Default)]
+struct FaultIndex {
+    /// Per op: lanes with a stuck-at, drop or latch-delay fault naming it.
+    /// The last slot holds the faults naming an op outside the design.
+    stuck: Vec<u64>,
+    drop: Vec<u64>,
+    delay: Vec<u64>,
+    /// Per controller: lanes with a state flip or clock skew naming it
+    /// (last slot as above).
+    flip: Vec<u64>,
+    skew: Vec<u64>,
+    /// Lanes with any spurious pulse.
+    spurious: u64,
+}
+
+impl FaultIndex {
+    /// Indexes the plans of the `faulty` lanes over `n` ops and `nc`
+    /// controllers.
+    fn build(&mut self, configs: &LaneConfigs<'_>, faulty: u64, n: usize, nc: usize) {
+        self.spurious = 0;
+        for (plane, len) in [
+            (&mut self.stuck, n),
+            (&mut self.drop, n),
+            (&mut self.delay, n),
+            (&mut self.flip, nc),
+            (&mut self.skew, nc),
+        ] {
+            plane.clear();
+            if faulty != 0 {
+                plane.resize(len + 1, 0);
+            }
+        }
+        match configs {
+            LaneConfigs::Shared(c) if faulty != 0 => self.add(&c.faults, faulty),
+            LaneConfigs::Shared(_) => {}
+            LaneConfigs::PerLane(cs) => {
+                for t in BitIter(faulty) {
+                    self.add(&cs[t].faults, 1u64 << t);
+                }
+            }
+        }
+    }
+
+    fn add(&mut self, plan: &FaultPlan, lanes: u64) {
+        for f in plan.faults() {
+            let (plane, i) = match f.kind {
+                FaultKind::StuckAtShort { op } | FaultKind::StuckAtLong { op } => {
+                    (&mut self.stuck, op.0)
+                }
+                FaultKind::DropPulse { op } => (&mut self.drop, op.0),
+                FaultKind::DelayLatch { op, .. } => (&mut self.delay, op.0),
+                FaultKind::FlipState { controller, .. } => (&mut self.flip, controller),
+                FaultKind::ClockSkew { controller, .. } => (&mut self.skew, controller),
+                FaultKind::SpuriousPulse { .. } => {
+                    self.spurious |= lanes;
+                    continue;
+                }
+            };
+            let slot = i.min(plane.len().saturating_sub(1));
+            if let Some(w) = plane.get_mut(slot) {
+                *w |= lanes;
+            }
+        }
+    }
+
+    /// The candidate lanes of `plane` for op or controller `i` (none on a
+    /// fault-free pass).
+    fn lanes(plane: &[u64], i: usize) -> u64 {
+        let slot = i.min(plane.len().saturating_sub(1));
+        plane.get(slot).copied().unwrap_or(0)
+    }
+
+    fn stuck(&self, op: usize) -> u64 {
+        Self::lanes(&self.stuck, op)
+    }
+
+    fn drop(&self, op: usize) -> u64 {
+        Self::lanes(&self.drop, op)
+    }
+
+    fn delay(&self, op: usize) -> u64 {
+        Self::lanes(&self.delay, op)
+    }
+
+    fn flip(&self, controller: usize) -> u64 {
+        Self::lanes(&self.flip, controller)
+    }
+
+    fn skew(&self, controller: usize) -> u64 {
+        Self::lanes(&self.skew, controller)
     }
 }
 
@@ -616,6 +719,7 @@ fn compile(cu: &DistributedControlUnit, num_ops: usize) -> Option<Vec<CCtrl<'_>>
 #[derive(Default)]
 struct Scratch {
     draws: Draws,
+    faults: FaultIndex,
     // Bit-planes indexed by op: bit `t` = trial `t`.
     done: Vec<u64>,
     pulses: Vec<u64>,
@@ -820,6 +924,7 @@ fn fsm_engine(
     let mut errors = Vec::new();
     let mut finished = 0u64;
     let faulty = configs.faulty_mask(lanes);
+    scr.faults.build(configs, faulty, n, nc);
     configs.budgets(n, lanes, &mut scr.budgets);
     if elastic.is_some() {
         // The scalar `elastic_budget` stretch, applied per lane.
@@ -970,7 +1075,7 @@ fn fsm_engine(
                 } else {
                     all
                 };
-                scr.tick_now[i] = base & !configs.clock_stall_at(faulty, i, cycle, all);
+                scr.tick_now[i] = base & !configs.clock_stall_at(scr.faults.skew(i), i, cycle, all);
             }
         }
 
@@ -1091,7 +1196,7 @@ fn fsm_engine(
                         continue;
                     }
                     let truth = scr.draws.word(op, w, rngs);
-                    let (s, l) = configs.stuck_masks_at(faulty, op, cycle, w);
+                    let (s, l) = configs.stuck_masks_at(scr.faults.stuck(op.0), op, cycle, w);
                     let eff = (truth & !(s | l)) | s;
                     scr.unit_completion[c.unit] |= eff;
                     let div = (eff ^ truth) & w;
@@ -1117,7 +1222,8 @@ fn fsm_engine(
         for w in scr.injected.iter_mut() {
             *w = 0;
         }
-        configs.spurious_into(faulty, cycle, adv, &mut scr.spur, &mut scr.injected);
+        let spurious = scr.faults.spurious;
+        configs.spurious_into(spurious, cycle, adv, &mut scr.spur, &mut scr.injected);
         scr.pulses.copy_from_slice(&scr.injected);
         for round in 0..nc + 2 {
             for (i, c) in ctrls.iter().enumerate() {
@@ -1136,7 +1242,8 @@ fn fsm_engine(
                 for ik in &c.inputs {
                     let word = match ik {
                         InKind::Cco(p) => {
-                            let (s, l) = configs.stuck_masks_at(faulty, OpId(*p), cycle, adv);
+                            let cand = scr.faults.stuck(*p);
+                            let (s, l) = configs.stuck_masks_at(cand, OpId(*p), cycle, adv);
                             (cco_word(scr, *p, vis_latched) & !(s | l)) | s
                         }
                         InKind::Own => scr.unit_completion[c.unit],
@@ -1182,7 +1289,8 @@ fn fsm_engine(
                         scr.taken[i].push((st, k, fw));
                         for &re in &tr.res {
                             if re < n {
-                                let dm = configs.drop_mask_at(faulty, OpId(re), cycle, fw);
+                                let cand = scr.faults.drop(re);
+                                let dm = configs.drop_mask_at(cand, OpId(re), cycle, fw);
                                 scr.re_out[i].push((re, fw & !dm));
                             }
                         }
@@ -1334,7 +1442,8 @@ fn fsm_engine(
             if w == 0 {
                 continue;
             }
-            configs.latch_groups_at(faulty, OpId(op), cycle, w, &mut scr.lg);
+            let cand = scr.faults.delay(op);
+            configs.latch_groups_at(cand, OpId(op), cycle, w, &mut scr.lg);
             for li in 0..scr.lg.len() {
                 let (delay, m) = scr.lg[li];
                 if delay == 0 {
@@ -1363,7 +1472,8 @@ fn fsm_engine(
         // scalar kernel XORs the latched state id.
         if faulty & adv != 0 {
             for (i, _c) in ctrls.iter().enumerate() {
-                configs.flip_groups_at(faulty, i, cycle, adv, &mut scr.flips);
+                let cand = scr.faults.flip(i);
+                configs.flip_groups_at(cand, i, cycle, adv, &mut scr.flips);
                 if scr.flips.is_empty() {
                     continue;
                 }
@@ -1438,6 +1548,7 @@ fn cent_sync_engine(
     scr.draws.fill(models, dfg, opvals, all & !flagged);
     let mut errors = Vec::new();
     let faulty = configs.faulty_mask(lanes);
+    scr.faults.build(configs, faulty, n, 0);
     configs.budgets(n, lanes, &mut scr.budgets);
     reset_usize(&mut scr.completion_cycle, n * 64);
     reset_usize(&mut scr.start_cycle, n * 64);
@@ -1485,14 +1596,12 @@ fn cent_sync_engine(
             }
             let truth = scr.draws.word(o, m, rngs);
             let mut short = truth;
-            if faulty & m != 0 {
-                for t in BitIter(faulty & m) {
-                    let bit = 1u64 << t;
-                    match configs.cfg(t).faults.stuck_completion(o, scr.cyc[t]) {
-                        Some(true) => short |= bit,
-                        Some(false) => short &= !bit,
-                        None => {}
-                    }
+            for t in BitIter(scr.faults.stuck(o.0) & m) {
+                let bit = 1u64 << t;
+                match configs.cfg(t).faults.stuck_completion(o, scr.cyc[t]) {
+                    Some(true) => short |= bit,
+                    Some(false) => short &= !bit,
+                    None => {}
                 }
             }
             scr.truth_w.push(truth);
@@ -1530,9 +1639,10 @@ fn cent_sync_engine(
         for (idx, &o) in step.tau_ops.iter().enumerate() {
             let u = bound.unit_of(o).0;
             let short = scr.short_w[idx];
+            let delayed = scr.faults.delay(o.0);
             for t in BitIter(m) {
                 let bit = 1u64 << t;
-                let d = if faulty & bit != 0 {
+                let d = if delayed & bit != 0 {
                     configs.cfg(t).faults.latch_delay(o, scr.cyc[t])
                 } else {
                     0
