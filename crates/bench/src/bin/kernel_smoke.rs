@@ -19,7 +19,8 @@
 //! trials under resilience-sweep fault draws — trial `t` carries one
 //! fault of kind `t % 6` — through a serial [`SlabDriver`], counting the
 //! cycles simulated to completion or to detection, and record how many
-//! cells reran through the scalar engine (`reruns`).
+//! cells reran through the scalar engine (`reruns`). The sliced engine
+//! diagnoses every fault it runs, so any rerun fails the run.
 //!
 //! The `legs_coupled` row per benchmark runs a `/v1/simulate` request's
 //! shape: every [`SIMULATE_LEGS`] style through one serial
@@ -368,6 +369,16 @@ fn main() {
         );
         println!("allocs: {sliced} {b} vs {scalar} {a}");
     }
+    // Rerun self-check: no `_faulty` cell may leave the sliced engine.
+    let reran: Vec<String> = (rows.iter())
+        .filter(|r| r.reruns.unwrap_or(0) > 0)
+        .map(|r| format!("{} {}", r.engine, r.benchmark))
+        .collect();
+    assert!(
+        reran.is_empty(),
+        "faulty cells reran through the scalar engine: {}",
+        reran.join(", ")
+    );
 
     // Zero-copy spec-parse self-check: the borrowed `JsonRef` path the
     // service uses on request bodies must allocate strictly less than
