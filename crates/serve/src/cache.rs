@@ -261,7 +261,9 @@ fn pack(data: &[u8]) -> Box<[u8]> {
 /// decode to UTF-8.
 fn unpack(packed: &[u8], len: usize) -> Option<Arc<str>> {
     let window = unpack_window(packed, len)?;
-    std::str::from_utf8(&window[DICT.len()..]).ok().map(Arc::from)
+    std::str::from_utf8(&window[DICT.len()..])
+        .ok()
+        .map(Arc::from)
 }
 
 /// Decodes `packed` after [`DICT`]: the dictionary followed by the body;
@@ -458,7 +460,9 @@ mod tests {
         .map(|(endpoint, spec)| {
             let spec = Json::parse(spec).expect("spec parses");
             let job = JobSpec::from_json(endpoint, &spec).expect("spec is valid");
-            let (body, _) = job.run_with(&BatchRunner::serial(), None).expect("job runs");
+            let (body, _) = job
+                .run_with(&BatchRunner::serial(), None)
+                .expect("job runs");
             body.to_pretty()
         })
         .collect()
@@ -481,7 +485,9 @@ mod tests {
         let spec = r#"{"dfg":"ewf","trials":200,"seed":2003,"styles":"dist,cent,elastic"}"#;
         let spec = Json::parse(spec).expect("spec parses");
         let job = JobSpec::from_json(Endpoint::Resilience, &spec).expect("spec is valid");
-        let (body, _) = job.run_with(&BatchRunner::serial(), None).expect("job runs");
+        let (body, _) = job
+            .run_with(&BatchRunner::serial(), None)
+            .expect("job runs");
         let text = body.to_pretty();
         let packed = pack(text.as_bytes());
         assert!(

@@ -51,7 +51,12 @@
 //!
 //! Faults are whole-word overlays with per-lane masks
 //! ([`LaneConfigs`]), applied after the completion-model draws exactly
-//! like the scalar kernel, so RNG streams stay plan-independent.
+//! like the scalar kernel, so RNG streams stay plan-independent. Each
+//! pass with a faulty lane starts by building a fault index: per op and
+//! per controller, the lanes whose plan names it, by fault kind. A query
+//! (stuck, drop, delay, spurious, flip, clock stall) then asks only those
+//! lanes' plans, not every faulty lane's; the [`FaultPlan`] methods still
+//! decide every answer. A fault-free pass builds nothing.
 
 use crate::centsync::cent_sync_diag;
 use crate::distributed::{controller_snapshot, operand_values, parse_phase, Phase};
@@ -538,33 +543,13 @@ impl FaultIndex {
             }
         }
     }
+}
 
-    /// The candidate lanes of `plane` for op or controller `i` (none on a
-    /// fault-free pass).
-    fn lanes(plane: &[u64], i: usize) -> u64 {
-        let slot = i.min(plane.len().saturating_sub(1));
-        plane.get(slot).copied().unwrap_or(0)
-    }
-
-    fn stuck(&self, op: usize) -> u64 {
-        Self::lanes(&self.stuck, op)
-    }
-
-    fn drop(&self, op: usize) -> u64 {
-        Self::lanes(&self.drop, op)
-    }
-
-    fn delay(&self, op: usize) -> u64 {
-        Self::lanes(&self.delay, op)
-    }
-
-    fn flip(&self, controller: usize) -> u64 {
-        Self::lanes(&self.flip, controller)
-    }
-
-    fn skew(&self, controller: usize) -> u64 {
-        Self::lanes(&self.skew, controller)
-    }
+/// The candidate lanes of a [`FaultIndex`] plane for op or controller `i`
+/// (none on a fault-free pass).
+fn candidates(plane: &[u64], i: usize) -> u64 {
+    let slot = i.min(plane.len().saturating_sub(1));
+    plane.get(slot).copied().unwrap_or(0)
 }
 
 /// Mask with the low `lanes` bits set.
@@ -1075,7 +1060,8 @@ fn fsm_engine(
                 } else {
                     all
                 };
-                scr.tick_now[i] = base & !configs.clock_stall_at(scr.faults.skew(i), i, cycle, all);
+                scr.tick_now[i] =
+                    base & !configs.clock_stall_at(candidates(&scr.faults.skew, i), i, cycle, all);
             }
         }
 
@@ -1196,7 +1182,8 @@ fn fsm_engine(
                         continue;
                     }
                     let truth = scr.draws.word(op, w, rngs);
-                    let (s, l) = configs.stuck_masks_at(scr.faults.stuck(op.0), op, cycle, w);
+                    let (s, l) =
+                        configs.stuck_masks_at(candidates(&scr.faults.stuck, op.0), op, cycle, w);
                     let eff = (truth & !(s | l)) | s;
                     scr.unit_completion[c.unit] |= eff;
                     let div = (eff ^ truth) & w;
@@ -1242,7 +1229,7 @@ fn fsm_engine(
                 for ik in &c.inputs {
                     let word = match ik {
                         InKind::Cco(p) => {
-                            let cand = scr.faults.stuck(*p);
+                            let cand = candidates(&scr.faults.stuck, *p);
                             let (s, l) = configs.stuck_masks_at(cand, OpId(*p), cycle, adv);
                             (cco_word(scr, *p, vis_latched) & !(s | l)) | s
                         }
@@ -1289,7 +1276,7 @@ fn fsm_engine(
                         scr.taken[i].push((st, k, fw));
                         for &re in &tr.res {
                             if re < n {
-                                let cand = scr.faults.drop(re);
+                                let cand = candidates(&scr.faults.drop, re);
                                 let dm = configs.drop_mask_at(cand, OpId(re), cycle, fw);
                                 scr.re_out[i].push((re, fw & !dm));
                             }
@@ -1442,7 +1429,7 @@ fn fsm_engine(
             if w == 0 {
                 continue;
             }
-            let cand = scr.faults.delay(op);
+            let cand = candidates(&scr.faults.delay, op);
             configs.latch_groups_at(cand, OpId(op), cycle, w, &mut scr.lg);
             for li in 0..scr.lg.len() {
                 let (delay, m) = scr.lg[li];
@@ -1472,7 +1459,7 @@ fn fsm_engine(
         // scalar kernel XORs the latched state id.
         if faulty & adv != 0 {
             for (i, _c) in ctrls.iter().enumerate() {
-                let cand = scr.faults.flip(i);
+                let cand = candidates(&scr.faults.flip, i);
                 configs.flip_groups_at(cand, i, cycle, adv, &mut scr.flips);
                 if scr.flips.is_empty() {
                     continue;
@@ -1596,7 +1583,7 @@ fn cent_sync_engine(
             }
             let truth = scr.draws.word(o, m, rngs);
             let mut short = truth;
-            for t in BitIter(scr.faults.stuck(o.0) & m) {
+            for t in BitIter(candidates(&scr.faults.stuck, o.0) & m) {
                 let bit = 1u64 << t;
                 match configs.cfg(t).faults.stuck_completion(o, scr.cyc[t]) {
                     Some(true) => short |= bit,
@@ -1639,7 +1626,7 @@ fn cent_sync_engine(
         for (idx, &o) in step.tau_ops.iter().enumerate() {
             let u = bound.unit_of(o).0;
             let short = scr.short_w[idx];
-            let delayed = scr.faults.delay(o.0);
+            let delayed = candidates(&scr.faults.delay, o.0);
             for t in BitIter(m) {
                 let bit = 1u64 << t;
                 let d = if delayed & bit != 0 {
