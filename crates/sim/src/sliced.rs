@@ -268,9 +268,9 @@ impl LaneConfigs<'_> {
     /// `(forced-short, forced-long)` lane masks for `op`'s completion
     /// signal at `cycle`, restricted to `w`.
     ///
-    /// Every query asks only its candidate lanes `cand` (the
+    /// Every query asks only its candidate lanes `cand`, the
     /// [`FaultIndex`] lanes whose plan names the op or controller asked
-    /// about, or every faulty lane); the [`FaultPlan`] methods decide.
+    /// about; the [`FaultPlan`] methods decide.
     fn stuck_masks_at(&self, cand: u64, op: OpId, cycle: usize, w: u64) -> (u64, u64) {
         let fw = cand & w;
         if fw == 0 {
@@ -1209,8 +1209,8 @@ fn fsm_engine(
         for w in scr.injected.iter_mut() {
             *w = 0;
         }
-        let spurious = scr.faults.spurious;
-        configs.spurious_into(spurious, cycle, adv, &mut scr.spur, &mut scr.injected);
+        let cand = scr.faults.spurious;
+        configs.spurious_into(cand, cycle, adv, &mut scr.spur, &mut scr.injected);
         scr.pulses.copy_from_slice(&scr.injected);
         for round in 0..nc + 2 {
             for (i, c) in ctrls.iter().enumerate() {
