@@ -294,15 +294,7 @@ impl ClockFabric {
                 ^ (ctrl as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (window as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
         );
-        let p = u64::from(period.max(1));
-        // The served default period is 2: mask power-of-two periods
-        // instead of dividing (the same value).
-        let stall = if p.is_power_of_two() {
-            mixed & (p - 1)
-        } else {
-            mixed % p
-        };
-        stall as u32
+        (mixed % u64::from(period.max(1))) as u32
     }
 
     /// True when controller `ctrl`'s local clock ticks at fabric cycle
@@ -948,25 +940,6 @@ impl PulseHooks for SingleIterHooks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_stall_mask_matches_the_modulo_draw() {
-        for seed in 0..200u64 {
-            let skew_seed = splitmix64_mix(seed);
-            for period in 0..=9u32 {
-                for (ctrl, window) in [(0, 0), (1, 7), (5, 123), (17, 4096)] {
-                    let mixed = splitmix64_mix(
-                        skew_seed
-                            ^ (ctrl as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ (window as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                    );
-                    let want = (mixed % u64::from(period.max(1))) as u32;
-                    let got = ClockFabric::window_stall(skew_seed, ctrl, window, period);
-                    assert_eq!(got, want, "seed {seed}, period {period}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn opset_insert_contains_iter_ascending() {
