@@ -352,14 +352,18 @@ mod tests {
     }
 
     /// Splits, runs, and merges `spec` at several partition counts,
-    /// demanding byte-identity with the single-node body every time.
-    fn assert_conformance(spec: &JobSpec, max_parts_list: &[usize]) {
+    /// demanding that the single-node body and every merged body equal
+    /// `pinned` byte for byte — a checked-in rendering, so the two paths
+    /// are held to an independent reference rather than only to each
+    /// other.
+    fn assert_conformance(spec: &JobSpec, pinned: &str, max_parts_list: &[usize]) {
         let runner = BatchRunner::new(2);
         let single = spec
             .run_with(&runner, None)
             .expect("single-node run")
             .0
-            .to_compact();
+            .to_pretty();
+        assert_eq!(single, pinned, "single-node body differs from its pin");
         for &max_parts in max_parts_list {
             let parts = plan(spec, max_parts);
             let partials: Vec<Json> = parts
@@ -371,9 +375,9 @@ mod tests {
                     Json::parse(&partial.to_compact()).expect("partial round-trips")
                 })
                 .collect();
-            let merged = merge(spec, &partials).expect("merge").to_compact();
+            let merged = merge(spec, &partials).expect("merge").to_pretty();
             assert_eq!(
-                merged, single,
+                merged, pinned,
                 "byte-identity violated at max_parts={max_parts}"
             );
         }
@@ -385,7 +389,7 @@ mod tests {
             Endpoint::Simulate,
             r#"{"dfg":"fir3","p":[0.3,0.5,0.7,0.9,1.0],"trials":60,"seed":11}"#,
         );
-        assert_conformance(&s, &[1, 2, 3, 5, 8]);
+        assert_conformance(&s, include_str!("../pins/simulate.json"), &[1, 2, 3, 5, 8]);
     }
 
     #[test]
@@ -394,7 +398,7 @@ mod tests {
             Endpoint::Resilience,
             r#"{"dfg":"fir5","p":0.5,"trials":40,"seed":2003}"#,
         );
-        assert_conformance(&s, &[1, 2, 3, 6]);
+        assert_conformance(&s, include_str!("../pins/resilience.json"), &[1, 2, 3, 6]);
     }
 
     #[test]
@@ -403,17 +407,33 @@ mod tests {
             Endpoint::Explore,
             r#"{"dfg":"fir5","max_muls":2,"max_adds":2,"p":[0.5,0.9],"trials":40,"seed":7}"#,
         );
-        assert_conformance(&s, &[1, 2, 3, 4]);
+        assert_conformance(&s, include_str!("../pins/explore.json"), &[1, 2, 3, 4]);
     }
 
     #[test]
     fn indivisible_kinds_plan_one_part_and_merge_to_the_body() {
-        let s = spec(
-            Endpoint::Synth,
-            r#"{"dfg":"fir3","muls":1,"adds":1,"encoding":"gray"}"#,
-        );
-        assert_eq!(unit_count(&s), 1);
-        assert_conformance(&s, &[1, 3]);
+        let cases = [
+            (
+                Endpoint::Synth,
+                r#"{"dfg":"fir3","muls":1,"adds":1,"encoding":"gray"}"#,
+                include_str!("../pins/synth.json"),
+            ),
+            (
+                Endpoint::Area,
+                r#"{"dfg":"fir3","muls":1,"adds":1,"width":8}"#,
+                include_str!("../pins/area.json"),
+            ),
+            (
+                Endpoint::Table2,
+                r#"{"trials":20,"seed":5}"#,
+                include_str!("../pins/table2.json"),
+            ),
+        ];
+        for (endpoint, text, pinned) in cases {
+            let s = spec(endpoint, text);
+            assert_eq!(unit_count(&s), 1);
+            assert_conformance(&s, pinned, &[1, 3]);
+        }
     }
 
     #[test]
