@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use tauhls_dfg::{benchmarks, dfg_to_wire, parse_wire_dfg, Dfg, DfgRegistry};
 use tauhls_fsm::Encoding;
-use tauhls_json::{Json, JsonRef, ToJson};
+use tauhls_json::{Json, JsonRef};
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
@@ -31,9 +31,8 @@ use tauhls_sim::{
     LatencySummary, SimError,
 };
 
-use crate::experiments::table2;
-use crate::explore::{design_space, SweepError, SweepParams, SweepPoint};
-use crate::report::system_area_from_logic;
+use crate::explore::{SweepError, SweepParams};
+use crate::partition::{self, Part};
 use crate::resilience::{
     report_from_counters, resilience_kind_counters_with, KindCounters, ResilienceOptions,
     ResilienceReport, FAULT_KINDS,
@@ -42,7 +41,7 @@ use crate::stages::{
     self, BindStrategy, PipelineTrace, Reports, StageCache, StageRecord, SynthesisInput,
     SynthesizedLogic,
 };
-use crate::{SynthesisError, Timing};
+use crate::SynthesisError;
 
 /// Upper bound on Monte-Carlo trials a single job may request.
 pub const MAX_TRIALS: u64 = 1_000_000;
@@ -911,95 +910,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Renders a trace's artifact-hash chain as a JSON array of
-/// `{stage, hash}` objects, hashes as fixed-width hex — deliberately
-/// without wall times, which vary run to run and would break the
-/// byte-identical response-cache guarantee.
-fn stage_hashes(trace: &PipelineTrace) -> Json {
-    Json::array(
-        trace
-            .hash_chain()
-            .into_iter()
-            .map(|(stage, hash)| {
-                Json::object([
-                    ("stage", Json::from(stage)),
-                    ("hash", Json::from(format!("{hash:016x}").as_str())),
-                ])
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// One latency leg as the `/v1/simulate` body and the cluster's simulate
-/// partial render it; a clock period adds the leg rendered in ns, which
-/// the partial leaves to the merge.
-pub(crate) fn summary_json(summary: &LatencySummary, clock_ns: Option<f64>) -> Json {
-    let mut cells = vec![
-        ("best_cycles", Json::from(summary.best_cycles)),
-        ("average_cycles", Json::floats(&summary.average_cycles)),
-        ("worst_cycles", Json::from(summary.worst_cycles)),
-    ];
-    if let Some(clk) = clock_ns {
-        cells.push((
-            "rendered_ns",
-            Json::from(summary.to_ns_string(clk).as_str()),
-        ));
-    }
-    Json::object(cells)
-}
-
-/// One explore sweep point as the `/v1/dfg/explore` body and the
-/// cluster's explore partial render it; `pareto` adds the Pareto mark,
-/// which the partial leaves to the merge.
-pub(crate) fn point_json(p: &SweepPoint, pareto: bool) -> Json {
-    let mut cells = vec![
-        ("muls", Json::from(p.muls)),
-        ("adds", Json::from(p.adds)),
-        ("subs", Json::from(p.subs)),
-        ("encoding", Json::from(encoding_name(p.encoding))),
-        ("p", Json::Float(p.p)),
-        ("sd_ld", Json::Float(p.sd_ld)),
-        ("skew", Json::from(p.skew)),
-        ("avg_cycles", Json::Float(p.avg_cycles)),
-        ("latency_ns", Json::Float(p.latency_ns)),
-        ("area_ge", Json::Float(p.area_ge)),
-    ];
-    if pareto {
-        cells.push(("pareto", Json::from(p.pareto)));
-    }
-    Json::object(cells)
-}
-
-/// The deterministic `/v1/synth` payload: one row per unit controller plus
-/// the synchronizing CENT-SYNC-FSM.
-fn synth_body(logic: &SynthesizedLogic) -> Json {
-    let units = logic.controls().design().bound().allocation().units();
-    let fsm_cells = |syn: &tauhls_fsm::SynthesizedFsm| {
-        vec![
-            ("states", Json::from(syn.num_states())),
-            ("flip_flops", Json::from(syn.flip_flops())),
-            ("inputs", Json::from(syn.num_inputs())),
-            ("outputs", Json::from(syn.num_outputs())),
-            ("area_combinational", Json::Float(syn.area().combinational)),
-            ("area_sequential", Json::Float(syn.area().sequential)),
-        ]
-    };
-    let controllers: Vec<Json> = logic
-        .controllers()
-        .iter()
-        .map(|(unit, syn)| {
-            let mut cells = vec![("unit", Json::from(units[unit.0].display_name().as_str()))];
-            cells.extend(fsm_cells(syn));
-            Json::object(cells)
-        })
-        .collect();
-    Json::object([
-        ("encoding", Json::from(encoding_name(logic.encoding()))),
-        ("controllers", Json::array(controllers)),
-        ("cent_sync", Json::object(fsm_cells(logic.cent_sync()))),
-    ])
-}
-
 impl JobSpec {
     /// Parses and fully validates a job spec for `endpoint`.
     ///
@@ -1385,6 +1295,11 @@ impl JobSpec {
     /// [`StageRecord`]s alongside the body (empty for the simulation
     /// endpoints).
     ///
+    /// A single-node run is the one-part partition plan: this is
+    /// [`partition::merge`] of [`partition::run_part`] over the whole unit
+    /// axis, the same functions a cluster runs per partition, so a body is
+    /// the same on one node and across any number of workers.
+    ///
     /// The response body is a pure function of the spec — per-stage wall
     /// times live only in the records, so a stage-cache hit is
     /// byte-identical to the cold run and response caching stays sound.
@@ -1397,104 +1312,14 @@ impl JobSpec {
         runner: &BatchRunner,
         stage_cache: Option<&StageCache>,
     ) -> Result<(Json, Vec<StageRecord>), JobError> {
-        match self {
-            JobSpec::Simulate(s) => {
-                let legs = s.measure_legs(0..s.p_values.len(), runner)?;
-                Ok((self.simulate_body(&legs), Vec::new()))
-            }
-            JobSpec::Table2(s) => {
-                let t = table2(s.trials as usize, s.seed, runner).map_err(JobError::from_sim)?;
-                let body = Json::object([("spec", self.canonical()), ("table2", t.to_json())]);
-                Ok((body, Vec::new()))
-            }
-            JobSpec::Resilience(s) => Ok((self.resilience_body(&s.sweep(runner)?), Vec::new())),
-            JobSpec::Synth(s) => {
-                let (logic, _, trace) = s.synthesize(stage_cache)?;
-                let body = Json::object([
-                    ("spec", self.canonical()),
-                    ("stages", stage_hashes(&trace)),
-                    ("synth", synth_body(&logic)),
-                ]);
-                Ok((body, trace.records))
-            }
-            JobSpec::Area(s) => {
-                let (logic, reports, trace) = s.synth.synthesize(stage_cache)?;
-                let system = system_area_from_logic(&logic, &AreaModel::default(), s.width);
-                let rows: Vec<Json> = reports
-                    .rows()
-                    .iter()
-                    .map(|r| {
-                        Json::object([
-                            ("name", Json::from(r.name.as_str())),
-                            ("inputs", Json::from(r.inputs)),
-                            ("outputs", Json::from(r.outputs)),
-                            ("states", Json::from(r.states)),
-                            ("flip_flops", Json::from(r.flip_flops)),
-                            ("area_combinational", Json::Float(r.area_combinational)),
-                            ("area_sequential", Json::Float(r.area_sequential)),
-                        ])
-                    })
-                    .collect();
-                let body = Json::object([
-                    ("spec", self.canonical()),
-                    ("stages", stage_hashes(&trace)),
-                    ("rows", Json::array(rows)),
-                    ("system", system.to_json()),
-                ]);
-                Ok((body, trace.records))
-            }
-            JobSpec::Explore(s) => {
-                let params = s.sweep_params();
-                let (points, records) = design_space(&s.graph, &params, runner, stage_cache)
-                    .map_err(JobError::from_sweep)?;
-                Ok((self.explore_body(&s.graph, &points), records))
-            }
-        }
-    }
-
-    /// Renders the `/v1/simulate` response body from the measured legs, in
-    /// [`SIMULATE_LEGS`] order. Shared by the local execution path and the
-    /// distributed merge, so a body assembled from partition partials is
-    /// byte-identical to a single-node run by construction.
-    pub(crate) fn simulate_body(&self, legs: &[LatencySummary]) -> Json {
-        let clk = Timing::default().clock_ns();
-        let mut body = vec![("spec", self.canonical()), ("clock_ns", Json::from(clk))];
-        body.extend(
-            SIMULATE_LEGS
-                .iter()
-                .zip(legs)
-                .map(|((key, _, _), summary)| (*key, summary_json(summary, Some(clk)))),
-        );
-        body.push(("enhancement_percent", Json::floats(&legs_enhancement(legs))));
-        Json::object(body)
-    }
-
-    /// Renders the `/v1/resilience` response body from a finished report.
-    /// Shared by local execution and the distributed merge.
-    pub(crate) fn resilience_body(&self, report: &ResilienceReport) -> Json {
-        Json::object([("spec", self.canonical()), ("report", report.to_json())])
-    }
-
-    /// Renders the `/v1/dfg/explore` response body from the swept (and
-    /// Pareto-marked) grid. Shared by local execution and the distributed
-    /// merge.
-    pub(crate) fn explore_body(&self, graph: &Dfg, points: &[SweepPoint]) -> Json {
-        let marked = |p: &SweepPoint| point_json(p, true);
-        let frontier: Vec<Json> = points.iter().filter(|p| p.pareto).map(marked).collect();
-        let all: Vec<Json> = points.iter().map(marked).collect();
-        Json::object([
-            ("spec", self.canonical()),
-            (
-                "graph",
-                Json::object([
-                    ("name", Json::from(graph.name())),
-                    ("ops", Json::from(graph.num_ops())),
-                    ("inputs", Json::from(graph.num_inputs())),
-                ]),
-            ),
-            ("points", Json::array(all)),
-            ("frontier", Json::array(frontier)),
-        ])
+        let whole = Part {
+            index: 0,
+            total: 1,
+            lo: 0,
+            hi: partition::unit_count(self),
+        };
+        let (partial, records) = partition::run_part(self, whole, runner, stage_cache)?;
+        Ok((partition::merge(self, vec![partial])?, records))
     }
 }
 

@@ -1,13 +1,14 @@
-//! Deterministic partition planning and bit-identical merging of job
-//! results — the single-node core of the distributed cluster mode.
+//! How a job runs and renders, on one node or across a cluster.
 //!
-//! A coordinator splits one [`JobSpec`] into contiguous partitions over
-//! the spec's natural unit axis, ships each partition to a worker, and
-//! reassembles the partial results into the final response body. The
-//! invariant this module owes the cluster is **byte-identity**: the body
-//! [`merge`] produces must equal the body [`JobSpec::run_with`] produces
-//! on one node, at any partition count, for every job kind. Three design
-//! rules deliver it:
+//! Every job runs as a partition plan: [`plan`] splits a [`JobSpec`] into
+//! contiguous partitions over the spec's natural unit axis, [`run_part`]
+//! runs one partition to a partial result, and [`merge`] reassembles the
+//! partials into the response body. A single-node run is the one-part
+//! plan — [`JobSpec::run_with`] is `merge` of `run_part` over the whole
+//! axis — and a coordinator ships each partition of a larger plan to a
+//! worker. The invariant this module owes the cluster is
+//! **byte-identity**: the body [`merge`] produces is the same at any
+//! partition count, for every job kind. Three design rules deliver it:
 //!
 //! 1. **Global coordinates on the wire.** Every partition runs its slice
 //!    with the *global* indices a single-node run would use — simulate
@@ -19,23 +20,29 @@
 //!    `f64` measurements. Integers are exact by construction; floats are
 //!    exact because `tauhls-json` renders shortest-roundtrip, so
 //!    `f64 → JSON → f64` is the identity for finite values.
-//! 3. **One body builder.** [`merge`] reassembles the same in-memory
-//!    structures (latency summaries, resilience counters, sweep points)
-//!    the local path computes and renders them through the *same*
-//!    builders `run_with` uses — cross-grid post-processing (Pareto
-//!    marking, enhancement rows) is recomputed over the merged whole, so
-//!    the final rendering is structurally shared, not merely equal.
+//! 3. **One body builder.** Response bodies are rendered only here, by
+//!    [`merge`], from the in-memory structures (latency summaries,
+//!    resilience counters, sweep points) it reassembles — and a
+//!    single-node run is the one-part plan, so it goes through the same
+//!    merge. Cross-grid post-processing (Pareto marking, enhancement
+//!    rows) is computed over the merged whole.
 //!
 //! The unit axes: simulate partitions over `p_values`, resilience over
 //! the six fault kinds, explore over the deterministic allocation
 //! enumeration. `table2`, `synth`, and `area` have no partitionable axis
 //! and plan as a single partition whose partial embeds the whole body.
 
+use crate::experiments::table2;
 use crate::explore::{design_space_slice, enumerate_allocations, mark_scenario_pareto, SweepPoint};
-use crate::jobspec::{parse_encoding, point_json, summary_json, JobError, JobSpec, SIMULATE_LEGS};
+use crate::jobspec::{
+    encoding_name, legs_enhancement, parse_encoding, JobError, JobSpec, SIMULATE_LEGS,
+};
+use crate::report::system_area_from_logic;
 use crate::resilience::{report_from_counters, KindCounters, COUNTER_FIELDS, FAULT_KINDS};
-use crate::stages::{StageCache, StageRecord};
-use tauhls_json::Json;
+use crate::stages::{PipelineTrace, StageCache, StageRecord, SynthesizedLogic};
+use crate::Timing;
+use tauhls_json::{Json, ToJson};
+use tauhls_logic::AreaModel;
 use tauhls_sim::{BatchRunner, LatencySummary};
 
 /// One contiguous slice of a job's partition axis.
@@ -114,8 +121,7 @@ pub fn part_for(spec: &JobSpec, index: usize, total: usize) -> Result<Part, JobE
 /// [`merge`] needs: per-`P` latency legs (simulate), raw fault-kind
 /// counters (resilience), unmarked sweep points (explore), or the whole
 /// response body (the indivisible kinds). Stage records from synthesis
-/// work are returned alongside for the caller's stage metrics, exactly
-/// as [`JobSpec::run_with`] does.
+/// work are returned alongside for the caller's stage metrics.
 ///
 /// # Errors
 ///
@@ -127,33 +133,21 @@ pub fn run_part(
     runner: &BatchRunner,
     stage_cache: Option<&StageCache>,
 ) -> Result<(Json, Vec<StageRecord>), JobError> {
-    let coords = |payload: (&'static str, Json)| {
-        Json::object([
-            ("part", Json::from(part.index)),
-            ("of", Json::from(part.total)),
-            payload,
-        ])
-    };
-    match spec {
+    let (payload, records) = match spec {
         JobSpec::Simulate(s) => {
             let summaries = s.measure_legs(part.lo..part.hi, runner)?;
             let legs = SIMULATE_LEGS
                 .iter()
                 .zip(&summaries)
                 .map(|((key, _, _), summary)| (*key, summary_json(summary, None)));
-            Ok((coords(("legs", Json::object(legs))), Vec::new()))
+            (("legs", Json::object(legs)), Vec::new())
         }
         JobSpec::Resilience(s) => {
             let counters = s.kind_counters(part.lo..part.hi, runner)?;
-            let rows: Vec<Json> = counters
-                .into_iter()
-                .map(|mut c| {
-                    Json::object(
-                        COUNTER_FIELDS.map(|(name, field)| (name, Json::from(*field(&mut c)))),
-                    )
-                })
-                .collect();
-            Ok((coords(("counters", Json::array(rows))), Vec::new()))
+            let rows = counters.into_iter().map(|mut c| {
+                Json::object(COUNTER_FIELDS.map(|(name, field)| (name, Json::from(*field(&mut c)))))
+            });
+            (("counters", Json::array(rows)), Vec::new())
         }
         JobSpec::Explore(s) => {
             let params = s.sweep_params();
@@ -165,14 +159,143 @@ pub fn run_part(
             let (points, records) =
                 design_space_slice(&s.graph, &params, slice, runner, stage_cache)
                     .map_err(JobError::from_sweep)?;
-            let pts: Vec<Json> = points.iter().map(|p| point_json(p, false)).collect();
-            Ok((coords(("points", Json::array(pts))), records))
+            let pts = points.iter().map(|p| point_json(p, false));
+            (("points", Json::array(pts)), records)
         }
-        JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => {
-            let (body, records) = spec.run_with(runner, stage_cache)?;
-            Ok((coords(("body", body)), records))
+        JobSpec::Table2(s) => {
+            let t = table2(s.trials as usize, s.seed, runner).map_err(JobError::from_sim)?;
+            (("body", body(spec, [("table2", t.to_json())])), Vec::new())
         }
+        JobSpec::Synth(s) => {
+            let (logic, _, trace) = s.synthesize(stage_cache)?;
+            let cells = [
+                ("stages", stage_hashes(&trace)),
+                ("synth", synth_body(&logic)),
+            ];
+            (("body", body(spec, cells)), trace.records)
+        }
+        JobSpec::Area(s) => {
+            let (logic, reports, trace) = s.synth.synthesize(stage_cache)?;
+            let system = system_area_from_logic(&logic, &AreaModel::default(), s.width);
+            let rows = reports.rows().iter().map(|r| {
+                Json::object([
+                    ("name", Json::from(r.name.as_str())),
+                    ("inputs", Json::from(r.inputs)),
+                    ("outputs", Json::from(r.outputs)),
+                    ("states", Json::from(r.states)),
+                    ("flip_flops", Json::from(r.flip_flops)),
+                    ("area_combinational", Json::Float(r.area_combinational)),
+                    ("area_sequential", Json::Float(r.area_sequential)),
+                ])
+            });
+            let cells = [
+                ("stages", stage_hashes(&trace)),
+                ("rows", Json::array(rows)),
+                ("system", system.to_json()),
+            ];
+            (("body", body(spec, cells)), trace.records)
+        }
+    };
+    let partial = Json::object([
+        ("part", Json::from(part.index)),
+        ("of", Json::from(part.total)),
+        payload,
+    ]);
+    Ok((partial, records))
+}
+
+/// A response body: the canonical spec, then `cells`.
+fn body(spec: &JobSpec, cells: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    Json::object([("spec", spec.canonical())].into_iter().chain(cells))
+}
+
+/// Renders a trace's artifact-hash chain as a JSON array of
+/// `{stage, hash}` objects, hashes as fixed-width hex — deliberately
+/// without wall times, which vary run to run and would break the
+/// byte-identical response-cache guarantee.
+fn stage_hashes(trace: &PipelineTrace) -> Json {
+    Json::array(
+        trace
+            .hash_chain()
+            .into_iter()
+            .map(|(stage, hash)| {
+                Json::object([
+                    ("stage", Json::from(stage)),
+                    ("hash", Json::from(format!("{hash:016x}").as_str())),
+                ])
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// The deterministic `/v1/synth` payload: one row per unit controller plus
+/// the synchronizing CENT-SYNC-FSM.
+fn synth_body(logic: &SynthesizedLogic) -> Json {
+    let units = logic.controls().design().bound().allocation().units();
+    let fsm_cells = |syn: &tauhls_fsm::SynthesizedFsm| {
+        vec![
+            ("states", Json::from(syn.num_states())),
+            ("flip_flops", Json::from(syn.flip_flops())),
+            ("inputs", Json::from(syn.num_inputs())),
+            ("outputs", Json::from(syn.num_outputs())),
+            ("area_combinational", Json::Float(syn.area().combinational)),
+            ("area_sequential", Json::Float(syn.area().sequential)),
+        ]
+    };
+    let controllers: Vec<Json> = logic
+        .controllers()
+        .iter()
+        .map(|(unit, syn)| {
+            let mut cells = vec![("unit", Json::from(units[unit.0].display_name().as_str()))];
+            cells.extend(fsm_cells(syn));
+            Json::object(cells)
+        })
+        .collect();
+    Json::object([
+        ("encoding", Json::from(encoding_name(logic.encoding()))),
+        ("controllers", Json::array(controllers)),
+        ("cent_sync", Json::object(fsm_cells(logic.cent_sync()))),
+    ])
+}
+
+/// One latency leg as the `/v1/simulate` body and the simulate partial
+/// render it; a clock period adds the leg rendered in ns, which the
+/// partial leaves to the merge.
+fn summary_json(summary: &LatencySummary, clock_ns: Option<f64>) -> Json {
+    let mut cells = vec![
+        ("best_cycles", Json::from(summary.best_cycles)),
+        ("average_cycles", Json::floats(&summary.average_cycles)),
+        ("worst_cycles", Json::from(summary.worst_cycles)),
+    ];
+    if let Some(clk) = clock_ns {
+        cells.push((
+            "rendered_ns",
+            Json::from(summary.to_ns_string(clk).as_str()),
+        ));
     }
+    Json::object(cells)
+}
+
+/// One explore sweep point as the `/v1/dfg/explore` body and the explore
+/// partial render it; `pareto` adds the Pareto mark, which the partial
+/// leaves to the merge.
+fn point_json(p: &SweepPoint, pareto: bool) -> Json {
+    let mut cells = vec![
+        ("muls", Json::from(p.muls)),
+        ("adds", Json::from(p.adds)),
+        ("subs", Json::from(p.subs)),
+        ("encoding", Json::from(encoding_name(p.encoding))),
+        ("p", Json::Float(p.p)),
+        ("sd_ld", Json::Float(p.sd_ld)),
+        ("skew", Json::from(p.skew)),
+        ("avg_cycles", Json::Float(p.avg_cycles)),
+        ("latency_ns", Json::Float(p.latency_ns)),
+        ("area_ge", Json::Float(p.area_ge)),
+    ];
+    if pareto {
+        cells.push(("pareto", Json::from(p.pareto)));
+    }
+    Json::object(cells)
 }
 
 fn bad(msg: &str) -> JobError {
@@ -219,19 +342,20 @@ fn summary_from_partial(
 /// Merges partition partials — in partition order, one per planned part —
 /// back into the final response body.
 ///
-/// The reassembled body is byte-identical to [`JobSpec::run`] on a single
-/// node: exact integers and round-trip-exact floats restore the very
-/// values the single-node run computes, and rendering goes through the
-/// same body builders. Cross-partition post-processing (Pareto marking
-/// for explore, enhancement rows for simulate) is recomputed here over
-/// the merged whole.
+/// The body is the same at any partition count: exact integers and
+/// round-trip-exact floats restore the very values a one-part run
+/// computes, and rendering happens here alone. Cross-partition
+/// post-processing (Pareto marking for explore, enhancement rows for
+/// simulate) is computed over the merged whole. The partials are taken
+/// by value, so an indivisible job's embedded body is moved out, not
+/// copied.
 ///
 /// # Errors
 ///
 /// [`JobError::Failed`] when the partials don't form exactly the plan
 /// ([`plan`]`(spec, partials.len())`) — wrong count, wrong coordinates,
 /// missing fields, or mismatched slice lengths.
-pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
+pub fn merge(spec: &JobSpec, partials: Vec<Json>) -> Result<Json, JobError> {
     let parts = plan(spec, partials.len());
     if parts.len() != partials.len() {
         return Err(bad(&format!(
@@ -240,7 +364,7 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
             partials.len()
         )));
     }
-    for (part, partial) in parts.iter().zip(partials) {
+    for (part, partial) in parts.iter().zip(&partials) {
         if u64_field(partial, "part")? != part.index as u64
             || u64_field(partial, "of")? != part.total as u64
         {
@@ -250,7 +374,7 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
     match spec {
         JobSpec::Simulate(s) => {
             let mut merged: Vec<LatencySummary> = Vec::new();
-            for (part, partial) in parts.iter().zip(partials) {
+            for (part, partial) in parts.iter().zip(&partials) {
                 let legs = field(partial, "legs", "legs")?;
                 for (k, (key, _, _)) in SIMULATE_LEGS.iter().enumerate() {
                     let piece = summary_from_partial(legs, key, &s.p_values, part.lo, part.hi)?;
@@ -270,17 +394,24 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                     }
                 }
             }
-            match merged.first() {
-                None => Err(bad("no partials")),
-                Some(leg) if leg.average_cycles.len() != s.p_values.len() => {
-                    Err(bad("merged sweep does not cover p_values"))
-                }
-                Some(_) => Ok(spec.simulate_body(&merged)),
+            if merged.first().map(|leg| leg.average_cycles.len()) != Some(s.p_values.len()) {
+                return Err(bad("merged sweep does not cover p_values"));
             }
+            let clk = Timing::default().clock_ns();
+            let mut cells = vec![("clock_ns", Json::from(clk))];
+            cells.extend(
+                SIMULATE_LEGS
+                    .iter()
+                    .zip(&merged)
+                    .map(|((key, _, _), summary)| (*key, summary_json(summary, Some(clk)))),
+            );
+            let enhancement = legs_enhancement(&merged);
+            cells.push(("enhancement_percent", Json::floats(&enhancement)));
+            Ok(body(spec, cells))
         }
         JobSpec::Resilience(s) => {
             let mut counters = Vec::with_capacity(FAULT_KINDS.len());
-            for (part, partial) in parts.iter().zip(partials) {
+            for (part, partial) in parts.iter().zip(&partials) {
                 let rows = field(partial, "counters", "counters")?
                     .as_array()
                     .ok_or_else(|| bad("counters"))?;
@@ -299,11 +430,11 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                 return Err(bad("merged counters do not cover all fault kinds"));
             }
             let report = report_from_counters(s.graph.name(), s.p, s.trials, s.seed, &counters);
-            Ok(spec.resilience_body(&report))
+            Ok(body(spec, [("report", report.to_json())]))
         }
         JobSpec::Explore(s) => {
             let mut points = Vec::new();
-            for partial in partials {
+            for partial in &partials {
                 let pts = field(partial, "points", "points")?
                     .as_array()
                     .ok_or_else(|| bad("points"))?;
@@ -331,13 +462,34 @@ pub fn merge(spec: &JobSpec, partials: &[Json]) -> Result<Json, JobError> {
                 }
             }
             mark_scenario_pareto(&mut points);
-            Ok(spec.explore_body(&s.graph, &points))
+            let marked = |p: &SweepPoint| point_json(p, true);
+            let frontier: Vec<Json> = points.iter().filter(|p| p.pareto).map(marked).collect();
+            let graph = &s.graph;
+            Ok(body(
+                spec,
+                [
+                    (
+                        "graph",
+                        Json::object([
+                            ("name", Json::from(graph.name())),
+                            ("ops", Json::from(graph.num_ops())),
+                            ("inputs", Json::from(graph.num_inputs())),
+                        ]),
+                    ),
+                    ("points", Json::array(points.iter().map(marked))),
+                    ("frontier", Json::array(frontier)),
+                ],
+            ))
         }
-        JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => partials
-            .first()
-            .and_then(|p| p.get("body"))
-            .cloned()
-            .ok_or_else(|| bad("missing body")),
+        JobSpec::Table2(_) | JobSpec::Synth(_) | JobSpec::Area(_) => {
+            match partials.into_iter().next() {
+                Some(Json::Object(pairs)) => pairs
+                    .into_iter()
+                    .find_map(|(key, value)| (key == "body").then_some(value))
+                    .ok_or_else(|| bad("missing body")),
+                _ => Err(bad("missing body")),
+            }
+        }
     }
 }
 
@@ -375,7 +527,7 @@ mod tests {
                     Json::parse(&partial.to_compact()).expect("partial round-trips")
                 })
                 .collect();
-            let merged = merge(spec, &partials).expect("merge").to_pretty();
+            let merged = merge(spec, partials).expect("merge").to_pretty();
             assert_eq!(
                 merged, pinned,
                 "byte-identity violated at max_parts={max_parts}"
@@ -476,8 +628,11 @@ mod tests {
             .map(|&part| run_part(&s, part, &runner, None).unwrap().0)
             .collect();
         partials.swap(0, 1);
-        assert!(merge(&s, &partials).is_err(), "out-of-order partials");
+        assert!(
+            merge(&s, partials.clone()).is_err(),
+            "out-of-order partials"
+        );
         partials.truncate(1);
-        assert!(merge(&s, &partials).is_err(), "short partials");
+        assert!(merge(&s, partials).is_err(), "short partials");
     }
 }

@@ -120,7 +120,7 @@ impl Coordinator {
             partials.push(partial);
             records.append(&mut recs);
         }
-        let body = partition::merge(spec, &partials)?;
+        let body = partition::merge(spec, partials)?;
         Ok((body, records))
     }
 
