@@ -77,6 +77,16 @@ pub enum SynthesisError {
     InsufficientAllocation,
     /// The explicit binding was rejected.
     Binding(tauhls_sched::BindError),
+    /// A controller is wider than logic synthesis can represent: its
+    /// state bits plus inputs exceed the cover variable limit.
+    TooLarge {
+        /// The controller, by name.
+        what: String,
+        /// The most variables a cover can hold.
+        limit: usize,
+        /// The variables the controller needs.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for SynthesisError {
@@ -87,6 +97,10 @@ impl std::fmt::Display for SynthesisError {
                 write!(f, "allocation lacks a unit for a used operation class")
             }
             SynthesisError::Binding(e) => write!(f, "binding rejected: {e}"),
+            SynthesisError::TooLarge { what, limit, got } => write!(
+                f,
+                "{what} is too large to synthesize: {got} state bits and inputs, limit {limit}"
+            ),
         }
     }
 }

@@ -31,10 +31,10 @@ use std::time::{Duration, Instant};
 
 use tauhls_dfg::{Dfg, OpId, Operand};
 use tauhls_fsm::{
-    cent_sync_fsm, synchronous_product, synthesize, DistributedControlUnit, Encoding, Fsm,
-    SynthesizedFsm,
+    cent_sync_fsm, combined_vars, synchronous_product, synthesize, DistributedControlUnit,
+    Encoding, Fsm, SynthesizedFsm,
 };
-use tauhls_logic::AreaModel;
+use tauhls_logic::{AreaModel, MAX_VARS};
 use tauhls_sched::{chain_sequences, left_edge_sequences, Allocation, BoundDfg, UnitId};
 
 use crate::pipeline::SynthesisError;
@@ -878,6 +878,17 @@ impl Stage for SynthesizeLogic {
     }
 
     fn apply(&self, input: &Arc<ControlUnits>) -> Result<SynthesizedLogic, SynthesisError> {
+        let fsms = input.distributed().controllers().iter().map(|(_, fsm)| fsm);
+        for fsm in fsms.chain([input.cent_sync()]).chain(input.centralized()) {
+            let got = combined_vars(fsm, self.encoding);
+            if got > MAX_VARS {
+                return Err(SynthesisError::TooLarge {
+                    what: format!("controller {}", fsm.name()),
+                    limit: MAX_VARS,
+                    got,
+                });
+            }
+        }
         let controllers: Vec<(UnitId, SynthesizedFsm)> = input
             .distributed()
             .controllers()
@@ -1231,5 +1242,38 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SynthesisError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("no operations"), "{err}");
+    }
+
+    #[test]
+    fn over_wide_controller_is_too_large_not_a_panic() {
+        // One adder runs a chain of 100 adds: 100 states, so one-hot needs
+        // 100 state bits while binary needs 7.
+        let mut text = String::from("dfg chain\ninput x\ninput y\nop c0 = add x y\n");
+        for i in 1..100 {
+            text += &format!("op c{i} = add c{} y\n", i - 1);
+        }
+        let chain = tauhls_dfg::parse_dfg(&(text + "output o c99\n")).expect("valid");
+        let logic = |encoding| {
+            let mut trace = PipelineTrace::default();
+            let input = input(chain.clone(), Allocation::paper(1, 1, 0));
+            run_full(
+                &input,
+                false,
+                encoding,
+                &AreaModel::default(),
+                None,
+                &mut trace,
+            )
+        };
+        let err = logic(Encoding::OneHot).unwrap_err();
+        assert_eq!(
+            err,
+            SynthesisError::TooLarge {
+                what: "controller D-FSM-A1".to_string(),
+                limit: MAX_VARS,
+                got: 100,
+            }
+        );
+        assert!(logic(Encoding::Binary).is_ok());
     }
 }

@@ -68,7 +68,7 @@ pub use multilevel::{level_completion, unit_controller_multilevel};
 pub use product::synchronous_product;
 pub use rtl::{control_unit_to_verilog, to_verilog, verilog_ident};
 pub use synth::{
-    controller_functions, synthesize, verify_synthesis, ControllerFunctions, Encoding,
-    SynthesizedFsm, EXACT_LIMIT,
+    combined_vars, controller_functions, synthesize, verify_synthesis, ControllerFunctions,
+    Encoding, SynthesizedFsm, EXACT_LIMIT,
 };
 pub use taubm_fsm::{cent_sync_fsm, cent_sync_fsm_with_schedule};

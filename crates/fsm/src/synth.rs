@@ -158,6 +158,13 @@ pub struct ControllerFunctions {
     pub dcset: Cover,
 }
 
+/// The variables of `fsm`'s logic under `encoding`: its state bits plus
+/// its inputs, the width of every cover [`synthesize`] builds. A caller
+/// that cannot panic checks it against [`tauhls_logic::MAX_VARS`] first.
+pub fn combined_vars(fsm: &Fsm, encoding: Encoding) -> usize {
+    state_bits(encoding, fsm.num_states()) + fsm.inputs().len()
+}
+
 /// Builds the next-state and output functions of `fsm` under `encoding`.
 ///
 /// # Panics
@@ -167,7 +174,7 @@ pub fn controller_functions(fsm: &Fsm, encoding: Encoding) -> ControllerFunction
     let n = fsm.num_states();
     let bits = state_bits(encoding, n);
     let num_inputs = fsm.inputs().len();
-    let vars = bits + num_inputs;
+    let vars = combined_vars(fsm, encoding);
     assert!(vars <= 64, "too many combined variables");
 
     // Don't-care cover: unused state codes.

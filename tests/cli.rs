@@ -5,6 +5,8 @@ use std::path::Path;
 use std::process::{Command, Output};
 use tauhls::dfg::{benchmarks, dfg_to_text};
 
+mod oversized;
+
 fn tauhls(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tauhls"))
         .args(args)
@@ -338,6 +340,51 @@ fn synth_misuse_fails_with_one_line_messages() {
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         assert_graceful_failure(&out, "no operations");
     }
+}
+
+#[test]
+fn oversized_controllers_exit_1_naming_the_limit() {
+    // A controller wider than the 64 cover variables is a typed error on
+    // every subcommand that synthesizes logic, never a panic (exit 101).
+    let dir = scratch_dir();
+    let wide = dir.join("wide.dfg");
+    std::fs::write(&wide, oversized::wide_dfg()).unwrap();
+    let chain = dir.join("add-chain.dfg");
+    std::fs::write(&chain, oversized::add_chain_dfg()).unwrap();
+    let (wide, chain) = (wide.to_str().unwrap(), chain.to_str().unwrap());
+    for args in [
+        vec!["synth", wide, "--muls", "8", "--adds", "1"],
+        vec![
+            "synth",
+            wide,
+            "--muls",
+            "8",
+            "--adds",
+            "1",
+            "--encoding",
+            "gray",
+        ],
+        vec!["report", wide, "--muls", "8", "--adds", "1"],
+        vec!["verilog", wide, "--muls", "8", "--adds", "1"],
+        vec![
+            "synth",
+            chain,
+            "--muls",
+            "1",
+            "--adds",
+            "1",
+            "--encoding",
+            "onehot",
+        ],
+    ] {
+        let out = tauhls(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_graceful_failure(&out, "too large to synthesize");
+        assert_graceful_failure(&out, "limit 64");
+    }
+    // The same chain fits in binary encoding.
+    let out = tauhls(&["synth", chain, "--muls", "1", "--adds", "1"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
 }
 
 #[test]

@@ -13,6 +13,8 @@ use tauhls::serve::{client, ServeConfig, Server};
 use tauhls::sim::BatchRunner;
 use tauhls_json::Json;
 
+mod oversized;
+
 const TIMEOUT: Duration = Duration::from_secs(120);
 
 fn start(workers: usize, queue_capacity: usize) -> Server {
@@ -125,6 +127,51 @@ fn synth_respelled_specs_hit_and_new_encodings_match_the_offline_run() {
             metrics.body
         );
     }
+    server.shutdown();
+}
+
+#[test]
+fn oversized_graphs_answer_400_and_never_panic() {
+    let server = start(2, 64);
+    let addr = server.local_addr().to_string();
+    let post = |path: &str, spec: String| {
+        client::request(&addr, "POST", path, Some(&spec), TIMEOUT).expect("response")
+    };
+    let wide = Json::from(oversized::wide_dfg()).to_compact();
+    let chain = Json::from(oversized::add_chain_dfg()).to_compact();
+    for (path, spec) in [
+        (
+            "/v1/synth",
+            format!(r#"{{"dfg_text":{wide},"muls":8,"adds":1}}"#),
+        ),
+        (
+            "/v1/area",
+            format!(r#"{{"dfg_text":{wide},"muls":8,"adds":1}}"#),
+        ),
+        (
+            "/v1/explore",
+            format!(r#"{{"dfg_text":{wide},"trials":20,"p":[0.5]}}"#),
+        ),
+        (
+            "/v1/synth",
+            format!(r#"{{"dfg_text":{chain},"muls":1,"adds":1,"encoding":"onehot"}}"#),
+        ),
+    ] {
+        let reply = post(path, spec);
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+        assert!(reply.body.contains("limit 64"), "{path}: {}", reply.body);
+    }
+    // Simulation never builds the logic, so the same graph still runs.
+    let spec = format!(r#"{{"dfg_text":{wide},"muls":8,"adds":1,"trials":20,"p":[0.5]}}"#);
+    let simulated = post("/v1/simulate", spec);
+    assert_eq!(simulated.status, 200, "{}", simulated.body);
+
+    let metrics = client::request(&addr, "GET", "/metrics", None, TIMEOUT).expect("metrics");
+    assert!(
+        metrics.body.contains("tauhls_serve_worker_panics_total 0"),
+        "{}",
+        metrics.body
+    );
     server.shutdown();
 }
 
