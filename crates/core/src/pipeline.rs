@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::stages::{self, BindStrategy, ControlUnits, PipelineTrace, StageCache, SynthesisInput};
+use crate::stages::{self, BindStrategy, ControlUnits, PipelineTrace, SynthesisInput};
 use tauhls_dfg::Dfg;
 use tauhls_fsm::{synthesize, DistributedControlUnit, Encoding, Fsm, SynthesizedFsm};
 use tauhls_logic::AreaModel;
@@ -170,27 +170,13 @@ impl Synthesis {
     /// Returns a [`SynthesisError`] if the allocation cannot execute the
     /// graph or an explicit binding is inconsistent.
     pub fn run_traced(self) -> Result<(Design, PipelineTrace), SynthesisError> {
-        self.run_cached(None)
-    }
-
-    /// Like [`Synthesis::run_traced`], consulting (and filling) a shared
-    /// [`StageCache`] so repeated or prefix-equal requests skip work.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SynthesisError`] if the allocation cannot execute the
-    /// graph or an explicit binding is inconsistent.
-    pub fn run_cached(
-        self,
-        cache: Option<&StageCache>,
-    ) -> Result<(Design, PipelineTrace), SynthesisError> {
         let mut trace = PipelineTrace::default();
         let input = SynthesisInput {
             dfg: self.dfg,
             allocation: self.allocation,
             strategy: self.strategy,
         };
-        let controls = stages::run_front(&input, self.build_centralized, cache, &mut trace)?;
+        let controls = stages::run_front(&input, self.build_centralized, None, &mut trace)?;
         Ok((
             Design {
                 controls,
@@ -212,12 +198,6 @@ impl Design {
     /// The scheduled-and-bound DFG.
     pub fn bound(&self) -> &BoundDfg {
         self.controls.design().bound()
-    }
-
-    /// The generated controllers as a shareable staged artifact (the
-    /// input to the `logic` stage).
-    pub fn control_units(&self) -> &Arc<ControlUnits> {
-        &self.controls
     }
 
     /// The distributed control unit (the paper's proposal).

@@ -70,13 +70,6 @@ impl CentControlUnit {
     pub fn product(&self) -> Option<&Fsm> {
         self.product.as_ref()
     }
-
-    /// Reachable state count of the centralized machine, if the product
-    /// was built — the quantity the paper's state-explosion argument is
-    /// about (compare [`DistributedControlUnit::total_states`]).
-    pub fn product_states(&self) -> Option<usize> {
-        self.product.as_ref().map(|f| f.num_states())
-    }
 }
 
 /// Builds the synchronous product of the component controllers, or `None`
