@@ -639,3 +639,154 @@ fn closed_stdout_exits_quietly() {
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
 }
+
+/// Asserts `out` is a failure with exit code 1, nothing on stdout and
+/// exactly one stderr line, `error: {message}`.
+fn assert_one_error_line(args: &[&str], out: &Output, message: &str) {
+    assert_eq!(out.status.code(), Some(1), "{args:?}");
+    assert_eq!(stderr_of(out), format!("error: {message}\n"), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+/// Every misuse of the client verbs that fails before (or instead of)
+/// an HTTP exchange prints one pinned line and exits 1.
+#[test]
+fn service_verb_misuse_prints_one_pinned_line() {
+    let bad_json = scratch_dir().join("not-json.json");
+    std::fs::write(&bad_json, "{not json").unwrap();
+    let bad_json = bad_json.to_str().unwrap();
+    let refused = "connect 127.0.0.1:1: Connection refused (os error 111)";
+    let missing = "/nonexistent/spec.json: No such file or directory (os error 2)";
+    let not_json = format!("{bad_json}: invalid JSON: byte 1: expected a string object key");
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec!["jobs"],
+            "jobs needs a verb (submit|status|result|cancel)",
+        ),
+        (
+            vec!["jobs", "frob"],
+            "unknown jobs verb 'frob' (submit|status|result|cancel)",
+        ),
+        (
+            vec!["jobs", "submit"],
+            "jobs submit needs an endpoint (simulate|table2|resilience|synth|area|explore)",
+        ),
+        (vec!["jobs", "submit", "bogus"], "unknown endpoint 'bogus'"),
+        (
+            vec!["jobs", "submit", "simulate", "a.json", "b.json"],
+            "too many arguments to jobs submit",
+        ),
+        (
+            vec!["jobs", "status", "a", "b"],
+            "too many arguments to jobs status",
+        ),
+        (
+            vec!["jobs", "submit", "simulate", "/nonexistent/spec.json"],
+            missing,
+        ),
+        (vec!["jobs", "submit", "simulate", bad_json], &not_json),
+        (vec!["jobs", "status"], "jobs status needs a job id"),
+        (vec!["jobs", "result"], "jobs result needs a job id"),
+        (
+            vec!["jobs", "status", "x", "--addr"],
+            "missing value for --addr",
+        ),
+        (
+            vec!["jobs", "submit", "--client"],
+            "missing value for --client",
+        ),
+        (vec!["jobs", "--wat"], "unknown jobs option --wat"),
+        (vec!["cluster"], "cluster needs the verb 'status'"),
+        (vec!["cluster", "frob"], "cluster needs the verb 'status'"),
+        (vec!["cluster", "--wat"], "unknown cluster option --wat"),
+        (
+            vec!["cluster", "status", "--addr"],
+            "missing value for --addr",
+        ),
+        (vec!["cluster", "status", "--addr", "127.0.0.1:1"], refused),
+        (
+            vec!["call"],
+            "call needs an endpoint \
+             (simulate|table2|resilience|synth|area|explore|status|healthz|metrics)",
+        ),
+        (
+            vec!["call", "bogus"],
+            "unknown endpoint 'bogus' \
+             (simulate|table2|resilience|synth|area|explore|status|healthz|metrics)",
+        ),
+        (vec!["call", "--wat"], "unknown call option --wat"),
+        (
+            vec!["call", "simulate", "a.json", "b.json"],
+            "too many arguments to call",
+        ),
+        (vec!["call", "simulate", "/nonexistent/spec.json"], missing),
+        (vec!["call", "healthz", "--addr", "127.0.0.1:1"], refused),
+    ];
+    for (args, message) in cases {
+        assert_one_error_line(&args, &tauhls(&args), message);
+    }
+}
+
+/// A `tauhls serve` child on an ephemeral port, stopped with SIGTERM when
+/// dropped.
+struct LiveServer {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl LiveServer {
+    fn start() -> LiveServer {
+        use std::io::BufRead as _;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_tauhls"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .args(["--threads", "1", "--job-workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn tauhls serve");
+        let stdout = child.stdout.take().expect("stdout piped");
+        let mut line = String::new();
+        std::io::BufReader::new(stdout)
+            .read_line(&mut line)
+            .expect("read banner");
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .expect("banner format")
+            .to_string();
+        LiveServer { child, addr }
+    }
+}
+
+impl Drop for LiveServer {
+    fn drop(&mut self) {
+        let _ = Command::new("kill")
+            .args(["-TERM", &self.child.id().to_string()])
+            .status();
+        let _ = self.child.wait();
+    }
+}
+
+/// A status the verb does not accept prints the one HTTP-error line:
+/// status, path and the trimmed body.
+#[test]
+fn http_errors_from_a_live_server_print_one_pinned_line() {
+    let server = LiveServer::start();
+    let spec = scratch_dir().join("zero-trials.json");
+    std::fs::write(&spec, "{\"trials\":0}\n").unwrap();
+    let addr = server.addr.as_str();
+    let cases = [
+        (
+            vec!["call", "simulate", spec.to_str().unwrap(), "--addr", addr],
+            "HTTP 400 from /v1/simulate: \
+             {\"error\":\"invalid job spec: 'trials' must be in 1..=1000000, got 0\"}",
+        ),
+        (
+            vec!["jobs", "result", "0123456789abcdef", "--addr", addr],
+            "HTTP 404 from /v1/jobs/0123456789abcdef/result: {\"error\":\"unknown job\"}",
+        ),
+    ];
+    for (args, message) in cases {
+        assert_one_error_line(&args, &tauhls(&args), message);
+    }
+}
