@@ -37,6 +37,16 @@
 //! does not parse (unknown, missing its value, a malformed number) prints
 //! the usage text (exit 2).
 //!
+//! Exit codes. Every subcommand returns its text or one error to `main`,
+//! the only place that writes an error line or picks the exit code:
+//! - 0: the text was printed (a closed stdout ends it quietly);
+//! - 2: the command line does not parse — one `error:` line, then the
+//!   usage text; a missing or unknown subcommand prints the usage alone;
+//! - 1: anything else, with one `error:` line — a spec the service
+//!   rejects, a failed run, any misuse of `serve`, `call`, `jobs`,
+//!   `cluster` or `dfg`, and a response status the client verb does not
+//!   accept (`error: HTTP <status> from <path>: <body>`).
+//!
 //! options (spec fields, with the service's defaults and bounds):
 //!   --muls N --adds N --subs N   allocation (default 2/1/1, each <= 64;
 //!                                × telescopic)
@@ -101,7 +111,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::panic, clippy::print_stdout)
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
 )]
 
 use std::fmt::Write as _;
@@ -119,38 +134,35 @@ use tauhls::fsm::control_unit_to_verilog;
 use tauhls::logic::AreaModel;
 use tauhls::serve::{client, signal, ServeConfig, Server};
 use tauhls::sim::{BatchRunner, ControlStyle};
-use tauhls_json::{Json, ToJson};
+use tauhls_json::Json;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tauhls <synth|simulate|resilience|report|verilog|dot> <file> \
-         [--muls N] [--adds N] [--subs N] [--binding left-edge|chains] \
-         [--encoding binary|gray|onehot] [--p 0.9,0.5] [--trials N] [--seed N] \
-         [--threads N] [--skew N] [--sync-latency N] [--styles dist,cent,elastic] \
-         [--json]\n       tauhls table2 [--trials N] [--seed N] [--threads N]\
-         \n       tauhls explore <file> [--max-muls N] [--max-adds N] [--max-subs N] \
-         [--encodings binary,gray] [--p 0.9,0.5] [--sd-ld 0.75,1.0] [--skew 0,2] \
-         [--trials N] [--width N] [--seed N] [--threads N]\
-         \n       tauhls dfg <validate|dot|convert> <file>\
-         \n       tauhls serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--cache-mb N] [--threads N] [--data-dir PATH] \
-         [--job-workers N] [--job-queue N] [--max-attempts N] [--backoff-ms N] \
-         [--rate R] [--burst B] [--max-pending N] \
-         [--coordinator] [--workers-file PEERS.json] [--worker-of HOST:PORT] \
-         [--heartbeat-ms N] [--partition-timeout-ms N] [--cluster-attempts N] \
-         [--cluster-partitions N]\
-         \n       tauhls call <simulate|table2|resilience|synth|area|explore|status|\
+/// The usage text `main` prints, after the error line, when a command
+/// line does not parse.
+const USAGE: &str = "usage: tauhls <synth|simulate|resilience|report|verilog|dot> <file> \
+    [--muls N] [--adds N] [--subs N] [--binding left-edge|chains] \
+    [--encoding binary|gray|onehot] [--p 0.9,0.5] [--trials N] [--seed N] \
+    [--threads N] [--skew N] [--sync-latency N] [--styles dist,cent,elastic] \
+    [--json]\n       tauhls table2 [--trials N] [--seed N] [--threads N]\
+    \n       tauhls explore <file> [--max-muls N] [--max-adds N] [--max-subs N] \
+    [--encodings binary,gray] [--p 0.9,0.5] [--sd-ld 0.75,1.0] [--skew 0,2] \
+    [--trials N] [--width N] [--seed N] [--threads N]\
+    \n       tauhls dfg <validate|dot|convert> <file>\
+    \n       tauhls serve [--addr HOST:PORT] [--workers N] [--queue N] \
+    [--cache-mb N] [--threads N] [--data-dir PATH] \
+    [--job-workers N] [--job-queue N] [--max-attempts N] [--backoff-ms N] \
+    [--rate R] [--burst B] [--max-pending N] \
+    [--coordinator] [--workers-file PEERS.json] [--worker-of HOST:PORT] \
+    [--heartbeat-ms N] [--partition-timeout-ms N] [--cluster-attempts N] \
+    [--cluster-partitions N]\
+    \n       tauhls call <simulate|table2|resilience|synth|area|explore|status|\
 healthz|metrics> [spec.json] [--addr HOST:PORT]\
-         \n       tauhls jobs submit <endpoint> [spec.json] [--addr HOST:PORT] \
-         [--client NAME] [--priority 0..9] [--wait]\
-         \n       tauhls jobs <status|result|cancel> <job-id> [--addr HOST:PORT]\
-         \n       tauhls cluster status [--addr HOST:PORT]\
-         \n\nDFG files may be classic `.dfg` text or the JSON wire format.\
-         \nAnalysis flags are the fields of the endpoint's job spec, with the \
-         service's defaults and bounds."
-    );
-    ExitCode::from(2)
-}
+    \n       tauhls jobs submit <endpoint> [spec.json] [--addr HOST:PORT] \
+    [--client NAME] [--priority 0..9] [--wait]\
+    \n       tauhls jobs <status|result|cancel> <job-id> [--addr HOST:PORT]\
+    \n       tauhls cluster status [--addr HOST:PORT]\
+    \n\nDFG files may be classic `.dfg` text or the JSON wire format.\
+    \nAnalysis flags are the fields of the endpoint's job spec, with the \
+    service's defaults and bounds.";
 
 /// Writes `text` to stdout: the one output path of every subcommand. A
 /// closed pipe (`tauhls ... | head`) ends the output quietly; any other
@@ -163,15 +175,16 @@ fn emit(text: &str) -> Result<(), String> {
     }
 }
 
-/// [`emit`] as a subcommand's exit status.
-fn emit_status(text: &str) -> ExitCode {
-    match emit(text) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// Writes one line to stderr: the CLI's one stderr path, for `main`'s
+/// error line and usage text and for `serve`'s notes.
+#[allow(clippy::print_stderr)]
+fn note(line: &str) {
+    eprintln!("{line}");
+}
+
+/// Reads a file named on the command line; an error names its path.
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Parses a DFG from either on-disk format: a leading `{` selects the
@@ -185,11 +198,16 @@ fn parse_dfg_any(text: &str) -> Result<Dfg, String> {
     }
 }
 
-/// Why a subcommand failed: `Usage` exits 2 with the usage text, `Failed`
-/// exits 1. Either prints one `error:` line.
+/// Why a subcommand failed. `main` prints it and picks the exit code.
 #[derive(Debug)]
 enum CliError {
+    /// The command line does not parse: one `error:` line, then the usage
+    /// text, exit 2.
     Usage(String),
+    /// No subcommand, or one the CLI does not have: the usage text alone,
+    /// exit 2.
+    NoCommand,
+    /// Anything else: one `error:` line, exit 1.
     Failed(String),
 }
 
@@ -320,7 +338,7 @@ fn job_spec(
         fields.push((key, value));
     }
     if let Some(path) = file {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let text = read_file(path)?;
         fields.push(if text.trim_start().starts_with('{') {
             (
                 "dfg",
@@ -362,7 +380,11 @@ fn analysis(cmd: &str, endpoint: Endpoint, args: &[String]) -> Result<String, Cl
     let runner = BatchRunner::sized(knobs.threads);
     Ok(match &spec {
         JobSpec::Simulate(s) => simulate_text(s, &runner)?,
-        JobSpec::Resilience(s) => s.sweep(&runner)?.to_json().to_pretty(),
+        JobSpec::Resilience(_) => spec
+            .run(&runner)?
+            .get("report")
+            .map(Json::to_pretty)
+            .ok_or_else(|| "resilience body carries no report".to_string())?,
         JobSpec::Table2(s) => experiments::table2(s.trials as usize, s.seed, &runner)
             .map_err(|e| e.to_string())?
             .to_string(),
@@ -517,7 +539,7 @@ fn cmd_dfg(args: &[String]) -> Result<String, String> {
     if args.len() > 2 {
         return Err(format!("too many arguments to dfg {verb}"));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let text = read_file(path)?;
     let parse = || parse_dfg_any(&text).map_err(|e| format!("{path}: {e}"));
     match verb.as_str() {
         "validate" => {
@@ -542,472 +564,369 @@ fn cmd_dfg(args: &[String]) -> Result<String, String> {
         other => Err(format!("unknown dfg verb '{other}' (validate|dot|convert)")),
     }
 }
-/// Parses `tauhls serve` flags onto a [`ServeConfig`].
+
+/// Sets one [`ServeConfig`] field from its flag's value, or says why the
+/// value does not parse.
+type ServeSetter = fn(&mut ServeConfig, &str) -> Result<(), String>;
+
+/// A flag's value as a `T`, or the parser's message.
+fn parse<T: std::str::FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Every `tauhls serve` flag that takes a value and the [`ServeConfig`]
+/// field it sets; `--coordinator` is the one switch.
+const SERVE_FLAGS: [(&str, ServeSetter); 19] = [
+    ("--addr", |c, v| parse(v).map(|a| c.addr = a)),
+    ("--workers", |c, v| parse(v).map(|n| c.workers = n)),
+    ("--queue", |c, v| parse(v).map(|n| c.queue_capacity = n)),
+    ("--cache-mb", |c, v| {
+        let mb: usize = parse(v)?;
+        let bytes = mb.checked_mul(1024 * 1024);
+        let bytes = bytes.ok_or_else(|| format!("{mb} MiB overflows the byte count"))?;
+        c.cache_bytes = bytes;
+        Ok(())
+    }),
+    ("--threads", |c, v| {
+        parse(v).map(|n| c.sim_threads = Some(n))
+    }),
+    ("--data-dir", |c, v| parse(v).map(|p| c.data_dir = Some(p))),
+    ("--job-workers", |c, v| parse(v).map(|n| c.job_workers = n)),
+    ("--job-queue", |c, v| {
+        parse(v).map(|n| c.job_queue_capacity = n)
+    }),
+    ("--max-attempts", |c, v| {
+        parse(v).map(|n| c.job_max_attempts = n)
+    }),
+    ("--backoff-ms", |c, v| {
+        parse(v).map(|ms| c.job_backoff_base = Duration::from_millis(ms))
+    }),
+    ("--rate", |c, v| parse(v).map(|r| c.admission_rate = r)),
+    ("--burst", |c, v| parse(v).map(|b| c.admission_burst = b)),
+    ("--max-pending", |c, v| {
+        parse(v).map(|n| c.max_pending_per_client = n)
+    }),
+    ("--workers-file", |c, v| {
+        parse(v).map(|p| c.workers_file = Some(p))
+    }),
+    ("--worker-of", |c, v| {
+        parse(v).map(|a| c.worker_of = Some(a))
+    }),
+    ("--heartbeat-ms", |c, v| {
+        parse(v).map(|ms| c.heartbeat_interval = Duration::from_millis(ms))
+    }),
+    ("--partition-timeout-ms", |c, v| {
+        parse(v).map(|ms| c.partition_timeout = Duration::from_millis(ms))
+    }),
+    ("--cluster-attempts", |c, v| {
+        parse(v).map(|n| c.cluster_max_attempts = n)
+    }),
+    ("--cluster-partitions", |c, v| {
+        parse(v).map(|n| c.cluster_partitions = n)
+    }),
+];
+
+/// Parses `tauhls serve` flags onto a [`ServeConfig`] through
+/// [`SERVE_FLAGS`].
 fn parse_serve_options(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
-        match flag.as_str() {
-            "--addr" => config.addr = value()?.clone(),
-            "--workers" => {
-                config.workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?
-            }
-            "--queue" => {
-                config.queue_capacity = value()?.parse().map_err(|e| format!("--queue: {e}"))?
-            }
-            "--cache-mb" => {
-                let mb: usize = value()?.parse().map_err(|e| format!("--cache-mb: {e}"))?;
-                config.cache_bytes = mb * 1024 * 1024;
-            }
-            "--threads" => {
-                config.sim_threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
-            "--data-dir" => config.data_dir = Some(std::path::PathBuf::from(value()?)),
-            "--job-workers" => {
-                config.job_workers = value()?
-                    .parse()
-                    .map_err(|e| format!("--job-workers: {e}"))?
-            }
-            "--job-queue" => {
-                config.job_queue_capacity =
-                    value()?.parse().map_err(|e| format!("--job-queue: {e}"))?
-            }
-            "--max-attempts" => {
-                config.job_max_attempts = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-attempts: {e}"))?
-            }
-            "--backoff-ms" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("--backoff-ms: {e}"))?;
-                config.job_backoff_base = Duration::from_millis(ms);
-            }
-            "--rate" => {
-                config.admission_rate = value()?.parse().map_err(|e| format!("--rate: {e}"))?
-            }
-            "--burst" => {
-                config.admission_burst = value()?.parse().map_err(|e| format!("--burst: {e}"))?
-            }
-            "--max-pending" => {
-                config.max_pending_per_client = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-pending: {e}"))?
-            }
-            "--coordinator" => config.coordinator = true,
-            "--workers-file" => {
-                config.workers_file = Some(std::path::PathBuf::from(value()?));
-            }
-            "--worker-of" => config.worker_of = Some(value()?.clone()),
-            "--heartbeat-ms" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?;
-                config.heartbeat_interval = Duration::from_millis(ms);
-            }
-            "--partition-timeout-ms" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--partition-timeout-ms: {e}"))?;
-                config.partition_timeout = Duration::from_millis(ms);
-            }
-            "--cluster-attempts" => {
-                config.cluster_max_attempts = value()?
-                    .parse()
-                    .map_err(|e| format!("--cluster-attempts: {e}"))?
-            }
-            "--cluster-partitions" => {
-                config.cluster_partitions = value()?
-                    .parse()
-                    .map_err(|e| format!("--cluster-partitions: {e}"))?
-            }
-            other => return Err(format!("unknown serve option {other}")),
+        if flag == "--coordinator" {
+            config.coordinator = true;
+            continue;
         }
+        let Some((_, set)) = SERVE_FLAGS.iter().find(|(name, _)| name == flag) else {
+            return Err(format!("unknown serve option {flag}"));
+        };
+        let value = it
+            .next()
+            .ok_or_else(|| format!("missing value for {flag}"))?;
+        set(&mut config, value).map_err(|e| format!("{flag}: {e}"))?;
     }
     Ok(config)
 }
 
 /// `tauhls serve`: run the service until SIGTERM/ctrl-c, then drain.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let config = match parse_serve_options(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_serve(args: &[String]) -> Result<String, String> {
+    let config = parse_serve_options(args)?;
     signal::install_handlers();
-    let server = match Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     // Scripts (and the integration tests) read the resolved address off
     // this line; `emit` flushes it out before the server blocks.
     if let Err(e) = emit(&format!("listening on {}\n", server.local_addr())) {
-        eprintln!("warning: {e}");
+        note(&format!("warning: {e}"));
     }
     while !signal::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
-    eprintln!("shutdown requested: draining in-flight jobs");
+    note("shutdown requested: draining in-flight jobs");
     server.shutdown();
-    ExitCode::SUCCESS
+    Ok(String::new())
+}
+
+/// A client verb: its name, the value flags and switches it takes besides
+/// `--addr`, and how long each of its requests may take.
+struct ClientVerb {
+    name: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    timeout: Duration,
+}
+
+const CALL: ClientVerb = ClientVerb {
+    name: "call",
+    values: &[],
+    switches: &[],
+    timeout: Duration::from_secs(600),
+};
+
+const JOBS: ClientVerb = ClientVerb {
+    name: "jobs",
+    values: &["--client", "--priority"],
+    switches: &["--wait"],
+    timeout: Duration::from_secs(600),
+};
+
+const CLUSTER: ClientVerb = ClientVerb {
+    name: "cluster",
+    values: &[],
+    switches: &[],
+    timeout: Duration::from_secs(30),
+};
+
+/// A client verb's command line, read by [`ClientVerb::parse`].
+struct ClientArgs<'a> {
+    addr: String,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+    timeout: Duration,
+}
+
+impl ClientVerb {
+    /// Reads `--addr` (default: the service's), the verb's own flags, and
+    /// the positional arguments. Any other `--` argument is an error.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<ClientArgs<'a>, String> {
+        let mut cli = ClientArgs {
+            addr: ServeConfig::default().addr,
+            flags: Vec::new(),
+            positional: Vec::new(),
+            timeout: self.timeout,
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            let takes_value = arg == "--addr" || self.values.contains(&arg);
+            if takes_value {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("missing value for {arg}"))?;
+                match arg {
+                    "--addr" => cli.addr = value.to_string(),
+                    _ => cli.flags.push((arg, Some(value))),
+                }
+            } else if self.switches.contains(&arg) {
+                cli.flags.push((arg, None));
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown {} option {arg}", self.name));
+            } else {
+                cli.positional.push(arg);
+            }
+        }
+        Ok(cli)
+    }
+}
+
+impl ClientArgs<'_> {
+    /// The value of the last `flag` given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().rev().find(|(f, _)| *f == flag)?.1
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Sends one request to the service: the response body when its
+    /// status is one of `accepted`, else the one HTTP-error line.
+    fn fetch(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+        accepted: &[u16],
+    ) -> Result<String, String> {
+        let response = client::request_with(&self.addr, method, path, headers, body, self.timeout)?;
+        if accepted.contains(&response.status) {
+            return Ok(response.body);
+        }
+        let (status, body) = (response.status, response.body.trim());
+        Err(format!("HTTP {status} from {path}: {body}"))
+    }
 }
 
 /// `tauhls cluster status`: the cluster section of a running server's
 /// `/v1/status` — role, workers with health and heartbeat age, and the
 /// partition lifecycle counters.
-fn cmd_cluster(args: &[String]) -> ExitCode {
-    let mut addr = ServeConfig::default().addr;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("error: missing value for --addr");
-                    return ExitCode::FAILURE;
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown cluster option {flag}");
-                return ExitCode::FAILURE;
-            }
-            _ => positional.push(arg),
-        }
+fn cmd_cluster(args: &[String]) -> Result<String, String> {
+    let cli = CLUSTER.parse(args)?;
+    if cli.positional != ["status"] {
+        return Err("cluster needs the verb 'status'".to_string());
     }
-    if positional.len() != 1 || positional[0].as_str() != "status" {
-        eprintln!("error: cluster needs the verb 'status'");
-        return ExitCode::FAILURE;
-    }
-    match client::request(&addr, "GET", "/v1/status", None, Duration::from_secs(30)) {
-        Ok(response) if response.status == 200 => {
-            let section = Json::parse(&response.body).ok().and_then(|doc| {
-                doc.as_object()?
-                    .iter()
-                    .find(|(k, _)| k == "cluster")
-                    .map(|(_, v)| v.to_pretty())
-            });
-            match section {
-                Some(body) => emit_status(&body),
-                None => {
-                    eprintln!("error: status body carries no cluster section");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Ok(response) => {
-            eprintln!(
-                "error: HTTP {} from /v1/status: {}",
-                response.status,
-                response.body.trim()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let status = cli.fetch("GET", "/v1/status", &[], None, &[200])?;
+    Json::parse(&status)
+        .ok()
+        .and_then(|doc| doc.get("cluster").map(Json::to_pretty))
+        .ok_or_else(|| "status body carries no cluster section".to_string())
 }
 
+/// What `tauhls call` can reach.
+const CALL_ENDPOINTS: &str = "simulate|table2|resilience|synth|area|explore|status|healthz|metrics";
+
 /// `tauhls call`: one request against a running service.
-fn cmd_call(args: &[String]) -> ExitCode {
-    let mut addr = ServeConfig::default().addr;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("error: missing value for --addr");
-                    return ExitCode::FAILURE;
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown call option {flag}");
-                return ExitCode::FAILURE;
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let (Some(endpoint), spec_path) = (positional.first(), positional.get(1)) else {
-        eprintln!(
-            "error: call needs an endpoint \
-             (simulate|table2|resilience|synth|area|explore|status|healthz|metrics)"
-        );
-        return ExitCode::FAILURE;
+fn cmd_call(args: &[String]) -> Result<String, String> {
+    let cli = CALL.parse(args)?;
+    let (Some(endpoint), spec_path) = (cli.positional.first(), cli.positional.get(1)) else {
+        return Err(format!("call needs an endpoint ({CALL_ENDPOINTS})"));
     };
-    if positional.len() > 2 {
-        eprintln!("error: too many arguments to call");
-        return ExitCode::FAILURE;
+    if cli.positional.len() > 2 {
+        return Err("too many arguments to call".to_string());
     }
-    let (method, path) = match endpoint.as_str() {
+    let (method, path) = match *endpoint {
         "healthz" => ("GET", "/healthz".to_string()),
         "metrics" => ("GET", "/metrics".to_string()),
         "status" => ("GET", "/v1/status".to_string()),
         name if Endpoint::parse(name).is_some() => ("POST", format!("/v1/{name}")),
-        other => {
-            eprintln!(
-                "error: unknown endpoint '{other}' \
-                 (simulate|table2|resilience|synth|area|explore|status|healthz|metrics)"
-            );
-            return ExitCode::FAILURE;
-        }
+        other => return Err(format!("unknown endpoint '{other}' ({CALL_ENDPOINTS})")),
     };
     let body = match spec_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(p) => read_file(p)?,
         None => "{}".to_string(),
     };
     let payload = (method == "POST").then_some(body.as_str());
-    match client::request(&addr, method, &path, payload, Duration::from_secs(600)) {
-        Ok(response) if response.status == 200 => emit_status(&response.body),
-        Ok(response) => {
-            eprintln!(
-                "error: HTTP {} from {path}: {}",
-                response.status,
-                response.body.trim()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli.fetch(method, &path, &[], payload, &[200])
 }
 
 /// `tauhls jobs`: submit to and poll the async job endpoints.
-fn cmd_jobs(args: &[String]) -> ExitCode {
-    let mut addr = ServeConfig::default().addr;
-    let mut client_name: Option<String> = None;
-    let mut priority: Option<String> = None;
-    let mut wait = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => Ok(v.clone()),
-            None => Err(format!("missing value for {flag}")),
-        };
-        let parsed = match arg.as_str() {
-            "--addr" => value("--addr").map(|v| addr = v),
-            "--client" => value("--client").map(|v| client_name = Some(v)),
-            "--priority" => value("--priority").map(|v| priority = Some(v)),
-            "--wait" => {
-                wait = true;
-                Ok(())
-            }
-            flag if flag.starts_with("--") => Err(format!("unknown jobs option {flag}")),
-            _ => {
-                positional.push(arg);
-                Ok(())
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let Some(verb) = positional.first() else {
-        eprintln!("error: jobs needs a verb (submit|status|result|cancel)");
-        return ExitCode::FAILURE;
-    };
-    let timeout = Duration::from_secs(600);
-    match verb.as_str() {
-        "submit" => {
-            let Some(endpoint) = positional.get(1) else {
-                eprintln!(
-                    "error: jobs submit needs an endpoint \
-                     (simulate|table2|resilience|synth|area|explore)"
-                );
-                return ExitCode::FAILURE;
+fn cmd_jobs(args: &[String]) -> Result<String, String> {
+    let cli = JOBS.parse(args)?;
+    const VERBS: &str = "submit|status|result|cancel";
+    let submit = match cli.positional.as_slice() {
+        [] => return Err(format!("jobs needs a verb ({VERBS})")),
+        ["submit", rest @ ..] => rest,
+        [verb @ ("status" | "result" | "cancel"), rest @ ..] => {
+            let [id] = rest else {
+                return Err(match rest {
+                    [] => format!("jobs {verb} needs a job id"),
+                    _ => format!("too many arguments to jobs {verb}"),
+                });
             };
-            if Endpoint::parse(endpoint).is_none() {
-                eprintln!("error: unknown endpoint '{endpoint}'");
-                return ExitCode::FAILURE;
-            }
-            if positional.len() > 3 {
-                eprintln!("error: too many arguments to jobs submit");
-                return ExitCode::FAILURE;
-            }
-            let spec = match positional.get(2) {
-                Some(p) => match std::fs::read_to_string(p) {
-                    Ok(text) => match Json::parse(&text) {
-                        Ok(_) => text,
-                        Err(e) => {
-                            eprintln!("error: {p}: invalid JSON: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("error: {p}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => "{}".to_string(),
-            };
-            let body = format!("{{\"endpoint\":\"{endpoint}\",\"spec\":{spec}}}");
-            let mut headers: Vec<(&str, &str)> = Vec::new();
-            if let Some(name) = client_name.as_deref() {
-                headers.push(("X-Client", name));
-            }
-            if let Some(p) = priority.as_deref() {
-                headers.push(("X-Priority", p));
-            }
-            let response = match client::request_with(
-                &addr,
-                "POST",
-                "/v1/jobs",
-                &headers,
-                Some(&body),
-                timeout,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if response.status != 200 && response.status != 202 {
-                eprintln!(
-                    "error: HTTP {} from /v1/jobs: {}",
-                    response.status,
-                    response.body.trim()
-                );
-                return ExitCode::FAILURE;
-            }
-            let id = Json::parse(&response.body)
-                .ok()
-                .and_then(|j| j.get("job").and_then(|v| v.as_str().map(String::from)));
-            let Some(id) = id else {
-                eprintln!("error: submit response has no job id: {}", response.body);
-                return ExitCode::FAILURE;
-            };
-            if !wait {
-                return emit_status(&response.body);
-            }
-            jobs_wait_and_print(&addr, &id, timeout)
-        }
-        "status" | "result" | "cancel" => {
-            let Some(id) = positional.get(1) else {
-                eprintln!("error: jobs {verb} needs a job id");
-                return ExitCode::FAILURE;
-            };
-            if positional.len() > 2 {
-                eprintln!("error: too many arguments to jobs {verb}");
-                return ExitCode::FAILURE;
-            }
-            let (method, path) = match verb.as_str() {
+            let (method, path) = match *verb {
                 "status" => ("GET", format!("/v1/jobs/{id}")),
                 "result" => ("GET", format!("/v1/jobs/{id}/result")),
                 _ => ("DELETE", format!("/v1/jobs/{id}")),
             };
-            match client::request(&addr, method, &path, None, timeout) {
-                Ok(r) if r.status == 200 => emit_status(&r.body),
-                Ok(r) => {
-                    eprintln!("error: HTTP {} from {path}: {}", r.status, r.body.trim());
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            return cli.fetch(method, &path, &[], None, &[200]);
         }
-        other => {
-            eprintln!("error: unknown jobs verb '{other}' (submit|status|result|cancel)");
-            ExitCode::FAILURE
-        }
+        [other, ..] => return Err(format!("unknown jobs verb '{other}' ({VERBS})")),
+    };
+    let Some(endpoint) = submit.first() else {
+        return Err(
+            "jobs submit needs an endpoint (simulate|table2|resilience|synth|area|explore)"
+                .to_string(),
+        );
+    };
+    if Endpoint::parse(endpoint).is_none() {
+        return Err(format!("unknown endpoint '{endpoint}'"));
     }
-}
-
-/// Polls a job until it reaches a terminal state, then prints its result
-/// body (the `--wait` path of `tauhls jobs submit`).
-fn jobs_wait_and_print(addr: &str, id: &str, timeout: Duration) -> ExitCode {
+    if submit.len() > 2 {
+        return Err("too many arguments to jobs submit".to_string());
+    }
+    let spec = match submit.get(1) {
+        Some(p) => {
+            let text = read_file(p)?;
+            Json::parse(&text).map_err(|e| format!("{p}: invalid JSON: {e}"))?;
+            text
+        }
+        None => "{}".to_string(),
+    };
+    let body = format!("{{\"endpoint\":\"{endpoint}\",\"spec\":{spec}}}");
+    let headers: Vec<(&str, &str)> = [("X-Client", "--client"), ("X-Priority", "--priority")]
+        .into_iter()
+        .filter_map(|(header, flag)| Some((header, cli.value(flag)?)))
+        .collect();
+    let status = cli.fetch("POST", "/v1/jobs", &headers, Some(&body), &[200, 202])?;
+    let id = Json::parse(&status)
+        .ok()
+        .and_then(|j| j.get("job")?.as_str().map(String::from))
+        .ok_or_else(|| format!("submit response has no job id: {status}"))?;
+    if !cli.has("--wait") {
+        return Ok(status);
+    }
+    // `--wait`: poll until the job is terminal, then fetch its result.
     let path = format!("/v1/jobs/{id}");
     loop {
-        let response = match client::request(addr, "GET", &path, None, timeout) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if response.status != 200 {
-            eprintln!(
-                "error: HTTP {} from {path}: {}",
-                response.status,
-                response.body.trim()
-            );
-            return ExitCode::FAILURE;
-        }
-        let state = Json::parse(&response.body)
+        let status = cli.fetch("GET", &path, &[], None, &[200])?;
+        let state = Json::parse(&status)
             .ok()
-            .and_then(|j| j.get("state").and_then(|v| v.as_str().map(String::from)))
+            .and_then(|j| j.get("state")?.as_str().map(String::from))
             .unwrap_or_default();
         match state.as_str() {
-            "done" => break,
+            "done" => return cli.fetch("GET", &format!("{path}/result"), &[], None, &[200]),
             "failed" | "cancelled" => {
-                eprintln!("error: job {id} ended {state}: {}", response.body.trim());
-                return ExitCode::FAILURE;
+                return Err(format!("job {id} ended {state}: {}", status.trim()))
             }
             _ => std::thread::sleep(Duration::from_millis(200)),
         }
     }
-    match client::request(addr, "GET", &format!("{path}/result"), None, timeout) {
-        Ok(r) if r.status == 200 => emit_status(&r.body),
-        Ok(r) => {
-            eprintln!(
-                "error: HTTP {} from {path}/result: {}",
-                r.status,
-                r.body.trim()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
+/// Runs one subcommand to the text it prints.
+fn run(cmd: &str, args: &[String]) -> Result<String, CliError> {
+    let service = match cmd {
+        "serve" => cmd_serve,
+        "call" => cmd_call,
+        "jobs" => cmd_jobs,
+        "cluster" => cmd_cluster,
+        "dfg" => cmd_dfg,
+        name => {
+            return match ANALYSES.iter().find(|(n, _)| *n == name) {
+                Some(&(_, endpoint)) => analysis(name, endpoint, args),
+                None => Err(CliError::NoCommand),
+            }
+        }
+    };
+    Ok(service(args)?)
+}
+
+/// The one exit path: prints the subcommand's text, or its error line
+/// (and the usage text for a command line that does not parse), and
+/// picks the exit code.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
-    };
-    // The service subcommands parse their own flags.
-    let text = match cmd.as_str() {
-        "serve" => return cmd_serve(rest),
-        "call" => return cmd_call(rest),
-        "jobs" => return cmd_jobs(rest),
-        "cluster" => return cmd_cluster(rest),
-        "dfg" => cmd_dfg(rest).map_err(CliError::Failed),
-        name => match ANALYSES.iter().find(|(n, _)| *n == name) {
-            Some(&(_, endpoint)) => analysis(name, endpoint, rest),
-            None => return usage(),
-        },
+    let text = match args.split_first() {
+        Some((cmd, rest)) => run(cmd, rest),
+        None => Err(CliError::NoCommand),
     };
     match text.and_then(|t| Ok(emit(&t)?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Usage(e)) => {
-            eprintln!("error: {e}");
-            usage()
-        }
         Err(CliError::Failed(e)) => {
-            eprintln!("error: {e}");
+            note(&format!("error: {e}"));
             ExitCode::FAILURE
+        }
+        Err(CliError::Usage(e)) => {
+            note(&format!("error: {e}"));
+            note(USAGE);
+            ExitCode::from(2)
+        }
+        Err(CliError::NoCommand) => {
+            note(USAGE);
+            ExitCode::from(2)
         }
     }
 }

@@ -464,6 +464,11 @@ fn serve_misuse_fails_with_one_line_messages() {
     let out = tauhls(&["serve", "--addr", "not-an-address"]);
     assert_eq!(out.status.code(), Some(1));
     assert_graceful_failure(&out, "cannot start server");
+
+    // A cache budget whose byte count overflows is rejected, not wrapped.
+    let out = tauhls(&["serve", "--cache-mb", "20000000000000"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_graceful_failure(&out, "--cache-mb: 20000000000000 MiB");
 }
 
 #[test]
