@@ -34,8 +34,7 @@ use tauhls_sim::{
 use crate::explore::{SweepError, SweepParams};
 use crate::partition::{self, Part};
 use crate::resilience::{
-    report_from_counters, resilience_kind_counters_with, KindCounters, ResilienceOptions,
-    ResilienceReport, FAULT_KINDS,
+    resilience_kind_counters_with, KindCounters, ResilienceOptions, FAULT_KINDS,
 };
 use crate::stages::{
     self, BindStrategy, PipelineTrace, Reports, StageCache, StageRecord, SynthesisInput,
@@ -320,23 +319,6 @@ impl ResilienceSpec {
             styles: self.styles,
             elastic: self.elastic,
         }
-    }
-
-    /// Runs the fault-injection sweep over every fault kind.
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::Cancelled`] if `runner` was cancelled, rather than a
-    /// partially-populated report.
-    pub fn sweep(&self, runner: &BatchRunner) -> Result<ResilienceReport, JobError> {
-        let counters = self.kind_counters(0..FAULT_KINDS.len(), runner)?;
-        Ok(report_from_counters(
-            self.graph.name(),
-            self.p,
-            self.trials,
-            self.seed,
-            &counters,
-        ))
     }
 
     /// The raw counters of the [`FAULT_KINDS`] in `kinds`, each seeded by
