@@ -268,6 +268,28 @@ mod tests {
     }
 
     #[test]
+    fn product_machine_matches_component_semantics() {
+        // fir3 on 2 multipliers + 1 adder keeps the product small enough
+        // to build; it has at least as many states as any component, and
+        // its initial state is the dot-joined tuple of the component
+        // initials, the composite state CENT diagnostics print.
+        use crate::distributed::DistributedControlUnit;
+        use tauhls_dfg::benchmarks::fir3;
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(2, 1, 0));
+        let cu = DistributedControlUnit::generate(&bound);
+        let components: Vec<&Fsm> = cu.controllers().iter().map(|(_, f)| f).collect();
+        let product = synchronous_product("CENT", &components);
+        assert_eq!(product.name(), "CENT");
+        let max_component = components.iter().map(|f| f.num_states()).max();
+        assert!(product.num_states() >= max_component.expect("controllers"));
+        let initials: Vec<&str> = components
+            .iter()
+            .map(|f| f.state_name(f.initial()))
+            .collect();
+        assert_eq!(product.state_name(product.initial()), initials.join("."));
+    }
+
+    #[test]
     fn fig3_cent_fsm_builds_and_checks() {
         use tauhls_dfg::benchmarks::fig3_dfg;
         let bound = BoundDfg::bind_explicit(

@@ -1,7 +1,7 @@
 //! Latency statistics: best / average / worst summaries in cycles and
 //! nanoseconds, in the format of the paper's Table 2.
 
-use crate::cent::{CentControlUnit, CENT_FSM_NAME};
+use crate::cent::CENT_FSM_NAME;
 use crate::centsync::run_cent_sync;
 use crate::distributed::run_single_iter;
 use crate::elastic::run_elastic;
@@ -181,8 +181,8 @@ impl std::ops::BitOr for ControlStyleSet {
 pub enum Engine {
     /// DIST: the distributed controller bank.
     Dist(DistributedControlUnit),
-    /// CENT: the product-free centralized wrapper around the DIST bank.
-    Cent(CentControlUnit),
+    /// CENT: the DIST bank, diagnosed as one composite controller.
+    Cent(DistributedControlUnit),
     /// CENT-SYNC: the synchronized TAUBM step walk (no FSMs).
     Sync,
     /// ELASTIC: the DIST bank under per-domain clocking.
@@ -194,7 +194,7 @@ impl Engine {
     pub fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
         match style {
             ControlStyle::Distributed => Engine::Dist(DistributedControlUnit::generate(bound)),
-            ControlStyle::Cent => Engine::Cent(CentControlUnit::without_product(bound)),
+            ControlStyle::Cent => Engine::Cent(DistributedControlUnit::generate(bound)),
             ControlStyle::CentSync => Engine::Sync,
             ControlStyle::Elastic(spec) => {
                 Engine::Elastic(DistributedControlUnit::generate(bound), spec)
@@ -202,13 +202,12 @@ impl Engine {
         }
     }
 
-    /// The distributed controller bank the style steps: CENT is the
-    /// product-free wrapper around DIST's bank, and ELASTIC clocks the
-    /// same bank per domain. `None` for CENT-SYNC, which needs no FSMs.
+    /// The distributed controller bank the style steps: CENT steps DIST's
+    /// bank, and ELASTIC clocks the same bank per domain. `None` for
+    /// CENT-SYNC, which needs no FSMs.
     pub fn dist_bank(&self) -> Option<&DistributedControlUnit> {
         match self {
-            Engine::Dist(cu) | Engine::Elastic(cu, _) => Some(cu),
-            Engine::Cent(cu) => Some(cu.components()),
+            Engine::Dist(cu) | Engine::Cent(cu) | Engine::Elastic(cu, _) => Some(cu),
             Engine::Sync => None,
         }
     }
@@ -264,8 +263,7 @@ impl Engine {
     ) -> Result<SimResult, SimError> {
         let n = bound.dfg().num_ops();
         let cu = match self {
-            Engine::Dist(cu) => cu,
-            Engine::Cent(cu) => cu.components(),
+            Engine::Dist(cu) | Engine::Cent(cu) => cu,
             Engine::Sync => return run_cent_sync(bound, model, inputs, rng, config),
             Engine::Elastic(cu, spec) => {
                 let clock = ClockFabric::elastic(n, *spec, skew_seed);

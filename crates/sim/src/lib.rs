@@ -111,7 +111,7 @@ pub use batch::{
     derive_seed, latency_batch, trial_rng, Accumulator, BatchRunner, CancelToken, CycleStats,
     FirstError, SimJob, DEFAULT_CHUNK_SIZE,
 };
-pub use cent::{CentControlUnit, CENT_FSM_NAME};
+pub use cent::CENT_FSM_NAME;
 pub use elastic::{elastic_trial_skew_seed, ELASTIC_SKEW_SALT};
 pub use error::{ControllerSnapshot, Diagnostics, SimError};
 pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
