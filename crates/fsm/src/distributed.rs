@@ -2,7 +2,8 @@
 //! scheduled-and-bound DFG (paper §4.2, Fig 5/6), and the distributed
 //! global control unit as the set of all unit controllers (Fig 7).
 
-use crate::machine::Fsm;
+use crate::machine::{Fsm, StateId};
+use crate::multilevel::level_completion;
 use tauhls_logic::Expr;
 use tauhls_sched::{BoundDfg, UnitId};
 
@@ -61,37 +62,74 @@ pub fn unit_controller(bound: &BoundDfg, unit: UnitId) -> Fsm {
 ///
 /// Panics if the unit has no bound operations.
 pub fn unit_controller_opts(bound: &BoundDfg, unit: UnitId, single_shot: bool) -> Fsm {
+    let levels = if bound.allocation().units()[unit.0].telescopic {
+        2
+    } else {
+        1
+    };
+    unit_controller_levels(bound, unit, levels, single_shot)
+}
+
+/// Algorithm 1 for a unit with `levels` delay levels: 1 for a fixed-delay
+/// unit, 2 for a TAU (`SD`/`LD`), more for the paper's §6 multi-level
+/// TAUs (see [`crate::multilevel`]).
+///
+/// Each operation gets one stage state per level, `S{op}`, `S{op}'`,
+/// `S{op}''`, ...; level `l < levels` completes when its completion input
+/// ([`level_completion`]) is high, the last level unconditionally. Ready
+/// states, the cross-unit completion protocol and `single_shot` are as in
+/// [`unit_controller_opts`]. Machines with more than two levels are named
+/// `D-FSM-{unit}x{levels}`.
+///
+/// # Panics
+///
+/// Panics if the unit has no bound operations, if `levels` is 0, or if a
+/// fixed-delay unit is given more than one level.
+pub fn unit_controller_levels(
+    bound: &BoundDfg,
+    unit: UnitId,
+    levels: u32,
+    single_shot: bool,
+) -> Fsm {
     let seq = bound.sequence(unit);
     assert!(!seq.is_empty(), "unit has no bound operations");
     let udesc = &bound.allocation().units()[unit.0];
-    let telescopic = udesc.telescopic;
+    assert!(levels >= 1, "a unit has at least one delay level");
+    assert!(
+        levels == 1 || udesc.telescopic,
+        "multi-level controllers are for TAUs"
+    );
     let uname = udesc.display_name();
 
-    let mut fsm = Fsm::new(format!("D-FSM-{uname}"));
+    let mut fsm = Fsm::new(if levels > 2 {
+        format!("D-FSM-{uname}x{levels}")
+    } else {
+        format!("D-FSM-{uname}")
+    });
 
-    // States: S_i (+ S_i' for TAUs) per op, R_i when the op has preds.
+    // States: one stage state per level and op, R_i when the op has preds.
     let n = seq.len();
-    let mut s_state = Vec::with_capacity(n);
-    let mut sp_state = Vec::with_capacity(n);
-    let mut r_state = Vec::with_capacity(n);
-    for &op in seq {
-        s_state.push(fsm.add_state(format!("S{}", op.0)));
-        sp_state.push(if telescopic {
-            Some(fsm.add_state(format!("S{}'", op.0)))
-        } else {
-            None
-        });
-    }
-    for &op in seq {
-        r_state.push(if bound.cross_unit_preds(op).is_empty() {
-            None
-        } else {
-            Some(fsm.add_state(format!("R{}", op.0)))
-        });
-    }
+    let stage: Vec<Vec<StateId>> = seq
+        .iter()
+        .map(|&op| {
+            (0..levels as usize)
+                .map(|l| fsm.add_state(format!("S{}{}", op.0, "'".repeat(l))))
+                .collect()
+        })
+        .collect();
+    let r_state: Vec<Option<StateId>> = seq
+        .iter()
+        .map(|&op| {
+            let waits = !bound.cross_unit_preds(op).is_empty();
+            waits.then(|| fsm.add_state(format!("R{}", op.0)))
+        })
+        .collect();
 
-    // Inputs: own completion (TAUs), plus C_PO signals.
-    let c_t = telescopic.then(|| fsm.add_input(signals::unit_completion(&uname)));
+    // Inputs: one completion signal per level but the last, plus C_PO
+    // signals.
+    let c_level: Vec<usize> = (1..levels)
+        .map(|l| fsm.add_input(level_completion(&uname, l)))
+        .collect();
     let pred_guard: Vec<Expr> = seq
         .iter()
         .map(|&op| {
@@ -122,43 +160,36 @@ pub fn unit_controller_opts(bound: &BoundDfg, unit: UnitId, single_shot: bool) -
 
     for i in 0..n {
         let next = (i + 1) % n;
-        let is_last = i == n - 1;
         // Single-shot controllers route the last completion into DONE.
-        let (pn, target_s, target_r) = if single_shot && is_last {
-            (Expr::truth(), done_state.expect("single shot"), None)
-        } else {
-            (pred_guard[next].clone(), s_state[next], r_state[next])
+        let (pn, target_s, target_r) = match done_state {
+            Some(done) if i == n - 1 => (Expr::truth(), done, None),
+            _ => (pred_guard[next].clone(), stage[next][0], r_state[next]),
         };
         let completing = vec![of[i], re[i], cco[i]];
-        let ct_expr = c_t.map(Expr::var).unwrap_or_else(Expr::truth);
-
-        match target_r {
-            None => {
+        for (l, &here) in stage[i].iter().enumerate() {
+            // The op completes in this stage when its level's signal is
+            // high; the last level always completes.
+            let done = c_level.get(l).map_or_else(Expr::truth, |&c| Expr::var(c));
+            match target_r {
                 // Next op starts unconditionally once we finish.
-                fsm.add_transition(s_state[i], target_s, ct_expr.clone(), completing.clone());
-                if let Some(sp) = sp_state[i] {
-                    fsm.add_transition(s_state[i], sp, ct_expr.clone().not(), vec![of[i]]);
-                    fsm.add_transition(sp, target_s, Expr::truth(), completing.clone());
+                None => fsm.add_transition(here, target_s, done.clone(), completing.clone()),
+                Some(r) => {
+                    fsm.add_transition(
+                        here,
+                        target_s,
+                        done.clone().and(pn.clone()),
+                        completing.clone(),
+                    );
+                    fsm.add_transition(
+                        here,
+                        r,
+                        done.clone().and(pn.clone().not()),
+                        completing.clone(),
+                    );
                 }
             }
-            Some(r) => {
-                fsm.add_transition(
-                    s_state[i],
-                    target_s,
-                    ct_expr.clone().and(pn.clone()),
-                    completing.clone(),
-                );
-                fsm.add_transition(
-                    s_state[i],
-                    r,
-                    ct_expr.clone().and(pn.clone().not()),
-                    completing.clone(),
-                );
-                if let Some(sp) = sp_state[i] {
-                    fsm.add_transition(s_state[i], sp, ct_expr.clone().not(), vec![of[i]]);
-                    fsm.add_transition(sp, target_s, pn.clone(), completing.clone());
-                    fsm.add_transition(sp, r, pn.clone().not(), completing.clone());
-                }
+            if let Some(&longer) = stage[i].get(l + 1) {
+                fsm.add_transition(here, longer, done.not(), vec![of[i]]);
             }
         }
     }
@@ -166,7 +197,7 @@ pub fn unit_controller_opts(bound: &BoundDfg, unit: UnitId, single_shot: bool) -
     for i in 0..n {
         if let Some(r) = r_state[i] {
             let pg = pred_guard[i].clone();
-            fsm.add_transition(r, s_state[i], pg.clone(), vec![]);
+            fsm.add_transition(r, stage[i][0], pg.clone(), vec![]);
             fsm.add_transition(r, r, pg.not(), vec![]);
         }
     }
@@ -175,10 +206,7 @@ pub fn unit_controller_opts(bound: &BoundDfg, unit: UnitId, single_shot: bool) -
     }
 
     // Initial state: wait for the first op's predecessors if it has any.
-    fsm.set_initial(match r_state[0] {
-        Some(r) => r,
-        None => s_state[0],
-    });
+    fsm.set_initial(r_state[0].unwrap_or(stage[0][0]));
     fsm
 }
 
@@ -218,15 +246,11 @@ impl DistributedControlUnit {
         let mut controllers = Vec::new();
         for (i, desc) in units.iter().enumerate() {
             let unit = UnitId(i);
-            if bound.sequence(unit).is_empty() {
-                continue;
+            if !bound.sequence(unit).is_empty() {
+                let unit_levels = if desc.telescopic { levels } else { 1 };
+                let fsm = unit_controller_levels(bound, unit, unit_levels, false);
+                controllers.push((unit, fsm));
             }
-            let fsm = if desc.telescopic {
-                crate::multilevel::unit_controller_multilevel(bound, unit, levels)
-            } else {
-                unit_controller(bound, unit)
-            };
-            controllers.push((unit, fsm));
         }
         let mut cu = DistributedControlUnit { controllers };
         cu.optimize_signals();

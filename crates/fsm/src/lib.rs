@@ -59,12 +59,12 @@ mod synth;
 mod taubm_fsm;
 
 pub use distributed::{
-    optimize_dead_completions, signals, unit_controller, unit_controller_opts,
-    DistributedControlUnit,
+    optimize_dead_completions, signals, unit_controller, unit_controller_levels,
+    unit_controller_opts, DistributedControlUnit,
 };
 pub use machine::{run_trace, Fsm, FsmError, StateId, Transition};
 pub use minimize::{equivalent_behaviour, minimize_states};
-pub use multilevel::{level_completion, unit_controller_multilevel};
+pub use multilevel::level_completion;
 pub use product::synchronous_product;
 pub use rtl::{control_unit_to_verilog, to_verilog, verilog_ident};
 pub use synth::{

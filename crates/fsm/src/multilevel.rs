@@ -5,13 +5,10 @@
 //! `t_1 < t_2 < ... < t_L = LD` exposes one completion signal per
 //! intermediate level (`C`, `C2`, ..., `C{L-1}`), and the controller gains
 //! one extension state per level (`S`, `S'`, `S''`, ...). The final level
-//! completes unconditionally, exactly like `S'` in the two-level case —
-//! so [`unit_controller_multilevel`] with `levels = 2` generates exactly
-//! the Algorithm-1 machine.
-
-use crate::machine::Fsm;
-use tauhls_logic::Expr;
-use tauhls_sched::{BoundDfg, UnitId};
+//! completes unconditionally, exactly like `S'` in the two-level case.
+//! The delay-level count is therefore an argument of the one Algorithm-1
+//! generator, [`unit_controller_levels`](crate::unit_controller_levels):
+//! 1 for a fixed-delay unit, 2 for the paper's TAUs, more here.
 
 /// The completion input name for delay level `level` (1-based) of a unit:
 /// level 1 is the classic `C_M1`, deeper levels are `C2_M1`, `C3_M1`, ...
@@ -23,133 +20,15 @@ pub fn level_completion(unit_name: &str, level: u32) -> String {
     }
 }
 
-/// Generates the arithmetic unit controller for a telescopic unit with
-/// `levels` delay levels (Algorithm 1 generalized per §6).
-///
-/// State naming extends the paper's: `S3` (first, shortest attempt),
-/// `S3'`, `S3''`, ... (one prime per extra level spent). Ready states and
-/// the cross-unit completion protocol are unchanged.
-///
-/// # Panics
-///
-/// Panics if the unit has no bound operations, is not telescopic, or if
-/// `levels < 2`.
-pub fn unit_controller_multilevel(bound: &BoundDfg, unit: UnitId, levels: u32) -> Fsm {
-    assert!(levels >= 2, "a telescopic unit has at least two levels");
-    let seq = bound.sequence(unit);
-    assert!(!seq.is_empty(), "unit has no bound operations");
-    let udesc = &bound.allocation().units()[unit.0];
-    assert!(udesc.telescopic, "multi-level controllers are for TAUs");
-    let uname = udesc.display_name();
-
-    let mut fsm = Fsm::new(format!("D-FSM-{uname}x{levels}"));
-    let n = seq.len();
-
-    // Stage states per op: S, S', S'', ...
-    let mut stage_states = Vec::with_capacity(n);
-    for &op in seq {
-        let states: Vec<_> = (0..levels)
-            .map(|l| fsm.add_state(format!("S{}{}", op.0, "'".repeat(l as usize))))
-            .collect();
-        stage_states.push(states);
-    }
-    let mut r_state = Vec::with_capacity(n);
-    for &op in seq {
-        r_state.push(if bound.cross_unit_preds(op).is_empty() {
-            None
-        } else {
-            Some(fsm.add_state(format!("R{}", op.0)))
-        });
-    }
-
-    // Completion inputs per level (level L completes unconditionally).
-    let c_level: Vec<usize> = (1..levels)
-        .map(|l| fsm.add_input(level_completion(&uname, l)))
-        .collect();
-    let pred_guard: Vec<Expr> =
-        seq.iter()
-            .map(|&op| {
-                Expr::all(bound.cross_unit_preds(op).into_iter().map(|p| {
-                    Expr::var(fsm.add_input(crate::distributed::signals::op_completion(p)))
-                }))
-            })
-            .collect();
-
-    let of: Vec<usize> = seq
-        .iter()
-        .map(|&op| fsm.add_output(crate::distributed::signals::operand_fetch(op)))
-        .collect();
-    let re: Vec<usize> = seq
-        .iter()
-        .map(|&op| fsm.add_output(crate::distributed::signals::register_enable(op)))
-        .collect();
-    let cco: Vec<usize> = seq
-        .iter()
-        .map(|&op| fsm.add_output(crate::distributed::signals::op_completion(op)))
-        .collect();
-
-    for i in 0..n {
-        let next = (i + 1) % n;
-        let pn = pred_guard[next].clone();
-        let completing = vec![of[i], re[i], cco[i]];
-        let target_s = stage_states[next][0];
-        let target_r = r_state[next];
-
-        for l in 0..levels as usize {
-            let here = stage_states[i][l];
-            let is_final = l + 1 == levels as usize;
-            // Guard under which the op completes in this stage.
-            let done_guard = if is_final {
-                Expr::truth()
-            } else {
-                Expr::var(c_level[l])
-            };
-            match target_r {
-                None => {
-                    fsm.add_transition(here, target_s, done_guard.clone(), completing.clone());
-                }
-                Some(r) => {
-                    fsm.add_transition(
-                        here,
-                        target_s,
-                        done_guard.clone().and(pn.clone()),
-                        completing.clone(),
-                    );
-                    fsm.add_transition(
-                        here,
-                        r,
-                        done_guard.clone().and(pn.clone().not()),
-                        completing.clone(),
-                    );
-                }
-            }
-            if !is_final {
-                fsm.add_transition(here, stage_states[i][l + 1], done_guard.not(), vec![of[i]]);
-            }
-        }
-    }
-    for i in 0..n {
-        if let Some(r) = r_state[i] {
-            let pg = pred_guard[i].clone();
-            fsm.add_transition(r, stage_states[i][0], pg.clone(), vec![]);
-            fsm.add_transition(r, r, pg.not(), vec![]);
-        }
-    }
-    fsm.set_initial(match r_state[0] {
-        Some(r) => r,
-        None => stage_states[0][0],
-    });
-    fsm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::unit_controller;
+    use crate::distributed::{unit_controller, unit_controller_levels, DistributedControlUnit};
+    use crate::machine::Fsm;
     use crate::minimize::equivalent_behaviour;
     use tauhls_dfg::benchmarks::fig3_dfg;
     use tauhls_dfg::OpId;
-    use tauhls_sched::{Allocation, BoundDfg};
+    use tauhls_sched::{Allocation, BoundDfg, UnitId};
 
     fn fig3_bound() -> BoundDfg {
         BoundDfg::bind_explicit(
@@ -165,21 +44,34 @@ mod tests {
         .unwrap()
     }
 
+    /// Three levels on fig3's first multiplier.
+    fn three_level(bound: &BoundDfg) -> Fsm {
+        unit_controller_levels(bound, UnitId(0), 3, false)
+    }
+
     #[test]
     fn two_levels_reduce_to_algorithm_one() {
         let bound = fig3_bound();
         let classic = unit_controller(&bound, UnitId(0));
-        let multi = unit_controller_multilevel(&bound, UnitId(0), 2);
+        let multi = unit_controller_levels(&bound, UnitId(0), 2, false);
         multi.check().unwrap();
-        assert_eq!(classic.num_states(), multi.num_states());
-        assert_eq!(classic.transitions().len(), multi.transitions().len());
+        assert_eq!(format!("{classic:?}"), format!("{multi:?}"));
+        // The two-level bank is the distributed control unit itself.
+        assert_eq!(
+            format!("{:?}", DistributedControlUnit::generate(&bound)),
+            format!(
+                "{:?}",
+                DistributedControlUnit::generate_multilevel(&bound, 2)
+            )
+        );
         assert!(equivalent_behaviour(&classic, &multi));
+        assert_eq!(three_level(&bound).name(), "D-FSM-M1x3");
     }
 
     #[test]
     fn three_levels_add_one_extension_state_per_op() {
         let bound = fig3_bound();
-        let multi = unit_controller_multilevel(&bound, UnitId(0), 3);
+        let multi = three_level(&bound);
         multi.check().unwrap();
         // Per op: S, S', S''; plus R1 -> 2*3 + 1 = 7 states.
         assert_eq!(multi.num_states(), 7);
@@ -192,7 +84,7 @@ mod tests {
     #[test]
     fn three_level_walkthrough() {
         let bound = fig3_bound();
-        let fsm = unit_controller_multilevel(&bound, UnitId(0), 3);
+        let fsm = three_level(&bound);
         let s0 = fsm.state_by_name("S0").unwrap();
         let c1 = fsm.input_by_name("C_M1").unwrap();
         let c2 = fsm.input_by_name("C2_M1").unwrap();

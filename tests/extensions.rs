@@ -8,8 +8,7 @@ use rand::SeedableRng;
 use tauhls::core::experiments::paper_benchmarks;
 use tauhls::dfg::ResourceClass;
 use tauhls::fsm::{
-    control_unit_to_verilog, synthesize, unit_controller_multilevel, DistributedControlUnit,
-    Encoding,
+    control_unit_to_verilog, synthesize, unit_controller_levels, DistributedControlUnit, Encoding,
 };
 use tauhls::logic::AreaModel;
 use tauhls::sched::{allocate_registers, fds_schedule, BoundDfg, UnitId};
@@ -117,7 +116,7 @@ fn multilevel_controllers_work_on_diffeq() {
             continue;
         }
         for levels in 2..=4 {
-            let fsm = unit_controller_multilevel(&bound, unit, levels);
+            let fsm = unit_controller_levels(&bound, unit, levels, false);
             fsm.check().unwrap();
             // 1 exec + (levels-1) extension states per op, plus R states.
             let ops = bound.sequence(unit).len();
