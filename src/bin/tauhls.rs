@@ -403,7 +403,7 @@ fn analysis(cmd: &str, endpoint: Endpoint, args: &[String]) -> Result<String, Cl
                 tauhls::dfg::to_dot(bound.dfg(), bound.schedule_arcs())
             }
         },
-        JobSpec::Explore(_) | JobSpec::Area(_) => format!("{}\n", spec.run(&runner)?.to_pretty()),
+        JobSpec::Explore(_) | JobSpec::Area(_) => spec.run(&runner)?.to_pretty(),
     })
 }
 

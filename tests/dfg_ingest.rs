@@ -334,9 +334,10 @@ fn explore_cli_matches_the_service_and_dfg_verbs_work() {
         &format!(r#"{{"dfg":{AXPY_WIRE},"max_muls":2,"max_adds":1,"trials":200,"p":[0.5]}}"#),
     );
     assert_eq!(served.status, 200, "{}", served.body);
+    // The printout is the body and one newline: no trailing blank line.
     assert_eq!(
-        printed.trim_end(),
-        served.body.trim_end(),
+        printed,
+        format!("{}\n", served.body.trim_end()),
         "CLI explore diverged from the service"
     );
     server.shutdown();
