@@ -69,12 +69,6 @@ impl ConservativeAdderPredictor {
         }
         true
     }
-
-    /// True iff the prediction is sound against the exact adder delay for
-    /// this operand pair (used by tests; always true by construction).
-    pub fn sound_for(&self, adder: &RippleCarryAdder, a: u64, b: u64) -> bool {
-        !self.predict_short(a, b) || adder.delay_levels(a, b) <= self.guaranteed_levels()
-    }
 }
 
 /// Measures the `P` lost to conservatism: returns
@@ -123,7 +117,9 @@ mod tests {
             let pred = ConservativeAdderPredictor::new(8, k);
             for a in 0..256u64 {
                 for b in 0..256u64 {
-                    assert!(pred.sound_for(&adder, a, b), "k={k} a={a} b={b}");
+                    let sound = !pred.predict_short(a, b)
+                        || adder.delay_levels(a, b) <= pred.guaranteed_levels();
+                    assert!(sound, "k={k} a={a} b={b}");
                 }
             }
         }

@@ -291,46 +291,6 @@ impl DistributedControlUnit {
         self.controllers.iter().map(|(_, f)| f.num_states()).sum()
     }
 
-    /// Renders the distributed control unit as a Graphviz DOT graph in the
-    /// style of the paper's Fig 7: one box per controller (labelled with
-    /// its name and state count), one edge per completion-signal wire.
-    ///
-    /// `unit_name` maps unit ids to display names (e.g.
-    /// `|u| alloc.units()[u.0].display_name()`).
-    pub fn wiring_dot(&self, unit_name: impl Fn(UnitId) -> String) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "digraph control_unit {{");
-        let _ = writeln!(s, "  rankdir=LR; node [shape=box];");
-        for (u, fsm) in &self.controllers {
-            let _ = writeln!(
-                s,
-                "  u{} [label=\"CONT_{}\\n{} states\"];",
-                u.0,
-                unit_name(*u),
-                fsm.num_states()
-            );
-        }
-        for (p, sig, c) in self.signal_wiring() {
-            let _ = writeln!(s, "  u{} -> u{} [label=\"{}\"];", p.0, c.0, sig);
-        }
-        // External completion inputs (from the TAU datapath).
-        for (u, fsm) in &self.controllers {
-            for input in fsm.inputs() {
-                if !input.starts_with("C_CO(") {
-                    let _ = writeln!(
-                        s,
-                        "  ext_{input} [label=\"{input}\", shape=plaintext]; \
-                         ext_{input} -> u{};",
-                        u.0
-                    );
-                }
-            }
-        }
-        let _ = writeln!(s, "}}");
-        s
-    }
-
     /// The cross-controller completion-signal wiring: for each connection,
     /// `(producer unit, signal name, consumer unit)`.
     pub fn signal_wiring(&self) -> Vec<(UnitId, String, UnitId)> {
@@ -526,18 +486,6 @@ mod tests {
         assert!(wiring
             .iter()
             .any(|(p, s, c)| *p == UnitId(1) && s == "C_CO(8)" && *c == UnitId(3)));
-    }
-
-    #[test]
-    fn wiring_dot_renders_fig7() {
-        let bound = fig3_bound();
-        let cu = DistributedControlUnit::generate(&bound);
-        let units = bound.allocation().units();
-        let dot = cu.wiring_dot(|u| units[u.0].display_name());
-        assert!(dot.contains("CONT_M1"));
-        assert!(dot.contains("u2 -> u0 [label=\"C_CO(3)\"]"));
-        assert!(dot.contains("ext_C_M1"));
-        assert!(dot.starts_with("digraph"));
     }
 
     #[test]

@@ -59,17 +59,6 @@ impl AreaReport {
     pub fn total(&self) -> f64 {
         self.combinational + self.sequential
     }
-
-    /// Sums two reports (used to aggregate the distributed controllers).
-    pub fn combine(&self, other: &AreaReport) -> AreaReport {
-        AreaReport {
-            combinational: self.combinational + other.combinational,
-            sequential: self.sequential + other.sequential,
-            flip_flops: self.flip_flops + other.flip_flops,
-            literals: self.literals + other.literals,
-            cubes: self.cubes + other.cubes,
-        }
-    }
 }
 
 impl AreaModel {
@@ -168,20 +157,5 @@ mod tests {
         assert_eq!(r.combinational, 4.0 + 1.0);
         let solo = m.area(&[f], 0);
         assert_eq!(solo.combinational, 1.0);
-    }
-
-    #[test]
-    fn combine_adds_fields() {
-        let a = AreaReport {
-            combinational: 10.0,
-            sequential: 44.0,
-            flip_flops: 2,
-            literals: 7,
-            cubes: 3,
-        };
-        let b = a.combine(&a);
-        assert_eq!(b.total(), 108.0);
-        assert_eq!(b.flip_flops, 4);
-        assert_eq!(b.literals, 14);
     }
 }

@@ -135,11 +135,6 @@ impl Cube {
         })
     }
 
-    /// True iff the two cubes share at least one minterm.
-    pub fn intersects(&self, other: &Cube) -> bool {
-        (self.val ^ other.val) & self.mask & other.mask == 0
-    }
-
     /// The number of variables on which the cubes have opposite polarities.
     ///
     /// Two cubes at distance 1 have a [consensus](Cube::consensus).
@@ -178,12 +173,6 @@ impl Cube {
             mask: self.mask | bit,
             val: if pol { self.val | bit } else { self.val & !bit },
         }
-    }
-
-    /// Number of minterms covered in an `n`-variable space.
-    pub fn minterm_count(&self, n: usize) -> u128 {
-        let free = n as u32 - self.literal_count();
-        1u128 << free
     }
 
     /// Iterates over all minterms of this cube within an `n`-variable space.
@@ -320,8 +309,6 @@ mod tests {
         assert_eq!(c, Cube::from_literals(&[(0, true), (1, false)]));
         let d = Cube::from_literals(&[(0, false)]);
         assert!(a.intersect(&d).is_none());
-        assert!(!a.intersects(&d));
-        assert!(a.intersects(&b));
     }
 
     #[test]
@@ -344,7 +331,7 @@ mod tests {
     fn minterm_enumeration_matches_count() {
         let c = Cube::parse_pcn("1--0").unwrap();
         let ms: Vec<u64> = c.minterms(4).collect();
-        assert_eq!(ms.len() as u128, c.minterm_count(4));
+        assert_eq!(ms.len(), 1 << (4 - c.literal_count()));
         for m in &ms {
             assert!(c.covers_minterm(*m));
         }

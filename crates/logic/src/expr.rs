@@ -126,11 +126,6 @@ impl Expr {
         }
     }
 
-    /// Evaluates under an assignment given as a bit mask (bit `i` = `x_i`).
-    pub fn evaluate_mask(&self, mask: u64) -> bool {
-        self.evaluate(|v| mask & (1 << v) != 0)
-    }
-
     /// The set of variable indices appearing in the expression.
     pub fn variables(&self) -> Vec<usize> {
         let mut out = Vec::new();
@@ -265,7 +260,7 @@ mod tests {
             for m in 0..8u64 {
                 assert_eq!(
                     c.evaluate(m),
-                    e.evaluate_mask(m),
+                    e.evaluate(|v| m & (1 << v) != 0),
                     "mismatch for {e:?} at {m:#b}"
                 );
             }
