@@ -20,8 +20,10 @@
 //! that, like the cycle count, depends on the code alone.
 //!
 //! Usage:
-//!   bench_gate <kernel|serve|synth> <fresh.json> <baseline.json>
-//!              [--tolerance 0.10] [--allow <metric>]...
+//! ```text
+//! bench_gate <kernel|serve|synth> <fresh.json> <baseline.json>
+//!            [--tolerance 0.10] [--allow <metric>]...
+//! ```
 //!
 //! Exit codes: 0 = pass, 1 = regression, 2 = usage/parse error.
 

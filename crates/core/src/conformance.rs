@@ -370,7 +370,7 @@ fn corpus_encodings(bench: &str) -> &'static [Encoding] {
 /// under every encoding through [`stages::run_full`], fingerprinting the
 /// artifact-hash chain, every synthesized unit controller (states,
 /// flip-flops, initial code, exact areas), the CENT-SYNC-FSM, and the
-/// report rows. The [`corpus_encodings`] cells come first and the rest
+/// report rows. The `corpus_encodings` cells come first and the rest
 /// after them, so the file only ever grew by appending. Checked in as
 /// `results/synth_golden.json`, so any drift in scheduling, binding,
 /// controller generation, logic synthesis, or the hashing discipline

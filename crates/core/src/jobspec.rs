@@ -249,8 +249,9 @@ impl SimulateSpec {
     ///
     /// # Errors
     ///
-    /// [`JobError::Invalid`] for a range beyond `p_values`; a simulation
-    /// failure or cancellation as [`JobError::from_sim`] sorts it.
+    /// [`JobError::Invalid`] for a range beyond `p_values` or a sweep the
+    /// batch engine rejects, [`JobError::Cancelled`] if `runner` was
+    /// cancelled, and [`JobError::Failed`] for a failed simulation.
     pub fn measure_legs(
         &self,
         range: std::ops::Range<usize>,

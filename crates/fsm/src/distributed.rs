@@ -72,7 +72,7 @@ pub fn unit_controller_opts(bound: &BoundDfg, unit: UnitId, single_shot: bool) -
 
 /// Algorithm 1 for a unit with `levels` delay levels: 1 for a fixed-delay
 /// unit, 2 for a TAU (`SD`/`LD`), more for the paper's §6 multi-level
-/// TAUs (see [`crate::multilevel`]).
+/// TAUs (see the `multilevel` module).
 ///
 /// Each operation gets one stage state per level, `S{op}`, `S{op}'`,
 /// `S{op}''`, ...; level `l < levels` completes when its completion input

@@ -83,7 +83,7 @@ impl<T> Queue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues at [`DEFAULT_PRIORITY`] without blocking. Returns the
+    /// Enqueues at `DEFAULT_PRIORITY` without blocking. Returns the
     /// item when the queue is full or closed so the caller can answer it
     /// directly.
     pub fn try_push(&self, item: T) -> Result<(), T> {

@@ -19,7 +19,7 @@
 //!   completion-model draws, keeping RNG streams plan-independent).
 //!
 //! FSM-driven styles (distributed / centralized / pipelined) additionally
-//! share [`FsmStyle`]: completion sampling, the combinational pulse
+//! share `FsmStyle`: completion sampling, the combinational pulse
 //! fixpoint, the premature-latch oracle, commit and state-register upsets
 //! are implemented once, with the style-specific residue (what `C_CO(op)`
 //! means, when to latch, how to snapshot diagnostics) behind the small
