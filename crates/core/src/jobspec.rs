@@ -87,30 +87,128 @@ pub enum Endpoint {
     Explore,
 }
 
+/// One job kind: its endpoint, its name, the fields its spec takes and
+/// which of them hold a list.
+#[derive(Clone, Copy, Debug)]
+pub struct Kind {
+    /// The endpoint.
+    pub endpoint: Endpoint,
+    /// The path segment (`simulate` in `POST /v1/simulate`), also the
+    /// `endpoint` of the canonical rendering.
+    pub name: &'static str,
+    /// The fields the spec takes, in the order its canonical rendering
+    /// writes them; a spec gives at most one of `dfg` and `dfg_text`.
+    pub fields: &'static [&'static str],
+    /// The fields whose value is an array of swept values.
+    pub lists: &'static [&'static str],
+}
+
+/// Every job kind, in [`Endpoint`] order. The service's routes and
+/// metrics labels and the CLI's endpoint names and list flags read it.
+pub const KINDS: [Kind; 6] = [
+    Kind {
+        endpoint: Endpoint::Simulate,
+        name: "simulate",
+        fields: &[
+            "dfg",
+            "dfg_text",
+            "muls",
+            "adds",
+            "subs",
+            "binding",
+            "p",
+            "trials",
+            "seed",
+            "skew",
+            "sync_latency",
+        ],
+        lists: &["p"],
+    },
+    Kind {
+        endpoint: Endpoint::Table2,
+        name: "table2",
+        fields: &["trials", "seed"],
+        lists: &[],
+    },
+    Kind {
+        endpoint: Endpoint::Resilience,
+        name: "resilience",
+        fields: &[
+            "dfg",
+            "dfg_text",
+            "muls",
+            "adds",
+            "subs",
+            "binding",
+            "p",
+            "trials",
+            "seed",
+            "styles",
+            "skew",
+            "sync_latency",
+        ],
+        lists: &[],
+    },
+    Kind {
+        endpoint: Endpoint::Synth,
+        name: "synth",
+        fields: &[
+            "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding",
+        ],
+        lists: &[],
+    },
+    Kind {
+        endpoint: Endpoint::Area,
+        name: "area",
+        fields: &[
+            "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding", "width",
+        ],
+        lists: &[],
+    },
+    Kind {
+        endpoint: Endpoint::Explore,
+        name: "explore",
+        fields: &[
+            "dfg",
+            "dfg_text",
+            "max_muls",
+            "max_adds",
+            "max_subs",
+            "encodings",
+            "p",
+            "sd_ld",
+            "skew",
+            "trials",
+            "width",
+            "seed",
+        ],
+        lists: &["encodings", "p", "sd_ld", "skew"],
+    },
+];
+
+// `Endpoint::kind` indexes `KINDS` by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].endpoint as usize == i);
+        i += 1;
+    }
+};
+
 impl Endpoint {
+    /// The endpoint's row of [`KINDS`].
+    pub fn kind(self) -> Kind {
+        KINDS[self as usize]
+    }
+
     /// The endpoint's path segment (`simulate` in `POST /v1/simulate`).
     pub fn as_str(self) -> &'static str {
-        match self {
-            Endpoint::Simulate => "simulate",
-            Endpoint::Table2 => "table2",
-            Endpoint::Resilience => "resilience",
-            Endpoint::Synth => "synth",
-            Endpoint::Area => "area",
-            Endpoint::Explore => "explore",
-        }
+        self.kind().name
     }
 
     /// Parses a path segment back into an endpoint.
     pub fn parse(s: &str) -> Option<Endpoint> {
-        Some(match s {
-            "simulate" => Endpoint::Simulate,
-            "table2" => Endpoint::Table2,
-            "resilience" => Endpoint::Resilience,
-            "synth" => Endpoint::Synth,
-            "area" => Endpoint::Area,
-            "explore" => Endpoint::Explore,
-            _ => return None,
-        })
+        KINDS.iter().find(|k| k.name == s).map(|k| k.endpoint)
     }
 }
 
@@ -133,23 +231,20 @@ pub(crate) fn parse_encoding(s: &str) -> Option<Encoding> {
 
 pub use tauhls_dfg::DfgSource;
 
-/// The `dfg` or `dfg_text` pair a spec's canonical rendering embeds — a
-/// benchmark name, the canonical wire object or the graph text — built
-/// once when the spec is parsed, so rendering a spec never re-parses its
-/// graph. Embedding a wire graph as a JSON object (not a string) keeps
-/// the canonical spec self-describing and makes
-/// [`JobSpec::from_canonical`] re-validate it like a fresh request.
+/// A spec's canonical rendering: the endpoint it was read for, and every
+/// field as its [`Fields`] reader accepted it, in read order, after the
+/// `endpoint` name. It is written once, at parse time, so rendering a spec
+/// never re-parses its graph.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct DfgField(&'static str, Json);
+pub(crate) struct Canonical(Endpoint, Json);
 
-// A name, a text or canonical wire JSON holds no float, so no NaN.
-impl Eq for DfgField {}
+// Every float a reader accepts lies in a closed range, so none is NaN.
+impl Eq for Canonical {}
 
 /// A spec's graph as [`Fields::dfg`] reads it, before admission.
 struct ReadDfg {
     source: DfgSource,
     graph: Dfg,
-    field: DfgField,
 }
 
 impl ReadDfg {
@@ -159,14 +254,14 @@ impl ReadDfg {
     /// so a spec that parses is guaranteed to synthesize, simulate and
     /// fault-sweep, and its run binds the held graph once without
     /// resolving it again. Nothing binds here.
-    fn admit(self, alloc: &Allocation) -> Result<(DfgSource, Arc<Dfg>, DfgField), String> {
+    fn admit(self, alloc: &Allocation) -> Result<(DfgSource, Arc<Dfg>), String> {
         if self.graph.num_ops() == 0 {
             return Err(format!("graph '{}' has no operations", self.graph.name()));
         }
         if !alloc.covers(&self.graph) {
             return Err("allocation lacks a unit for a used operation class".to_string());
         }
-        Ok((self.source, Arc::new(self.graph), self.field))
+        Ok((self.source, Arc::new(self.graph)))
     }
 }
 
@@ -205,8 +300,8 @@ pub struct SimulateSpec {
     pub elastic: ElasticSpec,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
-    /// `dfg` as the canonical rendering embeds it.
-    pub(crate) dfg_field: DfgField,
+    /// The canonical rendering.
+    pub(crate) canonical: Canonical,
 }
 
 /// The latency legs in column order: each leg's key (`lt_tau` is the
@@ -281,6 +376,8 @@ pub struct Table2Spec {
     pub trials: u64,
     /// Base RNG seed.
     pub seed: u64,
+    /// The canonical rendering.
+    pub(crate) canonical: Canonical,
 }
 
 /// Validated spec for `POST /v1/resilience`.
@@ -308,8 +405,8 @@ pub struct ResilienceSpec {
     pub elastic: ElasticSpec,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
-    /// `dfg` as the canonical rendering embeds it.
-    pub(crate) dfg_field: DfgField,
+    /// The canonical rendering.
+    pub(crate) canonical: Canonical,
 }
 
 impl ResilienceSpec {
@@ -371,8 +468,8 @@ pub struct SynthSpec {
     pub encoding: Encoding,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
-    /// `dfg` as the canonical rendering embeds it.
-    pub(crate) dfg_field: DfgField,
+    /// The canonical rendering (inside an [`AreaSpec`], the area spec's).
+    pub(crate) canonical: Canonical,
 }
 
 impl SynthSpec {
@@ -455,8 +552,8 @@ pub struct ExploreSpec {
     pub seed: u64,
     /// `dfg`, resolved and admitted at parse time.
     pub(crate) graph: Arc<Dfg>,
-    /// `dfg` as the canonical rendering embeds it.
-    pub(crate) dfg_field: DfgField,
+    /// The canonical rendering.
+    pub(crate) canonical: Canonical,
 }
 
 impl ExploreSpec {
@@ -547,8 +644,11 @@ impl JobError {
 // Strict field extraction
 // ---------------------------------------------------------------------------
 
-/// Strict reader over a parsed JSON object: every key must be known, no
-/// key may repeat, and each extractor enforces its field's type and range.
+/// Strict reader over a parsed JSON object: every key must be one of the
+/// kind's fields, no key may repeat, and each extractor enforces its
+/// field's type and range. Each extractor also writes the value it
+/// accepts, default or given, into the spec's canonical rendering, so the
+/// rendering holds a kind's fields in the order its spec reads them.
 ///
 /// Operates on borrowed [`JsonRef`] pairs so the service's hot request
 /// path can decode a spec straight out of the request buffer without
@@ -556,39 +656,56 @@ impl JobError {
 /// [`JsonRef::from_owned`] bridge.
 struct Fields<'a> {
     pairs: &'a [(Cow<'a, str>, JsonRef<'a>)],
+    kind: Kind,
+    /// The canonical rendering so far.
+    canonical: Vec<(String, Json)>,
 }
 
 impl<'a> Fields<'a> {
-    fn new(spec: &'a JsonRef<'a>, allowed: &[&str]) -> Result<Fields<'a>, String> {
+    fn new(spec: &'a JsonRef<'a>, kind: Kind) -> Result<Fields<'a>, String> {
         let pairs = spec
             .as_object()
             .ok_or_else(|| "job spec must be a JSON object".to_string())?;
-        Fields::over(pairs, allowed)
-    }
-
-    fn over(
-        pairs: &'a [(Cow<'a, str>, JsonRef<'a>)],
-        allowed: &[&str],
-    ) -> Result<Fields<'a>, String> {
         for (i, (key, _)) in pairs.iter().enumerate() {
-            if !allowed.contains(&key.as_ref()) {
+            if !kind.fields.contains(&key.as_ref()) {
                 return Err(format!(
                     "unknown field '{key}' (allowed: {})",
-                    allowed.join(", ")
+                    kind.fields.join(", ")
                 ));
             }
             if pairs[..i].iter().any(|(k, _)| k == key) {
                 return Err(format!("duplicate field '{key}'"));
             }
         }
-        Ok(Fields { pairs })
+        let mut canonical = Vec::with_capacity(kind.fields.len() + 1);
+        canonical.push(("endpoint".to_string(), Json::from(kind.name)));
+        Ok(Fields {
+            pairs,
+            kind,
+            canonical,
+        })
+    }
+
+    /// Writes `key`'s canonical `value` and returns `v`. A field the kind
+    /// does not take is not written: a `synth` spec reads `width` as its
+    /// default but does not carry it.
+    fn keep<T>(&mut self, key: &str, value: Json, v: T) -> T {
+        if self.kind.fields.contains(&key) {
+            self.canonical.push((key.to_string(), value));
+        }
+        v
+    }
+
+    /// The canonical rendering of every field read.
+    fn finish(self) -> Canonical {
+        Canonical(self.kind.endpoint, Json::Object(self.canonical))
     }
 
     fn get(&self, key: &str) -> Option<&'a JsonRef<'a>> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    fn u64_in(&self, key: &str, default: u64, min: u64, max: u64) -> Result<u64, String> {
+    fn u64_in(&mut self, key: &str, default: u64, min: u64, max: u64) -> Result<u64, String> {
         let v = match self.get(key) {
             None => default,
             Some(j) => j
@@ -598,18 +715,18 @@ impl<'a> Fields<'a> {
         if v < min || v > max {
             return Err(format!("'{key}' must be in {min}..={max}, got {v}"));
         }
-        Ok(v)
+        Ok(self.keep(key, Json::from(v), v))
     }
 
-    fn usize_in(&self, key: &str, default: usize, max: usize) -> Result<usize, String> {
+    fn usize_in(&mut self, key: &str, default: usize, max: usize) -> Result<usize, String> {
         Ok(self.u64_in(key, default as u64, 0, max as u64)? as usize)
     }
 
-    fn seed(&self) -> Result<u64, String> {
+    fn seed(&mut self) -> Result<u64, String> {
         self.u64_in("seed", 2003, 0, u64::MAX)
     }
 
-    fn probability(&self, key: &str, default: f64) -> Result<f64, String> {
+    fn probability(&mut self, key: &str, default: f64) -> Result<f64, String> {
         let v = match self.get(key) {
             None => default,
             Some(j) => j
@@ -619,85 +736,92 @@ impl<'a> Fields<'a> {
         if !(0.0..=1.0).contains(&v) {
             return Err(format!("'{key}' must be a probability in [0, 1], got {v}"));
         }
-        Ok(v)
+        Ok(self.keep(key, Json::Float(v), v))
     }
 
     /// A swept list of numbers: 1..=`max` entries (`default` when
     /// absent), each in `lo..=hi`, none twice — a repeated coordinate
     /// would measure one design point twice.
     fn float_list(
-        &self,
+        &mut self,
         key: &str,
         (what, entries): (&str, &str),
         default: &[f64],
         max: usize,
         (lo, hi): (f64, f64),
     ) -> Result<Vec<f64>, String> {
-        let Some(j) = self.get(key) else {
-            return Ok(default.to_vec());
-        };
-        let items = j
-            .as_array()
-            .ok_or_else(|| format!("'{key}' must be an array of {what}"))?;
-        if items.is_empty() || items.len() > max {
-            return Err(format!("'{key}' must hold 1..={max} values"));
-        }
         let mut out = Vec::new();
-        for item in items {
-            let v = item
-                .as_f64()
-                .ok_or_else(|| format!("'{key}' must be an array of numbers"))?;
-            if !(lo..=hi).contains(&v) {
-                return Err(format!(
-                    "'{key}' {entries} must be in [{lo}, {hi}], got {v}"
-                ));
+        match self.get(key) {
+            None => out.extend_from_slice(default),
+            Some(j) => {
+                let items = j
+                    .as_array()
+                    .ok_or_else(|| format!("'{key}' must be an array of {what}"))?;
+                if items.is_empty() || items.len() > max {
+                    return Err(format!("'{key}' must hold 1..={max} values"));
+                }
+                for item in items {
+                    let v = item
+                        .as_f64()
+                        .ok_or_else(|| format!("'{key}' must be an array of numbers"))?;
+                    if !(lo..=hi).contains(&v) {
+                        return Err(format!(
+                            "'{key}' {entries} must be in [{lo}, {hi}], got {v}"
+                        ));
+                    }
+                    if out.contains(&v) {
+                        return Err(format!("duplicate '{key}' value {v}"));
+                    }
+                    out.push(v);
+                }
             }
-            if out.contains(&v) {
-                return Err(format!("duplicate '{key}' value {v}"));
-            }
-            out.push(v);
         }
-        Ok(out)
+        Ok(self.keep(key, Json::floats(&out), out))
     }
 
-    fn p_values(&self) -> Result<Vec<f64>, String> {
+    fn p_values(&mut self) -> Result<Vec<f64>, String> {
         let what = ("probabilities", "entries");
         self.float_list("p", what, &[0.9, 0.7, 0.5], MAX_P_VALUES, (0.0, 1.0))
     }
 
-    fn encoding(&self) -> Result<Encoding, String> {
-        match self.get("encoding") {
-            None => Ok(Encoding::Binary),
+    fn encoding(&mut self) -> Result<Encoding, String> {
+        let encoding = match self.get("encoding") {
+            None => Encoding::Binary,
             Some(j) => j.as_str().and_then(parse_encoding).ok_or_else(|| {
                 "'encoding' must be \"binary\", \"gray\", or \"onehot\"".to_string()
-            }),
-        }
-    }
-
-    fn encodings(&self) -> Result<Vec<Encoding>, String> {
-        let Some(j) = self.get("encodings") else {
-            return Ok(vec![Encoding::Binary]);
+            })?,
         };
-        let items = j
-            .as_array()
-            .ok_or_else(|| "'encodings' must be an array of encoding names".to_string())?;
-        if items.is_empty() || items.len() > 3 {
-            return Err("'encodings' must hold 1..=3 names".to_string());
-        }
-        let mut out = Vec::new();
-        for item in items {
-            let enc = item.as_str().and_then(parse_encoding).ok_or_else(|| {
-                "'encodings' entries must be \"binary\", \"gray\", or \"onehot\"".to_string()
-            })?;
-            if out.contains(&enc) {
-                return Err(format!("duplicate encoding '{}'", encoding_name(enc)));
-            }
-            out.push(enc);
-        }
-        Ok(out)
+        Ok(self.keep("encoding", Json::from(encoding_name(encoding)), encoding))
     }
 
-    fn ratios(&self) -> Result<Vec<f64>, String> {
+    fn encodings(&mut self) -> Result<Vec<Encoding>, String> {
+        let mut out = Vec::new();
+        match self.get("encodings") {
+            None => out.push(Encoding::Binary),
+            Some(j) => {
+                let items = j
+                    .as_array()
+                    .ok_or_else(|| "'encodings' must be an array of encoding names".to_string())?;
+                if items.is_empty() || items.len() > 3 {
+                    return Err("'encodings' must hold 1..=3 names".to_string());
+                }
+                for item in items {
+                    let enc = item.as_str().and_then(parse_encoding).ok_or_else(|| {
+                        "'encodings' entries must be \"binary\", \"gray\", or \"onehot\""
+                            .to_string()
+                    })?;
+                    if out.contains(&enc) {
+                        return Err(format!("duplicate encoding '{}'", encoding_name(enc)));
+                    }
+                    out.push(enc);
+                }
+            }
+        }
+        let names = out.iter().map(|&e| Json::from(encoding_name(e)));
+        Ok(self.keep("encodings", Json::array(names), out))
+    }
+
+    fn ratios(&mut self) -> Result<Vec<f64>, String> {
         // The default is the paper's operating point, SD = 15 ns against
         // LD = 20 ns. Below 1/2 a long operation no longer fits in two
         // short cycles, which breaks the telescopic timing model.
@@ -705,34 +829,37 @@ impl<'a> Fields<'a> {
         self.float_list("sd_ld", what, &[0.75], MAX_RATIOS, (0.5, 1.0))
     }
 
-    fn skew_list(&self) -> Result<Vec<u64>, String> {
-        let Some(j) = self.get("skew") else {
-            // Default: the synchronous clocking discipline only.
-            return Ok(vec![0]);
-        };
-        let items = j
-            .as_array()
-            .ok_or_else(|| "'skew' must be an array of skew bounds".to_string())?;
-        if items.is_empty() || items.len() > MAX_RATIOS {
-            return Err(format!("'skew' must hold 1..={MAX_RATIOS} values"));
-        }
+    fn skew_list(&mut self) -> Result<Vec<u64>, String> {
         let mut out = Vec::new();
-        for item in items {
-            let v = item
-                .as_u64()
-                .ok_or_else(|| "'skew' entries must be non-negative integers".to_string())?;
-            if v > MAX_SKEW {
-                return Err(format!("'skew' bounds must be at most {MAX_SKEW}, got {v}"));
+        match self.get("skew") {
+            // Default: the synchronous clocking discipline only.
+            None => out.push(0),
+            Some(j) => {
+                let items = j
+                    .as_array()
+                    .ok_or_else(|| "'skew' must be an array of skew bounds".to_string())?;
+                if items.is_empty() || items.len() > MAX_RATIOS {
+                    return Err(format!("'skew' must hold 1..={MAX_RATIOS} values"));
+                }
+                for item in items {
+                    let v = item.as_u64().ok_or_else(|| {
+                        "'skew' entries must be non-negative integers".to_string()
+                    })?;
+                    if v > MAX_SKEW {
+                        return Err(format!("'skew' bounds must be at most {MAX_SKEW}, got {v}"));
+                    }
+                    if out.contains(&v) {
+                        return Err(format!("duplicate skew bound {v}"));
+                    }
+                    out.push(v);
+                }
             }
-            if out.contains(&v) {
-                return Err(format!("duplicate skew bound {v}"));
-            }
-            out.push(v);
         }
-        Ok(out)
+        let bounds = out.iter().map(|&v| Json::from(v));
+        Ok(self.keep("skew", Json::array(bounds), out))
     }
 
-    fn elastic(&self) -> Result<ElasticSpec, String> {
+    fn elastic(&mut self) -> Result<ElasticSpec, String> {
         let d = ElasticSpec::default();
         Ok(ElasticSpec {
             skew_bound: self.u64_in("skew", u64::from(d.skew_bound), 0, MAX_SKEW)? as u32,
@@ -741,28 +868,29 @@ impl<'a> Fields<'a> {
         })
     }
 
-    fn styles(&self) -> Result<ControlStyleSet, String> {
-        let Some(j) = self.get("styles") else {
-            return Ok(ControlStyleSet::DIST | ControlStyleSet::CENT | ControlStyleSet::ELASTIC);
-        };
-        let set = if let Some(s) = j.as_str() {
-            ControlStyleSet::parse(s)?
-        } else if let Some(items) = j.as_array() {
-            let mut set = ControlStyleSet::empty();
-            for item in items {
-                let name = item
-                    .as_str()
-                    .ok_or_else(|| "'styles' entries must be style names".to_string())?;
-                set = set | ControlStyleSet::parse_one(name)?;
+    fn styles(&mut self) -> Result<ControlStyleSet, String> {
+        let set = match self.get("styles").map(|j| (j.as_str(), j.as_array())) {
+            None => ControlStyleSet::DIST | ControlStyleSet::CENT | ControlStyleSet::ELASTIC,
+            Some((Some(s), _)) => ControlStyleSet::parse(s)?,
+            Some((None, None)) => {
+                return Err(
+                    "'styles' must be a comma-separated string or an array of style names"
+                        .to_string(),
+                )
             }
-            if set.is_empty() {
-                return Err("'styles' must name at least one style".to_string());
+            Some((None, Some(items))) => {
+                let mut set = ControlStyleSet::empty();
+                for item in items {
+                    let name = item
+                        .as_str()
+                        .ok_or_else(|| "'styles' entries must be style names".to_string())?;
+                    set = set | ControlStyleSet::parse_one(name)?;
+                }
+                if set.is_empty() {
+                    return Err("'styles' must name at least one style".to_string());
+                }
+                set
             }
-            set
-        } else {
-            return Err(
-                "'styles' must be a comma-separated string or an array of style names".to_string(),
-            );
         };
         if set.contains(ControlStyleSet::TAU) {
             return Err("'styles' supports dist, cent, and elastic here".to_string());
@@ -770,24 +898,24 @@ impl<'a> Fields<'a> {
         if !set.contains(ControlStyleSet::DIST) {
             return Err("'styles' must include 'dist' (the engine under test)".to_string());
         }
-        Ok(set)
+        let names = set.names().into_iter().map(Json::from);
+        Ok(self.keep("styles", Json::array(names), set))
     }
 
-    fn binding(&self) -> Result<bool, String> {
-        match self.get("binding") {
-            None => Ok(false),
-            Some(j) => match j.as_str() {
-                Some("left-edge") => Ok(false),
-                Some("chains") => Ok(true),
-                _ => Err("'binding' must be \"left-edge\" or \"chains\"".to_string()),
-            },
-        }
+    fn binding(&mut self) -> Result<bool, String> {
+        let chains = match self.get("binding").map(JsonRef::as_str) {
+            None | Some(Some("left-edge")) => false,
+            Some(Some("chains")) => true,
+            Some(_) => return Err("'binding' must be \"left-edge\" or \"chains\"".to_string()),
+        };
+        let name = if chains { "chains" } else { "left-edge" };
+        Ok(self.keep("binding", Json::from(name), chains))
     }
 
     /// The graph source and allocation every synthesis-side spec
     /// starts with: `dfg`, `muls`, `adds`, `subs` and `binding`, in that
     /// order.
-    fn target(&self) -> Result<(ReadDfg, usize, usize, usize, bool), String> {
+    fn target(&mut self) -> Result<(ReadDfg, usize, usize, usize, bool), String> {
         Ok((
             self.dfg()?,
             self.usize_in("muls", 2, MAX_UNITS)?,
@@ -799,16 +927,17 @@ impl<'a> Fields<'a> {
 
     /// An area spec: [`Fields::target`], `encoding` and `width`, then
     /// the admission check. A `synth` spec is its `synth` part: it cannot
-    /// carry a `width`, so its width reads as the default.
-    fn area(&self) -> Result<AreaSpec, String> {
+    /// carry a `width`, so its width reads as the default and stays out
+    /// of its rendering.
+    fn area(mut self) -> Result<AreaSpec, String> {
         let (dfg, muls, adds, subs, chains) = self.target()?;
         let encoding = self.encoding()?;
         let width = self.u64_in("width", 16, 1, MAX_WIDTH)? as u32;
-        let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
+        let (dfg, graph) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
         let synth = SynthSpec {
             dfg,
             graph,
-            dfg_field,
+            canonical: self.finish(),
             muls,
             adds,
             subs,
@@ -820,13 +949,14 @@ impl<'a> Fields<'a> {
 
     /// `dfg` or `dfg_text`, resolved against the built-in registry — the
     /// only one the service exposes. Every malformed graph, named, wire
-    /// or text, is reported here, before any later field.
-    fn dfg(&self) -> Result<ReadDfg, String> {
-        let named = |name: &str| {
-            let field = DfgField("dfg", Json::from(name));
-            (DfgSource::Named(name.to_string()), field)
-        };
-        let (source, field) = match (self.get("dfg"), self.get("dfg_text")) {
+    /// or text, is reported here, before any later field. The rendering
+    /// holds a benchmark name, the canonical wire object or the graph
+    /// text: a wire graph embedded as a JSON object (not a string) keeps
+    /// the canonical spec self-describing and makes
+    /// [`JobSpec::from_canonical`] re-validate it like a fresh request.
+    fn dfg(&mut self) -> Result<ReadDfg, String> {
+        let named = |name: &str| (DfgSource::Named(name.to_string()), "dfg", Json::from(name));
+        let (source, key, value) = match (self.get("dfg"), self.get("dfg_text")) {
             (Some(_), Some(_)) => {
                 return Err("give either 'dfg' or 'dfg_text', not both".to_string())
             }
@@ -854,10 +984,7 @@ impl<'a> Fields<'a> {
                     }
                     let graph = parse_wire_dfg(&text).map_err(|e| format!("dfg: {e}"))?;
                     let wire = dfg_to_wire(&graph);
-                    (
-                        DfgSource::InlineWire(wire.to_compact()),
-                        DfgField("dfg", wire),
-                    )
+                    (DfgSource::InlineWire(wire.to_compact()), "dfg", wire)
                 } else {
                     return Err(
                         "'dfg' must be a benchmark name string or an inline graph object"
@@ -875,21 +1002,15 @@ impl<'a> Fields<'a> {
                         text.len()
                     ));
                 }
-                (
-                    DfgSource::InlineText(text.to_string()),
-                    DfgField("dfg_text", Json::from(text)),
-                )
+                let source = DfgSource::InlineText(text.to_string());
+                (source, "dfg_text", Json::from(text))
             }
             (None, None) => named("fir5"),
         };
         // A wire graph is held as parsed from its canonical text, whose
         // node ids differ from the sent ones.
         let graph = source.resolve(DfgRegistry::builtin())?;
-        Ok(ReadDfg {
-            source,
-            graph,
-            field,
-        })
+        Ok(self.keep(key, value, ReadDfg { source, graph }))
     }
 }
 
@@ -944,34 +1065,19 @@ impl JobSpec {
     }
 
     fn parse(endpoint: Endpoint, spec: &JsonRef<'_>) -> Result<JobSpec, String> {
+        let mut f = Fields::new(spec, endpoint.kind())?;
         match endpoint {
             Endpoint::Simulate => {
-                let f = Fields::new(
-                    spec,
-                    &[
-                        "dfg",
-                        "dfg_text",
-                        "muls",
-                        "adds",
-                        "subs",
-                        "binding",
-                        "p",
-                        "trials",
-                        "seed",
-                        "skew",
-                        "sync_latency",
-                    ],
-                )?;
                 let (dfg, muls, adds, subs, chains) = f.target()?;
                 let p_values = f.p_values()?;
                 let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
                 let seed = f.seed()?;
                 let elastic = f.elastic()?;
-                let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
+                let (dfg, graph) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
                 Ok(JobSpec::Simulate(SimulateSpec {
                     dfg,
                     graph,
-                    dfg_field,
+                    canonical: f.finish(),
                     muls,
                     adds,
                     subs,
@@ -982,42 +1088,23 @@ impl JobSpec {
                     elastic,
                 }))
             }
-            Endpoint::Table2 => {
-                let f = Fields::new(spec, &["trials", "seed"])?;
-                Ok(JobSpec::Table2(Table2Spec {
-                    trials: f.u64_in("trials", 2000, 1, MAX_TRIALS)?,
-                    seed: f.seed()?,
-                }))
-            }
+            Endpoint::Table2 => Ok(JobSpec::Table2(Table2Spec {
+                trials: f.u64_in("trials", 2000, 1, MAX_TRIALS)?,
+                seed: f.seed()?,
+                canonical: f.finish(),
+            })),
             Endpoint::Resilience => {
-                let f = Fields::new(
-                    spec,
-                    &[
-                        "dfg",
-                        "dfg_text",
-                        "muls",
-                        "adds",
-                        "subs",
-                        "binding",
-                        "p",
-                        "trials",
-                        "seed",
-                        "styles",
-                        "skew",
-                        "sync_latency",
-                    ],
-                )?;
                 let (dfg, muls, adds, subs, chains) = f.target()?;
                 let p = f.probability("p", 0.5)?;
                 let trials = f.u64_in("trials", 2000, 1, MAX_TRIALS)?;
                 let seed = f.seed()?;
                 let styles = f.styles()?;
                 let elastic = f.elastic()?;
-                let (dfg, graph, dfg_field) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
+                let (dfg, graph) = dfg.admit(&Allocation::paper(muls, adds, subs))?;
                 Ok(JobSpec::Resilience(ResilienceSpec {
                     dfg,
                     graph,
-                    dfg_field,
+                    canonical: f.finish(),
                     muls,
                     adds,
                     subs,
@@ -1029,42 +1116,9 @@ impl JobSpec {
                     elastic,
                 }))
             }
-            Endpoint::Synth => {
-                let f = Fields::new(
-                    spec,
-                    &[
-                        "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding",
-                    ],
-                )?;
-                Ok(JobSpec::Synth(f.area()?.synth))
-            }
-            Endpoint::Area => {
-                let f = Fields::new(
-                    spec,
-                    &[
-                        "dfg", "dfg_text", "muls", "adds", "subs", "binding", "encoding", "width",
-                    ],
-                )?;
-                Ok(JobSpec::Area(f.area()?))
-            }
+            Endpoint::Synth => Ok(JobSpec::Synth(f.area()?.synth)),
+            Endpoint::Area => Ok(JobSpec::Area(f.area()?)),
             Endpoint::Explore => {
-                let f = Fields::new(
-                    spec,
-                    &[
-                        "dfg",
-                        "dfg_text",
-                        "max_muls",
-                        "max_adds",
-                        "max_subs",
-                        "encodings",
-                        "p",
-                        "sd_ld",
-                        "skew",
-                        "trials",
-                        "width",
-                        "seed",
-                    ],
-                )?;
                 let dfg = f.dfg()?;
                 let max_muls = f.usize_in("max_muls", 4, MAX_EXPLORE_UNITS)?;
                 let max_adds = f.usize_in("max_adds", 2, MAX_EXPLORE_UNITS)?;
@@ -1078,12 +1132,11 @@ impl JobSpec {
                 let seed = f.seed()?;
                 // The maximal allocation must cover the graph, so at least
                 // one swept point is feasible.
-                let (dfg, graph, dfg_field) =
-                    dfg.admit(&Allocation::paper(max_muls, max_adds, max_subs))?;
+                let (dfg, graph) = dfg.admit(&Allocation::paper(max_muls, max_adds, max_subs))?;
                 let s = ExploreSpec {
                     dfg,
                     graph,
-                    dfg_field,
+                    canonical: f.finish(),
                     max_muls,
                     max_adds,
                     max_subs,
@@ -1113,135 +1166,40 @@ impl JobSpec {
         }
     }
 
+    /// The canonical rendering this spec's field readers wrote.
+    fn held(&self) -> &Canonical {
+        match self {
+            JobSpec::Simulate(s) => &s.canonical,
+            JobSpec::Table2(s) => &s.canonical,
+            JobSpec::Resilience(s) => &s.canonical,
+            JobSpec::Synth(s) => &s.canonical,
+            JobSpec::Area(s) => &s.synth.canonical,
+            JobSpec::Explore(s) => &s.canonical,
+        }
+    }
+
     /// The endpoint this spec targets.
     pub fn endpoint(&self) -> Endpoint {
-        match self {
-            JobSpec::Simulate(_) => Endpoint::Simulate,
-            JobSpec::Table2(_) => Endpoint::Table2,
-            JobSpec::Resilience(_) => Endpoint::Resilience,
-            JobSpec::Synth(_) => Endpoint::Synth,
-            JobSpec::Area(_) => Endpoint::Area,
-            JobSpec::Explore(_) => Endpoint::Explore,
-        }
+        self.held().0
     }
 
-    /// Monte-Carlo trials this job will run (table2: per benchmark row;
-    /// resilience: per fault kind; zero for the synthesis endpoints, which
-    /// run no simulation) — the unit of the service's trials-per-second
-    /// gauge.
+    /// Monte-Carlo trials this job will run, its `trials` field
+    /// (table2: per benchmark row; resilience: per fault kind; zero for
+    /// the synthesis endpoints, which have none and run no simulation) —
+    /// the unit of the service's trials-per-second gauge.
     pub fn trials(&self) -> u64 {
-        match self {
-            JobSpec::Simulate(s) => s.trials,
-            JobSpec::Table2(s) => s.trials,
-            JobSpec::Resilience(s) => s.trials,
-            JobSpec::Explore(s) => s.trials,
-            JobSpec::Synth(_) | JobSpec::Area(_) => 0,
-        }
+        self.held()
+            .1
+            .get("trials")
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
     }
 
-    /// The canonical rendering: every field materialized, in one fixed
-    /// order, with the endpoint embedded — the value whose compact form is
-    /// [`JobSpec::cache_key`].
+    /// The canonical rendering: every field materialized, in the order
+    /// the spec's readers accept them, after the embedded endpoint — the
+    /// value whose compact form is [`JobSpec::cache_key`].
     pub fn canonical(&self) -> Json {
-        fn dfg_pair(DfgField(key, value): &DfgField) -> (&'static str, Json) {
-            (key, value.clone())
-        }
-        fn binding(chains: bool) -> Json {
-            Json::from(if chains { "chains" } else { "left-edge" })
-        }
-        match self {
-            JobSpec::Simulate(s) => Json::object([
-                ("endpoint", Json::from("simulate")),
-                dfg_pair(&s.dfg_field),
-                ("muls", Json::from(s.muls)),
-                ("adds", Json::from(s.adds)),
-                ("subs", Json::from(s.subs)),
-                ("binding", binding(s.chains)),
-                ("p", Json::floats(&s.p_values)),
-                ("trials", Json::from(s.trials)),
-                ("seed", Json::from(s.seed)),
-                ("skew", Json::from(u64::from(s.elastic.skew_bound))),
-                (
-                    "sync_latency",
-                    Json::from(u64::from(s.elastic.sync_latency)),
-                ),
-            ]),
-            JobSpec::Table2(s) => Json::object([
-                ("endpoint", Json::from("table2")),
-                ("trials", Json::from(s.trials)),
-                ("seed", Json::from(s.seed)),
-            ]),
-            JobSpec::Resilience(s) => Json::object([
-                ("endpoint", Json::from("resilience")),
-                dfg_pair(&s.dfg_field),
-                ("muls", Json::from(s.muls)),
-                ("adds", Json::from(s.adds)),
-                ("subs", Json::from(s.subs)),
-                ("binding", binding(s.chains)),
-                ("p", Json::Float(s.p)),
-                ("trials", Json::from(s.trials)),
-                ("seed", Json::from(s.seed)),
-                (
-                    "styles",
-                    Json::array(
-                        s.styles
-                            .names()
-                            .into_iter()
-                            .map(Json::from)
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-                ("skew", Json::from(u64::from(s.elastic.skew_bound))),
-                (
-                    "sync_latency",
-                    Json::from(u64::from(s.elastic.sync_latency)),
-                ),
-            ]),
-            JobSpec::Synth(s) => Json::object([
-                ("endpoint", Json::from("synth")),
-                dfg_pair(&s.dfg_field),
-                ("muls", Json::from(s.muls)),
-                ("adds", Json::from(s.adds)),
-                ("subs", Json::from(s.subs)),
-                ("binding", binding(s.chains)),
-                ("encoding", Json::from(encoding_name(s.encoding))),
-            ]),
-            JobSpec::Area(AreaSpec { synth: s, width }) => Json::object([
-                ("endpoint", Json::from("area")),
-                dfg_pair(&s.dfg_field),
-                ("muls", Json::from(s.muls)),
-                ("adds", Json::from(s.adds)),
-                ("subs", Json::from(s.subs)),
-                ("binding", binding(s.chains)),
-                ("encoding", Json::from(encoding_name(s.encoding))),
-                ("width", Json::from(*width as u64)),
-            ]),
-            JobSpec::Explore(s) => Json::object([
-                ("endpoint", Json::from("explore")),
-                dfg_pair(&s.dfg_field),
-                ("max_muls", Json::from(s.max_muls)),
-                ("max_adds", Json::from(s.max_adds)),
-                ("max_subs", Json::from(s.max_subs)),
-                (
-                    "encodings",
-                    Json::array(
-                        s.encodings
-                            .iter()
-                            .map(|e| Json::from(encoding_name(*e)))
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-                ("p", Json::floats(&s.p_values)),
-                ("sd_ld", Json::floats(&s.sd_ld)),
-                (
-                    "skew",
-                    Json::array(s.skew.iter().map(|&v| Json::from(v)).collect::<Vec<_>>()),
-                ),
-                ("trials", Json::from(s.trials)),
-                ("width", Json::from(s.width as u64)),
-                ("seed", Json::from(s.seed)),
-            ]),
-        }
+        self.held().1.clone()
     }
 
     /// The content address of this job: the compact canonical rendering.
@@ -1249,7 +1207,7 @@ impl JobSpec {
     /// every field feeding the simulation (seed included) is in the key
     /// and the batch engine is bit-deterministic.
     pub fn cache_key(&self) -> String {
-        self.canonical().to_compact()
+        self.held().1.to_compact()
     }
 
     /// The content-derived job identifier: the FNV-1a 64-bit hash of
@@ -1810,6 +1768,63 @@ mod tests {
         assert_eq!(cold.to_compact(), warm.to_compact());
         assert_eq!(body.to_compact(), warm.to_compact());
         assert!(records.iter().all(|r| r.cache_hit));
+    }
+
+    /// Every row of the kind table: its name round-trips, `{}` parses
+    /// (with a small `trials` where the kind takes one), the one-part
+    /// plan runs and merges to `run`'s body, and the canonical rendering
+    /// reads back to the same spec.
+    #[test]
+    fn every_kind_parses_runs_as_one_part_and_round_trips() {
+        let runner = BatchRunner::serial();
+        for kind in KINDS {
+            assert_eq!(Endpoint::parse(kind.name), Some(kind.endpoint));
+            assert_eq!(kind.endpoint.as_str(), kind.name);
+            let text = if kind.fields.contains(&"trials") {
+                r#"{"trials":8}"#
+            } else {
+                "{}"
+            };
+            let spec = parse(kind.endpoint, text).expect(kind.name);
+            assert_eq!(spec.endpoint(), kind.endpoint);
+            let plan = partition::plan(&spec, 1);
+            assert_eq!(plan.len(), 1, "{}", kind.name);
+            let (partial, _) = partition::run_part(&spec, plan[0], &runner, None).unwrap();
+            let merged = partition::merge(&spec, vec![partial]).unwrap();
+            let body = spec.run(&runner).unwrap();
+            assert_eq!(merged.to_compact(), body.to_compact(), "{}", kind.name);
+            let back = JobSpec::from_canonical(&spec.canonical()).unwrap();
+            assert_eq!(back, spec, "{}", kind.name);
+        }
+    }
+
+    /// A kind's canonical rendering carries every field the kind takes,
+    /// in table order, and only the graph field the request gave: a field
+    /// missing from it would let two different requests share one cache
+    /// entry.
+    #[test]
+    fn canonical_keys_are_the_kind_fields() {
+        let axpy = r#"{"dfg_text":"dfg axpy\ninput a\ninput x\ninput y\nop m = mul a x\nop r = add m y\noutput r r\n"}"#;
+        for kind in KINDS {
+            let texts: &[(&str, &str)] = if kind.fields.contains(&"dfg") {
+                &[("dfg_text", "{}"), ("dfg", axpy)]
+            } else {
+                &[("", "{}")]
+            };
+            for (absent, text) in texts {
+                let spec = parse(kind.endpoint, text).expect(text);
+                let canonical = spec.canonical();
+                let keys: Vec<&str> = canonical
+                    .as_object()
+                    .unwrap()
+                    .iter()
+                    .map(|(k, _)| k.as_str())
+                    .collect();
+                let fields = kind.fields.iter().filter(|f| *f != absent);
+                let want: Vec<&str> = ["endpoint"].into_iter().chain(fields.copied()).collect();
+                assert_eq!(keys, want, "{} {text}", kind.name);
+            }
+        }
     }
 
     /// Literal content addresses: the cache key and job id a spec gets

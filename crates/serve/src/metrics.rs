@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use tauhls_core::jobspec::KINDS;
 use tauhls_core::stages::STAGE_NAMES;
 use tauhls_core::StageRecord;
 
@@ -22,15 +23,9 @@ use crate::cache::Cache;
 use crate::jobs::JobState;
 
 /// The request-routing labels counted under
-/// `tauhls_serve_requests_total` (paths no route knows count as
-/// `other`).
-pub const ENDPOINTS: [&str; 13] = [
-    "simulate",
-    "table2",
-    "resilience",
-    "synth",
-    "area",
-    "explore",
+/// `tauhls_serve_requests_total`: the job kinds, then the other routes
+/// (paths no route knows count as `other`).
+pub const ENDPOINTS: [&str; 13] = kinds_then(&[
     "jobs",
     "dfg_validate",
     "status",
@@ -38,21 +33,28 @@ pub const ENDPOINTS: [&str; 13] = [
     "metrics",
     "cluster",
     "other",
-];
+]);
 
 /// The endpoints timed under `tauhls_serve_request_seconds`: the job
 /// endpoints, async job execution, and the cluster partitions this node
 /// serves (the cheap read-only endpoints are not worth a histogram each).
-pub const TIMED_ENDPOINTS: [&str; 8] = [
-    "simulate",
-    "table2",
-    "resilience",
-    "synth",
-    "area",
-    "explore",
-    "jobs",
-    "cluster",
-];
+pub const TIMED_ENDPOINTS: [&str; 8] = kinds_then(&["jobs", "cluster"]);
+
+/// The [`KINDS`] names, in table order, then `rest`.
+const fn kinds_then<const N: usize>(rest: &[&'static str]) -> [&'static str; N] {
+    assert!(KINDS.len() + rest.len() == N, "label count mismatch");
+    let mut labels = [""; N];
+    let mut i = 0;
+    while i < N {
+        labels[i] = if i < KINDS.len() {
+            KINDS[i].name
+        } else {
+            rest[i - KINDS.len()]
+        };
+        i += 1;
+    }
+    labels
+}
 
 /// How many entries the in-memory event log retains; older entries are
 /// dropped (and counted) so the log is bounded no matter the uptime.

@@ -542,7 +542,7 @@ fn route_label(path: &str) -> &'static str {
         "/metrics" => "metrics",
         "/v1/status" => "status",
         "/v1/dfg/validate" => "dfg_validate",
-        "/v1/dfg/explore" => "explore",
+        "/v1/dfg/explore" => Endpoint::Explore.as_str(),
         "/v1/cluster/partition" | "/v1/cluster/register" | "/v1/cluster/heartbeat" => "cluster",
         "/v1/jobs" => "jobs",
         _ if path.starts_with("/v1/jobs/") => "jobs",

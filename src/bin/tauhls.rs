@@ -125,7 +125,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 use tauhls::core::experiments;
 use tauhls::core::jobspec::{
-    legs_enhancement, Endpoint, JobError, JobSpec, SimulateSpec, SynthSpec, SIMULATE_LEGS,
+    Endpoint, JobError, JobSpec, SimulateSpec, SynthSpec, KINDS, SIMULATE_LEGS,
 };
 use tauhls::core::report::system_area_from_logic;
 use tauhls::core::stages::{self, PipelineTrace};
@@ -250,35 +250,33 @@ impl Shape {
     }
 }
 
-const P_LISTS: &[Endpoint] = &[Endpoint::Simulate, Endpoint::Explore];
-const EXPLORE_LISTS: &[Endpoint] = &[Endpoint::Explore];
-
-/// Every analysis flag: its name, its spec field, its value shape, and
-/// the endpoints whose field takes a comma-separated list. Each flag goes
-/// into whatever spec the subcommand fills, so a field the endpoint does
-/// not have is rejected there, exactly as the service rejects it.
-const SPEC_FLAGS: [(&str, &str, Shape, &[Endpoint]); 17] = [
-    ("--muls", "muls", Shape::Uint, &[]),
-    ("--adds", "adds", Shape::Uint, &[]),
-    ("--subs", "subs", Shape::Uint, &[]),
-    ("--binding", "binding", Shape::Name, &[]),
-    ("--encoding", "encoding", Shape::Name, &[]),
-    ("--p", "p", Shape::Num, P_LISTS),
-    ("--trials", "trials", Shape::Uint, &[]),
-    ("--seed", "seed", Shape::Uint, &[]),
-    ("--skew", "skew", Shape::Uint, EXPLORE_LISTS),
-    ("--sync-latency", "sync_latency", Shape::Uint, &[]),
-    ("--styles", "styles", Shape::Name, &[]),
-    ("--max-muls", "max_muls", Shape::Uint, &[]),
-    ("--max-adds", "max_adds", Shape::Uint, &[]),
-    ("--max-subs", "max_subs", Shape::Uint, &[]),
-    ("--encodings", "encodings", Shape::Name, EXPLORE_LISTS),
-    ("--sd-ld", "sd_ld", Shape::Num, EXPLORE_LISTS),
-    ("--width", "width", Shape::Uint, &[]),
+/// Every analysis flag: its name, its spec field and its value shape.
+/// Each flag goes into whatever spec the subcommand fills, so a field the
+/// endpoint does not have is rejected there, exactly as the service
+/// rejects it.
+const SPEC_FLAGS: [(&str, &str, Shape); 17] = [
+    ("--muls", "muls", Shape::Uint),
+    ("--adds", "adds", Shape::Uint),
+    ("--subs", "subs", Shape::Uint),
+    ("--binding", "binding", Shape::Name),
+    ("--encoding", "encoding", Shape::Name),
+    ("--p", "p", Shape::Num),
+    ("--trials", "trials", Shape::Uint),
+    ("--seed", "seed", Shape::Uint),
+    ("--skew", "skew", Shape::Uint),
+    ("--sync-latency", "sync_latency", Shape::Uint),
+    ("--styles", "styles", Shape::Name),
+    ("--max-muls", "max_muls", Shape::Uint),
+    ("--max-adds", "max_adds", Shape::Uint),
+    ("--max-subs", "max_subs", Shape::Uint),
+    ("--encodings", "encodings", Shape::Name),
+    ("--sd-ld", "sd_ld", Shape::Num),
+    ("--width", "width", Shape::Uint),
 ];
 
-/// A flag's value as the JSON of its field: a list field takes the
-/// comma-separated items as an array, a scalar field its one item.
+/// A flag's value as the JSON of its field: a list field (named in its
+/// endpoint's [`KINDS`] row) takes the comma-separated items as an array,
+/// a scalar field its one item.
 /// Several items for a scalar field stay an array, so the spec names the
 /// mismatch.
 fn field_value(shape: Shape, list: bool, raw: &str) -> Result<Json, String> {
@@ -329,11 +327,12 @@ fn job_spec(
         }
         let usage = |e: &dyn std::fmt::Display| CliError::Usage(format!("{flag}: {e}"));
         let raw = it.next().ok_or_else(|| usage(&"missing value"))?;
-        let Some(&(_, key, shape, lists)) = spec_flag else {
+        let Some(&(_, key, shape)) = spec_flag else {
             knobs.threads = Some(raw.parse().map_err(|e| usage(&e))?);
             continue;
         };
-        let value = field_value(shape, lists.contains(&endpoint), raw).map_err(|e| usage(&e))?;
+        let list = endpoint.kind().lists.contains(&key);
+        let value = field_value(shape, list, raw).map_err(|e| usage(&e))?;
         fields.retain(|(k, _)| *k != key);
         fields.push((key, value));
     }
@@ -379,12 +378,8 @@ fn analysis(cmd: &str, endpoint: Endpoint, args: &[String]) -> Result<String, Cl
     let (spec, knobs) = job_spec(endpoint, file, flags, cmd == "synth")?;
     let runner = BatchRunner::sized(knobs.threads);
     Ok(match &spec {
-        JobSpec::Simulate(s) => simulate_text(s, &runner)?,
-        JobSpec::Resilience(_) => spec
-            .run(&runner)?
-            .get("report")
-            .map(Json::to_pretty)
-            .ok_or_else(|| "resilience body carries no report".to_string())?,
+        JobSpec::Simulate(s) => simulate_text(s, &spec.run(&runner)?)?,
+        JobSpec::Resilience(_) => cell(&spec.run(&runner)?, "report")?.to_pretty(),
         JobSpec::Table2(s) => experiments::table2(s.trials as usize, s.seed, &runner)
             .map_err(|e| e.to_string())?
             .to_string(),
@@ -505,24 +500,33 @@ fn synth_text(s: &SynthSpec, json: bool) -> Result<String, JobError> {
     Ok(out)
 }
 
-/// `tauhls simulate`: every [`SIMULATE_LEGS`] style on coupled trials,
-/// with the paper's enhancement column.
-fn simulate_text(s: &SimulateSpec, runner: &BatchRunner) -> Result<String, JobError> {
-    let legs = s.measure_legs(0..s.p_values.len(), runner)?;
-    let clk = 15.0;
+/// The `key` cell of a job's response body.
+fn cell<'a>(body: &'a Json, key: &str) -> Result<&'a Json, String> {
+    body.get(key)
+        .ok_or_else(|| format!("job body carries no {key}"))
+}
+
+/// `tauhls simulate`: the job's body as text — every [`SIMULATE_LEGS`]
+/// style on coupled trials, rendered in ns, with the paper's enhancement
+/// column.
+fn simulate_text(s: &SimulateSpec, body: &Json) -> Result<String, String> {
+    let clock = cell(body, "clock_ns")?.as_f64().unwrap_or_default();
     let mut out = format!(
-        "clock 15 ns, {} coupled trials at P = {:?}\n",
+        "clock {clock} ns, {} coupled trials at P = {:?}\n",
         s.trials, s.p_values
     );
-    for ((key, description, style), summary) in SIMULATE_LEGS.iter().zip(&legs) {
+    for (key, description, style) in SIMULATE_LEGS {
         let clocks = match style(s.elastic) {
             ControlStyle::Elastic(e) => format!(" s={},l={}", e.skew_bound, e.sync_latency),
             _ => String::new(),
         };
         let label = format!("{:<7} ({description}{clocks})", key.to_ascii_uppercase());
-        let _ = writeln!(out, "{label:<22} : {}", summary.to_ns_string(clk));
+        let rendered = cell(cell(body, key)?, "rendered_ns")?.as_str();
+        let _ = writeln!(out, "{label:<22} : {}", rendered.unwrap_or_default());
     }
-    for (p, e) in s.p_values.iter().zip(legs_enhancement(&legs)) {
+    let enhancement = cell(body, "enhancement_percent")?.as_array();
+    for (p, e) in s.p_values.iter().zip(enhancement.unwrap_or_default()) {
+        let e = e.as_f64().unwrap_or_default();
         let _ = writeln!(out, "  P = {p}: {e:+.1}% enhancement");
     }
     Ok(out)
@@ -785,14 +789,17 @@ fn cmd_cluster(args: &[String]) -> Result<String, String> {
         .ok_or_else(|| "status body carries no cluster section".to_string())
 }
 
-/// What `tauhls call` can reach.
-const CALL_ENDPOINTS: &str = "simulate|table2|resilience|synth|area|explore|status|healthz|metrics";
+/// The job kinds' names, `|`-separated.
+fn kind_names() -> String {
+    KINDS.map(|k| k.name).join("|")
+}
 
 /// `tauhls call`: one request against a running service.
 fn cmd_call(args: &[String]) -> Result<String, String> {
     let cli = CALL.parse(args)?;
+    let reachable = format!("{}|status|healthz|metrics", kind_names());
     let (Some(endpoint), spec_path) = (cli.positional.first(), cli.positional.get(1)) else {
-        return Err(format!("call needs an endpoint ({CALL_ENDPOINTS})"));
+        return Err(format!("call needs an endpoint ({reachable})"));
     };
     if cli.positional.len() > 2 {
         return Err("too many arguments to call".to_string());
@@ -802,7 +809,7 @@ fn cmd_call(args: &[String]) -> Result<String, String> {
         "metrics" => ("GET", "/metrics".to_string()),
         "status" => ("GET", "/v1/status".to_string()),
         name if Endpoint::parse(name).is_some() => ("POST", format!("/v1/{name}")),
-        other => return Err(format!("unknown endpoint '{other}' ({CALL_ENDPOINTS})")),
+        other => return Err(format!("unknown endpoint '{other}' ({reachable})")),
     };
     let body = match spec_path {
         Some(p) => read_file(p)?,
@@ -836,10 +843,7 @@ fn cmd_jobs(args: &[String]) -> Result<String, String> {
         [other, ..] => return Err(format!("unknown jobs verb '{other}' ({VERBS})")),
     };
     let Some(endpoint) = submit.first() else {
-        return Err(
-            "jobs submit needs an endpoint (simulate|table2|resilience|synth|area|explore)"
-                .to_string(),
-        );
+        return Err(format!("jobs submit needs an endpoint ({})", kind_names()));
     };
     if Endpoint::parse(endpoint).is_none() {
         return Err(format!("unknown endpoint '{endpoint}'"));
